@@ -12,7 +12,8 @@ Submodules:
 - `potentials`   matrix potentials, branch tracking, projector calculus
 - `classical`    branch Hamiltonian trajectories and the action integral
 - `envelope`     the ε-free profile equation
-- `eigenframe`   parallel-transported frames and coupling coefficients
+- `eigenframe`   parallel transport (an oracle for the static frame) and
+                 coupling coefficients
 - `corrections`  scalar branch propagators and driven off-mode corrections
 - `nls`          the full vector NLS split-step solver
 - `experiments`  ansatz assembly, error reports, ε-sweeps, superposition

@@ -12,9 +12,10 @@ Commands:
     bench       spectral-kernel micro-benchmarks (opt-in, host-dependent)
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-invariant failure,
-4 runtime abort.  Results are CSV + JSON plus a gnuplot script; all text is
-UTF-8 with LF line endings, and floats use shortest round-trip formatting so
-repeated runs diff byte-identically.
+4 runtime abort.  `converge` writes its outputs even when some ε sub-runs
+fail, then exits with the code of the first failure.  Results are CSV + JSON
+plus a gnuplot script; all text is UTF-8 with LF line endings, and floats use
+shortest round-trip formatting so repeated runs diff byte-identically.
 """
 
 from __future__ import annotations
@@ -203,7 +204,9 @@ def cmd_converge(cfg, out: Path, args) -> int:
                        "title 'leakage'"])
     if report.failures:
         print(f"warning: {len(report.failures)} sub-runs failed: "
-              f"{report.failures}", file=sys.stderr)
+              f"{[[eps, str(exc)] for eps, exc in report.failures]}",
+              file=sys.stderr)
+        return report.failures[0][1].exit_code
     return 0
 
 
@@ -216,7 +219,8 @@ def cmd_superpose(cfg, out: Path, args) -> int:
         cfg.x_min, cfg.x_max, gamma_exponent=cfg.gamma_exponent,
         observe_every=cfg.observe_every, dt_max=cfg.dt_max,
         dt_over_eps=cfg.dt_over_epsilon, y_half_width=cfg.y_half_width,
-        y_points=cfg.y_points, beta=cfg.beta, threads=args.threads)
+        y_points=cfg.y_points, n_override=cfg.n_override, beta=cfg.beta,
+        threads=args.threads)
     rows = [[e, s, t, c, i] for e, s, t, c, i in
             zip(report.epsilons, report.sup_errors, report.terminal_errors,
                 report.crossing_measures, report.interaction_integrals)]
@@ -288,15 +292,15 @@ def main(argv=None) -> int:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)
         _write_failure(out, "config", exc.errors)
-        return 2
+        return exc.exit_code
     except InvariantViolation as exc:
         print(f"numerical invariant failed: {exc}", file=sys.stderr)
         _write_failure(out, "invariant", [str(exc)])
-        return 3
+        return exc.exit_code
     except SolverAbort as exc:
         print(f"runtime abort: {exc}", file=sys.stderr)
         _write_failure(out, "abort", [str(exc)])
-        return 4
+        return exc.exit_code
 
 
 def _write_failure(out, kind, messages):

@@ -4,8 +4,9 @@ A config file carries the potential (expression strings for the diagonal and
 symmetric parts), the packet(s), the ε list, the coupling constant, horizon,
 step and grid policies, and output options.  Validation is exhaustive: every
 violation is collected and reported at once, and grid sizes are derived per ε
-from the adequacy rule (eight points per oscillation at the fastest momentum
-seen on the classical trajectory) before any run starts.
+from the adequacy rule (spacing ε / (8(|ξ|+1)), at least 16π ≈ 50 points per
+wavelength at the fastest momentum seen on the classical trajectory) before
+any run starts.
 """
 
 from __future__ import annotations

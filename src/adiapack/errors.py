@@ -1,17 +1,19 @@
 """Exception hierarchy shared across the package.
 
-The command-line driver maps these onto exit codes: configuration problems
-(2), violated numerical invariants (3), and runtime aborts such as blow-up
-guards or mass-drift trips (4).
+Each class carries the exit code the `adiapack` command returns for it:
+configuration problems (2), violated numerical invariants (3), and runtime
+aborts such as blow-up guards or mass-drift trips (4).
 """
 
 
 class AdiapackError(Exception):
-    pass
+    exit_code = 1
 
 
 class ConfigError(AdiapackError):
     """Invalid configuration. Carries the full list of violations."""
+
+    exit_code = 2
 
     def __init__(self, errors):
         if isinstance(errors, str):
@@ -22,6 +24,8 @@ class ConfigError(AdiapackError):
 
 class InvariantViolation(AdiapackError):
     """A numerical invariant (orthonormality, residual bound, ...) failed."""
+
+    exit_code = 3
 
 
 class BranchTrackingError(InvariantViolation):
@@ -34,3 +38,5 @@ class BranchTrackingError(InvariantViolation):
 
 class SolverAbort(AdiapackError):
     """A propagation run tripped a guard (blow-up, mass drift, resonance)."""
+
+    exit_code = 4

@@ -4,8 +4,13 @@ The moving ansatz for a packet on its branch is
 
     φ(t, x) = ε^{-1/4} u(t, (x - x(t))/√ε) e^{i(S(t) + ξ(t)(x - x(t)))/ε},
 
-polarized along the transported eigenvector field χ¹(t, x).  The measured
-errors are
+polarized along the eigenvector field χ¹(t, x) of its branch.  Within the
+package's scope (V real symmetric, transported branch simple) a normalized
+real eigenvector χ already satisfies (χ, ∂ₓχ) = 0, so the parallel-transported
+frame is the static eigenframe: χ¹(t, x) = χ(x).  Runs therefore read the
+carrier, and every off-branch frame, from the one lab decomposition they do
+per ε; `eigenframe.transport_frame` stays as an independent oracle for that
+identity.  The measured errors are
 
     w = ψ - φ χ¹          (raw approximation error)
     θ = w + ε g           (with the off-mode coupling absorbed by g)
@@ -17,8 +22,7 @@ superposition experiment with the trajectory-crossing diagnostics Γ and
 
 One run marches everything in lockstep: the trajectory is integrated at dt/4
 so that envelope midpoints (dt/2 steps) and Duhamel midpoints (dt steps) land
-exactly on trajectory samples; the frame is transported at its own O(1) step
-and stored at observer times.
+exactly on trajectory samples.
 """
 
 from __future__ import annotations
@@ -31,10 +35,9 @@ from scipy.interpolate import CubicSpline
 
 from .classical import BranchCurve, ClassicalTrajectory, integrate_trajectory
 from .corrections import ScalarPropagator, assemble_correction
-from .eigenframe import EigenFrame, coupling_profile, frame_at, initial_frame, \
-    transport_frame
+from .eigenframe import coupling_profile
 from .envelope import EnvelopeStepper
-from .errors import InvariantViolation
+from .errors import AdiapackError, ConfigError, InvariantViolation
 from .grids import ScalarField, SpatialGrid, VectorField, l2_norm, make_grid, \
     sigma_norm
 from .nls import FieldState, NLSPropagator, build_initial_data, \
@@ -140,7 +143,6 @@ class AnsatzBundle:
     branch: int
     branch_curve: BranchCurve
     traj: ClassicalTrajectory
-    frame: EigenFrame
     epsilon: float
     lambda_coupling: float
     y_grid: SpatialGrid
@@ -177,13 +179,11 @@ def _phi_values(lab_grid, y_grid, u_vals, traj, t, epsilon):
     return epsilon**-0.25 * u * phase
 
 
-def assemble_ansatz(bundle: AnsatzBundle, t: float,
-                    lab_grid: SpatialGrid | None = None) -> VectorField:
-    """φ(t, ·) χ¹(t, ·) on the lab grid."""
-    grid = lab_grid if lab_grid is not None else bundle.data.grid
-    phi = bundle.phi_at(t, grid)
-    chi = frame_at(bundle.frame, t, grid)[:, :, 0]
-    return VectorField(grid=grid, values=phi.values[:, None] * chi,
+def assemble_ansatz(bundle: AnsatzBundle, t: float) -> VectorField:
+    """φ(t, ·) χ¹ on the lab grid, χ¹ the static eigenvector of the branch."""
+    phi = bundle.phi_at(t)
+    chi = bundle.data.frames[bundle.branch][:, :, 0]
+    return VectorField(grid=phi.grid, values=phi.values[:, None] * chi,
                        epsilon=bundle.epsilon, time=t)
 
 
@@ -268,37 +268,19 @@ def _branch_curve_for(spec: MatrixPotentialSpec, data: SpectralData,
     return BranchCurve.from_data(data, branch)
 
 
-def _frame_window(x_min, x_max, traj, pad=0.5):
-    """Comoving window wide enough that z = x - x(t) covers the lab domain."""
-    lo = x_min - float(traj.x.max()) - pad
-    hi = x_max - float(traj.x.min()) + pad
-    span = hi - lo
-    n = 1024
-    while span / n > 2e-3 and n < 16384:
-        n *= 2
-    return make_grid(lo, hi, n)
+def _require_simple_branch(data: SpectralData, branch: int):
+    """Scope guard for the static carrier.
 
-
-def _covering_grid(windows, pad=0.25):
-    """Grid containing every shifted comoving node z + x(t), so the frame and
-    generator splines never extrapolate."""
-    lo = min(zg.x_min + float(tr.x.min()) for zg, tr in windows) - pad
-    hi = max(zg.x_max + float(tr.x.max()) for zg, tr in windows) + pad
-    n = 2048
-    while (hi - lo) / n > 2e-3 and n < 32768:
-        n *= 2
-    return make_grid(lo, hi, n)
-
-
-def _check_branch_consistency(data_lab: SpectralData, data_wide: SpectralData):
-    stride = max(1, data_lab.grid.n // 16)
-    pts = data_lab.grid.points[::stride]
-    for j in range(data_lab.n_branches):
-        wide = CubicSpline(data_wide.grid.points, data_wide.branches[j])(pts)
-        if np.max(np.abs(wide - data_lab.branches[j][::stride])) > 1e-7:
-            raise InvariantViolation(
-                "branch numbering differs between the solver and frame grids"
-            )
+    A declared multiplet is the one input where the static eigenframe and the
+    parallel-transported frame can differ.  V is real by construction
+    (`potentials` assembles it as a float array), so no guard for a complex W
+    is needed.
+    """
+    d = data.multiplicities[branch]
+    if d != 1:
+        raise ConfigError(
+            f"branch {branch} has multiplicity {d}: out of scope, the "
+            f"transported branch must be simple")
 
 
 @dataclass(eq=False)
@@ -352,15 +334,17 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
                       snapshot_times=(), keep_bundle: bool = False) -> SingleRunResult:
     """One full pipeline run: solver, ansatz, corrections, error time series.
 
-    Grid sizes are derived from the adequacy rule (spacing small enough to put
-    eight points per oscillation at the fastest momentum on the trajectory)
-    unless `n_override` forces a size, which is still validated.
+    Grid sizes are derived from the adequacy rule (spacing ε / (8(|ξ|+1)) at
+    the fastest momentum on the trajectory, at least 16π ≈ 50 points per
+    wavelength of e^{iξx/ε}) unless `n_override` forces a size, which is still
+    validated.  The packet's branch must be simple (`ConfigError` otherwise).
     """
     branch = packet.branch
     a = packet.evaluator()
 
     # momentum probe on a coarse grid, then the ε-fine lab grid
     probe_data = decompose(spec, make_grid(x_min, x_max, 4096))
+    _require_simple_branch(probe_data, branch)
     probe_curve = _branch_curve_for(spec, probe_data, branch)
     probe_traj = integrate_trajectory(probe_curve, packet.x0, packet.xi0, T, 1e-3,
                                       branch_id=branch)
@@ -383,41 +367,23 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
     traj = integrate_trajectory(curve, packet.x0, packet.xi0, T, dt / 4.0,
                                 branch_id=branch)
 
-    # frame machinery on a wider, coarser grid (sign conventions all come from
-    # this one decomposition; the lab decomposition only feeds projectors and
-    # branch values, which are sign-free)
-    z_grid = _frame_window(x_min, x_max, traj)
-    frame_data = decompose(spec, _covering_grid([(z_grid, traj)]))
-    _check_branch_consistency(data, frame_data)
-    dt_frame = observe_every / max(1, int(round(observe_every / 1e-3)))
-    frame = transport_frame(frame_data, branch, traj,
-                            initial_frame(frame_data, branch,
-                                          packet.x0 + z_grid.points),
-                            z_grid, dt_frame, T=T,
-                            store_stride=int(round(observe_every / dt_frame)))
-
     y_grid = make_grid(-y_half_width, y_half_width, y_points)
     env = EnvelopeStepper(y_grid, a(y_grid.points), lambda_coupling,
                           traj.curvature_of)
 
-    chi0 = frame_at(frame, 0.0, lab)
-    state0 = build_initial_data(a, packet.x0, packet.xi0, chi0, epsilon, lab,
+    # the carrier χ¹ is static (module docstring); it and every off-branch
+    # frame below come from this one decomposition, so their signs agree
+    chi = data.frames[branch][:, :, 0]
+    state0 = build_initial_data(a, packet.x0, packet.xi0, chi, epsilon, lab,
                                 lambda_coupling, packet.r0())
     prop = NLSPropagator(data, epsilon, lambda_coupling, dt, beta)
 
     # correction components for every other branch
     others = [j for j in range(data.n_branches) if j != branch] if with_corrections else []
-    rho = {}
-    for j in others:
-        for ell in range(data.multiplicities[j]):
-            prof = coupling_profile(frame_data, j, ell, source_branch=branch)
-            rho[(j, ell)] = CubicSpline(frame_data.grid.points, prof)(lab.points)
+    rho = {(j, ell): coupling_profile(data, j, ell, source_branch=branch)
+           for j in others for ell in range(data.multiplicities[j])}
     g_props = {j: ScalarPropagator(lab, data.branches[j], epsilon) for j in others}
     g_vals = {key: np.zeros(lab.n, dtype=complex) for key in rho}
-    static_frames = {
-        (j, ell): initial_frame(frame_data, j, lab.points)[:, :, ell]
-        for (j, ell) in rho
-    }
 
     psi = state0.values.astype(complex).copy()
     mass0 = l2_norm(lab, psi)
@@ -437,15 +403,14 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
         if edge > 1e-8:
             raise InvariantViolation(
                 f"boundary magnitude {edge:.3e} at t = {t}; enlarge the domain")
-        ansatz_chi = frame_at(frame, t, lab)[:, :, 0]
         phi = _phi_values(lab, y_grid, u_now, traj, t, epsilon)
-        w_values = psi - phi[:, None] * ansatz_chi
+        w_values = psi - phi[:, None] * chi
         wf = VectorField(grid=lab, values=w_values, epsilon=epsilon, time=t)
         w_rep = sigma_norm(wf, 1)
         if rho:
             g_vec = np.zeros_like(psi)
-            for key, arr in g_vals.items():
-                g_vec += arr[:, None] * static_frames[key]
+            for (j, ell), arr in g_vals.items():
+                g_vec += arr[:, None] * data.frames[j][:, :, ell]
             th = VectorField(grid=lab, values=w_values + epsilon * g_vec,
                              epsilon=epsilon, time=t)
             th_rep = sigma_norm(th, 1)
@@ -500,9 +465,9 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
             snapshots[snapshot_steps[step + 1]] = psi.copy()
 
     bundle = AnsatzBundle(data=data, branch=branch, branch_curve=curve, traj=traj,
-                          frame=frame, epsilon=epsilon,
-                          lambda_coupling=lambda_coupling, y_grid=y_grid,
-                          u_times=np.asarray(u_times), u_values=u_values)
+                          epsilon=epsilon, lambda_coupling=lambda_coupling,
+                          y_grid=y_grid, u_times=np.asarray(u_times),
+                          u_values=u_values)
     w_arr = np.asarray(w_list)
     return SingleRunResult(
         epsilon=epsilon, grid_n=n, dt=dt, times=np.asarray(times),
@@ -529,6 +494,7 @@ class ConvergenceReport:
     leakage_order: OrderFit
     strictly_decreasing: bool
     runs: list
+    failures: list = field(default_factory=list)  # (epsilon, AdiapackError)
 
     def to_dict(self):
         return {
@@ -541,6 +507,7 @@ class ConvergenceReport:
             "leakage_order": self.leakage_order.order,
             "strictly_decreasing": self.strictly_decreasing,
             "runs": [r.to_dict() for r in self.runs],
+            "failures": [[eps, str(exc)] for eps, exc in self.failures],
         }
 
 
@@ -550,7 +517,9 @@ def convergence_study(spec: MatrixPotentialSpec, packet: PacketSpec, epsilons,
     """Sweep ε, collect sup-in-t error norms, and fit the decay order.
 
     Runs are independent jobs (optionally threaded); results merge in ε order.
-    A failed sub-run annotates the report instead of killing the sweep.
+    A sub-run that fails with an `AdiapackError` is listed in
+    `report.failures` instead of killing the sweep; any other exception is a
+    programming error and propagates.
     """
     epsilons = sorted(epsilons, reverse=True)
 
@@ -558,7 +527,7 @@ def convergence_study(spec: MatrixPotentialSpec, packet: PacketSpec, epsilons,
         try:
             return run_single_packet(spec, packet, eps, lambda_coupling, T,
                                      x_min, x_max, **run_kwargs)
-        except Exception as exc:  # annotated, study continues
+        except AdiapackError as exc:
             return exc
 
     if threads > 1:
@@ -568,24 +537,23 @@ def convergence_study(spec: MatrixPotentialSpec, packet: PacketSpec, epsilons,
         outcomes = [job(e) for e in epsilons]
 
     runs = [r for r in outcomes if isinstance(r, SingleRunResult)]
-    failures = [(e, str(r)) for e, r in zip(epsilons, outcomes)
+    failures = [(e, r) for e, r in zip(epsilons, outcomes)
                 if not isinstance(r, SingleRunResult)]
     if failures and not runs:
-        raise InvariantViolation(f"every run failed: {failures}")
+        raise InvariantViolation(
+            f"every run failed: {[[e, str(exc)] for e, exc in failures]}")
 
     eps_ok = [r.epsilon for r in runs]
     sup_err = [r.sup_w_sigma1 for r in runs]
     term_err = [r.terminal_w_sigma1 for r in runs]
     leak = [float(r.leakage[-1]) for r in runs]
-    report = ConvergenceReport(
+    return ConvergenceReport(
         epsilons=eps_ok, sup_errors=sup_err, terminal_errors=term_err,
         leakages=leak, fitted_order=fit_order(eps_ok, sup_err),
         leakage_order=fit_order(eps_ok, leak),
         strictly_decreasing=all(a > b for a, b in zip(sup_err, sup_err[1:])),
-        runs=runs,
+        runs=runs, failures=failures,
     )
-    report.failures = failures
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +572,7 @@ class SuperpositionReport:
     interaction_integrals: list
     error_order: OrderFit
     crossing_order: OrderFit
+    grid_n: list
 
     def to_dict(self):
         return {
@@ -618,6 +587,7 @@ class SuperpositionReport:
             "interaction_integrals": list(self.interaction_integrals),
             "error_order": self.error_order.order,
             "crossing_order": self.crossing_order.order,
+            "grid_n": list(self.grid_n),
         }
 
 
@@ -626,14 +596,19 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
                              x_max: float, gamma_exponent: float = 0.3,
                              observe_every: float = 0.01, dt_max: float = 1e-3,
                              dt_over_eps: float = 0.25, y_half_width: float = 40.0,
-                             y_points: int = 2048, beta: float = 0.75,
+                             y_points: int = 2048, n_override: int | None = None,
+                             beta: float = 0.75,
                              threads: int = 1) -> SuperpositionReport:
-    """Two-packet run: ψ₀ = φ₁χ¹(0) + φ₂χ²(0), error against the sum ansatz.
+    """Two-packet run: ψ₀ = φ₁χ¹ + φ₂χ², error against the sum ansatz.
 
     Reports Γ = inf |λ̃₁ - λ̃₂ - (E₁ - E₂)| (0 means the separation hypothesis
     fails — the run still executes as a documented negative control), the
     crossing-set measure |I^ε(T)| for the configured γ, and the interaction
-    integral ∫‖|φ₁|²φ₂‖ dt.
+    integral ∫‖|φ₁|²φ₂‖ dt.  The infimum runs over the lab domain
+    [x_min, x_max], sampled by the probe decomposition; the shipped superpose
+    configs have a constant objective there.  Both carriers are static lab
+    eigenvectors, so both branches must be simple (`ConfigError` otherwise).
+    Grid sizes follow the same rule and `n_override` as `run_single_packet`.
     """
     if not 0.0 < gamma_exponent < 0.5:
         raise ValueError("gamma_exponent must lie in (0, 1/2)")
@@ -644,17 +619,17 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
 
     # ε-independent preparation: trajectories, Γ
     probe = decompose(spec, make_grid(x_min, x_max, 4096))
+    for p in (p1, p2):
+        _require_simple_branch(probe, p.branch)
     curves = [_branch_curve_for(spec, probe, p.branch) for p in (p1, p2)]
     probe_trajs = [integrate_trajectory(c, p.x0, p.xi0, T, 1e-3, branch_id=p.branch)
                    for c, p in zip(curves, (p1, p2))]
-    z_windows = [_frame_window(x_min, x_max, tr) for tr in probe_trajs]
-    wide = decompose(spec, _covering_grid(list(zip(z_windows, probe_trajs))))
-    lam1 = wide.branches[p1.branch]
-    lam2 = wide.branches[p2.branch]
+    lam1 = probe.branches[p1.branch]
+    lam2 = probe.branches[p2.branch]
     e1, e2 = probe_trajs[0].energy0, probe_trajs[1].energy0
     objective = np.abs(lam1 - lam2 - (e1 - e2))
     big_gamma = float(objective.min())
-    m = max(4, wide.grid.n // 64)
+    m = max(4, probe.grid.n // 64)
     edge_ok = bool(objective[-1] >= objective[-m] - 1e-12
                    and objective[0] >= objective[m - 1] - 1e-12)
     gamma_zero = bool(big_gamma < 1e-12)
@@ -662,7 +637,7 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
     xi_max = max(float(np.max(np.abs(tr.xi))) for tr in probe_trajs)
 
     def job(eps):
-        n = required_points(x_max - x_min, eps, xi_max)
+        n = n_override or required_points(x_max - x_min, eps, xi_max)
         lab = make_grid(x_min, x_max, n)
         check_grid_adequacy(lab, eps, xi_max)
         data = decompose(spec, lab)
@@ -673,36 +648,21 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
         total_steps = steps_per_obs * n_obs
 
         y_grid = make_grid(-y_half_width, y_half_width, y_points)
-        frame_data = wide
-        _check_branch_consistency(data, frame_data)
-        dt_frame = observe_every / max(1, int(round(observe_every / 1e-3)))
-        stride = int(round(observe_every / dt_frame))
-
-        trajs, envs, frames = [], [], []
-        for k, pk in enumerate((p1, p2)):
+        trajs, envs = [], []
+        for pk in (p1, p2):
             curve = _branch_curve_for(spec, data, pk.branch)
             tr = integrate_trajectory(curve, pk.x0, pk.xi0, T, dt / 4.0,
                                       branch_id=pk.branch)
             a = pk.evaluator()
             envs.append(EnvelopeStepper(y_grid, a(y_grid.points), lambda_coupling,
                                         tr.curvature_of))
-            zg = z_windows[k]
-            frames.append(transport_frame(frame_data, pk.branch, tr,
-                                          initial_frame(frame_data, pk.branch,
-                                                        pk.x0 + zg.points),
-                                          zg, dt_frame, T=T, store_stride=stride))
             trajs.append(tr)
-
-        def packet_values(k, t, u_now):
-            phi = _phi_values(lab, y_grid, u_now, trajs[k], t, eps)
-            chi = frame_at(frames[k], t, lab)[:, :, 0]
-            return phi, chi
+        chis = [data.frames[pk.branch][:, :, 0] for pk in (p1, p2)]
 
         # analytic profiles at t = 0 (spline interpolation noise in the data
         # would disperse at high group velocity and pollute the whole domain)
         psi = sum(coherent_packet(lab, pk.evaluator(), pk.x0, pk.xi0, eps)[:, None]
-                  * frame_at(frames[k], 0.0, lab)[:, :, 0]
-                  for k, pk in enumerate((p1, p2)))
+                  * chi for pk, chi in zip((p1, p2), chis))
         prop = NLSPropagator(data, eps, lambda_coupling, dt, beta)
         mass0 = l2_norm(lab, psi)
 
@@ -713,9 +673,9 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
             if edge > 1e-8:
                 raise InvariantViolation(
                     f"boundary magnitude {edge:.3e} at t = {t}; enlarge the domain")
-            f1, c1 = packet_values(0, t, envs[0].values)
-            f2, c2 = packet_values(1, t, envs[1].values)
-            w = psi - f1[:, None] * c1 - f2[:, None] * c2
+            f1, f2 = (_phi_values(lab, y_grid, env.values, tr, t, eps)
+                      for env, tr in zip(envs, trajs))
+            w = psi - f1[:, None] * chis[0] - f2[:, None] * chis[1]
             wf = VectorField(grid=lab, values=w, epsilon=eps, time=t)
             w_series.append(sigma_norm(wf, 1).value)
             inter_series.append(l2_norm(lab, np.abs(f1) ** 2 * f2))
@@ -738,7 +698,7 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
         interaction = float(np.trapezoid(np.asarray(inter_series),
                                          np.asarray(t_series)))
         w_arr = np.asarray(w_series)
-        return float(w_arr.max()), float(w_arr[-1]), crossing, interaction
+        return float(w_arr.max()), float(w_arr[-1]), crossing, interaction, n
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -750,11 +710,12 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
     terms = [r[1] for r in rows]
     crossings = [r[2] for r in rows]
     inters = [r[3] for r in rows]
+    grid_n = [r[4] for r in rows]
     return SuperpositionReport(
         epsilons=list(epsilons), gamma_exponent=gamma_exponent,
         big_gamma=big_gamma, big_gamma_edge_ok=edge_ok,
         gamma_zero_warning=gamma_zero, sup_errors=sups, terminal_errors=terms,
         crossing_measures=crossings, interaction_integrals=inters,
         error_order=fit_order(epsilons, sups),
-        crossing_order=fit_order(epsilons, crossings),
+        crossing_order=fit_order(epsilons, crossings), grid_n=grid_n,
     )

@@ -80,7 +80,7 @@ def build_initial_data(a, x0: float, xi0: float, chi_values: np.ndarray,
                        r0_spec: tuple | None = None) -> FieldState:
     """Polarized coherent state, with an optional ε^κ perturbation (κ > 1/4)."""
     chi = np.asarray(chi_values)
-    if chi.ndim == 3:  # frame_at output (n, N, 1)
+    if chi.ndim == 3:  # a frame with its column axis, (n, N, 1)
         chi = chi[:, :, 0]
     elif chi.ndim == 1:
         chi = chi[:, None]
@@ -203,8 +203,9 @@ def mode_populations(state: FieldState, v_data: SpectralData) -> np.ndarray:
 
 
 def adequate_spacing(epsilon: float, xi_max: float) -> float:
-    """Largest spacing resolving e^{iξx/ε} with 8 points per wavelength at the
-    fastest momentum (plus one, as spread margin)."""
+    """Largest spacing ε / (8(|ξ|+1)) at the fastest momentum ξ: at least
+    16π ≈ 50 points per wavelength 2πε/|ξ| of e^{iξx/ε} (the +1 is a spread
+    margin)."""
     return epsilon / (8.0 * (abs(xi_max) + 1.0))
 
 

@@ -229,3 +229,40 @@ def test_superpose_command_contract(tmp_path):
     assert float(lines[-1].split(",")[1]) == 0.125
     report = json.loads((out / "report.json").read_text())
     assert report["gamma_zero_warning"] is False
+
+
+def test_converge_failed_subrun_recorded(tmp_path):
+    # ε = 4 pushes the packet onto the boundary; ε = 1/32 still runs
+    out = tmp_path / "out"
+    code = main(["converge", "--config", str(CONFIGS / "smoke.json"),
+                 "--out", str(out), "--epsilon-override", "4.0,0.03125"])
+    assert code == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["epsilons"] == [0.03125]
+    assert [eps for eps, _ in report["failures"]] == [4.0]
+    assert "boundary" in report["failures"][0][1]
+    assert (out / "convergence.csv").exists()
+
+
+def test_superpose_honours_grid_n(tmp_path):
+    raw = json.loads((CONFIGS / "superposition.json").read_text())
+    raw.update(T=0.1, epsilons=[0.0625])
+    raw["grid"]["n"] = 65536
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["superpose", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["grid_n"] == [65536]
+
+
+def test_non_simple_branch_exit_code(tmp_path, capsys):
+    multiplet = {"diag": ["x^2/2", "x^2/2"], "sym": ["0", "0", "0"],
+                 "multiplicities": [2]}
+    packets = [{"profile": {"type": "gaussian"}, "x0": 1.0, "xi0": 0.0},
+               {"profile": {"type": "gaussian"}, "x0": -1.0, "xi0": 0.0}]
+    path = write_config(tmp_path, potential=multiplet, packets=packets)
+    for command in ("single", "superpose"):
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / command)]) == 2
+        assert "must be simple" in capsys.readouterr().err

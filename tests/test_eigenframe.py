@@ -8,10 +8,13 @@ from adiapack.eigenframe import (coupling_coefficients, coupling_profile,
                                  transport_frame)
 from adiapack.expressions import parse_expr
 from adiapack.grids import make_grid
-from adiapack.potentials import decompose, evaluate_potential
+from adiapack.potentials import MatrixPotentialSpec, decompose, \
+    evaluate_potential
 from tests.test_potentials import constant_direction_family, rotating_family
 
 K_ANALYTIC = np.array([[0.0, -0.5j], [0.5j, 0.0]])
+CROSSING_CONTROL = MatrixPotentialSpec.from_strings(
+    ["x^2/2", "x^2/2"], ["cos(x)", "sin(x)", "-cos(x)"])
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +74,28 @@ def test_transport_constant_direction_frame_is_static():
     init = initial_frame(data, 0, 0.5 + z_grid.points)
     frame = transport_frame(data, 0, traj, init, z_grid, 1e-3, T=1.0)
     assert np.max(np.abs(frame.vectors - frame.vectors[0])) < 1e-12
+
+
+@pytest.mark.parametrize("branch", [0, 1])
+@pytest.mark.parametrize("family", ["rotating", "crossing_control"])
+def test_transported_frame_is_static_lab_frame(family, branch):
+    # the run path polarizes packets along the lab decomposition's frame; on
+    # a simple branch of a real symmetric V that is the transported frame
+    spec = rotating_family() if family == "rotating" else CROSSING_CONTROL
+    lab = make_grid(-2.0, 2.0, 256)
+    static = decompose(spec, lab).frames[branch][:, :, 0]
+    wide = decompose(spec, make_grid(-5.0, 5.0, 2048))
+    traj = integrate_trajectory(BranchCurve.from_data(wide, branch), 1.0, 0.0,
+                                2.0, 1e-3, branch_id=branch)
+    z_grid = make_grid(lab.x_min - float(traj.x.max()) - 0.25,
+                       lab.x_max - float(traj.x.min()) + 0.25, 1024)
+    frame = transport_frame(wide, branch, traj,
+                            initial_frame(wide, branch, 1.0 + z_grid.points),
+                            z_grid, 1e-3, T=2.0, store_stride=500)
+    chis = [frame_at(frame, t, lab)[:, :, 0] for t in frame.times]
+    sign = np.sign(np.sum(chis[0] * static))
+    for chi in chis:
+        assert np.max(np.abs(chi - sign * static)) < 1e-12
 
 
 def test_transport_rotating_matches_half_angle_rotation(upper_frame,

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from adiapack.experiments import (PacketSpec, assemble_ansatz, error_report,
-                                  fit_order, make_profile, run_single_packet,
+from adiapack.errors import ConfigError
+from adiapack.experiments import (PacketSpec, assemble_ansatz,
+                                  convergence_study, error_report, fit_order,
+                                  make_profile, run_single_packet,
                                   superposition_experiment, taylor_residual)
 from adiapack.grids import VectorField, l2_norm, sigma_norm
 from adiapack.nls import FieldState, build_initial_data
@@ -10,6 +12,8 @@ from adiapack.potentials import MatrixPotentialSpec
 from tests.test_potentials import rotating_family
 
 HARMONIC = MatrixPotentialSpec.from_strings(["x^2/2"], ["0"])
+MULTIPLET = MatrixPotentialSpec.from_strings(["x^2/2", "x^2/2"], ["0", "0", "0"],
+                                             multiplicities=(2,))
 
 
 @pytest.fixture(scope="module")
@@ -144,10 +148,33 @@ def test_assembled_correction_orthogonal_to_carrier(rotating_run):
     g = {(1, 0): np.exp(-((lab.points - 1.0) ** 2)).astype(complex)}
     from adiapack.corrections import assemble_correction
     vec = assemble_correction(g, bundle.data, bundle.epsilon)
-    from adiapack.eigenframe import frame_at
-    chi1 = frame_at(bundle.frame, 0.2, lab)[:, :, 0]
+    chi1 = bundle.data.frames[bundle.branch][:, :, 0]
     overlap = np.abs(np.sum(vec.values * chi1.conj(), axis=1))
     assert np.max(overlap) < 1e-7
+
+
+def test_non_simple_branch_rejected():
+    # the static carrier is the transported frame only on a simple branch
+    p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
+    p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.0)
+    with pytest.raises(ConfigError, match="must be simple"):
+        run_single_packet(MULTIPLET, p1, 1.0 / 16, 0.0, 0.1, -4.0, 4.0,
+                          observe_every=0.05)
+    with pytest.raises(ConfigError, match="must be simple"):
+        superposition_experiment(MULTIPLET, (p1, p2), [1.0 / 16], 0.0, 0.1,
+                                 -4.0, 4.0, observe_every=0.05)
+
+
+def test_convergence_study_propagates_programming_errors(monkeypatch):
+    import adiapack.experiments as experiments
+
+    def broken(*args, **kwargs):
+        raise TypeError("synthetic programming error")
+
+    monkeypatch.setattr(experiments, "run_single_packet", broken)
+    packet = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
+    with pytest.raises(TypeError):
+        convergence_study(HARMONIC, packet, [1.0 / 16], 0.0, 0.1, -4.0, 4.0)
 
 
 def test_fit_order_exact_line():
