@@ -31,10 +31,17 @@ _FD_STEP = 1e-5
 class BranchCurve:
     """Bundle of λ, λ', λ'' evaluators for one eigenvalue branch."""
 
-    def __init__(self, value, deriv, curvature):
+    def __init__(self, value, deriv, curvature, value_and_deriv=None):
         self.value = value
         self.deriv = deriv
         self.curvature = curvature
+        self._value_and_deriv = value_and_deriv
+
+    def value_and_deriv(self, x: float) -> tuple:
+        """(λ(x), λ'(x)) as floats at one point: the trajectory's per-stage call."""
+        if self._value_and_deriv is not None:
+            return self._value_and_deriv(x)
+        return float(self.value(x)), float(self.deriv(x))
 
     @classmethod
     def from_expr(cls, expr: Expr) -> "BranchCurve":
@@ -47,7 +54,8 @@ class BranchCurve:
         """Branch evaluators from decomposed grid samples.
 
         λ is the cubic interpolant of the tracked branch; λ' and λ'' are
-        central differences of that interpolant at step 1e-5.
+        central differences of that interpolant at step 1e-5.  At a point,
+        `value_and_deriv` evaluates the spline once, at [x-h, x, x+h].
         """
         spline = CubicSpline(data.grid.points, data.branches[j])
         h = _FD_STEP
@@ -58,7 +66,11 @@ class BranchCurve:
         def curvature(x):
             return (spline(x + h) - 2.0 * spline(x) + spline(x - h)) / h**2
 
-        return cls(spline, deriv, curvature)
+        def value_and_deriv(x):
+            lo, mid, hi = spline(np.array([x - h, x, x + h]))
+            return float(mid), float((hi - lo) / (2.0 * h))
+
+        return cls(spline, deriv, curvature, value_and_deriv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +109,10 @@ def integrate_trajectory(branch: BranchCurve, x0: float, xi0: float, T: float,
     """Fourth-order fixed-step integration of the branch Hamiltonian flow.
 
     The action is accumulated through the same integrator stages, so S(t) is
-    fourth-order accurate as well.  Aborts if |x| or |ξ| exceeds 1e8.
+    fourth-order accurate as well.  Aborts if |x| or |ξ| exceeds 1e8.  The
+    state (x, ξ, S) is carried as Python floats, one `value_and_deriv` call
+    per stage; each update is the elementwise operation of the vector form of
+    the scheme, in the same order, so the samples are the same to the bit.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -105,25 +120,30 @@ def integrate_trajectory(branch: BranchCurve, x0: float, xi0: float, T: float,
     if abs(n_steps * dt - T) > 1e-12 * max(1.0, abs(T)):
         raise ValueError("T must be an integer multiple of dt")
 
-    def rhs(state):
-        x, xi, _ = state
-        return np.array([xi, -branch.deriv(x), 0.5 * xi * xi - branch.value(x)])
+    value_and_deriv = branch.value_and_deriv
 
+    def rhs(x, xi):
+        lam, dlam = value_and_deriv(x)
+        return xi, -dlam, 0.5 * xi * xi - lam
+
+    half, sixth = 0.5 * dt, dt / 6.0
+    x, xi, s = float(x0), float(xi0), 0.0
     out = np.empty((n_steps + 1, 3))
-    out[0] = (x0, xi0, 0.0)
-    state = out[0].copy()
+    out[0] = (x, xi, s)
     for i in range(n_steps):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * dt * k1)
-        k3 = rhs(state + 0.5 * dt * k2)
-        k4 = rhs(state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if abs(state[0]) > _BLOWUP or abs(state[1]) > _BLOWUP:
+        k1x, k1p, k1s = rhs(x, xi)
+        k2x, k2p, k2s = rhs(x + half * k1x, xi + half * k1p)
+        k3x, k3p, k3s = rhs(x + half * k2x, xi + half * k2p)
+        k4x, k4p, k4s = rhs(x + dt * k3x, xi + dt * k3p)
+        x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        xi = xi + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        s = s + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+        if abs(x) > _BLOWUP or abs(xi) > _BLOWUP:
             raise SolverAbort(
                 f"trajectory blow-up at t = {(i + 1) * dt}: "
-                f"x = {state[0]:.3e}, xi = {state[1]:.3e}"
+                f"x = {x:.3e}, xi = {xi:.3e}"
             )
-        out[i + 1] = state
+        out[i + 1] = (x, xi, s)
 
     times = dt * np.arange(n_steps + 1)
     xs, xis, actions = out[:, 0], out[:, 1], out[:, 2]

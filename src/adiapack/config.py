@@ -186,6 +186,8 @@ def load_config(path) -> ExperimentConfig:
     if not errors and spec is not None and packets and epsilons and T > 0:
         try:
             cfg.derived_grid_sizes = _derive_grid_sizes(cfg)
+        except ConfigError as exc:
+            errors.extend(exc.errors)
         except Exception as exc:
             errors.append(f"grid derivation failed: {exc}")
 
@@ -195,8 +197,23 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _derive_grid_sizes(cfg: ExperimentConfig) -> dict:
-    """Per-ε grid sizes from the adequacy rule, via a coarse momentum probe."""
+    """Per-ε grid sizes from the adequacy rule, via a coarse momentum probe.
+
+    The probe decomposition also checks the run-time scope: every packet's
+    branch must be simple, since runs polarize along the static eigenframe.
+    """
     probe = decompose(cfg.potential, make_grid(cfg.x_min, cfg.x_max, 4096))
+    scope = []
+    for i, pk in enumerate(cfg.packets):
+        if pk.branch >= probe.n_branches:
+            scope.append(f"packets[{i}]: branch {pk.branch} out of range "
+                         f"({probe.n_branches} branches)")
+        elif probe.multiplicities[pk.branch] != 1:
+            scope.append(f"packets[{i}]: branch {pk.branch} has multiplicity "
+                         f"{probe.multiplicities[pk.branch]}: out of scope, the "
+                         f"transported branch must be simple")
+    if scope:
+        raise ConfigError(scope)
     xi_max = 0.0
     for pk in cfg.packets:
         curve = _branch_curve_for(cfg.potential, probe, pk.branch)

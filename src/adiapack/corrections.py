@@ -8,7 +8,8 @@ driven by the mode-1 packet φ times a coupling coefficient r.  Propagation is
 a symmetric split step (half branch phase e^{-iλ dt/2ε}, exact kinetic
 multiplier e^{-iεk²dt/2}, half phase); the source enters once per step as the
 midpoint Duhamel increment dt/(iε)·U(dt/2) applied to (φ r) at the step
-midpoint, keeping everything second order in dt.
+midpoint, keeping everything second order in dt.  A step makes one new array
+and does the transforms (`scipy.fft`) and both phase products in place on it.
 
 `averaging_probe` measures ‖(1/iε) ∫₀ᵗ U_k(-s) U_j(s) f ds‖: for j = k it
 grows like t/ε, while for j ≠ k the branch-phase mismatch averages the
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .errors import SolverAbort
 from .grids import ScalarField, SpatialGrid, VectorField, l2_norm, sigma_norm
@@ -49,8 +51,13 @@ class ScalarPropagator:
         return pair
 
     def step(self, values: np.ndarray, dt: float) -> np.ndarray:
+        """One split step of `values` into a new array (the input is not modified)."""
         half, kin = self._phases(dt)
-        return half * np.fft.ifft(kin * np.fft.fft(half * values))
+        out = scipy.fft.fft(half * values, overwrite_x=True)
+        out *= kin
+        out = scipy.fft.ifft(out, overwrite_x=True)
+        out *= half
+        return out
 
 
 def scalar_step(f: ScalarField, lam_values: np.ndarray, dt: float,

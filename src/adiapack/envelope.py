@@ -8,7 +8,9 @@ on a fixed y-grid that does not depend on the semiclassical parameter.  The
 splitting is symmetric second order: a half step of the potential-plus-cubic
 phase (exact pointwise, since |u| is invariant under that flow), a full
 kinetic step (exact Fourier multiplier), and another half phase.  The
-time-dependent curvature is evaluated at the step midpoint.
+time-dependent curvature is evaluated at the step midpoint.  The stepper owns
+its sample buffer: the phases multiply it in place and the transforms
+(`scipy.fft`) overwrite it, so callers that keep a profile take a copy.
 
 Mass ‖u(t)‖ is conserved to roundoff by construction; a drift beyond 1e-8
 signals under-resolution and aborts the run.
@@ -19,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .errors import SolverAbort
-from .grids import SpatialGrid, l2_norm, _derivative_values
+from .grids import SpatialGrid, l2_norm, unit_phase, _derivative_values
 
 __all__ = ["EnvelopeState", "EnvelopeStepper", "solve_envelope", "envelope_moments"]
 
@@ -60,13 +63,16 @@ class EnvelopeStepper:
         return mult
 
     def _phase(self, dt, curv):
-        pot = curv * self._half_y2 + self.lambda_coupling * np.abs(self.values) ** 2
-        self.values *= np.exp(-1j * dt * pot)
+        re, im = self.values.real, self.values.imag
+        pot = curv * self._half_y2 + self.lambda_coupling * (re * re + im * im)
+        self.values *= unit_phase(-dt * pot)
 
     def advance(self, dt: float):
         curv = float(self.curvature_fn(self.time + 0.5 * dt))
         self._phase(0.5 * dt, curv)
-        self.values = np.fft.ifft(self._kinetic(dt) * np.fft.fft(self.values))
+        values = scipy.fft.fft(self.values, overwrite_x=True)
+        values *= self._kinetic(dt)
+        self.values = scipy.fft.ifft(values, overwrite_x=True)
         self._phase(0.5 * dt, curv)
         self.time += dt
         mass = l2_norm(self.y_grid, self.values)

@@ -3,6 +3,10 @@
 Each class carries the exit code the `adiapack` command returns for it:
 configuration problems (2), violated numerical invariants (3), and runtime
 aborts such as blow-up guards or mass-drift trips (4).
+
+Mass drift has one guard: every NLS march (`nls.solve_nls` and both run
+paths in `experiments`) calls `nls.check_step_mass` after each step, which
+raises `SolverAbort` (exit 4) once |‖ψ‖ - ‖ψ₀‖| exceeds 1e-9 · max(1, ‖ψ₀‖).
 """
 
 

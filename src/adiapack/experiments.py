@@ -41,7 +41,8 @@ from .errors import AdiapackError, ConfigError, InvariantViolation
 from .grids import ScalarField, SpatialGrid, VectorField, l2_norm, make_grid, \
     sigma_norm
 from .nls import FieldState, NLSPropagator, build_initial_data, \
-    check_grid_adequacy, coherent_packet, mode_populations, required_points
+    check_grid_adequacy, check_step_mass, coherent_packet, mode_populations, \
+    required_points
 from .potentials import MatrixPotentialSpec, SpectralData, decompose
 
 __all__ = [
@@ -301,6 +302,7 @@ class SingleRunResult:
     mass_drift: float
     sup_w_sigma1: float
     terminal_w_sigma1: float
+    energy_drift: float              # max |E(t) - E(0)| along the trajectory
     snapshots: dict = field(default_factory=dict)
     bundle: AnsatzBundle | None = None
 
@@ -321,6 +323,7 @@ class SingleRunResult:
             "mass_drift": self.mass_drift,
             "sup_w_sigma1": self.sup_w_sigma1,
             "terminal_w_sigma1": self.terminal_w_sigma1,
+            "energy_drift": self.energy_drift,
         }
 
 
@@ -338,6 +341,8 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
     the fastest momentum on the trajectory, at least 16π ≈ 50 points per
     wavelength of e^{iξx/ε}) unless `n_override` forces a size, which is still
     validated.  The packet's branch must be simple (`ConfigError` otherwise).
+    Every step passes `nls.check_step_mass` (`SolverAbort` past 1e-9); the
+    largest drift is reported as `mass_drift`, relative to the initial mass.
     """
     branch = packet.branch
     a = packet.evaluator()
@@ -455,8 +460,7 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
                     + (dt / (1j * epsilon)) * g_props[j].step(src, 0.5 * dt)
         env.advance(0.5 * dt)
         psi = prop.step(psi)
-        drift = abs(l2_norm(lab, psi) - mass0)
-        max_drift = max(max_drift, drift)
+        max_drift = max(max_drift, check_step_mass(lab, psi, mass0, step + 1))
         if (step + 1) % steps_per_obs == 0:
             observe((step + 1) * dt, env.values)
             u_times.append((step + 1) * dt)
@@ -477,7 +481,8 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
         g_sigma1={k: np.asarray(v) for k, v in g_log.items()},
         mass_drift=max_drift / max(mass0, 1e-300),
         sup_w_sigma1=float(w_arr.max()), terminal_w_sigma1=float(w_arr[-1]),
-        snapshots=snapshots, bundle=bundle if keep_bundle else None,
+        energy_drift=traj.energy_drift, snapshots=snapshots,
+        bundle=bundle if keep_bundle else None,
     )
 
 
@@ -518,8 +523,9 @@ def convergence_study(spec: MatrixPotentialSpec, packet: PacketSpec, epsilons,
 
     Runs are independent jobs (optionally threaded); results merge in ε order.
     A sub-run that fails with an `AdiapackError` is listed in
-    `report.failures` instead of killing the sweep; any other exception is a
-    programming error and propagates.
+    `report.failures` instead of killing the sweep, even when every sub-run
+    fails (the report then has no ε); any other exception is a programming
+    error and propagates.
     """
     epsilons = sorted(epsilons, reverse=True)
 
@@ -539,9 +545,6 @@ def convergence_study(spec: MatrixPotentialSpec, packet: PacketSpec, epsilons,
     runs = [r for r in outcomes if isinstance(r, SingleRunResult)]
     failures = [(e, r) for e, r in zip(epsilons, outcomes)
                 if not isinstance(r, SingleRunResult)]
-    if failures and not runs:
-        raise InvariantViolation(
-            f"every run failed: {[[e, str(exc)] for e, exc in failures]}")
 
     eps_ok = [r.epsilon for r in runs]
     sup_err = [r.sup_w_sigma1 for r in runs]
@@ -573,6 +576,7 @@ class SuperpositionReport:
     error_order: OrderFit
     crossing_order: OrderFit
     grid_n: list
+    energy_drift: list               # per ε, [packet 1, packet 2]
 
     def to_dict(self):
         return {
@@ -588,6 +592,7 @@ class SuperpositionReport:
             "error_order": self.error_order.order,
             "crossing_order": self.crossing_order.order,
             "grid_n": list(self.grid_n),
+            "energy_drift": [list(row) for row in self.energy_drift],
         }
 
 
@@ -608,7 +613,8 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
     [x_min, x_max], sampled by the probe decomposition; the shipped superpose
     configs have a constant objective there.  Both carriers are static lab
     eigenvectors, so both branches must be simple (`ConfigError` otherwise).
-    Grid sizes follow the same rule and `n_override` as `run_single_packet`.
+    Grid sizes follow the same rule and `n_override` as `run_single_packet`,
+    and every step passes the same mass guard, `nls.check_step_mass`.
     """
     if not 0.0 < gamma_exponent < 0.5:
         raise ValueError("gamma_exponent must lie in (0, 1/2)")
@@ -686,8 +692,7 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
             envs[0].advance(dt)
             envs[1].advance(dt)
             psi = prop.step(psi)
-            if abs(l2_norm(lab, psi) - mass0) > 1e-8 * max(1.0, mass0):
-                raise InvariantViolation("mass drift in superposition run")
+            check_step_mass(lab, psi, mass0, step + 1)
             if (step + 1) % steps_per_obs == 0:
                 observe((step + 1) * dt)
 
@@ -698,7 +703,9 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
         interaction = float(np.trapezoid(np.asarray(inter_series),
                                          np.asarray(t_series)))
         w_arr = np.asarray(w_series)
-        return float(w_arr.max()), float(w_arr[-1]), crossing, interaction, n
+        drifts = [tr.energy_drift for tr in trajs]
+        return (float(w_arr.max()), float(w_arr[-1]), crossing, interaction, n,
+                drifts)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -711,6 +718,7 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
     crossings = [r[2] for r in rows]
     inters = [r[3] for r in rows]
     grid_n = [r[4] for r in rows]
+    energy_drift = [r[5] for r in rows]
     return SuperpositionReport(
         epsilons=list(epsilons), gamma_exponent=gamma_exponent,
         big_gamma=big_gamma, big_gamma_edge_ok=edge_ok,
@@ -718,4 +726,5 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
         crossing_measures=crossings, interaction_integrals=inters,
         error_order=fit_order(epsilons, sups),
         crossing_order=fit_order(epsilons, crossings), grid_n=grid_n,
+        energy_drift=energy_drift,
     )

@@ -30,6 +30,7 @@ __all__ = [
     "spectral_derivative",
     "sigma_norm",
     "l2_norm",
+    "unit_phase",
 ]
 
 
@@ -116,11 +117,23 @@ def make_grid(x_min: float, x_max: float, n: int) -> SpatialGrid:
 
 
 def l2_norm(grid: SpatialGrid, values: np.ndarray) -> float:
-    """Trapezoidal L² norm; for a vector field, components are summed in quadrature."""
-    mag2 = np.abs(values) ** 2
-    if mag2.ndim == 2:
-        mag2 = mag2.sum(axis=1)
-    return float(np.sqrt(grid.spacing * mag2.sum()))
+    """Trapezoidal L² norm; for a vector field, components are summed in quadrature.
+
+    One pass of re² + im² over the samples in memory order, so a transposed
+    (n, N) view is read without a copy.
+    """
+    flat = np.ravel(values, order="K")
+    if np.iscomplexobj(flat):
+        flat = flat.view(flat.real.dtype)
+    return float(np.sqrt(grid.spacing * np.einsum("i,i->", flat, flat)))
+
+
+def unit_phase(theta: np.ndarray) -> np.ndarray:
+    """e^{iθ} for real θ, written as cos θ + i sin θ straight into a complex array."""
+    out = np.empty(np.shape(theta), dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
 def _derivative_values(grid: SpatialGrid, values: np.ndarray, order: int) -> np.ndarray:

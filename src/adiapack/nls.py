@@ -11,7 +11,13 @@ which is exact per grid point because V(x) is Hermitian and the flow preserves
 |ψ(x)| (applied through the precomputed spectral decomposition of V plus a
 scalar phase), then the exact kinetic Fourier multiplier per component, then
 another half potential step.  Both substeps are unitary, so mass is conserved
-to roundoff; a per-step drift beyond 1e-9 aborts.
+to roundoff.  `check_step_mass` is the one per-step mass guard: every NLS
+march (`solve_nls`, `run_single_packet`, `superposition_experiment`) calls it
+after each step, and a drift beyond 1e-9 raises `SolverAbort` (exit 4).
+
+Fields are (n, N) arrays at the interface; inside a step the propagator works
+component-major, on (N, n) rows that are contiguous along x, and hands back
+the transpose view of its (N, n) result.
 
 Coherent-state initial data:
 
@@ -26,14 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .errors import ConfigError, InvariantViolation, SolverAbort
-from .grids import SpatialGrid, VectorField, l2_norm
+from .grids import SpatialGrid, VectorField, l2_norm, unit_phase
 from .potentials import SpectralData
 
 __all__ = ["FieldState", "NLSPropagator", "build_initial_data", "coherent_packet",
-           "step_nls", "solve_nls", "mode_populations", "adequate_spacing",
-           "required_points", "check_grid_adequacy"]
+           "step_nls", "solve_nls", "check_step_mass", "mode_populations",
+           "adequate_spacing", "required_points", "check_grid_adequacy"]
 
 _STEP_MASS_TOL = 1e-9
 _BOUNDARY_TOL = 1e-8
@@ -100,8 +107,16 @@ class NLSPropagator:
     """Split-step machinery with the potential exponentials precomputed.
 
     The half-step matrix exp(-i dt V(x)/2ε) is assembled once per grid point
-    from the spectral data (V is time independent); the cubic term adds a
-    scalar phase on top each step.
+    from the spectral data (V is time independent) and stored component-major,
+    as an (N, N, n) array: entry (a, b) is a contiguous row over the grid, so
+    the potential half step is N² row products.  The cubic term adds a scalar
+    phase on top each step.  The kinetic step transforms the (N, n) buffer
+    along its last axis in place.
+
+    `step` takes an (n, N) array, in any memory layout, and returns an (n, N)
+    array that is the transpose view of a fresh (N, n) buffer; passing that
+    result back in reads its rows without a copy.  The input is never
+    modified.
     """
 
     def __init__(self, data: SpectralData, epsilon: float, lambda_coupling: float,
@@ -114,21 +129,33 @@ class NLSPropagator:
         # ε^{2β} coupling divided by the iε of the time derivative
         self.nl_rate = lambda_coupling * epsilon ** (2.0 * beta) / epsilon
         phases = [np.exp(-0.5j * lam * dt / epsilon) for lam in data.branches]
-        self._half_v = sum(ph[:, None, None] * pi
-                           for ph, pi in zip(phases, data.projectors))
+        half_v = sum(ph[:, None, None] * pi
+                     for ph, pi in zip(phases, data.projectors))
+        self._half_v = np.ascontiguousarray(half_v.transpose(1, 2, 0))
         self._kin = np.exp(-0.5j * epsilon * self.grid.frequencies**2 * dt)
 
-    def _pot_half(self, values):
-        out = np.einsum("nab,nb->na", self._half_v, values)
+    def _pot_half(self, comps: np.ndarray) -> np.ndarray:
+        """Half potential-plus-cubic step of the (N, n) rows `comps`, into a new buffer."""
+        half_v = self._half_v
+        out = np.empty(comps.shape, dtype=complex)
+        term = np.empty(comps.shape[1], dtype=complex)
+        for a, row in enumerate(out):
+            np.multiply(half_v[a, 0], comps[0], out=row)
+            for b in range(1, len(comps)):
+                np.multiply(half_v[a, b], comps[b], out=term)
+                row += term
         if self.nl_rate != 0.0:
-            dens = np.sum(np.abs(out) ** 2, axis=1)
-            out *= np.exp(-0.5j * self.dt * self.nl_rate * dens)[:, None]
+            re, im = out.real, out.imag
+            dens = (re * re + im * im).sum(axis=0)
+            out *= unit_phase(-0.5 * self.dt * self.nl_rate * dens)
         return out
 
     def step(self, values: np.ndarray) -> np.ndarray:
-        out = self._pot_half(values)
-        out = np.fft.ifft(self._kin[:, None] * np.fft.fft(out, axis=0), axis=0)
-        return self._pot_half(out)
+        out = self._pot_half(values.T)
+        out = scipy.fft.fft(out, axis=-1, overwrite_x=True)
+        out *= self._kin
+        out = scipy.fft.ifft(out, axis=-1, overwrite_x=True)
+        return self._pot_half(out).T
 
 
 def step_nls(state: FieldState, v_data: SpectralData, dt: float,
@@ -137,12 +164,23 @@ def step_nls(state: FieldState, v_data: SpectralData, dt: float,
     prop = NLSPropagator(v_data, state.epsilon, state.lambda_coupling, dt, beta)
     mass0 = state.mass()
     values = prop.step(state.values)
+    check_step_mass(state.grid, values, mass0, 1)
     vf = VectorField(grid=state.grid, values=values, epsilon=state.epsilon,
                      time=state.time + dt)
-    out = FieldState(field=vf, lambda_coupling=state.lambda_coupling)
-    if abs(out.mass() - mass0) > _STEP_MASS_TOL * max(1.0, mass0):
-        raise SolverAbort("mass drift exceeded 1e-9 in a single step")
-    return out
+    return FieldState(field=vf, lambda_coupling=state.lambda_coupling)
+
+
+def check_step_mass(grid: SpatialGrid, values: np.ndarray, mass0: float,
+                    step: int) -> float:
+    """The per-step mass guard of every NLS march.
+
+    Returns the drift |‖ψ‖ - ‖ψ₀‖| after `step` steps and raises
+    `SolverAbort` (exit 4) when it exceeds 1e-9 · max(1, ‖ψ₀‖).
+    """
+    drift = abs(l2_norm(grid, values) - mass0)
+    if drift > _STEP_MASS_TOL * max(1.0, mass0):
+        raise SolverAbort(f"mass drift {drift:.3e} at step {step}")
+    return drift
 
 
 def solve_nls(state0: FieldState, v_data: SpectralData, T: float, dt: float,
@@ -161,7 +199,7 @@ def solve_nls(state0: FieldState, v_data: SpectralData, T: float, dt: float,
     stride = 1 if observe_every is None else int(round(observe_every / dt))
     prop = NLSPropagator(v_data, state0.epsilon, state0.lambda_coupling, dt, beta)
 
-    values = state0.values.astype(complex).copy()
+    values = state0.values.astype(complex)
     mass0 = l2_norm(state0.grid, values)
     records = []
 
@@ -184,10 +222,8 @@ def solve_nls(state0: FieldState, v_data: SpectralData, T: float, dt: float,
 
     final = observe(0)
     for step in range(n_steps):
-        values[:] = prop.step(values)
-        mass = l2_norm(state0.grid, values)
-        if abs(mass - mass0) > _STEP_MASS_TOL * max(1.0, mass0):
-            raise SolverAbort(f"mass drift {abs(mass - mass0):.3e} at step {step + 1}")
+        values = prop.step(values)
+        check_step_mass(state0.grid, values, mass0, step + 1)
         if (step + 1) % stride == 0 or step + 1 == n_steps:
             final = observe(step + 1)
     return final, records

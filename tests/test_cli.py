@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adiapack.cli import main
@@ -266,3 +267,71 @@ def test_non_simple_branch_exit_code(tmp_path, capsys):
         assert main([command, "--config", str(path),
                      "--out", str(tmp_path / command)]) == 2
         assert "must be simple" in capsys.readouterr().err
+
+
+def test_converge_every_subrun_failed(tmp_path, monkeypatch):
+    import adiapack.experiments as experiments
+    from adiapack.errors import SolverAbort
+
+    def boom(spec, packet, eps, *args, **kwargs):
+        raise SolverAbort(f"synthetic abort at {eps}")
+
+    monkeypatch.setattr(experiments, "run_single_packet", boom)
+    out = tmp_path / "out"
+    code = main(["converge", "--config", str(CONFIGS / "smoke.json"),
+                 "--out", str(out), "--epsilon-override", "0.0625,0.03125"])
+    assert code == 4
+    report = json.loads((out / "report.json").read_text())
+    assert report["epsilons"] == []
+    assert [eps for eps, _ in report["failures"]] == [0.0625, 0.03125]
+    assert (out / "convergence.csv").read_text().splitlines()[0].startswith(
+        "epsilon,")
+
+
+def test_load_config_rejects_packet_on_multiplet(tmp_path):
+    multiplet = {"diag": ["x^2/2", "x^2/2"], "sym": ["0", "0", "0"],
+                 "multiplicities": [2]}
+    packets = [{"profile": {"type": "gaussian"}, "x0": 1.0, "xi0": 0.0},
+               {"profile": {"type": "gaussian"}, "x0": 1.0, "xi0": 0.0,
+                "branch": 1}]
+    path = write_config(tmp_path, potential=multiplet, packets=packets)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.errors == [
+        "packets[0]: branch 0 has multiplicity 2: out of scope, the "
+        "transported branch must be simple",
+        "packets[1]: branch 1 out of range (1 branches)"]
+
+
+def two_packet_config(tmp_path):
+    packets = [{"profile": {"type": "gaussian"}, "x0": 1.0, "xi0": 0.0},
+               {"profile": {"type": "gaussian"}, "x0": -1.0, "xi0": 0.5}]
+    return write_config(tmp_path, packets=packets)
+
+
+def test_mass_guard_exit_code_in_both_run_paths(tmp_path, capsys, monkeypatch):
+    import adiapack.experiments as experiments
+    from adiapack.nls import NLSPropagator
+
+    class Leaky(NLSPropagator):
+        def step(self, values):
+            return super().step(values) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(experiments, "NLSPropagator", Leaky)
+    path = two_packet_config(tmp_path)
+    for command in ("single", "superpose"):
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / command)]) == 4
+        assert "mass drift" in capsys.readouterr().err
+
+
+def test_energy_drift_in_report_not_csv(tmp_path):
+    path = two_packet_config(tmp_path)
+    for command, csv in (("single", "single.csv"), ("superpose", "superpose.csv")):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        drift = np.asarray(report["energy_drift"], dtype=float)
+        assert drift.shape == (() if command == "single" else (1, 2))
+        assert np.all((drift >= 0.0) & (drift < 1e-8))
+        assert "energy" not in (out / csv).read_text()

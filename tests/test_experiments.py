@@ -251,3 +251,24 @@ def test_superposition_rejects_bad_gamma():
     with pytest.raises(ValueError):
         superposition_experiment(HARMONIC, (p1, p2), [1.0 / 32], 0.0, 0.1,
                                  -4.0, 4.0, gamma_exponent=0.7)
+
+
+def test_mass_guard_aborts_both_run_paths(monkeypatch):
+    import adiapack.experiments as experiments
+    from adiapack.errors import SolverAbort
+    from adiapack.nls import NLSPropagator
+
+    class Leaky(NLSPropagator):
+        def step(self, values):
+            return super().step(values) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(experiments, "NLSPropagator", Leaky)
+    p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
+    p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)
+    with pytest.raises(SolverAbort, match="mass drift"):
+        run_single_packet(HARMONIC, p1, 1.0 / 16, 0.0, 0.1, -4.0, 4.0,
+                          observe_every=0.05)
+    with pytest.raises(SolverAbort, match="mass drift"):
+        superposition_experiment(HARMONIC, (p1, p2), [1.0 / 16], 0.0, 0.1,
+                                 -4.0, 4.0, observe_every=0.05)
+
