@@ -7,7 +7,10 @@ Integrates
 with the classic fourth-order one-step scheme at fixed dt, so trajectory
 samples line up exactly with PDE solver steps.  The curvature λ''(x(t)) is
 sampled along the path for the envelope equation, and the conserved energy
-E = ξ²/2 + λ(x) is tracked as a drift diagnostic.
+E = ξ²/2 + λ(x) is tracked as a drift diagnostic.  A branch is either an
+expression (λ, λ', λ'' analytic) or decomposed grid samples (the not-a-knot
+spline `grids.UniformCubicSpline` and its own derivatives); the samples are
+interpolated in t by the same spline.
 """
 
 from __future__ import annotations
@@ -16,61 +19,58 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import SolverAbort
 from .expressions import Expr
+from .grids import UniformCubicSpline
 
 __all__ = ["BranchCurve", "ClassicalTrajectory", "integrate_trajectory",
            "action_of", "energy_of"]
 
 _BLOWUP = 1e8
-_FD_STEP = 1e-5
 
 
 class BranchCurve:
-    """Bundle of λ, λ', λ'' evaluators for one eigenvalue branch."""
+    """Bundle of λ, λ', λ'' evaluators for one eigenvalue branch.
 
-    def __init__(self, value, deriv, curvature, value_and_deriv=None):
+    `value_and_deriv(x)` gives (λ(x), λ'(x)) as Python floats at one point:
+    the trajectory's per-stage call.
+    """
+
+    def __init__(self, value, deriv, curvature, value_and_deriv):
         self.value = value
         self.deriv = deriv
         self.curvature = curvature
-        self._value_and_deriv = value_and_deriv
-
-    def value_and_deriv(self, x: float) -> tuple:
-        """(λ(x), λ'(x)) as floats at one point: the trajectory's per-stage call."""
-        if self._value_and_deriv is not None:
-            return self._value_and_deriv(x)
-        return float(self.value(x)), float(self.deriv(x))
+        self.value_and_deriv = value_and_deriv
 
     @classmethod
     def from_expr(cls, expr: Expr) -> "BranchCurve":
+        """Analytic evaluators; `value_and_deriv` runs λ and λ' compiled to
+        Python-float functions (`Expr.scalar_function`) and walks the trees only
+        where that raises (a math domain error, where numpy gives inf or NaN)."""
         d1 = expr.diff()
         d2 = d1.diff()
-        return cls(expr, d1, d2)
+        lam, dlam = expr.scalar_function(), d1.scalar_function()
+
+        def value_and_deriv(x):
+            try:
+                return lam(x), dlam(x)
+            except (ArithmeticError, ValueError):
+                return float(expr(x)), float(d1(x))
+
+        return cls(expr, d1, d2, value_and_deriv)
 
     @classmethod
     def from_data(cls, data, j: int) -> "BranchCurve":
         """Branch evaluators from decomposed grid samples.
 
-        λ is the cubic interpolant of the tracked branch; λ' and λ'' are
-        central differences of that interpolant at step 1e-5.  At a point,
-        `value_and_deriv` evaluates the spline once, at [x-h, x, x+h].
+        λ is the not-a-knot cubic spline of the tracked branch on its grid;
+        λ' and λ'' are that spline's own first and second derivatives.
         """
-        spline = CubicSpline(data.grid.points, data.branches[j])
-        h = _FD_STEP
-
-        def deriv(x):
-            return (spline(x + h) - spline(x - h)) / (2.0 * h)
-
-        def curvature(x):
-            return (spline(x + h) - 2.0 * spline(x) + spline(x - h)) / h**2
-
-        def value_and_deriv(x):
-            lo, mid, hi = spline(np.array([x - h, x, x + h]))
-            return float(mid), float((hi - lo) / (2.0 * h))
-
-        return cls(spline, deriv, curvature, value_and_deriv)
+        spline = UniformCubicSpline(data.grid.x_min, data.grid.spacing,
+                                    data.branches[j])
+        return cls(spline, lambda x: spline(x, 1), lambda x: spline(x, 2),
+                   lambda x: (spline(x), spline(x, 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,21 +87,25 @@ class ClassicalTrajectory:
     energy0: float
     energy_drift: float
 
+    def _spline(self, values) -> UniformCubicSpline:
+        return UniformCubicSpline(self.times[0], self.times[1] - self.times[0],
+                                  values)
+
     @cached_property
     def x_of(self):
-        return CubicSpline(self.times, self.x)
+        return self._spline(self.x)
 
     @cached_property
     def xi_of(self):
-        return CubicSpline(self.times, self.xi)
+        return self._spline(self.xi)
 
     @cached_property
     def action_of(self):
-        return CubicSpline(self.times, self.action)
+        return self._spline(self.action)
 
     @cached_property
     def curvature_of(self):
-        return CubicSpline(self.times, self.curvature)
+        return self._spline(self.curvature)
 
 
 def integrate_trajectory(branch: BranchCurve, x0: float, xi0: float, T: float,

@@ -19,6 +19,11 @@ sign is fixed by the requirement that the assembled correction ε Σ g_{j,ℓ}
 off-branch amplitude (ψ, χ_j^ℓ) itself solves the driven branch equation with
 source ε φ · (-i)(∂_t χ¹ + ξ ∂_x χ¹, χ_j^ℓ), so the subtracted correction must
 carry the opposite source.
+
+This module is the independent oracle of the static carrier, so it keeps
+`scipy.interpolate.CubicSpline`; the import sits inside the functions that
+use it, and the run path, which needs only `coupling_profile`, never loads
+`scipy.interpolate`.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import SolverAbort
 from .grids import SpatialGrid, ScalarField, _derivative_values
@@ -76,6 +80,8 @@ def k_matrix_grid(data: SpectralData, j: int) -> np.ndarray:
 def initial_frame(data: SpectralData, j: int, x_points) -> np.ndarray:
     """Branch-j eigenvectors of V at the given points, interpolated from the
     decomposition grid and reorthonormalized per point."""
+    from scipy.interpolate import CubicSpline
+
     x_points = np.asarray(x_points, dtype=float)
     spline = CubicSpline(data.grid.points, data.frames[j], axis=0)
     cols = spline(x_points)  # (m, N, d)
@@ -120,6 +126,8 @@ def transport_frame(data: SpectralData, j: int, traj, initial_vectors: np.ndarra
     correction is logged, never hidden).  Aborts if the frame stops being an
     eigenframe to within 1e-6.
     """
+    from scipy.interpolate import CubicSpline
+
     if T is None:
         T = float(traj.times[-1])
     n_steps = int(round(T / dt))
@@ -198,6 +206,8 @@ def frame_at(frame: EigenFrame, t: float, lab_grid: SpatialGrid) -> np.ndarray:
     Columns are cubic-spline interpolated in z and renormalized per point.
     Raises if any lab point leaves the comoving window.
     """
+    from scipy.interpolate import CubicSpline
+
     i = _slice_index(frame, t)
     z = lab_grid.points - float(frame.traj.x_of(t))
     zg = frame.z_grid.points
@@ -218,6 +228,7 @@ def parallel_residual(frame: EigenFrame, data: SpectralData, m: int, ell: int,
     property); against another branch's vectors its magnitude equals the
     coupling coefficient there.
     """
+    from scipy.interpolate import CubicSpline
 
     def chi(tt, xx, col):
         i = _slice_index(frame, tt)

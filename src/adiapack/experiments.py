@@ -31,15 +31,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .classical import BranchCurve, ClassicalTrajectory, integrate_trajectory
 from .corrections import ScalarPropagator, assemble_correction
 from .eigenframe import coupling_profile
 from .envelope import EnvelopeStepper
 from .errors import AdiapackError, ConfigError, InvariantViolation
-from .grids import ScalarField, SpatialGrid, VectorField, l2_norm, make_grid, \
-    sigma_norm
+from .grids import ScalarField, SpatialGrid, UniformCubicSpline, VectorField, \
+    l2_norm, make_grid, sigma_norm
 from .nls import FieldState, NLSPropagator, build_initial_data, \
     check_grid_adequacy, check_step_mass, coherent_packet, mode_populations, \
     required_points
@@ -164,6 +163,13 @@ class AnsatzBundle:
 
 
 def _phi_values(lab_grid, y_grid, u_vals, traj, t, epsilon):
+    """φ(t, ·) on the lab grid from the envelope samples u on the y-grid.
+
+    u is interpolated by the not-a-knot cubic spline of `grids` at
+    y = (x - x(t))/√ε; a lab point outside the y-domain gets NaN from the
+    spline and then 0.  An envelope above 1e-8 at either end of the y-domain
+    raises `InvariantViolation`.
+    """
     edge = max(abs(u_vals[0]), abs(u_vals[-1]))
     if edge > _ENVELOPE_EDGE_TOL:
         raise InvariantViolation(
@@ -174,7 +180,8 @@ def _phi_values(lab_grid, y_grid, u_vals, traj, t, epsilon):
     xi = float(traj.xi_of(t))
     action = float(traj.action_of(t))
     y = (lab_grid.points - x_c) / np.sqrt(epsilon)
-    u = CubicSpline(y_grid.points, u_vals, extrapolate=False)(y)
+    u = UniformCubicSpline(y_grid.x_min, y_grid.spacing, u_vals,
+                           extrapolate=False)(y)
     u[np.isnan(u)] = 0.0
     phase = np.exp(1j * (action + xi * (lab_grid.points - x_c)) / epsilon)
     return epsilon**-0.25 * u * phase

@@ -13,11 +13,18 @@ The error topology used by the convergence experiments is the scaled family
 
 i.e. moments in x and ε-scaled derivatives up to total order p.  For β = 0,
 α = 0 this is the plain L² norm.
+
+`UniformCubicSpline` is the package's interpolant: the not-a-knot cubic
+spline of `scipy.interpolate.CubicSpline`, restricted to uniform knots and
+written in numpy, so that importing the package does not load
+`scipy.interpolate`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +38,11 @@ __all__ = [
     "sigma_norm",
     "l2_norm",
     "unit_phase",
+    "UniformCubicSpline",
 ]
+
+_RHO = 3.0**0.5 - 2.0          # the root of z² + 4z + 1 inside the unit circle
+_SCAN_SHIFTS = (1, 2, 4, 8, 16)  # a doubling scan over lags 0..31; |ρ|^32 < 1e-17
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +144,122 @@ def unit_phase(theta: np.ndarray) -> np.ndarray:
     out = np.empty(np.shape(theta), dtype=complex)
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
+    return out
+
+
+def _not_a_knot_slopes(y: np.ndarray, h: float) -> np.ndarray:
+    """First derivatives s_i at the knots of the not-a-knot cubic through y.
+
+    The interior rows s_{i-1} + 4 s_i + s_{i+1} = 3 (y_{i+1} - y_{i-1}) / h
+    are inverted by convolution with their Green's function ρ^|k| / (2√3),
+    ρ = √3 - 2, cut where |ρ|^k < 1e-17; the convolution is a forward and a
+    backward doubling scan along axis 0.  The two homogeneous modes ρ^i and
+    ρ^(n-1-i) then meet the not-a-knot rows s_0 + 2 s_1 = (5 m_0 + m_1) / 2
+    and 2 s_(n-2) + s_(n-1) = (m_(n-3) + 5 m_(n-2)) / 2, m_i the secant
+    slopes.  O(n) vectorized work for any trailing shape.
+    """
+    n = y.shape[0]
+    r = np.zeros_like(y)
+    r[1:-1] = (3.0 / h) * (y[2:] - y[:-2])
+    fwd, bwd = r.copy(), r.copy()
+    for shift in _SCAN_SHIFTS:
+        w = _RHO**shift
+        fwd[shift:] += w * fwd[:-shift]
+        bwd[:-shift] += w * bwd[shift:]
+    s = (fwd + bwd - r) / (2.0 * 3.0**0.5)
+
+    res_left = 0.5 * (5.0 * (y[1] - y[0]) + (y[2] - y[1])) / h - s[0] - 2.0 * s[1]
+    res_right = (0.5 * (5.0 * (y[-1] - y[-2]) + (y[-2] - y[-3])) / h
+                 - s[-1] - 2.0 * s[-2])
+    diag = 1.0 + 2.0 * _RHO                        # a mode on its own end's row
+    cross = _RHO ** (n - 1) + 2.0 * _RHO ** (n - 2)  # ... and on the far row
+    det = diag * diag - cross * cross
+    a_left = (diag * res_left - cross * res_right) / det
+    a_right = (diag * res_right - cross * res_left) / det
+    k = min(n, 2 * _SCAN_SHIFTS[-1])
+    decay = (_RHO ** np.arange(k)).reshape((k,) + (1,) * (y.ndim - 1))
+    s[:k] += a_left * decay
+    s[n - k:] += a_right * decay[::-1]
+    return s
+
+
+class UniformCubicSpline:
+    """Not-a-knot cubic spline through samples on the knots x0 + i·h, i < n.
+
+    The numpy counterpart of `scipy.interpolate.CubicSpline(x, values, axis=0)`
+    for uniform x.  `values` is (n, ...), real or complex, with n ≥ 4 (shorter
+    input raises ValueError).  A call evaluates along axis 0 and returns
+    x.shape + values.shape[1:]; `nu` = 1 or 2 gives the spline's own first or
+    second derivative.  Outside [x0, x0 + (n-1)h] the end cubics extrapolate,
+    or the result is NaN when `extrapolate` is False.  A Python float (or int)
+    x on 1-D samples takes a scalar path in Python arithmetic that returns a
+    Python number, the same to the bit as the array path at that point.
+    """
+
+    def __init__(self, x0: float, h: float, values, extrapolate: bool = True):
+        y = np.asarray(values)
+        y = y.astype(np.result_type(y.dtype, float), copy=False)
+        if y.ndim == 0 or y.shape[0] < 4:
+            raise ValueError("a cubic spline needs at least 4 samples along axis 0")
+        if not h > 0:
+            raise ValueError("knot spacing h must be positive")
+        self.x0, self.h, self.n = float(x0), float(h), y.shape[0]
+        self.extrapolate = bool(extrapolate)
+        self.knots = self.x0 + self.h * np.arange(self.n)
+        s = _not_a_knot_slopes(y, self.h)
+        m = (y[1:] - y[:-1]) / self.h
+        # Horner coefficients of interval i in d = x - knots[i], lowest first
+        self._coef = (y[:-1], s[:-1], (3.0 * m - 2.0 * s[:-1] - s[1:]) / self.h,
+                      (s[:-1] + s[1:] - 2.0 * m) / (self.h * self.h))
+
+    @cached_property
+    def _lists(self):
+        return (self.knots.tolist(),) + tuple(c.tolist() for c in self._coef)
+
+    def __call__(self, x, nu: int = 0):
+        if nu not in (0, 1, 2):
+            raise ValueError("nu must be 0, 1 or 2")
+        if isinstance(x, (float, int)) and self._coef[0].ndim == 1:
+            return self._scalar(x, nu)
+        x = np.asarray(x, dtype=float)
+        t = (x - self.x0) / self.h
+        idx = np.fmin(np.fmax(t, 0.0), self.n - 2).astype(np.intp)
+        d = (x - self.knots[idx]).reshape(x.shape + (1,) * (self._coef[0].ndim - 1))
+        c0, c1, c2, c3 = (c[idx] for c in self._coef)
+        if nu == 0:
+            out = _horner(d, c3, c2, c1, c0)
+        elif nu == 1:
+            out = _horner(d, 3.0 * c3, 2.0 * c2, c1)
+        else:
+            out = _horner(d, 6.0 * c3, 2.0 * c2)
+        if not self.extrapolate:
+            out = np.asarray(out)
+            out[(x < self.knots[0]) | (x > self.knots[-1])] = np.nan
+        return out
+
+    def _scalar(self, x, nu):
+        """The array path's operations, in the same order, on Python numbers."""
+        knots, c0, c1, c2, c3 = self._lists
+        if not self.extrapolate and not knots[0] <= x <= knots[-1]:
+            return math.nan
+        t = (x - self.x0) / self.h
+        last = self.n - 2
+        i = int(t) if 0.0 <= t < last else (last if t >= last else 0)
+        d = x - knots[i]
+        if nu == 0:
+            return ((c3[i] * d + c2[i]) * d + c1[i]) * d + c0[i]
+        if nu == 1:
+            return (3.0 * c3[i] * d + 2.0 * c2[i]) * d + c1[i]
+        return 6.0 * c3[i] * d + 2.0 * c2[i]
+
+
+def _horner(d, *coef):
+    """Σ coef[k] d^(K-k) by Horner's rule, the highest power first, in place
+    on coef[0], which must be a fresh array: ((c3·d + c2)·d + c1)·d + c0."""
+    out = coef[0]
+    for c in coef[1:]:
+        out *= d
+        out += c
     return out
 
 

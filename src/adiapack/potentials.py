@@ -119,12 +119,50 @@ def evaluate_potential_derivative(spec: MatrixPotentialSpec, x) -> np.ndarray:
 
 
 def _track_branches(xs, vals, vecs, overlap_floor=0.5):
-    """Reorder eigenpairs point by point so branches are continuous in x.
+    """Reorder eigenpairs so branches are continuous in x, signs included.
 
     Matching is by maximal eigenvector overlap with the previous point (greedy
     on the magnitude of the overlap matrix), falling back to nearest-eigenvalue
     matching when the overlap is ambiguous; signs are flipped for continuity.
+    The greedy matching first runs for all points at once on the batched
+    |V_(i-1)ᵀ V_i| of eigh's own columns.  When every point keeps eigh's order,
+    the sign of each column is the running product of the overlap signs (one
+    `cumprod`); otherwise the point-by-point loop `_track_branches_loop`
+    tracks the grid.  Both make the same matches and sign flips, so their
+    arrays agree to the bit (the tests check every shipped config).
     """
+    m, n = vals.shape
+    if m > 1:
+        overlap = np.matmul(vecs[:-1].transpose(0, 2, 1), vecs[1:])
+        if _keeps_order(np.abs(overlap), overlap_floor):
+            steps = np.sign(np.diagonal(overlap, axis1=1, axis2=2))
+            signs = np.cumprod(np.concatenate([np.ones((1, n)), steps]), axis=0)
+            return vals.copy(), vecs * signs[:, None, :]
+    return _track_branches_loop(xs, vals, vecs, overlap_floor)
+
+
+def _keeps_order(overlap, overlap_floor):
+    """Whether the greedy matching of every (m, N, N) overlap is the identity.
+
+    The same N rounds as the loop's matching, each an argmax over all points
+    at once; an overlap below the floor counts as a change of order.  The
+    rounds mask matched rows and columns in `overlap` itself.
+    """
+    m, n, _ = overlap.shape
+    flat = overlap.reshape(m, n * n)
+    rows = np.arange(m)
+    for _ in range(n):
+        k = np.argmax(flat, axis=1)
+        a, b = np.divmod(k, n)
+        if (flat[rows, k] < overlap_floor).any() or (a != b).any():
+            return False
+        overlap[rows, a, :] = -1.0
+        overlap[rows, :, b] = -1.0
+    return True
+
+
+def _track_branches_loop(xs, vals, vecs, overlap_floor=0.5):
+    """`_track_branches` one point at a time, for grids where the order changes."""
     m, n = vals.shape
     out_vals = vals.copy()
     out_vecs = vecs.copy()
@@ -215,7 +253,9 @@ class SpectralData:
 def decompose(spec: MatrixPotentialSpec, grid: SpatialGrid) -> SpectralData:
     """Eigendecompose V on the grid with smooth branch renumbering.
 
-    Declared multiplicities d_j > 1 group branches whose distance stays below
+    One batched `eigh` over the grid; `_track_branches` then matches and signs
+    the columns for all points at once, point by point only where eigh's order
+    of the eigenvalues changes along the grid.  Declared multiplicities d_j > 1 group branches whose distance stays below
     1e-10 on the whole grid; in-group frames are reorthonormalized by QR with
     a deterministic sign convention.
     """

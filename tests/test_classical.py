@@ -110,6 +110,31 @@ def test_branch_curve_from_data_matches_analytic():
         assert branch.curvature(x) == pytest.approx(d2lam(x), abs=1e-4)
 
 
+def test_branch_curve_from_data_curvature_converges():
+    # λ'' = 1 - (2x²-1)(1+x²)^(-5/2) on the lower rotating branch; the
+    # spline's own second derivative converges like h², where a second
+    # difference at a fixed step stalls at its roundoff/h² floor
+    x = np.linspace(-1.2, 1.2, 241)
+    exact = 1.0 - (2.0 * x**2 - 1.0) * (1.0 + x**2) ** -2.5
+    errors = []
+    for n in (4096, 8192, 16384):
+        data = decompose(rotating_family(), make_grid(-2.5, 2.5, n))
+        curvature = BranchCurve.from_data(data, 0).curvature(x)
+        errors.append(np.max(np.abs(curvature - exact)))
+    assert errors[1] <= 1e-6
+    assert errors[0] > errors[1] > errors[2]
+
+
+def test_expression_branch_survives_math_domain_errors():
+    # the compiled scalar path raises where numpy returns NaN; value_and_deriv
+    # then takes numpy's answer from the trees
+    branch = curve("sqrt(x)")
+    with np.errstate(invalid="ignore"):
+        lam, dlam = branch.value_and_deriv(-1.0)
+    assert np.isnan(lam) and np.isnan(dlam)
+    assert branch.value_and_deriv(4.0) == (2.0, 0.25)
+
+
 def test_rejects_mismatched_horizon():
     with pytest.raises(ValueError):
         integrate_trajectory(curve("0"), 0.0, 0.0, 1.05, 1e-1)

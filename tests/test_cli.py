@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +185,20 @@ def test_packaged_configs_all_load():
                  "crossing_control", "constant_direction", "smoke"):
         cfg = load_config(CONFIGS / f"{name}.json")
         assert cfg.derived_grid_sizes
+
+
+def test_cli_import_does_not_load_scipy_interpolate():
+    # set-up cost: scipy.interpolate alone takes about a third of the import
+    import adiapack
+
+    src = str(Path(adiapack.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = ("import sys, adiapack.cli; "
+            "print('scipy.interpolate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_solver_abort_exit_code(tmp_path, capsys, monkeypatch):

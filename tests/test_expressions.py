@@ -118,6 +118,28 @@ def test_analytic_derivative_matches_finite_differences(text):
         assert de(x) == pytest.approx(fd, rel=2e-8, abs=2e-8)
 
 
+def test_scalar_function_of_harmonic_branch_is_bit_identical():
+    e = parse_expr("x^2/2")
+    x = np.random.default_rng(2).uniform(-5.0, 5.0, 2000)
+    for tree in (e, e.diff()):
+        fast = tree.scalar_function()
+        assert all(fast(float(xi)) == float(tree(float(xi))) for xi in x)
+
+
+@pytest.mark.parametrize("text", DIFF_CASES + ["x^2/2+cos(x)/(1+x^2)",
+                                               "cos(x)*(1+x^2)^(-1/2)",
+                                               "pi*abs(x)-e*exp(-x^2)"])
+def test_scalar_function_matches_tree_walk(text):
+    e = parse_expr(text)
+    x = np.linspace(-2.3, 2.7, 101)
+    for tree in (e, e.diff()):
+        fast = tree.scalar_function()
+        got = np.array([fast(float(xi)) for xi in x])
+        want = np.array([float(tree(float(xi))) for xi in x])
+        assert all(type(fast(float(xi))) is float for xi in x[:3])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_derivative_rejects_variable_exponent():
     with pytest.raises(ValueError):
         parse_expr("2^x").diff()

@@ -1,22 +1,32 @@
-"""The per-step kernels against the plain forms they replace.
+"""The per-step and set-up kernels against the plain forms they replace.
 
 Each reference below is the textbook form of the kernel: `einsum` over an
 (n, N, N) half-step matrix and `numpy.fft` along axis 0 for the vector NLS
 step, `numpy.fft` for the scalar and envelope steps, |v|² through `np.abs`
-for the L² norm, and an RK4 over a numpy state vector for the trajectory.
+for the L² norm, an RK4 over a numpy state vector for the trajectory,
+`scipy.interpolate.CubicSpline` for the uniform-grid spline, and the
+point-by-point loop for branch tracking.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from adiapack.classical import BranchCurve, integrate_trajectory
 from adiapack.corrections import ScalarPropagator
 from adiapack.envelope import EnvelopeStepper
 from adiapack.expressions import parse_expr
-from adiapack.grids import l2_norm, make_grid
+from adiapack.grids import UniformCubicSpline, l2_norm, make_grid
 from adiapack.nls import NLSPropagator, coherent_packet
-from adiapack.potentials import MatrixPotentialSpec, decompose
+from adiapack.potentials import (MatrixPotentialSpec, _track_branches,
+                                 _track_branches_loop, decompose,
+                                 evaluate_potential)
 from tests.test_potentials import rotating_family
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 EPS = 1.0 / 16
 
@@ -180,3 +190,103 @@ def test_trajectory_byte_identical_to_array_state_rk4(kind):
     assert np.array_equal(traj.x, ref[:, 0])
     assert np.array_equal(traj.xi, ref[:, 1])
     assert np.array_equal(traj.action, ref[:, 2])
+
+
+def spline_cases():
+    data = decompose(rotating_family(), make_grid(-2.5, 2.5, 4096))
+    y_grid = make_grid(-40.0, 40.0, 2048)
+    y = y_grid.points
+    envelope = gaussian(y) * np.exp(0.3j * y - 0.05j * y**2)
+    short = make_grid(-1.0, 1.0, 8)
+    return {
+        "real branch": (data.grid, data.branches[0]),
+        "complex envelope": (y_grid, envelope),
+        "(n, N, d) frames": (data.grid, data.frames[0]),
+        "4 samples": (short, np.cos(3.0 * short.points[:4])),
+        "5 samples, complex": (short, np.exp(2j * short.points[:5])),
+    }
+
+
+@pytest.mark.parametrize("name", list(spline_cases()))
+def test_uniform_spline_matches_scipy(name):
+    grid, values = spline_cases()[name]
+    n = values.shape[0]
+    knots = grid.points[:n]
+    ours = UniformCubicSpline(grid.x_min, grid.spacing, values)
+    ref = CubicSpline(knots, values, axis=0)
+    h = grid.spacing
+    x = np.concatenate([np.linspace(knots[0], knots[-1], 3001), knots,
+                        [knots[0] - 0.5 * h, knots[-1] + 0.5 * h]])
+    got, want = ours(x), ref(x)
+    assert got.shape == want.shape == x.shape + values.shape[1:]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_uniform_spline_rejects_fewer_than_four_samples():
+    with pytest.raises(ValueError, match="at least 4"):
+        UniformCubicSpline(0.0, 0.1, [0.0, 1.0, 4.0])
+
+
+def test_uniform_spline_nan_outside_grid():
+    grid = make_grid(-2.0, 2.0, 64)
+    values = np.exp(-grid.points**2) * (1.0 + 0.5j * grid.points)
+    inside = UniformCubicSpline(grid.x_min, grid.spacing, values, extrapolate=False)
+    ends = UniformCubicSpline(grid.x_min, grid.spacing, values)
+    last = grid.points[-1]
+    x = np.array([grid.x_min - 1e-9, grid.x_min, 0.3, last, last + 1e-9, 5.0])
+    out = inside(x)
+    assert np.array_equal(np.isnan(out), [True, False, False, False, True, True])
+    assert np.array_equal(out[1:4], ends(x[1:4]))
+    assert np.isnan(inside(float(last) + 1e-9)) and not np.isnan(inside(float(last)))
+
+
+@pytest.mark.parametrize("extrapolate", [True, False])
+def test_uniform_spline_scalar_path_equals_array_path(extrapolate):
+    grid = make_grid(-2.5, 2.5, 512)
+    values = np.sin(3.0 * grid.points) / (1.0 + grid.points**2)
+    spline = UniformCubicSpline(grid.x_min, grid.spacing, values, extrapolate)
+    x = np.random.default_rng(5).uniform(-2.7, 2.7, 500)
+    x[:3] = grid.points[[0, 200, -1]]
+    for nu in (0, 1, 2):
+        array_path = spline(x, nu)
+        scalar_path = [spline(float(xi), nu) for xi in x]
+        assert all(type(v) is float for v in scalar_path)
+        assert np.array(scalar_path).tobytes() == array_path.tobytes()
+
+
+def config_specs():
+    specs = {}
+    for path in sorted(CONFIGS.glob("*.json")):
+        raw = json.loads(path.read_text())
+        pot, grid = raw["potential"], raw["grid"]
+        spec = MatrixPotentialSpec.from_strings(pot["diag"], pot["sym"])
+        specs[path.stem] = (spec, make_grid(grid["x_min"], grid["x_max"], 4096))
+    return specs
+
+
+@pytest.mark.parametrize("name", ["constant_direction", "crossing_control",
+                                  "rotating", "scalar_harmonic", "smoke",
+                                  "superposition"])
+def test_batched_tracker_equals_loop(name):
+    spec, grid = config_specs()[name]
+    vals, vecs = np.linalg.eigh(evaluate_potential(spec, grid.points))
+    fast_vals, fast_vecs = _track_branches(grid.points, vals, vecs)
+    loop_vals, loop_vecs = _track_branches_loop(grid.points, vals, vecs)
+    assert fast_vals.tobytes() == loop_vals.tobytes()
+    assert fast_vecs.tobytes() == loop_vecs.tobytes()
+
+
+def test_tracker_falls_back_where_order_swaps():
+    # the branches x and -x cross at 0: eigh's ascending order swaps there,
+    # so only the point-by-point loop can keep branch 0 equal to x
+    spec = MatrixPotentialSpec.from_strings(["x", "-x"], ["0", "0", "0"])
+    grid = make_grid(-1.01, 1.0, 64)
+    assert np.all(grid.points != 0.0)
+    data = decompose(spec, grid)
+    assert np.array_equal(data.branches[0], grid.points)
+    assert np.array_equal(data.branches[1], -grid.points)
+    vals, vecs = np.linalg.eigh(evaluate_potential(spec, grid.points))
+    fast_vals, fast_vecs = _track_branches(grid.points, vals, vecs)
+    loop_vals, loop_vecs = _track_branches_loop(grid.points, vals, vecs)
+    assert fast_vals.tobytes() == loop_vals.tobytes()
+    assert fast_vecs.tobytes() == loop_vecs.tobytes()
