@@ -18,7 +18,6 @@ Submodules:
 - `nls`          the full vector NLS split-step solver
 - `experiments`  ansatz assembly, error reports, ε-sweeps, superposition
 - `config`/`cli` JSON experiment configs and the command-line driver
-- `bench`        opt-in micro-benchmarks for the spectral kernels
 """
 
 from .grids import (SpatialGrid, ScalarField, VectorField, SigmaNormReport,

@@ -1,7 +1,6 @@
 """Command-line driver.
 
     adiapack <command> --config <path> [--out <dir>] [--epsilon-override <list>]
-             [--threads <n>]
 
 Commands:
     decompose   spectral decomposition, gap reports
@@ -9,7 +8,6 @@ Commands:
     converge    ε-sweep of the single-packet error (order fit)
     superpose   two-packet superposition study
     identities  projector-identity residuals and growth scans
-    bench       spectral-kernel micro-benchmarks (opt-in, host-dependent)
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-invariant failure,
 4 runtime abort.  `converge` writes its outputs even when some ε sub-runs
@@ -27,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import bench_kernels, bench_sweep_scaling
 from .config import load_config
 from .errors import ConfigError, InvariantViolation, SolverAbort
 from .experiments import (convergence_study, run_single_packet,
@@ -145,7 +142,7 @@ def cmd_identities(cfg, out: Path, args) -> int:
     return 0
 
 
-def _single_run(cfg, eps, snapshot_times=(), threads=1):
+def _single_run(cfg, eps, snapshot_times=()):
     return run_single_packet(
         cfg.potential, cfg.packets[0], eps, cfg.lambda_coupling, cfg.T,
         cfg.x_min, cfg.x_max, observe_every=cfg.observe_every,
@@ -186,7 +183,7 @@ def cmd_single(cfg, out: Path, args) -> int:
 def cmd_converge(cfg, out: Path, args) -> int:
     report = convergence_study(
         cfg.potential, cfg.packets[0], _epsilons(cfg, args.epsilon_override),
-        cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max, threads=args.threads,
+        cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max,
         observe_every=cfg.observe_every, dt_max=cfg.dt_max,
         dt_over_eps=cfg.dt_over_epsilon, y_half_width=cfg.y_half_width,
         y_points=cfg.y_points, n_override=cfg.n_override, beta=cfg.beta)
@@ -219,8 +216,7 @@ def cmd_superpose(cfg, out: Path, args) -> int:
         cfg.x_min, cfg.x_max, gamma_exponent=cfg.gamma_exponent,
         observe_every=cfg.observe_every, dt_max=cfg.dt_max,
         dt_over_eps=cfg.dt_over_epsilon, y_half_width=cfg.y_half_width,
-        y_points=cfg.y_points, n_override=cfg.n_override, beta=cfg.beta,
-        threads=args.threads)
+        y_points=cfg.y_points, n_override=cfg.n_override, beta=cfg.beta)
     rows = [[e, s, t, c, i] for e, s, t, c, i in
             zip(report.epsilons, report.sup_errors, report.terminal_errors,
                 report.crossing_measures, report.interaction_integrals)]
@@ -240,27 +236,12 @@ def cmd_superpose(cfg, out: Path, args) -> int:
     return 0
 
 
-def cmd_bench(cfg, out: Path, args) -> int:
-    sizes = (2**12, 2**13)
-    records = bench_kernels(sizes, thread_counts=(1, args.threads)
-                            if args.threads > 1 else (1,))
-    rows = [[r.kernel, r.grid_size, r.n_levels, r.threads, r.steps_per_second]
-            for r in records]
-    write_csv(out / "bench.csv",
-              ["kernel", "grid_size", "n_levels", "threads", "steps_per_second"],
-              rows)
-    sweep = bench_sweep_scaling(threads=max(args.threads, 2))
-    write_json(out / "report.json", {"command": "bench", "sweep": sweep})
-    return 0
-
-
 _COMMANDS = {
     "decompose": cmd_decompose,
     "single": cmd_single,
     "converge": cmd_converge,
     "superpose": cmd_superpose,
     "identities": cmd_identities,
-    "bench": cmd_bench,
 }
 
 
@@ -271,21 +252,17 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", required=name != "bench",
+        p.add_argument("--config", required=True,
                        help="JSON experiment configuration")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--epsilon-override", default=None,
                        help="comma-separated ε list replacing the config's")
-        p.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     out = None
     try:
-        if args.config is not None:
-            cfg = load_config(args.config)
-        else:
-            cfg = None
-        out = Path(args.out or (cfg.out_dir if cfg else "results"))
+        cfg = load_config(args.config)
+        out = Path(args.out or cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out, args)
     except ConfigError as exc:

@@ -3,10 +3,11 @@
 A config file carries the potential (expression strings for the diagonal and
 symmetric parts), the packet(s), the ε list, the coupling constant, horizon,
 step and grid policies, and output options.  Validation is exhaustive: every
-violation is collected and reported at once, and grid sizes are derived per ε
-from the adequacy rule (spacing ε / (8(|ξ|+1)), at least 16π ≈ 50 points per
-wavelength at the fastest momentum seen on the classical trajectory) before
-any run starts.
+violation is collected and reported at once, and lab grid sizes are derived
+per ε from the spectral rule `nls.lab_grid_points` (the packets' momentum
+bound from the probe trajectories and the profiles' measured spectral
+half-width) before any run starts; a `grid.n` that breaks the rule at some ε
+is a `ConfigError`.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classical import integrate_trajectory
-from .errors import ConfigError
+from .errors import AdiapackError, ConfigError
 from .experiments import PacketSpec, _branch_curve_for
 from .expressions import ParseError, parse_expr
 from .grids import make_grid
-from .nls import adequate_spacing, required_points
+from .nls import lab_grid_points, spectral_half_width
 from .potentials import MatrixPotentialSpec, decompose
 
 __all__ = ["ExperimentConfig", "load_config"]
@@ -165,6 +166,13 @@ def load_config(path) -> ExperimentConfig:
         if x_min >= x_max:
             errors.append("grid: x_min must be below x_max")
     n_override = grid.get("n")
+    y_half_width = float(raw.get("y_half_width", 40.0))
+    y_points = int(raw.get("y_points", 2048))
+    if y_half_width <= 0.0:
+        errors.append("y_half_width must be positive")
+    for label, size in (("grid.n", n_override), ("y_points", y_points)):
+        if size is not None and (int(size) < 8 or int(size) & (int(size) - 1)):
+            errors.append(f"{label} must be a power of two, at least 8")
 
     gamma_exponent = float(raw.get("gamma", 0.3))
     if not 0.0 < gamma_exponent < 0.5:
@@ -176,8 +184,7 @@ def load_config(path) -> ExperimentConfig:
         x_min=x_min, x_max=x_max, observe_every=observe_every,
         dt_max=float(raw.get("dt_max", 1e-3)),
         dt_over_epsilon=float(raw.get("dt_over_epsilon", 0.25)),
-        y_half_width=float(raw.get("y_half_width", 40.0)),
-        y_points=int(raw.get("y_points", 2048)),
+        y_half_width=y_half_width, y_points=y_points,
         n_override=None if n_override is None else int(n_override),
         gamma_exponent=gamma_exponent, beta=float(raw.get("beta", 0.75)),
         out_dir=str(raw.get("out_dir", "results")), seed=seed, raw=raw,
@@ -188,7 +195,7 @@ def load_config(path) -> ExperimentConfig:
             cfg.derived_grid_sizes = _derive_grid_sizes(cfg)
         except ConfigError as exc:
             errors.extend(exc.errors)
-        except Exception as exc:
+        except AdiapackError as exc:
             errors.append(f"grid derivation failed: {exc}")
 
     if errors:
@@ -197,10 +204,15 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _derive_grid_sizes(cfg: ExperimentConfig) -> dict:
-    """Per-ε grid sizes from the adequacy rule, via a coarse momentum probe.
+    """Per-ε lab grid sizes from `nls.lab_grid_points`.
 
-    The probe decomposition also checks the run-time scope: every packet's
-    branch must be simple, since runs polarize along the static eigenframe.
+    ξ_max is the largest |ξ| on the packets' probe trajectories (a coarse
+    decomposition, dt = 1e-3), η_τ the spectral half-width of every packet
+    profile on the config's y-grid, and the packet count selects the one- or
+    several-packet momentum bound.  A `grid.n` override is checked against
+    the rule at every ε.  The probe decomposition also checks the run-time
+    scope: every packet's branch must be simple, since runs polarize along
+    the static eigenframe.
     """
     probe = decompose(cfg.potential, make_grid(cfg.x_min, cfg.x_max, 4096))
     scope = []
@@ -219,15 +231,10 @@ def _derive_grid_sizes(cfg: ExperimentConfig) -> dict:
         curve = _branch_curve_for(cfg.potential, probe, pk.branch)
         traj = integrate_trajectory(curve, pk.x0, pk.xi0, cfg.T, 1e-3)
         xi_max = max(xi_max, float(np.max(np.abs(traj.xi))))
-    sizes = {}
-    length = cfg.x_max - cfg.x_min
-    for eps in cfg.epsilons:
-        n = required_points(length, eps, xi_max)
-        if cfg.n_override is not None:
-            if length / cfg.n_override > adequate_spacing(eps, xi_max):
-                raise ConfigError([
-                    f"grid.n = {cfg.n_override} violates the adequacy rule at "
-                    f"epsilon = {eps} (need at least {n} points)"])
-            n = cfg.n_override
-        sizes[eps] = n
-    return sizes
+    y_grid = make_grid(-cfg.y_half_width, cfg.y_half_width, cfg.y_points)
+    eta = spectral_half_width(y_grid, [a for pk in cfg.packets
+                                       for a in pk.profiles()])
+    return {eps: lab_grid_points(cfg.x_max - cfg.x_min, eps, xi_max, eta,
+                                 n_packets=len(cfg.packets),
+                                 n_override=cfg.n_override)
+            for eps in cfg.epsilons}

@@ -23,13 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .errors import SolverAbort
+from .errors import CORRECTION_NORM
 from .grids import ScalarField, SpatialGrid, VectorField, l2_norm, sigma_norm
 
 __all__ = ["ScalarPropagator", "CorrectionSeries", "scalar_step",
            "solve_correction", "assemble_correction", "averaging_probe"]
-
-_NORM_ABORT = 1e6
 
 
 class ScalarPropagator:
@@ -100,8 +98,8 @@ def solve_correction(grid: SpatialGrid, lam_values: np.ndarray, coupling_fn,
     """March one correction component from g(0) = 0 and log its scaled norms.
 
     `coupling_fn(t)` and `phi_fn(t)` return r and φ on the grid; sources are
-    evaluated at step midpoints only.  Aborts if the L² norm passes 1e6
-    (resonance or under-resolution).
+    evaluated at step midpoints only.  Aborts (`errors.CORRECTION_NORM`,
+    exit 4) if the L² norm passes 1e6 (resonance or under-resolution).
     """
     n_steps = int(round(T / dt))
     if store_times is None:
@@ -132,8 +130,8 @@ def solve_correction(grid: SpatialGrid, lam_values: np.ndarray, coupling_fn,
         g = prop.step(g, dt) + (dt / (1j * epsilon)) * prop.step(src, 0.5 * dt)
         if step + 1 in target_set:
             record((step + 1) * dt)
-            if l2_norm(grid, g) > _NORM_ABORT:
-                raise SolverAbort(f"correction norm exceeded {_NORM_ABORT:.0e}")
+            CORRECTION_NORM.check(l2_norm(grid, g),
+                                  where=f" at t = {(step + 1) * dt}")
     return CorrectionSeries(j=j, ell=ell, epsilon=epsilon, grid=grid,
                             times=np.asarray(out_times), values=out_values,
                             sigma_log=sigma_log)

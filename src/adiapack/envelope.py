@@ -12,8 +12,11 @@ time-dependent curvature is evaluated at the step midpoint.  The stepper owns
 its sample buffer: the phases multiply it in place and the transforms
 (`scipy.fft`) overwrite it, so callers that keep a profile take a copy.
 
-Mass ‖u(t)‖ is conserved to roundoff by construction; a drift beyond 1e-8
-signals under-resolution and aborts the run.
+Mass ‖u(t)‖ is conserved to roundoff by construction; a drift beyond
+1e-8 · max(1, ‖u₀‖) signals under-resolution and aborts the run
+(`errors.ENVELOPE_MASS`, exit 4).  A profile above 1e-8 · max(1, ‖u₀‖) at
+either end of the y-domain, initially or after any step, has left the
+comoving window (`errors.ENVELOPE_EDGE`, `InvariantViolation`, exit 3).
 """
 
 from __future__ import annotations
@@ -23,13 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import SolverAbort
+from .errors import ENVELOPE_EDGE, ENVELOPE_MASS
 from .grids import SpatialGrid, l2_norm, unit_phase, _derivative_values
 
 __all__ = ["EnvelopeState", "EnvelopeStepper", "solve_envelope", "envelope_moments"]
-
-_MASS_TOL = 1e-8
-_EDGE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,6 +54,11 @@ class EnvelopeStepper:
         self.mass0 = l2_norm(y_grid, self.values)
         self._half_y2 = 0.5 * y_grid.points**2
         self._kin_cache = {}
+        self._check_edge()
+
+    def _check_edge(self):
+        edge = max(abs(self.values[0]), abs(self.values[-1]))
+        ENVELOPE_EDGE.check(edge, max(1.0, self.mass0), f" at t = {self.time}")
 
     def _kinetic(self, dt):
         mult = self._kin_cache.get(dt)
@@ -76,15 +81,9 @@ class EnvelopeStepper:
         self._phase(0.5 * dt, curv)
         self.time += dt
         mass = l2_norm(self.y_grid, self.values)
-        if abs(mass - self.mass0) > _MASS_TOL * max(1.0, self.mass0):
-            raise SolverAbort(
-                f"envelope mass drift {abs(mass - self.mass0):.3e} at t = {self.time}"
-            )
-        edge = max(abs(self.values[0]), abs(self.values[-1]))
-        if edge > 1e-8 * max(1.0, self.mass0):
-            raise SolverAbort(
-                f"envelope reached the y-domain edge ({edge:.2e} at t = {self.time})"
-            )
+        ENVELOPE_MASS.check(abs(mass - self.mass0), max(1.0, self.mass0),
+                            f" at t = {self.time}")
+        self._check_edge()
 
     def state(self) -> EnvelopeState:
         return EnvelopeState(y_grid=self.y_grid, values=self.values.copy(),

@@ -1,13 +1,44 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy and the one guard policy shared across the package.
 
 Each class carries the exit code the `adiapack` command returns for it:
 configuration problems (2), violated numerical invariants (3), and runtime
 aborts such as blow-up guards or mass-drift trips (4).
 
-Mass drift has one guard: every NLS march (`nls.solve_nls` and both run
-paths in `experiments`) calls `nls.check_step_mass` after each step, which
-raises `SolverAbort` (exit 4) once |‖ψ‖ - ‖ψ₀‖| exceeds 1e-9 · max(1, ‖ψ₀‖).
+Every run-time invariant of a march is one `Guard` below: one measured
+quantity, one tolerance and one error class, checked through `Guard.check`
+at every call site, so the same failure gives the same exit code on every
+code path.
+
+* `MASS_DRIFT`: |‖ψ‖ - ‖ψ₀‖| after each NLS step, above
+  1e-9 · max(1, ‖ψ₀‖), raises `SolverAbort` (exit 4).  Checked by
+  `nls.check_step_mass` in `nls.solve_nls` and in both run paths of
+  `experiments` (`run_single_packet`, `superposition_experiment`).
+* `BOUNDARY`: max |ψ| at the two ends of the periodic lab grid, above 1e-8,
+  raises `InvariantViolation` (exit 3).  Checked at every observation of
+  `nls.solve_nls` and of both run paths (`nls.check_lab_field`).
+* `FOURIER_TAIL`: the fraction of ψ's energy at |k| ≥ ¾ k_Nyquist of the lab
+  grid, above τ = 1e-20, raises `SolverAbort` (exit 4).  Checked at every
+  observation of both run paths, after the boundary (`nls.check_lab_field`).
+  The same τ defines η_τ in the a-priori grid rule `nls.lab_grid_points`.
+* `ENVELOPE_EDGE`: max |u| at the two ends of the ε-free y-grid, above
+  1e-8 · max(1, ‖u₀‖), raises `InvariantViolation` (exit 3).  Checked by
+  `envelope.EnvelopeStepper` on its initial profile and after every step.
+* `ENVELOPE_MASS`: |‖u‖ - ‖u₀‖| after each envelope step, above
+  1e-8 · max(1, ‖u₀‖), raises `SolverAbort` (exit 4), in
+  `envelope.EnvelopeStepper.advance`.
+* `CORRECTION_NORM`: the L² norm of a correction component g_{j,ℓ}, above
+  1e6 (resonance or under-resolution), raises `SolverAbort` (exit 4).
+  Checked at the stored times of `corrections.solve_correction` and at every
+  observation of `run_single_packet`.
+
+Checks outside the marches keep their own thresholds and classes: the
+trajectory blow-up guard (|x| or |ξ| above 1e8, `SolverAbort`, exit 4), the
+transport oracle's eigen-residual (above 1e-6, `SolverAbort`, exit 4), and
+the decomposition's projector completeness (1e-11) and eigen-residual
+(1e-9), both `InvariantViolation` (exit 3).
 """
+
+from dataclasses import dataclass
 
 
 class AdiapackError(Exception):
@@ -44,3 +75,34 @@ class SolverAbort(AdiapackError):
     """A propagation run tripped a guard (blow-up, mass drift, resonance)."""
 
     exit_code = 4
+
+
+@dataclass
+class Guard:
+    """One run-time invariant: its name, its tolerance and the error past it."""
+
+    name: str
+    tol: float
+    error: type
+    remedy: str = ""
+
+    def check(self, value: float, scale: float = 1.0, where: str = "") -> float:
+        """Return `value`; raise `error` when it exceeds `tol · scale`."""
+        limit = self.tol * scale
+        if value > limit:
+            remedy = f"; {self.remedy}" if self.remedy else ""
+            raise self.error(f"{self.name} {value:.3e} above {limit:.1e}"
+                             f"{where}{remedy}")
+        return float(value)
+
+
+MASS_DRIFT = Guard("mass drift", 1e-9, SolverAbort)
+BOUNDARY = Guard("boundary magnitude", 1e-8, InvariantViolation,
+                 "enlarge the domain")
+FOURIER_TAIL = Guard("Fourier tail", 1e-20, SolverAbort,
+                     "the lab grid is too coarse for the packet's momentum")
+ENVELOPE_EDGE = Guard("envelope magnitude at the y-domain edge", 1e-8,
+                      InvariantViolation,
+                      "the profile left the comoving window; enlarge y_half_width")
+ENVELOPE_MASS = Guard("envelope mass drift", 1e-8, SolverAbort)
+CORRECTION_NORM = Guard("correction norm", 1e6, SolverAbort)

@@ -27,7 +27,6 @@ exactly on trajectory samples.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,12 +35,12 @@ from .classical import BranchCurve, ClassicalTrajectory, integrate_trajectory
 from .corrections import ScalarPropagator, assemble_correction
 from .eigenframe import coupling_profile
 from .envelope import EnvelopeStepper
-from .errors import AdiapackError, ConfigError, InvariantViolation
+from .errors import CORRECTION_NORM, AdiapackError, ConfigError
 from .grids import ScalarField, SpatialGrid, UniformCubicSpline, VectorField, \
     l2_norm, make_grid, sigma_norm
 from .nls import FieldState, NLSPropagator, build_initial_data, \
-    check_grid_adequacy, check_step_mass, coherent_packet, mode_populations, \
-    required_points
+    check_lab_field, check_step_mass, coherent_packet, lab_grid_points, \
+    mode_populations, spectral_half_width
 from .potentials import MatrixPotentialSpec, SpectralData, decompose
 
 __all__ = [
@@ -50,8 +49,6 @@ __all__ = [
     "assemble_ansatz", "taylor_residual", "error_report", "fit_order",
     "run_single_packet", "convergence_study", "superposition_experiment",
 ]
-
-_ENVELOPE_EDGE_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +128,11 @@ class PacketSpec:
         prof = self.r0_profile if self.r0_profile is not None else {"type": "hermite"}
         return (self.kappa, make_profile(prof))
 
+    def profiles(self):
+        """Every profile the packet puts on the lab grid: a, and r₀'s if set."""
+        r0 = self.r0()
+        return [self.evaluator()] + ([r0[1]] if r0 is not None else [])
+
 
 # ---------------------------------------------------------------------------
 # ansatz assembly and error reports
@@ -167,15 +169,9 @@ def _phi_values(lab_grid, y_grid, u_vals, traj, t, epsilon):
 
     u is interpolated by the not-a-knot cubic spline of `grids` at
     y = (x - x(t))/√ε; a lab point outside the y-domain gets NaN from the
-    spline and then 0.  An envelope above 1e-8 at either end of the y-domain
-    raises `InvariantViolation`.
+    spline and then 0.  The samples come from an `EnvelopeStepper`, which
+    has checked that they vanish at the y-domain edges.
     """
-    edge = max(abs(u_vals[0]), abs(u_vals[-1]))
-    if edge > _ENVELOPE_EDGE_TOL:
-        raise InvariantViolation(
-            f"envelope magnitude {edge:.2e} at the y-domain edge; profile left "
-            f"the comoving window"
-        )
     x_c = float(traj.x_of(t))
     xi = float(traj.xi_of(t))
     action = float(traj.action_of(t))
@@ -310,6 +306,7 @@ class SingleRunResult:
     sup_w_sigma1: float
     terminal_w_sigma1: float
     energy_drift: float              # max |E(t) - E(0)| along the trajectory
+    fourier_tail: float              # worst energy fraction at |k| ≥ ¾ k_Nyquist
     snapshots: dict = field(default_factory=dict)
     bundle: AnsatzBundle | None = None
 
@@ -331,6 +328,7 @@ class SingleRunResult:
             "sup_w_sigma1": self.sup_w_sigma1,
             "terminal_w_sigma1": self.terminal_w_sigma1,
             "energy_drift": self.energy_drift,
+            "fourier_tail": self.fourier_tail,
         }
 
 
@@ -344,26 +342,32 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
                       snapshot_times=(), keep_bundle: bool = False) -> SingleRunResult:
     """One full pipeline run: solver, ansatz, corrections, error time series.
 
-    Grid sizes are derived from the adequacy rule (spacing ε / (8(|ξ|+1)) at
-    the fastest momentum on the trajectory, at least 16π ≈ 50 points per
-    wavelength of e^{iξx/ε}) unless `n_override` forces a size, which is still
-    validated.  The packet's branch must be simple (`ConfigError` otherwise).
-    Every step passes `nls.check_step_mass` (`SolverAbort` past 1e-9); the
-    largest drift is reported as `mass_drift`, relative to the initial mass.
+    The lab grid size is `nls.lab_grid_points` for one packet: ξ_max from a
+    probe trajectory on a coarse decomposition, η_τ measured from the
+    packet's profiles (a, and r₀'s if set) on the y-grid.  `n_override`
+    forces a size, which must meet the same criterion (`ConfigError`
+    otherwise).  The packet's branch must be simple (`ConfigError`
+    otherwise).  Every step passes `nls.check_step_mass` (`SolverAbort` past
+    1e-9); the largest drift is reported as `mass_drift`, relative to the
+    initial mass.  Every observation passes `nls.check_lab_field` (boundary,
+    then Fourier tail, whose worst value is reported as `fourier_tail`) and
+    the correction-norm guard `errors.CORRECTION_NORM` on each component.
     """
     branch = packet.branch
     a = packet.evaluator()
+    y_grid = make_grid(-y_half_width, y_half_width, y_points)
 
-    # momentum probe on a coarse grid, then the ε-fine lab grid
+    # momentum probe on a coarse grid, then the lab grid from the spectral rule
     probe_data = decompose(spec, make_grid(x_min, x_max, 4096))
     _require_simple_branch(probe_data, branch)
     probe_curve = _branch_curve_for(spec, probe_data, branch)
     probe_traj = integrate_trajectory(probe_curve, packet.x0, packet.xi0, T, 1e-3,
                                       branch_id=branch)
     xi_max = float(np.max(np.abs(probe_traj.xi)))
-    n = n_override or required_points(x_max - x_min, epsilon, xi_max)
+    n = lab_grid_points(x_max - x_min, epsilon, xi_max,
+                        spectral_half_width(y_grid, packet.profiles()),
+                        n_override=n_override)
     lab = make_grid(x_min, x_max, n)
-    check_grid_adequacy(lab, epsilon, xi_max)
     data = decompose(spec, lab)
     curve = _branch_curve_for(spec, data, branch)
 
@@ -379,7 +383,6 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
     traj = integrate_trajectory(curve, packet.x0, packet.xi0, T, dt / 4.0,
                                 branch_id=branch)
 
-    y_grid = make_grid(-y_half_width, y_half_width, y_points)
     env = EnvelopeStepper(y_grid, a(y_grid.points), lambda_coupling,
                           traj.curvature_of)
 
@@ -405,16 +408,13 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
     u_values = [env.values.copy()]
 
     times, masses, w_list, th_list, leak_list, tay_list = [], [], [], [], [], []
-    pops_list = []
+    pops_list, tails = [], []
     g_log = {key: [] for key in rho}
     snapshots = {}
     max_drift = 0.0
 
     def observe(t, u_now):
-        edge = max(np.abs(psi[0]).max(), np.abs(psi[-1]).max())
-        if edge > 1e-8:
-            raise InvariantViolation(
-                f"boundary magnitude {edge:.3e} at t = {t}; enlarge the domain")
+        tails.append(check_lab_field(psi, t))
         phi = _phi_values(lab, y_grid, u_now, traj, t, epsilon)
         w_values = psi - phi[:, None] * chi
         wf = VectorField(grid=lab, values=w_values, epsilon=epsilon, time=t)
@@ -449,7 +449,10 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
         tay_list.append(tay)
         for key, arr in g_vals.items():
             gf = ScalarField(grid=lab, values=arr, epsilon=epsilon, time=t)
-            g_log[key].append(sigma_norm(gf, 1).value)
+            g_rep = sigma_norm(gf, 1)
+            # the (0, 0) component is the L² norm ‖g‖
+            CORRECTION_NORM.check(g_rep.components[(0, 0)], where=f" at t = {t}")
+            g_log[key].append(g_rep.value)
 
     observe(0.0, env.values)
     if 0 in snapshot_steps:
@@ -488,7 +491,8 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
         g_sigma1={k: np.asarray(v) for k, v in g_log.items()},
         mass_drift=max_drift / max(mass0, 1e-300),
         sup_w_sigma1=float(w_arr.max()), terminal_w_sigma1=float(w_arr[-1]),
-        energy_drift=traj.energy_drift, snapshots=snapshots,
+        energy_drift=traj.energy_drift, fourier_tail=max(tails),
+        snapshots=snapshots,
         bundle=bundle if keep_bundle else None,
     )
 
@@ -525,11 +529,10 @@ class ConvergenceReport:
 
 def convergence_study(spec: MatrixPotentialSpec, packet: PacketSpec, epsilons,
                       lambda_coupling: float, T: float, x_min: float, x_max: float,
-                      threads: int = 1, **run_kwargs) -> ConvergenceReport:
+                      **run_kwargs) -> ConvergenceReport:
     """Sweep ε, collect sup-in-t error norms, and fit the decay order.
 
-    Runs are independent jobs (optionally threaded); results merge in ε order.
-    A sub-run that fails with an `AdiapackError` is listed in
+    Runs go one after another in decreasing ε.  A sub-run that fails with an `AdiapackError` is listed in
     `report.failures` instead of killing the sweep, even when every sub-run
     fails (the report then has no ε); any other exception is a programming
     error and propagates.
@@ -543,11 +546,7 @@ def convergence_study(spec: MatrixPotentialSpec, packet: PacketSpec, epsilons,
         except AdiapackError as exc:
             return exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(job, epsilons))
-    else:
-        outcomes = [job(e) for e in epsilons]
+    outcomes = [job(e) for e in epsilons]
 
     runs = [r for r in outcomes if isinstance(r, SingleRunResult)]
     failures = [(e, r) for e, r in zip(epsilons, outcomes)
@@ -584,6 +583,7 @@ class SuperpositionReport:
     crossing_order: OrderFit
     grid_n: list
     energy_drift: list               # per ε, [packet 1, packet 2]
+    fourier_tail: list               # per ε, worst fraction at |k| ≥ ¾ k_Nyquist
 
     def to_dict(self):
         return {
@@ -600,6 +600,7 @@ class SuperpositionReport:
             "crossing_order": self.crossing_order.order,
             "grid_n": list(self.grid_n),
             "energy_drift": [list(row) for row in self.energy_drift],
+            "fourier_tail": list(self.fourier_tail),
         }
 
 
@@ -609,8 +610,7 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
                              observe_every: float = 0.01, dt_max: float = 1e-3,
                              dt_over_eps: float = 0.25, y_half_width: float = 40.0,
                              y_points: int = 2048, n_override: int | None = None,
-                             beta: float = 0.75,
-                             threads: int = 1) -> SuperpositionReport:
+                             beta: float = 0.75) -> SuperpositionReport:
     """Two-packet run: ψ₀ = φ₁χ¹ + φ₂χ², error against the sum ansatz.
 
     Reports Γ = inf |λ̃₁ - λ̃₂ - (E₁ - E₂)| (0 means the separation hypothesis
@@ -620,8 +620,13 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
     [x_min, x_max], sampled by the probe decomposition; the shipped superpose
     configs have a constant objective there.  Both carriers are static lab
     eigenvectors, so both branches must be simple (`ConfigError` otherwise).
-    Grid sizes follow the same rule and `n_override` as `run_single_packet`,
-    and every step passes the same mass guard, `nls.check_step_mass`.
+    Grid sizes follow `nls.lab_grid_points` for two packets, whose momentum
+    bound 3ξ_max/ε + √3 η_τ/√ε covers the cubic term's 2ξ_a - ξ_b mixing
+    products, with ξ_max over both probe trajectories and η_τ over both
+    profiles; `n_override` is checked as in `run_single_packet`.  Every step
+    passes the same mass guard, `nls.check_step_mass`, and every observation
+    the same `nls.check_lab_field`; each ε's worst Fourier tail is reported
+    under `fourier_tail`.
     """
     if not 0.0 < gamma_exponent < 0.5:
         raise ValueError("gamma_exponent must lie in (0, 1/2)")
@@ -648,11 +653,13 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
     gamma_zero = bool(big_gamma < 1e-12)
 
     xi_max = max(float(np.max(np.abs(tr.xi))) for tr in probe_trajs)
+    y_grid = make_grid(-y_half_width, y_half_width, y_points)
+    eta = spectral_half_width(y_grid, p1.profiles() + p2.profiles())
 
     def job(eps):
-        n = n_override or required_points(x_max - x_min, eps, xi_max)
+        n = lab_grid_points(x_max - x_min, eps, xi_max, eta, n_packets=2,
+                            n_override=n_override)
         lab = make_grid(x_min, x_max, n)
-        check_grid_adequacy(lab, eps, xi_max)
         data = decompose(spec, lab)
         steps_per_obs = int(np.ceil(observe_every / min(dt_max, dt_over_eps * eps)
                                     - 1e-12))
@@ -660,7 +667,6 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
         n_obs = int(round(T / observe_every))
         total_steps = steps_per_obs * n_obs
 
-        y_grid = make_grid(-y_half_width, y_half_width, y_points)
         trajs, envs = [], []
         for pk in (p1, p2):
             curve = _branch_curve_for(spec, data, pk.branch)
@@ -679,13 +685,10 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
         prop = NLSPropagator(data, eps, lambda_coupling, dt, beta)
         mass0 = l2_norm(lab, psi)
 
-        w_series, inter_series, t_series = [], [], []
+        w_series, inter_series, t_series, tails = [], [], [], []
 
         def observe(t):
-            edge = max(np.abs(psi[0]).max(), np.abs(psi[-1]).max())
-            if edge > 1e-8:
-                raise InvariantViolation(
-                    f"boundary magnitude {edge:.3e} at t = {t}; enlarge the domain")
+            tails.append(check_lab_field(psi, t))
             f1, f2 = (_phi_values(lab, y_grid, env.values, tr, t, eps)
                       for env, tr in zip(envs, trajs))
             w = psi - f1[:, None] * chis[0] - f2[:, None] * chis[1]
@@ -712,13 +715,9 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
         w_arr = np.asarray(w_series)
         drifts = [tr.energy_drift for tr in trajs]
         return (float(w_arr.max()), float(w_arr[-1]), crossing, interaction, n,
-                drifts)
+                drifts, max(tails))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(job, epsilons))
-    else:
-        rows = [job(e) for e in epsilons]
+    rows = [job(e) for e in epsilons]
 
     sups = [r[0] for r in rows]
     terms = [r[1] for r in rows]
@@ -726,6 +725,7 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
     inters = [r[3] for r in rows]
     grid_n = [r[4] for r in rows]
     energy_drift = [r[5] for r in rows]
+    fourier_tail = [r[6] for r in rows]
     return SuperpositionReport(
         epsilons=list(epsilons), gamma_exponent=gamma_exponent,
         big_gamma=big_gamma, big_gamma_edge_ok=edge_ok,
@@ -733,5 +733,5 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
         crossing_measures=crossings, interaction_integrals=inters,
         error_order=fit_order(epsilons, sups),
         crossing_order=fit_order(epsilons, crossings), grid_n=grid_n,
-        energy_drift=energy_drift,
+        energy_drift=energy_drift, fourier_tail=fourier_tail,
     )

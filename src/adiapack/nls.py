@@ -15,6 +15,23 @@ to roundoff.  `check_step_mass` is the one per-step mass guard: every NLS
 march (`solve_nls`, `run_single_packet`, `superposition_experiment`) calls it
 after each step, and a drift beyond 1e-9 raises `SolverAbort` (exit 4).
 
+The lab grid is sized from the packet's spectral content.  The coherent state
+ε^{-1/4} u((x - x(t))/√ε) e^{iξ(t)x/ε} has its Fourier content in
+|k| ≲ |ξ(t)|/ε + η/√ε, with η the spectral half-width of the ε-free profile u.
+`spectral_half_width` measures η_τ once from the FFT of every packet profile
+on the y-grid (the half-width outside which a profile's spectral energy is
+below τ = `errors.FOURIER_TAIL.tol` = 1e-20), and `lab_grid_points` bounds
+the momentum by
+
+    K = m ξ_max/ε + √m η_τ/√ε,      m = 1 for one packet, 3 for several,
+
+(m = 3 covers the cubic term's 2ξ_a - ξ_b mixing products of two packets),
+and takes the smallest power of two n with K ≤ k_Nyquist/2 = πn/(2L).  The
+bound is derived, never searched for by sampling ψ₀ on coarse grids: there,
+content above Nyquist aliases and the top band can look empty.  At run time
+`check_lab_field` measures the energy fraction of ψ at |k| ≥ ¾ k_Nyquist at
+every observation and aborts (`SolverAbort`, exit 4) above τ.
+
 Fields are (n, N) arrays at the interface; inside a step the propagator works
 component-major, on (N, n) rows that are contiguous along x, and hands back
 the transpose view of its (N, n) result.
@@ -34,16 +51,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .errors import ConfigError, InvariantViolation, SolverAbort
+from .errors import BOUNDARY, FOURIER_TAIL, MASS_DRIFT, ConfigError
 from .grids import SpatialGrid, VectorField, l2_norm, unit_phase
 from .potentials import SpectralData
 
 __all__ = ["FieldState", "NLSPropagator", "build_initial_data", "coherent_packet",
-           "step_nls", "solve_nls", "check_step_mass", "mode_populations",
-           "adequate_spacing", "required_points", "check_grid_adequacy"]
-
-_STEP_MASS_TOL = 1e-9
-_BOUNDARY_TOL = 1e-8
+           "step_nls", "solve_nls", "check_step_mass", "check_lab_field",
+           "fourier_tail", "mode_populations", "spectral_half_width",
+           "lab_grid_points"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,9 +193,38 @@ def check_step_mass(grid: SpatialGrid, values: np.ndarray, mass0: float,
     `SolverAbort` (exit 4) when it exceeds 1e-9 · max(1, ‖ψ₀‖).
     """
     drift = abs(l2_norm(grid, values) - mass0)
-    if drift > _STEP_MASS_TOL * max(1.0, mass0):
-        raise SolverAbort(f"mass drift {drift:.3e} at step {step}")
-    return drift
+    return MASS_DRIFT.check(drift, max(1.0, mass0), f" at step {step}")
+
+
+def _boundary_magnitude(values: np.ndarray) -> float:
+    return float(max(np.abs(values[0]).max(), np.abs(values[-1]).max()))
+
+
+def fourier_tail(values: np.ndarray) -> float:
+    """Fraction of the energy of (n,) or (n, N) `values` at |k| ≥ ¾ k_Nyquist.
+
+    Returns 0 for a zero field.
+    """
+    n = values.shape[0]
+    spec = scipy.fft.fft(values, axis=0)
+    energy = spec.real**2 + spec.imag**2
+    total = energy.sum()
+    if total == 0.0:
+        return 0.0
+    # |fft index| ≥ 3n/8, the Nyquist index n/2 included
+    return float(energy[3 * n // 8: 5 * n // 8 + 1].sum() / total)
+
+
+def check_lab_field(values: np.ndarray, t: float) -> float:
+    """The lab-field guards of an observation: boundary, then Fourier tail.
+
+    Raises `InvariantViolation` (exit 3) when |ψ| at either end of the grid
+    exceeds 1e-8, and `SolverAbort` (exit 4) when the energy fraction at
+    |k| ≥ ¾ k_Nyquist exceeds τ = 1e-20.  Returns that fraction.
+    """
+    where = f" at t = {t}"
+    BOUNDARY.check(_boundary_magnitude(values), where=where)
+    return FOURIER_TAIL.check(fourier_tail(values), where=where)
 
 
 def solve_nls(state0: FieldState, v_data: SpectralData, T: float, dt: float,
@@ -208,12 +252,8 @@ def solve_nls(state0: FieldState, v_data: SpectralData, T: float, dt: float,
         vf = VectorField(grid=state0.grid, values=values.copy(),
                          epsilon=state0.epsilon, time=t)
         st = FieldState(field=vf, lambda_coupling=state0.lambda_coupling)
-        if check_boundary and mass0 > 0:
-            edge = max(np.abs(values[0]).max(), np.abs(values[-1]).max())
-            if edge > _BOUNDARY_TOL:
-                raise InvariantViolation(
-                    f"boundary magnitude {edge:.3e} at t = {t}; enlarge the domain"
-                )
+        if check_boundary:
+            BOUNDARY.check(_boundary_magnitude(values), where=f" at t = {t}")
         rec = {"t": t, "mass": st.mass()}
         for obs in observers:
             rec.update(obs(st))
@@ -238,24 +278,53 @@ def mode_populations(state: FieldState, v_data: SpectralData) -> np.ndarray:
     return out
 
 
-def adequate_spacing(epsilon: float, xi_max: float) -> float:
-    """Largest spacing ε / (8(|ξ|+1)) at the fastest momentum ξ: at least
-    16π ≈ 50 points per wavelength 2πε/|ξ| of e^{iξx/ε} (the +1 is a spread
-    margin)."""
-    return epsilon / (8.0 * (abs(xi_max) + 1.0))
+def spectral_half_width(y_grid: SpatialGrid, profiles) -> float:
+    """η_τ: the half-width outside which every profile's spectral energy is below τ.
+
+    Each profile a(y) is sampled on the ε-free `y_grid` and transformed once;
+    η_τ is the smallest |η| on the grid's wavenumber lattice such that the
+    energy at larger |η| is at most τ = `errors.FOURIER_TAIL.tol` times the
+    profile's total, maximized over `profiles`.  Zero profiles contribute 0.
+    """
+    n = y_grid.n
+    shell = np.abs(np.fft.fftfreq(n, 1.0 / n)).astype(int)  # |index|, 0 … n/2
+    eta = 0.0
+    for a in profiles:
+        spec = scipy.fft.fft(np.asarray(a(y_grid.points), dtype=complex))
+        energy = np.bincount(shell, weights=spec.real**2 + spec.imag**2)
+        # energy strictly above each shell, summed from the top so that a
+        # tail 1e-20 below the total is not lost to cancellation
+        above = np.append(np.cumsum(energy[::-1])[::-1][1:], 0.0)
+        first = int(np.argmax(above <= FOURIER_TAIL.tol * energy.sum()))
+        eta = max(eta, first * 2.0 * np.pi / y_grid.length)
+    return eta
 
 
-def required_points(length: float, epsilon: float, xi_max: float) -> int:
+def lab_grid_points(length: float, epsilon: float, xi_max: float, eta: float,
+                    n_packets: int = 1, n_override: int | None = None) -> int:
+    """The lab grid size: the smallest power of two n with K ≤ k_Nyquist/2.
+
+    K = m ξ_max/ε + √m η/√ε bounds the momentum content of the packets, with
+    ξ_max the largest |ξ| on their trajectories, η = `spectral_half_width` of
+    their profiles, and m = 1 for one packet or 3 for several (the cubic
+    term's 2ξ_a - ξ_b mixing products); k_Nyquist = πn/length.  A given
+    `n_override` is returned when it meets the same criterion and is a
+    `ConfigError` otherwise.
+    """
+    m = 1 if n_packets == 1 else 3
+    k_bound = m * xi_max / epsilon + np.sqrt(m) * eta / np.sqrt(epsilon)
+
+    def adequate(n):
+        return k_bound <= 0.5 * np.pi * n / length
+
     n = 8
-    while length / n > adequate_spacing(epsilon, xi_max):
+    while not adequate(n):
         n *= 2
-    return n
-
-
-def check_grid_adequacy(grid: SpatialGrid, epsilon: float, xi_max: float):
-    limit = adequate_spacing(epsilon, xi_max)
-    if grid.spacing > limit:
+    if n_override is None:
+        return n
+    if not adequate(n_override):
         raise ConfigError(
-            f"grid spacing {grid.spacing:.3e} exceeds the adequacy limit "
-            f"{limit:.3e} for epsilon={epsilon}, xi_max={xi_max:.3f}"
-        )
+            f"grid.n = {n_override} violates the spectral adequacy rule at "
+            f"epsilon = {epsilon}: momentum bound K = {k_bound:.4g} needs "
+            f"k_Nyquist >= {2.0 * k_bound:.4g} (n >= {n})")
+    return n_override

@@ -20,7 +20,8 @@ from adiapack.experiments import (convergence_study, fit_order,
                                   superposition_experiment)
 from adiapack.expressions import parse_expr
 from adiapack.grids import ScalarField, l2_norm, make_grid
-from adiapack.nls import build_initial_data, required_points, solve_nls
+from adiapack.nls import (build_initial_data, lab_grid_points, solve_nls,
+                          spectral_half_width)
 from adiapack.potentials import (decompose, growth_scan,
                                  projector_identity_residuals)
 
@@ -35,10 +36,10 @@ def check(criterion, ok, detail):
     assert ok, f"{criterion}: {detail}"
 
 
-def _study(cfg, threads=1):
+def _study(cfg):
     return convergence_study(
         cfg.potential, cfg.packets[0], cfg.epsilons, cfg.lambda_coupling,
-        cfg.T, cfg.x_min, cfg.x_max, threads=threads,
+        cfg.T, cfg.x_min, cfg.x_max,
         observe_every=cfg.observe_every, dt_max=cfg.dt_max,
         dt_over_eps=cfg.dt_over_epsilon, y_half_width=cfg.y_half_width,
         y_points=cfg.y_points, n_override=cfg.n_override, beta=cfg.beta)
@@ -88,7 +89,11 @@ def test_criterion_01_mass_conservation():
             tr = integrate_trajectory(curve, pk.x0, pk.xi0, T, 1e-3)
             xi_max = max(xi_max, float(np.max(np.abs(tr.xi))))
             trajs.append(tr)
-        n = required_points(cfg.x_max - cfg.x_min, eps, xi_max)
+        y_grid = make_grid(-cfg.y_half_width, cfg.y_half_width, cfg.y_points)
+        eta = spectral_half_width(y_grid, [a for pk in cfg.packets
+                                           for a in pk.profiles()])
+        n = lab_grid_points(cfg.x_max - cfg.x_min, eps, xi_max, eta,
+                            n_packets=len(cfg.packets))
         lab = make_grid(cfg.x_min, cfg.x_max, n)
         data = decompose(cfg.potential, lab)
         values = np.zeros((lab.n, cfg.potential.n_levels), dtype=complex)

@@ -10,6 +10,8 @@ import pytest
 from adiapack.cli import main
 from adiapack.config import load_config
 from adiapack.errors import ConfigError
+from adiapack.grids import make_grid
+from adiapack.nls import spectral_half_width
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -32,10 +34,15 @@ def write_config(tmp_path, name="cfg.json", **overrides):
 
 
 def test_load_minimal_config_echoes_grid_sizes(tmp_path):
+    # ξ_max = sin(0.1) on the harmonic path, η_τ of the Gaussian on the
+    # default y-grid: K = ξ_max/ε + η_τ/√ε needs k_Nyquist = πn/8 ≥ 2K
     cfg = load_config(write_config(tmp_path))
-    assert cfg.derived_grid_sizes[0.0625] >= 1024
     n = cfg.derived_grid_sizes[0.0625]
-    assert n & (n - 1) == 0
+    assert n == 256
+    eta = spectral_half_width(make_grid(-40.0, 40.0, 2048),
+                              [cfg.packets[0].evaluator()])
+    k_bound = np.sin(0.1) / 0.0625 + eta / 0.25
+    assert 0.5 * np.pi * (n // 2) / 8.0 < k_bound <= 0.5 * np.pi * n / 8.0
 
 
 def test_kappa_below_quarter_rejected(tmp_path):
@@ -62,17 +69,24 @@ def test_all_violations_collected(tmp_path):
         potential={"diag": ["x^2/"], "sym": ["0"]},   # parse error
         epsilons=[2.0],                               # out of range
         T=-1.0,                                       # not positive
+        grid={"x_min": -4.0, "x_max": 4.0, "n": 768},  # not a power of two
+        y_points=1000,                                # not a power of two
     )
     with pytest.raises(ConfigError) as exc:
         load_config(path)
-    assert len(exc.value.errors) >= 3
+    assert len(exc.value.errors) >= 5
+    assert "grid.n must be a power of two, at least 8" in exc.value.errors
+    assert "y_points must be a power of two, at least 8" in exc.value.errors
 
 
-def test_fixed_grid_must_satisfy_adequacy(tmp_path):
+def test_fixed_grid_must_satisfy_adequacy(tmp_path, capsys):
     path = write_config(tmp_path, grid={"x_min": -4.0, "x_max": 4.0, "n": 256},
                         epsilons=[0.01])
     with pytest.raises(ConfigError, match="adequacy"):
         load_config(path)
+    assert main(["single", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "spectral adequacy rule" in capsys.readouterr().err
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -187,6 +201,22 @@ def test_packaged_configs_all_load():
         assert cfg.derived_grid_sizes
 
 
+def test_packaged_grid_sizes_meet_measured_floors():
+    # the smallest n at which a full run kept its Fourier tail ≤ 1e-20
+    # (superposition at ε = 1/256 was not safe at 4096)
+    floors = {
+        "rotating": {1 / 64: 512, 1 / 128: 1024, 1 / 256: 1024, 1 / 512: 2048},
+        "scalar_harmonic": {1 / 64: 512, 1 / 128: 1024, 1 / 256: 2048,
+                            1 / 512: 2048},
+        "superposition": {1 / 64: 2048, 1 / 128: 4096, 1 / 256: 8192},
+        "crossing_control": {1 / 64: 512, 1 / 128: 1024, 1 / 256: 2048},
+    }
+    for name, floor in floors.items():
+        sizes = load_config(CONFIGS / f"{name}.json").derived_grid_sizes
+        assert sizes.keys() == floor.keys()
+        assert all(sizes[eps] >= floor[eps] for eps in floor), name
+
+
 def test_cli_import_does_not_load_scipy_interpolate():
     # set-up cost: scipy.interpolate alone takes about a third of the import
     import adiapack
@@ -223,16 +253,6 @@ def test_failure_record_written(tmp_path):
     record = json.loads((out / "failure.json").read_text())
     assert record["failure"] == "invariant"
     assert record["messages"]
-
-
-def test_threaded_sweep_matches_serial(tmp_path):
-    serial, threaded = tmp_path / "s", tmp_path / "t"
-    assert main(["converge", "--config", str(CONFIGS / "smoke.json"),
-                 "--out", str(serial)]) == 0
-    assert main(["converge", "--config", str(CONFIGS / "smoke.json"),
-                 "--out", str(threaded), "--threads", "2"]) == 0
-    assert (serial / "convergence.csv").read_bytes() == \
-        (threaded / "convergence.csv").read_bytes()
 
 
 def test_superpose_command_contract(tmp_path):
@@ -352,3 +372,101 @@ def test_energy_drift_in_report_not_csv(tmp_path):
         assert drift.shape == (() if command == "single" else (1, 2))
         assert np.all((drift >= 0.0) & (drift < 1e-8))
         assert "energy" not in (out / csv).read_text()
+
+
+def test_load_config_propagates_programming_errors(tmp_path, monkeypatch):
+    import adiapack.config as config
+    from adiapack.errors import SolverAbort
+
+    path = write_config(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise TypeError("synthetic programming error")
+
+    monkeypatch.setattr(config, "integrate_trajectory", broken)
+    with pytest.raises(TypeError, match="synthetic"):
+        load_config(path)
+
+    def aborts(*args, **kwargs):
+        raise SolverAbort("synthetic trajectory abort")
+
+    monkeypatch.setattr(config, "integrate_trajectory", aborts)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.errors == [
+        "grid derivation failed: synthetic trajectory abort"]
+
+
+def test_envelope_edge_same_exit_code_in_both_run_paths(tmp_path, capsys):
+    # a width-1/2 Gaussian breathes out to width 2 in the harmonic well: on
+    # |y| ≤ 3.5 it leaves the window during the run, on |y| ≤ 3 at t = 0
+    packets = [{"profile": {"type": "gaussian", "width": 0.5}, "x0": 1.0,
+                "xi0": 0.0},
+               {"profile": {"type": "gaussian", "width": 0.5}, "x0": -1.0,
+                "xi0": 0.5}]
+    for half_width in (3.0, 3.5):
+        path = write_config(tmp_path, packets=packets, T=0.5,
+                            y_half_width=half_width)
+        for command in ("single", "superpose"):
+            assert main([command, "--config", str(path),
+                         "--out", str(tmp_path / command)]) == 3
+            err = capsys.readouterr().err
+            assert "y-domain edge" in err
+            assert (" at t = 0.0;" in err) == (half_width == 3.0)
+
+
+def test_correction_norm_guard_fails_converge_subrun(tmp_path, monkeypatch):
+    from adiapack.errors import CORRECTION_NORM
+
+    monkeypatch.setattr(CORRECTION_NORM, "tol", 1e-12)
+    out = tmp_path / "out"
+    code = main(["converge", "--config", str(CONFIGS / "rotating.json"),
+                 "--out", str(out), "--epsilon-override", "0.015625"])
+    assert code == 4
+    report = json.loads((out / "report.json").read_text())
+    assert report["epsilons"] == []
+    assert [eps for eps, _ in report["failures"]] == [0.015625]
+    assert "correction norm" in report["failures"][0][1]
+
+
+def test_fourier_tail_guard_aborts_under_resolved_superposition(
+        tmp_path, capsys, monkeypatch):
+    # n = 512 at ε = 1/128 puts packet 2's momentum content (|ξ| up to 1.118,
+    # width η_τ/√ε) into the outer quarter of the band; without the tail
+    # guard the run finishes with a sup error off by 1%
+    import adiapack.config as config
+    import adiapack.experiments as experiments
+
+    def unchecked(*args, n_override=None, **kwargs):
+        return n_override
+
+    monkeypatch.setattr(config, "lab_grid_points", unchecked)
+    monkeypatch.setattr(experiments, "lab_grid_points", unchecked)
+    raw = json.loads((CONFIGS / "superposition.json").read_text())
+    raw.update(epsilons=[0.0078125])
+    raw["grid"]["n"] = 512
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["superpose", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 4
+    assert "Fourier tail" in capsys.readouterr().err
+
+
+def test_report_records_grid_n_and_fourier_tail(tmp_path):
+    path = two_packet_config(tmp_path)
+    reports = {}
+    for command in ("single", "converge", "superpose"):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        reports[command] = json.loads((out / "report.json").read_text())
+        assert "tail" not in next(out.glob("*.csv")).read_text()
+    single, (run,) = reports["single"], reports["converge"]["runs"]
+    sup = reports["superpose"]
+    # one packet's momentum bound for single and converge; superpose and the
+    # config's derived sizes take both packets' (3ξ_max/ε + √3 η_τ/√ε)
+    assert single["grid_n"] == run["grid_n"] == 256
+    assert sup["grid_n"] == [load_config(path).derived_grid_sizes[0.0625]] \
+        == [512]
+    for tail in (single["fourier_tail"], run["fourier_tail"],
+                 *sup["fourier_tail"]):
+        assert 0.0 <= tail <= 1e-20

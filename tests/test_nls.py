@@ -3,9 +3,9 @@ import pytest
 
 from adiapack.errors import ConfigError
 from adiapack.grids import VectorField, l2_norm, make_grid
-from adiapack.nls import (NLSPropagator, build_initial_data,
-                          check_grid_adequacy, mode_populations,
-                          required_points, solve_nls, step_nls, FieldState)
+from adiapack.nls import (NLSPropagator, build_initial_data, fourier_tail,
+                          lab_grid_points, mode_populations, solve_nls,
+                          spectral_half_width, step_nls, FieldState)
 from adiapack.potentials import MatrixPotentialSpec, decompose
 from tests.test_potentials import diagonal_family, rotating_family
 
@@ -153,12 +153,36 @@ def test_single_step_wrapper_conserves_mass():
 
 
 def test_grid_adequacy_rule():
-    g = make_grid(-10.0, 10.0, 256)
+    # Gaussian: the spectral energy above η is erfc(η), which is 1e-20 at
+    # η = 6.6016; the measured η_τ is that root on the y-grid's lattice
+    y = make_grid(-40.0, 40.0, 2048)
+    eta = spectral_half_width(y, [gaussian])
+    assert abs(eta - 6.6015806) <= 2.0 * np.pi / y.length
+    assert spectral_half_width(y, [lambda v: np.zeros_like(v)]) == 0.0
+
+    # K = ξ/ε + η/√ε = 165.97 on a length-20 domain needs πn/20 ≥ 2K
+    n = lab_grid_points(20.0, 0.01, 1.0, eta)
+    k_bound = 1.0 / 0.01 + eta / np.sqrt(0.01)
+    assert n == 4096
+    assert k_bound <= 0.5 * np.pi * n / 20.0
+    assert k_bound > 0.5 * np.pi * (n // 2) / 20.0
+    # two packets: K = 3ξ/ε + √3 η/√ε = 414.3
+    assert lab_grid_points(20.0, 0.01, 1.0, eta, n_packets=2) == 8192
+    assert lab_grid_points(20.0, 0.01, 1.0, eta, n_override=8192) == 8192
     with pytest.raises(ConfigError, match="adequacy"):
-        check_grid_adequacy(g, 0.01, 1.0)
-    n = required_points(20.0, 0.01, 1.0)
-    assert (n & (n - 1)) == 0
-    assert 20.0 / n <= 0.01 / 16.0
+        lab_grid_points(20.0, 0.01, 1.0, eta, n_override=2048)
+
+
+def test_fourier_tail_measures_the_outer_quarter_of_the_band():
+    g = make_grid(-10.0, 10.0, 256)
+    k_nyq = np.pi / g.spacing
+    low = np.exp(1j * (k_nyq / 4.0) * g.points)
+    high = np.exp(1j * (0.75 * k_nyq) * g.points)
+    assert fourier_tail(low) == pytest.approx(0.0, abs=1e-28)
+    assert fourier_tail(high) == pytest.approx(1.0, abs=1e-12)
+    both = np.stack([low, 3.0 * high], axis=1)
+    assert fourier_tail(both) == pytest.approx(0.9, abs=1e-12)
+    assert fourier_tail(np.zeros((g.n, 2))) == 0.0
 
 
 def test_populations_sum_rule_after_evolution():
