@@ -142,20 +142,19 @@ def cmd_identities(cfg, out: Path, args) -> int:
     return 0
 
 
-def _single_run(cfg, eps, snapshot_times=()):
-    return run_single_packet(
-        cfg.potential, cfg.packets[0], eps, cfg.lambda_coupling, cfg.T,
-        cfg.x_min, cfg.x_max, observe_every=cfg.observe_every,
-        dt_max=cfg.dt_max, dt_over_eps=cfg.dt_over_epsilon,
-        y_half_width=cfg.y_half_width, y_points=cfg.y_points,
-        n_override=cfg.n_override, beta=cfg.beta,
-        snapshot_times=snapshot_times)
+def _run_options(cfg) -> dict:
+    """The step, y-grid and lab-grid options every run command passes on."""
+    return dict(observe_every=cfg.observe_every, dt_max=cfg.dt_max,
+                dt_over_eps=cfg.dt_over_epsilon, y_half_width=cfg.y_half_width,
+                y_points=cfg.y_points, n_override=cfg.n_override, beta=cfg.beta)
 
 
 def cmd_single(cfg, out: Path, args) -> int:
     eps = _epsilons(cfg, args.epsilon_override)[0]
     snaps = tuple(cfg.raw.get("snapshot_times", [0.0, cfg.T]))
-    run = _single_run(cfg, eps, snapshot_times=snaps)
+    run = run_single_packet(cfg.potential, cfg.packets[0], eps,
+                            cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max,
+                            snapshot_times=snaps, **_run_options(cfg))
     rows = [[t, m, w, th, lk, ty] for t, m, w, th, lk, ty in
             zip(run.times, run.masses, run.w_sigma1, run.theta_sigma1,
                 run.leakage, run.taylor)]
@@ -183,10 +182,7 @@ def cmd_single(cfg, out: Path, args) -> int:
 def cmd_converge(cfg, out: Path, args) -> int:
     report = convergence_study(
         cfg.potential, cfg.packets[0], _epsilons(cfg, args.epsilon_override),
-        cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max,
-        observe_every=cfg.observe_every, dt_max=cfg.dt_max,
-        dt_over_eps=cfg.dt_over_epsilon, y_half_width=cfg.y_half_width,
-        y_points=cfg.y_points, n_override=cfg.n_override, beta=cfg.beta)
+        cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max, **_run_options(cfg))
     rows = [[e, s, t, l] for e, s, t, l in
             zip(report.epsilons, report.sup_errors, report.terminal_errors,
                 report.leakages)]
@@ -214,9 +210,7 @@ def cmd_superpose(cfg, out: Path, args) -> int:
         cfg.potential, tuple(cfg.packets[:2]),
         _epsilons(cfg, args.epsilon_override), cfg.lambda_coupling, cfg.T,
         cfg.x_min, cfg.x_max, gamma_exponent=cfg.gamma_exponent,
-        observe_every=cfg.observe_every, dt_max=cfg.dt_max,
-        dt_over_eps=cfg.dt_over_epsilon, y_half_width=cfg.y_half_width,
-        y_points=cfg.y_points, n_override=cfg.n_override, beta=cfg.beta)
+        **_run_options(cfg))
     rows = [[e, s, t, c, i] for e, s, t, c, i in
             zip(report.epsilons, report.sup_errors, report.terminal_errors,
                 report.crossing_measures, report.interaction_integrals)]

@@ -4,10 +4,12 @@ A config file carries the potential (expression strings for the diagonal and
 symmetric parts), the packet(s), the ε list, the coupling constant, horizon,
 step and grid policies, and output options.  Validation is exhaustive: every
 violation is collected and reported at once, and lab grid sizes are derived
-per ε from the spectral rule `nls.lab_grid_points` (the packets' momentum
-bound from the probe trajectories and the profiles' measured spectral
-half-width) before any run starts; a `grid.n` that breaks the rule at some ε
-is a `ConfigError`.
+per ε from the spectral rule `experiments.lab_grid_rule` (the packets'
+momentum bound from the probe trajectories and the largest measured spectral
+half-width of their envelopes over the run) before any run starts; a
+`grid.n` that breaks the rule at some ε is a `ConfigError`.  Profile dicts
+are built and evaluated during validation, so an unknown type or parameter
+is a collected violation too.
 """
 
 from __future__ import annotations
@@ -17,17 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import integrate_trajectory
 from .errors import AdiapackError, ConfigError
-from .experiments import PacketSpec, _branch_curve_for
+from .experiments import PacketSpec, _require_simple_branch, lab_grid_rule, \
+    make_profile
 from .expressions import ParseError, parse_expr
 from .grids import make_grid
-from .nls import lab_grid_points, spectral_half_width
 from .potentials import MatrixPotentialSpec, decompose
 
 __all__ = ["ExperimentConfig", "load_config"]
-
-_PROFILE_TYPES = {"gaussian", "hermite", "noise", "zero"}
 
 
 @dataclass(eq=False)
@@ -53,21 +52,31 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
 
+def _profile_from_dict(profile, errors, label, seed):
+    """The profile dict if `make_profile` builds and evaluates it, else None."""
+    if not isinstance(profile, dict):
+        errors.append(f"{label}: must be an object with a 'type'")
+        return None
+    if profile.get("type", "gaussian") == "noise" and "seed" not in profile:
+        profile = dict(profile, seed=seed)
+    try:
+        make_profile(profile)(np.linspace(-1.0, 1.0, 3))
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        errors.append(f"{label}: {exc}")
+        return None
+    return profile
+
+
 def _packet_from_dict(d, errors, prefix, seed):
-    profile = d.get("profile", {"type": "gaussian"})
-    if isinstance(profile, dict):
-        kind = profile.get("type", "gaussian")
-        if kind not in _PROFILE_TYPES:
-            errors.append(f"{prefix}: unknown profile type '{kind}'")
-        if kind == "noise" and "seed" not in profile:
-            profile = dict(profile, seed=seed)
+    profile = _profile_from_dict(d.get("profile", {"type": "gaussian"}), errors,
+                                 f"{prefix}.profile", seed)
     kappa = d.get("kappa")
     if kappa is not None and not kappa > 0.25:
         errors.append(f"{prefix}: kappa must exceed 1/4")
     r0_profile = d.get("r0_profile")
-    if isinstance(r0_profile, dict) and r0_profile.get("type") == "noise" \
-            and "seed" not in r0_profile:
-        r0_profile = dict(r0_profile, seed=seed)
+    if r0_profile is not None:
+        r0_profile = _profile_from_dict(r0_profile, errors,
+                                        f"{prefix}.r0_profile", seed)
     for key in ("x0", "xi0"):
         if key not in d:
             errors.append(f"{prefix}: missing required field: {key}")
@@ -204,37 +213,23 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _derive_grid_sizes(cfg: ExperimentConfig) -> dict:
-    """Per-ε lab grid sizes from `nls.lab_grid_points`.
+    """Per-ε lab grid sizes of all the config's packets (`experiments.lab_grid_rule`).
 
-    ξ_max is the largest |ξ| on the packets' probe trajectories (a coarse
-    decomposition, dt = 1e-3), η_τ the spectral half-width of every packet
-    profile on the config's y-grid, and the packet count selects the one- or
-    several-packet momentum bound.  A `grid.n` override is checked against
-    the rule at every ε.  The probe decomposition also checks the run-time
-    scope: every packet's branch must be simple, since runs polarize along
-    the static eigenframe.
+    These are the sizes `superpose` uses; `single` and `converge` size for
+    the first packet alone.  A `grid.n` override is checked at every ε.  The
+    4096-point probe decomposition also checks that every packet's branch
+    exists and is simple.
     """
     probe = decompose(cfg.potential, make_grid(cfg.x_min, cfg.x_max, 4096))
     scope = []
     for i, pk in enumerate(cfg.packets):
-        if pk.branch >= probe.n_branches:
-            scope.append(f"packets[{i}]: branch {pk.branch} out of range "
-                         f"({probe.n_branches} branches)")
-        elif probe.multiplicities[pk.branch] != 1:
-            scope.append(f"packets[{i}]: branch {pk.branch} has multiplicity "
-                         f"{probe.multiplicities[pk.branch]}: out of scope, the "
-                         f"transported branch must be simple")
+        try:
+            _require_simple_branch(probe, pk.branch)
+        except ConfigError as exc:
+            scope.append(f"packets[{i}]: {exc}")
     if scope:
         raise ConfigError(scope)
-    xi_max = 0.0
-    for pk in cfg.packets:
-        curve = _branch_curve_for(cfg.potential, probe, pk.branch)
-        traj = integrate_trajectory(curve, pk.x0, pk.xi0, cfg.T, 1e-3)
-        xi_max = max(xi_max, float(np.max(np.abs(traj.xi))))
     y_grid = make_grid(-cfg.y_half_width, cfg.y_half_width, cfg.y_points)
-    eta = spectral_half_width(y_grid, [a for pk in cfg.packets
-                                       for a in pk.profiles()])
-    return {eps: lab_grid_points(cfg.x_max - cfg.x_min, eps, xi_max, eta,
-                                 n_packets=len(cfg.packets),
-                                 n_override=cfg.n_override)
-            for eps in cfg.epsilons}
+    rule = lab_grid_rule(cfg.potential, probe, cfg.packets, cfg.lambda_coupling,
+                         cfg.T, y_grid)
+    return {eps: rule.points(eps, cfg.n_override) for eps in cfg.epsilons}

@@ -2,40 +2,36 @@
 
 Each class carries the exit code the `adiapack` command returns for it:
 configuration problems (2), violated numerical invariants (3), and runtime
-aborts such as blow-up guards or mass-drift trips (4).
+aborts such as blow-up guards or mass-drift trips (4).  Every run-time
+invariant of a march is one `Guard` below, with one tolerance and one class
+at every call site:
 
-Every run-time invariant of a march is one `Guard` below: one measured
-quantity, one tolerance and one error class, checked through `Guard.check`
-at every call site, so the same failure gives the same exit code on every
-code path.
-
-* `MASS_DRIFT`: |‖ψ‖ - ‖ψ₀‖| after each NLS step, above
-  1e-9 · max(1, ‖ψ₀‖), raises `SolverAbort` (exit 4).  Checked by
-  `nls.check_step_mass` in `nls.solve_nls` and in both run paths of
-  `experiments` (`run_single_packet`, `superposition_experiment`).
-* `BOUNDARY`: max |ψ| at the two ends of the periodic lab grid, above 1e-8,
-  raises `InvariantViolation` (exit 3).  Checked at every observation of
-  `nls.solve_nls` and of both run paths (`nls.check_lab_field`).
-* `FOURIER_TAIL`: the fraction of ψ's energy at |k| ≥ ¾ k_Nyquist of the lab
-  grid, above τ = 1e-20, raises `SolverAbort` (exit 4).  Checked at every
-  observation of both run paths, after the boundary (`nls.check_lab_field`).
-  The same τ defines η_τ in the a-priori grid rule `nls.lab_grid_points`.
-* `ENVELOPE_EDGE`: max |u| at the two ends of the ε-free y-grid, above
-  1e-8 · max(1, ‖u₀‖), raises `InvariantViolation` (exit 3).  Checked by
-  `envelope.EnvelopeStepper` on its initial profile and after every step.
-* `ENVELOPE_MASS`: |‖u‖ - ‖u₀‖| after each envelope step, above
-  1e-8 · max(1, ‖u₀‖), raises `SolverAbort` (exit 4), in
-  `envelope.EnvelopeStepper.advance`.
-* `CORRECTION_NORM`: the L² norm of a correction component g_{j,ℓ}, above
-  1e6 (resonance or under-resolution), raises `SolverAbort` (exit 4).
-  Checked at the stored times of `corrections.solve_correction` and at every
-  observation of `run_single_packet`.
+* `MASS_DRIFT`: |‖ψ‖ - ‖ψ₀‖| after each NLS step above 1e-9 · max(1, ‖ψ₀‖),
+  `SolverAbort` (exit 4); `nls.check_step_mass`, in `nls.solve_nls` and
+  both run paths of `experiments`.
+* `BOUNDARY`: max |ψ| at the ends of the lab grid above 1e-8,
+  `InvariantViolation` (exit 3); at every observation of `nls.solve_nls` and
+  of both run paths (`nls.check_lab_field`).
+* `FOURIER_TAIL`: the fraction of ψ's energy at |k| ≥ ¾ k_Nyquist above
+  τ = 1e-20, `SolverAbort` (exit 4); at every observation of both run paths,
+  after the boundary.  τ also defines η_τ in `experiments.lab_grid_rule`.
+* `ENVELOPE_EDGE`: max |u| at the ends of the y-grid above
+  1e-8 · max(1, ‖u₀‖), `InvariantViolation` (exit 3); `EnvelopeStepper` on
+  its initial profile and after every step, in both run paths and in the
+  grid rule's envelope march, which runs before any lab grid is sized (in
+  `load_config` too, where it is a `ConfigError`, exit 2, like every failure
+  of grid derivation).
+* `ENVELOPE_MASS`: |‖u‖ - ‖u₀‖| after each envelope step above
+  1e-8 · max(1, ‖u₀‖), `SolverAbort` (exit 4).
+* `CORRECTION_NORM`: the L² norm of a correction component above 1e6,
+  `SolverAbort` (exit 4); at the stored times of
+  `corrections.solve_correction` and every observation of
+  `run_single_packet`.
 
 Checks outside the marches keep their own thresholds and classes: the
-trajectory blow-up guard (|x| or |ξ| above 1e8, `SolverAbort`, exit 4), the
-transport oracle's eigen-residual (above 1e-6, `SolverAbort`, exit 4), and
-the decomposition's projector completeness (1e-11) and eigen-residual
-(1e-9), both `InvariantViolation` (exit 3).
+trajectory blow-up guard (|x| or |ξ| above 1e8, exit 4), the transport
+oracle's eigen-residual (above 1e-6, exit 4), and the decomposition's
+projector completeness (1e-11) and eigen-residual (1e-9), both exit 3.
 """
 
 from dataclasses import dataclass

@@ -45,9 +45,10 @@ from .potentials import MatrixPotentialSpec, SpectralData, decompose
 
 __all__ = [
     "PacketSpec", "AnsatzBundle", "OrderFit", "SingleRunResult",
-    "ConvergenceReport", "SuperpositionReport", "make_profile",
+    "ConvergenceReport", "SuperpositionReport", "LabGridRule", "make_profile",
     "assemble_ansatz", "taylor_residual", "error_report", "fit_order",
-    "run_single_packet", "convergence_study", "superposition_experiment",
+    "lab_grid_rule", "run_single_packet", "convergence_study",
+    "superposition_experiment",
 ]
 
 
@@ -197,15 +198,16 @@ def taylor_residual(bundle: AnsatzBundle, t: float) -> float:
     Exactly zero for quadratic branches; scales like ε^{3/2} otherwise, since
     φ concentrates at x(t) on the √ε scale.
     """
-    grid = bundle.data.grid
-    lam = bundle.data.branches[bundle.branch]
-    x_c = float(bundle.traj.x_of(t))
-    curve = bundle.branch_curve
+    return _taylor_remainder(bundle.data.grid, bundle.data.branches[bundle.branch],
+                             bundle.branch_curve, float(bundle.traj.x_of(t)),
+                             bundle.phi_at(t).values)
+
+
+def _taylor_remainder(grid, lam, curve, x_c, phi):
     dx = grid.points - x_c
     taylor = (float(curve.value(x_c)) + float(curve.deriv(x_c)) * dx
               + 0.5 * float(curve.curvature(x_c)) * dx**2)
-    phi = bundle.phi_at(t)
-    return l2_norm(grid, (lam - taylor) * phi.values)
+    return l2_norm(grid, (lam - taylor) * phi)
 
 
 def error_report(psi: FieldState, bundle: AnsatzBundle, corrections: dict | None,
@@ -273,18 +275,85 @@ def _branch_curve_for(spec: MatrixPotentialSpec, data: SpectralData,
 
 
 def _require_simple_branch(data: SpectralData, branch: int):
-    """Scope guard for the static carrier.
+    """Scope guard for the static carrier: the branch exists and is simple.
 
     A declared multiplet is the one input where the static eigenframe and the
-    parallel-transported frame can differ.  V is real by construction
-    (`potentials` assembles it as a float array), so no guard for a complex W
-    is needed.
+    parallel-transported frame can differ; V is real by construction.
     """
+    if branch >= data.n_branches:
+        raise ConfigError(f"branch {branch} out of range "
+                          f"({data.n_branches} branches)")
     d = data.multiplicities[branch]
     if d != 1:
         raise ConfigError(
             f"branch {branch} has multiplicity {d}: out of scope, the "
             f"transported branch must be simple")
+
+
+# step of the sizing march: against 1e-3 steps the largest η_τ agrees within
+# 2% on the shipped configs and on a breathing Gaussian, or comes out larger
+# (by up to 15% at strong coupling), which only adds points
+_SIZING_DT = 2.5e-2
+
+
+@dataclass(frozen=True, eq=False)
+class LabGridRule:
+    """The ε-free momentum data of a run's packets, for `nls.lab_grid_points`."""
+
+    length: float
+    xi_max: float                    # largest |ξ| on the probe trajectories
+    eta: float                       # largest η_τ of any envelope over the run
+    n_packets: int
+    trajectories: list               # the packets' probe trajectories
+
+    def points(self, epsilon: float, n_override: int | None = None) -> int:
+        return lab_grid_points(self.length, epsilon, self.xi_max, self.eta,
+                               n_packets=self.n_packets, n_override=n_override)
+
+
+def lab_grid_rule(spec: MatrixPotentialSpec, probe: SpectralData, packets,
+                  lambda_coupling: float, T: float,
+                  y_grid: SpatialGrid) -> LabGridRule:
+    """Measure, once for every ε, the momentum data that sizes the lab grid.
+
+    Each packet's trajectory is integrated to T on the probe decomposition
+    (dt = 1e-3); each of its profiles (a, and r₀'s if set) is marched as an
+    envelope along that trajectory's curvature, and η_τ is the largest
+    `nls.spectral_half_width` over all steps: the spectrum breathes when a
+    profile is not the coherent width, and the cubic term widens it.  A
+    profile that does not vanish at the y-domain edges fails the stepper's
+    edge guard (`InvariantViolation`) before it is measured.
+    """
+    trajs = [integrate_trajectory(_branch_curve_for(spec, probe, pk.branch),
+                                  pk.x0, pk.xi0, T, 1e-3, branch_id=pk.branch)
+             for pk in packets]
+    steps = max(1, int(np.ceil(T / _SIZING_DT - 1e-12)))
+    eta, marched = 0.0, set()
+    for pk, tr in zip(packets, trajs):
+        for a in pk.profiles():
+            samples = np.asarray(a(y_grid.points), dtype=complex)
+            key = (samples.tobytes(), tr.curvature.tobytes())
+            if key not in marched:
+                marched.add(key)
+                env = EnvelopeStepper(y_grid, samples, lambda_coupling,
+                                      tr.curvature_of)
+                eta = max(eta, spectral_half_width(y_grid, env.values))
+                for _ in range(steps):
+                    env.advance(T / steps)
+                    eta = max(eta, spectral_half_width(y_grid, env.values))
+    return LabGridRule(length=probe.grid.length,
+                       xi_max=max(float(np.max(np.abs(tr.xi))) for tr in trajs),
+                       eta=eta, n_packets=len(packets), trajectories=trajs)
+
+
+def _time_steps(T, observe_every, dt_max, dt_over_eps, epsilon):
+    """(dt, steps per observation, total steps): dt divides the cadence."""
+    if abs(round(T / observe_every) * observe_every - T) > 1e-9:
+        raise ValueError("T must be a multiple of observe_every")
+    steps_per_obs = int(np.ceil(observe_every / min(dt_max, dt_over_eps * epsilon)
+                                - 1e-12))
+    return (observe_every / steps_per_obs, steps_per_obs,
+            steps_per_obs * int(round(T / observe_every)))
 
 
 @dataclass(eq=False)
@@ -342,16 +411,12 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
                       snapshot_times=(), keep_bundle: bool = False) -> SingleRunResult:
     """One full pipeline run: solver, ansatz, corrections, error time series.
 
-    The lab grid size is `nls.lab_grid_points` for one packet: ξ_max from a
-    probe trajectory on a coarse decomposition, η_τ measured from the
-    packet's profiles (a, and r₀'s if set) on the y-grid.  `n_override`
-    forces a size, which must meet the same criterion (`ConfigError`
-    otherwise).  The packet's branch must be simple (`ConfigError`
-    otherwise).  Every step passes `nls.check_step_mass` (`SolverAbort` past
-    1e-9); the largest drift is reported as `mass_drift`, relative to the
-    initial mass.  Every observation passes `nls.check_lab_field` (boundary,
-    then Fourier tail, whose worst value is reported as `fourier_tail`) and
-    the correction-norm guard `errors.CORRECTION_NORM` on each component.
+    The lab grid is sized by `lab_grid_rule` for the one packet (its branch
+    must be simple, `ConfigError` otherwise); a forced `n_override` must meet
+    the same rule.  Every step passes `nls.check_step_mass` (the largest
+    drift, relative to the initial mass, is `mass_drift`); every observation
+    passes `nls.check_lab_field` (the worst Fourier tail is `fourier_tail`)
+    and `errors.CORRECTION_NORM` on each correction component.
     """
     branch = packet.branch
     a = packet.evaluator()
@@ -360,25 +425,14 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
     # momentum probe on a coarse grid, then the lab grid from the spectral rule
     probe_data = decompose(spec, make_grid(x_min, x_max, 4096))
     _require_simple_branch(probe_data, branch)
-    probe_curve = _branch_curve_for(spec, probe_data, branch)
-    probe_traj = integrate_trajectory(probe_curve, packet.x0, packet.xi0, T, 1e-3,
-                                      branch_id=branch)
-    xi_max = float(np.max(np.abs(probe_traj.xi)))
-    n = lab_grid_points(x_max - x_min, epsilon, xi_max,
-                        spectral_half_width(y_grid, packet.profiles()),
-                        n_override=n_override)
+    n = lab_grid_rule(spec, probe_data, [packet], lambda_coupling, T,
+                      y_grid).points(epsilon, n_override)
     lab = make_grid(x_min, x_max, n)
     data = decompose(spec, lab)
     curve = _branch_curve_for(spec, data, branch)
 
-    # time steps: observer cadence is an exact multiple of dt
-    if abs(round(T / observe_every) * observe_every - T) > 1e-9:
-        raise ValueError("T must be a multiple of observe_every")
-    dt_raw = min(dt_max, dt_over_eps * epsilon)
-    steps_per_obs = int(np.ceil(observe_every / dt_raw - 1e-12))
-    dt = observe_every / steps_per_obs
-    n_obs = int(round(T / observe_every))
-    total_steps = steps_per_obs * n_obs
+    dt, steps_per_obs, total_steps = _time_steps(T, observe_every, dt_max,
+                                                 dt_over_eps, epsilon)
 
     traj = integrate_trajectory(curve, packet.x0, packet.xi0, T, dt / 4.0,
                                 branch_id=branch)
@@ -433,12 +487,8 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
         vf = VectorField(grid=lab, values=psi, epsilon=epsilon, time=t)
         st = FieldState(field=vf, lambda_coupling=lambda_coupling)
         pops = mode_populations(st, data)
-        # Taylor remainder of the branch along the packet
-        x_c = float(traj.x_of(t))
-        dx = lab.points - x_c
-        taylor = (float(curve.value(x_c)) + float(curve.deriv(x_c)) * dx
-                  + 0.5 * float(curve.curvature(x_c)) * dx**2)
-        tay = l2_norm(lab, (data.branches[branch] - taylor) * phi)
+        tay = _taylor_remainder(lab, data.branches[branch], curve,
+                                float(traj.x_of(t)), phi)
 
         times.append(t)
         masses.append(l2_norm(lab, psi))
@@ -532,10 +582,10 @@ def convergence_study(spec: MatrixPotentialSpec, packet: PacketSpec, epsilons,
                       **run_kwargs) -> ConvergenceReport:
     """Sweep ε, collect sup-in-t error norms, and fit the decay order.
 
-    Runs go one after another in decreasing ε.  A sub-run that fails with an `AdiapackError` is listed in
-    `report.failures` instead of killing the sweep, even when every sub-run
-    fails (the report then has no ε); any other exception is a programming
-    error and propagates.
+    Runs go one after another in decreasing ε.  A sub-run that fails with
+    an `AdiapackError` is listed in `report.failures` instead of killing the
+    sweep, even when every sub-run fails (the report then has no ε); any
+    other exception is a programming error and propagates.
     """
     epsilons = sorted(epsilons, reverse=True)
 
@@ -618,15 +668,11 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
     crossing-set measure |I^ε(T)| for the configured γ, and the interaction
     integral ∫‖|φ₁|²φ₂‖ dt.  The infimum runs over the lab domain
     [x_min, x_max], sampled by the probe decomposition; the shipped superpose
-    configs have a constant objective there.  Both carriers are static lab
-    eigenvectors, so both branches must be simple (`ConfigError` otherwise).
-    Grid sizes follow `nls.lab_grid_points` for two packets, whose momentum
-    bound 3ξ_max/ε + √3 η_τ/√ε covers the cubic term's 2ξ_a - ξ_b mixing
-    products, with ξ_max over both probe trajectories and η_τ over both
-    profiles; `n_override` is checked as in `run_single_packet`.  Every step
-    passes the same mass guard, `nls.check_step_mass`, and every observation
-    the same `nls.check_lab_field`; each ε's worst Fourier tail is reported
-    under `fourier_tail`.
+    configs have a constant objective there.  Both branches must be simple
+    (`ConfigError` otherwise).  Grid sizes follow `lab_grid_rule` for both
+    packets (the bound 3ξ_max/ε + √3 η_τ/√ε covers the cubic term's
+    2ξ_a - ξ_b products); steps and observations pass the same guards as in
+    `run_single_packet`, and each ε's worst tail is `fourier_tail`.
     """
     if not 0.0 < gamma_exponent < 0.5:
         raise ValueError("gamma_exponent must lie in (0, 1/2)")
@@ -639,9 +685,9 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
     probe = decompose(spec, make_grid(x_min, x_max, 4096))
     for p in (p1, p2):
         _require_simple_branch(probe, p.branch)
-    curves = [_branch_curve_for(spec, probe, p.branch) for p in (p1, p2)]
-    probe_trajs = [integrate_trajectory(c, p.x0, p.xi0, T, 1e-3, branch_id=p.branch)
-                   for c, p in zip(curves, (p1, p2))]
+    y_grid = make_grid(-y_half_width, y_half_width, y_points)
+    rule = lab_grid_rule(spec, probe, [p1, p2], lambda_coupling, T, y_grid)
+    probe_trajs = rule.trajectories
     lam1 = probe.branches[p1.branch]
     lam2 = probe.branches[p2.branch]
     e1, e2 = probe_trajs[0].energy0, probe_trajs[1].energy0
@@ -652,20 +698,12 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
                    and objective[0] >= objective[m - 1] - 1e-12)
     gamma_zero = bool(big_gamma < 1e-12)
 
-    xi_max = max(float(np.max(np.abs(tr.xi))) for tr in probe_trajs)
-    y_grid = make_grid(-y_half_width, y_half_width, y_points)
-    eta = spectral_half_width(y_grid, p1.profiles() + p2.profiles())
-
     def job(eps):
-        n = lab_grid_points(x_max - x_min, eps, xi_max, eta, n_packets=2,
-                            n_override=n_override)
+        n = rule.points(eps, n_override)
         lab = make_grid(x_min, x_max, n)
         data = decompose(spec, lab)
-        steps_per_obs = int(np.ceil(observe_every / min(dt_max, dt_over_eps * eps)
-                                    - 1e-12))
-        dt = observe_every / steps_per_obs
-        n_obs = int(round(T / observe_every))
-        total_steps = steps_per_obs * n_obs
+        dt, steps_per_obs, total_steps = _time_steps(T, observe_every, dt_max,
+                                                     dt_over_eps, eps)
 
         trajs, envs = [], []
         for pk in (p1, p2):
@@ -719,13 +757,8 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
 
     rows = [job(e) for e in epsilons]
 
-    sups = [r[0] for r in rows]
-    terms = [r[1] for r in rows]
-    crossings = [r[2] for r in rows]
-    inters = [r[3] for r in rows]
-    grid_n = [r[4] for r in rows]
-    energy_drift = [r[5] for r in rows]
-    fourier_tail = [r[6] for r in rows]
+    sups, terms, crossings, inters, grid_n, energy_drift, fourier_tail = (
+        [r[i] for r in rows] for i in range(7))
     return SuperpositionReport(
         epsilons=list(epsilons), gamma_exponent=gamma_exponent,
         big_gamma=big_gamma, big_gamma_edge_ok=edge_ok,

@@ -15,20 +15,11 @@ to roundoff.  `check_step_mass` is the one per-step mass guard: every NLS
 march (`solve_nls`, `run_single_packet`, `superposition_experiment`) calls it
 after each step, and a drift beyond 1e-9 raises `SolverAbort` (exit 4).
 
-The lab grid is sized from the packet's spectral content.  The coherent state
-ε^{-1/4} u((x - x(t))/√ε) e^{iξ(t)x/ε} has its Fourier content in
-|k| ≲ |ξ(t)|/ε + η/√ε, with η the spectral half-width of the ε-free profile u.
-`spectral_half_width` measures η_τ once from the FFT of every packet profile
-on the y-grid (the half-width outside which a profile's spectral energy is
-below τ = `errors.FOURIER_TAIL.tol` = 1e-20), and `lab_grid_points` bounds
-the momentum by
-
-    K = m ξ_max/ε + √m η_τ/√ε,      m = 1 for one packet, 3 for several,
-
-(m = 3 covers the cubic term's 2ξ_a - ξ_b mixing products of two packets),
-and takes the smallest power of two n with K ≤ k_Nyquist/2 = πn/(2L).  The
-bound is derived, never searched for by sampling ψ₀ on coarse grids: there,
-content above Nyquist aliases and the top band can look empty.  At run time
+The lab grid is sized from the packets' spectral content: `lab_grid_points`
+takes the smallest power of two n whose half band k_Nyquist/2 = πn/(2L)
+holds the momentum bound K = m ξ_max/ε + √m η_τ/√ε, with η_τ measured by
+`spectral_half_width` (τ = `errors.FOURIER_TAIL.tol` = 1e-20) on envelopes
+that `experiments.lab_grid_rule` marches over the run.  At run time
 `check_lab_field` measures the energy fraction of ψ at |k| ≥ ¾ k_Nyquist at
 every observation and aborts (`SolverAbort`, exit 4) above τ.
 
@@ -201,10 +192,7 @@ def _boundary_magnitude(values: np.ndarray) -> float:
 
 
 def fourier_tail(values: np.ndarray) -> float:
-    """Fraction of the energy of (n,) or (n, N) `values` at |k| ≥ ¾ k_Nyquist.
-
-    Returns 0 for a zero field.
-    """
+    """Energy fraction of (n,) or (n, N) `values` at |k| ≥ ¾ k_Nyquist (0 for zero values)."""
     n = values.shape[0]
     spec = scipy.fft.fft(values, axis=0)
     energy = spec.real**2 + spec.imag**2
@@ -278,36 +266,35 @@ def mode_populations(state: FieldState, v_data: SpectralData) -> np.ndarray:
     return out
 
 
-def spectral_half_width(y_grid: SpatialGrid, profiles) -> float:
-    """η_τ: the half-width outside which every profile's spectral energy is below τ.
+def spectral_half_width(y_grid: SpatialGrid, values: np.ndarray) -> float:
+    """η_τ of the profile samples `values` on the ε-free `y_grid`.
 
-    Each profile a(y) is sampled on the ε-free `y_grid` and transformed once;
-    η_τ is the smallest |η| on the grid's wavenumber lattice such that the
-    energy at larger |η| is at most τ = `errors.FOURIER_TAIL.tol` times the
-    profile's total, maximized over `profiles`.  Zero profiles contribute 0.
+    The smallest |η| on the grid's wavenumber lattice such that the energy at
+    larger |η| is at most τ = `errors.FOURIER_TAIL.tol` times the total.
     """
     n = y_grid.n
     shell = np.abs(np.fft.fftfreq(n, 1.0 / n)).astype(int)  # |index|, 0 … n/2
-    eta = 0.0
-    for a in profiles:
-        spec = scipy.fft.fft(np.asarray(a(y_grid.points), dtype=complex))
-        energy = np.bincount(shell, weights=spec.real**2 + spec.imag**2)
-        # energy strictly above each shell, summed from the top so that a
-        # tail 1e-20 below the total is not lost to cancellation
-        above = np.append(np.cumsum(energy[::-1])[::-1][1:], 0.0)
-        first = int(np.argmax(above <= FOURIER_TAIL.tol * energy.sum()))
-        eta = max(eta, first * 2.0 * np.pi / y_grid.length)
-    return eta
+    spec = scipy.fft.fft(np.asarray(values, dtype=complex))
+    energy = np.bincount(shell, weights=spec.real**2 + spec.imag**2)
+    # energy strictly above each shell, summed from the top so that a tail
+    # 1e-20 below the total is not lost to cancellation
+    above = np.append(np.cumsum(energy[::-1])[::-1][1:], 0.0)
+    first = int(np.argmax(above <= FOURIER_TAIL.tol * energy.sum()))
+    return first * 2.0 * np.pi / y_grid.length
 
 
 def lab_grid_points(length: float, epsilon: float, xi_max: float, eta: float,
                     n_packets: int = 1, n_override: int | None = None) -> int:
     """The lab grid size: the smallest power of two n with K ≤ k_Nyquist/2.
 
-    K = m ξ_max/ε + √m η/√ε bounds the momentum content of the packets, with
-    ξ_max the largest |ξ| on their trajectories, η = `spectral_half_width` of
-    their profiles, and m = 1 for one packet or 3 for several (the cubic
-    term's 2ξ_a - ξ_b mixing products); k_Nyquist = πn/length.  A given
+    The coherent state ε^{-1/4} u((x - x(t))/√ε) e^{iξ(t)x/ε} has its
+    Fourier content in |k| ≲ |ξ(t)|/ε + η(t)/√ε.  K = m ξ_max/ε + √m η/√ε
+    bounds it, with ξ_max the largest |ξ| on the packets' trajectories, η the
+    largest `spectral_half_width` of their envelopes over the run, and m = 1
+    for one packet or 3 for several (the cubic term's 2ξ_a - ξ_b mixing
+    products); k_Nyquist = πn/length.  The bound is derived, never searched
+    for by sampling ψ₀ on coarse grids, where content above Nyquist aliases
+    and the top band can look empty.  A given
     `n_override` is returned when it meets the same criterion and is a
     `ConfigError` otherwise.
     """

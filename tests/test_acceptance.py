@@ -16,12 +16,11 @@ from adiapack.config import load_config
 from adiapack.corrections import averaging_probe
 from adiapack.eigenframe import (frame_at, initial_frame, parallel_residual,
                                  transport_frame)
-from adiapack.experiments import (convergence_study, fit_order,
-                                  superposition_experiment)
+from adiapack.experiments import (convergence_study, fit_order, lab_grid_rule,
+                                  make_profile, superposition_experiment)
 from adiapack.expressions import parse_expr
 from adiapack.grids import ScalarField, l2_norm, make_grid
-from adiapack.nls import (build_initial_data, lab_grid_points, solve_nls,
-                          spectral_half_width)
+from adiapack.nls import build_initial_data, solve_nls
 from adiapack.potentials import (decompose, growth_scan,
                                  projector_identity_residuals)
 
@@ -81,19 +80,9 @@ def test_criterion_01_mass_conservation():
         cfg = load_config(CONFIGS / f"{name}.json")
         eps = max(cfg.epsilons)
         probe = decompose(cfg.potential, make_grid(cfg.x_min, cfg.x_max, 2048))
-        xi_max = 0.0
-        trajs = []
-        from adiapack.experiments import _branch_curve_for, make_profile
-        for pk in cfg.packets:
-            curve = _branch_curve_for(cfg.potential, probe, pk.branch)
-            tr = integrate_trajectory(curve, pk.x0, pk.xi0, T, 1e-3)
-            xi_max = max(xi_max, float(np.max(np.abs(tr.xi))))
-            trajs.append(tr)
         y_grid = make_grid(-cfg.y_half_width, cfg.y_half_width, cfg.y_points)
-        eta = spectral_half_width(y_grid, [a for pk in cfg.packets
-                                           for a in pk.profiles()])
-        n = lab_grid_points(cfg.x_max - cfg.x_min, eps, xi_max, eta,
-                            n_packets=len(cfg.packets))
+        n = lab_grid_rule(cfg.potential, probe, cfg.packets, cfg.lambda_coupling,
+                          T, y_grid).points(eps)
         lab = make_grid(cfg.x_min, cfg.x_max, n)
         data = decompose(cfg.potential, lab)
         values = np.zeros((lab.n, cfg.potential.n_levels), dtype=complex)

@@ -10,8 +10,11 @@ import pytest
 from adiapack.cli import main
 from adiapack.config import load_config
 from adiapack.errors import ConfigError
+from adiapack.experiments import (PacketSpec, run_single_packet,
+                                  superposition_experiment)
 from adiapack.grids import make_grid
 from adiapack.nls import spectral_half_width
+from adiapack.potentials import MatrixPotentialSpec, decompose
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -39,8 +42,9 @@ def test_load_minimal_config_echoes_grid_sizes(tmp_path):
     cfg = load_config(write_config(tmp_path))
     n = cfg.derived_grid_sizes[0.0625]
     assert n == 256
-    eta = spectral_half_width(make_grid(-40.0, 40.0, 2048),
-                              [cfg.packets[0].evaluator()])
+    # the unit Gaussian is the coherent width of x²/2: η_τ stays at its t = 0 value
+    y = make_grid(-40.0, 40.0, 2048)
+    eta = spectral_half_width(y, cfg.packets[0].evaluator()(y.points))
     k_bound = np.sin(0.1) / 0.0625 + eta / 0.25
     assert 0.5 * np.pi * (n // 2) / 8.0 < k_bound <= 0.5 * np.pi * n / 8.0
 
@@ -71,12 +75,29 @@ def test_all_violations_collected(tmp_path):
         T=-1.0,                                       # not positive
         grid={"x_min": -4.0, "x_max": 4.0, "n": 768},  # not a power of two
         y_points=1000,                                # not a power of two
+        packets=[{"profile": {"type": "gaussian", "widht": 2.0},  # misspelled
+                  "x0": 1.0, "xi0": 0.0, "kappa": 0.5,
+                  "r0_profile": {"type": "bogus"}}],  # unknown type
     )
     with pytest.raises(ConfigError) as exc:
         load_config(path)
-    assert len(exc.value.errors) >= 5
-    assert "grid.n must be a power of two, at least 8" in exc.value.errors
-    assert "y_points must be a power of two, at least 8" in exc.value.errors
+    errors = exc.value.errors
+    assert len(errors) >= 7
+    assert "grid.n must be a power of two, at least 8" in errors
+    assert "y_points must be a power of two, at least 8" in errors
+    assert "packets[0].r0_profile: unknown profile type 'bogus'" in errors
+    assert any(e.startswith("packets[0].profile: ") and "'widht'" in e
+               for e in errors)
+
+
+def test_bad_profile_is_a_config_error_for_every_command(tmp_path, capsys):
+    path = write_config(tmp_path, packets=[
+        {"profile": {"type": "gaussian"}, "x0": 1.0, "xi0": 0.0, "kappa": 0.5,
+         "r0_profile": {"type": "hermite", "center": "left"}}])
+    for command in ("decompose", "identities", "single"):
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / command)]) == 2
+        assert "packets[0].r0_profile: " in capsys.readouterr().err
 
 
 def test_fixed_grid_must_satisfy_adequacy(tmp_path, capsys):
@@ -375,7 +396,7 @@ def test_energy_drift_in_report_not_csv(tmp_path):
 
 
 def test_load_config_propagates_programming_errors(tmp_path, monkeypatch):
-    import adiapack.config as config
+    import adiapack.experiments as experiments
     from adiapack.errors import SolverAbort
 
     path = write_config(tmp_path)
@@ -383,23 +404,38 @@ def test_load_config_propagates_programming_errors(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("synthetic programming error")
 
-    monkeypatch.setattr(config, "integrate_trajectory", broken)
+    monkeypatch.setattr(experiments, "integrate_trajectory", broken)
     with pytest.raises(TypeError, match="synthetic"):
         load_config(path)
 
     def aborts(*args, **kwargs):
         raise SolverAbort("synthetic trajectory abort")
 
-    monkeypatch.setattr(config, "integrate_trajectory", aborts)
+    monkeypatch.setattr(experiments, "integrate_trajectory", aborts)
     with pytest.raises(ConfigError) as exc:
         load_config(path)
     assert exc.value.errors == [
         "grid derivation failed: synthetic trajectory abort"]
 
 
-def test_envelope_edge_same_exit_code_in_both_run_paths(tmp_path, capsys):
+def test_envelope_edge_same_exit_code_in_both_run_paths(tmp_path, capsys,
+                                                       monkeypatch):
     # a width-1/2 Gaussian breathes out to width 2 in the harmonic well: on
-    # |y| ≤ 3.5 it leaves the window during the run, on |y| ≤ 3 at t = 0
+    # |y| ≤ 3.5 it leaves the window during the run, on |y| ≤ 3 it does not
+    # vanish at t = 0.  The grid rule marches the envelope before any lab
+    # grid is sized: the config is rejected (exit 2) through both commands,
+    # and both run paths raise the same InvariantViolation (exit 3)
+    # having decomposed only the 4096-point probe grid.
+    import adiapack.experiments as experiments
+    from adiapack.errors import InvariantViolation
+
+    sizes = []
+
+    def recording(spec, grid):
+        sizes.append(grid.n)
+        return decompose(spec, grid)
+
+    monkeypatch.setattr(experiments, "decompose", recording)
     packets = [{"profile": {"type": "gaussian", "width": 0.5}, "x0": 1.0,
                 "xi0": 0.0},
                {"profile": {"type": "gaussian", "width": 0.5}, "x0": -1.0,
@@ -409,10 +445,38 @@ def test_envelope_edge_same_exit_code_in_both_run_paths(tmp_path, capsys):
                             y_half_width=half_width)
         for command in ("single", "superpose"):
             assert main([command, "--config", str(path),
-                         "--out", str(tmp_path / command)]) == 3
+                         "--out", str(tmp_path / command)]) == 2
             err = capsys.readouterr().err
             assert "y-domain edge" in err
             assert (" at t = 0.0;" in err) == (half_width == 3.0)
+        spec = MatrixPotentialSpec.from_strings(["x^2/2"], ["0"])
+        pk = [PacketSpec(profile=d["profile"], x0=d["x0"], xi0=d["xi0"])
+              for d in packets]
+        kwargs = dict(observe_every=0.05, y_half_width=half_width)
+        runs = (lambda: run_single_packet(spec, pk[0], 0.0625, 0.0, 0.5, -4.0,
+                                          4.0, **kwargs),
+                lambda: superposition_experiment(spec, pk, [0.0625], 0.0, 0.5,
+                                                 -4.0, 4.0, **kwargs))
+        for run in runs:
+            with pytest.raises(InvariantViolation, match="y-domain edge") as exc:
+                run()
+            assert exc.value.exit_code == 3
+    assert set(sizes) == {4096}
+
+
+def test_breathing_envelope_sizes_the_grid_for_the_whole_run(tmp_path):
+    # a width-2 Gaussian in x²/2 narrows to width 1/2 at t = π/2, so its
+    # momentum width grows 4×; sized from the t = 0 profile alone (n = 512)
+    # the run's Fourier tail passed 1e-20 at t = 1.09
+    path = write_config(
+        tmp_path, packets=[{"profile": {"type": "gaussian", "width": 2.0},
+                            "x0": 1.0, "xi0": 0.0}],
+        epsilons=[0.015625], T=1.6, observe_every=0.05)
+    out = tmp_path / "out"
+    assert main(["single", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["grid_n"] == 1024
+    assert report["fourier_tail"] <= 1e-20
 
 
 def test_correction_norm_guard_fails_converge_subrun(tmp_path, monkeypatch):
@@ -434,13 +498,11 @@ def test_fourier_tail_guard_aborts_under_resolved_superposition(
     # n = 512 at ε = 1/128 puts packet 2's momentum content (|ξ| up to 1.118,
     # width η_τ/√ε) into the outer quarter of the band; without the tail
     # guard the run finishes with a sup error off by 1%
-    import adiapack.config as config
     import adiapack.experiments as experiments
 
     def unchecked(*args, n_override=None, **kwargs):
         return n_override
 
-    monkeypatch.setattr(config, "lab_grid_points", unchecked)
     monkeypatch.setattr(experiments, "lab_grid_points", unchecked)
     raw = json.loads((CONFIGS / "superposition.json").read_text())
     raw.update(epsilons=[0.0078125])

@@ -272,3 +272,56 @@ def test_mass_guard_aborts_both_run_paths(monkeypatch):
         superposition_experiment(HARMONIC, (p1, p2), [1.0 / 16], 0.0, 0.1,
                                  -4.0, 4.0, observe_every=0.05)
 
+
+
+def test_lab_grid_rule_takes_the_largest_envelope_width_over_the_run():
+    # width 2 in x²/2 narrows to width 1/2 at t = π/2: η_τ grows 4×, and
+    # |ξ(t)| = |sin t| peaks at 1
+    from adiapack.experiments import lab_grid_rule
+    from adiapack.grids import make_grid
+    from adiapack.nls import spectral_half_width
+    from adiapack.potentials import decompose
+
+    y = make_grid(-40.0, 40.0, 2048)
+    probe = decompose(HARMONIC, make_grid(-4.0, 4.0, 4096))
+    wide = PacketSpec(profile={"type": "gaussian", "width": 2.0}, x0=1.0, xi0=0.0)
+    eta0 = spectral_half_width(y, wide.evaluator()(y.points))
+    rule = lab_grid_rule(HARMONIC, probe, [wide], 0.0, 2.0, y)
+    assert abs(rule.eta - 4.0 * eta0) <= 2.0 * np.pi / y.length
+    assert rule.xi_max == pytest.approx(1.0, abs=1e-6)
+    assert rule.points(1.0 / 64) == 1024
+
+
+def test_lab_grid_rule_sizing_march_matches_a_fine_march(monkeypatch):
+    # the cubic term widens a unit Gaussian's spectrum (η_τ 6.6 → 13); the
+    # rule's 0.025 steps find the same largest η_τ as 1e-3 steps within 2%,
+    # and two packets with the same profile and curvature are marched once
+    import adiapack.experiments as experiments
+    from adiapack.envelope import EnvelopeStepper
+    from adiapack.grids import make_grid
+    from adiapack.nls import spectral_half_width
+    from adiapack.potentials import decompose
+
+    y = make_grid(-40.0, 40.0, 2048)
+    unit = make_profile({"type": "gaussian"})(y.points)
+    env = EnvelopeStepper(y, unit, 1.0, lambda t: 1.0)
+    fine = spectral_half_width(y, env.values)
+    for _ in range(2000):
+        env.advance(1e-3)
+        fine = max(fine, spectral_half_width(y, env.values))
+
+    marches = []
+
+    class Counting(EnvelopeStepper):
+        def __init__(self, *args):
+            marches.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(experiments, "EnvelopeStepper", Counting)
+    probe = decompose(HARMONIC, make_grid(-4.0, 4.0, 4096))
+    packets = [PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0),
+               PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)]
+    rule = experiments.lab_grid_rule(HARMONIC, probe, packets, 1.0, 2.0, y)
+    assert len(marches) == 1
+    assert fine > 12.0
+    assert abs(rule.eta - fine) <= 0.02 * fine

@@ -156,9 +156,9 @@ def test_grid_adequacy_rule():
     # Gaussian: the spectral energy above η is erfc(η), which is 1e-20 at
     # η = 6.6016; the measured η_τ is that root on the y-grid's lattice
     y = make_grid(-40.0, 40.0, 2048)
-    eta = spectral_half_width(y, [gaussian])
+    eta = spectral_half_width(y, gaussian(y.points))
     assert abs(eta - 6.6015806) <= 2.0 * np.pi / y.length
-    assert spectral_half_width(y, [lambda v: np.zeros_like(v)]) == 0.0
+    assert spectral_half_width(y, np.zeros(y.n)) == 0.0
 
     # K = ξ/ε + η/√ε = 165.97 on a length-20 domain needs πn/20 ≥ 2K
     n = lab_grid_points(20.0, 0.01, 1.0, eta)
