@@ -31,10 +31,10 @@ from .envelope import EnvelopeState, solve_envelope, envelope_moments
 from .eigenframe import (EigenFrame, k_matrix, transport_frame, frame_at,
                          parallel_residual, coupling_coefficients,
                          coupling_profile, initial_frame)
-from .corrections import (ScalarPropagator, scalar_step, solve_correction,
+from .corrections import (ScalarPropagator, solve_correction,
                           assemble_correction, averaging_probe)
-from .nls import (FieldState, build_initial_data, step_nls, solve_nls,
-                  mode_populations, NLSPropagator)
+from .nls import (FieldState, build_initial_data, solve_nls, mode_populations,
+                  NLSPropagator)
 from .experiments import (PacketSpec, AnsatzBundle, assemble_ansatz,
                           taylor_residual, error_report, fit_order,
                           run_single_packet, convergence_study,

@@ -24,8 +24,7 @@ from .errors import SolverAbort
 from .expressions import Expr
 from .grids import UniformCubicSpline
 
-__all__ = ["BranchCurve", "ClassicalTrajectory", "integrate_trajectory",
-           "action_of", "energy_of"]
+__all__ = ["BranchCurve", "ClassicalTrajectory", "integrate_trajectory"]
 
 _BLOWUP = 1e8
 
@@ -158,12 +157,3 @@ def integrate_trajectory(branch: BranchCurve, x0: float, xi0: float, T: float,
     return ClassicalTrajectory(times=times, x=xs, xi=xis, action=actions,
                                lam=lam, curvature=curv, branch=branch_id,
                                energy0=energy0, energy_drift=drift)
-
-
-def action_of(traj: ClassicalTrajectory) -> np.ndarray:
-    """S(t) at every trajectory sample (S(0) = 0)."""
-    return traj.action
-
-
-def energy_of(traj: ClassicalTrajectory, t_index: int) -> float:
-    return float(0.5 * traj.xi[t_index] ** 2 + traj.lam[t_index])

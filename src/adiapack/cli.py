@@ -70,9 +70,12 @@ def write_plot_script(path: Path, title, xlabel, ylabel, plots, logscale=True):
 
 
 def _epsilons(cfg, override):
-    if override:
+    if not override:
+        return list(cfg.epsilons)
+    try:
         return [float(tok) for tok in override.split(",") if tok]
-    return list(cfg.epsilons)
+    except ValueError as exc:
+        raise ConfigError(f"--epsilon-override: {exc}") from exc
 
 
 def cmd_decompose(cfg, out: Path, args) -> int:
@@ -151,10 +154,10 @@ def _run_options(cfg) -> dict:
 
 def cmd_single(cfg, out: Path, args) -> int:
     eps = _epsilons(cfg, args.epsilon_override)[0]
-    snaps = tuple(cfg.raw.get("snapshot_times", [0.0, cfg.T]))
     run = run_single_packet(cfg.potential, cfg.packets[0], eps,
                             cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max,
-                            snapshot_times=snaps, **_run_options(cfg))
+                            snapshot_times=cfg.snapshot_times,
+                            **_run_options(cfg))
     rows = [[t, m, w, th, lk, ty] for t, m, w, th, lk, ty in
             zip(run.times, run.masses, run.w_sigma1, run.theta_sigma1,
                 run.leakage, run.taylor)]

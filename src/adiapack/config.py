@@ -2,29 +2,24 @@
 
 A config file carries the potential (expression strings for the diagonal and
 symmetric parts), the packet(s), the ε list, the coupling constant, horizon,
-step and grid policies, and output options.  Validation is exhaustive: every
-violation is collected and reported at once, and lab grid sizes are derived
-per ε from the spectral rule `experiments.lab_grid_rule` (the packets'
-momentum bound from the probe trajectories and the largest measured spectral
-half-width of their envelopes over the run) before any run starts; a
-`grid.n` that breaks the rule at some ε is a `ConfigError`.  Profile dicts
-are built and evaluated during validation, so an unknown type or parameter
-is a collected violation too.
+step and grid policies, and output options.  `load_config` only parses and
+validates, exhaustively: every violation is collected and reported at once,
+an unknown profile type or parameter and a packet on a missing or
+non-simple branch included.  The lab grid sizes, and the `grid.n` check,
+belong to the run commands' `experiments.study_setup`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdiapackError, ConfigError
-from .experiments import PacketSpec, _require_simple_branch, lab_grid_rule, \
-    make_profile
+from .errors import ConfigError
+from .experiments import PacketSpec, _branch_scope_error, make_profile
 from .expressions import ParseError, parse_expr
-from .grids import make_grid
-from .potentials import MatrixPotentialSpec, decompose
+from .potentials import MatrixPotentialSpec
 
 __all__ = ["ExperimentConfig", "load_config"]
 
@@ -48,8 +43,7 @@ class ExperimentConfig:
     beta: float = 0.75
     out_dir: str = "results"
     seed: int = 0
-    derived_grid_sizes: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+    snapshot_times: tuple = ()
 
 
 def _profile_from_dict(profile, errors, label, seed):
@@ -122,7 +116,7 @@ def _potential_from_dict(d, errors):
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse, validate, and derive.  Raises ConfigError listing every problem."""
+    """Parse and validate.  Raises ConfigError listing every problem."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -146,8 +140,9 @@ def load_config(path) -> ExperimentConfig:
         errors.append("packets: need at least one packet")
     if spec is not None:
         for i, pk in enumerate(packets):
-            if not 0 <= pk.branch < spec.n_levels:
-                errors.append(f"packets[{i}]: branch {pk.branch} out of range")
+            problem = _branch_scope_error(spec, pk.branch)
+            if problem:
+                errors.append(f"packets[{i}]: {problem}")
 
     epsilons = [float(e) for e in raw.get("epsilons", [])]
     if "epsilons" in raw:
@@ -164,6 +159,15 @@ def load_config(path) -> ExperimentConfig:
         errors.append("observe_every must be positive")
     elif T > 0 and abs(round(T / observe_every) * observe_every - T) > 1e-9:
         errors.append("T must be an integer multiple of observe_every")
+    snapshot_times = raw.get("snapshot_times", [0.0, T])
+    if not isinstance(snapshot_times, list):
+        errors.append("snapshot_times must be a list")
+        snapshot_times = []
+    for i, ts in enumerate(snapshot_times if "snapshot_times" in raw else []):
+        if not (isinstance(ts, (int, float)) and 0.0 <= ts <= T and observe_every > 0
+                and abs(round(ts / observe_every) * observe_every - ts) <= 1e-9):
+            errors.append(f"snapshot_times[{i}]: {ts!r} is not a multiple of "
+                          f"observe_every in [0, T]")
 
     grid = raw.get("grid", {})
     x_min = float(grid.get("x_min", -10.0))
@@ -196,40 +200,10 @@ def load_config(path) -> ExperimentConfig:
         y_half_width=y_half_width, y_points=y_points,
         n_override=None if n_override is None else int(n_override),
         gamma_exponent=gamma_exponent, beta=float(raw.get("beta", 0.75)),
-        out_dir=str(raw.get("out_dir", "results")), seed=seed, raw=raw,
+        out_dir=str(raw.get("out_dir", "results")), seed=seed,
+        snapshot_times=tuple(snapshot_times),
     )
-
-    if not errors and spec is not None and packets and epsilons and T > 0:
-        try:
-            cfg.derived_grid_sizes = _derive_grid_sizes(cfg)
-        except ConfigError as exc:
-            errors.extend(exc.errors)
-        except AdiapackError as exc:
-            errors.append(f"grid derivation failed: {exc}")
-
     if errors:
         raise ConfigError(errors)
     return cfg
 
-
-def _derive_grid_sizes(cfg: ExperimentConfig) -> dict:
-    """Per-ε lab grid sizes of all the config's packets (`experiments.lab_grid_rule`).
-
-    These are the sizes `superpose` uses; `single` and `converge` size for
-    the first packet alone.  A `grid.n` override is checked at every ε.  The
-    4096-point probe decomposition also checks that every packet's branch
-    exists and is simple.
-    """
-    probe = decompose(cfg.potential, make_grid(cfg.x_min, cfg.x_max, 4096))
-    scope = []
-    for i, pk in enumerate(cfg.packets):
-        try:
-            _require_simple_branch(probe, pk.branch)
-        except ConfigError as exc:
-            scope.append(f"packets[{i}]: {exc}")
-    if scope:
-        raise ConfigError(scope)
-    y_grid = make_grid(-cfg.y_half_width, cfg.y_half_width, cfg.y_points)
-    rule = lab_grid_rule(cfg.potential, probe, cfg.packets, cfg.lambda_coupling,
-                         cfg.T, y_grid)
-    return {eps: rule.points(eps, cfg.n_override) for eps in cfg.epsilons}

@@ -8,8 +8,9 @@ driven by the mode-1 packet φ times a coupling coefficient r.  Propagation is
 a symmetric split step (half branch phase e^{-iλ dt/2ε}, exact kinetic
 multiplier e^{-iεk²dt/2}, half phase); the source enters once per step as the
 midpoint Duhamel increment dt/(iε)·U(dt/2) applied to (φ r) at the step
-midpoint, keeping everything second order in dt.  A step makes one new array
-and does the transforms (`scipy.fft`) and both phase products in place on it.
+midpoint (`ScalarPropagator.duhamel_step`, the one copy of that rule), keeping
+everything second order in dt.  A step makes one new array and does the
+transforms (`scipy.fft`) and both phase products in place on it.
 
 `averaging_probe` measures ‖(1/iε) ∫₀ᵗ U_k(-s) U_j(s) f ds‖: for j = k it
 grows like t/ε, while for j ≠ k the branch-phase mismatch averages the
@@ -26,8 +27,8 @@ import scipy.fft
 from .errors import CORRECTION_NORM
 from .grids import ScalarField, SpatialGrid, VectorField, l2_norm, sigma_norm
 
-__all__ = ["ScalarPropagator", "CorrectionSeries", "scalar_step",
-           "solve_correction", "assemble_correction", "averaging_probe"]
+__all__ = ["ScalarPropagator", "CorrectionSeries", "solve_correction",
+           "assemble_correction", "averaging_probe"]
 
 
 class ScalarPropagator:
@@ -57,44 +58,28 @@ class ScalarPropagator:
         out *= half
         return out
 
+    def duhamel_step(self, values: np.ndarray, source_mid: np.ndarray,
+                     dt: float) -> np.ndarray:
+        """U(dt)values + dt/(iε)·U(dt/2)source_mid, the midpoint Duhamel rule.
 
-def scalar_step(f: ScalarField, lam_values: np.ndarray, dt: float,
-                source_mid: np.ndarray | None = None) -> ScalarField:
-    """One split step of the branch equation, with optional midpoint source.
-
-    `source_mid` is (φ r) sampled at t + dt/2; it is inserted as
-    dt/(iε)·U(dt/2)(source_mid), the second-order midpoint Duhamel rule.
-    """
-    prop = ScalarPropagator(f.grid, lam_values, f.epsilon)
-    out = prop.step(f.values, dt)
-    if source_mid is not None:
-        out = out + (dt / (1j * f.epsilon)) * prop.step(source_mid, 0.5 * dt)
-    return ScalarField(grid=f.grid, values=out, epsilon=f.epsilon, time=f.time + dt)
+        `source_mid` is the source (φ r) sampled at the step midpoint t + dt/2.
+        """
+        return self.step(values, dt) \
+            + (dt / (1j * self.epsilon)) * self.step(source_mid, 0.5 * dt)
 
 
 @dataclass(frozen=True, eq=False)
 class CorrectionSeries:
     """Stored time slices of one correction component with its norm log."""
 
-    j: int
-    ell: int
-    epsilon: float
-    grid: SpatialGrid
     times: np.ndarray = field(repr=False)
     values: list = field(repr=False)
     sigma_log: dict = field(repr=False)
 
-    def at(self, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 + 1e-9 * abs(t):
-            raise ValueError(f"t = {t} is not a stored correction time")
-        return self.values[i]
-
 
 def solve_correction(grid: SpatialGrid, lam_values: np.ndarray, coupling_fn,
                      phi_fn, epsilon: float, T: float, dt: float,
-                     store_times=None, j: int = 1, ell: int = 0,
-                     log_p=(0, 1)) -> CorrectionSeries:
+                     store_times=None, log_p=(0, 1)) -> CorrectionSeries:
     """March one correction component from g(0) = 0 and log its scaled norms.
 
     `coupling_fn(t)` and `phi_fn(t)` return r and φ on the grid; sources are
@@ -127,13 +112,12 @@ def solve_correction(grid: SpatialGrid, lam_values: np.ndarray, coupling_fn,
     for step in range(n_steps):
         t_mid = (step + 0.5) * dt
         src = phi_fn(t_mid) * coupling_fn(t_mid)
-        g = prop.step(g, dt) + (dt / (1j * epsilon)) * prop.step(src, 0.5 * dt)
+        g = prop.duhamel_step(g, src, dt)
         if step + 1 in target_set:
             record((step + 1) * dt)
             CORRECTION_NORM.check(l2_norm(grid, g),
                                   where=f" at t = {(step + 1) * dt}")
-    return CorrectionSeries(j=j, ell=ell, epsilon=epsilon, grid=grid,
-                            times=np.asarray(out_times), values=out_values,
+    return CorrectionSeries(times=np.asarray(out_times), values=out_values,
                             sigma_log=sigma_log)
 
 
@@ -166,8 +150,7 @@ def averaging_probe(grid: SpatialGrid, lam_j: np.ndarray, lam_k: np.ndarray,
     h = prop_j.step(f.values, 0.5 * dt)  # f at the first midpoint
     acc = np.zeros(grid.n, dtype=complex)
     for m in range(n_steps):
-        acc = prop_k.step(acc, dt)
-        acc += (dt / (1j * epsilon)) * prop_k.step(h, 0.5 * dt)
+        acc = prop_k.duhamel_step(acc, h, dt)
         if m + 1 < n_steps:
             h = prop_j.step(h, dt)
     return l2_norm(grid, acc)

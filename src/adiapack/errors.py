@@ -7,26 +7,27 @@ invariant of a march is one `Guard` below, with one tolerance and one class
 at every call site:
 
 * `MASS_DRIFT`: |‖ψ‖ - ‖ψ₀‖| after each NLS step above 1e-9 · max(1, ‖ψ₀‖),
-  `SolverAbort` (exit 4); `nls.check_step_mass`, in `nls.solve_nls` and
-  both run paths of `experiments`.
+  `SolverAbort` (exit 4); `nls.check_step_mass`, in `nls.solve_nls` and in
+  the one lockstep march behind every run of `experiments`.
 * `BOUNDARY`: max |ψ| at the ends of the lab grid above 1e-8,
   `InvariantViolation` (exit 3); at every observation of `nls.solve_nls` and
-  of both run paths (`nls.check_lab_field`).
+  of the lockstep march (`nls.check_lab_field`).
 * `FOURIER_TAIL`: the fraction of ψ's energy at |k| ≥ ¾ k_Nyquist above
-  τ = 1e-20, `SolverAbort` (exit 4); at every observation of both run paths,
-  after the boundary.  τ also defines η_τ in `experiments.lab_grid_rule`.
+  τ = 1e-20, `SolverAbort` (exit 4); at every observation of the lockstep
+  march, after the boundary.  τ also defines η_τ in
+  `experiments.lab_grid_rule`.
 * `ENVELOPE_EDGE`: max |u| at the ends of the y-grid above
   1e-8 · max(1, ‖u₀‖), `InvariantViolation` (exit 3); `EnvelopeStepper` on
-  its initial profile and after every step, in both run paths and in the
-  grid rule's envelope march, which runs before any lab grid is sized (in
-  `load_config` too, where it is a `ConfigError`, exit 2, like every failure
-  of grid derivation).
+  its initial profile and after every step, in `envelope.solve_envelope`, in
+  the lockstep march and in the grid rule's sizing march.  The sizing march
+  runs in `experiments.study_setup` before any lab grid is sized, where the
+  failure is a `ConfigError` (exit 2), like every failure of the set-up.
 * `ENVELOPE_MASS`: |‖u‖ - ‖u₀‖| after each envelope step above
   1e-8 · max(1, ‖u₀‖), `SolverAbort` (exit 4).
 * `CORRECTION_NORM`: the L² norm of a correction component above 1e6,
   `SolverAbort` (exit 4); at the stored times of
-  `corrections.solve_correction` and every observation of
-  `run_single_packet`.
+  `corrections.solve_correction` and at every observation of
+  `experiments.run_single_packet`.
 
 Checks outside the marches keep their own thresholds and classes: the
 trajectory blow-up guard (|x| or |ξ| above 1e8, exit 4), the transport

@@ -12,7 +12,7 @@ carrier, and every off-branch frame, from the one lab decomposition they do
 per ε; `eigenframe.transport_frame` stays as an independent oracle for that
 identity.  The measured errors are
 
-    w = ψ - φ χ¹          (raw approximation error)
+    w = ψ - Σ_k φ_k χ_k   (raw approximation error, packets subtracted in order)
     θ = w + ε g           (with the off-mode coupling absorbed by g)
 
 in the scaled norms of `grids.sigma_norm`.  Studies sweep ε at fixed horizon
@@ -20,9 +20,9 @@ T, fit the decay order by least squares in log-log, and include a two-packet
 superposition experiment with the trajectory-crossing diagnostics Γ and
 |I^ε(T)| = |{t ≤ T : |x₁(t) - x₂(t)| ≤ ε^γ}|.
 
-One run marches everything in lockstep: the trajectory is integrated at dt/4
-so that envelope midpoints (dt/2 steps) and Duhamel midpoints (dt steps) land
-exactly on trajectory samples.
+A command does its ε-free work once (`study_setup`); each ε is then one
+lockstep march (`_Lockstep`), which `run_single_packet` and
+`superposition_experiment` configure with their observers.
 """
 
 from __future__ import annotations
@@ -39,16 +39,16 @@ from .errors import CORRECTION_NORM, AdiapackError, ConfigError
 from .grids import ScalarField, SpatialGrid, UniformCubicSpline, VectorField, \
     l2_norm, make_grid, sigma_norm
 from .nls import FieldState, NLSPropagator, build_initial_data, \
-    check_lab_field, check_step_mass, coherent_packet, lab_grid_points, \
-    mode_populations, spectral_half_width
+    check_lab_field, check_step_mass, lab_grid_points, mode_populations, \
+    spectral_half_width
 from .potentials import MatrixPotentialSpec, SpectralData, decompose
 
 __all__ = [
     "PacketSpec", "AnsatzBundle", "OrderFit", "SingleRunResult",
-    "ConvergenceReport", "SuperpositionReport", "LabGridRule", "make_profile",
-    "assemble_ansatz", "taylor_residual", "error_report", "fit_order",
-    "lab_grid_rule", "run_single_packet", "convergence_study",
-    "superposition_experiment",
+    "ConvergenceReport", "SuperpositionReport", "LabGridRule", "StudySetup",
+    "make_profile", "assemble_ansatz", "taylor_residual", "error_report",
+    "fit_order", "lab_grid_rule", "study_setup", "run_single_packet",
+    "convergence_study", "superposition_experiment",
 ]
 
 
@@ -147,7 +147,6 @@ class AnsatzBundle:
     branch_curve: BranchCurve
     traj: ClassicalTrajectory
     epsilon: float
-    lambda_coupling: float
     y_grid: SpatialGrid
     u_times: np.ndarray = field(repr=False)
     u_values: list = field(repr=False)
@@ -158,8 +157,8 @@ class AnsatzBundle:
             raise ValueError(f"t = {t} is not a stored envelope time")
         return self.u_values[i]
 
-    def phi_at(self, t: float, lab_grid: SpatialGrid | None = None) -> ScalarField:
-        grid = lab_grid if lab_grid is not None else self.data.grid
+    def phi_at(self, t: float) -> ScalarField:
+        grid = self.data.grid
         values = _phi_values(grid, self.y_grid, self.u_at(t), self.traj, t,
                              self.epsilon)
         return ScalarField(grid=grid, values=values, epsilon=self.epsilon, time=t)
@@ -210,6 +209,21 @@ def _taylor_remainder(grid, lam, curve, x_c, phi):
     return l2_norm(grid, (lam - taylor) * phi)
 
 
+def _error_norms(psi, terms, grid, epsilon, t, g=None, p=1):
+    """σ_p reports of w = ψ - Σ_k φ_k χ_k and θ = w + εg (θ = w when g is None).
+
+    `terms` holds each packet's (φ, χ) at time t; they are subtracted in order.
+    """
+    w = psi
+    for phi, chi in terms:
+        w = w - phi[:, None] * chi
+    w_rep = sigma_norm(VectorField(grid=grid, values=w, epsilon=epsilon, time=t), p)
+    if g is None:
+        return w_rep, w_rep
+    theta = VectorField(grid=grid, values=w + epsilon * g, epsilon=epsilon, time=t)
+    return w_rep, sigma_norm(theta, p)
+
+
 def error_report(psi: FieldState, bundle: AnsatzBundle, corrections: dict | None,
                  p: int = 1):
     """Scaled norms of w = ψ - φχ¹ and θ = w + εg at the state's time.
@@ -218,17 +232,11 @@ def error_report(psi: FieldState, bundle: AnsatzBundle, corrections: dict | None
     None for θ = w).  Vector norms combine components in quadrature.
     """
     t = psi.time
-    ansatz = assemble_ansatz(bundle, t)
-    w_values = psi.values - ansatz.values
-    w = VectorField(grid=psi.grid, values=w_values, epsilon=psi.epsilon, time=t)
-    w_report = sigma_norm(w, p)
-    if corrections:
-        g = assemble_correction(corrections, bundle.data, psi.epsilon, time=t)
-        theta = VectorField(grid=psi.grid, values=w_values + psi.epsilon * g.values,
-                            epsilon=psi.epsilon, time=t)
-    else:
-        theta = w
-    return w_report, sigma_norm(theta, p)
+    chi = bundle.data.frames[bundle.branch][:, :, 0]
+    g = assemble_correction(corrections, bundle.data, psi.epsilon,
+                            time=t).values if corrections else None
+    return _error_norms(psi.values, [(bundle.phi_at(t).values, chi)], psi.grid,
+                        psi.epsilon, t, g, p)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +267,15 @@ def fit_order(epsilons, errors) -> OrderFit:
                     max_residual=float(np.max(np.abs(resid))), defined=True)
 
 
+def _json_fields(report, skip=()) -> dict:
+    """A report's fields for `report.json`: arrays as lists, fits as their order."""
+    return {k: v.tolist() if isinstance(v, np.ndarray)
+            else v.order if isinstance(v, OrderFit) else v
+            for k, v in vars(report).items() if k not in skip}
+
+
 # ---------------------------------------------------------------------------
-# single-packet pipeline
+# the ε-free study set-up of a command, and the lockstep march of one ε
 
 def _branch_curve_for(spec: MatrixPotentialSpec, data: SpectralData,
                       branch: int) -> BranchCurve:
@@ -274,20 +289,17 @@ def _branch_curve_for(spec: MatrixPotentialSpec, data: SpectralData,
     return BranchCurve.from_data(data, branch)
 
 
-def _require_simple_branch(data: SpectralData, branch: int):
-    """Scope guard for the static carrier: the branch exists and is simple.
-
-    A declared multiplet is the one input where the static eigenframe and the
-    parallel-transported frame can differ; V is real by construction.
-    """
-    if branch >= data.n_branches:
-        raise ConfigError(f"branch {branch} out of range "
-                          f"({data.n_branches} branches)")
-    d = data.multiplicities[branch]
-    if d != 1:
-        raise ConfigError(
-            f"branch {branch} has multiplicity {d}: out of scope, the "
-            f"transported branch must be simple")
+def _branch_scope_error(spec: MatrixPotentialSpec, branch: int) -> str | None:
+    """Why a packet on `branch` is out of scope, or None: by the declared
+    multiplicities (which `decompose` enforces) it must exist and be simple,
+    the one condition under which the static frame is the transported one."""
+    mult = spec.multiplicities or (1,) * spec.n_levels
+    if not 0 <= branch < len(mult):
+        return f"branch {branch} out of range ({len(mult)} branches)"
+    if mult[branch] != 1:
+        return (f"branch {branch} has multiplicity {mult[branch]}: out of "
+                f"scope, the transported branch must be simple")
+    return None
 
 
 # step of the sizing march: against 1e-3 steps the largest η_τ agrees within
@@ -346,15 +358,127 @@ def lab_grid_rule(spec: MatrixPotentialSpec, probe: SpectralData, packets,
                        eta=eta, n_packets=len(packets), trajectories=trajs)
 
 
-def _time_steps(T, observe_every, dt_max, dt_over_eps, epsilon):
-    """(dt, steps per observation, total steps): dt divides the cadence."""
-    if abs(round(T / observe_every) * observe_every - T) > 1e-9:
-        raise ValueError("T must be a multiple of observe_every")
-    steps_per_obs = int(np.ceil(observe_every / min(dt_max, dt_over_eps * epsilon)
-                                - 1e-12))
-    return (observe_every / steps_per_obs, steps_per_obs,
-            steps_per_obs * int(round(T / observe_every)))
+@dataclass(frozen=True, eq=False)
+class StudySetup:
+    """The ε-free work of one command, done before its first ε runs."""
 
+    spec: MatrixPotentialSpec
+    packets: tuple
+    lambda_coupling: float
+    T: float
+    y_grid: SpatialGrid
+    probe: SpectralData              # the 4096-point decomposition
+    rule: LabGridRule
+    grid_n: dict                     # requested ε -> lab grid size
+
+
+def study_setup(spec: MatrixPotentialSpec, packets, epsilons,
+                lambda_coupling: float, T: float, x_min: float, x_max: float,
+                y_half_width: float = 40.0, y_points: int = 2048,
+                n_override: int | None = None) -> StudySetup:
+    """Scope check, 4096-point probe decomposition, `lab_grid_rule` and the
+    lab grid size of every ε (a `grid.n` override must meet the rule at all
+    of them).  Every failure is a `ConfigError` (exit 2)."""
+    problems = [_branch_scope_error(spec, pk.branch) for pk in packets]
+    if any(problems):
+        raise ConfigError([p for p in problems if p])
+    y_grid = make_grid(-y_half_width, y_half_width, y_points)
+    try:
+        probe = decompose(spec, make_grid(x_min, x_max, 4096))
+        rule = lab_grid_rule(spec, probe, packets, lambda_coupling, T, y_grid)
+    except AdiapackError as exc:
+        raise ConfigError(f"grid derivation failed: {exc}") from exc
+    return StudySetup(spec=spec, packets=tuple(packets),
+                      lambda_coupling=lambda_coupling, T=T, y_grid=y_grid,
+                      probe=probe, rule=rule,
+                      grid_n={eps: rule.points(eps, n_override) for eps in epsilons})
+
+
+class _Lockstep:
+    """One ε: ψ on the lab grid (one decomposition) and, for every packet,
+    its trajectory (at dt/4, so every midpoint is a sample), envelope and
+    static carrier; ψ₀ is the sum of the packets' `build_initial_data`.
+    With `corrections` the one packet drives a g_{j,ℓ} on every other
+    branch, and only then is the envelope step split into dt/2 halves (the
+    source needs u(t + dt/2))."""
+
+    def __init__(self, setup: StudySetup, epsilon, observe_every, dt_max,
+                 dt_over_eps, beta, corrections):
+        spec, packets, lam = setup.spec, setup.packets, setup.lambda_coupling
+        self.y_grid, self.epsilon, self.n = setup.y_grid, epsilon, setup.grid_n[epsilon]
+        grid = setup.probe.grid
+        self.lab = lab = make_grid(grid.x_min, grid.x_max, self.n)
+        self.data = data = decompose(spec, lab)
+        # dt divides the observation cadence
+        if abs(round(setup.T / observe_every) * observe_every - setup.T) > 1e-9:
+            raise ValueError("T must be a multiple of observe_every")
+        self.steps_per_obs = int(np.ceil(
+            observe_every / min(dt_max, dt_over_eps * epsilon) - 1e-12))
+        self.dt = observe_every / self.steps_per_obs
+        self.total_steps = self.steps_per_obs * int(round(setup.T / observe_every))
+        self.curves = [_branch_curve_for(spec, data, pk.branch) for pk in packets]
+        self.trajs = [integrate_trajectory(curve, pk.x0, pk.xi0, setup.T,
+                                           self.dt / 4.0, branch_id=pk.branch)
+                      for curve, pk in zip(self.curves, packets)]
+        self.envs = [EnvelopeStepper(self.y_grid, pk.evaluator()(self.y_grid.points),
+                                     lam, tr.curvature_of)
+                     for pk, tr in zip(packets, self.trajs)]
+        # the carriers and every off-branch frame below come from this one
+        # decomposition, so their signs agree
+        self.chis = [data.frames[pk.branch][:, :, 0] for pk in packets]
+        # ψ₀ from the analytic profiles: spline interpolation noise in the data
+        # would disperse at high group velocity and pollute the whole domain
+        parts = [build_initial_data(pk.evaluator(), pk.x0, pk.xi0, chi, epsilon,
+                                    lab, lam, pk.r0()).values
+                 for pk, chi in zip(packets, self.chis)]
+        self.psi = sum(parts[1:], parts[0])
+        self.mass0, self.max_drift, self.tails = l2_norm(lab, self.psi), 0.0, []
+        self.prop = NLSPropagator(data, epsilon, lam, self.dt, beta)
+        branch = packets[0].branch
+        others = [j for j in range(data.n_branches) if j != branch] if corrections else []
+        self.rho = {(j, ell): coupling_profile(data, j, ell, source_branch=branch)
+                    for j in others for ell in range(data.multiplicities[j])}
+        self.g_props = {j: ScalarPropagator(lab, data.branches[j], epsilon)
+                        for j in others}
+        self.g = {key: np.zeros(lab.n, dtype=complex) for key in self.rho}
+
+    def phi(self, k, t):
+        """φ_k(t) on the lab grid from packet k's current envelope."""
+        return _phi_values(self.lab, self.y_grid, self.envs[k].values,
+                           self.trajs[k], t, self.epsilon)
+
+    def march(self, observe):
+        """March to T; at each observation `check_lab_field`, then
+        observe(t, [φ_k(t) per packet])."""
+        dt = self.dt
+
+        def observe_at(t):
+            self.tails.append(check_lab_field(self.psi, t))
+            observe(t, [self.phi(k, t) for k in range(len(self.envs))])
+
+        observe_at(0.0)
+        for step in range(1, self.total_steps + 1):
+            if self.g:
+                (env,) = self.envs
+                env.advance(0.5 * dt)
+                t_mid = (step - 0.5) * dt
+                phi, xi = self.phi(0, t_mid), float(self.trajs[0].xi_of(t_mid))
+                for key, g in self.g.items():
+                    self.g[key] = self.g_props[key[0]].duhamel_step(
+                        g, phi * (xi * self.rho[key]), dt)
+                env.advance(0.5 * dt)
+            else:
+                for env in self.envs:
+                    env.advance(dt)
+            self.psi = self.prop.step(self.psi)
+            self.max_drift = max(self.max_drift, check_step_mass(
+                self.lab, self.psi, self.mass0, step))
+            if step % self.steps_per_obs == 0:
+                observe_at(step * dt)
+
+
+# ---------------------------------------------------------------------------
+# single-packet runs
 
 @dataclass(eq=False)
 class SingleRunResult:
@@ -380,25 +504,9 @@ class SingleRunResult:
     bundle: AnsatzBundle | None = None
 
     def to_dict(self):
-        return {
-            "epsilon": self.epsilon,
-            "grid_n": self.grid_n,
-            "dt": self.dt,
-            "times": self.times.tolist(),
-            "masses": self.masses.tolist(),
-            "w_sigma1": self.w_sigma1.tolist(),
-            "theta_sigma1": self.theta_sigma1.tolist(),
-            "leakage": self.leakage.tolist(),
-            "taylor": self.taylor.tolist(),
-            "populations": self.populations.tolist(),
-            "g_sigma1": {f"{j},{ell}": v.tolist()
-                         for (j, ell), v in self.g_sigma1.items()},
-            "mass_drift": self.mass_drift,
-            "sup_w_sigma1": self.sup_w_sigma1,
-            "terminal_w_sigma1": self.terminal_w_sigma1,
-            "energy_drift": self.energy_drift,
-            "fourier_tail": self.fourier_tail,
-        }
+        return dict(_json_fields(self, skip=("snapshots", "bundle")),
+                    g_sigma1={f"{j},{ell}": v.tolist()
+                              for (j, ell), v in self.g_sigma1.items()})
 
 
 def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
@@ -407,143 +515,74 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
                       dt_max: float = 1e-3, dt_over_eps: float = 0.25,
                       y_half_width: float = 40.0, y_points: int = 2048,
                       n_override: int | None = None, beta: float = 0.75,
-                      with_corrections: bool = True,
-                      snapshot_times=(), keep_bundle: bool = False) -> SingleRunResult:
-    """One full pipeline run: solver, ansatz, corrections, error time series.
+                      snapshot_times=(), keep_bundle: bool = False,
+                      setup: StudySetup | None = None) -> SingleRunResult:
+    """One single-packet march with corrections, and its error time series.
 
-    The lab grid is sized by `lab_grid_rule` for the one packet (its branch
-    must be simple, `ConfigError` otherwise); a forced `n_override` must meet
-    the same rule.  Every step passes `nls.check_step_mass` (the largest
-    drift, relative to the initial mass, is `mass_drift`); every observation
-    passes `nls.check_lab_field` (the worst Fourier tail is `fourier_tail`)
-    and `errors.CORRECTION_NORM` on each correction component.
+    `setup` is the command's `study_setup` (built here from the grid options
+    when None).  Every step passes `nls.check_step_mass` (worst relative
+    drift: `mass_drift`), every observation `nls.check_lab_field` (worst
+    tail: `fourier_tail`) and `errors.CORRECTION_NORM`.  Snapshot times
+    must be observation times.
     """
-    branch = packet.branch
-    a = packet.evaluator()
-    y_grid = make_grid(-y_half_width, y_half_width, y_points)
+    if setup is None:
+        setup = study_setup(spec, [packet], [epsilon], lambda_coupling, T,
+                            x_min, x_max, y_half_width, y_points, n_override)
+    run = _Lockstep(setup, epsilon, observe_every, dt_max, dt_over_eps, beta,
+                    corrections=True)
+    lab, data, branch = run.lab, run.data, packet.branch
+    (chi,), (traj,), (curve,) = run.chis, run.trajs, run.curves
+    snapshot_steps = {int(round(ts / run.dt)): ts for ts in snapshot_times}
+    if any(k % run.steps_per_obs or not 0 <= k <= run.total_steps
+           for k in snapshot_steps):
+        raise ValueError("snapshot times must be observation times in [0, T]")
+    series = {name: [] for name in ("times", "masses", "w_sigma1", "theta_sigma1",
+                                    "leakage", "taylor", "populations")}
+    g_log = {key: [] for key in run.g}
+    snapshots, u_times, u_values = {}, [], []
 
-    # momentum probe on a coarse grid, then the lab grid from the spectral rule
-    probe_data = decompose(spec, make_grid(x_min, x_max, 4096))
-    _require_simple_branch(probe_data, branch)
-    n = lab_grid_rule(spec, probe_data, [packet], lambda_coupling, T,
-                      y_grid).points(epsilon, n_override)
-    lab = make_grid(x_min, x_max, n)
-    data = decompose(spec, lab)
-    curve = _branch_curve_for(spec, data, branch)
-
-    dt, steps_per_obs, total_steps = _time_steps(T, observe_every, dt_max,
-                                                 dt_over_eps, epsilon)
-
-    traj = integrate_trajectory(curve, packet.x0, packet.xi0, T, dt / 4.0,
-                                branch_id=branch)
-
-    env = EnvelopeStepper(y_grid, a(y_grid.points), lambda_coupling,
-                          traj.curvature_of)
-
-    # the carrier χ¹ is static (module docstring); it and every off-branch
-    # frame below come from this one decomposition, so their signs agree
-    chi = data.frames[branch][:, :, 0]
-    state0 = build_initial_data(a, packet.x0, packet.xi0, chi, epsilon, lab,
-                                lambda_coupling, packet.r0())
-    prop = NLSPropagator(data, epsilon, lambda_coupling, dt, beta)
-
-    # correction components for every other branch
-    others = [j for j in range(data.n_branches) if j != branch] if with_corrections else []
-    rho = {(j, ell): coupling_profile(data, j, ell, source_branch=branch)
-           for j in others for ell in range(data.multiplicities[j])}
-    g_props = {j: ScalarPropagator(lab, data.branches[j], epsilon) for j in others}
-    g_vals = {key: np.zeros(lab.n, dtype=complex) for key in rho}
-
-    psi = state0.values.astype(complex).copy()
-    mass0 = l2_norm(lab, psi)
-    snapshot_steps = {int(round(ts / dt)): ts for ts in snapshot_times}
-
-    u_times = [0.0]
-    u_values = [env.values.copy()]
-
-    times, masses, w_list, th_list, leak_list, tay_list = [], [], [], [], [], []
-    pops_list, tails = [], []
-    g_log = {key: [] for key in rho}
-    snapshots = {}
-    max_drift = 0.0
-
-    def observe(t, u_now):
-        tails.append(check_lab_field(psi, t))
-        phi = _phi_values(lab, y_grid, u_now, traj, t, epsilon)
-        w_values = psi - phi[:, None] * chi
-        wf = VectorField(grid=lab, values=w_values, epsilon=epsilon, time=t)
-        w_rep = sigma_norm(wf, 1)
-        if rho:
-            g_vec = np.zeros_like(psi)
-            for (j, ell), arr in g_vals.items():
-                g_vec += arr[:, None] * data.frames[j][:, :, ell]
-            th = VectorField(grid=lab, values=w_values + epsilon * g_vec,
-                             epsilon=epsilon, time=t)
-            th_rep = sigma_norm(th, 1)
-        else:
-            th_rep = w_rep
+    def observe(t, phis):
+        psi, (phi,) = run.psi, phis
+        g = assemble_correction(run.g, data, epsilon, time=t).values if run.g else None
+        w_rep, th_rep = _error_norms(psi, [(phi, chi)], lab, epsilon, t, g)
         proj = np.einsum("nab,nb->na", data.projectors[branch], psi)
-        leak = l2_norm(lab, psi - proj)
-        vf = VectorField(grid=lab, values=psi, epsilon=epsilon, time=t)
-        st = FieldState(field=vf, lambda_coupling=lambda_coupling)
-        pops = mode_populations(st, data)
-        tay = _taylor_remainder(lab, data.branches[branch], curve,
-                                float(traj.x_of(t)), phi)
-
-        times.append(t)
-        masses.append(l2_norm(lab, psi))
-        w_list.append(w_rep.value)
-        th_list.append(th_rep.value)
-        leak_list.append(leak)
-        pops_list.append(pops)
-        tay_list.append(tay)
-        for key, arr in g_vals.items():
-            gf = ScalarField(grid=lab, values=arr, epsilon=epsilon, time=t)
-            g_rep = sigma_norm(gf, 1)
+        state = FieldState(field=VectorField(grid=lab, values=psi, epsilon=epsilon,
+                                             time=t),
+                           lambda_coupling=lambda_coupling)
+        row = (t, l2_norm(lab, psi), w_rep.value, th_rep.value,
+               l2_norm(lab, psi - proj),
+               _taylor_remainder(lab, data.branches[branch], curve,
+                                 float(traj.x_of(t)), phi),
+               mode_populations(state, data))
+        for values, value in zip(series.values(), row):
+            values.append(value)
+        for key, values in run.g.items():
+            g_rep = sigma_norm(ScalarField(grid=lab, values=values,
+                                           epsilon=epsilon, time=t), 1)
             # the (0, 0) component is the L² norm ‖g‖
             CORRECTION_NORM.check(g_rep.components[(0, 0)], where=f" at t = {t}")
             g_log[key].append(g_rep.value)
+        step = int(round(t / run.dt))
+        if step in snapshot_steps:
+            snapshots[snapshot_steps[step]] = psi.copy()
+        if keep_bundle:
+            u_times.append(t)
+            u_values.append(run.envs[0].values.copy())
 
-    observe(0.0, env.values)
-    if 0 in snapshot_steps:
-        snapshots[0.0] = psi.copy()
-
-    for step in range(total_steps):
-        t_mid = (step + 0.5) * dt
-        env.advance(0.5 * dt)
-        if rho:
-            phi_mid = _phi_values(lab, y_grid, env.values, traj, t_mid, epsilon)
-            xi_mid = float(traj.xi_of(t_mid))
-            for (j, ell), arr in g_vals.items():
-                src = phi_mid * (xi_mid * rho[(j, ell)])
-                g_vals[(j, ell)] = g_props[j].step(arr, dt) \
-                    + (dt / (1j * epsilon)) * g_props[j].step(src, 0.5 * dt)
-        env.advance(0.5 * dt)
-        psi = prop.step(psi)
-        max_drift = max(max_drift, check_step_mass(lab, psi, mass0, step + 1))
-        if (step + 1) % steps_per_obs == 0:
-            observe((step + 1) * dt, env.values)
-            u_times.append((step + 1) * dt)
-            u_values.append(env.values.copy())
-        if step + 1 in snapshot_steps:
-            snapshots[snapshot_steps[step + 1]] = psi.copy()
-
-    bundle = AnsatzBundle(data=data, branch=branch, branch_curve=curve, traj=traj,
-                          epsilon=epsilon, lambda_coupling=lambda_coupling,
-                          y_grid=y_grid, u_times=np.asarray(u_times),
-                          u_values=u_values)
-    w_arr = np.asarray(w_list)
+    run.march(observe)
+    w = series["w_sigma1"]
     return SingleRunResult(
-        epsilon=epsilon, grid_n=n, dt=dt, times=np.asarray(times),
-        masses=np.asarray(masses), w_sigma1=w_arr,
-        theta_sigma1=np.asarray(th_list), leakage=np.asarray(leak_list),
-        taylor=np.asarray(tay_list), populations=np.asarray(pops_list),
-        g_sigma1={k: np.asarray(v) for k, v in g_log.items()},
-        mass_drift=max_drift / max(mass0, 1e-300),
-        sup_w_sigma1=float(w_arr.max()), terminal_w_sigma1=float(w_arr[-1]),
-        energy_drift=traj.energy_drift, fourier_tail=max(tails),
+        epsilon=epsilon, grid_n=run.n, dt=run.dt,
+        **{name: np.asarray(values) for name, values in series.items()},
+        g_sigma1={key: np.asarray(v) for key, v in g_log.items()},
+        mass_drift=run.max_drift / max(run.mass0, 1e-300),
+        sup_w_sigma1=float(max(w)), terminal_w_sigma1=float(w[-1]),
+        energy_drift=traj.energy_drift, fourier_tail=max(run.tails),
         snapshots=snapshots,
-        bundle=bundle if keep_bundle else None,
+        bundle=AnsatzBundle(data=data, branch=branch, branch_curve=curve,
+                            traj=traj, epsilon=epsilon, y_grid=run.y_grid,
+                            u_times=np.asarray(u_times), u_values=u_values)
+        if keep_bundle else None,
     )
 
 
@@ -563,18 +602,10 @@ class ConvergenceReport:
     failures: list = field(default_factory=list)  # (epsilon, AdiapackError)
 
     def to_dict(self):
-        return {
-            "epsilons": list(self.epsilons),
-            "sup_errors": list(self.sup_errors),
-            "terminal_errors": list(self.terminal_errors),
-            "leakages": list(self.leakages),
-            "fitted_order": self.fitted_order.order,
-            "fitted_order_residual": self.fitted_order.max_residual,
-            "leakage_order": self.leakage_order.order,
-            "strictly_decreasing": self.strictly_decreasing,
-            "runs": [r.to_dict() for r in self.runs],
-            "failures": [[eps, str(exc)] for eps, exc in self.failures],
-        }
+        return dict(_json_fields(self),
+                    fitted_order_residual=self.fitted_order.max_residual,
+                    runs=[r.to_dict() for r in self.runs],
+                    failures=[[eps, str(exc)] for eps, exc in self.failures])
 
 
 def convergence_study(spec: MatrixPotentialSpec, packet: PacketSpec, epsilons,
@@ -582,37 +613,35 @@ def convergence_study(spec: MatrixPotentialSpec, packet: PacketSpec, epsilons,
                       **run_kwargs) -> ConvergenceReport:
     """Sweep ε, collect sup-in-t error norms, and fit the decay order.
 
-    Runs go one after another in decreasing ε.  A sub-run that fails with
-    an `AdiapackError` is listed in `report.failures` instead of killing the
-    sweep, even when every sub-run fails (the report then has no ε); any
-    other exception is a programming error and propagates.
+    One `study_setup` serves every ε; runs go in decreasing ε.  A sub-run
+    that fails with an `AdiapackError` is listed in `report.failures`
+    instead of killing the sweep, even when every sub-run fails (the report
+    then has no ε); any other exception is a programming error and
+    propagates.
     """
     epsilons = sorted(epsilons, reverse=True)
-
-    def job(eps):
+    grid_options = {key: run_kwargs.pop(key) for key in
+                    ("y_half_width", "y_points", "n_override") if key in run_kwargs}
+    setup = study_setup(spec, [packet], epsilons, lambda_coupling, T, x_min,
+                        x_max, **grid_options)
+    runs, failures = [], []
+    for eps in epsilons:
         try:
-            return run_single_packet(spec, packet, eps, lambda_coupling, T,
-                                     x_min, x_max, **run_kwargs)
+            runs.append(run_single_packet(spec, packet, eps, lambda_coupling, T,
+                                          x_min, x_max, setup=setup, **run_kwargs))
         except AdiapackError as exc:
-            return exc
-
-    outcomes = [job(e) for e in epsilons]
-
-    runs = [r for r in outcomes if isinstance(r, SingleRunResult)]
-    failures = [(e, r) for e, r in zip(epsilons, outcomes)
-                if not isinstance(r, SingleRunResult)]
+            failures.append((eps, exc))
 
     eps_ok = [r.epsilon for r in runs]
     sup_err = [r.sup_w_sigma1 for r in runs]
-    term_err = [r.terminal_w_sigma1 for r in runs]
     leak = [float(r.leakage[-1]) for r in runs]
     return ConvergenceReport(
-        epsilons=eps_ok, sup_errors=sup_err, terminal_errors=term_err,
-        leakages=leak, fitted_order=fit_order(eps_ok, sup_err),
+        epsilons=eps_ok, sup_errors=sup_err, leakages=leak,
+        terminal_errors=[r.terminal_w_sigma1 for r in runs],
+        fitted_order=fit_order(eps_ok, sup_err),
         leakage_order=fit_order(eps_ok, leak),
         strictly_decreasing=all(a > b for a, b in zip(sup_err, sup_err[1:])),
-        runs=runs, failures=failures,
-    )
+        runs=runs, failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -636,22 +665,7 @@ class SuperpositionReport:
     fourier_tail: list               # per ε, worst fraction at |k| ≥ ¾ k_Nyquist
 
     def to_dict(self):
-        return {
-            "epsilons": list(self.epsilons),
-            "gamma_exponent": self.gamma_exponent,
-            "big_gamma": self.big_gamma,
-            "big_gamma_edge_ok": self.big_gamma_edge_ok,
-            "gamma_zero_warning": self.gamma_zero_warning,
-            "sup_errors": list(self.sup_errors),
-            "terminal_errors": list(self.terminal_errors),
-            "crossing_measures": list(self.crossing_measures),
-            "interaction_integrals": list(self.interaction_integrals),
-            "error_order": self.error_order.order,
-            "crossing_order": self.crossing_order.order,
-            "grid_n": list(self.grid_n),
-            "energy_drift": [list(row) for row in self.energy_drift],
-            "fourier_tail": list(self.fourier_tail),
-        }
+        return _json_fields(self)
 
 
 def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
@@ -661,110 +675,63 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
                              dt_over_eps: float = 0.25, y_half_width: float = 40.0,
                              y_points: int = 2048, n_override: int | None = None,
                              beta: float = 0.75) -> SuperpositionReport:
-    """Two-packet run: ψ₀ = φ₁χ¹ + φ₂χ², error against the sum ansatz.
+    """Two-packet run: ψ₀ = φ₁χ¹ + φ₂χ² (plus r₀'s), error against φ₁χ¹ + φ₂χ².
 
     Reports Γ = inf |λ̃₁ - λ̃₂ - (E₁ - E₂)| (0 means the separation hypothesis
     fails — the run still executes as a documented negative control), the
     crossing-set measure |I^ε(T)| for the configured γ, and the interaction
     integral ∫‖|φ₁|²φ₂‖ dt.  The infimum runs over the lab domain
     [x_min, x_max], sampled by the probe decomposition; the shipped superpose
-    configs have a constant objective there.  Both branches must be simple
-    (`ConfigError` otherwise).  Grid sizes follow `lab_grid_rule` for both
-    packets (the bound 3ξ_max/ε + √3 η_τ/√ε covers the cubic term's
-    2ξ_a - ξ_b products); steps and observations pass the same guards as in
-    `run_single_packet`, and each ε's worst tail is `fourier_tail`.
+    configs have a constant objective there.  Identical packets are a
+    `ConfigError`.  The `study_setup` takes both packets (the bound
+    3ξ_max/ε + √3 η_τ/√ε covers the cubic term's 2ξ_a - ξ_b products); the
+    march has no corrections and the guards of `run_single_packet`.
     """
     if not 0.0 < gamma_exponent < 0.5:
         raise ValueError("gamma_exponent must lie in (0, 1/2)")
     p1, p2 = packets
     if (p1.branch, p1.x0, p1.xi0) == (p2.branch, p2.x0, p2.xi0):
-        raise ValueError("the two packets must differ in branch or phase-space point")
+        raise ConfigError("the two packets must differ in branch or "
+                          "phase-space point")
     epsilons = sorted(epsilons, reverse=True)
+    setup = study_setup(spec, [p1, p2], epsilons, lambda_coupling, T, x_min,
+                        x_max, y_half_width, y_points, n_override)
 
-    # ε-independent preparation: trajectories, Γ
-    probe = decompose(spec, make_grid(x_min, x_max, 4096))
-    for p in (p1, p2):
-        _require_simple_branch(probe, p.branch)
-    y_grid = make_grid(-y_half_width, y_half_width, y_points)
-    rule = lab_grid_rule(spec, probe, [p1, p2], lambda_coupling, T, y_grid)
-    probe_trajs = rule.trajectories
-    lam1 = probe.branches[p1.branch]
-    lam2 = probe.branches[p2.branch]
-    e1, e2 = probe_trajs[0].energy0, probe_trajs[1].energy0
-    objective = np.abs(lam1 - lam2 - (e1 - e2))
+    probe, (tr1, tr2) = setup.probe, setup.rule.trajectories
+    objective = np.abs(probe.branches[p1.branch] - probe.branches[p2.branch]
+                       - (tr1.energy0 - tr2.energy0))
     big_gamma = float(objective.min())
     m = max(4, probe.grid.n // 64)
     edge_ok = bool(objective[-1] >= objective[-m] - 1e-12
                    and objective[0] >= objective[m - 1] - 1e-12)
-    gamma_zero = bool(big_gamma < 1e-12)
 
     def job(eps):
-        n = rule.points(eps, n_override)
-        lab = make_grid(x_min, x_max, n)
-        data = decompose(spec, lab)
-        dt, steps_per_obs, total_steps = _time_steps(T, observe_every, dt_max,
-                                                     dt_over_eps, eps)
+        run = _Lockstep(setup, eps, observe_every, dt_max, dt_over_eps, beta,
+                        corrections=False)
+        w_series, inter_series, t_series = [], [], []
 
-        trajs, envs = [], []
-        for pk in (p1, p2):
-            curve = _branch_curve_for(spec, data, pk.branch)
-            tr = integrate_trajectory(curve, pk.x0, pk.xi0, T, dt / 4.0,
-                                      branch_id=pk.branch)
-            a = pk.evaluator()
-            envs.append(EnvelopeStepper(y_grid, a(y_grid.points), lambda_coupling,
-                                        tr.curvature_of))
-            trajs.append(tr)
-        chis = [data.frames[pk.branch][:, :, 0] for pk in (p1, p2)]
-
-        # analytic profiles at t = 0 (spline interpolation noise in the data
-        # would disperse at high group velocity and pollute the whole domain)
-        psi = sum(coherent_packet(lab, pk.evaluator(), pk.x0, pk.xi0, eps)[:, None]
-                  * chi for pk, chi in zip((p1, p2), chis))
-        prop = NLSPropagator(data, eps, lambda_coupling, dt, beta)
-        mass0 = l2_norm(lab, psi)
-
-        w_series, inter_series, t_series, tails = [], [], [], []
-
-        def observe(t):
-            tails.append(check_lab_field(psi, t))
-            f1, f2 = (_phi_values(lab, y_grid, env.values, tr, t, eps)
-                      for env, tr in zip(envs, trajs))
-            w = psi - f1[:, None] * chis[0] - f2[:, None] * chis[1]
-            wf = VectorField(grid=lab, values=w, epsilon=eps, time=t)
-            w_series.append(sigma_norm(wf, 1).value)
-            inter_series.append(l2_norm(lab, np.abs(f1) ** 2 * f2))
+        def observe(t, phis):
+            w_rep, _ = _error_norms(run.psi, zip(phis, run.chis), run.lab, eps, t)
+            w_series.append(w_rep.value)
+            inter_series.append(l2_norm(run.lab, np.abs(phis[0]) ** 2 * phis[1]))
             t_series.append(t)
 
-        observe(0.0)
-        for step in range(total_steps):
-            envs[0].advance(dt)
-            envs[1].advance(dt)
-            psi = prop.step(psi)
-            check_step_mass(lab, psi, mass0, step + 1)
-            if (step + 1) % steps_per_obs == 0:
-                observe((step + 1) * dt)
-
+        run.march(observe)
         # crossing window |I^ε(T)| from the dense trajectory samples
-        sep = np.abs(trajs[0].x - trajs[1].x)
-        dt_traj = trajs[0].times[1] - trajs[0].times[0]
-        crossing = float(np.count_nonzero(sep <= eps**gamma_exponent) * dt_traj)
-        interaction = float(np.trapezoid(np.asarray(inter_series),
-                                         np.asarray(t_series)))
-        w_arr = np.asarray(w_series)
-        drifts = [tr.energy_drift for tr in trajs]
-        return (float(w_arr.max()), float(w_arr[-1]), crossing, interaction, n,
-                drifts, max(tails))
+        t1, t2 = run.trajs
+        crossing = float(np.count_nonzero(np.abs(t1.x - t2.x) <= eps**gamma_exponent)
+                         * (t1.times[1] - t1.times[0]))
+        return (float(max(w_series)), float(w_series[-1]), crossing,
+                float(np.trapezoid(np.asarray(inter_series), np.asarray(t_series))),
+                run.n, [t1.energy_drift, t2.energy_drift], max(run.tails))
 
-    rows = [job(e) for e in epsilons]
-
-    sups, terms, crossings, inters, grid_n, energy_drift, fourier_tail = (
-        [r[i] for r in rows] for i in range(7))
+    results = [job(eps) for eps in epsilons]
+    rows = {name: [r[i] for r in results] for i, name in enumerate((
+        "sup_errors", "terminal_errors", "crossing_measures",
+        "interaction_integrals", "grid_n", "energy_drift", "fourier_tail"))}
     return SuperpositionReport(
         epsilons=list(epsilons), gamma_exponent=gamma_exponent,
         big_gamma=big_gamma, big_gamma_edge_ok=edge_ok,
-        gamma_zero_warning=gamma_zero, sup_errors=sups, terminal_errors=terms,
-        crossing_measures=crossings, interaction_integrals=inters,
-        error_order=fit_order(epsilons, sups),
-        crossing_order=fit_order(epsilons, crossings), grid_n=grid_n,
-        energy_drift=energy_drift, fourier_tail=fourier_tail,
-    )
+        gamma_zero_warning=bool(big_gamma < 1e-12),
+        error_order=fit_order(epsilons, rows["sup_errors"]),
+        crossing_order=fit_order(epsilons, rows["crossing_measures"]), **rows)

@@ -11,17 +11,18 @@ which is exact per grid point because V(x) is Hermitian and the flow preserves
 |ψ(x)| (applied through the precomputed spectral decomposition of V plus a
 scalar phase), then the exact kinetic Fourier multiplier per component, then
 another half potential step.  Both substeps are unitary, so mass is conserved
-to roundoff.  `check_step_mass` is the one per-step mass guard: every NLS
-march (`solve_nls`, `run_single_packet`, `superposition_experiment`) calls it
-after each step, and a drift beyond 1e-9 raises `SolverAbort` (exit 4).
+to roundoff.  `check_step_mass` is the one per-step mass guard: both NLS
+marches (`solve_nls` and the lockstep march of `experiments`) call it after
+each step, and a drift beyond 1e-9 raises `SolverAbort` (exit 4).
 
 The lab grid is sized from the packets' spectral content: `lab_grid_points`
 takes the smallest power of two n whose half band k_Nyquist/2 = πn/(2L)
 holds the momentum bound K = m ξ_max/ε + √m η_τ/√ε, with η_τ measured by
 `spectral_half_width` (τ = `errors.FOURIER_TAIL.tol` = 1e-20) on envelopes
-that `experiments.lab_grid_rule` marches over the run.  At run time
-`check_lab_field` measures the energy fraction of ψ at |k| ≥ ¾ k_Nyquist at
-every observation and aborts (`SolverAbort`, exit 4) above τ.
+that `experiments.lab_grid_rule` marches over the run, once per command.
+At run time `check_lab_field` measures the energy fraction of ψ at
+|k| ≥ ¾ k_Nyquist at every observation and aborts (`SolverAbort`, exit 4)
+above τ.
 
 Fields are (n, N) arrays at the interface; inside a step the propagator works
 component-major, on (N, n) rows that are contiguous along x, and hands back
@@ -47,7 +48,7 @@ from .grids import SpatialGrid, VectorField, l2_norm, unit_phase
 from .potentials import SpectralData
 
 __all__ = ["FieldState", "NLSPropagator", "build_initial_data", "coherent_packet",
-           "step_nls", "solve_nls", "check_step_mass", "check_lab_field",
+           "solve_nls", "check_step_mass", "check_lab_field",
            "fourier_tail", "mode_populations", "spectral_half_width",
            "lab_grid_points"]
 
@@ -91,14 +92,10 @@ def build_initial_data(a, x0: float, xi0: float, chi_values: np.ndarray,
                        epsilon: float, grid: SpatialGrid,
                        lambda_coupling: float = 0.0,
                        r0_spec: tuple | None = None) -> FieldState:
-    """Polarized coherent state, with an optional ε^κ perturbation (κ > 1/4)."""
+    """Polarized coherent state along the (n, N) carrier samples, with an
+    optional ε^κ perturbation (κ > 1/4)."""
     chi = np.asarray(chi_values)
-    if chi.ndim == 3:  # a frame with its column axis, (n, N, 1)
-        chi = chi[:, :, 0]
-    elif chi.ndim == 1:
-        chi = chi[:, None]
-    packet = coherent_packet(grid, a, x0, xi0, epsilon)
-    values = packet[:, None] * chi
+    values = coherent_packet(grid, a, x0, xi0, epsilon)[:, None] * chi
     if r0_spec is not None:
         kappa, r_profile = r0_spec
         if not kappa > 0.25:
@@ -162,18 +159,6 @@ class NLSPropagator:
         out *= self._kin
         out = scipy.fft.ifft(out, axis=-1, overwrite_x=True)
         return self._pot_half(out).T
-
-
-def step_nls(state: FieldState, v_data: SpectralData, dt: float,
-             beta: float = 0.75) -> FieldState:
-    """Single split step (convenience wrapper; reuse NLSPropagator for runs)."""
-    prop = NLSPropagator(v_data, state.epsilon, state.lambda_coupling, dt, beta)
-    mass0 = state.mass()
-    values = prop.step(state.values)
-    check_step_mass(state.grid, values, mass0, 1)
-    vf = VectorField(grid=state.grid, values=values, epsilon=state.epsilon,
-                     time=state.time + dt)
-    return FieldState(field=vf, lambda_coupling=state.lambda_coupling)
 
 
 def check_step_mass(grid: SpatialGrid, values: np.ndarray, mass0: float,

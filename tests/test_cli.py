@@ -10,7 +10,7 @@ import pytest
 from adiapack.cli import main
 from adiapack.config import load_config
 from adiapack.errors import ConfigError
-from adiapack.experiments import (PacketSpec, run_single_packet,
+from adiapack.experiments import (PacketSpec, run_single_packet, study_setup,
                                   superposition_experiment)
 from adiapack.grids import make_grid
 from adiapack.nls import spectral_half_width
@@ -36,11 +36,18 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path
 
 
-def test_load_minimal_config_echoes_grid_sizes(tmp_path):
+def config_setup(cfg):
+    """The study set-up of all the config's packets, as `superpose` builds it."""
+    return study_setup(cfg.potential, cfg.packets, cfg.epsilons,
+                       cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max,
+                       cfg.y_half_width, cfg.y_points, cfg.n_override)
+
+
+def test_study_setup_sizes_the_minimal_config(tmp_path):
     # ξ_max = sin(0.1) on the harmonic path, η_τ of the Gaussian on the
     # default y-grid: K = ξ_max/ε + η_τ/√ε needs k_Nyquist = πn/8 ≥ 2K
     cfg = load_config(write_config(tmp_path))
-    n = cfg.derived_grid_sizes[0.0625]
+    n = config_setup(cfg).grid_n[0.0625]
     assert n == 256
     # the unit Gaussian is the coherent width of x²/2: η_τ stays at its t = 0 value
     y = make_grid(-40.0, 40.0, 2048)
@@ -104,7 +111,7 @@ def test_fixed_grid_must_satisfy_adequacy(tmp_path, capsys):
     path = write_config(tmp_path, grid={"x_min": -4.0, "x_max": 4.0, "n": 256},
                         epsilons=[0.01])
     with pytest.raises(ConfigError, match="adequacy"):
-        load_config(path)
+        config_setup(load_config(path))
     assert main(["single", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 2
     assert "spectral adequacy rule" in capsys.readouterr().err
@@ -219,7 +226,7 @@ def test_packaged_configs_all_load():
     for name in ("scalar_harmonic", "rotating", "superposition",
                  "crossing_control", "constant_direction", "smoke"):
         cfg = load_config(CONFIGS / f"{name}.json")
-        assert cfg.derived_grid_sizes
+        assert cfg.potential is not None and cfg.packets and cfg.epsilons
 
 
 def test_packaged_grid_sizes_meet_measured_floors():
@@ -233,7 +240,7 @@ def test_packaged_grid_sizes_meet_measured_floors():
         "crossing_control": {1 / 64: 512, 1 / 128: 1024, 1 / 256: 2048},
     }
     for name, floor in floors.items():
-        sizes = load_config(CONFIGS / f"{name}.json").derived_grid_sizes
+        sizes = config_setup(load_config(CONFIGS / f"{name}.json")).grid_n
         assert sizes.keys() == floor.keys()
         assert all(sizes[eps] >= floor[eps] for eps in floor), name
 
@@ -395,25 +402,25 @@ def test_energy_drift_in_report_not_csv(tmp_path):
         assert "energy" not in (out / csv).read_text()
 
 
-def test_load_config_propagates_programming_errors(tmp_path, monkeypatch):
+def test_study_setup_propagates_programming_errors(tmp_path, monkeypatch):
     import adiapack.experiments as experiments
     from adiapack.errors import SolverAbort
 
-    path = write_config(tmp_path)
+    cfg = load_config(write_config(tmp_path))
 
     def broken(*args, **kwargs):
         raise TypeError("synthetic programming error")
 
     monkeypatch.setattr(experiments, "integrate_trajectory", broken)
     with pytest.raises(TypeError, match="synthetic"):
-        load_config(path)
+        config_setup(cfg)
 
     def aborts(*args, **kwargs):
         raise SolverAbort("synthetic trajectory abort")
 
     monkeypatch.setattr(experiments, "integrate_trajectory", aborts)
     with pytest.raises(ConfigError) as exc:
-        load_config(path)
+        config_setup(cfg)
     assert exc.value.errors == [
         "grid derivation failed: synthetic trajectory abort"]
 
@@ -422,12 +429,10 @@ def test_envelope_edge_same_exit_code_in_both_run_paths(tmp_path, capsys,
                                                        monkeypatch):
     # a width-1/2 Gaussian breathes out to width 2 in the harmonic well: on
     # |y| ≤ 3.5 it leaves the window during the run, on |y| ≤ 3 it does not
-    # vanish at t = 0.  The grid rule marches the envelope before any lab
-    # grid is sized: the config is rejected (exit 2) through both commands,
-    # and both run paths raise the same InvariantViolation (exit 3)
-    # having decomposed only the 4096-point probe grid.
+    # vanish at t = 0.  The study set-up marches the envelope before any lab
+    # grid is sized: both commands and both direct calls fail with the same
+    # ConfigError (exit 2) having decomposed only the 4096-point probe grid.
     import adiapack.experiments as experiments
-    from adiapack.errors import InvariantViolation
 
     sizes = []
 
@@ -458,9 +463,9 @@ def test_envelope_edge_same_exit_code_in_both_run_paths(tmp_path, capsys,
                 lambda: superposition_experiment(spec, pk, [0.0625], 0.0, 0.5,
                                                  -4.0, 4.0, **kwargs))
         for run in runs:
-            with pytest.raises(InvariantViolation, match="y-domain edge") as exc:
+            with pytest.raises(ConfigError, match="y-domain edge") as exc:
                 run()
-            assert exc.value.exit_code == 3
+            assert exc.value.exit_code == 2
     assert set(sizes) == {4096}
 
 
@@ -524,11 +529,78 @@ def test_report_records_grid_n_and_fourier_tail(tmp_path):
         assert "tail" not in next(out.glob("*.csv")).read_text()
     single, (run,) = reports["single"], reports["converge"]["runs"]
     sup = reports["superpose"]
-    # one packet's momentum bound for single and converge; superpose and the
-    # config's derived sizes take both packets' (3ξ_max/ε + √3 η_τ/√ε)
+    # one packet's momentum bound for single and converge; superpose's
+    # set-up takes both packets' (3ξ_max/ε + √3 η_τ/√ε)
     assert single["grid_n"] == run["grid_n"] == 256
-    assert sup["grid_n"] == [load_config(path).derived_grid_sizes[0.0625]] \
+    assert sup["grid_n"] == [config_setup(load_config(path)).grid_n[0.0625]] \
         == [512]
     for tail in (single["fourier_tail"], run["fourier_tail"],
                  *sup["fourier_tail"]):
         assert 0.0 <= tail <= 1e-20
+
+
+def test_superpose_honours_kappa(tmp_path):
+    # the ε^κ perturbation r₀ rides in ψ₀ but not in the ansatz, so it
+    # raises the superposition error
+    sups = []
+    for kappa in (None, 0.3):
+        packets = [{"profile": {"type": "gaussian"}, "x0": 1.0, "xi0": 0.0},
+                   {"profile": {"type": "gaussian"}, "x0": -1.0, "xi0": 0.5}]
+        if kappa is not None:
+            packets[0]["kappa"] = kappa
+        path = write_config(tmp_path, name=f"cfg{kappa}.json", packets=packets)
+        out = tmp_path / f"out{kappa}"
+        assert main(["superpose", "--config", str(path), "--out", str(out)]) == 0
+        rows = (out / "superpose.csv").read_text().splitlines()
+        sups.append(float(rows[1].split(",")[1]))
+    assert sups[1] > sups[0] + 0.1
+
+
+def test_bad_command_input_is_a_config_error(tmp_path, capsys):
+    same = {"profile": {"type": "gaussian"}, "x0": 1.0, "xi0": 0.0}
+    cases = (("superpose", write_config(tmp_path, packets=[same, same]), [],
+              "must differ"),
+             ("converge", write_config(tmp_path, name="ok.json"),
+              ["--epsilon-override", "0.0625,abc"], "--epsilon-override"))
+    for command, path, extra, message in cases:
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]
+                    + extra) == 2
+        assert message in capsys.readouterr().err
+        record = json.loads((out / "failure.json").read_text())
+        assert record["failure"] == "config"
+
+
+def test_snapshot_times_are_validated(tmp_path, capsys):
+    raw = json.loads((CONFIGS / "smoke.json").read_text())
+    raw["snapshot_times"] = [0.0, 7.5, 0.03]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.errors == [
+        "snapshot_times[1]: 7.5 is not a multiple of observe_every in [0, T]",
+        "snapshot_times[2]: 0.03 is not a multiple of observe_every in [0, T]"]
+    assert main(["single", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert not list((tmp_path / "o").glob("snapshot_t*.csv"))
+
+
+def test_converge_does_its_epsilon_free_work_once(tmp_path, monkeypatch):
+    # load_config only parses; the command decomposes the 4096-point probe
+    # and integrates the probe trajectory once, then once of each per ε
+    import adiapack.experiments as experiments
+
+    calls = {"decompose": 0, "integrate_trajectory": 0}
+    for name in calls:
+        def recording(*args, _name=name, _original=getattr(experiments, name),
+                      **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, recording)
+    load_config(CONFIGS / "smoke.json")
+    assert calls == {"decompose": 0, "integrate_trajectory": 0}
+    assert main(["converge", "--config", str(CONFIGS / "smoke.json"),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert calls == {"decompose": 3, "integrate_trajectory": 3}

@@ -3,7 +3,7 @@ import pytest
 
 from adiapack.envelope import (EnvelopeStepper, envelope_moments,
                                solve_envelope)
-from adiapack.errors import SolverAbort
+from adiapack.errors import InvariantViolation, SolverAbort
 from adiapack.grids import l2_norm, make_grid
 
 Y_GRID = make_grid(-40.0, 40.0, 2048)
@@ -113,7 +113,7 @@ def test_moment_growth_below_affine():
 
 
 def test_rejects_non_decaying_profile():
-    with pytest.raises(ValueError, match="decay"):
+    with pytest.raises(InvariantViolation, match="y-domain edge"):
         solve_envelope(lambda y: np.ones_like(y), lambda t: 0.0, 0.0, Y_GRID,
                        1e-3, store_times=np.array([0.0]))
 

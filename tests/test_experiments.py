@@ -240,7 +240,7 @@ def test_superposition_gamma_constant_difference():
 
 def test_superposition_rejects_identical_packets():
     p = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="must differ"):
         superposition_experiment(HARMONIC, (p, p), [1.0 / 32], 0.0, 0.1,
                                  -4.0, 4.0)
 

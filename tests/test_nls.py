@@ -5,7 +5,7 @@ from adiapack.errors import ConfigError
 from adiapack.grids import VectorField, l2_norm, make_grid
 from adiapack.nls import (NLSPropagator, build_initial_data, fourier_tail,
                           lab_grid_points, mode_populations, solve_nls,
-                          spectral_half_width, step_nls, FieldState)
+                          spectral_half_width, check_step_mass, FieldState)
 from adiapack.potentials import MatrixPotentialSpec, decompose
 from tests.test_potentials import diagonal_family, rotating_family
 
@@ -142,14 +142,14 @@ def test_time_reversibility_linear():
     assert l2_norm(g, values - st.values) < 1e-8
 
 
-def test_single_step_wrapper_conserves_mass():
+def test_single_step_conserves_mass():
     g = make_grid(-2.0, 2.0, 1024)
     data = decompose(rotating_family(), g)
     chi = data.frames[0][:, :, 0]
     st = build_initial_data(gaussian, 1.0, 0.0, chi, 0.05, g, lambda_coupling=1.0)
-    out = step_nls(st, data, 1e-3)
-    assert out.time == pytest.approx(1e-3)
-    assert out.mass() == pytest.approx(st.mass(), abs=1e-12)
+    out = NLSPropagator(data, 0.05, 1.0, 1e-3).step(st.values)
+    assert l2_norm(g, out) == pytest.approx(st.mass(), abs=1e-12)
+    assert check_step_mass(g, out, st.mass(), 1) <= 1e-12
 
 
 def test_grid_adequacy_rule():
