@@ -256,7 +256,7 @@ def main(argv=None) -> int:
                        help="comma-separated ε list replacing the config's")
     args = parser.parse_args(argv)
 
-    out = None
+    out = None if args.out is None else Path(args.out)
     try:
         cfg = load_config(args.config)
         out = Path(args.out or cfg.out_dir)
@@ -281,6 +281,7 @@ def _write_failure(out, kind, messages):
     if out is None:
         return
     try:
+        out.mkdir(parents=True, exist_ok=True)
         write_json(out / "failure.json", {"failure": kind, "messages": messages})
     except OSError:
         pass

@@ -10,7 +10,7 @@ multiplier e^{-iεk²dt/2}, half phase); the source enters once per step as the
 midpoint Duhamel increment dt/(iε)·U(dt/2) applied to (φ r) at the step
 midpoint (`ScalarPropagator.duhamel_step`, the one copy of that rule), keeping
 everything second order in dt.  A step makes one new array and does the
-transforms (`scipy.fft`) and both phase products in place on it.
+transforms (`numpy.fft`, `out=`) and both phase products in place on it.
 
 `averaging_probe` measures ‖(1/iε) ∫₀ᵗ U_k(-s) U_j(s) f ds‖: for j = k it
 grows like t/ε, while for j ≠ k the branch-phase mismatch averages the
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .errors import CORRECTION_NORM
 from .grids import ScalarField, SpatialGrid, VectorField, l2_norm, sigma_norm
@@ -52,9 +51,10 @@ class ScalarPropagator:
     def step(self, values: np.ndarray, dt: float) -> np.ndarray:
         """One split step of `values` into a new array (the input is not modified)."""
         half, kin = self._phases(dt)
-        out = scipy.fft.fft(half * values, overwrite_x=True)
+        out = half * values
+        np.fft.fft(out, out=out)
         out *= kin
-        out = scipy.fft.ifft(out, overwrite_x=True)
+        np.fft.ifft(out, out=out)
         out *= half
         return out
 

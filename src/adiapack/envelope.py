@@ -10,7 +10,8 @@ phase (exact pointwise, since |u| is invariant under that flow), a full
 kinetic step (exact Fourier multiplier), and another half phase.  The
 time-dependent curvature is evaluated at the step midpoint.  The stepper owns
 its sample buffer: the phases multiply it in place and the transforms
-(`scipy.fft`) overwrite it, so callers that keep a profile take a copy.
+(`numpy.fft` with `out=`) overwrite it, so callers that keep a profile take a
+copy.
 
 Mass ‖u(t)‖ is conserved to roundoff by construction; a drift beyond
 1e-8 · max(1, ‖u₀‖) signals under-resolution and aborts the run
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import ENVELOPE_EDGE, ENVELOPE_MASS
 from .grids import SpatialGrid, l2_norm, unit_phase, _derivative_values
@@ -75,9 +75,9 @@ class EnvelopeStepper:
     def advance(self, dt: float):
         curv = float(self.curvature_fn(self.time + 0.5 * dt))
         self._phase(0.5 * dt, curv)
-        values = scipy.fft.fft(self.values, overwrite_x=True)
-        values *= self._kinetic(dt)
-        self.values = scipy.fft.ifft(values, overwrite_x=True)
+        np.fft.fft(self.values, out=self.values)
+        self.values *= self._kinetic(dt)
+        np.fft.ifft(self.values, out=self.values)
         self._phase(0.5 * dt, curv)
         self.time += dt
         mass = l2_norm(self.y_grid, self.values)

@@ -26,8 +26,9 @@ at every call site:
   1e-8 · max(1, ‖u₀‖), `SolverAbort` (exit 4).
 * `CORRECTION_NORM`: the L² norm of a correction component above 1e6,
   `SolverAbort` (exit 4); at the stored times of
-  `corrections.solve_correction` and at every observation of
-  `experiments.run_single_packet`.
+  `corrections.solve_correction` and at every observation of a
+  single-packet run (`experiments.run_single_packet` and
+  `experiments.convergence_study`).
 
 Checks outside the marches keep their own thresholds and classes: the
 trajectory blow-up guard (|x| or |ξ| above 1e8, exit 4), the transport

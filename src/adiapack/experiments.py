@@ -20,14 +20,21 @@ T, fit the decay order by least squares in log-log, and include a two-packet
 superposition experiment with the trajectory-crossing diagnostics Γ and
 |I^ε(T)| = |{t ≤ T : |x₁(t) - x₂(t)| ≤ ε^γ}|.
 
-A command does its ε-free work once (`study_setup`); each ε is then one
-lockstep march (`_Lockstep`), which `run_single_packet` and
-`superposition_experiment` configure with their observers.
+A command does its ε-free work once (`study_setup`): the probe
+decomposition, the grid rule, every ε's grid size and step rule, and each
+packet's run trajectory once per distinct dt.  In the critical scaling the
+envelope equation and the classical path do not contain ε, so the ε that
+share a dt run in one lockstep march (`_Lockstep`): each distinct envelope
+is stepped once per step and read by every packet and ε that use it, and
+each ε keeps its own lab state (`_Lane`).  `run_single_packet`,
+`convergence_study` and `superposition_experiment` configure it with their
+observers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,25 +166,32 @@ class AnsatzBundle:
 
     def phi_at(self, t: float) -> ScalarField:
         grid = self.data.grid
-        values = _phi_values(grid, self.y_grid, self.u_at(t), self.traj, t,
-                             self.epsilon)
+        values = _phi_values(grid, _envelope_spline(self.y_grid, self.u_at(t)),
+                             self.traj, t, self.epsilon)
         return ScalarField(grid=grid, values=values, epsilon=self.epsilon, time=t)
 
 
-def _phi_values(lab_grid, y_grid, u_vals, traj, t, epsilon):
-    """φ(t, ·) on the lab grid from the envelope samples u on the y-grid.
+def _envelope_spline(y_grid: SpatialGrid, u_vals) -> UniformCubicSpline:
+    """The not-a-knot cubic spline of envelope samples on the y-grid, NaN
+    outside it.  It reads `u_vals` without a copy: evaluate it before the
+    samples' stepper advances."""
+    return UniformCubicSpline(y_grid.x_min, y_grid.spacing, u_vals,
+                              extrapolate=False)
 
-    u is interpolated by the not-a-knot cubic spline of `grids` at
-    y = (x - x(t))/√ε; a lab point outside the y-domain gets NaN from the
-    spline and then 0.  The samples come from an `EnvelopeStepper`, which
-    has checked that they vanish at the y-domain edges.
+
+def _phi_values(lab_grid, u_of, traj, t, epsilon):
+    """φ(t, ·) on the lab grid from `u_of`, the envelope's `_envelope_spline`.
+
+    u is evaluated at y = (x - x(t))/√ε; a lab point outside the y-domain
+    gets NaN from the spline and then 0.  The samples come from an
+    `EnvelopeStepper`, which has checked that they vanish at the y-domain
+    edges.
     """
     x_c = float(traj.x_of(t))
     xi = float(traj.xi_of(t))
     action = float(traj.action_of(t))
     y = (lab_grid.points - x_c) / np.sqrt(epsilon)
-    u = UniformCubicSpline(y_grid.x_min, y_grid.spacing, u_vals,
-                           extrapolate=False)(y)
+    u = u_of(y)
     u[np.isnan(u)] = 0.0
     phase = np.exp(1j * (action + xi * (lab_grid.points - x_c)) / epsilon)
     return epsilon**-0.25 * u * phase
@@ -275,7 +289,7 @@ def _json_fields(report, skip=()) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the ε-free study set-up of a command, and the lockstep march of one ε
+# the ε-free study set-up of a command, and the lockstep march of its ε
 
 def _branch_curve_for(spec: MatrixPotentialSpec, data: SpectralData,
                       branch: int) -> BranchCurve:
@@ -300,6 +314,46 @@ def _branch_scope_error(spec: MatrixPotentialSpec, branch: int) -> str | None:
         return (f"branch {branch} has multiplicity {mult[branch]}: out of "
                 f"scope, the transported branch must be simple")
     return None
+
+
+class _Steps(NamedTuple):
+    """The march of one ε: step size, steps per observation, step total."""
+
+    dt: float
+    per_obs: int
+    total: int
+
+
+def _step_rule(T: float, observe_every: float, dt_max: float,
+               dt_over_eps: float, epsilon: float) -> _Steps:
+    """The one step rule: dt = observe_every/k for the smallest k with
+    dt ≤ min(dt_max, dt_over_eps·ε), so that steps land on every observation.
+    T must be a multiple of observe_every, and the three step options must be
+    positive (`ConfigError`)."""
+    if not (observe_every > 0 and dt_max > 0 and dt_over_eps > 0):
+        raise ConfigError("observe_every, dt_max and dt_over_epsilon must be "
+                          "positive")
+    n_obs = round(T / observe_every)
+    if abs(n_obs * observe_every - T) > 1e-9:
+        raise ConfigError("T must be an integer multiple of observe_every")
+    per_obs = int(np.ceil(observe_every / min(dt_max, dt_over_eps * epsilon)
+                          - 1e-12))
+    return _Steps(observe_every / per_obs, per_obs, per_obs * n_obs)
+
+
+def _envelopes(y_grid: SpatialGrid, pairs, lambda_coupling: float) -> list:
+    """An `EnvelopeStepper` for each (profile, trajectory) pair.  Pairs whose
+    profile samples and curvature samples agree byte for byte (no tolerance)
+    march the same u, so they share one stepper."""
+    shared, out = {}, []
+    for a, traj in pairs:
+        samples = np.asarray(a(y_grid.points), dtype=complex)
+        key = (samples.tobytes(), traj.curvature.tobytes())
+        if key not in shared:
+            shared[key] = EnvelopeStepper(y_grid, samples, lambda_coupling,
+                                          traj.curvature_of)
+        out.append(shared[key])
+    return out
 
 
 # step of the sizing march: against 1e-3 steps the largest η_τ agrees within
@@ -340,19 +394,13 @@ def lab_grid_rule(spec: MatrixPotentialSpec, probe: SpectralData, packets,
                                   pk.x0, pk.xi0, T, 1e-3, branch_id=pk.branch)
              for pk in packets]
     steps = max(1, int(np.ceil(T / _SIZING_DT - 1e-12)))
-    eta, marched = 0.0, set()
-    for pk, tr in zip(packets, trajs):
-        for a in pk.profiles():
-            samples = np.asarray(a(y_grid.points), dtype=complex)
-            key = (samples.tobytes(), tr.curvature.tobytes())
-            if key not in marched:
-                marched.add(key)
-                env = EnvelopeStepper(y_grid, samples, lambda_coupling,
-                                      tr.curvature_of)
-                eta = max(eta, spectral_half_width(y_grid, env.values))
-                for _ in range(steps):
-                    env.advance(T / steps)
-                    eta = max(eta, spectral_half_width(y_grid, env.values))
+    pairs = [(a, tr) for pk, tr in zip(packets, trajs) for a in pk.profiles()]
+    eta = 0.0
+    for env in dict.fromkeys(_envelopes(y_grid, pairs, lambda_coupling)):
+        eta = max(eta, spectral_half_width(y_grid, env.values))
+        for _ in range(steps):
+            env.advance(T / steps)
+            eta = max(eta, spectral_half_width(y_grid, env.values))
     return LabGridRule(length=probe.grid.length,
                        xi_max=max(float(np.max(np.abs(tr.xi))) for tr in trajs),
                        eta=eta, n_packets=len(packets), trajectories=trajs)
@@ -370,59 +418,66 @@ class StudySetup:
     probe: SpectralData              # the 4096-point decomposition
     rule: LabGridRule
     grid_n: dict                     # requested ε -> lab grid size
+    steps: dict                      # requested ε -> its `_Steps`
+    trajectories: dict               # dt -> each packet's run trajectory
+
+    def groups(self) -> list:
+        """The requested ε, in their order, grouped by step rule: one
+        lockstep each."""
+        groups = {}
+        for eps, steps in self.steps.items():
+            groups.setdefault(steps, []).append(eps)
+        return list(groups.values())
 
 
 def study_setup(spec: MatrixPotentialSpec, packets, epsilons,
                 lambda_coupling: float, T: float, x_min: float, x_max: float,
                 y_half_width: float = 40.0, y_points: int = 2048,
-                n_override: int | None = None) -> StudySetup:
-    """Scope check, 4096-point probe decomposition, `lab_grid_rule` and the
-    lab grid size of every ε (a `grid.n` override must meet the rule at all
-    of them).  Every failure is a `ConfigError` (exit 2)."""
+                n_override: int | None = None, observe_every: float = 0.01,
+                dt_max: float = 1e-3, dt_over_eps: float = 0.25) -> StudySetup:
+    """Scope check, every ε's `_step_rule`, the 4096-point probe
+    decomposition, `lab_grid_rule`, the lab grid size of every ε (a `grid.n`
+    override must meet the rule at all of them) and, once per distinct dt,
+    each packet's run trajectory at dt/4 (so every step midpoint is a
+    sample) on the probe's branch curve.  Every failure is a `ConfigError`
+    (exit 2)."""
     problems = [_branch_scope_error(spec, pk.branch) for pk in packets]
     if any(problems):
         raise ConfigError([p for p in problems if p])
+    steps = {eps: _step_rule(T, observe_every, dt_max, dt_over_eps, eps)
+             for eps in epsilons}
     y_grid = make_grid(-y_half_width, y_half_width, y_points)
     try:
         probe = decompose(spec, make_grid(x_min, x_max, 4096))
         rule = lab_grid_rule(spec, probe, packets, lambda_coupling, T, y_grid)
+        curves = [_branch_curve_for(spec, probe, pk.branch) for pk in packets]
+        trajectories = {
+            dt: tuple(integrate_trajectory(curve, pk.x0, pk.xi0, T, dt / 4.0,
+                                           branch_id=pk.branch)
+                      for curve, pk in zip(curves, packets))
+            for dt in dict.fromkeys(s.dt for s in steps.values())}
     except AdiapackError as exc:
         raise ConfigError(f"grid derivation failed: {exc}") from exc
     return StudySetup(spec=spec, packets=tuple(packets),
                       lambda_coupling=lambda_coupling, T=T, y_grid=y_grid,
                       probe=probe, rule=rule,
-                      grid_n={eps: rule.points(eps, n_override) for eps in epsilons})
+                      grid_n={eps: rule.points(eps, n_override) for eps in epsilons},
+                      steps=steps, trajectories=trajectories)
 
 
-class _Lockstep:
-    """One ε: ψ on the lab grid (one decomposition) and, for every packet,
-    its trajectory (at dt/4, so every midpoint is a sample), envelope and
-    static carrier; ψ₀ is the sum of the packets' `build_initial_data`.
-    With `corrections` the one packet drives a g_{j,ℓ} on every other
-    branch, and only then is the envelope step split into dt/2 halves (the
-    source needs u(t + dt/2))."""
+class _Lane:
+    """One ε of a lockstep: ψ on its lab grid (one decomposition), each
+    packet's static carrier, the NLS propagator and, with `corrections`, the
+    one packet's g_{j,ℓ} on every other branch.  ψ₀ is the sum of the
+    packets' `build_initial_data`."""
 
-    def __init__(self, setup: StudySetup, epsilon, observe_every, dt_max,
-                 dt_over_eps, beta, corrections):
+    def __init__(self, setup: StudySetup, epsilon, beta, corrections):
         spec, packets, lam = setup.spec, setup.packets, setup.lambda_coupling
-        self.y_grid, self.epsilon, self.n = setup.y_grid, epsilon, setup.grid_n[epsilon]
+        self.epsilon, self.n = epsilon, setup.grid_n[epsilon]
+        self.steps = setup.steps[epsilon]
         grid = setup.probe.grid
         self.lab = lab = make_grid(grid.x_min, grid.x_max, self.n)
         self.data = data = decompose(spec, lab)
-        # dt divides the observation cadence
-        if abs(round(setup.T / observe_every) * observe_every - setup.T) > 1e-9:
-            raise ValueError("T must be a multiple of observe_every")
-        self.steps_per_obs = int(np.ceil(
-            observe_every / min(dt_max, dt_over_eps * epsilon) - 1e-12))
-        self.dt = observe_every / self.steps_per_obs
-        self.total_steps = self.steps_per_obs * int(round(setup.T / observe_every))
-        self.curves = [_branch_curve_for(spec, data, pk.branch) for pk in packets]
-        self.trajs = [integrate_trajectory(curve, pk.x0, pk.xi0, setup.T,
-                                           self.dt / 4.0, branch_id=pk.branch)
-                      for curve, pk in zip(self.curves, packets)]
-        self.envs = [EnvelopeStepper(self.y_grid, pk.evaluator()(self.y_grid.points),
-                                     lam, tr.curvature_of)
-                     for pk, tr in zip(packets, self.trajs)]
         # the carriers and every off-branch frame below come from this one
         # decomposition, so their signs agree
         self.chis = [data.frames[pk.branch][:, :, 0] for pk in packets]
@@ -433,7 +488,7 @@ class _Lockstep:
                  for pk, chi in zip(packets, self.chis)]
         self.psi = sum(parts[1:], parts[0])
         self.mass0, self.max_drift, self.tails = l2_norm(lab, self.psi), 0.0, []
-        self.prop = NLSPropagator(data, epsilon, lam, self.dt, beta)
+        self.prop = NLSPropagator(data, epsilon, lam, self.steps.dt, beta)
         branch = packets[0].branch
         others = [j for j in range(data.n_branches) if j != branch] if corrections else []
         self.rho = {(j, ell): coupling_profile(data, j, ell, source_branch=branch)
@@ -442,38 +497,108 @@ class _Lockstep:
                         for j in others}
         self.g = {key: np.zeros(lab.n, dtype=complex) for key in self.rho}
 
-    def phi(self, k, t):
-        """φ_k(t) on the lab grid from packet k's current envelope."""
-        return _phi_values(self.lab, self.y_grid, self.envs[k].values,
-                           self.trajs[k], t, self.epsilon)
+    def source_step(self, phi_mid, xi_mid):
+        """The midpoint Duhamel step of every g_{j,ℓ}, from φ and ξ at t + dt/2."""
+        for key, g in self.g.items():
+            self.g[key] = self.g_props[key[0]].duhamel_step(
+                g, phi_mid * (xi_mid * self.rho[key]), self.steps.dt)
 
-    def march(self, observe):
-        """March to T; at each observation `check_lab_field`, then
-        observe(t, [φ_k(t) per packet])."""
-        dt = self.dt
+    def nls_step(self, step):
+        self.psi = self.prop.step(self.psi)
+        self.max_drift = max(self.max_drift, check_step_mass(
+            self.lab, self.psi, self.mass0, step))
+
+
+class _Lockstep:
+    """Every ε of one step group (equal `_Steps`) in one march, one `_Lane`
+    per ε.  The ε-free parts are marched once: each packet's trajectory is
+    the set-up's for this dt, and packets and ε whose profile and curvature
+    samples agree share one `EnvelopeStepper` (`_envelopes`), whose y-spline
+    is built once per evaluation time and read on every lane's grid.  With
+    correction components the envelope step is split into dt/2 halves (the
+    source needs u(t + dt/2)); otherwise it takes one dt step.
+
+    A lane whose construction or guard fails with an `AdiapackError` leaves
+    the march: with `isolate` it is listed in `failures` and the other lanes
+    go on, otherwise the error propagates.  A tripped envelope guard fails
+    every live lane."""
+
+    def __init__(self, setup: StudySetup, epsilons, beta, corrections, isolate):
+        self.setup, self.isolate, self.failures = setup, isolate, []
+        self.steps = setup.steps[epsilons[0]]
+        self.trajs = setup.trajectories[self.steps.dt]
+        self.lanes = []
+        for eps in epsilons:
+            try:
+                self.lanes.append(_Lane(setup, eps, beta, corrections))
+            except AdiapackError as exc:
+                self._fail(eps, exc)
+        self.envs = _envelopes(setup.y_grid,
+                               [(pk.evaluator(), tr)
+                                for pk, tr in zip(setup.packets, self.trajs)],
+                               setup.lambda_coupling)
+
+    def _fail(self, eps, exc):
+        if not self.isolate:
+            raise exc
+        self.failures.append((eps, exc))
+
+    def _each(self, work):
+        """work(lane) on every live lane; a lane whose work fails leaves."""
+        for lane in list(self.lanes):
+            try:
+                work(lane)
+            except AdiapackError as exc:
+                self.lanes.remove(lane)
+                self._fail(lane.epsilon, exc)
+
+    def _advance(self, dt):
+        try:
+            for env in dict.fromkeys(self.envs):
+                env.advance(dt)
+        except AdiapackError as exc:
+            lanes, self.lanes = self.lanes, []
+            for lane in lanes:
+                self._fail(lane.epsilon, exc)
+
+    def _splines(self):
+        """Each packet's envelope spline, built once per distinct envelope."""
+        built = {env: _envelope_spline(self.setup.y_grid, env.values)
+                 for env in dict.fromkeys(self.envs)}
+        return [built[env] for env in self.envs]
+
+    def march(self, observers: dict):
+        """March to T.  At each observation every lane runs `check_lab_field`
+        and then observers[lane](t, [φ_k(t) per packet])."""
+        dt = self.steps.dt
+        split = any(lane.g for lane in self.lanes)
 
         def observe_at(t):
-            self.tails.append(check_lab_field(self.psi, t))
-            observe(t, [self.phi(k, t) for k in range(len(self.envs))])
+            splines = self._splines()
+
+            def observe(lane):
+                lane.tails.append(check_lab_field(lane.psi, t))
+                observers[lane](t, [_phi_values(lane.lab, u_of, traj, t,
+                                                lane.epsilon)
+                                    for u_of, traj in zip(splines, self.trajs)])
+            self._each(observe)
 
         observe_at(0.0)
-        for step in range(1, self.total_steps + 1):
-            if self.g:
-                (env,) = self.envs
-                env.advance(0.5 * dt)
+        for step in range(1, self.steps.total + 1):
+            if not self.lanes:
+                return
+            if split:
+                self._advance(0.5 * dt)
                 t_mid = (step - 0.5) * dt
-                phi, xi = self.phi(0, t_mid), float(self.trajs[0].xi_of(t_mid))
-                for key, g in self.g.items():
-                    self.g[key] = self.g_props[key[0]].duhamel_step(
-                        g, phi * (xi * self.rho[key]), dt)
-                env.advance(0.5 * dt)
+                (u_of,), (traj,) = self._splines(), self.trajs
+                xi_mid = float(traj.xi_of(t_mid))
+                self._each(lambda lane: lane.source_step(_phi_values(
+                    lane.lab, u_of, traj, t_mid, lane.epsilon), xi_mid))
+                self._advance(0.5 * dt)
             else:
-                for env in self.envs:
-                    env.advance(dt)
-            self.psi = self.prop.step(self.psi)
-            self.max_drift = max(self.max_drift, check_step_mass(
-                self.lab, self.psi, self.mass0, step))
-            if step % self.steps_per_obs == 0:
+                self._advance(dt)
+            self._each(lambda lane: lane.nls_step(step))
+            if step % self.steps.per_obs == 0:
                 observe_at(step * dt)
 
 
@@ -509,81 +634,110 @@ class SingleRunResult:
                               for (j, ell), v in self.g_sigma1.items()})
 
 
+class _SingleObserver:
+    """The observer of one single-packet lane: w, θ, leakage, Taylor
+    remainder, populations and the correction norms (`errors.CORRECTION_NORM`)
+    at every observation, ψ at the snapshot steps, and the lane's
+    `SingleRunResult` once the march is done."""
+
+    def __init__(self, march: _Lockstep, lane: _Lane, snapshot_steps,
+                 keep_bundle):
+        setup = march.setup
+        self.march, self.lane, self.branch = march, lane, setup.packets[0].branch
+        self.curve = _branch_curve_for(setup.spec, lane.data, self.branch)
+        self.series = {name: [] for name in (
+            "times", "masses", "w_sigma1", "theta_sigma1", "leakage", "taylor",
+            "populations")}
+        self.g_log = {key: [] for key in lane.g}
+        self.snapshot_steps, self.keep_bundle = snapshot_steps, keep_bundle
+        self.snapshots, self.u_times, self.u_values = {}, [], []
+
+    def __call__(self, t, phis):
+        lane, branch, (phi,), (traj,) = self.lane, self.branch, phis, self.march.trajs
+        lab, data, eps, psi = lane.lab, lane.data, lane.epsilon, lane.psi
+        g = assemble_correction(lane.g, data, eps, time=t).values if lane.g else None
+        w_rep, th_rep = _error_norms(psi, [(phi, lane.chis[0])], lab, eps, t, g)
+        proj = np.einsum("nab,nb->na", data.projectors[branch], psi)
+        state = FieldState(field=VectorField(grid=lab, values=psi, epsilon=eps,
+                                             time=t),
+                           lambda_coupling=self.march.setup.lambda_coupling)
+        row = (t, l2_norm(lab, psi), w_rep.value, th_rep.value,
+               l2_norm(lab, psi - proj),
+               _taylor_remainder(lab, data.branches[branch], self.curve,
+                                 float(traj.x_of(t)), phi),
+               mode_populations(state, data))
+        for values, value in zip(self.series.values(), row):
+            values.append(value)
+        for key, values in lane.g.items():
+            g_rep = sigma_norm(ScalarField(grid=lab, values=values, epsilon=eps,
+                                           time=t), 1)
+            # the (0, 0) component is the L² norm ‖g‖
+            CORRECTION_NORM.check(g_rep.components[(0, 0)], where=f" at t = {t}")
+            self.g_log[key].append(g_rep.value)
+        step = int(round(t / lane.steps.dt))
+        if step in self.snapshot_steps:
+            self.snapshots[self.snapshot_steps[step]] = psi.copy()
+        if self.keep_bundle:
+            self.u_times.append(t)
+            self.u_values.append(self.march.envs[0].values.copy())
+
+    def result(self) -> SingleRunResult:
+        lane, (traj,), w = self.lane, self.march.trajs, self.series["w_sigma1"]
+        return SingleRunResult(
+            epsilon=lane.epsilon, grid_n=lane.n, dt=lane.steps.dt,
+            **{name: np.asarray(values) for name, values in self.series.items()},
+            g_sigma1={key: np.asarray(v) for key, v in self.g_log.items()},
+            mass_drift=lane.max_drift / max(lane.mass0, 1e-300),
+            sup_w_sigma1=float(max(w)), terminal_w_sigma1=float(w[-1]),
+            energy_drift=traj.energy_drift, fourier_tail=max(lane.tails),
+            snapshots=self.snapshots,
+            bundle=AnsatzBundle(data=lane.data, branch=self.branch,
+                                branch_curve=self.curve, traj=traj,
+                                epsilon=lane.epsilon,
+                                y_grid=self.march.setup.y_grid,
+                                u_times=np.asarray(self.u_times),
+                                u_values=self.u_values)
+            if self.keep_bundle else None,
+        )
+
+
+def _single_packet_runs(setup: StudySetup, epsilons, beta, isolate,
+                        snapshot_steps=None, keep_bundle=False):
+    """One lockstep over `epsilons` (one step group) of a single-packet study
+    with corrections: (results of the lanes that finished, failures)."""
+    march = _Lockstep(setup, epsilons, beta, corrections=True, isolate=isolate)
+    observers = {lane: _SingleObserver(march, lane, snapshot_steps or {},
+                                       keep_bundle)
+                 for lane in march.lanes}
+    march.march(observers)
+    return [observers[lane].result() for lane in march.lanes], march.failures
+
+
 def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
                       epsilon: float, lambda_coupling: float, T: float,
                       x_min: float, x_max: float, observe_every: float = 0.01,
                       dt_max: float = 1e-3, dt_over_eps: float = 0.25,
                       y_half_width: float = 40.0, y_points: int = 2048,
                       n_override: int | None = None, beta: float = 0.75,
-                      snapshot_times=(), keep_bundle: bool = False,
-                      setup: StudySetup | None = None) -> SingleRunResult:
+                      snapshot_times=(), keep_bundle: bool = False) -> SingleRunResult:
     """One single-packet march with corrections, and its error time series.
 
-    `setup` is the command's `study_setup` (built here from the grid options
-    when None).  Every step passes `nls.check_step_mass` (worst relative
-    drift: `mass_drift`), every observation `nls.check_lab_field` (worst
-    tail: `fourier_tail`) and `errors.CORRECTION_NORM`.  Snapshot times
-    must be observation times.
+    Every step passes `nls.check_step_mass` (worst relative drift:
+    `mass_drift`), every observation `nls.check_lab_field` (worst tail:
+    `fourier_tail`) and `errors.CORRECTION_NORM`.  Snapshot times must be
+    observation times.
     """
-    if setup is None:
-        setup = study_setup(spec, [packet], [epsilon], lambda_coupling, T,
-                            x_min, x_max, y_half_width, y_points, n_override)
-    run = _Lockstep(setup, epsilon, observe_every, dt_max, dt_over_eps, beta,
-                    corrections=True)
-    lab, data, branch = run.lab, run.data, packet.branch
-    (chi,), (traj,), (curve,) = run.chis, run.trajs, run.curves
-    snapshot_steps = {int(round(ts / run.dt)): ts for ts in snapshot_times}
-    if any(k % run.steps_per_obs or not 0 <= k <= run.total_steps
-           for k in snapshot_steps):
+    setup = study_setup(spec, [packet], [epsilon], lambda_coupling, T, x_min,
+                        x_max, y_half_width, y_points, n_override, observe_every,
+                        dt_max, dt_over_eps)
+    steps = setup.steps[epsilon]
+    snapshot_steps = {int(round(ts / steps.dt)): ts for ts in snapshot_times}
+    if any(k % steps.per_obs or not 0 <= k <= steps.total for k in snapshot_steps):
         raise ValueError("snapshot times must be observation times in [0, T]")
-    series = {name: [] for name in ("times", "masses", "w_sigma1", "theta_sigma1",
-                                    "leakage", "taylor", "populations")}
-    g_log = {key: [] for key in run.g}
-    snapshots, u_times, u_values = {}, [], []
-
-    def observe(t, phis):
-        psi, (phi,) = run.psi, phis
-        g = assemble_correction(run.g, data, epsilon, time=t).values if run.g else None
-        w_rep, th_rep = _error_norms(psi, [(phi, chi)], lab, epsilon, t, g)
-        proj = np.einsum("nab,nb->na", data.projectors[branch], psi)
-        state = FieldState(field=VectorField(grid=lab, values=psi, epsilon=epsilon,
-                                             time=t),
-                           lambda_coupling=lambda_coupling)
-        row = (t, l2_norm(lab, psi), w_rep.value, th_rep.value,
-               l2_norm(lab, psi - proj),
-               _taylor_remainder(lab, data.branches[branch], curve,
-                                 float(traj.x_of(t)), phi),
-               mode_populations(state, data))
-        for values, value in zip(series.values(), row):
-            values.append(value)
-        for key, values in run.g.items():
-            g_rep = sigma_norm(ScalarField(grid=lab, values=values,
-                                           epsilon=epsilon, time=t), 1)
-            # the (0, 0) component is the L² norm ‖g‖
-            CORRECTION_NORM.check(g_rep.components[(0, 0)], where=f" at t = {t}")
-            g_log[key].append(g_rep.value)
-        step = int(round(t / run.dt))
-        if step in snapshot_steps:
-            snapshots[snapshot_steps[step]] = psi.copy()
-        if keep_bundle:
-            u_times.append(t)
-            u_values.append(run.envs[0].values.copy())
-
-    run.march(observe)
-    w = series["w_sigma1"]
-    return SingleRunResult(
-        epsilon=epsilon, grid_n=run.n, dt=run.dt,
-        **{name: np.asarray(values) for name, values in series.items()},
-        g_sigma1={key: np.asarray(v) for key, v in g_log.items()},
-        mass_drift=run.max_drift / max(run.mass0, 1e-300),
-        sup_w_sigma1=float(max(w)), terminal_w_sigma1=float(w[-1]),
-        energy_drift=traj.energy_drift, fourier_tail=max(run.tails),
-        snapshots=snapshots,
-        bundle=AnsatzBundle(data=data, branch=branch, branch_curve=curve,
-                            traj=traj, epsilon=epsilon, y_grid=run.y_grid,
-                            u_times=np.asarray(u_times), u_values=u_values)
-        if keep_bundle else None,
-    )
+    (run,), _ = _single_packet_runs(setup, [epsilon], beta, isolate=False,
+                                    snapshot_steps=snapshot_steps,
+                                    keep_bundle=keep_bundle)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -610,27 +764,29 @@ class ConvergenceReport:
 
 def convergence_study(spec: MatrixPotentialSpec, packet: PacketSpec, epsilons,
                       lambda_coupling: float, T: float, x_min: float, x_max: float,
-                      **run_kwargs) -> ConvergenceReport:
+                      observe_every: float = 0.01, dt_max: float = 1e-3,
+                      dt_over_eps: float = 0.25, y_half_width: float = 40.0,
+                      y_points: int = 2048, n_override: int | None = None,
+                      beta: float = 0.75) -> ConvergenceReport:
     """Sweep ε, collect sup-in-t error norms, and fit the decay order.
 
-    One `study_setup` serves every ε; runs go in decreasing ε.  A sub-run
-    that fails with an `AdiapackError` is listed in `report.failures`
-    instead of killing the sweep, even when every sub-run fails (the report
-    then has no ε); any other exception is a programming error and
-    propagates.
+    One `study_setup` serves every ε, and the ε that share a step size run
+    in one lockstep; runs and failures are listed in decreasing ε.  A
+    sub-run that fails with an `AdiapackError` is listed in
+    `report.failures` instead of killing the sweep, even when every sub-run
+    fails (the report then has no ε); any other exception is a programming
+    error and propagates.
     """
     epsilons = sorted(epsilons, reverse=True)
-    grid_options = {key: run_kwargs.pop(key) for key in
-                    ("y_half_width", "y_points", "n_override") if key in run_kwargs}
     setup = study_setup(spec, [packet], epsilons, lambda_coupling, T, x_min,
-                        x_max, **grid_options)
+                        x_max, y_half_width, y_points, n_override, observe_every,
+                        dt_max, dt_over_eps)
     runs, failures = [], []
-    for eps in epsilons:
-        try:
-            runs.append(run_single_packet(spec, packet, eps, lambda_coupling, T,
-                                          x_min, x_max, setup=setup, **run_kwargs))
-        except AdiapackError as exc:
-            failures.append((eps, exc))
+    for group in setup.groups():
+        done, failed = _single_packet_runs(setup, group, beta, isolate=True)
+        runs += done
+        failures += failed
+    failures.sort(key=lambda failure: failure[0], reverse=True)
 
     eps_ok = [r.epsilon for r in runs]
     sup_err = [r.sup_w_sigma1 for r in runs]
@@ -668,6 +824,22 @@ class SuperpositionReport:
         return _json_fields(self)
 
 
+class _SuperposeObserver:
+    """The observer of one two-packet lane: w against φ₁χ¹ + φ₂χ², and the
+    integrand ‖|φ₁|²φ₂‖ of the interaction integral."""
+
+    def __init__(self, lane: _Lane):
+        self.lane, self.w, self.inter, self.times = lane, [], [], []
+
+    def __call__(self, t, phis):
+        lane = self.lane
+        w_rep, _ = _error_norms(lane.psi, zip(phis, lane.chis), lane.lab,
+                                lane.epsilon, t)
+        self.w.append(w_rep.value)
+        self.inter.append(l2_norm(lane.lab, np.abs(phis[0]) ** 2 * phis[1]))
+        self.times.append(t)
+
+
 def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
                              lambda_coupling: float, T: float, x_min: float,
                              x_max: float, gamma_exponent: float = 0.3,
@@ -685,7 +857,8 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
     configs have a constant objective there.  Identical packets are a
     `ConfigError`.  The `study_setup` takes both packets (the bound
     3ξ_max/ε + √3 η_τ/√ε covers the cubic term's 2ξ_a - ξ_b products); the
-    march has no corrections and the guards of `run_single_packet`.
+    ε that share a step size run in one lockstep, without corrections, with
+    the guards of `run_single_packet`, and the first failure propagates.
     """
     if not 0.0 < gamma_exponent < 0.5:
         raise ValueError("gamma_exponent must lie in (0, 1/2)")
@@ -695,7 +868,8 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
                           "phase-space point")
     epsilons = sorted(epsilons, reverse=True)
     setup = study_setup(spec, [p1, p2], epsilons, lambda_coupling, T, x_min,
-                        x_max, y_half_width, y_points, n_override)
+                        x_max, y_half_width, y_points, n_override, observe_every,
+                        dt_max, dt_over_eps)
 
     probe, (tr1, tr2) = setup.probe, setup.rule.trajectories
     objective = np.abs(probe.branches[p1.branch] - probe.branches[p2.branch]
@@ -705,27 +879,22 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
     edge_ok = bool(objective[-1] >= objective[-m] - 1e-12
                    and objective[0] >= objective[m - 1] - 1e-12)
 
-    def job(eps):
-        run = _Lockstep(setup, eps, observe_every, dt_max, dt_over_eps, beta,
-                        corrections=False)
-        w_series, inter_series, t_series = [], [], []
-
-        def observe(t, phis):
-            w_rep, _ = _error_norms(run.psi, zip(phis, run.chis), run.lab, eps, t)
-            w_series.append(w_rep.value)
-            inter_series.append(l2_norm(run.lab, np.abs(phis[0]) ** 2 * phis[1]))
-            t_series.append(t)
-
-        run.march(observe)
+    results = []
+    for group in setup.groups():
+        march = _Lockstep(setup, group, beta, corrections=False, isolate=False)
+        observers = {lane: _SuperposeObserver(lane) for lane in march.lanes}
+        march.march(observers)
         # crossing window |I^ε(T)| from the dense trajectory samples
-        t1, t2 = run.trajs
-        crossing = float(np.count_nonzero(np.abs(t1.x - t2.x) <= eps**gamma_exponent)
-                         * (t1.times[1] - t1.times[0]))
-        return (float(max(w_series)), float(w_series[-1]), crossing,
-                float(np.trapezoid(np.asarray(inter_series), np.asarray(t_series))),
-                run.n, [t1.energy_drift, t2.energy_drift], max(run.tails))
-
-    results = [job(eps) for eps in epsilons]
+        t1, t2 = march.trajs
+        for lane, obs in observers.items():
+            crossing = float(np.count_nonzero(
+                np.abs(t1.x - t2.x) <= lane.epsilon**gamma_exponent)
+                * (t1.times[1] - t1.times[0]))
+            results.append((float(max(obs.w)), float(obs.w[-1]), crossing,
+                            float(np.trapezoid(np.asarray(obs.inter),
+                                               np.asarray(obs.times))),
+                            lane.n, [t1.energy_drift, t2.energy_drift],
+                            max(lane.tails)))
     rows = {name: [r[i] for r in results] for i, name in enumerate((
         "sup_errors", "terminal_errors", "crossing_measures",
         "interaction_integrals", "grid_n", "energy_drift", "fourier_tail"))}

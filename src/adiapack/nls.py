@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .errors import BOUNDARY, FOURIER_TAIL, MASS_DRIFT, ConfigError
 from .grids import SpatialGrid, VectorField, l2_norm, unit_phase
@@ -114,7 +113,7 @@ class NLSPropagator:
     as an (N, N, n) array: entry (a, b) is a contiguous row over the grid, so
     the potential half step is N² row products.  The cubic term adds a scalar
     phase on top each step.  The kinetic step transforms the (N, n) buffer
-    along its last axis in place.
+    along its last axis in place (`numpy.fft` with `out=`).
 
     `step` takes an (n, N) array, in any memory layout, and returns an (n, N)
     array that is the transpose view of a fresh (N, n) buffer; passing that
@@ -155,9 +154,9 @@ class NLSPropagator:
 
     def step(self, values: np.ndarray) -> np.ndarray:
         out = self._pot_half(values.T)
-        out = scipy.fft.fft(out, axis=-1, overwrite_x=True)
+        np.fft.fft(out, axis=-1, out=out)
         out *= self._kin
-        out = scipy.fft.ifft(out, axis=-1, overwrite_x=True)
+        np.fft.ifft(out, axis=-1, out=out)
         return self._pot_half(out).T
 
 
@@ -179,7 +178,7 @@ def _boundary_magnitude(values: np.ndarray) -> float:
 def fourier_tail(values: np.ndarray) -> float:
     """Energy fraction of (n,) or (n, N) `values` at |k| ≥ ¾ k_Nyquist (0 for zero values)."""
     n = values.shape[0]
-    spec = scipy.fft.fft(values, axis=0)
+    spec = np.fft.fft(values, axis=0)
     energy = spec.real**2 + spec.imag**2
     total = energy.sum()
     if total == 0.0:
@@ -259,7 +258,7 @@ def spectral_half_width(y_grid: SpatialGrid, values: np.ndarray) -> float:
     """
     n = y_grid.n
     shell = np.abs(np.fft.fftfreq(n, 1.0 / n)).astype(int)  # |index|, 0 … n/2
-    spec = scipy.fft.fft(np.asarray(values, dtype=complex))
+    spec = np.fft.fft(np.asarray(values, dtype=complex))
     energy = np.bincount(shell, weights=spec.real**2 + spec.imag**2)
     # energy strictly above each shell, summed from the top so that a tail
     # 1e-20 below the total is not lost to cancellation

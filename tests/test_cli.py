@@ -246,17 +246,19 @@ def test_packaged_grid_sizes_meet_measured_floors():
 
 
 def test_cli_import_does_not_load_scipy_interpolate():
-    # set-up cost: scipy.interpolate alone takes about a third of the import
+    # set-up cost: scipy.interpolate alone took about a third of the import,
+    # and scipy.fft pulled in scipy.special; the run path needs neither
     import adiapack
 
     src = str(Path(adiapack.__file__).resolve().parent.parent)
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     code = ("import sys, adiapack.cli; "
-            "print('scipy.interpolate' in sys.modules)")
+            f"adiapack.cli.load_config({str(CONFIGS / 'rotating.json')!r}); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_solver_abort_exit_code(tmp_path, capsys, monkeypatch):
@@ -338,10 +340,10 @@ def test_converge_every_subrun_failed(tmp_path, monkeypatch):
     import adiapack.experiments as experiments
     from adiapack.errors import SolverAbort
 
-    def boom(spec, packet, eps, *args, **kwargs):
+    def boom(setup, eps, *args, **kwargs):
         raise SolverAbort(f"synthetic abort at {eps}")
 
-    monkeypatch.setattr(experiments, "run_single_packet", boom)
+    monkeypatch.setattr(experiments, "_Lane", boom)
     out = tmp_path / "out"
     code = main(["converge", "--config", str(CONFIGS / "smoke.json"),
                  "--out", str(out), "--epsilon-override", "0.0625,0.03125"])
@@ -584,11 +586,16 @@ def test_snapshot_times_are_validated(tmp_path, capsys):
     assert main(["single", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 2
     assert not list((tmp_path / "o").glob("snapshot_t*.csv"))
+    # a config that load_config rejects still leaves its failure record
+    record = json.loads((tmp_path / "o" / "failure.json").read_text())
+    assert record["failure"] == "config"
+    assert record["messages"] == exc.value.errors
 
 
 def test_converge_does_its_epsilon_free_work_once(tmp_path, monkeypatch):
     # load_config only parses; the command decomposes the 4096-point probe
-    # and integrates the probe trajectory once, then once of each per ε
+    # and integrates the probe trajectory once, decomposes once per ε, and
+    # integrates the run trajectory once for both ε, which share dt = 1e-3
     import adiapack.experiments as experiments
 
     calls = {"decompose": 0, "integrate_trajectory": 0}
@@ -603,4 +610,36 @@ def test_converge_does_its_epsilon_free_work_once(tmp_path, monkeypatch):
     assert calls == {"decompose": 0, "integrate_trajectory": 0}
     assert main(["converge", "--config", str(CONFIGS / "smoke.json"),
                  "--out", str(tmp_path / "o")]) == 0
-    assert calls == {"decompose": 3, "integrate_trajectory": 3}
+    assert calls == {"decompose": 3, "integrate_trajectory": 2}
+
+
+def test_converge_isolates_a_guard_that_trips_for_one_epsilon(tmp_path,
+                                                              monkeypatch):
+    # both ε share dt = 1e-3, so they march in one lockstep; the ε on the
+    # 256-point grid trips the Fourier-tail guard at t = 0.05 and leaves it,
+    # and the other ε finishes exactly as it does alone
+    import adiapack.experiments as experiments
+    from adiapack.errors import SolverAbort
+
+    check = experiments.check_lab_field
+
+    def trips_on_256(values, t):
+        if values.shape[0] == 256 and t > 0.0:
+            raise SolverAbort("synthetic Fourier tail")
+        return check(values, t)
+
+    smoke = str(CONFIGS / "smoke.json")
+    solo = tmp_path / "solo"
+    assert main(["converge", "--config", smoke, "--out", str(solo),
+                 "--epsilon-override", "0.015625"]) == 0
+    monkeypatch.setattr(experiments, "check_lab_field", trips_on_256)
+    out = tmp_path / "out"
+    assert main(["converge", "--config", smoke, "--out", str(out),
+                 "--epsilon-override", "0.0625,0.015625"]) == 4
+    report = json.loads((out / "report.json").read_text())
+    assert report["failures"] == [[0.0625, "synthetic Fourier tail"]]
+    alone = json.loads((solo / "report.json").read_text())
+    assert report["runs"] == alone["runs"]
+    assert report["runs"][0]["grid_n"] == 512
+    rows = (out / "convergence.csv").read_text().splitlines()
+    assert rows[:2] == (solo / "convergence.csv").read_text().splitlines()[:2]

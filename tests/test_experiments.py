@@ -171,7 +171,8 @@ def test_convergence_study_propagates_programming_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("synthetic programming error")
 
-    monkeypatch.setattr(experiments, "run_single_packet", broken)
+    # the per-ε lane is where the lockstep isolates AdiapackErrors
+    monkeypatch.setattr(experiments, "_Lane", broken)
     packet = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
     with pytest.raises(TypeError):
         convergence_study(HARMONIC, packet, [1.0 / 16], 0.0, 0.1, -4.0, 4.0)
@@ -325,3 +326,76 @@ def test_lab_grid_rule_sizing_march_matches_a_fine_march(monkeypatch):
     assert len(marches) == 1
     assert fine > 12.0
     assert abs(rule.eta - fine) <= 0.02 * fine
+
+
+def test_lockstep_runs_match_each_epsilon_run_alone():
+    # ε that share a step size march in one lockstep, with one envelope and
+    # one trajectory per packet: every value is the solo run's, to the bit
+    p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
+    p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)
+    pair = superposition_experiment(HARMONIC, (p1, p2), [1.0 / 16, 1.0 / 32],
+                                    1.0, 0.1, -4.0, 4.0, observe_every=0.05)
+    for i, eps in enumerate(pair.epsilons):
+        solo = superposition_experiment(HARMONIC, (p1, p2), [eps], 1.0, 0.1,
+                                        -4.0, 4.0, observe_every=0.05)
+        for name in ("sup_errors", "terminal_errors", "crossing_measures",
+                     "interaction_integrals", "grid_n", "energy_drift",
+                     "fourier_tail"):
+            assert getattr(pair, name)[i] == getattr(solo, name)[0], name
+
+    packet = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0, branch=0)
+    study = convergence_study(rotating_family(), packet, [1.0 / 32, 1.0 / 64],
+                              1.0, 0.1, -2.5, 2.5, observe_every=0.05)
+    assert [run.dt for run in study.runs] == [1e-3, 1e-3]
+    for run in study.runs:
+        solo = run_single_packet(rotating_family(), packet, run.epsilon, 1.0,
+                                 0.1, -2.5, 2.5, observe_every=0.05)
+        assert run.to_dict() == solo.to_dict()
+
+
+def test_lockstep_steps_a_shared_envelope_once(monkeypatch):
+    # both packets ride x²/2 with the same profile, so their curvature
+    # samples agree and one envelope serves both packets and both ε:
+    # T/dt = 100 steps, plus ⌈T/0.025⌉ = 4 steps of the sizing march
+    from adiapack.envelope import EnvelopeStepper
+
+    calls = []
+    advance = EnvelopeStepper.advance
+
+    def counting(self, dt):
+        calls.append(dt)
+        return advance(self, dt)
+
+    monkeypatch.setattr(EnvelopeStepper, "advance", counting)
+    p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
+    p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)
+    superposition_experiment(HARMONIC, (p1, p2), [1.0 / 16, 1.0 / 32], 1.0,
+                             0.1, -4.0, 4.0, observe_every=0.05)
+    assert len(calls) == 100 + 4
+
+
+def test_step_rule_rejects_t_off_the_observation_cadence(monkeypatch):
+    # the one step rule runs in the study set-up, before any decomposition
+    import adiapack.experiments as experiments
+
+    sizes = []
+    monkeypatch.setattr(experiments, "decompose",
+                        lambda spec, grid: sizes.append(grid.n))
+    p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
+    p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)
+    runs = (lambda: run_single_packet(HARMONIC, p1, 1.0 / 16, 0.0, 0.12,
+                                      -4.0, 4.0, observe_every=0.05),
+            lambda: convergence_study(HARMONIC, p1, [1.0 / 16], 0.0, 0.12,
+                                      -4.0, 4.0, observe_every=0.05),
+            lambda: superposition_experiment(HARMONIC, (p1, p2), [1.0 / 16],
+                                             0.0, 0.12, -4.0, 4.0,
+                                             observe_every=0.05))
+    for run in runs:
+        with pytest.raises(ConfigError, match="multiple of observe_every") as exc:
+            run()
+        assert exc.value.exit_code == 2
+    # a zero step bound was a ZeroDivisionError once the lab grid was built
+    with pytest.raises(ConfigError, match="must be positive"):
+        run_single_packet(HARMONIC, p1, 1.0 / 16, 0.0, 0.1, -4.0, 4.0,
+                          observe_every=0.05, dt_max=0.0)
+    assert sizes == []
