@@ -5,12 +5,25 @@ Each correction component rides a scalar branch equation
     iε ∂_t g + (ε²/2) ∂_x² g − λ_j(x) g = φ r,      g(0) = 0,
 
 driven by the mode-1 packet φ times a coupling coefficient r.  Propagation is
-a symmetric split step (half branch phase e^{-iλ dt/2ε}, exact kinetic
-multiplier e^{-iεk²dt/2}, half phase); the source enters once per step as the
-midpoint Duhamel increment dt/(iε)·U(dt/2) applied to (φ r) at the step
-midpoint (`ScalarPropagator.duhamel_step`, the one copy of that rule), keeping
-everything second order in dt.  A step makes one new array and does the
-transforms (`numpy.fft`, `out=`) and both phase products in place on it.
+a symmetric split step U(dt) (half branch phase e^{-iλ dt/2ε}, exact kinetic
+multiplier e^{-iεk²dt/2}, half phase); the source enters once per step at the
+step midpoint by the midpoint Duhamel rule
+
+    g(t + dt) = U(dt) g(t) + dt/(iε) · U(dt/2) (φ r)(t + dt/2),
+
+second order in dt.  The marches carry h = U(dt/2) g, half a step ahead,
+and step it as
+
+    h ← U(dt) (h + dt/(iε) · (φ r)(t + dt/2))
+
+(`ScalarPropagator.duhamel_step`, the one copy of the rule): one split step
+per step instead of two.  For exact propagators, where U(dt/2)U(dt/2) = U(dt)
+and the two commute, this is the rule above; split steps compose differently,
+so with them it is a second second-order scheme, O(dt²) from the first.
+g = U(-dt/2) h (`ScalarPropagator.recover`, the exact inverse of a symmetric
+split step) is formed only where g is read.  A step makes one new array and
+does the transforms (`numpy.fft`, `out=`) and both phase products in place on
+it; the Duhamel step makes one more, for h plus the source.
 
 `averaging_probe` measures ‖(1/iε) ∫₀ᵗ U_k(-s) U_j(s) f ds‖: for j = k it
 grows like t/ε, while for j ≠ k the branch-phase mismatch averages the
@@ -58,14 +71,18 @@ class ScalarPropagator:
         out *= half
         return out
 
-    def duhamel_step(self, values: np.ndarray, source_mid: np.ndarray,
+    def duhamel_step(self, carried: np.ndarray, source_mid: np.ndarray,
                      dt: float) -> np.ndarray:
-        """U(dt)values + dt/(iε)·U(dt/2)source_mid, the midpoint Duhamel rule.
+        """U(dt)(h + dt/(iε)·source_mid), the midpoint Duhamel rule on the
+        carried h = U(dt/2) g, into a new array.
 
         `source_mid` is the source (φ r) sampled at the step midpoint t + dt/2.
         """
-        return self.step(values, dt) \
-            + (dt / (1j * self.epsilon)) * self.step(source_mid, 0.5 * dt)
+        return self.step(carried + (dt / (1j * self.epsilon)) * source_mid, dt)
+
+    def recover(self, carried: np.ndarray, dt: float) -> np.ndarray:
+        """g = U(-dt/2) h, the correction that the carried h stands for."""
+        return self.step(carried, -0.5 * dt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +100,8 @@ def solve_correction(grid: SpatialGrid, lam_values: np.ndarray, coupling_fn,
     """March one correction component from g(0) = 0 and log its scaled norms.
 
     `coupling_fn(t)` and `phi_fn(t)` return r and φ on the grid; sources are
-    evaluated at step midpoints only.  Aborts (`errors.CORRECTION_NORM`,
+    evaluated at step midpoints only.  The march carries h = U(dt/2) g and
+    recovers g at the stored times.  Aborts (`errors.CORRECTION_NORM`,
     exit 4) if the L² norm passes 1e6 (resonance or under-resolution).
     """
     n_steps = int(round(T / dt))
@@ -95,16 +113,18 @@ def solve_correction(grid: SpatialGrid, lam_values: np.ndarray, coupling_fn,
         raise ValueError("store_times must be multiples of dt")
 
     prop = ScalarPropagator(grid, lam_values, epsilon)
-    g = np.zeros(grid.n, dtype=complex)
+    h = np.zeros(grid.n, dtype=complex)      # carried: U(dt/2) g
     out_times, out_values = [], []
     sigma_log = {p: [] for p in log_p}
 
     def record(t):
+        g = prop.recover(h, dt)
         out_times.append(t)
-        out_values.append(g.copy())
+        out_values.append(g)
         f = ScalarField(grid=grid, values=g, epsilon=epsilon, time=t)
         for p in log_p:
             sigma_log[p].append(sigma_norm(f, p).value)
+        return g
 
     target_set = set(int(i) for i in targets)
     if 0 in target_set:
@@ -112,9 +132,9 @@ def solve_correction(grid: SpatialGrid, lam_values: np.ndarray, coupling_fn,
     for step in range(n_steps):
         t_mid = (step + 0.5) * dt
         src = phi_fn(t_mid) * coupling_fn(t_mid)
-        g = prop.duhamel_step(g, src, dt)
+        h = prop.duhamel_step(h, src, dt)
         if step + 1 in target_set:
-            record((step + 1) * dt)
+            g = record((step + 1) * dt)
             CORRECTION_NORM.check(l2_norm(grid, g),
                                   where=f" at t = {(step + 1) * dt}")
     return CorrectionSeries(times=np.asarray(out_times), values=out_values,
@@ -141,16 +161,18 @@ def averaging_probe(grid: SpatialGrid, lam_j: np.ndarray, lam_k: np.ndarray,
     """L² norm of (1/iε) ∫₀ᵗ U_k(-s) U_j(s) f ds by midpoint quadrature.
 
     Implemented in the k-rotated frame: one running j-propagation of f plus a
-    k-propagated accumulator, so the cost is linear in the number of steps and
-    the final backward rotation drops out of the norm.
+    k-propagated accumulator, carried half a step ahead by the Duhamel rule
+    of `ScalarPropagator.duhamel_step`, so the cost is one j-step and one
+    k-step per step, and the final backward rotation (and with it the
+    carry's U_k(-dt/2)) drops out of the norm.
     """
     n_steps = int(round(t / dt))
     prop_j = ScalarPropagator(grid, lam_j, epsilon)
     prop_k = ScalarPropagator(grid, lam_k, epsilon)
-    h = prop_j.step(f.values, 0.5 * dt)  # f at the first midpoint
+    f_mid = prop_j.step(f.values, 0.5 * dt)  # f at the first midpoint
     acc = np.zeros(grid.n, dtype=complex)
     for m in range(n_steps):
-        acc = prop_k.duhamel_step(acc, h, dt)
+        acc = prop_k.duhamel_step(acc, f_mid, dt)
         if m + 1 < n_steps:
-            h = prop_j.step(h, dt)
+            f_mid = prop_j.step(f_mid, dt)
     return l2_norm(grid, acc)

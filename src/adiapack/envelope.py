@@ -8,16 +8,22 @@ on a fixed y-grid that does not depend on the semiclassical parameter.  The
 splitting is symmetric second order: a half step of the potential-plus-cubic
 phase (exact pointwise, since |u| is invariant under that flow), a full
 kinetic step (exact Fourier multiplier), and another half phase.  The
-time-dependent curvature is evaluated at the step midpoint.  The stepper owns
-its sample buffer: the phases multiply it in place and the transforms
-(`numpy.fft` with `out=`) overwrite it, so callers that keep a profile take a
-copy.
+time-dependent curvature is evaluated at the step midpoint.  The stepper
+leaves each step's trailing half phase pending and applies it when `values`
+is read; an `advance` that finds a half pending takes it together with its
+own leading half as one phase, with the two midpoint curvatures averaged,
+½(c_k + c_{k+1}) (exact, since both phases keep |u|).  Between two reads a
+step therefore costs one phase instead of two.  The stepper owns its sample
+buffer: the phases multiply it in place and the transforms (`numpy.fft` with
+`out=`) overwrite it, so callers that keep a profile take a copy.
 
 Mass ‖u(t)‖ is conserved to roundoff by construction; a drift beyond
 1e-8 · max(1, ‖u₀‖) signals under-resolution and aborts the run
 (`errors.ENVELOPE_MASS`, exit 4).  A profile above 1e-8 · max(1, ‖u₀‖) at
 either end of the y-domain, initially or after any step, has left the
 comoving window (`errors.ENVELOPE_EDGE`, `InvariantViolation`, exit 3).
+Both guards read |u|, which the pending phase does not change, so they check
+every step on the open samples.
 """
 
 from __future__ import annotations
@@ -47,17 +53,30 @@ class EnvelopeStepper:
     def __init__(self, y_grid: SpatialGrid, a_values: np.ndarray,
                  lambda_coupling: float, curvature_fn):
         self.y_grid = y_grid
-        self.values = np.asarray(a_values, dtype=complex).copy()
+        self._u = np.asarray(a_values, dtype=complex).copy()
+        self._pending = None            # (dt/2, curvature) of a trailing half phase
         self.lambda_coupling = float(lambda_coupling)
         self.curvature_fn = curvature_fn
         self.time = 0.0
-        self.mass0 = l2_norm(y_grid, self.values)
+        self.mass0 = l2_norm(y_grid, self._u)
         self._half_y2 = 0.5 * y_grid.points**2
         self._kin_cache = {}
         self._check_edge()
 
+    @property
+    def values(self) -> np.ndarray:
+        """The samples u(time), with any pending half phase applied first."""
+        if self._pending is not None:
+            self._phase(*self._pending)
+            self._pending = None
+        return self._u
+
+    @values.setter
+    def values(self, samples):
+        self._u, self._pending = samples, None
+
     def _check_edge(self):
-        edge = max(abs(self.values[0]), abs(self.values[-1]))
+        edge = max(abs(self._u[0]), abs(self._u[-1]))
         ENVELOPE_EDGE.check(edge, max(1.0, self.mass0), f" at t = {self.time}")
 
     def _kinetic(self, dt):
@@ -68,19 +87,27 @@ class EnvelopeStepper:
         return mult
 
     def _phase(self, dt, curv):
-        re, im = self.values.real, self.values.imag
+        re, im = self._u.real, self._u.imag
         pot = curv * self._half_y2 + self.lambda_coupling * (re * re + im * im)
-        self.values *= unit_phase(-dt * pot)
+        self._u *= unit_phase(-dt * pot)
 
     def advance(self, dt: float):
-        curv = float(self.curvature_fn(self.time + 0.5 * dt))
-        self._phase(0.5 * dt, curv)
-        np.fft.fft(self.values, out=self.values)
-        self.values *= self._kinetic(dt)
-        np.fft.ifft(self.values, out=self.values)
-        self._phase(0.5 * dt, curv)
+        half = 0.5 * dt
+        curv = float(self.curvature_fn(self.time + half))
+        if self._pending is None:
+            self._phase(half, curv)
+        else:
+            # the trailing half of the last step and the leading half of this one
+            h_prev, c_prev = self._pending
+            self._pending = None
+            self._phase(h_prev + half, (h_prev * c_prev + half * curv)
+                        / (h_prev + half))
+        np.fft.fft(self._u, out=self._u)
+        self._u *= self._kinetic(dt)
+        np.fft.ifft(self._u, out=self._u)
+        self._pending = (half, curv)
         self.time += dt
-        mass = l2_norm(self.y_grid, self.values)
+        mass = l2_norm(self.y_grid, self._u)
         ENVELOPE_MASS.check(abs(mass - self.mass0), max(1.0, self.mass0),
                             f" at t = {self.time}")
         self._check_edge()
@@ -98,7 +125,8 @@ def solve_envelope(a, traj, lambda_coupling: float, y_grid: SpatialGrid,
     `a` is an evaluator a(y); `traj` provides λ''(x(t)) (a ClassicalTrajectory
     or any object with a `curvature_of` interpolant).  Returns the states at
     `store_times` (default: the trajectory sample times), which must be
-    multiples of dt.  A profile that does not vanish at the y-domain edges
+    multiples of dt; the steps between them merge their adjacent half
+    phases, and reading a state closes the profile.  A profile that does not vanish at the y-domain edges
     fails `errors.ENVELOPE_EDGE` (`InvariantViolation`) in the stepper.
     """
     curvature_fn = traj.curvature_of if hasattr(traj, "curvature_of") else traj

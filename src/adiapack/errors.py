@@ -24,6 +24,14 @@ at every call site:
   failure is a `ConfigError` (exit 2), like every failure of the set-up.
 * `ENVELOPE_MASS`: |‖u‖ - ‖u₀‖| after each envelope step above
   1e-8 · max(1, ‖u₀‖), `SolverAbort` (exit 4).
+* `ENVELOPE_SUPPORT`: τ_y = 1e-13, a cut rather than a guard.  The grid
+  rule's sizing march measures Y_τ, the largest |y| at which |u| exceeds
+  τ_y · max|u| at any of its steps, and the run envelopes march on the
+  smallest centred power-of-two slice of the y-grid that holds |y| ≤ Y_τ
+  (`experiments.lab_grid_rule` and `experiments.study_setup`).  τ_y sits
+  above the FFT roundoff floor (about 1e-15 of the peak), which fills the
+  whole y-grid after the first step; `ENVELOPE_EDGE` guards the ends of
+  that run window at every step.
 * `CORRECTION_NORM`: the L² norm of a correction component above 1e6,
   `SolverAbort` (exit 4); at the stored times of
   `corrections.solve_correction` and at every observation of a
@@ -103,4 +111,5 @@ ENVELOPE_EDGE = Guard("envelope magnitude at the y-domain edge", 1e-8,
                       InvariantViolation,
                       "the profile left the comoving window; enlarge y_half_width")
 ENVELOPE_MASS = Guard("envelope mass drift", 1e-8, SolverAbort)
+ENVELOPE_SUPPORT = 1e-13
 CORRECTION_NORM = Guard("correction norm", 1e6, SolverAbort)

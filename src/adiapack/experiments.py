@@ -21,7 +21,8 @@ superposition experiment with the trajectory-crossing diagnostics Γ and
 |I^ε(T)| = |{t ≤ T : |x₁(t) - x₂(t)| ≤ ε^γ}|.
 
 A command does its ε-free work once (`study_setup`): the probe
-decomposition, the grid rule, every ε's grid size and step rule, and each
+decomposition, the grid rule, every ε's grid size and step rule, the
+envelopes' run window (the part of the y-grid their profiles fill), and each
 packet's run trajectory once per distinct dt.  In the critical scaling the
 envelope equation and the classical path do not contain ε, so the ε that
 share a dt run in one lockstep march (`_Lockstep`): each distinct envelope
@@ -42,9 +43,10 @@ from .classical import BranchCurve, ClassicalTrajectory, integrate_trajectory
 from .corrections import ScalarPropagator, assemble_correction
 from .eigenframe import coupling_profile
 from .envelope import EnvelopeStepper
-from .errors import CORRECTION_NORM, AdiapackError, ConfigError
+from .errors import CORRECTION_NORM, ENVELOPE_SUPPORT, AdiapackError, \
+    ConfigError
 from .grids import ScalarField, SpatialGrid, UniformCubicSpline, VectorField, \
-    l2_norm, make_grid, sigma_norm
+    centred_slice, l2_norm, make_grid, sigma_norm
 from .nls import FieldState, NLSPropagator, build_initial_data, \
     check_lab_field, check_step_mass, lab_grid_points, mode_populations, \
     spectral_half_width
@@ -182,19 +184,30 @@ def _envelope_spline(y_grid: SpatialGrid, u_vals) -> UniformCubicSpline:
 def _phi_values(lab_grid, u_of, traj, t, epsilon):
     """φ(t, ·) on the lab grid from `u_of`, the envelope's `_envelope_spline`.
 
-    u is evaluated at y = (x - x(t))/√ε; a lab point outside the y-domain
-    gets NaN from the spline and then 0.  The samples come from an
-    `EnvelopeStepper`, which has checked that they vanish at the y-domain
-    edges.
+    u is evaluated at y = (x - x(t))/√ε.  The spline and the phase are
+    evaluated only on a contiguous run of lab indices that holds every y of
+    the y-domain, with a point of margin on each side (where the spline's
+    NaN outside its knots becomes 0); every other lab point is 0.  The run
+    has the same length at every call, so its temporaries keep one size
+    (runs that followed the window's edges point for point fragmented the
+    heap).  The samples come from an `EnvelopeStepper`, which has checked
+    that they vanish at the y-domain edges.
     """
     x_c = float(traj.x_of(t))
     xi = float(traj.xi_of(t))
     action = float(traj.action_of(t))
-    y = (lab_grid.points - x_c) / np.sqrt(epsilon)
-    u = u_of(y)
+    root = np.sqrt(epsilon)
+    span = root * (u_of.knots[-1] - u_of.knots[0]) / lab_grid.spacing
+    width = min(lab_grid.n, int(np.ceil(span)) + 4)
+    first = (x_c + root * u_of.knots[0] - lab_grid.x_min) / lab_grid.spacing
+    lo = min(max(0, int(np.floor(first)) - 1), lab_grid.n - width)
+    x = lab_grid.points[lo:lo + width]
+    u = u_of((x - x_c) / root)
     u[np.isnan(u)] = 0.0
-    phase = np.exp(1j * (action + xi * (lab_grid.points - x_c)) / epsilon)
-    return epsilon**-0.25 * u * phase
+    phase = np.exp(1j * (action + xi * (x - x_c)) / epsilon)
+    out = np.zeros(lab_grid.n, dtype=complex)
+    out[lo:lo + width] = epsilon**-0.25 * u * phase
+    return out
 
 
 def assemble_ansatz(bundle: AnsatzBundle, t: float) -> VectorField:
@@ -364,13 +377,15 @@ _SIZING_DT = 2.5e-2
 
 @dataclass(frozen=True, eq=False)
 class LabGridRule:
-    """The ε-free momentum data of a run's packets, for `nls.lab_grid_points`."""
+    """The ε-free momentum data of a run's packets, for `nls.lab_grid_points`,
+    and the envelopes' measured support."""
 
     length: float
     xi_max: float                    # largest |ξ| on the probe trajectories
     eta: float                       # largest η_τ of any envelope over the run
     n_packets: int
     trajectories: list               # the packets' probe trajectories
+    y_tau: float                     # largest |y| with |u| > τ_y max|u| over the run
 
     def points(self, epsilon: float, n_override: int | None = None) -> int:
         return lab_grid_points(self.length, epsilon, self.xi_max, self.eta,
@@ -388,22 +403,43 @@ def lab_grid_rule(spec: MatrixPotentialSpec, probe: SpectralData, packets,
     `nls.spectral_half_width` over all steps: the spectrum breathes when a
     profile is not the coherent width, and the cubic term widens it.  A
     profile that does not vanish at the y-domain edges fails the stepper's
-    edge guard (`InvariantViolation`) before it is measured.
+    edge guard (`InvariantViolation`) before it is measured.  The same
+    march measures Y_τ, the largest |y| at which |u| > τ_y · max|u|
+    (τ_y = `errors.ENVELOPE_SUPPORT`) at any of its steps, which sizes the
+    envelopes' run window (`_run_window`).
     """
     trajs = [integrate_trajectory(_branch_curve_for(spec, probe, pk.branch),
                                   pk.x0, pk.xi0, T, 1e-3, branch_id=pk.branch)
              for pk in packets]
     steps = max(1, int(np.ceil(T / _SIZING_DT - 1e-12)))
     pairs = [(a, tr) for pk, tr in zip(packets, trajs) for a in pk.profiles()]
-    eta = 0.0
+    eta = y_tau = 0.0
     for env in dict.fromkeys(_envelopes(y_grid, pairs, lambda_coupling)):
-        eta = max(eta, spectral_half_width(y_grid, env.values))
-        for _ in range(steps):
-            env.advance(T / steps)
-            eta = max(eta, spectral_half_width(y_grid, env.values))
+        for k in range(steps + 1):
+            if k:
+                env.advance(T / steps)
+            u = env.values
+            eta = max(eta, spectral_half_width(y_grid, u))
+            mag = np.abs(u)
+            y_tau = max(y_tau, float(np.abs(
+                y_grid.points[mag > ENVELOPE_SUPPORT * mag.max()]).max(initial=0.0)))
     return LabGridRule(length=probe.grid.length,
                        xi_max=max(float(np.max(np.abs(tr.xi))) for tr in trajs),
-                       eta=eta, n_packets=len(packets), trajectories=trajs)
+                       eta=eta, n_packets=len(packets), trajectories=trajs,
+                       y_tau=y_tau)
+
+
+def _run_window(y_grid: SpatialGrid, y_tau: float) -> SpatialGrid:
+    """The envelopes' run grid: the smallest centred power-of-two slice of
+    `y_grid` (`grids.centred_slice`, same spacing, the same points) whose
+    points span [-Y_τ, Y_τ]; the whole `y_grid` when no smaller one does."""
+    m = 8
+    while m < y_grid.n:
+        window = centred_slice(y_grid, m)
+        if window.points[0] <= -y_tau and window.points[-1] >= y_tau:
+            return window
+        m *= 2
+    return y_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,7 +450,7 @@ class StudySetup:
     packets: tuple
     lambda_coupling: float
     T: float
-    y_grid: SpatialGrid
+    y_grid: SpatialGrid              # the envelopes' run window (`_run_window`)
     probe: SpectralData              # the 4096-point decomposition
     rule: LabGridRule
     grid_n: dict                     # requested ε -> lab grid size
@@ -436,11 +472,13 @@ def study_setup(spec: MatrixPotentialSpec, packets, epsilons,
                 n_override: int | None = None, observe_every: float = 0.01,
                 dt_max: float = 1e-3, dt_over_eps: float = 0.25) -> StudySetup:
     """Scope check, every ε's `_step_rule`, the 4096-point probe
-    decomposition, `lab_grid_rule`, the lab grid size of every ε (a `grid.n`
-    override must meet the rule at all of them) and, once per distinct dt,
-    each packet's run trajectory at dt/4 (so every step midpoint is a
-    sample) on the probe's branch curve.  Every failure is a `ConfigError`
-    (exit 2)."""
+    decomposition, `lab_grid_rule` on the configured y-grid (±y_half_width,
+    y_points), the lab grid size of every ε (a `grid.n` override must meet
+    the rule at all of them), the envelopes' run window (the configured
+    y-grid's smallest centred power-of-two slice that holds the measured
+    Y_τ) and, once per distinct dt, each packet's run trajectory at dt/4 (so
+    every step midpoint is a sample) on the probe's branch curve.  Every
+    failure is a `ConfigError` (exit 2)."""
     problems = [_branch_scope_error(spec, pk.branch) for pk in packets]
     if any(problems):
         raise ConfigError([p for p in problems if p])
@@ -459,8 +497,9 @@ def study_setup(spec: MatrixPotentialSpec, packets, epsilons,
     except AdiapackError as exc:
         raise ConfigError(f"grid derivation failed: {exc}") from exc
     return StudySetup(spec=spec, packets=tuple(packets),
-                      lambda_coupling=lambda_coupling, T=T, y_grid=y_grid,
-                      probe=probe, rule=rule,
+                      lambda_coupling=lambda_coupling, T=T,
+                      y_grid=_run_window(y_grid, rule.y_tau), probe=probe,
+                      rule=rule,
                       grid_n={eps: rule.points(eps, n_override) for eps in epsilons},
                       steps=steps, trajectories=trajectories)
 
@@ -468,8 +507,10 @@ def study_setup(spec: MatrixPotentialSpec, packets, epsilons,
 class _Lane:
     """One ε of a lockstep: ψ on its lab grid (one decomposition), each
     packet's static carrier, the NLS propagator and, with `corrections`, the
-    one packet's g_{j,ℓ} on every other branch.  ψ₀ is the sum of the
-    packets' `build_initial_data`."""
+    one packet's g_{j,ℓ} on every other branch, carried half a step ahead as
+    h_{j,ℓ} = U_j(dt/2) g_{j,ℓ}.  ψ₀ is the sum of the packets'
+    `build_initial_data`.  Between observations ψ stays open: each step
+    leaves its trailing half potential step to the next one."""
 
     def __init__(self, setup: StudySetup, epsilon, beta, corrections):
         spec, packets, lam = setup.spec, setup.packets, setup.lambda_coupling
@@ -487,6 +528,7 @@ class _Lane:
                                     lab, lam, pk.r0()).values
                  for pk, chi in zip(packets, self.chis)]
         self.psi = sum(parts[1:], parts[0])
+        self.pending = False             # ψ owes its last step's trailing half
         self.mass0, self.max_drift, self.tails = l2_norm(lab, self.psi), 0.0, []
         self.prop = NLSPropagator(data, epsilon, lam, self.steps.dt, beta)
         branch = packets[0].branch
@@ -495,16 +537,25 @@ class _Lane:
                     for j in others for ell in range(data.multiplicities[j])}
         self.g_props = {j: ScalarPropagator(lab, data.branches[j], epsilon)
                         for j in others}
-        self.g = {key: np.zeros(lab.n, dtype=complex) for key in self.rho}
+        self.carried = {key: np.zeros(lab.n, dtype=complex) for key in self.rho}
 
     def source_step(self, phi_mid, xi_mid):
-        """The midpoint Duhamel step of every g_{j,ℓ}, from φ and ξ at t + dt/2."""
-        for key, g in self.g.items():
-            self.g[key] = self.g_props[key[0]].duhamel_step(
-                g, phi_mid * (xi_mid * self.rho[key]), self.steps.dt)
+        """The midpoint Duhamel step of every carried h_{j,ℓ}, from φ and ξ
+        at t + dt/2."""
+        for key, h in self.carried.items():
+            self.carried[key] = self.g_props[key[0]].duhamel_step(
+                h, phi_mid * (xi_mid * self.rho[key]), self.steps.dt)
 
-    def nls_step(self, step):
-        self.psi = self.prop.step(self.psi)
+    def corrections(self) -> dict:
+        """Every g_{j,ℓ} = U_j(-dt/2) h_{j,ℓ} at the current step."""
+        return {key: self.g_props[key[0]].recover(h, self.steps.dt)
+                for key, h in self.carried.items()}
+
+    def nls_step(self, step, close):
+        """One NLS step; it closes ψ only with `close` (the guard reads |ψ|,
+        which the pending half step keeps)."""
+        self.psi = self.prop.step(self.psi, pending=self.pending, close=close)
+        self.pending = not close
         self.max_drift = max(self.max_drift, check_step_mass(
             self.lab, self.psi, self.mass0, step))
 
@@ -516,7 +567,9 @@ class _Lockstep:
     samples agree share one `EnvelopeStepper` (`_envelopes`), whose y-spline
     is built once per evaluation time and read on every lane's grid.  With
     correction components the envelope step is split into dt/2 halves (the
-    source needs u(t + dt/2)); otherwise it takes one dt step.
+    source needs u(t + dt/2)); otherwise it takes one dt step.  ψ and the
+    envelopes close only where they are read: ψ at the step that lands on
+    an observation, an envelope when its samples are splined.
 
     A lane whose construction or guard fails with an `AdiapackError` leaves
     the march: with `isolate` it is listed in `failures` and the other lanes
@@ -571,7 +624,7 @@ class _Lockstep:
         """March to T.  At each observation every lane runs `check_lab_field`
         and then observers[lane](t, [φ_k(t) per packet])."""
         dt = self.steps.dt
-        split = any(lane.g for lane in self.lanes)
+        split = any(lane.carried for lane in self.lanes)
 
         def observe_at(t):
             splines = self._splines()
@@ -597,8 +650,9 @@ class _Lockstep:
                 self._advance(0.5 * dt)
             else:
                 self._advance(dt)
-            self._each(lambda lane: lane.nls_step(step))
-            if step % self.steps.per_obs == 0:
+            observed = step % self.steps.per_obs == 0
+            self._each(lambda lane: lane.nls_step(step, close=observed))
+            if observed:
                 observe_at(step * dt)
 
 
@@ -625,6 +679,8 @@ class SingleRunResult:
     terminal_w_sigma1: float
     energy_drift: float              # max |E(t) - E(0)| along the trajectory
     fourier_tail: float              # worst energy fraction at |k| ≥ ¾ k_Nyquist
+    y_points: int                    # points of the envelope's run window
+    y_tau: float                     # measured support Y_τ of the envelopes
     snapshots: dict = field(default_factory=dict)
     bundle: AnsatzBundle | None = None
 
@@ -648,14 +704,16 @@ class _SingleObserver:
         self.series = {name: [] for name in (
             "times", "masses", "w_sigma1", "theta_sigma1", "leakage", "taylor",
             "populations")}
-        self.g_log = {key: [] for key in lane.g}
+        self.g_log = {key: [] for key in lane.carried}
         self.snapshot_steps, self.keep_bundle = snapshot_steps, keep_bundle
         self.snapshots, self.u_times, self.u_values = {}, [], []
 
     def __call__(self, t, phis):
         lane, branch, (phi,), (traj,) = self.lane, self.branch, phis, self.march.trajs
         lab, data, eps, psi = lane.lab, lane.data, lane.epsilon, lane.psi
-        g = assemble_correction(lane.g, data, eps, time=t).values if lane.g else None
+        corrections = lane.corrections()
+        g = assemble_correction(corrections, data, eps, time=t).values \
+            if corrections else None
         w_rep, th_rep = _error_norms(psi, [(phi, lane.chis[0])], lab, eps, t, g)
         proj = np.einsum("nab,nb->na", data.projectors[branch], psi)
         state = FieldState(field=VectorField(grid=lab, values=psi, epsilon=eps,
@@ -668,7 +726,7 @@ class _SingleObserver:
                mode_populations(state, data))
         for values, value in zip(self.series.values(), row):
             values.append(value)
-        for key, values in lane.g.items():
+        for key, values in corrections.items():
             g_rep = sigma_norm(ScalarField(grid=lab, values=values, epsilon=eps,
                                            time=t), 1)
             # the (0, 0) component is the L² norm ‖g‖
@@ -683,6 +741,7 @@ class _SingleObserver:
 
     def result(self) -> SingleRunResult:
         lane, (traj,), w = self.lane, self.march.trajs, self.series["w_sigma1"]
+        setup = self.march.setup
         return SingleRunResult(
             epsilon=lane.epsilon, grid_n=lane.n, dt=lane.steps.dt,
             **{name: np.asarray(values) for name, values in self.series.items()},
@@ -690,11 +749,12 @@ class _SingleObserver:
             mass_drift=lane.max_drift / max(lane.mass0, 1e-300),
             sup_w_sigma1=float(max(w)), terminal_w_sigma1=float(w[-1]),
             energy_drift=traj.energy_drift, fourier_tail=max(lane.tails),
+            y_points=setup.y_grid.n, y_tau=setup.rule.y_tau,
             snapshots=self.snapshots,
             bundle=AnsatzBundle(data=lane.data, branch=self.branch,
                                 branch_curve=self.curve, traj=traj,
                                 epsilon=lane.epsilon,
-                                y_grid=self.march.setup.y_grid,
+                                y_grid=setup.y_grid,
                                 u_times=np.asarray(self.u_times),
                                 u_values=self.u_values)
             if self.keep_bundle else None,
@@ -725,7 +785,8 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
     Every step passes `nls.check_step_mass` (worst relative drift:
     `mass_drift`), every observation `nls.check_lab_field` (worst tail:
     `fourier_tail`) and `errors.CORRECTION_NORM`.  Snapshot times must be
-    observation times.
+    observation times in [0, T] (`ConfigError` otherwise, as in
+    `config.load_config`).
     """
     setup = study_setup(spec, [packet], [epsilon], lambda_coupling, T, x_min,
                         x_max, y_half_width, y_points, n_override, observe_every,
@@ -733,7 +794,7 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
     steps = setup.steps[epsilon]
     snapshot_steps = {int(round(ts / steps.dt)): ts for ts in snapshot_times}
     if any(k % steps.per_obs or not 0 <= k <= steps.total for k in snapshot_steps):
-        raise ValueError("snapshot times must be observation times in [0, T]")
+        raise ConfigError("snapshot times must be observation times in [0, T]")
     (run,), _ = _single_packet_runs(setup, [epsilon], beta, isolate=False,
                                     snapshot_steps=snapshot_steps,
                                     keep_bundle=keep_bundle)
@@ -819,6 +880,8 @@ class SuperpositionReport:
     grid_n: list
     energy_drift: list               # per ε, [packet 1, packet 2]
     fourier_tail: list               # per ε, worst fraction at |k| ≥ ¾ k_Nyquist
+    y_points: list                   # per ε, points of the envelopes' run window
+    y_tau: list                      # per ε, measured support Y_τ of the envelopes
 
     def to_dict(self):
         return _json_fields(self)
@@ -855,13 +918,14 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
     integral ∫‖|φ₁|²φ₂‖ dt.  The infimum runs over the lab domain
     [x_min, x_max], sampled by the probe decomposition; the shipped superpose
     configs have a constant objective there.  Identical packets are a
-    `ConfigError`.  The `study_setup` takes both packets (the bound
+    `ConfigError`, and so is a `gamma_exponent` outside (0, ½).  The
+    `study_setup` takes both packets (the bound
     3ξ_max/ε + √3 η_τ/√ε covers the cubic term's 2ξ_a - ξ_b products); the
     ε that share a step size run in one lockstep, without corrections, with
     the guards of `run_single_packet`, and the first failure propagates.
     """
     if not 0.0 < gamma_exponent < 0.5:
-        raise ValueError("gamma_exponent must lie in (0, 1/2)")
+        raise ConfigError("gamma must lie in (0, 1/2)")
     p1, p2 = packets
     if (p1.branch, p1.x0, p1.xi0) == (p2.branch, p2.x0, p2.xi0):
         raise ConfigError("the two packets must differ in branch or "
@@ -894,10 +958,11 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
                             float(np.trapezoid(np.asarray(obs.inter),
                                                np.asarray(obs.times))),
                             lane.n, [t1.energy_drift, t2.energy_drift],
-                            max(lane.tails)))
+                            max(lane.tails), setup.y_grid.n, setup.rule.y_tau))
     rows = {name: [r[i] for r in results] for i, name in enumerate((
         "sup_errors", "terminal_errors", "crossing_measures",
-        "interaction_integrals", "grid_n", "energy_drift", "fourier_tail"))}
+        "interaction_integrals", "grid_n", "energy_drift", "fourier_tail",
+        "y_points", "y_tau"))}
     return SuperpositionReport(
         epsilons=list(epsilons), gamma_exponent=gamma_exponent,
         big_gamma=big_gamma, big_gamma_edge_ok=edge_ok,

@@ -34,6 +34,7 @@ __all__ = [
     "VectorField",
     "SigmaNormReport",
     "make_grid",
+    "centred_slice",
     "spectral_derivative",
     "sigma_norm",
     "l2_norm",
@@ -125,6 +126,20 @@ def make_grid(x_min: float, x_max: float, n: int) -> SpatialGrid:
     frequencies = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
     return SpatialGrid(x_min=float(x_min), x_max=float(x_max), n=int(n),
                        spacing=float(spacing), points=points, frequencies=frequencies)
+
+
+def centred_slice(grid: SpatialGrid, m: int) -> SpatialGrid:
+    """The periodic grid on the middle m of `grid`'s points (m a power of two,
+    at most n), at the same spacing: its points are grid.points[(n-m)/2 :
+    (n+m)/2], the same floats."""
+    if m > grid.n or m < 8 or (m & (m - 1)) != 0:
+        raise ValueError("m must be a power of two in [8, n]")
+    start = (grid.n - m) // 2
+    points = grid.points[start:start + m].copy()
+    x_min = float(points[0])
+    return SpatialGrid(x_min=x_min, x_max=x_min + m * grid.spacing, n=int(m),
+                       spacing=grid.spacing, points=points,
+                       frequencies=2.0 * np.pi * np.fft.fftfreq(m, d=grid.spacing))
 
 
 def l2_norm(grid: SpatialGrid, values: np.ndarray) -> float:

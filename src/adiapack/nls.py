@@ -11,9 +11,16 @@ which is exact per grid point because V(x) is Hermitian and the flow preserves
 |ψ(x)| (applied through the precomputed spectral decomposition of V plus a
 scalar phase), then the exact kinetic Fourier multiplier per component, then
 another half potential step.  Both substeps are unitary, so mass is conserved
-to roundoff.  `check_step_mass` is the one per-step mass guard: both NLS
-marches (`solve_nls` and the lockstep march of `experiments`) call it after
-each step, and a drift beyond 1e-9 raises `SolverAbort` (exit 4).
+to roundoff.  Because V does not depend on time and the pointwise flow keeps
+|ψ|, two adjacent half potential steps are one full one: a march between two
+reads of ψ leaves each step's trailing half pending and takes it with the
+next step's leading half, P(dt/2)P(dt/2) = P(dt), and closes ψ with a last
+half step where it is read (`NLSPropagator.step`'s `pending` and `close`).
+That is the same scheme in exact arithmetic, with one potential pass per
+step instead of two.  `check_step_mass` is the one per-step mass guard: both
+NLS marches (`solve_nls` and the lockstep march of `experiments`) call it
+after each step, on the open state too (the pending phase keeps |ψ|), and a
+drift beyond 1e-9 raises `SolverAbort` (exit 4).
 
 The lab grid is sized from the packets' spectral content: `lab_grid_points`
 takes the smallest power of two n whose half band k_Nyquist/2 = πn/(2L)
@@ -108,12 +115,13 @@ def build_initial_data(a, x0: float, xi0: float, chi_values: np.ndarray,
 class NLSPropagator:
     """Split-step machinery with the potential exponentials precomputed.
 
-    The half-step matrix exp(-i dt V(x)/2ε) is assembled once per grid point
-    from the spectral data (V is time independent) and stored component-major,
-    as an (N, N, n) array: entry (a, b) is a contiguous row over the grid, so
-    the potential half step is N² row products.  The cubic term adds a scalar
-    phase on top each step.  The kinetic step transforms the (N, n) buffer
-    along its last axis in place (`numpy.fft` with `out=`).
+    The half- and full-step matrices exp(-i τ V(x)/ε), τ = dt/2 and dt, are
+    assembled once per grid point from the spectral data (V is time
+    independent) and stored component-major, as (N, N, n) arrays: entry
+    (a, b) is a contiguous row over the grid, so a potential step is N² row
+    products.  The cubic term adds a scalar phase on top each step.  The
+    kinetic step transforms the (N, n) buffer along its last axis in place
+    (`numpy.fft` with `out=`).
 
     `step` takes an (n, N) array, in any memory layout, and returns an (n, N)
     array that is the transpose view of a fresh (N, n) buffer; passing that
@@ -130,34 +138,49 @@ class NLSPropagator:
         self.dt = float(dt)
         # ε^{2β} coupling divided by the iε of the time derivative
         self.nl_rate = lambda_coupling * epsilon ** (2.0 * beta) / epsilon
-        phases = [np.exp(-0.5j * lam * dt / epsilon) for lam in data.branches]
-        half_v = sum(ph[:, None, None] * pi
-                     for ph, pi in zip(phases, data.projectors))
-        self._half_v = np.ascontiguousarray(half_v.transpose(1, 2, 0))
+        self._mix = {}
+        for frac in (0.5, 1.0):
+            phases = [np.exp(-1j * frac * lam * dt / epsilon)
+                      for lam in data.branches]
+            mix = sum(ph[:, None, None] * pi
+                      for ph, pi in zip(phases, data.projectors))
+            self._mix[frac] = np.ascontiguousarray(mix.transpose(1, 2, 0))
         self._kin = np.exp(-0.5j * epsilon * self.grid.frequencies**2 * dt)
 
-    def _pot_half(self, comps: np.ndarray) -> np.ndarray:
-        """Half potential-plus-cubic step of the (N, n) rows `comps`, into a new buffer."""
-        half_v = self._half_v
+    def _potential(self, comps: np.ndarray, frac: float) -> np.ndarray:
+        """Potential-plus-cubic step over frac·dt (frac = ½ or 1) of the
+        (N, n) rows `comps`, into a new buffer."""
+        mix = self._mix[frac]
         out = np.empty(comps.shape, dtype=complex)
         term = np.empty(comps.shape[1], dtype=complex)
         for a, row in enumerate(out):
-            np.multiply(half_v[a, 0], comps[0], out=row)
+            np.multiply(mix[a, 0], comps[0], out=row)
             for b in range(1, len(comps)):
-                np.multiply(half_v[a, b], comps[b], out=term)
+                np.multiply(mix[a, b], comps[b], out=term)
                 row += term
         if self.nl_rate != 0.0:
             re, im = out.real, out.imag
             dens = (re * re + im * im).sum(axis=0)
-            out *= unit_phase(-0.5 * self.dt * self.nl_rate * dens)
+            out *= unit_phase(-frac * self.dt * self.nl_rate * dens)
         return out
 
-    def step(self, values: np.ndarray) -> np.ndarray:
-        out = self._pot_half(values.T)
+    def step(self, values: np.ndarray, pending: bool = False,
+             close: bool = True) -> np.ndarray:
+        """One Strang step P(dt/2) K(dt) P(dt/2) of `values`.
+
+        `pending`: `values` still owes the trailing P(dt/2) of the step
+        before, so the leading phase is one full P(dt).  `close=False`
+        leaves this step's trailing P(dt/2) pending in the result, to be
+        taken by the next call's `pending`; a march closes ψ wherever it
+        reads it.
+        """
+        out = self._potential(values.T, 1.0 if pending else 0.5)
         np.fft.fft(out, axis=-1, out=out)
         out *= self._kin
         np.fft.ifft(out, axis=-1, out=out)
-        return self._pot_half(out).T
+        if close:
+            out = self._potential(out, 0.5)
+        return out.T
 
 
 def check_step_mass(grid: SpatialGrid, values: np.ndarray, mass0: float,
@@ -205,8 +228,9 @@ def solve_nls(state0: FieldState, v_data: SpectralData, T: float, dt: float,
     """Propagate to time T, invoking observers at the configured cadence.
 
     Each observer is a callable state -> dict; its records are collected in
-    order.  Returns (final_state, records).  Mass is checked every step,
-    boundary leakage at every observation.
+    order.  Returns (final_state, records).  The steps merge their adjacent
+    half potential steps and close ψ at each observation.  Mass is checked
+    every step, boundary leakage at every observation.
     """
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9:
@@ -233,10 +257,13 @@ def solve_nls(state0: FieldState, v_data: SpectralData, T: float, dt: float,
         return st
 
     final = observe(0)
+    pending = False
     for step in range(n_steps):
-        values = prop.step(values)
+        close = (step + 1) % stride == 0 or step + 1 == n_steps
+        values = prop.step(values, pending=pending, close=close)
+        pending = not close
         check_step_mass(state0.grid, values, mass0, step + 1)
-        if (step + 1) % stride == 0 or step + 1 == n_steps:
+        if close:
             final = observe(step + 1)
     return final, records
 

@@ -381,8 +381,8 @@ def test_mass_guard_exit_code_in_both_run_paths(tmp_path, capsys, monkeypatch):
     from adiapack.nls import NLSPropagator
 
     class Leaky(NLSPropagator):
-        def step(self, values):
-            return super().step(values) * (1.0 + 1e-6)
+        def step(self, values, *args, **kwargs):
+            return super().step(values, *args, **kwargs) * (1.0 + 1e-6)
 
     monkeypatch.setattr(experiments, "NLSPropagator", Leaky)
     path = two_packet_config(tmp_path)
@@ -539,6 +539,25 @@ def test_report_records_grid_n_and_fourier_tail(tmp_path):
     for tail in (single["fourier_tail"], run["fourier_tail"],
                  *sup["fourier_tail"]):
         assert 0.0 <= tail <= 1e-20
+
+
+def test_report_records_the_envelope_window(tmp_path):
+    # every run says on how many y-points its envelopes marched, and the
+    # measured support Y_τ that chose them; the CSVs do not change
+    path = two_packet_config(tmp_path)
+    setup = config_setup(load_config(path))
+    reports = {}
+    for command in ("single", "converge", "superpose"):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        reports[command] = json.loads((out / "report.json").read_text())
+        assert "y_" not in next(out.glob("*.csv")).read_text()
+    single, (run,) = reports["single"], reports["converge"]["runs"]
+    sup = reports["superpose"]
+    assert single["y_points"] == run["y_points"] == 512
+    assert 7.7 < single["y_tau"] == run["y_tau"] <= 10.0
+    assert sup["y_points"] == [setup.y_grid.n] == [512]
+    assert sup["y_tau"] == [setup.rule.y_tau]
 
 
 def test_superpose_honours_kappa(tmp_path):

@@ -37,7 +37,8 @@ def test_zero_source_is_isometric():
 
 def test_midpoint_duhamel_matches_brute_force_oracle():
     # λ = 0, constant-in-time Gaussian source: compare against the direct
-    # quadrature Σ dt U(T-s)(src)/(iε) built from the exact free multiplier
+    # quadrature Σ dt U(T-s)(src)/(iε) built from the exact free multiplier;
+    # the steps carry h = U(dt/2) g, and g is recovered at T
     g = make_grid(-16.0, 16.0, 512)
     eps, T, dt = 0.1, 0.1, 1e-3
     src = np.exp(-g.points**2).astype(complex)
@@ -46,6 +47,7 @@ def test_midpoint_duhamel_matches_brute_force_oracle():
     steps = int(round(T / dt))
     for _ in range(steps):
         out = prop.duhamel_step(out, src, dt)
+    out = prop.recover(out, dt)
 
     dt_f = dt / 10.0
 
@@ -59,6 +61,34 @@ def test_midpoint_duhamel_matches_brute_force_oracle():
         oracle += dt_f / (1j * eps) * u_free(T - s, src)
     rel = l2_norm(g, out - oracle) / l2_norm(g, oracle)
     assert rel < 1e-6
+
+
+def test_carried_duhamel_matches_the_two_step_rule():
+    # g ← U(dt)g + dt/(iε)·U(dt/2)s, two split steps a step, against the
+    # carried h ← U(dt)(h + dt/(iε)·s) with g = U(-dt/2)h read at the end
+    g = make_grid(-2.5, 2.5, 2048)
+    data = decompose(rotating_family(), g)
+    eps, dt, steps = 1.0 / 64, 1e-3, 400
+    prop = ScalarPropagator(g, data.branches[1], eps)
+    rho = coupling_profile(data, 1, 0, source_branch=0)
+
+    def source(t):
+        x_c, xi = np.cos(t), -np.sin(t)
+        phi = eps**-0.25 * np.pi**-0.25 * np.exp(
+            -((g.points - x_c) ** 2) / (2.0 * eps) + 1j * xi * g.points / eps)
+        return phi * (xi * rho)
+
+    two_step = np.zeros(g.n, dtype=complex)
+    carried = np.zeros(g.n, dtype=complex)
+    for m in range(steps):
+        src = source((m + 0.5) * dt)
+        two_step = prop.step(two_step, dt) \
+            + (dt / (1j * eps)) * prop.step(src, 0.5 * dt)
+        carried = prop.duhamel_step(carried, src, dt)
+    recovered = prop.recover(carried, dt)
+    assert l2_norm(g, recovered - two_step) <= 1e-9 * l2_norm(g, two_step)
+    # the carry is unitary: ‖h‖ = ‖g‖
+    assert l2_norm(g, carried) == pytest.approx(l2_norm(g, recovered), rel=1e-13)
 
 
 def test_solve_correction_zero_coupling_stays_zero():

@@ -247,11 +247,25 @@ def test_superposition_rejects_identical_packets():
 
 
 def test_superposition_rejects_bad_gamma():
+    # the same failure, and class, as load_config's check of "gamma"
     p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
     p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.0)
-    with pytest.raises(ValueError):
-        superposition_experiment(HARMONIC, (p1, p2), [1.0 / 32], 0.0, 0.1,
-                                 -4.0, 4.0, gamma_exponent=0.7)
+    for gamma in (0.7, 0.0):
+        with pytest.raises(ConfigError, match=r"gamma must lie in \(0, 1/2\)") \
+                as exc:
+            superposition_experiment(HARMONIC, (p1, p2), [1.0 / 32], 0.0, 0.1,
+                                     -4.0, 4.0, gamma_exponent=gamma)
+        assert exc.value.exit_code == 2
+
+
+def test_snapshot_times_off_the_cadence_are_a_config_error():
+    # load_config rejects these times with a ConfigError; a direct call does too
+    packet = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
+    for times in ((0.0, 0.03), (0.15,)):
+        with pytest.raises(ConfigError, match="observation times") as exc:
+            run_single_packet(HARMONIC, packet, 1.0 / 16, 0.0, 0.1, -4.0, 4.0,
+                              observe_every=0.05, snapshot_times=times)
+        assert exc.value.exit_code == 2
 
 
 def test_mass_guard_aborts_both_run_paths(monkeypatch):
@@ -260,8 +274,8 @@ def test_mass_guard_aborts_both_run_paths(monkeypatch):
     from adiapack.nls import NLSPropagator
 
     class Leaky(NLSPropagator):
-        def step(self, values):
-            return super().step(values) * (1.0 + 1e-6)
+        def step(self, values, *args, **kwargs):
+            return super().step(values, *args, **kwargs) * (1.0 + 1e-6)
 
     monkeypatch.setattr(experiments, "NLSPropagator", Leaky)
     p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
@@ -399,3 +413,71 @@ def test_step_rule_rejects_t_off_the_observation_cadence(monkeypatch):
         run_single_packet(HARMONIC, p1, 1.0 / 16, 0.0, 0.1, -4.0, 4.0,
                           observe_every=0.05, dt_max=0.0)
     assert sizes == []
+
+
+def test_run_window_holds_the_measured_envelope_support():
+    # Y_τ (|u| > 1e-13 max|u| at some sizing step) picks the smallest centred
+    # power-of-two slice of the ±40/2048 y-grid: ±20/1024 where Y_τ is
+    # 12.6-14.8, ±10/512 where it is 8.1; the lab grids are unchanged
+    import json
+    from pathlib import Path
+
+    from adiapack.config import load_config
+    from adiapack.experiments import study_setup
+    from adiapack.grids import make_grid
+
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    expected = {"rotating": (12.6, 1024), "superposition": (14.8, 1024),
+                "crossing_control": (14.8, 1024), "scalar_harmonic": (8.1, 512),
+                "smoke": (8.1, 512), "constant_direction": (8.1, 512)}
+    full = make_grid(-40.0, 40.0, 2048)
+    for name, (y_tau, points) in expected.items():
+        cfg = load_config(configs / f"{name}.json")
+        setup = study_setup(cfg.potential, cfg.packets, cfg.epsilons,
+                            cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max,
+                            cfg.y_half_width, cfg.y_points, cfg.n_override)
+        window = setup.y_grid
+        assert setup.rule.y_tau == pytest.approx(y_tau, abs=0.1), name
+        assert window.n == points, name
+        half = 0.5 * points * full.spacing
+        assert (window.x_min, window.x_max, window.spacing) == \
+            (-half, half, full.spacing)
+        start = (full.n - points) // 2
+        assert window.points.tobytes() == \
+            full.points[start:start + points].tobytes()
+        assert json.loads((configs / f"{name}.json").read_text()).get(
+            "y_points", 2048) == 2048
+
+    # wider Gaussians reach further out (e^{-y²/2w²} > 1e-13 for |y| < 7.7w
+    # at t = 0): width 1 keeps ±10, width 2 gets ±20 and width 3 all of ±40
+    for width, points in ((1.0, 512), (2.0, 1024), (3.0, 2048)):
+        packet = PacketSpec(profile={"type": "gaussian", "width": width},
+                            x0=1.0, xi0=0.0)
+        setup = study_setup(HARMONIC, [packet], [1.0 / 64], 0.0, 0.5, -4.0, 4.0)
+        assert setup.rule.y_tau >= 7.7 * width
+        assert setup.y_grid.n == points, width
+
+
+def test_lockstep_calls_the_nls_step_once_per_step(monkeypatch):
+    # merged half steps still take one `NLSPropagator.step` per NLS step, and
+    # ψ is closed exactly at the observations
+    import adiapack.experiments as experiments
+    from adiapack.nls import NLSPropagator
+
+    calls = {}
+
+    class Counting(NLSPropagator):
+        def step(self, values, pending=False, close=True):
+            counts = calls.setdefault(self.epsilon, [0, 0])
+            counts[0] += 1
+            counts[1] += close
+            return super().step(values, pending, close)
+
+    monkeypatch.setattr(experiments, "NLSPropagator", Counting)
+    packet = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
+    eps_list = [1.0 / 16, 1.0 / 32, 1.0 / 256]
+    convergence_study(HARMONIC, packet, eps_list, 0.0, 0.1, -4.0, 4.0,
+                      observe_every=0.05)
+    # dt = 1e-3 for the first two ε; dt = 0.05/52 for ε = 1/256
+    assert calls == {1.0 / 16: [100, 2], 1.0 / 32: [100, 2],
+                     1.0 / 256: [104, 2]}

@@ -87,6 +87,21 @@ def test_nls_step_matches_einsum_reference(n_levels, lambda_coupling):
     assert np.array_equal(psi0, packet_on_branch(data))  # input left intact
 
 
+@pytest.mark.parametrize("n_levels", [1, 2, 3])
+@pytest.mark.parametrize("lambda_coupling", [0.0, 1.0])
+def test_merged_nls_steps_match_plain_steps(n_levels, lambda_coupling):
+    # k steps that leave their trailing half potential step to the next one,
+    # P(dt/2)P(dt/2) = P(dt), and close at the end are k plain Strang steps
+    data = decompose(FAMILIES[n_levels](), make_grid(-4.0, 4.0, 1024))
+    prop = NLSPropagator(data, EPS, lambda_coupling, 1e-3)
+    plain = merged = packet_on_branch(data)
+    k = 40
+    for i in range(k):
+        plain = prop.step(plain)
+        merged = prop.step(merged, pending=i > 0, close=i == k - 1)
+    assert np.max(np.abs(merged - plain)) <= 1e-12 * np.max(np.abs(plain))
+
+
 def test_nls_step_returns_transpose_view_and_accepts_any_layout():
     data = decompose(rotating_family(), make_grid(-4.0, 4.0, 512))
     prop = NLSPropagator(data, EPS, 1.0, 1e-3)
@@ -134,6 +149,33 @@ def test_envelope_advance_matches_numpy_fft_reference(lambda_coupling):
         stepper.advance(dt)
         t += dt
     assert np.max(np.abs(stepper.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("lambda_coupling", [0.0, 1.0])
+def test_envelope_pending_half_phases_match_closed_steps(lambda_coupling):
+    # read after every step, each step closes; read only at the end, the
+    # steps merge adjacent half phases with the midpoint curvatures averaged
+    y_grid = make_grid(-20.0, 20.0, 512)
+
+    def stepper():
+        return EnvelopeStepper(y_grid, gaussian(y_grid.points), lambda_coupling,
+                               lambda t: 1.0 + 0.5 * np.sin(3.0 * t))
+
+    closed, merged = stepper(), stepper()
+    for _ in range(40):
+        closed.advance(1e-3)
+        closed.values
+        merged.advance(1e-3)
+        # the guards read |u| on the open samples
+        assert l2_norm(y_grid, merged._u) == pytest.approx(merged.mass0,
+                                                          rel=1e-13)
+    ref = closed.values
+    assert np.max(np.abs(merged.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # a pending half of one step size merges with a leading half of another
+    merged.advance(5e-4)
+    closed.advance(5e-4)
+    ref = closed.values
+    assert np.max(np.abs(merged.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_l2_norm_matches_abs_square_form():
@@ -190,6 +232,36 @@ def test_trajectory_byte_identical_to_array_state_rk4(kind):
     assert np.array_equal(traj.x, ref[:, 0])
     assert np.array_equal(traj.xi, ref[:, 1])
     assert np.array_equal(traj.action, ref[:, 2])
+
+
+class _Path:
+    """A stand-in trajectory at one phase-space point."""
+
+    def __init__(self, x, xi, action):
+        self.x_of = lambda t: x
+        self.xi_of = lambda t: xi
+        self.action_of = lambda t: action
+
+
+@pytest.mark.parametrize("x_c", [0.3, -3.9, 3.95, 7.0])
+@pytest.mark.parametrize("half_width", [20.0, 80.0])
+def test_phi_on_the_window_equals_the_full_grid_form(x_c, half_width):
+    # the plain form evaluates the spline and the phase at every lab point
+    # and zeroes the spline's NaN outside the y-domain: the same values
+    from adiapack.experiments import _envelope_spline, _phi_values
+
+    lab = make_grid(-4.0, 4.0, 2048)
+    y_grid = make_grid(-half_width, half_width, 1024)
+    u = gaussian(y_grid.points) * np.exp(0.2j * y_grid.points)
+    u_of = _envelope_spline(y_grid, u)
+    eps, xi, action = 1.0 / 128, 0.7, 0.25
+    y = (lab.points - x_c) / np.sqrt(eps)
+    plain = u_of(y)
+    plain[np.isnan(plain)] = 0.0
+    plain = eps**-0.25 * plain * np.exp(
+        1j * (action + xi * (lab.points - x_c)) / eps)
+    phi = _phi_values(lab, u_of, _Path(x_c, xi, action), 0.1, eps)
+    assert np.array_equal(phi, plain)
 
 
 def spline_cases():
