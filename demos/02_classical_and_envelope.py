@@ -14,7 +14,7 @@ exponentially (here: they breathe, since the curvature is confining).
 import numpy as np
 
 from adiapack.classical import BranchCurve, integrate_trajectory
-from adiapack.envelope import envelope_moments, solve_envelope
+from adiapack.envelope import EnvelopeStepper, envelope_moments
 from adiapack.expressions import parse_expr
 from adiapack.grids import make_grid
 
@@ -36,12 +36,16 @@ print(f"  S(2) = {free.action[-1]:.12f}  (exact 1)")
 print("\nenvelope along the rotating branch, Gaussian data:")
 y_grid = make_grid(-40.0, 40.0, 2048)
 a = lambda y: np.pi**-0.25 * np.exp(-(y**2) / 2.0)
-times = np.linspace(0.0, 5.0, 6)
 for lam_coupling in (0.0, 1.0):
-    states = solve_envelope(a, traj, lam_coupling, y_grid, 1e-3,
-                            store_times=times)
-    row = "  ".join(f"{envelope_moments(s, 1, 0):.4f}" for s in states)
-    mass = abs(np.sqrt(np.trapezoid(np.abs(states[-1].values) ** 2,
+    stepper = EnvelopeStepper(y_grid, a(y_grid.points), lam_coupling,
+                              traj.curvature_of)
+    moments = [envelope_moments(y_grid, stepper.values, 1, 0)]
+    for _ in range(5):                   # to t = 1, 2, ..., 5 in steps of 1e-3
+        for _ in range(1000):
+            stepper.advance(1e-3)
+        moments.append(envelope_moments(y_grid, stepper.values, 1, 0))
+    row = "  ".join(f"{m:.4f}" for m in moments)
+    mass = abs(np.sqrt(np.trapezoid(np.abs(stepper.values) ** 2,
                                     y_grid.points)) - 1.0)
     print(f"  Lambda = {lam_coupling}:  <y>-moment at t = 0..5:  {row}")
     print(f"              terminal mass defect {mass:.2e}")

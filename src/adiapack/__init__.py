@@ -11,12 +11,14 @@ Submodules:
 - `expressions`  the small expression language for potential entries
 - `potentials`   matrix potentials, branch tracking, projector calculus
 - `classical`    branch Hamiltonian trajectories and the action integral
-- `envelope`     the ε-free profile equation
+- `envelope`     the ε-free profile equation: its stepper and moments
 - `eigenframe`   parallel transport (an oracle for the static frame) and
                  coupling coefficients
-- `corrections`  scalar branch propagators and driven off-mode corrections
-- `nls`          the full vector NLS split-step solver
-- `experiments`  ansatz assembly, error reports, ε-sweeps, superposition
+- `corrections`  scalar branch propagators, the midpoint Duhamel step and
+                 the averaging probe
+- `nls`          the vector NLS split step, its guards and the grid rule
+- `experiments`  the ansatz, the study set-up and the one lockstep march
+                 behind every run: single packets, ε-sweeps, superposition
 - `config`/`cli` JSON experiment configs and the command-line driver
 """
 
@@ -27,17 +29,14 @@ from .potentials import (MatrixPotentialSpec, SpectralData, decompose,
                          evaluate_potential, gap_report, gamma,
                          projector_identity_residuals, growth_scan)
 from .classical import BranchCurve, ClassicalTrajectory, integrate_trajectory
-from .envelope import EnvelopeState, solve_envelope, envelope_moments
+from .envelope import EnvelopeStepper, envelope_moments
 from .eigenframe import (EigenFrame, k_matrix, transport_frame, frame_at,
                          parallel_residual, coupling_coefficients,
                          coupling_profile, initial_frame)
-from .corrections import (ScalarPropagator, solve_correction,
-                          assemble_correction, averaging_probe)
-from .nls import (FieldState, build_initial_data, solve_nls, mode_populations,
-                  NLSPropagator)
-from .experiments import (PacketSpec, AnsatzBundle, assemble_ansatz,
-                          taylor_residual, error_report, fit_order,
-                          run_single_packet, convergence_study,
-                          superposition_experiment, make_profile)
+from .corrections import ScalarPropagator, assemble_correction, averaging_probe
+from .nls import build_initial_data, mode_populations, NLSPropagator
+from .experiments import (PacketSpec, fit_order, run_single_packet,
+                          convergence_study, superposition_experiment,
+                          make_profile)
 
 __version__ = "0.1.0"

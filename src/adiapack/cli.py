@@ -73,9 +73,16 @@ def _epsilons(cfg, override):
     if not override:
         return list(cfg.epsilons)
     try:
-        return [float(tok) for tok in override.split(",") if tok]
+        epsilons = [float(tok) for tok in override.split(",") if tok]
     except ValueError as exc:
         raise ConfigError(f"--epsilon-override: {exc}") from exc
+    if not epsilons:
+        raise ConfigError("--epsilon-override: need at least one value")
+    bad = [e for e in epsilons if not 0.0 < e < float("inf")]
+    if bad:
+        raise ConfigError(f"--epsilon-override: every value must be finite "
+                          f"and positive, got {bad}")
+    return epsilons
 
 
 def cmd_decompose(cfg, out: Path, args) -> int:

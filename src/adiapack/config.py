@@ -148,7 +148,7 @@ def load_config(path) -> ExperimentConfig:
     if "epsilons" in raw:
         if not epsilons:
             errors.append("epsilons: need at least one value")
-        if any(e <= 0.0 or e > 1.0 for e in epsilons):
+        if any(not 0.0 < e <= 1.0 for e in epsilons):
             errors.append("epsilons: every value must lie in (0, 1]")
 
     T = float(raw.get("T", 0.0))

@@ -11,8 +11,8 @@ step midpoint by the midpoint Duhamel rule
 
     g(t + dt) = U(dt) g(t) + dt/(iε) · U(dt/2) (φ r)(t + dt/2),
 
-second order in dt.  The marches carry h = U(dt/2) g, half a step ahead,
-and step it as
+second order in dt.  The lockstep march of `experiments`, the one march of
+the corrections, carries h = U(dt/2) g, half a step ahead, and steps it as
 
     h ← U(dt) (h + dt/(iε) · (φ r)(t + dt/2))
 
@@ -21,9 +21,10 @@ per step instead of two.  For exact propagators, where U(dt/2)U(dt/2) = U(dt)
 and the two commute, this is the rule above; split steps compose differently,
 so with them it is a second second-order scheme, O(dt²) from the first.
 g = U(-dt/2) h (`ScalarPropagator.recover`, the exact inverse of a symmetric
-split step) is formed only where g is read.  A step makes one new array and
-does the transforms (`numpy.fft`, `out=`) and both phase products in place on
-it; the Duhamel step makes one more, for h plus the source.
+split step) is formed only at the observations, where ‖g‖ is checked
+against `errors.CORRECTION_NORM`.  A step makes one new array and does the
+transforms (`numpy.fft`, `out=`) and both phase products in place on it; the
+Duhamel step makes one more, for h plus the source.
 
 `averaging_probe` measures ‖(1/iε) ∫₀ᵗ U_k(-s) U_j(s) f ds‖: for j = k it
 grows like t/ε, while for j ≠ k the branch-phase mismatch averages the
@@ -32,15 +33,11 @@ integrand out and the norm stays bounded as ε shrinks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import CORRECTION_NORM
-from .grids import ScalarField, SpatialGrid, VectorField, l2_norm, sigma_norm
+from .grids import ScalarField, SpatialGrid, VectorField, l2_norm
 
-__all__ = ["ScalarPropagator", "CorrectionSeries", "solve_correction",
-           "assemble_correction", "averaging_probe"]
+__all__ = ["ScalarPropagator", "assemble_correction", "averaging_probe"]
 
 
 class ScalarPropagator:
@@ -85,62 +82,6 @@ class ScalarPropagator:
         return self.step(carried, -0.5 * dt)
 
 
-@dataclass(frozen=True, eq=False)
-class CorrectionSeries:
-    """Stored time slices of one correction component with its norm log."""
-
-    times: np.ndarray = field(repr=False)
-    values: list = field(repr=False)
-    sigma_log: dict = field(repr=False)
-
-
-def solve_correction(grid: SpatialGrid, lam_values: np.ndarray, coupling_fn,
-                     phi_fn, epsilon: float, T: float, dt: float,
-                     store_times=None, log_p=(0, 1)) -> CorrectionSeries:
-    """March one correction component from g(0) = 0 and log its scaled norms.
-
-    `coupling_fn(t)` and `phi_fn(t)` return r and φ on the grid; sources are
-    evaluated at step midpoints only.  The march carries h = U(dt/2) g and
-    recovers g at the stored times.  Aborts (`errors.CORRECTION_NORM`,
-    exit 4) if the L² norm passes 1e6 (resonance or under-resolution).
-    """
-    n_steps = int(round(T / dt))
-    if store_times is None:
-        store_times = np.array([0.0, T])
-    store_times = np.asarray(store_times, dtype=float)
-    targets = np.rint(store_times / dt).astype(int)
-    if np.max(np.abs(targets * dt - store_times)) > 1e-9:
-        raise ValueError("store_times must be multiples of dt")
-
-    prop = ScalarPropagator(grid, lam_values, epsilon)
-    h = np.zeros(grid.n, dtype=complex)      # carried: U(dt/2) g
-    out_times, out_values = [], []
-    sigma_log = {p: [] for p in log_p}
-
-    def record(t):
-        g = prop.recover(h, dt)
-        out_times.append(t)
-        out_values.append(g)
-        f = ScalarField(grid=grid, values=g, epsilon=epsilon, time=t)
-        for p in log_p:
-            sigma_log[p].append(sigma_norm(f, p).value)
-        return g
-
-    target_set = set(int(i) for i in targets)
-    if 0 in target_set:
-        record(0.0)
-    for step in range(n_steps):
-        t_mid = (step + 0.5) * dt
-        src = phi_fn(t_mid) * coupling_fn(t_mid)
-        h = prop.duhamel_step(h, src, dt)
-        if step + 1 in target_set:
-            g = record((step + 1) * dt)
-            CORRECTION_NORM.check(l2_norm(grid, g),
-                                  where=f" at t = {(step + 1) * dt}")
-    return CorrectionSeries(times=np.asarray(out_times), values=out_values,
-                            sigma_log=sigma_log)
-
-
 def assemble_correction(components: dict, data, epsilon: float,
                         time: float = 0.0) -> VectorField:
     """Combine scalar components into g = Σ g_{j,ℓ} χ_j^ℓ on the data grid.
@@ -164,9 +105,12 @@ def averaging_probe(grid: SpatialGrid, lam_j: np.ndarray, lam_k: np.ndarray,
     k-propagated accumulator, carried half a step ahead by the Duhamel rule
     of `ScalarPropagator.duhamel_step`, so the cost is one j-step and one
     k-step per step, and the final backward rotation (and with it the
-    carry's U_k(-dt/2)) drops out of the norm.
+    carry's U_k(-dt/2)) drops out of the norm.  t must be a positive
+    multiple of dt (`ValueError` otherwise).
     """
     n_steps = int(round(t / dt))
+    if n_steps < 1 or abs(n_steps * dt - t) > 1e-9:
+        raise ValueError(f"t = {t} is not a positive multiple of dt = {dt}")
     prop_j = ScalarPropagator(grid, lam_j, epsilon)
     prop_k = ScalarPropagator(grid, lam_k, epsilon)
     f_mid = prop_j.step(f.values, 0.5 * dt)  # f at the first midpoint

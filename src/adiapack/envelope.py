@@ -16,6 +16,8 @@ own leading half as one phase, with the two midpoint curvatures averaged,
 step therefore costs one phase instead of two.  The stepper owns its sample
 buffer: the phases multiply it in place and the transforms (`numpy.fft` with
 `out=`) overwrite it, so callers that keep a profile take a copy.
+`EnvelopeStepper` is the one envelope march: the lockstep march of
+`experiments` and its grid rule's sizing march both drive it.
 
 Mass ‖u(t)‖ is conserved to roundoff by construction; a drift beyond
 1e-8 · max(1, ‖u₀‖) signals under-resolution and aborts the run
@@ -28,23 +30,12 @@ every step on the open samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ENVELOPE_EDGE, ENVELOPE_MASS
 from .grids import SpatialGrid, l2_norm, unit_phase, _derivative_values
 
-__all__ = ["EnvelopeState", "EnvelopeStepper", "solve_envelope", "envelope_moments"]
-
-
-@dataclass(frozen=True, eq=False)
-class EnvelopeState:
-    y_grid: SpatialGrid
-    values: np.ndarray
-    time: float
-    lambda_coupling: float
-    mass0: float
+__all__ = ["EnvelopeStepper", "envelope_moments"]
 
 
 class EnvelopeStepper:
@@ -70,10 +61,6 @@ class EnvelopeStepper:
             self._phase(*self._pending)
             self._pending = None
         return self._u
-
-    @values.setter
-    def values(self, samples):
-        self._u, self._pending = samples, None
 
     def _check_edge(self):
         edge = max(abs(self._u[0]), abs(self._u[-1]))
@@ -112,48 +99,14 @@ class EnvelopeStepper:
                             f" at t = {self.time}")
         self._check_edge()
 
-    def state(self) -> EnvelopeState:
-        return EnvelopeState(y_grid=self.y_grid, values=self.values.copy(),
-                             time=self.time, lambda_coupling=self.lambda_coupling,
-                             mass0=self.mass0)
 
-
-def solve_envelope(a, traj, lambda_coupling: float, y_grid: SpatialGrid,
-                   dt: float, store_times=None) -> list:
-    """Propagate the profile from u(0) = a along the trajectory's curvature.
-
-    `a` is an evaluator a(y); `traj` provides λ''(x(t)) (a ClassicalTrajectory
-    or any object with a `curvature_of` interpolant).  Returns the states at
-    `store_times` (default: the trajectory sample times), which must be
-    multiples of dt; the steps between them merge their adjacent half
-    phases, and reading a state closes the profile.  A profile that does not vanish at the y-domain edges
-    fails `errors.ENVELOPE_EDGE` (`InvariantViolation`) in the stepper.
-    """
-    curvature_fn = traj.curvature_of if hasattr(traj, "curvature_of") else traj
-    if store_times is None:
-        store_times = traj.times
-    store_times = np.asarray(store_times, dtype=float)
-    stepper = EnvelopeStepper(y_grid, a(y_grid.points), lambda_coupling,
-                              curvature_fn)
-    steps = np.rint(store_times / dt).astype(int)
-    if np.max(np.abs(steps * dt - store_times)) > 1e-9:
-        raise ValueError("store_times must be multiples of dt")
-    out = []
-    done = 0
-    for target in steps:
-        while done < target:
-            stepper.advance(dt)
-            done += 1
-        out.append(stepper.state())
-    return out
-
-
-def envelope_moments(state: EnvelopeState, k: int, p: int) -> float:
-    """Weighted derivative norm ‖⟨y⟩^k ∂_y^p u‖ (spectral derivative, k+p ≤ 4)."""
+def envelope_moments(y_grid: SpatialGrid, values: np.ndarray, k: int,
+                     p: int) -> float:
+    """Weighted derivative norm ‖⟨y⟩^k ∂_y^p u‖ of the samples `values` on
+    `y_grid` (spectral derivative, k+p ≤ 4)."""
     if k + p > 4:
         raise ValueError("moments are tracked only for k + p <= 4")
-    vals = state.values
     if p > 0:
-        vals = _derivative_values(state.y_grid, vals, p)
-    w = np.hypot(1.0, state.y_grid.points) ** k
-    return l2_norm(state.y_grid, w * vals)
+        values = _derivative_values(y_grid, values, p)
+    w = np.hypot(1.0, y_grid.points) ** k
+    return l2_norm(y_grid, w * values)

@@ -4,24 +4,26 @@ Each class carries the exit code the `adiapack` command returns for it:
 configuration problems (2), violated numerical invariants (3), and runtime
 aborts such as blow-up guards or mass-drift trips (4).  Every run-time
 invariant of a march is one `Guard` below, with one tolerance and one class
-at every call site:
+at every call site.  The march is the lockstep march of `experiments`
+(`_Lockstep`), behind every run; the grid rule's sizing march drives the
+same `EnvelopeStepper`:
 
 * `MASS_DRIFT`: |‖ψ‖ - ‖ψ₀‖| after each NLS step above 1e-9 · max(1, ‖ψ₀‖),
-  `SolverAbort` (exit 4); `nls.check_step_mass`, in `nls.solve_nls` and in
-  the one lockstep march behind every run of `experiments`.
+  `SolverAbort` (exit 4); `nls.check_step_mass`, after every step of the
+  lockstep march.
 * `BOUNDARY`: max |ψ| at the ends of the lab grid above 1e-8,
-  `InvariantViolation` (exit 3); at every observation of `nls.solve_nls` and
-  of the lockstep march (`nls.check_lab_field`).
+  `InvariantViolation` (exit 3); at every observation of the lockstep march
+  (`nls.check_lab_field`).
 * `FOURIER_TAIL`: the fraction of ψ's energy at |k| ≥ ¾ k_Nyquist above
   τ = 1e-20, `SolverAbort` (exit 4); at every observation of the lockstep
   march, after the boundary.  τ also defines η_τ in
   `experiments.lab_grid_rule`.
 * `ENVELOPE_EDGE`: max |u| at the ends of the y-grid above
   1e-8 · max(1, ‖u₀‖), `InvariantViolation` (exit 3); `EnvelopeStepper` on
-  its initial profile and after every step, in `envelope.solve_envelope`, in
-  the lockstep march and in the grid rule's sizing march.  The sizing march
-  runs in `experiments.study_setup` before any lab grid is sized, where the
-  failure is a `ConfigError` (exit 2), like every failure of the set-up.
+  its initial profile and after every step, in the lockstep march and in the
+  grid rule's sizing march.  The sizing march runs in
+  `experiments.study_setup` before any lab grid is sized, where the failure
+  is a `ConfigError` (exit 2), like every failure of the set-up.
 * `ENVELOPE_MASS`: |‖u‖ - ‖u₀‖| after each envelope step above
   1e-8 · max(1, ‖u₀‖), `SolverAbort` (exit 4).
 * `ENVELOPE_SUPPORT`: τ_y = 1e-13, a cut rather than a guard.  The grid
@@ -33,10 +35,8 @@ at every call site:
   whole y-grid after the first step; `ENVELOPE_EDGE` guards the ends of
   that run window at every step.
 * `CORRECTION_NORM`: the L² norm of a correction component above 1e6,
-  `SolverAbort` (exit 4); at the stored times of
-  `corrections.solve_correction` and at every observation of a
-  single-packet run (`experiments.run_single_packet` and
-  `experiments.convergence_study`).
+  `SolverAbort` (exit 4); at every observation of a single-packet run
+  (`experiments.run_single_packet` and `experiments.convergence_study`).
 
 Checks outside the marches keep their own thresholds and classes: the
 trajectory blow-up guard (|x| or |ξ| above 1e8, exit 4), the transport

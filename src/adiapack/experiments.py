@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classical import BranchCurve, ClassicalTrajectory, integrate_trajectory
+from .classical import BranchCurve, integrate_trajectory
 from .corrections import ScalarPropagator, assemble_correction
 from .eigenframe import coupling_profile
 from .envelope import EnvelopeStepper
@@ -47,15 +47,13 @@ from .errors import CORRECTION_NORM, ENVELOPE_SUPPORT, AdiapackError, \
     ConfigError
 from .grids import ScalarField, SpatialGrid, UniformCubicSpline, VectorField, \
     centred_slice, l2_norm, make_grid, sigma_norm
-from .nls import FieldState, NLSPropagator, build_initial_data, \
-    check_lab_field, check_step_mass, lab_grid_points, mode_populations, \
-    spectral_half_width
+from .nls import NLSPropagator, build_initial_data, check_lab_field, \
+    check_step_mass, lab_grid_points, mode_populations, spectral_half_width
 from .potentials import MatrixPotentialSpec, SpectralData, decompose
 
 __all__ = [
-    "PacketSpec", "AnsatzBundle", "OrderFit", "SingleRunResult",
-    "ConvergenceReport", "SuperpositionReport", "LabGridRule", "StudySetup",
-    "make_profile", "assemble_ansatz", "taylor_residual", "error_report",
+    "PacketSpec", "OrderFit", "SingleRunResult", "ConvergenceReport",
+    "SuperpositionReport", "LabGridRule", "StudySetup", "make_profile",
     "fit_order", "lab_grid_rule", "study_setup", "run_single_packet",
     "convergence_study", "superposition_experiment",
 ]
@@ -145,33 +143,7 @@ class PacketSpec:
 
 
 # ---------------------------------------------------------------------------
-# ansatz assembly and error reports
-
-@dataclass(eq=False)
-class AnsatzBundle:
-    """Everything needed to evaluate the moving ansatz at stored times."""
-
-    data: SpectralData
-    branch: int
-    branch_curve: BranchCurve
-    traj: ClassicalTrajectory
-    epsilon: float
-    y_grid: SpatialGrid
-    u_times: np.ndarray = field(repr=False)
-    u_values: list = field(repr=False)
-
-    def u_at(self, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.u_times - t)))
-        if abs(self.u_times[i] - t) > 1e-9 + 1e-9 * abs(t):
-            raise ValueError(f"t = {t} is not a stored envelope time")
-        return self.u_values[i]
-
-    def phi_at(self, t: float) -> ScalarField:
-        grid = self.data.grid
-        values = _phi_values(grid, _envelope_spline(self.y_grid, self.u_at(t)),
-                             self.traj, t, self.epsilon)
-        return ScalarField(grid=grid, values=values, epsilon=self.epsilon, time=t)
-
+# the ansatz and its error norms
 
 def _envelope_spline(y_grid: SpatialGrid, u_vals) -> UniformCubicSpline:
     """The not-a-knot cubic spline of envelope samples on the y-grid, NaN
@@ -210,26 +182,13 @@ def _phi_values(lab_grid, u_of, traj, t, epsilon):
     return out
 
 
-def assemble_ansatz(bundle: AnsatzBundle, t: float) -> VectorField:
-    """φ(t, ·) χ¹ on the lab grid, χ¹ the static eigenvector of the branch."""
-    phi = bundle.phi_at(t)
-    chi = bundle.data.frames[bundle.branch][:, :, 0]
-    return VectorField(grid=phi.grid, values=phi.values[:, None] * chi,
-                       epsilon=bundle.epsilon, time=t)
-
-
-def taylor_residual(bundle: AnsatzBundle, t: float) -> float:
-    """‖(λ₁ - 𝒯)φ‖ where 𝒯 is the second-order Taylor polynomial of λ₁ at x(t).
+def _taylor_remainder(grid, lam, curve, x_c, phi):
+    """‖(λ - 𝒯)φ‖, 𝒯 the second-order Taylor polynomial of the branch λ
+    (samples `lam`, evaluators `curve`) at x_c.
 
     Exactly zero for quadratic branches; scales like ε^{3/2} otherwise, since
-    φ concentrates at x(t) on the √ε scale.
+    φ concentrates at x_c on the √ε scale.
     """
-    return _taylor_remainder(bundle.data.grid, bundle.data.branches[bundle.branch],
-                             bundle.branch_curve, float(bundle.traj.x_of(t)),
-                             bundle.phi_at(t).values)
-
-
-def _taylor_remainder(grid, lam, curve, x_c, phi):
     dx = grid.points - x_c
     taylor = (float(curve.value(x_c)) + float(curve.deriv(x_c)) * dx
               + 0.5 * float(curve.curvature(x_c)) * dx**2)
@@ -249,21 +208,6 @@ def _error_norms(psi, terms, grid, epsilon, t, g=None, p=1):
         return w_rep, w_rep
     theta = VectorField(grid=grid, values=w + epsilon * g, epsilon=epsilon, time=t)
     return w_rep, sigma_norm(theta, p)
-
-
-def error_report(psi: FieldState, bundle: AnsatzBundle, corrections: dict | None,
-                 p: int = 1):
-    """Scaled norms of w = ψ - φχ¹ and θ = w + εg at the state's time.
-
-    `corrections` maps (j, ℓ) to component values at the matching time (or
-    None for θ = w).  Vector norms combine components in quadrature.
-    """
-    t = psi.time
-    chi = bundle.data.frames[bundle.branch][:, :, 0]
-    g = assemble_correction(corrections, bundle.data, psi.epsilon,
-                            time=t).values if corrections else None
-    return _error_norms(psi.values, [(bundle.phi_at(t).values, chi)], psi.grid,
-                        psi.epsilon, t, g, p)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +469,7 @@ class _Lane:
         # ψ₀ from the analytic profiles: spline interpolation noise in the data
         # would disperse at high group velocity and pollute the whole domain
         parts = [build_initial_data(pk.evaluator(), pk.x0, pk.xi0, chi, epsilon,
-                                    lab, lam, pk.r0()).values
+                                    lab, pk.r0())
                  for pk, chi in zip(packets, self.chis)]
         self.psi = sum(parts[1:], parts[0])
         self.pending = False             # ψ owes its last step's trailing half
@@ -682,10 +626,9 @@ class SingleRunResult:
     y_points: int                    # points of the envelope's run window
     y_tau: float                     # measured support Y_τ of the envelopes
     snapshots: dict = field(default_factory=dict)
-    bundle: AnsatzBundle | None = None
 
     def to_dict(self):
-        return dict(_json_fields(self, skip=("snapshots", "bundle")),
+        return dict(_json_fields(self, skip=("snapshots",)),
                     g_sigma1={f"{j},{ell}": v.tolist()
                               for (j, ell), v in self.g_sigma1.items()})
 
@@ -696,8 +639,7 @@ class _SingleObserver:
     at every observation, ψ at the snapshot steps, and the lane's
     `SingleRunResult` once the march is done."""
 
-    def __init__(self, march: _Lockstep, lane: _Lane, snapshot_steps,
-                 keep_bundle):
+    def __init__(self, march: _Lockstep, lane: _Lane, snapshot_steps):
         setup = march.setup
         self.march, self.lane, self.branch = march, lane, setup.packets[0].branch
         self.curve = _branch_curve_for(setup.spec, lane.data, self.branch)
@@ -705,8 +647,7 @@ class _SingleObserver:
             "times", "masses", "w_sigma1", "theta_sigma1", "leakage", "taylor",
             "populations")}
         self.g_log = {key: [] for key in lane.carried}
-        self.snapshot_steps, self.keep_bundle = snapshot_steps, keep_bundle
-        self.snapshots, self.u_times, self.u_values = {}, [], []
+        self.snapshot_steps, self.snapshots = snapshot_steps, {}
 
     def __call__(self, t, phis):
         lane, branch, (phi,), (traj,) = self.lane, self.branch, phis, self.march.trajs
@@ -716,14 +657,11 @@ class _SingleObserver:
             if corrections else None
         w_rep, th_rep = _error_norms(psi, [(phi, lane.chis[0])], lab, eps, t, g)
         proj = np.einsum("nab,nb->na", data.projectors[branch], psi)
-        state = FieldState(field=VectorField(grid=lab, values=psi, epsilon=eps,
-                                             time=t),
-                           lambda_coupling=self.march.setup.lambda_coupling)
         row = (t, l2_norm(lab, psi), w_rep.value, th_rep.value,
                l2_norm(lab, psi - proj),
                _taylor_remainder(lab, data.branches[branch], self.curve,
                                  float(traj.x_of(t)), phi),
-               mode_populations(state, data))
+               mode_populations(psi, data))
         for values, value in zip(self.series.values(), row):
             values.append(value)
         for key, values in corrections.items():
@@ -735,9 +673,6 @@ class _SingleObserver:
         step = int(round(t / lane.steps.dt))
         if step in self.snapshot_steps:
             self.snapshots[self.snapshot_steps[step]] = psi.copy()
-        if self.keep_bundle:
-            self.u_times.append(t)
-            self.u_values.append(self.march.envs[0].values.copy())
 
     def result(self) -> SingleRunResult:
         lane, (traj,), w = self.lane, self.march.trajs, self.series["w_sigma1"]
@@ -750,24 +685,15 @@ class _SingleObserver:
             sup_w_sigma1=float(max(w)), terminal_w_sigma1=float(w[-1]),
             energy_drift=traj.energy_drift, fourier_tail=max(lane.tails),
             y_points=setup.y_grid.n, y_tau=setup.rule.y_tau,
-            snapshots=self.snapshots,
-            bundle=AnsatzBundle(data=lane.data, branch=self.branch,
-                                branch_curve=self.curve, traj=traj,
-                                epsilon=lane.epsilon,
-                                y_grid=setup.y_grid,
-                                u_times=np.asarray(self.u_times),
-                                u_values=self.u_values)
-            if self.keep_bundle else None,
-        )
+            snapshots=self.snapshots)
 
 
 def _single_packet_runs(setup: StudySetup, epsilons, beta, isolate,
-                        snapshot_steps=None, keep_bundle=False):
+                        snapshot_steps=None):
     """One lockstep over `epsilons` (one step group) of a single-packet study
     with corrections: (results of the lanes that finished, failures)."""
     march = _Lockstep(setup, epsilons, beta, corrections=True, isolate=isolate)
-    observers = {lane: _SingleObserver(march, lane, snapshot_steps or {},
-                                       keep_bundle)
+    observers = {lane: _SingleObserver(march, lane, snapshot_steps or {})
                  for lane in march.lanes}
     march.march(observers)
     return [observers[lane].result() for lane in march.lanes], march.failures
@@ -779,7 +705,7 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
                       dt_max: float = 1e-3, dt_over_eps: float = 0.25,
                       y_half_width: float = 40.0, y_points: int = 2048,
                       n_override: int | None = None, beta: float = 0.75,
-                      snapshot_times=(), keep_bundle: bool = False) -> SingleRunResult:
+                      snapshot_times=()) -> SingleRunResult:
     """One single-packet march with corrections, and its error time series.
 
     Every step passes `nls.check_step_mass` (worst relative drift:
@@ -796,8 +722,7 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
     if any(k % steps.per_obs or not 0 <= k <= steps.total for k in snapshot_steps):
         raise ConfigError("snapshot times must be observation times in [0, T]")
     (run,), _ = _single_packet_runs(setup, [epsilon], beta, isolate=False,
-                                    snapshot_steps=snapshot_steps,
-                                    keep_bundle=keep_bundle)
+                                    snapshot_steps=snapshot_steps)
     return run
 
 

@@ -17,10 +17,10 @@ reads of ψ leaves each step's trailing half pending and takes it with the
 next step's leading half, P(dt/2)P(dt/2) = P(dt), and closes ψ with a last
 half step where it is read (`NLSPropagator.step`'s `pending` and `close`).
 That is the same scheme in exact arithmetic, with one potential pass per
-step instead of two.  `check_step_mass` is the one per-step mass guard: both
-NLS marches (`solve_nls` and the lockstep march of `experiments`) call it
-after each step, on the open state too (the pending phase keeps |ψ|), and a
-drift beyond 1e-9 raises `SolverAbort` (exit 4).
+step instead of two.  `check_step_mass` is the one per-step mass guard: the
+NLS march (the lockstep march of `experiments`) calls it after each step, on
+the open state too (the pending phase keeps |ψ|), and a drift beyond 1e-9
+raises `SolverAbort` (exit 4).
 
 The lab grid is sized from the packets' spectral content: `lab_grid_points`
 takes the smallest power of two n whose half band k_Nyquist/2 = πn/(2L)
@@ -45,45 +45,15 @@ scaling), κ > 1/4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import BOUNDARY, FOURIER_TAIL, MASS_DRIFT, ConfigError
-from .grids import SpatialGrid, VectorField, l2_norm, unit_phase
+from .grids import SpatialGrid, l2_norm, unit_phase
 from .potentials import SpectralData
 
-__all__ = ["FieldState", "NLSPropagator", "build_initial_data", "coherent_packet",
-           "solve_nls", "check_step_mass", "check_lab_field",
-           "fourier_tail", "mode_populations", "spectral_half_width",
-           "lab_grid_points"]
-
-
-@dataclass(frozen=True, eq=False)
-class FieldState:
-    """ℂ^N wavefunction snapshot with its coupling constant."""
-
-    field: VectorField
-    lambda_coupling: float
-
-    @property
-    def grid(self) -> SpatialGrid:
-        return self.field.grid
-
-    @property
-    def epsilon(self) -> float:
-        return self.field.epsilon
-
-    @property
-    def time(self) -> float:
-        return self.field.time
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.field.values
-
-    def mass(self) -> float:
-        return l2_norm(self.grid, self.values)
+__all__ = ["NLSPropagator", "build_initial_data", "coherent_packet",
+           "check_step_mass", "check_lab_field", "fourier_tail",
+           "mode_populations", "spectral_half_width", "lab_grid_points"]
 
 
 def coherent_packet(grid: SpatialGrid, a, x0: float, xi0: float,
@@ -96,10 +66,9 @@ def coherent_packet(grid: SpatialGrid, a, x0: float, xi0: float,
 
 def build_initial_data(a, x0: float, xi0: float, chi_values: np.ndarray,
                        epsilon: float, grid: SpatialGrid,
-                       lambda_coupling: float = 0.0,
-                       r0_spec: tuple | None = None) -> FieldState:
+                       r0_spec: tuple | None = None) -> np.ndarray:
     """Polarized coherent state along the (n, N) carrier samples, with an
-    optional ε^κ perturbation (κ > 1/4)."""
+    optional ε^κ perturbation (κ > 1/4), as an (n, N) array."""
     chi = np.asarray(chi_values)
     values = coherent_packet(grid, a, x0, xi0, epsilon)[:, None] * chi
     if r0_spec is not None:
@@ -108,8 +77,7 @@ def build_initial_data(a, x0: float, xi0: float, chi_values: np.ndarray,
             raise ConfigError("kappa must exceed 1/4")
         bump = coherent_packet(grid, r_profile, x0, xi0, epsilon)
         values = values + epsilon**kappa * bump[:, None] * chi
-    vf = VectorField(grid=grid, values=values, epsilon=epsilon, time=0.0)
-    return FieldState(field=vf, lambda_coupling=lambda_coupling)
+    return values
 
 
 class NLSPropagator:
@@ -222,58 +190,13 @@ def check_lab_field(values: np.ndarray, t: float) -> float:
     return FOURIER_TAIL.check(fourier_tail(values), where=where)
 
 
-def solve_nls(state0: FieldState, v_data: SpectralData, T: float, dt: float,
-              observers=None, observe_every: float | None = None,
-              beta: float = 0.75, check_boundary: bool = True):
-    """Propagate to time T, invoking observers at the configured cadence.
-
-    Each observer is a callable state -> dict; its records are collected in
-    order.  Returns (final_state, records).  The steps merge their adjacent
-    half potential steps and close ψ at each observation.  Mass is checked
-    every step, boundary leakage at every observation.
-    """
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9:
-        raise ValueError("T must be an integer multiple of dt")
-    observers = observers or []
-    stride = 1 if observe_every is None else int(round(observe_every / dt))
-    prop = NLSPropagator(v_data, state0.epsilon, state0.lambda_coupling, dt, beta)
-
-    values = state0.values.astype(complex)
-    mass0 = l2_norm(state0.grid, values)
-    records = []
-
-    def observe(step):
-        t = step * dt
-        vf = VectorField(grid=state0.grid, values=values.copy(),
-                         epsilon=state0.epsilon, time=t)
-        st = FieldState(field=vf, lambda_coupling=state0.lambda_coupling)
-        if check_boundary:
-            BOUNDARY.check(_boundary_magnitude(values), where=f" at t = {t}")
-        rec = {"t": t, "mass": st.mass()}
-        for obs in observers:
-            rec.update(obs(st))
-        records.append(rec)
-        return st
-
-    final = observe(0)
-    pending = False
-    for step in range(n_steps):
-        close = (step + 1) % stride == 0 or step + 1 == n_steps
-        values = prop.step(values, pending=pending, close=close)
-        pending = not close
-        check_step_mass(state0.grid, values, mass0, step + 1)
-        if close:
-            final = observe(step + 1)
-    return final, records
-
-
-def mode_populations(state: FieldState, v_data: SpectralData) -> np.ndarray:
-    """Branch masses ‖Π_j ψ‖² (they sum to the total mass)."""
+def mode_populations(values: np.ndarray, v_data: SpectralData) -> np.ndarray:
+    """Branch masses ‖Π_j ψ‖² of the (n, N) samples `values` on the
+    decomposition's grid (they sum to the total mass)."""
     out = np.empty(v_data.n_branches)
     for j in range(v_data.n_branches):
-        proj = np.einsum("nab,nb->na", v_data.projectors[j], state.values)
-        out[j] = l2_norm(state.grid, proj) ** 2
+        proj = np.einsum("nab,nb->na", v_data.projectors[j], values)
+        out[j] = l2_norm(v_data.grid, proj) ** 2
     return out
 
 

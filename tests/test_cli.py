@@ -117,6 +117,17 @@ def test_fixed_grid_must_satisfy_adequacy(tmp_path, capsys):
     assert "spectral adequacy rule" in capsys.readouterr().err
 
 
+def test_nan_epsilon_is_a_collected_violation(tmp_path, capsys):
+    # NaN fails every comparison, so it must fail the range check as well
+    path = write_config(tmp_path, epsilons=[0.0625, float("nan")])
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.errors == ["epsilons: every value must lie in (0, 1]"]
+    assert main(["converge", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "epsilons: every value" in capsys.readouterr().err
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, epsilons=[])
     assert main(["converge", "--config", str(path)]) == 2
@@ -579,12 +590,18 @@ def test_superpose_honours_kappa(tmp_path):
 
 def test_bad_command_input_is_a_config_error(tmp_path, capsys):
     same = {"profile": {"type": "gaussian"}, "x0": 1.0, "xi0": 0.0}
-    cases = (("superpose", write_config(tmp_path, packets=[same, same]), [],
+    ok = write_config(tmp_path, name="ok.json")
+    # an override must give at least one finite, positive ε before any run
+    cases = [("superpose", write_config(tmp_path, packets=[same, same]), [],
               "must differ"),
-             ("converge", write_config(tmp_path, name="ok.json"),
-              ["--epsilon-override", "0.0625,abc"], "--epsilon-override"))
-    for command, path, extra, message in cases:
-        out = tmp_path / command
+             ("converge", ok, ["--epsilon-override", "0.0625,abc"],
+              "--epsilon-override")]
+    cases += [(command, ok, ["--epsilon-override", value],
+               "--epsilon-override")
+              for command in ("single", "converge")
+              for value in (",", "0", "-0.01", "nan", "inf", "0.0625,-1")]
+    for i, (command, path, extra, message) in enumerate(cases):
+        out = tmp_path / f"{command}{i}"
         assert main([command, "--config", str(path), "--out", str(out)]
                     + extra) == 2
         assert message in capsys.readouterr().err

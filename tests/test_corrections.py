@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
 
-from adiapack.classical import BranchCurve, integrate_trajectory
 from adiapack.corrections import (ScalarPropagator, assemble_correction,
-                                  averaging_probe, solve_correction)
+                                  averaging_probe)
 from adiapack.eigenframe import coupling_profile
-from adiapack.envelope import solve_envelope
-from adiapack.errors import SolverAbort
-from adiapack.expressions import parse_expr
-from adiapack.grids import ScalarField, l2_norm, make_grid
+from adiapack.grids import ScalarField, l2_norm, make_grid, sigma_norm
 from adiapack.potentials import decompose
 from tests.test_potentials import rotating_family
+
+
+def duhamel_march(g, lam, coupling_fn, phi_fn, eps, T, dt):
+    """g(T) from g(0) = 0 by `ScalarPropagator.duhamel_step` on the carried
+    h = U(dt/2) g, with the source (φ r)(t) = phi_fn(t) coupling_fn(t) read
+    at the step midpoints, and `recover` at T."""
+    prop = ScalarPropagator(g, lam, eps)
+    h = np.zeros(g.n, dtype=complex)
+    for step in range(int(round(T / dt))):
+        t_mid = (step + 0.5) * dt
+        h = prop.duhamel_step(h, phi_fn(t_mid) * coupling_fn(t_mid), dt)
+    return prop.recover(h, dt)
 
 
 def test_free_plane_wave_is_exact():
@@ -93,13 +101,13 @@ def test_carried_duhamel_matches_the_two_step_rule():
 
 def test_solve_correction_zero_coupling_stays_zero():
     g = make_grid(-8.0, 8.0, 256)
-    series = solve_correction(g, g.points**2 / 2.0,
-                              coupling_fn=lambda t: np.zeros(g.n),
-                              phi_fn=lambda t: np.ones(g.n, dtype=complex),
-                              epsilon=0.05, T=0.5, dt=1e-3,
-                              store_times=np.array([0.0, 0.5]))
-    assert l2_norm(g, series.values[-1]) == 0.0
-    assert series.sigma_log[0][-1] == 0.0
+    out = duhamel_march(g, g.points**2 / 2.0,
+                        coupling_fn=lambda t: np.zeros(g.n),
+                        phi_fn=lambda t: np.ones(g.n, dtype=complex),
+                        eps=0.05, T=0.5, dt=1e-3)
+    assert l2_norm(g, out) == 0.0
+    assert sigma_norm(ScalarField(grid=g, values=out, epsilon=0.05, time=0.5),
+                      0).value == 0.0
 
 
 def test_solve_correction_additive_in_coupling():
@@ -114,8 +122,7 @@ def test_solve_correction_additive_in_coupling():
         return np.sin(g.points) * np.exp(-0.1 * t)
 
     def run(r):
-        return solve_correction(g, lam, r, phi, 0.05, 0.3, 1e-3,
-                                store_times=np.array([0.3])).values[-1]
+        return duhamel_march(g, lam, r, phi, 0.05, 0.3, 1e-3)
 
     combined = run(lambda t: r1(t) + r2(t))
     assert np.max(np.abs(combined - run(r1) - run(r2))) < 1e-10
@@ -134,64 +141,10 @@ def test_solve_correction_second_order_in_dt():
 
     outs = {}
     for dt in (4e-3, 2e-3, 1e-3):
-        outs[dt] = solve_correction(g, lam, r, phi, eps, 0.4, dt,
-                                    store_times=np.array([0.4])).values[-1]
+        outs[dt] = duhamel_march(g, lam, r, phi, eps, 0.4, dt)
     err_coarse = l2_norm(g, outs[4e-3] - outs[2e-3])
     err_fine = l2_norm(g, outs[2e-3] - outs[1e-3])
     assert err_coarse / err_fine == pytest.approx(4.0, abs=1.0)
-
-
-def test_correction_norm_guard():
-    g = make_grid(-8.0, 8.0, 256)
-    big = 1e7
-
-    with pytest.raises(SolverAbort, match="correction norm"):
-        solve_correction(g, np.zeros(g.n),
-                         coupling_fn=lambda t: big * np.ones(g.n),
-                         phi_fn=lambda t: np.exp(-g.points**2).astype(complex),
-                         epsilon=1e-3, T=0.1, dt=1e-3,
-                         store_times=np.array([0.1]))
-
-
-def test_correction_sigma_bounded_across_epsilon():
-    # rotating family: drive the lower-branch packet's coupling into the upper
-    # branch and watch the correction's L²-type norm stay O(1) in ε
-    spec = rotating_family()
-    branch = BranchCurve.from_expr(parse_expr("x^2/2 - (1+x^2)^(-1/2)"))
-    y_grid = make_grid(-40.0, 40.0, 2048)
-    a = lambda y: np.pi**-0.25 * np.exp(-(y**2) / 2.0)
-    T = 1.0
-    terminal = {}
-    for eps in (0.02, 0.01, 0.005):
-        n = 4096 if eps > 0.006 else 16384
-        g = make_grid(-2.0, 2.0, n)
-        data = decompose(spec, g)
-        dt = min(1e-3, eps / 4.0)
-        steps = int(np.ceil(T / dt - 1e-12))
-        dt = T / steps
-        traj = integrate_trajectory(branch, 1.0, 0.0, T, dt / 4.0)
-        mids = (np.arange(steps) + 0.5) * dt
-        env = solve_envelope(a, traj, 1.0, y_grid, dt / 2.0, store_times=mids)
-        from scipy.interpolate import CubicSpline
-        rho = CubicSpline(data.grid.points,
-                          coupling_profile(data, 1, 0, source_branch=0))(g.points)
-
-        def phi(t):
-            m = int(round(t / dt - 0.5))
-            u = CubicSpline(y_grid.points, env[m].values, extrapolate=False)(
-                (g.points - float(traj.x_of(t))) / np.sqrt(eps))
-            u[np.isnan(u)] = 0.0
-            ph = np.exp(1j * (float(traj.action_of(t))
-                              + float(traj.xi_of(t)) * (g.points - float(traj.x_of(t)))) / eps)
-            return eps**-0.25 * u * ph
-
-        series = solve_correction(g, data.branches[1],
-                                  coupling_fn=lambda t: float(traj.xi_of(t)) * rho,
-                                  phi_fn=phi, epsilon=eps, T=T, dt=dt,
-                                  store_times=np.array([T]))
-        terminal[eps] = series.sigma_log[0][-1]
-    vals = list(terminal.values())
-    assert max(vals) / min(vals) <= 2.0
 
 
 def test_assemble_single_component_norm():
@@ -254,3 +207,16 @@ def test_averaging_probe_off_diagonal_bounded():
                                        f, eps, t, eps / 8.0)
     assert max(cross.values()) / min(cross.values()) < 2.0
     assert control[0.02] / control[0.04] == pytest.approx(2.0, rel=0.1)
+
+
+def test_averaging_probe_needs_a_positive_multiple_of_dt():
+    # t must be a whole number of steps: rounding t/dt would integrate
+    # t = 0.01 over no step and t = 0.1 over 0.09
+    g = make_grid(-16.0, 16.0, 256)
+    f = ScalarField(grid=g, values=np.exp(-g.points**2).astype(complex))
+    lam = np.ones(g.n)
+    for t in (0.01, 0.1, 0.0):
+        with pytest.raises(ValueError, match="positive multiple of dt"):
+            averaging_probe(g, lam, lam, f, 0.05, t, 0.03)
+    assert averaging_probe(g, lam, lam, f, 0.05, 0.09, 0.03) == pytest.approx(
+        0.09 / 0.05 * l2_norm(g, f.values), rel=1e-12)

@@ -1,34 +1,64 @@
 import numpy as np
 import pytest
 
+from adiapack.corrections import assemble_correction
+from adiapack.envelope import EnvelopeStepper
 from adiapack.errors import ConfigError
-from adiapack.experiments import (PacketSpec, assemble_ansatz,
-                                  convergence_study, error_report, fit_order,
-                                  make_profile, run_single_packet,
-                                  superposition_experiment, taylor_residual)
-from adiapack.grids import VectorField, l2_norm, sigma_norm
-from adiapack.nls import FieldState, build_initial_data
-from adiapack.potentials import MatrixPotentialSpec
+from adiapack.experiments import (PacketSpec, _branch_curve_for,
+                                  _envelope_spline, _error_norms, _phi_values,
+                                  convergence_study, fit_order, make_profile,
+                                  run_single_packet, study_setup,
+                                  superposition_experiment)
+from adiapack.grids import VectorField, l2_norm, make_grid, sigma_norm
+from adiapack.nls import build_initial_data
+from adiapack.potentials import MatrixPotentialSpec, decompose
 from tests.test_potentials import rotating_family
 
 HARMONIC = MatrixPotentialSpec.from_strings(["x^2/2"], ["0"])
 MULTIPLET = MatrixPotentialSpec.from_strings(["x^2/2", "x^2/2"], ["0", "0", "0"],
                                              multiplicities=(2,))
+GAUSSIAN_AT_1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
 
 
 @pytest.fixture(scope="module")
 def harmonic_run():
-    packet = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
-    return run_single_packet(HARMONIC, packet, 1.0 / 64, 0.0, 0.2, -4.0, 4.0,
-                             observe_every=0.05, keep_bundle=True,
-                             snapshot_times=(0.2,))
+    return run_single_packet(HARMONIC, GAUSSIAN_AT_1, 1.0 / 64, 0.0, 0.2, -4.0,
+                             4.0, observe_every=0.05, snapshot_times=(0.2,))
 
 
 @pytest.fixture(scope="module")
 def rotating_run():
-    packet = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0, branch=0)
-    return run_single_packet(rotating_family(), packet, 1.0 / 64, 1.0, 0.2,
-                             -2.5, 2.5, observe_every=0.05, keep_bundle=True)
+    return run_single_packet(rotating_family(), GAUSSIAN_AT_1, 1.0 / 64, 1.0,
+                             0.2, -2.5, 2.5, observe_every=0.05)
+
+
+@pytest.fixture(scope="module")
+def harmonic_setup():
+    return study_setup(HARMONIC, [GAUSSIAN_AT_1], [1.0 / 64], 0.0, 0.2, -4.0,
+                       4.0, observe_every=0.05)
+
+
+@pytest.fixture(scope="module")
+def rotating_setup():
+    return study_setup(rotating_family(), [GAUSSIAN_AT_1], [1.0 / 64], 1.0, 0.2,
+                       -2.5, 2.5, observe_every=0.05)
+
+
+def ansatz_at(setup, epsilon, t):
+    """(lab grid, u(t) on the run window, φ(t) on the lab grid) of the
+    set-up's one packet at ε, built from the pieces a run uses: an
+    `EnvelopeStepper` along the set-up's run trajectory, `_envelope_spline`
+    and `_phi_values`."""
+    (packet,), dt = setup.packets, setup.steps[epsilon].dt
+    (traj,), y_grid = setup.trajectories[dt], setup.y_grid
+    env = EnvelopeStepper(y_grid, packet.evaluator()(y_grid.points),
+                          setup.lambda_coupling, traj.curvature_of)
+    for _ in range(int(round(t / dt))):
+        env.advance(dt)
+    probe = setup.probe.grid
+    lab = make_grid(probe.x_min, probe.x_max, setup.grid_n[epsilon])
+    u = env.values.copy()
+    return lab, u, _phi_values(lab, _envelope_spline(y_grid, u), traj, t, epsilon)
 
 
 def test_profiles_are_normalized():
@@ -39,75 +69,69 @@ def test_profiles_are_normalized():
         assert np.trapezoid(np.abs(a) ** 2, y) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_ansatz_t0_matches_initial_data(harmonic_run):
-    bundle = harmonic_run.bundle
-    lab = bundle.data.grid
-    ansatz0 = assemble_ansatz(bundle, 0.0)
+def test_ansatz_t0_matches_initial_data(harmonic_setup):
+    lab, _, phi0 = ansatz_at(harmonic_setup, 1.0 / 64, 0.0)
     direct = build_initial_data(make_profile({"type": "gaussian"}), 1.0, 0.0,
-                                np.ones((lab.n, 1)), bundle.epsilon, lab)
-    assert l2_norm(lab, ansatz0.values - direct.values) < 1e-6
+                                np.ones((lab.n, 1)), 1.0 / 64, lab)
+    assert l2_norm(lab, phi0[:, None] - direct) < 1e-6
 
 
-def test_ansatz_norm_is_envelope_norm(harmonic_run):
-    bundle = harmonic_run.bundle
+def test_ansatz_norm_is_envelope_norm(harmonic_setup):
     for t in (0.0, 0.1, 0.2):
-        phi = bundle.phi_at(t)
-        u_norm = l2_norm(bundle.y_grid, bundle.u_at(t))
-        assert l2_norm(bundle.data.grid, phi.values) == pytest.approx(u_norm,
-                                                                      abs=1e-6)
+        lab, u, phi = ansatz_at(harmonic_setup, 1.0 / 64, t)
+        u_norm = l2_norm(harmonic_setup.y_grid, u)
+        assert l2_norm(lab, phi) == pytest.approx(u_norm, abs=1e-6)
 
 
 def test_ansatz_peak_scales_like_quarter_root():
-    packet = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
-    peaks = {}
-    for eps in (1.0 / 16, 1.0 / 64):
-        r = run_single_packet(HARMONIC, packet, eps, 0.0, 0.05, -4.0, 4.0,
-                              observe_every=0.05, keep_bundle=True)
-        peaks[eps] = np.max(np.abs(r.bundle.phi_at(0.05).values))
+    setup = study_setup(HARMONIC, [GAUSSIAN_AT_1], [1.0 / 16, 1.0 / 64], 0.0,
+                        0.05, -4.0, 4.0, observe_every=0.05)
+    peaks = {eps: np.max(np.abs(ansatz_at(setup, eps, 0.05)[2]))
+             for eps in (1.0 / 16, 1.0 / 64)}
     ratio = peaks[1.0 / 64] / peaks[1.0 / 16]
     assert ratio == pytest.approx(np.sqrt(2.0), rel=0.1)
 
 
 def test_taylor_residual_quadratic_branch_is_zero(harmonic_run):
-    for t in (0.0, 0.1, 0.2):
-        assert taylor_residual(harmonic_run.bundle, t) < 1e-10
+    # the run's Taylor series, at t = 0, 0.05, ..., 0.2
+    assert len(harmonic_run.taylor) == 5
+    assert np.all(harmonic_run.taylor < 1e-10)
 
 
-def test_taylor_residual_order_three_halves(rotating_run):
-    packet = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0, branch=0)
+def test_taylor_residual_order_three_halves():
     res = {}
     for eps in (1.0 / 64, 1.0 / 256):
-        r = run_single_packet(rotating_family(), packet, eps, 1.0, 0.1,
-                              -2.5, 2.5, observe_every=0.05, keep_bundle=True)
-        res[eps] = taylor_residual(r.bundle, 0.1)
+        r = run_single_packet(rotating_family(), GAUSSIAN_AT_1, eps, 1.0, 0.1,
+                              -2.5, 2.5, observe_every=0.05)
+        res[eps] = r.taylor[-1]        # at t = 0.1
     order = np.log(res[1.0 / 64] / res[1.0 / 256]) / np.log(4.0)
     assert order == pytest.approx(1.5, abs=0.15)
 
 
-def test_taylor_residual_below_remainder_bound(rotating_run):
+def test_taylor_residual_below_remainder_bound(rotating_run, rotating_setup):
     # quadrature oracle: |λ - 𝒯| ≤ max|λ'''| / 6 · |x - x_c|³ near the packet,
     # so the residual is at most that times ‖y³u‖ ε^{3/2} (plus far tails)
-    bundle = rotating_run.bundle
-    t = 0.2
-    res = taylor_residual(bundle, t)
-    eps = bundle.epsilon
-    x_c = float(bundle.traj.x_of(t))
+    t, eps = 0.2, rotating_run.epsilon
+    res = rotating_run.taylor[-1]
+    lab, u, _ = ansatz_at(rotating_setup, eps, t)
+    (traj,) = rotating_setup.trajectories[rotating_run.dt]
+    x_c = float(traj.x_of(t))
     h = 1e-3
     xs = x_c + np.linspace(-6.0 * np.sqrt(eps), 6.0 * np.sqrt(eps), 101)
-    curve = bundle.branch_curve
+    curve = _branch_curve_for(rotating_family(),
+                              decompose(rotating_family(), lab), 0)
     third = (curve.curvature(xs + h) - curve.curvature(xs - h)) / (2.0 * h)
-    u = bundle.u_at(t)
-    y = bundle.y_grid.points
+    y = rotating_setup.y_grid.points
     y3u = np.sqrt(np.trapezoid(np.abs(y**3 * u) ** 2, y))
     bound = np.max(np.abs(third)) / 6.0 * eps**1.5 * y3u
     assert res <= 1.2 * bound
 
 
-def test_error_report_exact_ansatz_is_zero(harmonic_run):
-    bundle = harmonic_run.bundle
-    ansatz = assemble_ansatz(bundle, 0.1)
-    psi = FieldState(field=ansatz, lambda_coupling=0.0)
-    w_rep, th_rep = error_report(psi, bundle, None, p=1)
+def test_error_report_exact_ansatz_is_zero(harmonic_setup):
+    lab, _, phi = ansatz_at(harmonic_setup, 1.0 / 64, 0.1)
+    chi = decompose(HARMONIC, lab).frames[0][:, :, 0]
+    w_rep, th_rep = _error_norms(phi[:, None] * chi, [(phi, chi)], lab,
+                                 1.0 / 64, 0.1)
     assert w_rep.value == 0.0
     assert th_rep.value == 0.0
 
@@ -116,25 +140,21 @@ def test_error_report_t0_is_interpolation_noise(harmonic_run):
     assert harmonic_run.w_sigma1[0] < 1e-6
 
 
-def test_theta_pythagoras_with_orthogonal_correction(rotating_run):
+def test_theta_pythagoras_with_orthogonal_correction(rotating_setup):
     # mode-1 error plus an off-branch correction: the L² components obey
     # ‖θ‖² = ‖w‖² + ‖εg‖² exactly
-    bundle = rotating_run.bundle
-    lab = bundle.data.grid
-    t = 0.2
-    ansatz = assemble_ansatz(bundle, t)
+    eps, t = 1.0 / 64, 0.2
+    lab, _, phi = ansatz_at(rotating_setup, eps, t)
+    data = decompose(rotating_family(), lab)
+    chi1 = data.frames[0][:, :, 0]  # packet rides branch 0
     bump = 0.05 * np.exp(-((lab.points - 1.0) ** 2) / 0.1).astype(complex)
-    chi1 = bundle.data.frames[0][:, :, 0]  # packet rides branch 0
-    psi_vals = ansatz.values + bump[:, None] * chi1
-    psi = FieldState(field=VectorField(grid=lab, values=psi_vals,
-                                       epsilon=bundle.epsilon, time=t),
-                     lambda_coupling=1.0)
+    psi = (phi + bump)[:, None] * chi1
     g = {(1, 0): 0.4 * np.exp(-((lab.points - 1.0) ** 2) / 0.2).astype(complex)}
-    w_rep, th_rep = error_report(psi, bundle, g, p=1)
-    eps = bundle.epsilon
+    w_rep, th_rep = _error_norms(psi, [(phi, chi1)], lab, eps, t,
+                                 assemble_correction(g, data, eps).values)
     gf = sigma_norm(VectorField(grid=lab,
                                 values=(eps * g[(1, 0)])[:, None]
-                                * bundle.data.frames[1][:, :, 0],
+                                * data.frames[1][:, :, 0],
                                 epsilon=eps), 1)
     lhs = th_rep.components[(0, 0)] ** 2
     rhs = w_rep.components[(0, 0)] ** 2 + gf.components[(0, 0)] ** 2
@@ -143,12 +163,11 @@ def test_theta_pythagoras_with_orthogonal_correction(rotating_run):
 
 def test_assembled_correction_orthogonal_to_carrier(rotating_run):
     # the correction uses only off-branch frames, so it has no overlap with χ¹
-    bundle = rotating_run.bundle
-    lab = bundle.data.grid
+    lab = make_grid(-2.5, 2.5, rotating_run.grid_n)
+    data = decompose(rotating_family(), lab)
     g = {(1, 0): np.exp(-((lab.points - 1.0) ** 2)).astype(complex)}
-    from adiapack.corrections import assemble_correction
-    vec = assemble_correction(g, bundle.data, bundle.epsilon)
-    chi1 = bundle.data.frames[bundle.branch][:, :, 0]
+    vec = assemble_correction(g, data, rotating_run.epsilon)
+    chi1 = data.frames[0][:, :, 0]
     overlap = np.abs(np.sum(vec.values * chi1.conj(), axis=1))
     assert np.max(overlap) < 1e-7
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from adiapack.errors import ConfigError
-from adiapack.grids import VectorField, l2_norm, make_grid
+from adiapack.grids import l2_norm, make_grid
 from adiapack.nls import (NLSPropagator, build_initial_data, fourier_tail,
-                          lab_grid_points, mode_populations, solve_nls,
-                          spectral_half_width, check_step_mass, FieldState)
+                          lab_grid_points, mode_populations,
+                          spectral_half_width, check_step_mass)
 from adiapack.potentials import MatrixPotentialSpec, decompose
 from tests.test_potentials import diagonal_family, rotating_family
 
@@ -18,17 +18,28 @@ def free_scalar_spec():
     return MatrixPotentialSpec.from_strings(["0"], ["0"])
 
 
+def march(data, values, eps, lam, T, dt):
+    """ψ(T) from `values` by closed `NLSPropagator.step`s, each one passing
+    the run's mass guard."""
+    prop = NLSPropagator(data, eps, lam, dt)
+    mass0 = l2_norm(data.grid, values)
+    for step in range(1, int(round(T / dt)) + 1):
+        values = prop.step(values)
+        check_step_mass(data.grid, values, mass0, step)
+    return values
+
+
 def test_initial_mass_is_epsilon_independent():
     g = make_grid(-10.0, 10.0, 4096)
     for eps in (0.1, 0.01):
-        st = build_initial_data(gaussian, 0.0, 0.0, np.ones((g.n, 1)), eps, g)
-        assert st.mass() == pytest.approx(1.0, abs=1e-6)
+        psi = build_initial_data(gaussian, 0.0, 0.0, np.ones((g.n, 1)), eps, g)
+        assert l2_norm(g, psi) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_initial_peak_near_center():
     g = make_grid(-10.0, 10.0, 4096)
-    st = build_initial_data(gaussian, 1.3, 0.5, np.ones((g.n, 1)), 0.01, g)
-    peak = g.points[np.argmax(np.abs(st.values[:, 0]))]
+    psi = build_initial_data(gaussian, 1.3, 0.5, np.ones((g.n, 1)), 0.01, g)
+    peak = g.points[np.argmax(np.abs(psi[:, 0]))]
     assert abs(peak - 1.3) <= g.spacing
 
 
@@ -36,11 +47,11 @@ def test_initial_polarization():
     g = make_grid(-10.0, 10.0, 2048)
     data = decompose(rotating_family(), g)
     chi = data.frames[0][:, :, 0]
-    st = build_initial_data(gaussian, 0.0, 0.0, chi, 0.01, g)
-    pops = mode_populations(st, data)
+    psi = build_initial_data(gaussian, 0.0, 0.0, chi, 0.01, g)
+    pops = mode_populations(psi, data)
     assert pops[0] == pytest.approx(1.0, abs=1e-6)
     assert pops[1] < 1e-10
-    assert pops.sum() == pytest.approx(st.mass() ** 2, abs=1e-10)
+    assert pops.sum() == pytest.approx(l2_norm(g, psi) ** 2, abs=1e-10)
 
 
 def test_initial_perturbation_kappa_guard():
@@ -58,15 +69,15 @@ def test_free_gaussian_matches_closed_form():
     g = make_grid(-8.0, 8.0, 4096)
     spec = free_scalar_spec()
     data = decompose(spec, g)
-    st = build_initial_data(gaussian, x0, xi0, np.ones((g.n, 1)), eps, g)
-    final, _ = solve_nls(st, data, T, dt)
+    psi0 = build_initial_data(gaussian, x0, xi0, np.ones((g.n, 1)), eps, g)
+    final = march(data, psi0, eps, 0.0, T, dt)
 
     xc = x0 + xi0 * T
     y = (g.points - xc) / np.sqrt(eps)
     u = np.pi**-0.25 / np.sqrt(1.0 + 1j * T) * np.exp(-(y**2) / (2 * (1 + 1j * T)))
     action = 0.5 * xi0**2 * T
     exact = eps**-0.25 * u * np.exp(1j * (action + xi0 * (g.points - xc)) / eps)
-    assert l2_norm(g, final.values[:, 0] - exact) < 1e-8
+    assert l2_norm(g, final[:, 0] - exact) < 1e-8
 
 
 def test_mass_conservation_nonlinear_matrix():
@@ -74,10 +85,10 @@ def test_mass_conservation_nonlinear_matrix():
     g = make_grid(-4.0, 4.0, 4096)
     data = decompose(rotating_family(), g)
     chi = data.frames[0][:, :, 0]
-    st = build_initial_data(gaussian, 1.0, 0.0, chi, eps, g, lambda_coupling=1.0)
-    final, recs = solve_nls(st, data, 0.2, 5e-4)
-    masses = [r["mass"] for r in recs]
-    assert abs(masses[-1] - masses[0]) < 1e-10 * masses[0]
+    psi0 = build_initial_data(gaussian, 1.0, 0.0, chi, eps, g)
+    mass0 = l2_norm(g, psi0)
+    final = march(data, psi0, eps, 1.0, 0.2, 5e-4)
+    assert abs(l2_norm(g, final) - mass0) < 1e-10 * mass0
 
 
 def test_self_convergence_second_order_nonlinear():
@@ -88,10 +99,8 @@ def test_self_convergence_second_order_nonlinear():
     T = 0.25
     outs = {}
     for dt in (2e-3, 1e-3, 5e-4):
-        st = build_initial_data(gaussian, 1.0, 0.0, chi, eps, g,
-                                lambda_coupling=1.0)
-        final, _ = solve_nls(st, data, T, dt)
-        outs[dt] = final.values
+        psi0 = build_initial_data(gaussian, 1.0, 0.0, chi, eps, g)
+        outs[dt] = march(data, psi0, eps, 1.0, T, dt)
     err_coarse = l2_norm(g, outs[2e-3] - outs[1e-3])
     err_fine = l2_norm(g, outs[1e-3] - outs[5e-4])
     assert err_coarse / err_fine == pytest.approx(4.0, abs=0.5)
@@ -100,11 +109,8 @@ def test_self_convergence_second_order_nonlinear():
 def test_zero_data_stays_zero():
     g = make_grid(-2.0, 2.0, 512)
     data = decompose(diagonal_family(), g)
-    vf = VectorField(grid=g, values=np.zeros((g.n, 2), dtype=complex),
-                     epsilon=0.1)
-    st = FieldState(field=vf, lambda_coupling=1.0)
-    final, _ = solve_nls(st, data, 0.1, 1e-3, check_boundary=False)
-    assert np.all(final.values == 0.0)
+    final = march(data, np.zeros((g.n, 2), dtype=complex), 0.1, 1.0, 0.1, 1e-3)
+    assert np.all(final == 0.0)
 
 
 def test_diagonal_potential_decouples_to_scalar_runs():
@@ -115,17 +121,17 @@ def test_diagonal_potential_decouples_to_scalar_runs():
                                              ["0", "0", "0"])
     data2 = decompose(spec2, g)
     chi = np.ones((g.n, 2)) / np.sqrt(2.0)
-    st = build_initial_data(gaussian, 0.5, 0.0, chi, eps, g)
-    final2, _ = solve_nls(st, data2, T, dt)
+    final2 = march(data2, build_initial_data(gaussian, 0.5, 0.0, chi, eps, g),
+                   eps, 0.0, T, dt)
 
     for col, diag_entry in ((0, "x^2/2"), (1, "x^2/4")):
         spec1 = MatrixPotentialSpec.from_strings([diag_entry], ["0"])
         data1 = decompose(spec1, g)
-        st1 = build_initial_data(
+        psi1 = build_initial_data(
             lambda y: gaussian(y) / np.sqrt(2.0), 0.5, 0.0,
             np.ones((g.n, 1)), eps, g)
-        final1, _ = solve_nls(st1, data1, T, dt)
-        assert np.max(np.abs(final2.values[:, col] - final1.values[:, 0])) < 1e-12
+        final1 = march(data1, psi1, eps, 0.0, T, dt)
+        assert np.max(np.abs(final2[:, col] - final1[:, 0])) < 1e-12
 
 
 def test_time_reversibility_linear():
@@ -133,23 +139,23 @@ def test_time_reversibility_linear():
     g = make_grid(-4.0, 4.0, 4096)
     data = decompose(rotating_family(), g)
     chi = data.frames[0][:, :, 0]
-    st = build_initial_data(gaussian, 1.0, 0.0, chi, eps, g)
-    forward, _ = solve_nls(st, data, 0.2, 1e-3)
+    psi0 = build_initial_data(gaussian, 1.0, 0.0, chi, eps, g)
+    values = march(data, psi0, eps, 0.0, 0.2, 1e-3)
     prop = NLSPropagator(data, eps, 0.0, -1e-3)
-    values = forward.values.copy()
     for _ in range(200):
         values = prop.step(values)
-    assert l2_norm(g, values - st.values) < 1e-8
+    assert l2_norm(g, values - psi0) < 1e-8
 
 
 def test_single_step_conserves_mass():
     g = make_grid(-2.0, 2.0, 1024)
     data = decompose(rotating_family(), g)
     chi = data.frames[0][:, :, 0]
-    st = build_initial_data(gaussian, 1.0, 0.0, chi, 0.05, g, lambda_coupling=1.0)
-    out = NLSPropagator(data, 0.05, 1.0, 1e-3).step(st.values)
-    assert l2_norm(g, out) == pytest.approx(st.mass(), abs=1e-12)
-    assert check_step_mass(g, out, st.mass(), 1) <= 1e-12
+    psi = build_initial_data(gaussian, 1.0, 0.0, chi, 0.05, g)
+    mass0 = l2_norm(g, psi)
+    out = NLSPropagator(data, 0.05, 1.0, 1e-3).step(psi)
+    assert l2_norm(g, out) == pytest.approx(mass0, abs=1e-12)
+    assert check_step_mass(g, out, mass0, 1) <= 1e-12
 
 
 def test_grid_adequacy_rule():
@@ -190,7 +196,7 @@ def test_populations_sum_rule_after_evolution():
     g = make_grid(-4.0, 4.0, 4096)
     data = decompose(rotating_family(), g)
     chi = data.frames[0][:, :, 0]
-    st = build_initial_data(gaussian, 1.0, 0.0, chi, eps, g, lambda_coupling=1.0)
-    final, _ = solve_nls(st, data, 0.2, 5e-4)
+    psi0 = build_initial_data(gaussian, 1.0, 0.0, chi, eps, g)
+    final = march(data, psi0, eps, 1.0, 0.2, 5e-4)
     pops = mode_populations(final, data)
-    assert pops.sum() == pytest.approx(final.mass() ** 2, abs=1e-10)
+    assert pops.sum() == pytest.approx(l2_norm(g, final) ** 2, abs=1e-10)
