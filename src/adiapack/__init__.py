@@ -35,7 +35,7 @@ from .eigenframe import (EigenFrame, k_matrix, transport_frame, frame_at,
                          coupling_profile, initial_frame)
 from .corrections import ScalarPropagator, assemble_correction, averaging_probe
 from .nls import build_initial_data, mode_populations, NLSPropagator
-from .experiments import (PacketSpec, fit_order, run_single_packet,
+from .experiments import (PacketSpec, RunOptions, fit_order, run_single_packet,
                           convergence_study, superposition_experiment,
                           make_profile)
 

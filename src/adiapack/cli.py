@@ -86,7 +86,7 @@ def _epsilons(cfg, override):
 
 
 def cmd_decompose(cfg, out: Path, args) -> int:
-    n = cfg.n_override or 4096
+    n = cfg.options.grid_n or 4096
     grid = make_grid(cfg.x_min, cfg.x_max, n)
     data = decompose(cfg.potential, grid)
     header = ["x"] + [f"lambda_{j}" for j in range(data.n_branches)]
@@ -152,19 +152,13 @@ def cmd_identities(cfg, out: Path, args) -> int:
     return 0
 
 
-def _run_options(cfg) -> dict:
-    """The step, y-grid and lab-grid options every run command passes on."""
-    return dict(observe_every=cfg.observe_every, dt_max=cfg.dt_max,
-                dt_over_eps=cfg.dt_over_epsilon, y_half_width=cfg.y_half_width,
-                y_points=cfg.y_points, n_override=cfg.n_override, beta=cfg.beta)
-
-
 def cmd_single(cfg, out: Path, args) -> int:
-    eps = _epsilons(cfg, args.epsilon_override)[0]
+    eps, *rest = _epsilons(cfg, args.epsilon_override)
+    if rest and args.epsilon_override:
+        raise ConfigError("--epsilon-override: single runs one ε")
     run = run_single_packet(cfg.potential, cfg.packets[0], eps,
                             cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max,
-                            snapshot_times=cfg.snapshot_times,
-                            **_run_options(cfg))
+                            cfg.options, snapshot_times=cfg.snapshot_times)
     rows = [[t, m, w, th, lk, ty] for t, m, w, th, lk, ty in
             zip(run.times, run.masses, run.w_sigma1, run.theta_sigma1,
                 run.leakage, run.taylor)]
@@ -192,7 +186,7 @@ def cmd_single(cfg, out: Path, args) -> int:
 def cmd_converge(cfg, out: Path, args) -> int:
     report = convergence_study(
         cfg.potential, cfg.packets[0], _epsilons(cfg, args.epsilon_override),
-        cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max, **_run_options(cfg))
+        cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max, cfg.options)
     rows = [[e, s, t, l] for e, s, t, l in
             zip(report.epsilons, report.sup_errors, report.terminal_errors,
                 report.leakages)]
@@ -219,8 +213,7 @@ def cmd_superpose(cfg, out: Path, args) -> int:
     report = superposition_experiment(
         cfg.potential, tuple(cfg.packets[:2]),
         _epsilons(cfg, args.epsilon_override), cfg.lambda_coupling, cfg.T,
-        cfg.x_min, cfg.x_max, gamma_exponent=cfg.gamma_exponent,
-        **_run_options(cfg))
+        cfg.x_min, cfg.x_max, cfg.gamma_exponent, cfg.options)
     rows = [[e, s, t, c, i] for e, s, t, c, i in
             zip(report.epsilons, report.sup_errors, report.terminal_errors,
                 report.crossing_measures, report.interaction_integrals)]

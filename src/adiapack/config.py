@@ -2,22 +2,23 @@
 
 A config file carries the potential (expression strings for the diagonal and
 symmetric parts), the packet(s), the ε list, the coupling constant, horizon,
-step and grid policies, and output options.  `load_config` only parses and
-validates, exhaustively: every violation is collected and reported at once,
-an unknown profile type or parameter and a packet on a missing or
-non-simple branch included.  The lab grid sizes, and the `grid.n` check,
-belong to the run commands' `experiments.study_setup`.
+the run options (`experiments.RunOptions`) and output options.
+`load_config` only parses and validates, exhaustively: every violation is
+collected and reported at once, a value that is not a finite number, an
+unknown profile type or parameter and a packet on a missing or non-simple
+branch included.  The lab grid sizes belong to `experiments.study_setup`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError
-from .experiments import PacketSpec, _branch_scope_error, make_profile
+from .experiments import PacketSpec, RunOptions, _branch_scope_error, \
+    _finite, make_profile
 from .expressions import ParseError, parse_expr
 from .potentials import MatrixPotentialSpec
 
@@ -33,17 +34,21 @@ class ExperimentConfig:
     T: float
     x_min: float
     x_max: float
-    observe_every: float = 0.01
-    dt_max: float = 1e-3
-    dt_over_epsilon: float = 0.25
-    y_half_width: float = 40.0
-    y_points: int = 2048
-    n_override: int | None = None
-    gamma_exponent: float = 0.3
-    beta: float = 0.75
-    out_dir: str = "results"
-    seed: int = 0
-    snapshot_times: tuple = ()
+    options: RunOptions
+    gamma_exponent: float
+    out_dir: str
+    snapshot_times: tuple
+
+
+def _number(raw, key, label, errors, default=None):
+    """raw[key] (`default` if absent) as a float; a violation, read as NaN
+    (which fails every later comparison), if missing or not finite."""
+    value = raw.get(key, default)
+    if _finite(value):
+        return float(value)
+    errors.append(f"missing required field: {label}" if value is None
+                  else f"{label} must be a finite number")
+    return float("nan")
 
 
 def _profile_from_dict(profile, errors, label, seed):
@@ -65,17 +70,15 @@ def _packet_from_dict(d, errors, prefix, seed):
     profile = _profile_from_dict(d.get("profile", {"type": "gaussian"}), errors,
                                  f"{prefix}.profile", seed)
     kappa = d.get("kappa")
-    if kappa is not None and not kappa > 0.25:
+    if kappa is not None and not (_finite(kappa) and kappa > 0.25):
         errors.append(f"{prefix}: kappa must exceed 1/4")
     r0_profile = d.get("r0_profile")
     if r0_profile is not None:
         r0_profile = _profile_from_dict(r0_profile, errors,
                                         f"{prefix}.r0_profile", seed)
-    for key in ("x0", "xi0"):
-        if key not in d:
-            errors.append(f"{prefix}: missing required field: {key}")
-    return PacketSpec(profile=profile, x0=float(d.get("x0", 0.0)),
-                      xi0=float(d.get("xi0", 0.0)),
+    return PacketSpec(profile=profile,
+                      x0=_number(d, "x0", f"{prefix}.x0", errors),
+                      xi0=_number(d, "xi0", f"{prefix}.xi0", errors),
                       branch=int(d.get("branch", 0)), kappa=kappa,
                       r0_profile=r0_profile)
 
@@ -124,7 +127,7 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError([f"not valid JSON: {exc}"])
 
     errors = []
-    for key in ("potential", "epsilons", "T", "packets", "grid"):
+    for key in ("potential", "epsilons", "packets"):
         if key not in raw:
             errors.append(f"missing required field: {key}")
 
@@ -144,66 +147,53 @@ def load_config(path) -> ExperimentConfig:
             if problem:
                 errors.append(f"packets[{i}]: {problem}")
 
-    epsilons = [float(e) for e in raw.get("epsilons", [])]
+    epsilons = raw.get("epsilons", [])
     if "epsilons" in raw:
         if not epsilons:
             errors.append("epsilons: need at least one value")
-        if any(not 0.0 < e <= 1.0 for e in epsilons):
+        if any(not (_finite(e) and 0.0 < e <= 1.0) for e in epsilons):
             errors.append("epsilons: every value must lie in (0, 1]")
 
-    T = float(raw.get("T", 0.0))
-    if "T" in raw and T <= 0.0:
+    T = _number(raw, "T", "T", errors)
+    if T <= 0.0:
         errors.append("T must be positive")
-    observe_every = float(raw.get("observe_every", 0.01))
-    if observe_every <= 0.0:
-        errors.append("observe_every must be positive")
-    elif T > 0 and abs(round(T / observe_every) * observe_every - T) > 1e-9:
+    grid = raw.get("grid", {})
+    settings = {f.name: raw[f.name] for f in fields(RunOptions)
+                if f.name in raw}
+    settings["grid_n"] = grid.get("n")
+    try:
+        options = RunOptions(**settings)
+    except ConfigError as exc:
+        errors += exc.errors
+    every = settings.get("observe_every", RunOptions.observe_every)
+    cadence = T > 0 and _finite(every) and every > 0  # else already listed
+    if cadence and abs(round(T / every) * every - T) > 1e-9:
         errors.append("T must be an integer multiple of observe_every")
     snapshot_times = raw.get("snapshot_times", [0.0, T])
     if not isinstance(snapshot_times, list):
         errors.append("snapshot_times must be a list")
         snapshot_times = []
     for i, ts in enumerate(snapshot_times if "snapshot_times" in raw else []):
-        if not (isinstance(ts, (int, float)) and 0.0 <= ts <= T and observe_every > 0
-                and abs(round(ts / observe_every) * observe_every - ts) <= 1e-9):
+        if cadence and not (_finite(ts) and 0.0 <= ts <= T and abs(
+                round(ts / every) * every - ts) <= 1e-9):
             errors.append(f"snapshot_times[{i}]: {ts!r} is not a multiple of "
                           f"observe_every in [0, T]")
 
-    grid = raw.get("grid", {})
-    x_min = float(grid.get("x_min", -10.0))
-    x_max = float(grid.get("x_max", 10.0))
-    if "grid" in raw:
-        for key in ("x_min", "x_max"):
-            if key not in grid:
-                errors.append(f"grid: missing required field: {key}")
-        if x_min >= x_max:
-            errors.append("grid: x_min must be below x_max")
-    n_override = grid.get("n")
-    y_half_width = float(raw.get("y_half_width", 40.0))
-    y_points = int(raw.get("y_points", 2048))
-    if y_half_width <= 0.0:
-        errors.append("y_half_width must be positive")
-    for label, size in (("grid.n", n_override), ("y_points", y_points)):
-        if size is not None and (int(size) < 8 or int(size) & (int(size) - 1)):
-            errors.append(f"{label} must be a power of two, at least 8")
+    x_min = _number(grid, "x_min", "grid.x_min", errors)
+    x_max = _number(grid, "x_max", "grid.x_max", errors)
+    if x_min >= x_max:
+        errors.append("grid: x_min must be below x_max")
 
-    gamma_exponent = float(raw.get("gamma", 0.3))
-    if not 0.0 < gamma_exponent < 0.5:
+    lambda_coupling = _number(raw, "lambda", "lambda", errors, 0.0)
+    gamma_exponent = raw.get("gamma", 0.3)
+    if not (_finite(gamma_exponent) and 0.0 < gamma_exponent < 0.5):
         errors.append("gamma must lie in (0, 1/2)")
 
-    cfg = ExperimentConfig(
-        potential=spec, packets=packets, epsilons=epsilons,
-        lambda_coupling=float(raw.get("lambda", 0.0)), T=T,
-        x_min=x_min, x_max=x_max, observe_every=observe_every,
-        dt_max=float(raw.get("dt_max", 1e-3)),
-        dt_over_epsilon=float(raw.get("dt_over_epsilon", 0.25)),
-        y_half_width=y_half_width, y_points=y_points,
-        n_override=None if n_override is None else int(n_override),
-        gamma_exponent=gamma_exponent, beta=float(raw.get("beta", 0.75)),
-        out_dir=str(raw.get("out_dir", "results")), seed=seed,
-        snapshot_times=tuple(snapshot_times),
-    )
     if errors:
         raise ConfigError(errors)
-    return cfg
-
+    return ExperimentConfig(
+        potential=spec, packets=packets, epsilons=[float(e) for e in epsilons],
+        lambda_coupling=lambda_coupling, T=T, x_min=x_min, x_max=x_max,
+        options=options, gamma_exponent=float(gamma_exponent),
+        out_dir=str(raw.get("out_dir", "results")),
+        snapshot_times=tuple(snapshot_times))

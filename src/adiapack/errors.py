@@ -93,9 +93,9 @@ class Guard:
     remedy: str = ""
 
     def check(self, value: float, scale: float = 1.0, where: str = "") -> float:
-        """Return `value`; raise `error` when it exceeds `tol · scale`."""
+        """Return `value`; raise `error` unless it is at most `tol · scale`."""
         limit = self.tol * scale
-        if value > limit:
+        if not value <= limit:
             remedy = f"; {self.remedy}" if self.remedy else ""
             raise self.error(f"{self.name} {value:.3e} above {limit:.1e}"
                              f"{where}{remedy}")

@@ -20,20 +20,21 @@ T, fit the decay order by least squares in log-log, and include a two-packet
 superposition experiment with the trajectory-crossing diagnostics Γ and
 |I^ε(T)| = |{t ≤ T : |x₁(t) - x₂(t)| ≤ ε^γ}|.
 
-A command does its ε-free work once (`study_setup`): the probe
-decomposition, the grid rule, every ε's grid size and step rule, the
-envelopes' run window (the part of the y-grid their profiles fill), and each
-packet's run trajectory once per distinct dt.  In the critical scaling the
-envelope equation and the classical path do not contain ε, so the ε that
-share a dt run in one lockstep march (`_Lockstep`): each distinct envelope
-is stepped once per step and read by every packet and ε that use it, and
-each ε keeps its own lab state (`_Lane`).  `run_single_packet`,
-`convergence_study` and `superposition_experiment` configure it with their
-observers.
+The run options travel as one validated `RunOptions`.  A command does its
+ε-free work once (`study_setup`): the probe decomposition, the grid rule,
+every ε's grid size and step rule, the envelopes' run window (the part of
+the y-grid their profiles fill), and each packet's run trajectory once per
+distinct dt.  In the critical scaling the envelope equation and the
+classical path do not contain ε, so the ε that share a dt run in one
+lockstep march (`_Lockstep`): each distinct envelope is stepped once per
+step and read by every packet and ε that use it, and each ε keeps its own
+lab state (`_Lane`).  `run_single_packet`, `convergence_study` and
+`superposition_experiment` configure it with their observers.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -52,10 +53,10 @@ from .nls import NLSPropagator, build_initial_data, check_lab_field, \
 from .potentials import MatrixPotentialSpec, SpectralData, decompose
 
 __all__ = [
-    "PacketSpec", "OrderFit", "SingleRunResult", "ConvergenceReport",
-    "SuperpositionReport", "LabGridRule", "StudySetup", "make_profile",
-    "fit_order", "lab_grid_rule", "study_setup", "run_single_packet",
-    "convergence_study", "superposition_experiment",
+    "PacketSpec", "RunOptions", "OrderFit", "SingleRunResult",
+    "ConvergenceReport", "SuperpositionReport", "LabGridRule", "StudySetup",
+    "make_profile", "fit_order", "lab_grid_rule", "study_setup",
+    "run_single_packet", "convergence_study", "superposition_experiment",
 ]
 
 
@@ -273,6 +274,40 @@ def _branch_scope_error(spec: MatrixPotentialSpec, branch: int) -> str | None:
     return None
 
 
+def _finite(value) -> bool:   # a real number, not a bool, inf or NaN
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and bool(np.isfinite(value)))
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """The run options of `study_setup` and the drivers under their config
+    keys (`grid_n` is `grid.n`), each default written once; building one
+    with a bad value raises a `ConfigError` that lists every problem."""
+
+    observe_every: float = 0.01      # observation cadence; T is a multiple
+    dt_max: float = 1e-3             # `_step_rule`'s two step bounds
+    dt_over_epsilon: float = 0.25
+    y_half_width: float = 40.0       # the configured envelope y-grid
+    y_points: int = 2048
+    grid_n: int | None = None        # a fixed lab grid size, else the rule's
+    beta: float = 0.75               # the cubic term carries ε^{2β}
+
+    def __post_init__(self):
+        if self._problems():
+            raise ConfigError(self._problems())
+
+    def _problems(self) -> list:   # every problem, one string each
+        out = [f"{key} must be positive and finite" for key in (
+            "observe_every", "dt_max", "dt_over_epsilon", "y_half_width")
+            if not (_finite(getattr(self, key)) and getattr(self, key) > 0)]
+        for key, n in (("grid.n", self.grid_n), ("y_points", self.y_points)):
+            if not (n is None and key == "grid.n" or isinstance(
+                    n, numbers.Integral) and n >= 8 and not n & (n - 1)):
+                out.append(f"{key} must be a power of two, at least 8")
+        return out + ([] if _finite(self.beta) else ["beta must be finite"])
+
+
 class _Steps(NamedTuple):
     """The march of one ε: step size, steps per observation, step total."""
 
@@ -281,21 +316,16 @@ class _Steps(NamedTuple):
     total: int
 
 
-def _step_rule(T: float, observe_every: float, dt_max: float,
-               dt_over_eps: float, epsilon: float) -> _Steps:
+def _step_rule(T: float, options: RunOptions, epsilon: float) -> _Steps:
     """The one step rule: dt = observe_every/k for the smallest k with
-    dt ≤ min(dt_max, dt_over_eps·ε), so that steps land on every observation.
-    T must be a multiple of observe_every, and the three step options must be
-    positive (`ConfigError`)."""
-    if not (observe_every > 0 and dt_max > 0 and dt_over_eps > 0):
-        raise ConfigError("observe_every, dt_max and dt_over_epsilon must be "
-                          "positive")
-    n_obs = round(T / observe_every)
-    if abs(n_obs * observe_every - T) > 1e-9:
+    dt ≤ min(dt_max, dt_over_epsilon·ε), so that steps land on every
+    observation.  T must be a multiple of observe_every (`ConfigError`)."""
+    every, n_obs = options.observe_every, round(T / options.observe_every)
+    if abs(n_obs * every - T) > 1e-9:
         raise ConfigError("T must be an integer multiple of observe_every")
-    per_obs = int(np.ceil(observe_every / min(dt_max, dt_over_eps * epsilon)
-                          - 1e-12))
-    return _Steps(observe_every / per_obs, per_obs, per_obs * n_obs)
+    dt = min(options.dt_max, options.dt_over_epsilon * epsilon)
+    per_obs = int(np.ceil(every / dt - 1e-12))
+    return _Steps(every / per_obs, per_obs, per_obs * n_obs)
 
 
 def _envelopes(y_grid: SpatialGrid, pairs, lambda_coupling: float) -> list:
@@ -393,7 +423,7 @@ class StudySetup:
     spec: MatrixPotentialSpec
     packets: tuple
     lambda_coupling: float
-    T: float
+    options: RunOptions
     y_grid: SpatialGrid              # the envelopes' run window (`_run_window`)
     probe: SpectralData              # the 4096-point decomposition
     rule: LabGridRule
@@ -412,13 +442,11 @@ class StudySetup:
 
 def study_setup(spec: MatrixPotentialSpec, packets, epsilons,
                 lambda_coupling: float, T: float, x_min: float, x_max: float,
-                y_half_width: float = 40.0, y_points: int = 2048,
-                n_override: int | None = None, observe_every: float = 0.01,
-                dt_max: float = 1e-3, dt_over_eps: float = 0.25) -> StudySetup:
+                options=RunOptions()) -> StudySetup:
     """Scope check, every ε's `_step_rule`, the 4096-point probe
     decomposition, `lab_grid_rule` on the configured y-grid (±y_half_width,
-    y_points), the lab grid size of every ε (a `grid.n` override must meet
-    the rule at all of them), the envelopes' run window (the configured
+    y_points), the lab grid size of every ε (a `grid.n` must meet the rule
+    at all of them), the envelopes' run window (the configured
     y-grid's smallest centred power-of-two slice that holds the measured
     Y_τ) and, once per distinct dt, each packet's run trajectory at dt/4 (so
     every step midpoint is a sample) on the probe's branch curve.  Every
@@ -426,9 +454,9 @@ def study_setup(spec: MatrixPotentialSpec, packets, epsilons,
     problems = [_branch_scope_error(spec, pk.branch) for pk in packets]
     if any(problems):
         raise ConfigError([p for p in problems if p])
-    steps = {eps: _step_rule(T, observe_every, dt_max, dt_over_eps, eps)
-             for eps in epsilons}
-    y_grid = make_grid(-y_half_width, y_half_width, y_points)
+    steps = {eps: _step_rule(T, options, eps) for eps in epsilons}
+    y_grid = make_grid(-options.y_half_width, options.y_half_width,
+                       options.y_points)
     try:
         probe = decompose(spec, make_grid(x_min, x_max, 4096))
         rule = lab_grid_rule(spec, probe, packets, lambda_coupling, T, y_grid)
@@ -441,11 +469,11 @@ def study_setup(spec: MatrixPotentialSpec, packets, epsilons,
     except AdiapackError as exc:
         raise ConfigError(f"grid derivation failed: {exc}") from exc
     return StudySetup(spec=spec, packets=tuple(packets),
-                      lambda_coupling=lambda_coupling, T=T,
+                      lambda_coupling=lambda_coupling, options=options,
                       y_grid=_run_window(y_grid, rule.y_tau), probe=probe,
-                      rule=rule,
-                      grid_n={eps: rule.points(eps, n_override) for eps in epsilons},
-                      steps=steps, trajectories=trajectories)
+                      rule=rule, steps=steps, trajectories=trajectories,
+                      grid_n={eps: rule.points(eps, options.grid_n)
+                              for eps in epsilons})
 
 
 class _Lane:
@@ -456,7 +484,7 @@ class _Lane:
     `build_initial_data`.  Between observations ψ stays open: each step
     leaves its trailing half potential step to the next one."""
 
-    def __init__(self, setup: StudySetup, epsilon, beta, corrections):
+    def __init__(self, setup: StudySetup, epsilon, corrections):
         spec, packets, lam = setup.spec, setup.packets, setup.lambda_coupling
         self.epsilon, self.n = epsilon, setup.grid_n[epsilon]
         self.steps = setup.steps[epsilon]
@@ -474,7 +502,8 @@ class _Lane:
         self.psi = sum(parts[1:], parts[0])
         self.pending = False             # ψ owes its last step's trailing half
         self.mass0, self.max_drift, self.tails = l2_norm(lab, self.psi), 0.0, []
-        self.prop = NLSPropagator(data, epsilon, lam, self.steps.dt, beta)
+        self.prop = NLSPropagator(data, epsilon, lam, self.steps.dt,
+                                  setup.options.beta)
         branch = packets[0].branch
         others = [j for j in range(data.n_branches) if j != branch] if corrections else []
         self.rho = {(j, ell): coupling_profile(data, j, ell, source_branch=branch)
@@ -520,14 +549,14 @@ class _Lockstep:
     go on, otherwise the error propagates.  A tripped envelope guard fails
     every live lane."""
 
-    def __init__(self, setup: StudySetup, epsilons, beta, corrections, isolate):
+    def __init__(self, setup: StudySetup, epsilons, corrections, isolate):
         self.setup, self.isolate, self.failures = setup, isolate, []
         self.steps = setup.steps[epsilons[0]]
         self.trajs = setup.trajectories[self.steps.dt]
         self.lanes = []
         for eps in epsilons:
             try:
-                self.lanes.append(_Lane(setup, eps, beta, corrections))
+                self.lanes.append(_Lane(setup, eps, corrections))
             except AdiapackError as exc:
                 self._fail(eps, exc)
         self.envs = _envelopes(setup.y_grid,
@@ -688,11 +717,11 @@ class _SingleObserver:
             snapshots=self.snapshots)
 
 
-def _single_packet_runs(setup: StudySetup, epsilons, beta, isolate,
+def _single_packet_runs(setup: StudySetup, epsilons, isolate,
                         snapshot_steps=None):
     """One lockstep over `epsilons` (one step group) of a single-packet study
     with corrections: (results of the lanes that finished, failures)."""
-    march = _Lockstep(setup, epsilons, beta, corrections=True, isolate=isolate)
+    march = _Lockstep(setup, epsilons, corrections=True, isolate=isolate)
     observers = {lane: _SingleObserver(march, lane, snapshot_steps or {})
                  for lane in march.lanes}
     march.march(observers)
@@ -701,10 +730,7 @@ def _single_packet_runs(setup: StudySetup, epsilons, beta, isolate,
 
 def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
                       epsilon: float, lambda_coupling: float, T: float,
-                      x_min: float, x_max: float, observe_every: float = 0.01,
-                      dt_max: float = 1e-3, dt_over_eps: float = 0.25,
-                      y_half_width: float = 40.0, y_points: int = 2048,
-                      n_override: int | None = None, beta: float = 0.75,
+                      x_min: float, x_max: float, options=RunOptions(),
                       snapshot_times=()) -> SingleRunResult:
     """One single-packet march with corrections, and its error time series.
 
@@ -715,13 +741,12 @@ def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
     `config.load_config`).
     """
     setup = study_setup(spec, [packet], [epsilon], lambda_coupling, T, x_min,
-                        x_max, y_half_width, y_points, n_override, observe_every,
-                        dt_max, dt_over_eps)
+                        x_max, options)
     steps = setup.steps[epsilon]
     snapshot_steps = {int(round(ts / steps.dt)): ts for ts in snapshot_times}
     if any(k % steps.per_obs or not 0 <= k <= steps.total for k in snapshot_steps):
         raise ConfigError("snapshot times must be observation times in [0, T]")
-    (run,), _ = _single_packet_runs(setup, [epsilon], beta, isolate=False,
+    (run,), _ = _single_packet_runs(setup, [epsilon], isolate=False,
                                     snapshot_steps=snapshot_steps)
     return run
 
@@ -750,10 +775,7 @@ class ConvergenceReport:
 
 def convergence_study(spec: MatrixPotentialSpec, packet: PacketSpec, epsilons,
                       lambda_coupling: float, T: float, x_min: float, x_max: float,
-                      observe_every: float = 0.01, dt_max: float = 1e-3,
-                      dt_over_eps: float = 0.25, y_half_width: float = 40.0,
-                      y_points: int = 2048, n_override: int | None = None,
-                      beta: float = 0.75) -> ConvergenceReport:
+                      options=RunOptions()) -> ConvergenceReport:
     """Sweep ε, collect sup-in-t error norms, and fit the decay order.
 
     One `study_setup` serves every ε, and the ε that share a step size run
@@ -765,11 +787,10 @@ def convergence_study(spec: MatrixPotentialSpec, packet: PacketSpec, epsilons,
     """
     epsilons = sorted(epsilons, reverse=True)
     setup = study_setup(spec, [packet], epsilons, lambda_coupling, T, x_min,
-                        x_max, y_half_width, y_points, n_override, observe_every,
-                        dt_max, dt_over_eps)
+                        x_max, options)
     runs, failures = [], []
     for group in setup.groups():
-        done, failed = _single_packet_runs(setup, group, beta, isolate=True)
+        done, failed = _single_packet_runs(setup, group, isolate=True)
         runs += done
         failures += failed
     failures.sort(key=lambda failure: failure[0], reverse=True)
@@ -831,10 +852,7 @@ class _SuperposeObserver:
 def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
                              lambda_coupling: float, T: float, x_min: float,
                              x_max: float, gamma_exponent: float = 0.3,
-                             observe_every: float = 0.01, dt_max: float = 1e-3,
-                             dt_over_eps: float = 0.25, y_half_width: float = 40.0,
-                             y_points: int = 2048, n_override: int | None = None,
-                             beta: float = 0.75) -> SuperpositionReport:
+                             options=RunOptions()) -> SuperpositionReport:
     """Two-packet run: ψ₀ = φ₁χ¹ + φ₂χ² (plus r₀'s), error against φ₁χ¹ + φ₂χ².
 
     Reports Γ = inf |λ̃₁ - λ̃₂ - (E₁ - E₂)| (0 means the separation hypothesis
@@ -857,8 +875,7 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
                           "phase-space point")
     epsilons = sorted(epsilons, reverse=True)
     setup = study_setup(spec, [p1, p2], epsilons, lambda_coupling, T, x_min,
-                        x_max, y_half_width, y_points, n_override, observe_every,
-                        dt_max, dt_over_eps)
+                        x_max, options)
 
     probe, (tr1, tr2) = setup.probe, setup.rule.trajectories
     objective = np.abs(probe.branches[p1.branch] - probe.branches[p2.branch]
@@ -870,7 +887,7 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
 
     results = []
     for group in setup.groups():
-        march = _Lockstep(setup, group, beta, corrections=False, isolate=False)
+        march = _Lockstep(setup, group, corrections=False, isolate=False)
         observers = {lane: _SuperposeObserver(lane) for lane in march.lanes}
         march.march(observers)
         # crossing window |I^ε(T)| from the dense trajectory samples

@@ -98,7 +98,7 @@ class NLSPropagator:
     """
 
     def __init__(self, data: SpectralData, epsilon: float, lambda_coupling: float,
-                 dt: float, beta: float = 0.75):
+                 dt: float, beta: float):
         self.data = data
         self.grid = data.grid
         self.epsilon = float(epsilon)

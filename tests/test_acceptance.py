@@ -38,10 +38,7 @@ def check(criterion, ok, detail):
 def _study(cfg):
     return convergence_study(
         cfg.potential, cfg.packets[0], cfg.epsilons, cfg.lambda_coupling,
-        cfg.T, cfg.x_min, cfg.x_max,
-        observe_every=cfg.observe_every, dt_max=cfg.dt_max,
-        dt_over_eps=cfg.dt_over_epsilon, y_half_width=cfg.y_half_width,
-        y_points=cfg.y_points, n_override=cfg.n_override, beta=cfg.beta)
+        cfg.T, cfg.x_min, cfg.x_max, cfg.options)
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +57,7 @@ def superposition_report():
     return superposition_experiment(
         cfg.potential, tuple(cfg.packets[:2]), cfg.epsilons,
         cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max,
-        gamma_exponent=cfg.gamma_exponent, observe_every=cfg.observe_every)
+        gamma_exponent=cfg.gamma_exponent, options=cfg.options)
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +66,7 @@ def crossing_report():
     return superposition_experiment(
         cfg.potential, tuple(cfg.packets[:2]), cfg.epsilons,
         cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max,
-        gamma_exponent=cfg.gamma_exponent, observe_every=cfg.observe_every)
+        gamma_exponent=cfg.gamma_exponent, options=cfg.options)
 
 
 def test_criterion_01_mass_conservation():
@@ -80,7 +77,8 @@ def test_criterion_01_mass_conservation():
         cfg = load_config(CONFIGS / f"{name}.json")
         eps = max(cfg.epsilons)
         probe = decompose(cfg.potential, make_grid(cfg.x_min, cfg.x_max, 2048))
-        y_grid = make_grid(-cfg.y_half_width, cfg.y_half_width, cfg.y_points)
+        opts = cfg.options
+        y_grid = make_grid(-opts.y_half_width, opts.y_half_width, opts.y_points)
         n = lab_grid_rule(cfg.potential, probe, cfg.packets, cfg.lambda_coupling,
                           T, y_grid).points(eps)
         lab = make_grid(cfg.x_min, cfg.x_max, n)
@@ -93,11 +91,11 @@ def test_criterion_01_mass_conservation():
         masses = [l2_norm(lab, values)]
         if masses[0] == 0.0:
             continue
-        dt_raw = min(cfg.dt_max, cfg.dt_over_epsilon * eps)
+        dt_raw = min(opts.dt_max, opts.dt_over_epsilon * eps)
         n_steps = int(np.ceil(T / dt_raw - 1e-12))
         dt = T / n_steps
         # the run's schedule: merged half steps, ψ closed (and read) every 0.5
-        prop = NLSPropagator(data, eps, cfg.lambda_coupling, dt)
+        prop = NLSPropagator(data, eps, cfg.lambda_coupling, dt, opts.beta)
         stride = int(round(0.5 / dt))
         pending = False
         for step in range(1, n_steps + 1):

@@ -1,7 +1,9 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,8 @@ import pytest
 from adiapack.cli import main
 from adiapack.config import load_config
 from adiapack.errors import ConfigError
-from adiapack.experiments import (PacketSpec, run_single_packet, study_setup,
-                                  superposition_experiment)
+from adiapack.experiments import (PacketSpec, RunOptions, run_single_packet,
+                                  study_setup, superposition_experiment)
 from adiapack.grids import make_grid
 from adiapack.nls import spectral_half_width
 from adiapack.potentials import MatrixPotentialSpec, decompose
@@ -40,7 +42,7 @@ def config_setup(cfg):
     """The study set-up of all the config's packets, as `superpose` builds it."""
     return study_setup(cfg.potential, cfg.packets, cfg.epsilons,
                        cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max,
-                       cfg.y_half_width, cfg.y_points, cfg.n_override)
+                       cfg.options)
 
 
 def test_study_setup_sizes_the_minimal_config(tmp_path):
@@ -470,7 +472,8 @@ def test_envelope_edge_same_exit_code_in_both_run_paths(tmp_path, capsys,
         spec = MatrixPotentialSpec.from_strings(["x^2/2"], ["0"])
         pk = [PacketSpec(profile=d["profile"], x0=d["x0"], xi0=d["xi0"])
               for d in packets]
-        kwargs = dict(observe_every=0.05, y_half_width=half_width)
+        kwargs = dict(options=RunOptions(observe_every=0.05,
+                                         y_half_width=half_width))
         runs = (lambda: run_single_packet(spec, pk[0], 0.0625, 0.0, 0.5, -4.0,
                                           4.0, **kwargs),
                 lambda: superposition_experiment(spec, pk, [0.0625], 0.0, 0.5,
@@ -600,6 +603,28 @@ def test_bad_command_input_is_a_config_error(tmp_path, capsys):
                "--epsilon-override")
               for command in ("single", "converge")
               for value in (",", "0", "-0.01", "nan", "inf", "0.0625,-1")]
+    # single runs one ε: an override with more, which it dropped, is refused
+    cases.append(("single", ok, ["--epsilon-override", "0.0625,0.03125"],
+                  "single runs one ε"))
+    # a malformed number was a ValueError traceback (exit 1), a NaN ran on
+    # (β, λ) or failed later (exit 1), and 512.5 was truncated to 512
+    nan = float("nan")
+    bad_numbers = [
+        ({"beta": "x"}, "beta must be finite"),
+        ({"beta": nan}, "beta must be finite"),
+        ({"dt_max": "abc"}, "dt_max must be positive and finite"),
+        ({"y_points": "abc"}, "y_points must be a power of two"),
+        ({"y_points": 512.5}, "y_points must be a power of two"),
+        ({"T": "abc"}, "T must be a finite number"),
+        ({"T": nan}, "T must be a finite number"),
+        ({"lambda": "x"}, "lambda must be a finite number"),
+        ({"lambda": nan}, "lambda must be a finite number"),
+        ({"grid": {"x_min": "a", "x_max": 4.0}},
+         "grid.x_min must be a finite number"),
+        ({"observe_every": nan}, "observe_every must be positive and finite"),
+        ({"y_half_width": nan}, "y_half_width must be positive and finite")]
+    cases += [("single", write_config(tmp_path, name=f"bad{i}.json", **fields),
+               [], message) for i, (fields, message) in enumerate(bad_numbers)]
     for i, (command, path, extra, message) in enumerate(cases):
         out = tmp_path / f"{command}{i}"
         assert main([command, "--config", str(path), "--out", str(out)]
@@ -679,3 +704,43 @@ def test_converge_isolates_a_guard_that_trips_for_one_epsilon(tmp_path,
     assert report["runs"][0]["grid_n"] == 512
     rows = (out / "convergence.csv").read_text().splitlines()
     assert rows[:2] == (solo / "convergence.csv").read_text().splitlines()[:2]
+
+
+def test_every_run_option_reaches_the_run(tmp_path):
+    # each of the seven run options away from its default: the CLI's report
+    # is the direct call's with cfg.options, and the step size, envelope
+    # window and lab grid show the values (the defaults give dt = 0.001,
+    # 512 y-points and the rule's n = 256)
+    path = write_config(tmp_path, **{"lambda": 1.0}, observe_every=0.05,
+                        dt_max=4e-3, dt_over_epsilon=0.032, y_half_width=20.0,
+                        y_points=256, beta=1.0,
+                        grid={"x_min": -4.0, "x_max": 4.0, "n": 512})
+    cfg = load_config(path)
+    defaults = RunOptions()
+    assert all(getattr(cfg.options, f.name) != getattr(defaults, f.name)
+               for f in fields(RunOptions))
+    out = tmp_path / "out"
+    assert main(["single", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    run = run_single_packet(cfg.potential, cfg.packets[0], cfg.epsilons[0],
+                            cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max,
+                            cfg.options, snapshot_times=cfg.snapshot_times)
+    assert report == json.loads(json.dumps({"command": "single",
+                                            **run.to_dict()}))
+    # dt = 0.05/k for the smallest k with dt ≤ min(4e-3, 0.032 ε) = 0.002
+    assert report["dt"] == 0.002
+    # ±10 of the ±20/256 y-grid holds the envelope
+    assert report["y_points"] == 128
+    assert report["grid_n"] == 512
+
+
+def test_benchmark_checks_keep_the_run_option_defaults():
+    # perfbench/checks.py predicts step counts from its own copy of three
+    # defaults; read it by path, without importing or editing it
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    checks = runpy.run_path(str(path))
+    defaults = RunOptions()
+    assert (checks["_DT_MAX"], checks["_DT_OVER_EPSILON"],
+            checks["_OBSERVE_EVERY"]) == (defaults.dt_max,
+                                          defaults.dt_over_epsilon,
+                                          defaults.observe_every)

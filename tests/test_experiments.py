@@ -4,7 +4,7 @@ import pytest
 from adiapack.corrections import assemble_correction
 from adiapack.envelope import EnvelopeStepper
 from adiapack.errors import ConfigError
-from adiapack.experiments import (PacketSpec, _branch_curve_for,
+from adiapack.experiments import (PacketSpec, RunOptions, _branch_curve_for,
                                   _envelope_spline, _error_norms, _phi_values,
                                   convergence_study, fit_order, make_profile,
                                   run_single_packet, study_setup,
@@ -18,30 +18,31 @@ HARMONIC = MatrixPotentialSpec.from_strings(["x^2/2"], ["0"])
 MULTIPLET = MatrixPotentialSpec.from_strings(["x^2/2", "x^2/2"], ["0", "0", "0"],
                                              multiplicities=(2,))
 GAUSSIAN_AT_1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
+EVERY_005 = RunOptions(observe_every=0.05)
 
 
 @pytest.fixture(scope="module")
 def harmonic_run():
     return run_single_packet(HARMONIC, GAUSSIAN_AT_1, 1.0 / 64, 0.0, 0.2, -4.0,
-                             4.0, observe_every=0.05, snapshot_times=(0.2,))
+                             4.0, options=EVERY_005, snapshot_times=(0.2,))
 
 
 @pytest.fixture(scope="module")
 def rotating_run():
     return run_single_packet(rotating_family(), GAUSSIAN_AT_1, 1.0 / 64, 1.0,
-                             0.2, -2.5, 2.5, observe_every=0.05)
+                             0.2, -2.5, 2.5, options=EVERY_005)
 
 
 @pytest.fixture(scope="module")
 def harmonic_setup():
     return study_setup(HARMONIC, [GAUSSIAN_AT_1], [1.0 / 64], 0.0, 0.2, -4.0,
-                       4.0, observe_every=0.05)
+                       4.0, options=EVERY_005)
 
 
 @pytest.fixture(scope="module")
 def rotating_setup():
     return study_setup(rotating_family(), [GAUSSIAN_AT_1], [1.0 / 64], 1.0, 0.2,
-                       -2.5, 2.5, observe_every=0.05)
+                       -2.5, 2.5, options=EVERY_005)
 
 
 def ansatz_at(setup, epsilon, t):
@@ -85,7 +86,7 @@ def test_ansatz_norm_is_envelope_norm(harmonic_setup):
 
 def test_ansatz_peak_scales_like_quarter_root():
     setup = study_setup(HARMONIC, [GAUSSIAN_AT_1], [1.0 / 16, 1.0 / 64], 0.0,
-                        0.05, -4.0, 4.0, observe_every=0.05)
+                        0.05, -4.0, 4.0, options=EVERY_005)
     peaks = {eps: np.max(np.abs(ansatz_at(setup, eps, 0.05)[2]))
              for eps in (1.0 / 16, 1.0 / 64)}
     ratio = peaks[1.0 / 64] / peaks[1.0 / 16]
@@ -102,7 +103,7 @@ def test_taylor_residual_order_three_halves():
     res = {}
     for eps in (1.0 / 64, 1.0 / 256):
         r = run_single_packet(rotating_family(), GAUSSIAN_AT_1, eps, 1.0, 0.1,
-                              -2.5, 2.5, observe_every=0.05)
+                              -2.5, 2.5, options=EVERY_005)
         res[eps] = r.taylor[-1]        # at t = 0.1
     order = np.log(res[1.0 / 64] / res[1.0 / 256]) / np.log(4.0)
     assert order == pytest.approx(1.5, abs=0.15)
@@ -178,10 +179,10 @@ def test_non_simple_branch_rejected():
     p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.0)
     with pytest.raises(ConfigError, match="must be simple"):
         run_single_packet(MULTIPLET, p1, 1.0 / 16, 0.0, 0.1, -4.0, 4.0,
-                          observe_every=0.05)
+                          options=EVERY_005)
     with pytest.raises(ConfigError, match="must be simple"):
         superposition_experiment(MULTIPLET, (p1, p2), [1.0 / 16], 0.0, 0.1,
-                                 -4.0, 4.0, observe_every=0.05)
+                                 -4.0, 4.0, options=EVERY_005)
 
 
 def test_convergence_study_propagates_programming_errors(monkeypatch):
@@ -218,7 +219,7 @@ def test_scalar_control_order_half():
     sups = {}
     for eps in (1.0 / 32, 1.0 / 64, 1.0 / 128):
         r = run_single_packet(HARMONIC, packet, eps, 0.0, 0.2, -4.0, 4.0,
-                              observe_every=0.1)
+                              options=RunOptions(observe_every=0.1))
         sups[eps] = r.sup_w_sigma1
     fit = fit_order(list(sups.keys()), list(sups.values()))
     assert fit.order == pytest.approx(0.5, abs=0.1)
@@ -241,7 +242,7 @@ def test_superposition_gamma_same_branch_is_energy_difference():
     p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)
     rep = superposition_experiment(HARMONIC, (p1, p2), [1.0 / 32], 0.0, 0.1,
                                    -4.0, 4.0, gamma_exponent=0.3,
-                                   observe_every=0.05)
+                                   options=EVERY_005)
     # E1 = 1/2, E2 = 1/8 + 1/2 = 5/8
     assert rep.big_gamma == pytest.approx(0.125, abs=1e-12)
     assert rep.big_gamma_edge_ok
@@ -253,7 +254,7 @@ def test_superposition_gamma_constant_difference():
     p2 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0, branch=1)
     rep = superposition_experiment(spec, (p1, p2), [1.0 / 32], 0.0, 0.1,
                                    -6.0, 6.0, gamma_exponent=0.3,
-                                   observe_every=0.05)
+                                   options=EVERY_005)
     # λ̃1 - λ̃2 = -1 and E1 - E2 = 1/2 - 1 = -1/2, so Γ = 1/2 exactly
     assert rep.big_gamma == pytest.approx(0.5, abs=1e-12)
 
@@ -283,7 +284,7 @@ def test_snapshot_times_off_the_cadence_are_a_config_error():
     for times in ((0.0, 0.03), (0.15,)):
         with pytest.raises(ConfigError, match="observation times") as exc:
             run_single_packet(HARMONIC, packet, 1.0 / 16, 0.0, 0.1, -4.0, 4.0,
-                              observe_every=0.05, snapshot_times=times)
+                              options=EVERY_005, snapshot_times=times)
         assert exc.value.exit_code == 2
 
 
@@ -301,10 +302,10 @@ def test_mass_guard_aborts_both_run_paths(monkeypatch):
     p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)
     with pytest.raises(SolverAbort, match="mass drift"):
         run_single_packet(HARMONIC, p1, 1.0 / 16, 0.0, 0.1, -4.0, 4.0,
-                          observe_every=0.05)
+                          options=EVERY_005)
     with pytest.raises(SolverAbort, match="mass drift"):
         superposition_experiment(HARMONIC, (p1, p2), [1.0 / 16], 0.0, 0.1,
-                                 -4.0, 4.0, observe_every=0.05)
+                                 -4.0, 4.0, options=EVERY_005)
 
 
 
@@ -367,10 +368,10 @@ def test_lockstep_runs_match_each_epsilon_run_alone():
     p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
     p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)
     pair = superposition_experiment(HARMONIC, (p1, p2), [1.0 / 16, 1.0 / 32],
-                                    1.0, 0.1, -4.0, 4.0, observe_every=0.05)
+                                    1.0, 0.1, -4.0, 4.0, options=EVERY_005)
     for i, eps in enumerate(pair.epsilons):
         solo = superposition_experiment(HARMONIC, (p1, p2), [eps], 1.0, 0.1,
-                                        -4.0, 4.0, observe_every=0.05)
+                                        -4.0, 4.0, options=EVERY_005)
         for name in ("sup_errors", "terminal_errors", "crossing_measures",
                      "interaction_integrals", "grid_n", "energy_drift",
                      "fourier_tail"):
@@ -378,11 +379,11 @@ def test_lockstep_runs_match_each_epsilon_run_alone():
 
     packet = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0, branch=0)
     study = convergence_study(rotating_family(), packet, [1.0 / 32, 1.0 / 64],
-                              1.0, 0.1, -2.5, 2.5, observe_every=0.05)
+                              1.0, 0.1, -2.5, 2.5, options=EVERY_005)
     assert [run.dt for run in study.runs] == [1e-3, 1e-3]
     for run in study.runs:
         solo = run_single_packet(rotating_family(), packet, run.epsilon, 1.0,
-                                 0.1, -2.5, 2.5, observe_every=0.05)
+                                 0.1, -2.5, 2.5, options=EVERY_005)
         assert run.to_dict() == solo.to_dict()
 
 
@@ -403,7 +404,7 @@ def test_lockstep_steps_a_shared_envelope_once(monkeypatch):
     p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
     p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)
     superposition_experiment(HARMONIC, (p1, p2), [1.0 / 16, 1.0 / 32], 1.0,
-                             0.1, -4.0, 4.0, observe_every=0.05)
+                             0.1, -4.0, 4.0, options=EVERY_005)
     assert len(calls) == 100 + 4
 
 
@@ -417,12 +418,12 @@ def test_step_rule_rejects_t_off_the_observation_cadence(monkeypatch):
     p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
     p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)
     runs = (lambda: run_single_packet(HARMONIC, p1, 1.0 / 16, 0.0, 0.12,
-                                      -4.0, 4.0, observe_every=0.05),
+                                      -4.0, 4.0, options=EVERY_005),
             lambda: convergence_study(HARMONIC, p1, [1.0 / 16], 0.0, 0.12,
-                                      -4.0, 4.0, observe_every=0.05),
+                                      -4.0, 4.0, options=EVERY_005),
             lambda: superposition_experiment(HARMONIC, (p1, p2), [1.0 / 16],
                                              0.0, 0.12, -4.0, 4.0,
-                                             observe_every=0.05))
+                                             options=EVERY_005))
     for run in runs:
         with pytest.raises(ConfigError, match="multiple of observe_every") as exc:
             run()
@@ -430,7 +431,7 @@ def test_step_rule_rejects_t_off_the_observation_cadence(monkeypatch):
     # a zero step bound was a ZeroDivisionError once the lab grid was built
     with pytest.raises(ConfigError, match="must be positive"):
         run_single_packet(HARMONIC, p1, 1.0 / 16, 0.0, 0.1, -4.0, 4.0,
-                          observe_every=0.05, dt_max=0.0)
+                          RunOptions(observe_every=0.05, dt_max=0.0))
     assert sizes == []
 
 
@@ -454,7 +455,7 @@ def test_run_window_holds_the_measured_envelope_support():
         cfg = load_config(configs / f"{name}.json")
         setup = study_setup(cfg.potential, cfg.packets, cfg.epsilons,
                             cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max,
-                            cfg.y_half_width, cfg.y_points, cfg.n_override)
+                            cfg.options)
         window = setup.y_grid
         assert setup.rule.y_tau == pytest.approx(y_tau, abs=0.1), name
         assert window.n == points, name
@@ -496,7 +497,7 @@ def test_lockstep_calls_the_nls_step_once_per_step(monkeypatch):
     packet = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
     eps_list = [1.0 / 16, 1.0 / 32, 1.0 / 256]
     convergence_study(HARMONIC, packet, eps_list, 0.0, 0.1, -4.0, 4.0,
-                      observe_every=0.05)
+                      options=EVERY_005)
     # dt = 1e-3 for the first two ε; dt = 0.05/52 for ε = 1/256
     assert calls == {1.0 / 16: [100, 2], 1.0 / 32: [100, 2],
                      1.0 / 256: [104, 2]}

@@ -21,7 +21,7 @@ def free_scalar_spec():
 def march(data, values, eps, lam, T, dt):
     """ψ(T) from `values` by closed `NLSPropagator.step`s, each one passing
     the run's mass guard."""
-    prop = NLSPropagator(data, eps, lam, dt)
+    prop = NLSPropagator(data, eps, lam, dt, 0.75)
     mass0 = l2_norm(data.grid, values)
     for step in range(1, int(round(T / dt)) + 1):
         values = prop.step(values)
@@ -141,7 +141,7 @@ def test_time_reversibility_linear():
     chi = data.frames[0][:, :, 0]
     psi0 = build_initial_data(gaussian, 1.0, 0.0, chi, eps, g)
     values = march(data, psi0, eps, 0.0, 0.2, 1e-3)
-    prop = NLSPropagator(data, eps, 0.0, -1e-3)
+    prop = NLSPropagator(data, eps, 0.0, -1e-3, 0.75)
     for _ in range(200):
         values = prop.step(values)
     assert l2_norm(g, values - psi0) < 1e-8
@@ -153,7 +153,7 @@ def test_single_step_conserves_mass():
     chi = data.frames[0][:, :, 0]
     psi = build_initial_data(gaussian, 1.0, 0.0, chi, 0.05, g)
     mass0 = l2_norm(g, psi)
-    out = NLSPropagator(data, 0.05, 1.0, 1e-3).step(psi)
+    out = NLSPropagator(data, 0.05, 1.0, 1e-3, 0.75).step(psi)
     assert l2_norm(g, out) == pytest.approx(mass0, abs=1e-12)
     assert check_step_mass(g, out, mass0, 1) <= 1e-12
 
@@ -200,3 +200,16 @@ def test_populations_sum_rule_after_evolution():
     final = march(data, psi0, eps, 1.0, 0.2, 5e-4)
     pops = mode_populations(final, data)
     assert pops.sum() == pytest.approx(l2_norm(g, final) ** 2, abs=1e-10)
+
+
+def test_every_guard_rejects_nan():
+    # NaN fails every comparison: a guard that raised only when its value
+    # exceeded the limit let a NaN ψ through
+    import adiapack.errors as errors
+
+    guards = [g for g in vars(errors).values() if isinstance(g, errors.Guard)]
+    assert len(guards) == 6
+    for guard in guards:
+        assert guard.check(0.0) == 0.0
+        with pytest.raises(guard.error, match="nan"):
+            guard.check(float("nan"))
