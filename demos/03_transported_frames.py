@@ -49,7 +49,7 @@ print("\nparallel-transport residuals (within branch ~ 0, across = coupling):")
 for t, x in ((0.5, 0.3), (1.5, -0.2)):
     own = parallel_residual(frame, data, 1, 0, t, x)
     cross = parallel_residual(frame, data, 0, 0, t, x)
-    xi = float(traj.xi_of(t))
+    xi = float(traj.xi[int(round(t / 1e-3))])     # the sample at t
     print(f"  t={t}  x={x:+.1f}:  |own| = {abs(own):.2e}   "
           f"|cross| = {abs(cross):.4f}   |xi|/2 = {abs(xi) / 2:.4f}")
 

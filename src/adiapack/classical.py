@@ -9,14 +9,14 @@ samples line up exactly with PDE solver steps.  The curvature λ''(x(t)) is
 sampled along the path for the envelope equation, and the conserved energy
 E = ξ²/2 + λ(x) is tracked as a drift diagnostic.  A branch is either an
 expression (λ, λ', λ'' analytic) or decomposed grid samples (the not-a-knot
-spline `grids.UniformCubicSpline` and its own derivatives); the samples are
-interpolated in t by the same spline.
+spline `grids.UniformCubicSpline` and its own derivatives).  A trajectory is
+its samples, read by index; only the transport oracle (`eigenframe`)
+interpolates them in t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -74,7 +74,7 @@ class BranchCurve:
 
 @dataclass(frozen=True, eq=False)
 class ClassicalTrajectory:
-    """Time samples of (x, ξ, S) plus the branch values and curvature along the path."""
+    """Samples of (x, ξ, S), λ and λ'' along the path at t_i = i·dt."""
 
     times: np.ndarray = field(repr=False)
     x: np.ndarray = field(repr=False)
@@ -85,26 +85,6 @@ class ClassicalTrajectory:
     branch: int
     energy0: float
     energy_drift: float
-
-    def _spline(self, values) -> UniformCubicSpline:
-        return UniformCubicSpline(self.times[0], self.times[1] - self.times[0],
-                                  values)
-
-    @cached_property
-    def x_of(self):
-        return self._spline(self.x)
-
-    @cached_property
-    def xi_of(self):
-        return self._spline(self.xi)
-
-    @cached_property
-    def action_of(self):
-        return self._spline(self.action)
-
-    @cached_property
-    def curvature_of(self):
-        return self._spline(self.curvature)
 
 
 def integrate_trajectory(branch: BranchCurve, x0: float, xi0: float, T: float,

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import load_config
+from .config import epsilon_problem, load_config
 from .errors import ConfigError, InvariantViolation, SolverAbort
 from .experiments import (convergence_study, run_single_packet,
                           superposition_experiment)
@@ -76,12 +76,8 @@ def _epsilons(cfg, override):
         epsilons = [float(tok) for tok in override.split(",") if tok]
     except ValueError as exc:
         raise ConfigError(f"--epsilon-override: {exc}") from exc
-    if not epsilons:
-        raise ConfigError("--epsilon-override: need at least one value")
-    bad = [e for e in epsilons if not 0.0 < e < float("inf")]
-    if bad:
-        raise ConfigError(f"--epsilon-override: every value must be finite "
-                          f"and positive, got {bad}")
+    if problem := epsilon_problem(epsilons):
+        raise ConfigError(f"--epsilon-override: {problem}")
     return epsilons
 
 

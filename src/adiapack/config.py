@@ -4,9 +4,9 @@ A config file carries the potential (expression strings for the diagonal and
 symmetric parts), the packet(s), the ε list, the coupling constant, horizon,
 the run options (`experiments.RunOptions`) and output options.
 `load_config` only parses and validates, exhaustively: every violation is
-collected and reported at once, a value that is not a finite number, an
-unknown profile type or parameter and a packet on a missing or non-simple
-branch included.  The lab grid sizes belong to `experiments.study_setup`.
+collected and reported at once, a value of the wrong JSON type, an unknown
+profile type or parameter and a packet on a missing or non-simple branch
+included.  The lab grid sizes belong to `experiments.study_setup`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .experiments import PacketSpec, RunOptions, _branch_scope_error, \
 from .expressions import ParseError, parse_expr
 from .potentials import MatrixPotentialSpec
 
-__all__ = ["ExperimentConfig", "load_config"]
+__all__ = ["ExperimentConfig", "epsilon_problem", "load_config"]
 
 
 @dataclass(eq=False)
@@ -49,6 +49,34 @@ def _number(raw, key, label, errors, default=None):
     errors.append(f"missing required field: {label}" if value is None
                   else f"{label} must be a finite number")
     return float("nan")
+
+
+_SHAPES = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+
+
+def _shaped(raw, key, shape, errors, default, label=None):
+    """raw[key] if of JSON type `shape` (a bool is no integer), else `default`
+    and a violation unless absent."""
+    value = raw.get(key, default)
+    if key in raw and type(value) is not shape:
+        errors.append(f"{label or key} must be {_SHAPES[shape]}")
+        return default
+    return value
+
+
+def _multiple(value: float, step: float) -> bool:   # to 1e-9, no overflow
+    ratio = value / step
+    return bool(np.isfinite(ratio)) and abs(round(ratio) * step - value) <= 1e-9
+
+
+def epsilon_problem(epsilons) -> str | None:
+    """What breaks the one ε rule of the config and `--epsilon-override`, a
+    non-empty list of numbers in (0, 1], or None."""
+    if not isinstance(epsilons, list) or not epsilons:
+        return "need a list of at least one value"
+    if not all(_finite(e) and 0.0 < e <= 1.0 for e in epsilons):
+        return "every value must lie in (0, 1]"
+    return None
 
 
 def _profile_from_dict(profile, errors, label, seed):
@@ -79,11 +107,14 @@ def _packet_from_dict(d, errors, prefix, seed):
     return PacketSpec(profile=profile,
                       x0=_number(d, "x0", f"{prefix}.x0", errors),
                       xi0=_number(d, "xi0", f"{prefix}.xi0", errors),
-                      branch=int(d.get("branch", 0)), kappa=kappa,
-                      r0_profile=r0_profile)
+                      branch=_shaped(d, "branch", int, errors, 0,
+                                     f"{prefix}.branch"),
+                      kappa=kappa, r0_profile=r0_profile)
 
 
 def _potential_from_dict(d, errors):
+    if d is None:
+        return None
     diag = d.get("diag")
     sym = d.get("sym")
     if not isinstance(diag, list) or not diag:
@@ -105,10 +136,17 @@ def _potential_from_dict(d, errors):
             except ParseError as exc:
                 errors.append(f"potential.{label}[{i}]: {exc}")
                 ok = False
+    mult, gap = d.get("multiplicities"), d.get("gap_constants")
+    if mult is not None and not (isinstance(mult, list) and all(
+            type(m) is int and m > 0 for m in mult)):
+        errors.append("potential.multiplicities must be positive integers")
+        ok = False
+    if gap is not None and not (isinstance(gap, list) and len(gap) == 2
+                                and all(_finite(g) for g in gap)):
+        errors.append("potential.gap_constants must be two numbers [c0, n0]")
+        ok = False
     if not ok:
         return None
-    mult = d.get("multiplicities")
-    gap = d.get("gap_constants")
     try:
         return MatrixPotentialSpec.from_strings(
             parsed_diag, parsed_sym,
@@ -120,24 +158,28 @@ def _potential_from_dict(d, errors):
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate.  Raises ConfigError listing every problem."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"not valid JSON: {exc}"])
+    except (OSError, ValueError) as exc:   # no such file, not UTF-8 or not JSON
+        raise ConfigError([f"cannot read the config as JSON: {exc}"]) from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(["the config must be a JSON object"])
 
     errors = []
     for key in ("potential", "epsilons", "packets"):
         if key not in raw:
             errors.append(f"missing required field: {key}")
 
-    seed = int(raw.get("seed", 0))
-    spec = None
-    if "potential" in raw:
-        spec = _potential_from_dict(raw["potential"], errors)
+    seed = _shaped(raw, "seed", int, errors, 0)
+    spec = _potential_from_dict(_shaped(raw, "potential", dict, errors, None),
+                                errors)
 
     packets = []
-    for i, pd in enumerate(raw.get("packets", [])):
+    for i, pd in enumerate(_shaped(raw, "packets", list, errors, [])):
+        if not isinstance(pd, dict):
+            errors.append(f"packets[{i}] must be an object")
+            continue
         packets.append(_packet_from_dict(pd, errors, f"packets[{i}]", seed))
     if "packets" in raw and not packets:
         errors.append("packets: need at least one packet")
@@ -148,16 +190,13 @@ def load_config(path) -> ExperimentConfig:
                 errors.append(f"packets[{i}]: {problem}")
 
     epsilons = raw.get("epsilons", [])
-    if "epsilons" in raw:
-        if not epsilons:
-            errors.append("epsilons: need at least one value")
-        if any(not (_finite(e) and 0.0 < e <= 1.0) for e in epsilons):
-            errors.append("epsilons: every value must lie in (0, 1]")
+    if "epsilons" in raw and (problem := epsilon_problem(epsilons)):
+        errors.append(f"epsilons: {problem}")
 
     T = _number(raw, "T", "T", errors)
     if T <= 0.0:
         errors.append("T must be positive")
-    grid = raw.get("grid", {})
+    grid = _shaped(raw, "grid", dict, errors, {})
     settings = {f.name: raw[f.name] for f in fields(RunOptions)
                 if f.name in raw}
     settings["grid_n"] = grid.get("n")
@@ -167,15 +206,12 @@ def load_config(path) -> ExperimentConfig:
         errors += exc.errors
     every = settings.get("observe_every", RunOptions.observe_every)
     cadence = T > 0 and _finite(every) and every > 0  # else already listed
-    if cadence and abs(round(T / every) * every - T) > 1e-9:
+    if cadence and not _multiple(T, every):
         errors.append("T must be an integer multiple of observe_every")
-    snapshot_times = raw.get("snapshot_times", [0.0, T])
-    if not isinstance(snapshot_times, list):
-        errors.append("snapshot_times must be a list")
-        snapshot_times = []
+    snapshot_times = _shaped(raw, "snapshot_times", list, errors, [0.0, T])
     for i, ts in enumerate(snapshot_times if "snapshot_times" in raw else []):
-        if cadence and not (_finite(ts) and 0.0 <= ts <= T and abs(
-                round(ts / every) * every - ts) <= 1e-9):
+        if cadence and not (_finite(ts) and 0.0 <= ts <= T
+                            and _multiple(ts, every)):
             errors.append(f"snapshot_times[{i}]: {ts!r} is not a multiple of "
                           f"observe_every in [0, T]")
 
@@ -188,6 +224,7 @@ def load_config(path) -> ExperimentConfig:
     gamma_exponent = raw.get("gamma", 0.3)
     if not (_finite(gamma_exponent) and 0.0 < gamma_exponent < 0.5):
         errors.append("gamma must lie in (0, 1/2)")
+    out_dir = _shaped(raw, "out_dir", str, errors, "results")
 
     if errors:
         raise ConfigError(errors)
@@ -195,5 +232,5 @@ def load_config(path) -> ExperimentConfig:
         potential=spec, packets=packets, epsilons=[float(e) for e in epsilons],
         lambda_coupling=lambda_coupling, T=T, x_min=x_min, x_max=x_max,
         options=options, gamma_exponent=float(gamma_exponent),
-        out_dir=str(raw.get("out_dir", "results")),
+        out_dir=out_dir,
         snapshot_times=tuple(snapshot_times))

@@ -23,7 +23,8 @@ carry the opposite source.
 This module is the independent oracle of the static carrier, so it keeps
 `scipy.interpolate.CubicSpline`; the import sits inside the functions that
 use it, and the run path, which needs only `coupling_profile`, never loads
-`scipy.interpolate`.
+`scipy.interpolate`.  It is the one reader of a trajectory between its
+samples, through the frame's splines in t of x and ξ.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverAbort
-from .grids import SpatialGrid, ScalarField, _derivative_values
+from .grids import SpatialGrid, ScalarField, UniformCubicSpline, _derivative_values
 from .potentials import SpectralData, d_projectors, evaluate_potential, _local_spectral
 
 __all__ = [
@@ -103,7 +104,8 @@ class EigenFrame:
     times: np.ndarray = field(repr=False)
     z_grid: SpatialGrid
     vectors: np.ndarray = field(repr=False)  # (nt, nz, N, d)
-    traj: object = field(repr=False)
+    x_of: UniformCubicSpline = field(repr=False)   # x(t) and ξ(t) of the path
+    xi_of: UniformCubicSpline = field(repr=False)
     data: SpectralData = field(repr=False)
     gram_deviation: float = 0.0
     eigen_residual: float = 0.0
@@ -131,7 +133,8 @@ def transport_frame(data: SpectralData, j: int, traj, initial_vectors: np.ndarra
     if T is None:
         T = float(traj.times[-1])
     n_steps = int(round(T / dt))
-    x_of, xi_of = traj.x_of, traj.xi_of
+    t0, h = traj.times[0], traj.times[1] - traj.times[0]
+    x_of, xi_of = UniformCubicSpline(t0, h, traj.x), UniformCubicSpline(t0, h, traj.xi)
     k_spline = CubicSpline(data.grid.points, k_matrix_grid(data, j), axis=0)
     lam_spline = CubicSpline(data.grid.points, data.branches[j])
     z = z_grid.points
@@ -189,7 +192,7 @@ def transport_frame(data: SpectralData, j: int, traj, initial_vectors: np.ndarra
             f"(gap too small or dt too large)"
         )
     return EigenFrame(branch=j, times=times, z_grid=z_grid, vectors=vectors,
-                      traj=traj, data=data, gram_deviation=gram_dev,
+                      x_of=x_of, xi_of=xi_of, data=data, gram_deviation=gram_dev,
                       eigen_residual=resid, reorth_drift=tuple(drift_log))
 
 
@@ -209,7 +212,7 @@ def frame_at(frame: EigenFrame, t: float, lab_grid: SpatialGrid) -> np.ndarray:
     from scipy.interpolate import CubicSpline
 
     i = _slice_index(frame, t)
-    z = lab_grid.points - float(frame.traj.x_of(t))
+    z = lab_grid.points - float(frame.x_of(t))
     zg = frame.z_grid.points
     if z.min() < zg[0] or z.max() > zg[-1]:
         raise ValueError("lab grid extends beyond the transported z-domain")
@@ -233,12 +236,12 @@ def parallel_residual(frame: EigenFrame, data: SpectralData, m: int, ell: int,
     def chi(tt, xx, col):
         i = _slice_index(frame, tt)
         spline = CubicSpline(frame.z_grid.points, frame.vectors[i][:, :, col], axis=0)
-        v = spline(xx - float(frame.traj.x_of(tt)))
+        v = spline(xx - float(frame.x_of(tt)))
         return v / np.linalg.norm(v)
 
     d_t = (chi(t + dt, x, ell) - chi(t - dt, x, ell)) / (2.0 * dt)
     d_x = (chi(t, x + dx, ell) - chi(t, x - dx, ell)) / (2.0 * dx)
-    flow = d_t + float(frame.traj.xi_of(t)) * d_x
+    flow = d_t + float(frame.xi_of(t)) * d_x
     other = initial_frame(data, m, np.array([x]))[0, :, 0] if m != frame.branch \
         else chi(t, x, 0)
     return complex(_cdot(flow, other))
@@ -261,7 +264,7 @@ def coupling_coefficients(frame1: EigenFrame, data: SpectralData, j: int,
     chi_now = frame_at(frame1, t, lab_grid)[:, :, 0]
     d_t = (chi_next - chi_prev) / (2.0 * dt)
     d_x = _derivative_values(lab_grid, chi_now, 1)
-    flow = d_t + float(frame1.traj.xi_of(t)) * d_x
+    flow = d_t + float(frame1.xi_of(t)) * d_x
     chi_jl = initial_frame(data, j, lab_grid.points)[:, :, ell]
     values = 1j * _cdot(flow, chi_jl)
     return ScalarField(grid=lab_grid, values=values, epsilon=1.0, time=t)

@@ -8,7 +8,8 @@ on a fixed y-grid that does not depend on the semiclassical parameter.  The
 splitting is symmetric second order: a half step of the potential-plus-cubic
 phase (exact pointwise, since |u| is invariant under that flow), a full
 kinetic step (exact Fourier multiplier), and another half phase.  The
-time-dependent curvature is evaluated at the step midpoint.  The stepper
+time-dependent curvature enters at the step midpoint, as the caller's
+sample c = λ''(x(t + dt/2)) in `advance(dt, c)`.  The stepper
 leaves each step's trailing half phase pending and applies it when `values`
 is read; an `advance` that finds a half pending takes it together with its
 own leading half as one phase, with the two midpoint curvatures averaged,
@@ -42,12 +43,11 @@ class EnvelopeStepper:
     """Marches the profile equation with symmetric splitting at a fixed dt."""
 
     def __init__(self, y_grid: SpatialGrid, a_values: np.ndarray,
-                 lambda_coupling: float, curvature_fn):
+                 lambda_coupling: float):
         self.y_grid = y_grid
         self._u = np.asarray(a_values, dtype=complex).copy()
         self._pending = None            # (dt/2, curvature) of a trailing half phase
         self.lambda_coupling = float(lambda_coupling)
-        self.curvature_fn = curvature_fn
         self.time = 0.0
         self.mass0 = l2_norm(y_grid, self._u)
         self._half_y2 = 0.5 * y_grid.points**2
@@ -78,9 +78,9 @@ class EnvelopeStepper:
         pot = curv * self._half_y2 + self.lambda_coupling * (re * re + im * im)
         self._u *= unit_phase(-dt * pot)
 
-    def advance(self, dt: float):
-        half = 0.5 * dt
-        curv = float(self.curvature_fn(self.time + half))
+    def advance(self, dt: float, curvature: float):
+        """One step of dt, with `curvature` the midpoint value λ''(x(t + dt/2))."""
+        half, curv = 0.5 * dt, float(curvature)
         if self._pending is None:
             self._phase(half, curv)
         else:

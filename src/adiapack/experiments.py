@@ -21,15 +21,18 @@ superposition experiment with the trajectory-crossing diagnostics Γ and
 |I^ε(T)| = |{t ≤ T : |x₁(t) - x₂(t)| ≤ ε^γ}|.
 
 The run options travel as one validated `RunOptions`.  A command does its
-ε-free work once (`study_setup`): the probe decomposition, the grid rule,
-every ε's grid size and step rule, the envelopes' run window (the part of
-the y-grid their profiles fill), and each packet's run trajectory once per
-distinct dt.  In the critical scaling the envelope equation and the
+ε-free work once (`study_setup`): the probe decomposition, each packet's run
+trajectory once per distinct dt, the grid rule, every ε's grid size and
+step rule, and the envelopes' run window (the part of the y-grid their
+profiles fill).  In the critical scaling the envelope equation and the
 classical path do not contain ε, so the ε that share a dt run in one
 lockstep march (`_Lockstep`): each distinct envelope is stepped once per
 step and read by every packet and ε that use it, and each ε keeps its own
 lab state (`_Lane`).  `run_single_packet`, `convergence_study` and
-`superposition_experiment` configure it with their observers.
+`superposition_experiment` configure it with their observers.  The run
+trajectory's samples at dt/4 are the one clock of the ε-free data, read by
+index: step s is observed at sample 4s, a whole envelope step and the
+Duhamel source read 4s - 2, and its dt/2 envelope halves 4s - 3 and 4s - 1.
 """
 
 from __future__ import annotations
@@ -154,10 +157,11 @@ def _envelope_spline(y_grid: SpatialGrid, u_vals) -> UniformCubicSpline:
                               extrapolate=False)
 
 
-def _phi_values(lab_grid, u_of, traj, t, epsilon):
-    """φ(t, ·) on the lab grid from `u_of`, the envelope's `_envelope_spline`.
+def _phi_values(lab_grid, u_of, x_c, xi, action, epsilon):
+    """φ on the lab grid from `u_of`, the envelope's `_envelope_spline`, and
+    the path's point (x_c, ξ) and action S at the same time.
 
-    u is evaluated at y = (x - x(t))/√ε.  The spline and the phase are
+    u is evaluated at y = (x - x_c)/√ε.  The spline and the phase are
     evaluated only on a contiguous run of lab indices that holds every y of
     the y-domain, with a point of margin on each side (where the spline's
     NaN outside its knots becomes 0); every other lab point is 0.  The run
@@ -166,9 +170,6 @@ def _phi_values(lab_grid, u_of, traj, t, epsilon):
     heap).  The samples come from an `EnvelopeStepper`, which has checked
     that they vanish at the y-domain edges.
     """
-    x_c = float(traj.x_of(t))
-    xi = float(traj.xi_of(t))
-    action = float(traj.action_of(t))
     root = np.sqrt(epsilon)
     span = root * (u_of.knots[-1] - u_of.knots[0]) / lab_grid.spacing
     width = min(lab_grid.n, int(np.ceil(span)) + 4)
@@ -328,19 +329,19 @@ def _step_rule(T: float, options: RunOptions, epsilon: float) -> _Steps:
     return _Steps(every / per_obs, per_obs, per_obs * n_obs)
 
 
-def _envelopes(y_grid: SpatialGrid, pairs, lambda_coupling: float) -> list:
-    """An `EnvelopeStepper` for each (profile, trajectory) pair.  Pairs whose
-    profile samples and curvature samples agree byte for byte (no tolerance)
-    march the same u, so they share one stepper."""
-    shared, out = {}, []
-    for a, traj in pairs:
+def _envelopes(y_grid: SpatialGrid, pairs, lambda_coupling: float) -> tuple:
+    """An `EnvelopeStepper` for each (profile, curvature samples) pair, and
+    each distinct stepper's curvature.  Pairs whose samples agree byte for
+    byte (no tolerance) march the same u, so they share one stepper."""
+    shared, out, curvatures = {}, [], {}
+    for a, curvature in pairs:
         samples = np.asarray(a(y_grid.points), dtype=complex)
-        key = (samples.tobytes(), traj.curvature.tobytes())
+        key = (samples.tobytes(), curvature.tobytes())
         if key not in shared:
-            shared[key] = EnvelopeStepper(y_grid, samples, lambda_coupling,
-                                          traj.curvature_of)
+            shared[key] = EnvelopeStepper(y_grid, samples, lambda_coupling)
+            curvatures[shared[key]] = curvature
         out.append(shared[key])
-    return out
+    return out, curvatures
 
 
 # step of the sizing march: against 1e-3 steps the largest η_τ agrees within
@@ -355,10 +356,9 @@ class LabGridRule:
     and the envelopes' measured support."""
 
     length: float
-    xi_max: float                    # largest |ξ| on the probe trajectories
+    xi_max: float                    # largest |ξ| on the run trajectories
     eta: float                       # largest η_τ of any envelope over the run
     n_packets: int
-    trajectories: list               # the packets' probe trajectories
     y_tau: float                     # largest |y| with |u| > τ_y max|u| over the run
 
     def points(self, epsilon: float, n_override: int | None = None) -> int:
@@ -366,41 +366,41 @@ class LabGridRule:
                                n_packets=self.n_packets, n_override=n_override)
 
 
-def lab_grid_rule(spec: MatrixPotentialSpec, probe: SpectralData, packets,
-                  lambda_coupling: float, T: float,
-                  y_grid: SpatialGrid) -> LabGridRule:
+def lab_grid_rule(length: float, packets, trajectories, dt: float,
+                  lambda_coupling: float, y_grid: SpatialGrid) -> LabGridRule:
     """Measure, once for every ε, the momentum data that sizes the lab grid.
 
-    Each packet's trajectory is integrated to T on the probe decomposition
-    (dt = 1e-3); each of its profiles (a, and r₀'s if set) is marched as an
-    envelope along that trajectory's curvature, and η_τ is the largest
-    `nls.spectral_half_width` over all steps: the spectrum breathes when a
-    profile is not the coherent width, and the cubic term widens it.  A
+    ξ_max is the largest |ξ| on `trajectories`, the packets' run
+    trajectories of step dt (samples at dt/4).  Each profile of a packet (a,
+    and r₀'s if set) is marched as an envelope along its trajectory's
+    curvature in steps of m·dt, m = max(1, round(`_SIZING_DT`/dt)), the last
+    one shorter if need be; the step from b₀·dt to b₁·dt reads its midpoint
+    sample 2(b₀ + b₁).  η_τ is the largest `nls.spectral_half_width` over
+    all steps: the spectrum breathes when a profile is not the coherent
+    width, and the cubic term widens it.  A
     profile that does not vanish at the y-domain edges fails the stepper's
     edge guard (`InvariantViolation`) before it is measured.  The same
     march measures Y_τ, the largest |y| at which |u| > τ_y · max|u|
     (τ_y = `errors.ENVELOPE_SUPPORT`) at any of its steps, which sizes the
     envelopes' run window (`_run_window`).
     """
-    trajs = [integrate_trajectory(_branch_curve_for(spec, probe, pk.branch),
-                                  pk.x0, pk.xi0, T, 1e-3, branch_id=pk.branch)
-             for pk in packets]
-    steps = max(1, int(np.ceil(T / _SIZING_DT - 1e-12)))
-    pairs = [(a, tr) for pk, tr in zip(packets, trajs) for a in pk.profiles()]
+    total, m = (len(trajectories[0].x) - 1) // 4, max(1, round(_SIZING_DT / dt))
+    bounds = list(range(0, total, m)) + [total]
+    _, curvatures = _envelopes(y_grid, [(a, tr.curvature) for pk, tr in zip(
+        packets, trajectories) for a in pk.profiles()], lambda_coupling)
     eta = y_tau = 0.0
-    for env in dict.fromkeys(_envelopes(y_grid, pairs, lambda_coupling)):
-        for k in range(steps + 1):
-            if k:
-                env.advance(T / steps)
+    for env, curvature in curvatures.items():
+        for b0, b1 in zip([0] + bounds, bounds):
+            if b1 > b0:
+                env.advance((b1 - b0) * dt, curvature[2 * (b0 + b1)])
             u = env.values
             eta = max(eta, spectral_half_width(y_grid, u))
             mag = np.abs(u)
             y_tau = max(y_tau, float(np.abs(
                 y_grid.points[mag > ENVELOPE_SUPPORT * mag.max()]).max(initial=0.0)))
-    return LabGridRule(length=probe.grid.length,
-                       xi_max=max(float(np.max(np.abs(tr.xi))) for tr in trajs),
-                       eta=eta, n_packets=len(packets), trajectories=trajs,
-                       y_tau=y_tau)
+    return LabGridRule(length=length,
+                       xi_max=max(float(np.max(np.abs(tr.xi))) for tr in trajectories),
+                       eta=eta, n_packets=len(packets), y_tau=y_tau)
 
 
 def _run_window(y_grid: SpatialGrid, y_tau: float) -> SpatialGrid:
@@ -444,13 +444,13 @@ def study_setup(spec: MatrixPotentialSpec, packets, epsilons,
                 lambda_coupling: float, T: float, x_min: float, x_max: float,
                 options=RunOptions()) -> StudySetup:
     """Scope check, every ε's `_step_rule`, the 4096-point probe
-    decomposition, `lab_grid_rule` on the configured y-grid (±y_half_width,
-    y_points), the lab grid size of every ε (a `grid.n` must meet the rule
-    at all of them), the envelopes' run window (the configured
-    y-grid's smallest centred power-of-two slice that holds the measured
-    Y_τ) and, once per distinct dt, each packet's run trajectory at dt/4 (so
-    every step midpoint is a sample) on the probe's branch curve.  Every
-    failure is a `ConfigError` (exit 2)."""
+    decomposition, each packet's run trajectory at dt/4 once per distinct dt
+    on the probe's branch curve, `lab_grid_rule` on those of the largest dt
+    and the configured y-grid (±y_half_width, y_points), the lab grid size
+    of every ε (a `grid.n` must meet the rule at all of them) and the
+    envelopes' run window (the configured y-grid's smallest centred
+    power-of-two slice that holds the measured Y_τ).  Every failure is a
+    `ConfigError` (exit 2)."""
     problems = [_branch_scope_error(spec, pk.branch) for pk in packets]
     if any(problems):
         raise ConfigError([p for p in problems if p])
@@ -459,13 +459,15 @@ def study_setup(spec: MatrixPotentialSpec, packets, epsilons,
                        options.y_points)
     try:
         probe = decompose(spec, make_grid(x_min, x_max, 4096))
-        rule = lab_grid_rule(spec, probe, packets, lambda_coupling, T, y_grid)
         curves = [_branch_curve_for(spec, probe, pk.branch) for pk in packets]
         trajectories = {
             dt: tuple(integrate_trajectory(curve, pk.x0, pk.xi0, T, dt / 4.0,
                                            branch_id=pk.branch)
                       for curve, pk in zip(curves, packets))
             for dt in dict.fromkeys(s.dt for s in steps.values())}
+        dt = max(trajectories)
+        rule = lab_grid_rule(probe.grid.length, packets, trajectories[dt], dt,
+                             lambda_coupling, y_grid)
     except AdiapackError as exc:
         raise ConfigError(f"grid derivation failed: {exc}") from exc
     return StudySetup(spec=spec, packets=tuple(packets),
@@ -559,10 +561,9 @@ class _Lockstep:
                 self.lanes.append(_Lane(setup, eps, corrections))
             except AdiapackError as exc:
                 self._fail(eps, exc)
-        self.envs = _envelopes(setup.y_grid,
-                               [(pk.evaluator(), tr)
-                                for pk, tr in zip(setup.packets, self.trajs)],
-                               setup.lambda_coupling)
+        self.envs, self.curvatures = _envelopes(setup.y_grid, [
+            (pk.evaluator(), tr.curvature) for pk, tr in zip(setup.packets, self.trajs)],
+            setup.lambda_coupling)
 
     def _fail(self, eps, exc):
         if not self.isolate:
@@ -578,10 +579,10 @@ class _Lockstep:
                 self.lanes.remove(lane)
                 self._fail(lane.epsilon, exc)
 
-    def _advance(self, dt):
+    def _advance(self, dt, i):   # every distinct envelope, midpoint at sample i
         try:
-            for env in dict.fromkeys(self.envs):
-                env.advance(dt)
+            for env, curvature in self.curvatures.items():
+                env.advance(dt, curvature[i])
         except AdiapackError as exc:
             lanes, self.lanes = self.lanes, []
             for lane in lanes:
@@ -590,43 +591,43 @@ class _Lockstep:
     def _splines(self):
         """Each packet's envelope spline, built once per distinct envelope."""
         built = {env: _envelope_spline(self.setup.y_grid, env.values)
-                 for env in dict.fromkeys(self.envs)}
+                 for env in self.curvatures}
         return [built[env] for env in self.envs]
 
     def march(self, observers: dict):
         """March to T.  At each observation every lane runs `check_lab_field`
-        and then observers[lane](t, [φ_k(t) per packet])."""
+        and then observers[lane](step, t, [φ_k(t) per packet])."""
         dt = self.steps.dt
         split = any(lane.carried for lane in self.lanes)
 
-        def observe_at(t):
-            splines = self._splines()
+        def observe_at(step):
+            t, i, splines = step * dt, 4 * step, self._splines()
 
             def observe(lane):
                 lane.tails.append(check_lab_field(lane.psi, t))
-                observers[lane](t, [_phi_values(lane.lab, u_of, traj, t,
-                                                lane.epsilon)
-                                    for u_of, traj in zip(splines, self.trajs)])
+                observers[lane](step, t, [_phi_values(
+                    lane.lab, u_of, tr.x[i], tr.xi[i], tr.action[i],
+                    lane.epsilon) for u_of, tr in zip(splines, self.trajs)])
             self._each(observe)
 
-        observe_at(0.0)
+        observe_at(0)
         for step in range(1, self.steps.total + 1):
             if not self.lanes:
                 return
             if split:
-                self._advance(0.5 * dt)
-                t_mid = (step - 0.5) * dt
-                (u_of,), (traj,) = self._splines(), self.trajs
-                xi_mid = float(traj.xi_of(t_mid))
+                self._advance(0.5 * dt, 4 * step - 3)
+                (u_of,), (tr,) = self._splines(), self.trajs
+                i = 4 * step - 2
                 self._each(lambda lane: lane.source_step(_phi_values(
-                    lane.lab, u_of, traj, t_mid, lane.epsilon), xi_mid))
-                self._advance(0.5 * dt)
+                    lane.lab, u_of, tr.x[i], tr.xi[i], tr.action[i],
+                    lane.epsilon), tr.xi[i]))
+                self._advance(0.5 * dt, 4 * step - 1)
             else:
-                self._advance(dt)
+                self._advance(dt, 4 * step - 2)
             observed = step % self.steps.per_obs == 0
             self._each(lambda lane: lane.nls_step(step, close=observed))
             if observed:
-                observe_at(step * dt)
+                observe_at(step)
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +679,7 @@ class _SingleObserver:
         self.g_log = {key: [] for key in lane.carried}
         self.snapshot_steps, self.snapshots = snapshot_steps, {}
 
-    def __call__(self, t, phis):
+    def __call__(self, step, t, phis):
         lane, branch, (phi,), (traj,) = self.lane, self.branch, phis, self.march.trajs
         lab, data, eps, psi = lane.lab, lane.data, lane.epsilon, lane.psi
         corrections = lane.corrections()
@@ -689,7 +690,7 @@ class _SingleObserver:
         row = (t, l2_norm(lab, psi), w_rep.value, th_rep.value,
                l2_norm(lab, psi - proj),
                _taylor_remainder(lab, data.branches[branch], self.curve,
-                                 float(traj.x_of(t)), phi),
+                                 float(traj.x[4 * step]), phi),
                mode_populations(psi, data))
         for values, value in zip(self.series.values(), row):
             values.append(value)
@@ -699,7 +700,6 @@ class _SingleObserver:
             # the (0, 0) component is the L² norm ‖g‖
             CORRECTION_NORM.check(g_rep.components[(0, 0)], where=f" at t = {t}")
             self.g_log[key].append(g_rep.value)
-        step = int(round(t / lane.steps.dt))
         if step in self.snapshot_steps:
             self.snapshots[self.snapshot_steps[step]] = psi.copy()
 
@@ -840,7 +840,7 @@ class _SuperposeObserver:
     def __init__(self, lane: _Lane):
         self.lane, self.w, self.inter, self.times = lane, [], [], []
 
-    def __call__(self, t, phis):
+    def __call__(self, step, t, phis):
         lane = self.lane
         w_rep, _ = _error_norms(lane.psi, zip(phis, lane.chis), lane.lab,
                                 lane.epsilon, t)
@@ -877,7 +877,7 @@ def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
     setup = study_setup(spec, [p1, p2], epsilons, lambda_coupling, T, x_min,
                         x_max, options)
 
-    probe, (tr1, tr2) = setup.probe, setup.rule.trajectories
+    probe, (tr1, tr2) = setup.probe, next(iter(setup.trajectories.values()))
     objective = np.abs(probe.branches[p1.branch] - probe.branches[p2.branch]
                        - (tr1.energy0 - tr2.energy0))
     big_gamma = float(objective.min())

@@ -379,4 +379,6 @@ class _Parser:
 def parse_expr(text: str) -> Expr:
     """Parse an expression in the grammar above; raises ParseError with the
     byte offset and the expected-token set on malformed input."""
+    if not isinstance(text, str):
+        raise ParseError(0, {"an expression string"})
     return _Parser(text).parse()

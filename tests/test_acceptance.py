@@ -16,8 +16,9 @@ from adiapack.config import load_config
 from adiapack.corrections import averaging_probe
 from adiapack.eigenframe import (frame_at, initial_frame, parallel_residual,
                                  transport_frame)
-from adiapack.experiments import (convergence_study, fit_order, lab_grid_rule,
-                                  make_profile, superposition_experiment)
+from adiapack.experiments import (_branch_curve_for, convergence_study,
+                                  fit_order, lab_grid_rule, make_profile,
+                                  superposition_experiment)
 from adiapack.expressions import parse_expr
 from adiapack.grids import ScalarField, l2_norm, make_grid
 from adiapack.nls import NLSPropagator, build_initial_data, check_step_mass
@@ -78,9 +79,16 @@ def test_criterion_01_mass_conservation():
         eps = max(cfg.epsilons)
         probe = decompose(cfg.potential, make_grid(cfg.x_min, cfg.x_max, 2048))
         opts = cfg.options
+        dt_raw = min(opts.dt_max, opts.dt_over_epsilon * eps)
+        n_steps = int(np.ceil(T / dt_raw - 1e-12))
+        dt = T / n_steps
+        # the packets' run trajectories, samples at dt/4, size the grid
+        trajs = [integrate_trajectory(
+            _branch_curve_for(cfg.potential, probe, pk.branch), pk.x0, pk.xi0,
+            T, dt / 4.0) for pk in cfg.packets]
         y_grid = make_grid(-opts.y_half_width, opts.y_half_width, opts.y_points)
-        n = lab_grid_rule(cfg.potential, probe, cfg.packets, cfg.lambda_coupling,
-                          T, y_grid).points(eps)
+        n = lab_grid_rule(probe.grid.length, cfg.packets, trajs, dt,
+                          cfg.lambda_coupling, y_grid).points(eps)
         lab = make_grid(cfg.x_min, cfg.x_max, n)
         data = decompose(cfg.potential, lab)
         values = np.zeros((lab.n, cfg.potential.n_levels), dtype=complex)
@@ -91,9 +99,6 @@ def test_criterion_01_mass_conservation():
         masses = [l2_norm(lab, values)]
         if masses[0] == 0.0:
             continue
-        dt_raw = min(opts.dt_max, opts.dt_over_epsilon * eps)
-        n_steps = int(np.ceil(T / dt_raw - 1e-12))
-        dt = T / n_steps
         # the run's schedule: merged half steps, ψ closed (and read) every 0.5
         prop = NLSPropagator(data, eps, cfg.lambda_coupling, dt, opts.beta)
         stride = int(round(0.5 / dt))

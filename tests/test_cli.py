@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from adiapack.cli import main
 from adiapack.config import load_config
@@ -313,14 +315,14 @@ def test_superpose_command_contract(tmp_path):
 
 
 def test_converge_failed_subrun_recorded(tmp_path):
-    # ε = 4 pushes the packet onto the boundary; ε = 1/32 still runs
+    # ε = 1 puts the packet's tail on the boundary; ε = 1/32 still runs
     out = tmp_path / "out"
     code = main(["converge", "--config", str(CONFIGS / "smoke.json"),
-                 "--out", str(out), "--epsilon-override", "4.0,0.03125"])
+                 "--out", str(out), "--epsilon-override", "1.0,0.03125"])
     assert code == 3
     report = json.loads((out / "report.json").read_text())
     assert report["epsilons"] == [0.03125]
-    assert [eps for eps, _ in report["failures"]] == [4.0]
+    assert [eps for eps, _ in report["failures"]] == [1.0]
     assert "boundary" in report["failures"][0][1]
     assert (out / "convergence.csv").exists()
 
@@ -594,7 +596,8 @@ def test_superpose_honours_kappa(tmp_path):
 def test_bad_command_input_is_a_config_error(tmp_path, capsys):
     same = {"profile": {"type": "gaussian"}, "x0": 1.0, "xi0": 0.0}
     ok = write_config(tmp_path, name="ok.json")
-    # an override must give at least one finite, positive ε before any run
+    # an override must give at least one ε in (0, 1], the config's range,
+    # before any run (2.0 ran and failed on the boundary, exit 3)
     cases = [("superpose", write_config(tmp_path, packets=[same, same]), [],
               "must differ"),
              ("converge", ok, ["--epsilon-override", "0.0625,abc"],
@@ -602,7 +605,8 @@ def test_bad_command_input_is_a_config_error(tmp_path, capsys):
     cases += [(command, ok, ["--epsilon-override", value],
                "--epsilon-override")
               for command in ("single", "converge")
-              for value in (",", "0", "-0.01", "nan", "inf", "0.0625,-1")]
+              for value in (",", "0", "-0.01", "nan", "inf", "0.0625,-1",
+                            "2.0")]
     # single runs one ε: an override with more, which it dropped, is refused
     cases.append(("single", ok, ["--epsilon-override", "0.0625,0.03125"],
                   "single runs one ε"))
@@ -625,6 +629,41 @@ def test_bad_command_input_is_a_config_error(tmp_path, capsys):
         ({"y_half_width": nan}, "y_half_width must be positive and finite")]
     cases += [("single", write_config(tmp_path, name=f"bad{i}.json", **fields),
                [], message) for i, (fields, message) in enumerate(bad_numbers)]
+    # a value of the wrong JSON shape was a traceback (exit 1), a float or
+    # bool branch was read as branch 1, fractional multiplicities passed and
+    # a null out_dir wrote to a directory named "None"
+    packet = {"profile": {"type": "gaussian"}, "x0": 1.0, "xi0": 0.0}
+    harmonic = {"diag": ["x^2/2"], "sym": ["0"]}
+    pair = {"diag": ["x^2/2", "x^2/2"], "sym": ["0", "0", "0"]}
+    branch = "packets[0].branch must be an integer"
+    gaps = "potential.gap_constants must be two numbers"
+    mults = "potential.multiplicities must be positive integers"
+    bad_shapes = [
+        ({"packets": [dict(packet, branch="a")]}, branch),
+        ({"packets": [dict(packet, branch=1.5)]}, branch),
+        ({"packets": [dict(packet, branch=True)]}, branch),
+        ({"seed": "x"}, "seed must be an integer"),
+        ({"out_dir": None}, "out_dir must be a string"),
+        ({"grid": [1, 2]}, "grid must be an object"),
+        ({"packets": {"a": 1}}, "packets must be a list"),
+        ({"packets": [1]}, "packets[0] must be an object"),
+        ({"potential": [1]}, "potential must be an object"),
+        ({"epsilons": 0.1}, "epsilons: need a list of at least one value"),
+        ({"potential": dict(harmonic, gap_constants=2)}, gaps),
+        ({"potential": dict(harmonic, gap_constants=[2.0])}, gaps),
+        ({"potential": dict(harmonic, multiplicities=2)}, mults),
+        ({"potential": dict(pair, multiplicities=[1.5, 0.5])}, mults),
+        ({"potential": dict(pair, diag=["x^2/2", 3])},
+         "potential.diag[1]: syntax error at offset 0: expected an "
+         "expression string")]
+    shapes = [(write_config(tmp_path, name=f"shape{i}.json", **fields), message)
+              for i, (fields, message) in enumerate(bad_shapes)]
+    top = tmp_path / "top.json"
+    top.write_text("[1, 2]", encoding="utf-8")
+    shapes += [(top, "the config must be a JSON object"),
+               (tmp_path / "missing.json", "cannot read the config")]
+    cases += [(command, path, [], message) for path, message in shapes
+              for command in ("decompose", "identities")]
     for i, (command, path, extra, message) in enumerate(cases):
         out = tmp_path / f"{command}{i}"
         assert main([command, "--config", str(path), "--out", str(out)]
@@ -632,6 +671,47 @@ def test_bad_command_input_is_a_config_error(tmp_path, capsys):
         assert message in capsys.readouterr().err
         record = json.loads((out / "failure.json").read_text())
         assert record["failure"] == "config"
+
+
+def _positions(value, at=()):
+    """The key path of every value in a JSON document, the root included."""
+    yield at
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _positions(item, at + (key,))
+
+
+SMOKE = json.loads((CONFIGS / "smoke.json").read_text())
+# ints stay small: a noise profile's `modes` allocates that many coefficients
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-4096, 4096) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+@given(at=st.sampled_from(list(_positions(SMOKE))), value=JSON_VALUES)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_config_fails_only_with_config_errors(tmp_path, at, value):
+    # any one value of smoke.json, at any depth, replaced by any JSON value:
+    # the config loads or is a ConfigError, never another exception
+    raw = json.loads(json.dumps(SMOKE))
+    if at:
+        parent = raw
+        for key in at[:-1]:
+            parent = parent[key]
+        parent[at[-1]] = value
+    else:
+        raw = value
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    try:
+        load_config(path)
+    except ConfigError:
+        pass
 
 
 def test_snapshot_times_are_validated(tmp_path, capsys):
@@ -655,8 +735,8 @@ def test_snapshot_times_are_validated(tmp_path, capsys):
 
 def test_converge_does_its_epsilon_free_work_once(tmp_path, monkeypatch):
     # load_config only parses; the command decomposes the 4096-point probe
-    # and integrates the probe trajectory once, decomposes once per ε, and
-    # integrates the run trajectory once for both ε, which share dt = 1e-3
+    # once and once per ε, and integrates the run trajectory once for both
+    # ε, which share dt = 1e-3 (the grid rule reads the same samples)
     import adiapack.experiments as experiments
 
     calls = {"decompose": 0, "integrate_trajectory": 0}
@@ -671,7 +751,17 @@ def test_converge_does_its_epsilon_free_work_once(tmp_path, monkeypatch):
     assert calls == {"decompose": 0, "integrate_trajectory": 0}
     assert main(["converge", "--config", str(CONFIGS / "smoke.json"),
                  "--out", str(tmp_path / "o")]) == 0
-    assert calls == {"decompose": 3, "integrate_trajectory": 2}
+    assert calls == {"decompose": 3, "integrate_trajectory": 1}
+    # superpose: one trajectory per packet
+    calls["integrate_trajectory"] = 0
+    assert main(["superpose", "--config", str(two_packet_config(tmp_path)),
+                 "--out", str(tmp_path / "s")]) == 0
+    assert calls["integrate_trajectory"] == 2
+    # rotating.json's four ε fall into three step groups: one per group
+    calls["integrate_trajectory"] = 0
+    setup = config_setup(load_config(CONFIGS / "rotating.json"))
+    assert len(setup.groups()) == 3
+    assert calls["integrate_trajectory"] == 3
 
 
 def test_converge_isolates_a_guard_that_trips_for_one_epsilon(tmp_path,

@@ -106,7 +106,7 @@ def test_transport_rotating_matches_half_angle_rotation(upper_frame,
     sign = None
     for i in (0, len(frame.times) // 2, len(frame.times) - 1):
         t = frame.times[i]
-        angle = (z + float(upper_branch_traj.x_of(t))) / 2.0
+        angle = (z + float(upper_branch_traj.x[i])) / 2.0
         analytic = np.stack([np.cos(angle), np.sin(angle)], axis=1)
         got = frame.vectors[i][:, :, 0]
         if sign is None:
@@ -163,7 +163,7 @@ def test_parallel_residual_cross_branch_equals_coupling(upper_frame,
     # of magnitude |ξ(t)|/2 for this family
     t, x = 0.5, 0.2
     res = parallel_residual(upper_frame, rotating_data, 0, 0, t, x)
-    xi = float(upper_branch_traj.xi_of(t))
+    xi = float(upper_branch_traj.xi[500])          # the sample at t
     assert abs(res) == pytest.approx(abs(xi) / 2.0, abs=1e-4)
 
 
@@ -185,7 +185,7 @@ def test_coupling_coefficients_match_profile(rotating_data, upper_frame,
     lab = make_grid(-2.0 * np.pi, 2.0 * np.pi, 1024)
     t = 0.5
     r_fd = coupling_coefficients(upper_frame, rotating_data, 0, 0, t, lab)
-    xi = float(upper_branch_traj.xi_of(t))
+    xi = float(upper_branch_traj.xi[500])          # the sample at t
     rho = coupling_profile(rotating_data, 0, 0, source_branch=1)
     from scipy.interpolate import CubicSpline
     rho_lab = CubicSpline(rotating_data.grid.points, rho)(lab.points)

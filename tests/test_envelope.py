@@ -13,10 +13,11 @@ def gaussian(y):
 
 
 def run(a, curvature, lam, T, dt, grid=Y_GRID):
-    """The stepper after `EnvelopeStepper.advance` has taken u(0) = a to T."""
-    stepper = EnvelopeStepper(grid, a(grid.points), lam, curvature)
+    """The stepper after `EnvelopeStepper.advance` has taken u(0) = a to T,
+    each step at the midpoint value of the curvature function."""
+    stepper = EnvelopeStepper(grid, a(grid.points), lam)
     for _ in range(int(round(T / dt))):
-        stepper.advance(dt)
+        stepper.advance(dt, curvature(stepper.time + 0.5 * dt))
     return stepper
 
 
@@ -105,12 +106,11 @@ def test_moment_growth_below_affine():
     # harmonic confinement: moments oscillate, so log(1 + m) sits within a
     # bounded band around an affine fit over [0, 5]
     times = np.linspace(0.0, 5.0, 26)
-    stepper = EnvelopeStepper(Y_GRID, gaussian(Y_GRID.points), 1.0,
-                              lambda t: 1.0)
+    stepper = EnvelopeStepper(Y_GRID, gaussian(Y_GRID.points), 1.0)
     samples = [stepper.values.copy()]
     for _ in times[1:]:
         for _ in range(200):
-            stepper.advance(1e-3)
+            stepper.advance(1e-3, 1.0)
         samples.append(stepper.values.copy())
     for (k, p) in ((1, 0), (0, 1), (2, 1), (1, 2)):
         m = np.array([envelope_moments(Y_GRID, u, k, p) for u in samples])
@@ -122,14 +122,14 @@ def test_moment_growth_below_affine():
 
 def test_rejects_non_decaying_profile():
     with pytest.raises(InvariantViolation, match="y-domain edge"):
-        EnvelopeStepper(Y_GRID, np.ones(Y_GRID.n), 0.0, lambda t: 0.0)
+        EnvelopeStepper(Y_GRID, np.ones(Y_GRID.n), 0.0)
 
 
 def test_mass_guard_trips_on_corruption():
-    stepper = EnvelopeStepper(Y_GRID, gaussian(Y_GRID.points), 0.0, lambda t: 0.0)
+    stepper = EnvelopeStepper(Y_GRID, gaussian(Y_GRID.points), 0.0)
     stepper.values[:] *= 1.1  # corrupt the state under the guard
     with pytest.raises(SolverAbort, match="mass drift"):
-        stepper.advance(1e-3)
+        stepper.advance(1e-3, 0.0)
 
 
 def test_edge_stays_tiny_during_confined_run():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adiapack.classical import BranchCurve, integrate_trajectory
 from adiapack.corrections import assemble_correction
 from adiapack.envelope import EnvelopeStepper
 from adiapack.errors import ConfigError
@@ -9,6 +10,7 @@ from adiapack.experiments import (PacketSpec, RunOptions, _branch_curve_for,
                                   convergence_study, fit_order, make_profile,
                                   run_single_packet, study_setup,
                                   superposition_experiment)
+from adiapack.expressions import parse_expr
 from adiapack.grids import VectorField, l2_norm, make_grid, sigma_norm
 from adiapack.nls import build_initial_data
 from adiapack.potentials import MatrixPotentialSpec, decompose
@@ -48,18 +50,30 @@ def rotating_setup():
 def ansatz_at(setup, epsilon, t):
     """(lab grid, u(t) on the run window, φ(t) on the lab grid) of the
     set-up's one packet at ε, built from the pieces a run uses: an
-    `EnvelopeStepper` along the set-up's run trajectory, `_envelope_spline`
-    and `_phi_values`."""
+    `EnvelopeStepper` along the set-up's run trajectory (step s at the
+    curvature of its midpoint sample 4s - 2), `_envelope_spline` and
+    `_phi_values` at sample 4s."""
     (packet,), dt = setup.packets, setup.steps[epsilon].dt
     (traj,), y_grid = setup.trajectories[dt], setup.y_grid
     env = EnvelopeStepper(y_grid, packet.evaluator()(y_grid.points),
-                          setup.lambda_coupling, traj.curvature_of)
-    for _ in range(int(round(t / dt))):
-        env.advance(dt)
+                          setup.lambda_coupling)
+    steps = int(round(t / dt))
+    for step in range(1, steps + 1):
+        env.advance(dt, traj.curvature[4 * step - 2])
     probe = setup.probe.grid
     lab = make_grid(probe.x_min, probe.x_max, setup.grid_n[epsilon])
     u = env.values.copy()
-    return lab, u, _phi_values(lab, _envelope_spline(y_grid, u), traj, t, epsilon)
+    i = 4 * steps
+    return lab, u, _phi_values(lab, _envelope_spline(y_grid, u), traj.x[i],
+                               traj.xi[i], traj.action[i], epsilon)
+
+
+def harmonic_trajectories(packets, T, dt=1e-3):
+    """Each packet's run trajectory of step size dt on x²/2 (samples at
+    dt/4), as `study_setup` integrates it."""
+    curve = BranchCurve.from_expr(parse_expr("x^2/2"))
+    return [integrate_trajectory(curve, pk.x0, pk.xi0, T, dt / 4.0)
+            for pk in packets]
 
 
 def test_profiles_are_normalized():
@@ -116,7 +130,7 @@ def test_taylor_residual_below_remainder_bound(rotating_run, rotating_setup):
     res = rotating_run.taylor[-1]
     lab, u, _ = ansatz_at(rotating_setup, eps, t)
     (traj,) = rotating_setup.trajectories[rotating_run.dt]
-    x_c = float(traj.x_of(t))
+    x_c = float(traj.x[4 * int(round(t / rotating_run.dt))])
     h = 1e-3
     xs = x_c + np.linspace(-6.0 * np.sqrt(eps), 6.0 * np.sqrt(eps), 101)
     curve = _branch_curve_for(rotating_family(),
@@ -315,13 +329,12 @@ def test_lab_grid_rule_takes_the_largest_envelope_width_over_the_run():
     from adiapack.experiments import lab_grid_rule
     from adiapack.grids import make_grid
     from adiapack.nls import spectral_half_width
-    from adiapack.potentials import decompose
 
     y = make_grid(-40.0, 40.0, 2048)
-    probe = decompose(HARMONIC, make_grid(-4.0, 4.0, 4096))
     wide = PacketSpec(profile={"type": "gaussian", "width": 2.0}, x0=1.0, xi0=0.0)
     eta0 = spectral_half_width(y, wide.evaluator()(y.points))
-    rule = lab_grid_rule(HARMONIC, probe, [wide], 0.0, 2.0, y)
+    rule = lab_grid_rule(8.0, [wide], harmonic_trajectories([wide], 2.0), 1e-3,
+                         0.0, y)
     assert abs(rule.eta - 4.0 * eta0) <= 2.0 * np.pi / y.length
     assert rule.xi_max == pytest.approx(1.0, abs=1e-6)
     assert rule.points(1.0 / 64) == 1024
@@ -335,14 +348,13 @@ def test_lab_grid_rule_sizing_march_matches_a_fine_march(monkeypatch):
     from adiapack.envelope import EnvelopeStepper
     from adiapack.grids import make_grid
     from adiapack.nls import spectral_half_width
-    from adiapack.potentials import decompose
 
     y = make_grid(-40.0, 40.0, 2048)
     unit = make_profile({"type": "gaussian"})(y.points)
-    env = EnvelopeStepper(y, unit, 1.0, lambda t: 1.0)
+    env = EnvelopeStepper(y, unit, 1.0)
     fine = spectral_half_width(y, env.values)
     for _ in range(2000):
-        env.advance(1e-3)
+        env.advance(1e-3, 1.0)
         fine = max(fine, spectral_half_width(y, env.values))
 
     marches = []
@@ -353,10 +365,10 @@ def test_lab_grid_rule_sizing_march_matches_a_fine_march(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(experiments, "EnvelopeStepper", Counting)
-    probe = decompose(HARMONIC, make_grid(-4.0, 4.0, 4096))
     packets = [PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0),
                PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)]
-    rule = experiments.lab_grid_rule(HARMONIC, probe, packets, 1.0, 2.0, y)
+    rule = experiments.lab_grid_rule(
+        8.0, packets, harmonic_trajectories(packets, 2.0), 1e-3, 1.0, y)
     assert len(marches) == 1
     assert fine > 12.0
     assert abs(rule.eta - fine) <= 0.02 * fine
@@ -396,9 +408,9 @@ def test_lockstep_steps_a_shared_envelope_once(monkeypatch):
     calls = []
     advance = EnvelopeStepper.advance
 
-    def counting(self, dt):
+    def counting(self, dt, curvature):
         calls.append(dt)
-        return advance(self, dt)
+        return advance(self, dt, curvature)
 
     monkeypatch.setattr(EnvelopeStepper, "advance", counting)
     p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
@@ -438,7 +450,8 @@ def test_step_rule_rejects_t_off_the_observation_cadence(monkeypatch):
 def test_run_window_holds_the_measured_envelope_support():
     # Y_τ (|u| > 1e-13 max|u| at some sizing step) picks the smallest centred
     # power-of-two slice of the ±40/2048 y-grid: ±20/1024 where Y_τ is
-    # 12.6-14.8, ±10/512 where it is 8.1; the lab grids are unchanged
+    # 12.6-14.8, ±10/512 where it is 8.1; the lab grids are unchanged, and
+    # every config's lab grid sizes for its own ε list are pinned
     import json
     from pathlib import Path
 
@@ -447,11 +460,15 @@ def test_run_window_holds_the_measured_envelope_support():
     from adiapack.grids import make_grid
 
     configs = Path(__file__).resolve().parent.parent / "configs"
-    expected = {"rotating": (12.6, 1024), "superposition": (14.8, 1024),
-                "crossing_control": (14.8, 1024), "scalar_harmonic": (8.1, 512),
-                "smoke": (8.1, 512), "constant_direction": (8.1, 512)}
+    expected = {
+        "rotating": (12.6, 1024, [1024, 1024, 2048, 4096]),
+        "superposition": (14.8, 1024, [2048, 4096, 8192]),
+        "crossing_control": (14.8, 1024, [2048, 4096, 8192]),
+        "scalar_harmonic": (8.1, 512, [1024, 1024, 2048, 4096]),
+        "smoke": (8.1, 512, [256, 256]),
+        "constant_direction": (8.1, 512, [1024])}
     full = make_grid(-40.0, 40.0, 2048)
-    for name, (y_tau, points) in expected.items():
+    for name, (y_tau, points, grid_n) in expected.items():
         cfg = load_config(configs / f"{name}.json")
         setup = study_setup(cfg.potential, cfg.packets, cfg.epsilons,
                             cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max,
@@ -459,6 +476,7 @@ def test_run_window_holds_the_measured_envelope_support():
         window = setup.y_grid
         assert setup.rule.y_tau == pytest.approx(y_tau, abs=0.1), name
         assert window.n == points, name
+        assert [setup.grid_n[eps] for eps in cfg.epsilons] == grid_n, name
         half = 0.5 * points * full.spacing
         assert (window.x_min, window.x_max, window.spacing) == \
             (-half, half, full.spacing)

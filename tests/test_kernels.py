@@ -129,8 +129,7 @@ def test_scalar_step_matches_numpy_fft_reference():
 @pytest.mark.parametrize("lambda_coupling", [0.0, 1.0])
 def test_envelope_advance_matches_numpy_fft_reference(lambda_coupling):
     y_grid = make_grid(-20.0, 20.0, 512)
-    stepper = EnvelopeStepper(y_grid, gaussian(y_grid.points), lambda_coupling,
-                              lambda t: 1.0 + 0.5 * np.sin(t))
+    stepper = EnvelopeStepper(y_grid, gaussian(y_grid.points), lambda_coupling)
     ref = np.asarray(gaussian(y_grid.points), dtype=complex)
     half_y2 = 0.5 * y_grid.points**2
     dt = 1e-3
@@ -146,7 +145,7 @@ def test_envelope_advance_matches_numpy_fft_reference(lambda_coupling):
         ref = phase(ref, 0.5 * dt, curv)
         ref = np.fft.ifft(kin * np.fft.fft(ref))
         ref = phase(ref, 0.5 * dt, curv)
-        stepper.advance(dt)
+        stepper.advance(dt, curv)
         t += dt
     assert np.max(np.abs(stepper.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -158,22 +157,24 @@ def test_envelope_pending_half_phases_match_closed_steps(lambda_coupling):
     y_grid = make_grid(-20.0, 20.0, 512)
 
     def stepper():
-        return EnvelopeStepper(y_grid, gaussian(y_grid.points), lambda_coupling,
-                               lambda t: 1.0 + 0.5 * np.sin(3.0 * t))
+        return EnvelopeStepper(y_grid, gaussian(y_grid.points), lambda_coupling)
+
+    def advance(s, dt):   # at the curvature 1 + sin(3t)/2 of the step midpoint
+        s.advance(dt, 1.0 + 0.5 * np.sin(3.0 * (s.time + 0.5 * dt)))
 
     closed, merged = stepper(), stepper()
     for _ in range(40):
-        closed.advance(1e-3)
+        advance(closed, 1e-3)
         closed.values
-        merged.advance(1e-3)
+        advance(merged, 1e-3)
         # the guards read |u| on the open samples
         assert l2_norm(y_grid, merged._u) == pytest.approx(merged.mass0,
                                                           rel=1e-13)
     ref = closed.values
     assert np.max(np.abs(merged.values - ref)) <= 1e-12 * np.max(np.abs(ref))
     # a pending half of one step size merges with a leading half of another
-    merged.advance(5e-4)
-    closed.advance(5e-4)
+    advance(merged, 5e-4)
+    advance(closed, 5e-4)
     ref = closed.values
     assert np.max(np.abs(merged.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -234,15 +235,6 @@ def test_trajectory_byte_identical_to_array_state_rk4(kind):
     assert np.array_equal(traj.action, ref[:, 2])
 
 
-class _Path:
-    """A stand-in trajectory at one phase-space point."""
-
-    def __init__(self, x, xi, action):
-        self.x_of = lambda t: x
-        self.xi_of = lambda t: xi
-        self.action_of = lambda t: action
-
-
 @pytest.mark.parametrize("x_c", [0.3, -3.9, 3.95, 7.0])
 @pytest.mark.parametrize("half_width", [20.0, 80.0])
 def test_phi_on_the_window_equals_the_full_grid_form(x_c, half_width):
@@ -260,7 +252,7 @@ def test_phi_on_the_window_equals_the_full_grid_form(x_c, half_width):
     plain[np.isnan(plain)] = 0.0
     plain = eps**-0.25 * plain * np.exp(
         1j * (action + xi * (lab.points - x_c)) / eps)
-    phi = _phi_values(lab, u_of, _Path(x_c, xi, action), 0.1, eps)
+    phi = _phi_values(lab, u_of, x_c, xi, action, eps)
     assert np.array_equal(phi, plain)
 
 
