@@ -10,7 +10,7 @@ The off-branch leakage is O(ε) — the driven correction g accounts for it,
 which is why θ dips below w.
 """
 
-from adiapack.experiments import PacketSpec, RunOptions, run_single_packet
+from adiapack.experiments import PacketSpec, RunOptions, Study, run_single_packet
 from adiapack.potentials import MatrixPotentialSpec
 
 JB_INV = "(1+x^2)^(-1/2)"
@@ -21,8 +21,9 @@ spec = MatrixPotentialSpec.from_strings(
 
 eps = 1.0 / 128
 packet = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0, branch=0)
-run = run_single_packet(spec, packet, eps, 1.0, 1.0, -2.5, 2.5,
-                        options=RunOptions(observe_every=0.1))
+run = run_single_packet(Study(potential=spec, packets=[packet], epsilons=[eps],
+                              lambda_coupling=1.0, T=1.0, x_min=-2.5, x_max=2.5,
+                              options=RunOptions(observe_every=0.1)))
 
 print(f"epsilon = 1/128, grid n = {run.grid_n}, dt = {run.dt:.2e}, "
       f"mass drift {run.mass_drift:.1e}")

@@ -11,18 +11,19 @@ switches off — a negative control whose error does not decrease.
 Demo scale: two ε values per experiment.
 """
 
-from adiapack.experiments import PacketSpec, superposition_experiment
+from adiapack.experiments import PacketSpec, Study, superposition_experiment
 from adiapack.potentials import MatrixPotentialSpec
 
 gaussian = {"type": "gaussian"}
 
 print("=== harmonic branch, packets (1, 0) and (-1, 1/2): Gamma > 0 ===")
 harmonic = MatrixPotentialSpec.from_strings(["x^2/2"], ["0"])
-rep = superposition_experiment(
-    harmonic,
-    (PacketSpec(profile=gaussian, x0=1.0, xi0=0.0),
-     PacketSpec(profile=gaussian, x0=-1.0, xi0=0.5)),
-    [1 / 64, 1 / 128], 1.0, 2.0, -4.0, 4.0, gamma_exponent=0.3)
+rep = superposition_experiment(Study(
+    potential=harmonic,
+    packets=[PacketSpec(profile=gaussian, x0=1.0, xi0=0.0),
+             PacketSpec(profile=gaussian, x0=-1.0, xi0=0.5)],
+    epsilons=[1 / 64, 1 / 128], lambda_coupling=1.0, T=2.0, x_min=-4.0,
+    x_max=4.0, gamma_exponent=0.3))
 print(f"  Gamma = {rep.big_gamma:.4f} (= |E1 - E2| on a shared branch)")
 print(f"  {'eps':>8} {'sup |w|':>12} {'|I^eps(T)|':>12} {'interaction':>12}")
 for row in zip(rep.epsilons, rep.sup_errors, rep.crossing_measures,
@@ -35,11 +36,12 @@ print(f"  error order {rep.error_order.order:.3f}, crossing-measure order "
 print("\n=== crossing control: constant branch gap, same launch point ===")
 crossing = MatrixPotentialSpec.from_strings(
     ["x^2/2", "x^2/2"], ["cos(x)", "sin(x)", "-cos(x)"])
-rep = superposition_experiment(
-    crossing,
-    (PacketSpec(profile=gaussian, x0=1.0, xi0=0.0, branch=0),
-     PacketSpec(profile=gaussian, x0=1.0, xi0=0.0, branch=1)),
-    [1 / 64, 1 / 128], 1.0, 2.0, -4.0, 4.0, gamma_exponent=0.3)
+rep = superposition_experiment(Study(
+    potential=crossing,
+    packets=[PacketSpec(profile=gaussian, x0=1.0, xi0=0.0, branch=0),
+             PacketSpec(profile=gaussian, x0=1.0, xi0=0.0, branch=1)],
+    epsilons=[1 / 64, 1 / 128], lambda_coupling=1.0, T=2.0, x_min=-4.0,
+    x_max=4.0, gamma_exponent=0.3))
 print(f"  Gamma = {rep.big_gamma:.1e}  (zero: hypothesis violated, "
       f"warning = {rep.gamma_zero_warning})")
 for eps, sup in zip(rep.epsilons, rep.sup_errors):

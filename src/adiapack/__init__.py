@@ -17,8 +17,8 @@ Submodules:
 - `corrections`  scalar branch propagators, the midpoint Duhamel step and
                  the averaging probe
 - `nls`          the vector NLS split step, its guards and the grid rule
-- `experiments`  the ansatz, the study set-up and the one lockstep march
-                 behind every run: single packets, ε-sweeps, superposition
+- `experiments`  the `Study`, the ansatz, the study set-up and the lockstep
+                 march behind every run: single packets, ε-sweeps, superposition
 - `config`/`cli` JSON experiment configs and the command-line driver
 """
 
@@ -35,8 +35,8 @@ from .eigenframe import (EigenFrame, k_matrix, transport_frame, frame_at,
                          coupling_profile, initial_frame)
 from .corrections import ScalarPropagator, assemble_correction, averaging_probe
 from .nls import build_initial_data, mode_populations, NLSPropagator
-from .experiments import (PacketSpec, RunOptions, fit_order, run_single_packet,
-                          convergence_study, superposition_experiment,
-                          make_profile)
+from .experiments import (PacketSpec, RunOptions, Study, fit_order,
+                          run_single_packet, convergence_study,
+                          superposition_experiment, make_profile)
 
 __version__ = "0.1.0"

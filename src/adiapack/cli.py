@@ -21,11 +21,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import epsilon_problem, load_config
+from .config import load_config
 from .errors import ConfigError, InvariantViolation, SolverAbort
 from .experiments import (convergence_study, run_single_packet,
                           superposition_experiment)
@@ -69,22 +70,24 @@ def write_plot_script(path: Path, title, xlabel, ylabel, plots, logscale=True):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _epsilons(cfg, override):
+def _overridden(study, override):
+    """The study with the `--epsilon-override` list, if given, as its ε."""
     if not override:
-        return list(cfg.epsilons)
+        return study
     try:
-        epsilons = [float(tok) for tok in override.split(",") if tok]
-    except ValueError as exc:
+        return replace(study, epsilons=[float(tok) for tok in override.split(",")
+                                        if tok])
+    except ValueError as exc:      # a token that is not a number
         raise ConfigError(f"--epsilon-override: {exc}") from exc
-    if problem := epsilon_problem(epsilons):
-        raise ConfigError(f"--epsilon-override: {problem}")
-    return epsilons
+    except ConfigError as exc:     # only the ε rule reads the new list
+        raise ConfigError([e.replace("epsilons:", "--epsilon-override:", 1)
+                           for e in exc.errors]) from exc
 
 
-def cmd_decompose(cfg, out: Path, args) -> int:
-    n = cfg.options.grid_n or 4096
-    grid = make_grid(cfg.x_min, cfg.x_max, n)
-    data = decompose(cfg.potential, grid)
+def cmd_decompose(study, out: Path, args) -> int:
+    n = study.options.grid_n or 4096
+    grid = make_grid(study.x_min, study.x_max, n)
+    data = decompose(study.potential, grid)
     header = ["x"] + [f"lambda_{j}" for j in range(data.n_branches)]
     rows = [[x] + [data.branches[j][i] for j in range(data.n_branches)]
             for i, x in enumerate(grid.points)]
@@ -106,10 +109,10 @@ def cmd_decompose(cfg, out: Path, args) -> int:
     return 0
 
 
-def cmd_identities(cfg, out: Path, args) -> int:
-    spec = cfg.potential
-    margin = 0.15 * (cfg.x_max - cfg.x_min)
-    xs = np.linspace(cfg.x_min + margin, cfg.x_max - margin, 9)
+def cmd_identities(study, out: Path, args) -> int:
+    spec = study.potential
+    margin = 0.15 * (study.x_max - study.x_min)
+    xs = np.linspace(study.x_min + margin, study.x_max - margin, 9)
     rows = []
     worst = 0.0
     for x in xs:
@@ -125,10 +128,10 @@ def cmd_identities(cfg, out: Path, args) -> int:
     scan_rows = []
     scan_max = {}
     if spec.n_levels > 1:
-        scan_xs = np.linspace(cfg.x_min + margin, cfg.x_max - margin, 17)
+        scan_xs = np.linspace(study.x_min + margin, study.x_max - margin, 17)
         n0 = spec.gap_constants[1] if spec.gap_constants else None
         if n0 is None:
-            data = decompose(spec, make_grid(cfg.x_min, cfg.x_max, 2048))
+            data = decompose(spec, make_grid(study.x_min, study.x_max, 2048))
             n0 = max(0.0, gap_report(data, 0, 1).fitted_n0)
         for beta in (0, 1, 2):
             scan = growth_scan(spec, 0, 1, beta, scan_xs, n0=n0)
@@ -148,20 +151,20 @@ def cmd_identities(cfg, out: Path, args) -> int:
     return 0
 
 
-def cmd_single(cfg, out: Path, args) -> int:
-    eps, *rest = _epsilons(cfg, args.epsilon_override)
-    if rest and args.epsilon_override:
-        raise ConfigError("--epsilon-override: single runs one ε")
-    run = run_single_packet(cfg.potential, cfg.packets[0], eps,
-                            cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max,
-                            cfg.options, snapshot_times=cfg.snapshot_times)
+def cmd_single(study, out: Path, args) -> int:
+    # the one override value, or the config's first ε
+    if args.epsilon_override:
+        study = _overridden(study, args.epsilon_override)
+        if len(study.epsilons) > 1:
+            raise ConfigError("--epsilon-override: single runs one ε")
+    run = run_single_packet(replace(study, epsilons=study.epsilons[:1]))
     rows = [[t, m, w, th, lk, ty] for t, m, w, th, lk, ty in
             zip(run.times, run.masses, run.w_sigma1, run.theta_sigma1,
                 run.leakage, run.taylor)]
     write_csv(out / "single.csv",
               ["t", "mass", "sigma1_w", "sigma1_theta", "leakage", "taylor"],
               rows)
-    grid = make_grid(cfg.x_min, cfg.x_max, run.grid_n)
+    grid = make_grid(study.x_min, study.x_max, run.grid_n)
     for t, values in sorted(run.snapshots.items()):
         header = ["x"]
         cols = [grid.points]
@@ -179,10 +182,8 @@ def cmd_single(cfg, out: Path, args) -> int:
     return 0
 
 
-def cmd_converge(cfg, out: Path, args) -> int:
-    report = convergence_study(
-        cfg.potential, cfg.packets[0], _epsilons(cfg, args.epsilon_override),
-        cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max, cfg.options)
+def cmd_converge(study, out: Path, args) -> int:
+    report = convergence_study(_overridden(study, args.epsilon_override))
     rows = [[e, s, t, l] for e, s, t, l in
             zip(report.epsilons, report.sup_errors, report.terminal_errors,
                 report.leakages)]
@@ -203,13 +204,8 @@ def cmd_converge(cfg, out: Path, args) -> int:
     return 0
 
 
-def cmd_superpose(cfg, out: Path, args) -> int:
-    if len(cfg.packets) < 2:
-        raise ConfigError(["superpose needs two packets in the config"])
-    report = superposition_experiment(
-        cfg.potential, tuple(cfg.packets[:2]),
-        _epsilons(cfg, args.epsilon_override), cfg.lambda_coupling, cfg.T,
-        cfg.x_min, cfg.x_max, cfg.gamma_exponent, cfg.options)
+def cmd_superpose(study, out: Path, args) -> int:
+    report = superposition_experiment(_overridden(study, args.epsilon_override))
     rows = [[e, s, t, c, i] for e, s, t, c, i in
             zip(report.epsilons, report.sup_errors, report.terminal_errors,
                 report.crossing_measures, report.interaction_integrals)]
@@ -254,10 +250,10 @@ def main(argv=None) -> int:
 
     out = None if args.out is None else Path(args.out)
     try:
-        cfg = load_config(args.config)
-        out = Path(args.out or cfg.out_dir)
+        study = load_config(args.config)
+        out = Path(args.out or study.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, args)
+        return _COMMANDS[args.command](study, out, args)
     except ConfigError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)

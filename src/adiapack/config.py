@@ -3,52 +3,27 @@
 A config file carries the potential (expression strings for the diagonal and
 symmetric parts), the packet(s), the ε list, the coupling constant, horizon,
 the run options (`experiments.RunOptions`) and output options.
-`load_config` only parses and validates, exhaustively: every violation is
-collected and reported at once, a value of the wrong JSON type, an unknown
-profile type or parameter and a packet on a missing or non-simple branch
-included.  The lab grid sizes belong to `experiments.study_setup`.
+`load_config` reads the JSON shapes and builds the one `experiments.Study`
+they describe, which checks the study's rules.  Every violation is collected
+and reported at once: a value of the wrong JSON type, an unknown profile
+type or parameter, and every rule of the `Study` on the fields that did
+parse.  The lab grid sizes belong to `experiments.study_setup`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import ConfigError
-from .experiments import PacketSpec, RunOptions, _branch_scope_error, \
-    _finite, make_profile
+from .experiments import PacketSpec, RunOptions, Study, _finite, \
+    _study_problems, make_profile
 from .expressions import ParseError, parse_expr
 from .potentials import MatrixPotentialSpec
 
-__all__ = ["ExperimentConfig", "epsilon_problem", "load_config"]
-
-
-@dataclass(eq=False)
-class ExperimentConfig:
-    potential: MatrixPotentialSpec
-    packets: list
-    epsilons: list
-    lambda_coupling: float
-    T: float
-    x_min: float
-    x_max: float
-    options: RunOptions
-    gamma_exponent: float
-    out_dir: str
-    snapshot_times: tuple
-
-
-def _number(raw, key, label, errors, default=None):
-    """raw[key] (`default` if absent) as a float; a violation, read as NaN
-    (which fails every later comparison), if missing or not finite."""
-    value = raw.get(key, default)
-    if _finite(value):
-        return float(value)
-    errors.append(f"missing required field: {label}" if value is None
-                  else f"{label} must be a finite number")
-    return float("nan")
+__all__ = ["load_config"]
 
 
 _SHAPES = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
@@ -62,21 +37,6 @@ def _shaped(raw, key, shape, errors, default, label=None):
         errors.append(f"{label or key} must be {_SHAPES[shape]}")
         return default
     return value
-
-
-def _multiple(value: float, step: float) -> bool:   # to 1e-9, no overflow
-    ratio = value / step
-    return bool(np.isfinite(ratio)) and abs(round(ratio) * step - value) <= 1e-9
-
-
-def epsilon_problem(epsilons) -> str | None:
-    """What breaks the one ε rule of the config and `--epsilon-override`, a
-    non-empty list of numbers in (0, 1], or None."""
-    if not isinstance(epsilons, list) or not epsilons:
-        return "need a list of at least one value"
-    if not all(_finite(e) and 0.0 < e <= 1.0 for e in epsilons):
-        return "every value must lie in (0, 1]"
-    return None
 
 
 def _profile_from_dict(profile, errors, label, seed):
@@ -97,19 +57,14 @@ def _profile_from_dict(profile, errors, label, seed):
 def _packet_from_dict(d, errors, prefix, seed):
     profile = _profile_from_dict(d.get("profile", {"type": "gaussian"}), errors,
                                  f"{prefix}.profile", seed)
-    kappa = d.get("kappa")
-    if kappa is not None and not (_finite(kappa) and kappa > 0.25):
-        errors.append(f"{prefix}: kappa must exceed 1/4")
     r0_profile = d.get("r0_profile")
     if r0_profile is not None:
         r0_profile = _profile_from_dict(r0_profile, errors,
                                         f"{prefix}.r0_profile", seed)
-    return PacketSpec(profile=profile,
-                      x0=_number(d, "x0", f"{prefix}.x0", errors),
-                      xi0=_number(d, "xi0", f"{prefix}.xi0", errors),
+    return PacketSpec(profile=profile, x0=d.get("x0"), xi0=d.get("xi0"),
                       branch=_shaped(d, "branch", int, errors, 0,
                                      f"{prefix}.branch"),
-                      kappa=kappa, r0_profile=r0_profile)
+                      kappa=d.get("kappa"), r0_profile=r0_profile)
 
 
 def _potential_from_dict(d, errors):
@@ -156,8 +111,10 @@ def _potential_from_dict(d, errors):
         return None
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse and validate.  Raises ConfigError listing every problem."""
+def load_config(path) -> Study:
+    """Read the JSON and build its `Study`.  Raises ConfigError listing every
+    problem: the JSON shapes' and, on the fields that did parse, the
+    `Study`'s rules."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -166,14 +123,18 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["the config must be a JSON object"])
 
-    errors = []
-    for key in ("potential", "epsilons", "packets"):
-        if key not in raw:
-            errors.append(f"missing required field: {key}")
+    errors = [f"missing required field: {key}"
+              for key in ("potential", "epsilons", "packets", "T")
+              if key not in raw]
+    study = {name: raw[key] for key, name in (
+        ("epsilons", "epsilons"), ("T", "T"), ("lambda", "lambda_coupling"),
+        ("gamma", "gamma_exponent")) if key in raw}
 
     seed = _shaped(raw, "seed", int, errors, 0)
     spec = _potential_from_dict(_shaped(raw, "potential", dict, errors, None),
                                 errors)
+    if spec is not None:
+        study["potential"] = spec
 
     packets = []
     for i, pd in enumerate(_shaped(raw, "packets", list, errors, [])):
@@ -181,56 +142,24 @@ def load_config(path) -> ExperimentConfig:
             errors.append(f"packets[{i}] must be an object")
             continue
         packets.append(_packet_from_dict(pd, errors, f"packets[{i}]", seed))
-    if "packets" in raw and not packets:
-        errors.append("packets: need at least one packet")
-    if spec is not None:
-        for i, pk in enumerate(packets):
-            problem = _branch_scope_error(spec, pk.branch)
-            if problem:
-                errors.append(f"packets[{i}]: {problem}")
+    if "packets" in raw:
+        study["packets"] = packets
 
-    epsilons = raw.get("epsilons", [])
-    if "epsilons" in raw and (problem := epsilon_problem(epsilons)):
-        errors.append(f"epsilons: {problem}")
-
-    T = _number(raw, "T", "T", errors)
-    if T <= 0.0:
-        errors.append("T must be positive")
     grid = _shaped(raw, "grid", dict, errors, {})
+    study.update((key, grid[key]) for key in ("x_min", "x_max") if key in grid)
+    errors += [f"missing required field: grid.{key}"
+               for key in ("x_min", "x_max") if key not in grid]
     settings = {f.name: raw[f.name] for f in fields(RunOptions)
                 if f.name in raw}
     settings["grid_n"] = grid.get("n")
     try:
-        options = RunOptions(**settings)
+        study["options"] = RunOptions(**settings)
     except ConfigError as exc:
         errors += exc.errors
-    every = settings.get("observe_every", RunOptions.observe_every)
-    cadence = T > 0 and _finite(every) and every > 0  # else already listed
-    if cadence and not _multiple(T, every):
-        errors.append("T must be an integer multiple of observe_every")
-    snapshot_times = _shaped(raw, "snapshot_times", list, errors, [0.0, T])
-    for i, ts in enumerate(snapshot_times if "snapshot_times" in raw else []):
-        if cadence and not (_finite(ts) and 0.0 <= ts <= T
-                            and _multiple(ts, every)):
-            errors.append(f"snapshot_times[{i}]: {ts!r} is not a multiple of "
-                          f"observe_every in [0, T]")
-
-    x_min = _number(grid, "x_min", "grid.x_min", errors)
-    x_max = _number(grid, "x_max", "grid.x_max", errors)
-    if x_min >= x_max:
-        errors.append("grid: x_min must be below x_max")
-
-    lambda_coupling = _number(raw, "lambda", "lambda", errors, 0.0)
-    gamma_exponent = raw.get("gamma", 0.3)
-    if not (_finite(gamma_exponent) and 0.0 < gamma_exponent < 0.5):
-        errors.append("gamma must lie in (0, 1/2)")
-    out_dir = _shaped(raw, "out_dir", str, errors, "results")
+    for key, shape in (("snapshot_times", list), ("out_dir", str)):
+        if (value := _shaped(raw, key, shape, errors, None)) is not None:
+            study[key] = value
 
     if errors:
-        raise ConfigError(errors)
-    return ExperimentConfig(
-        potential=spec, packets=packets, epsilons=[float(e) for e in epsilons],
-        lambda_coupling=lambda_coupling, T=T, x_min=x_min, x_max=x_max,
-        options=options, gamma_exponent=float(gamma_exponent),
-        out_dir=out_dir,
-        snapshot_times=tuple(snapshot_times))
+        raise ConfigError(errors + _study_problems(study))
+    return Study(**study)

@@ -20,11 +20,11 @@ off-branch amplitude (ψ, χ_j^ℓ) itself solves the driven branch equation wit
 source ε φ · (-i)(∂_t χ¹ + ξ ∂_x χ¹, χ_j^ℓ), so the subtracted correction must
 carry the opposite source.
 
-This module is the independent oracle of the static carrier, so it keeps
-`scipy.interpolate.CubicSpline`; the import sits inside the functions that
-use it, and the run path, which needs only `coupling_profile`, never loads
-`scipy.interpolate`.  It is the one reader of a trajectory between its
-samples, through the frame's splines in t of x and ξ.
+This module is the independent oracle of the static carrier; the run path
+needs only `coupling_profile`.  Every interpolant here, in x, z and t, is the
+not-a-knot `grids.UniformCubicSpline` on the uniform samples of a grid or a
+trajectory.  It is the one reader of a trajectory between its samples,
+through the frame's splines in t of x and ξ.
 """
 
 from __future__ import annotations
@@ -78,14 +78,16 @@ def k_matrix_grid(data: SpectralData, j: int) -> np.ndarray:
     return -1j * comm
 
 
+def _grid_spline(grid: SpatialGrid, values) -> UniformCubicSpline:
+    """The cubic spline of samples at a grid's points, along axis 0."""
+    return UniformCubicSpline(grid.x_min, grid.spacing, values)
+
+
 def initial_frame(data: SpectralData, j: int, x_points) -> np.ndarray:
     """Branch-j eigenvectors of V at the given points, interpolated from the
     decomposition grid and reorthonormalized per point."""
-    from scipy.interpolate import CubicSpline
-
     x_points = np.asarray(x_points, dtype=float)
-    spline = CubicSpline(data.grid.points, data.frames[j], axis=0)
-    cols = spline(x_points)  # (m, N, d)
+    cols = _grid_spline(data.grid, data.frames[j])(x_points)  # (m, N, d)
     if cols.shape[2] == 1:
         cols = cols / np.linalg.norm(cols, axis=1, keepdims=True)
     else:
@@ -128,15 +130,13 @@ def transport_frame(data: SpectralData, j: int, traj, initial_vectors: np.ndarra
     correction is logged, never hidden).  Aborts if the frame stops being an
     eigenframe to within 1e-6.
     """
-    from scipy.interpolate import CubicSpline
-
     if T is None:
         T = float(traj.times[-1])
     n_steps = int(round(T / dt))
     t0, h = traj.times[0], traj.times[1] - traj.times[0]
     x_of, xi_of = UniformCubicSpline(t0, h, traj.x), UniformCubicSpline(t0, h, traj.xi)
-    k_spline = CubicSpline(data.grid.points, k_matrix_grid(data, j), axis=0)
-    lam_spline = CubicSpline(data.grid.points, data.branches[j])
+    k_spline = _grid_spline(data.grid, k_matrix_grid(data, j))
+    lam_spline = _grid_spline(data.grid, data.branches[j])
     z = z_grid.points
 
     y = np.asarray(initial_vectors, dtype=complex).copy()
@@ -209,15 +209,12 @@ def frame_at(frame: EigenFrame, t: float, lab_grid: SpatialGrid) -> np.ndarray:
     Columns are cubic-spline interpolated in z and renormalized per point.
     Raises if any lab point leaves the comoving window.
     """
-    from scipy.interpolate import CubicSpline
-
     i = _slice_index(frame, t)
     z = lab_grid.points - float(frame.x_of(t))
     zg = frame.z_grid.points
     if z.min() < zg[0] or z.max() > zg[-1]:
         raise ValueError("lab grid extends beyond the transported z-domain")
-    spline = CubicSpline(zg, frame.vectors[i], axis=0)
-    cols = spline(z)
+    cols = _grid_spline(frame.z_grid, frame.vectors[i])(z)
     norms = np.linalg.norm(cols, axis=1, keepdims=True)
     return cols / norms
 
@@ -231,11 +228,9 @@ def parallel_residual(frame: EigenFrame, data: SpectralData, m: int, ell: int,
     property); against another branch's vectors its magnitude equals the
     coupling coefficient there.
     """
-    from scipy.interpolate import CubicSpline
-
     def chi(tt, xx, col):
         i = _slice_index(frame, tt)
-        spline = CubicSpline(frame.z_grid.points, frame.vectors[i][:, :, col], axis=0)
+        spline = _grid_spline(frame.z_grid, frame.vectors[i][:, :, col])
         v = spline(xx - float(frame.x_of(tt)))
         return v / np.linalg.norm(v)
 

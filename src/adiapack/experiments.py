@@ -20,11 +20,12 @@ T, fit the decay order by least squares in log-log, and include a two-packet
 superposition experiment with the trajectory-crossing diagnostics Γ and
 |I^ε(T)| = |{t ≤ T : |x₁(t) - x₂(t)| ≤ ε^γ}|.
 
-The run options travel as one validated `RunOptions`.  A command does its
-ε-free work once (`study_setup`): the probe decomposition, each packet's run
-trajectory once per distinct dt, the grid rule, every ε's grid size and
-step rule, and the envelopes' run window (the part of the y-grid their
-profiles fill).  In the critical scaling the envelope equation and the
+A study travels as one validated `Study`, its run options one `RunOptions`:
+each rule is checked once, when it is built, and every driver takes one.  A
+command does its ε-free work once (`study_setup`): the probe decomposition,
+each packet's run trajectory once per distinct dt, the grid rule, every ε's
+grid size and step rule, and the envelopes' run window (the part of the
+y-grid their profiles fill).  In the critical scaling the envelope equation and the
 classical path do not contain ε, so the ε that share a dt run in one
 lockstep march (`_Lockstep`): each distinct envelope is stepped once per
 step and read by every packet and ε that use it, and each ε keeps its own
@@ -38,7 +39,7 @@ Duhamel source read 4s - 2, and its dt/2 envelope halves 4s - 3 and 4s - 1.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -52,11 +53,12 @@ from .errors import CORRECTION_NORM, ENVELOPE_SUPPORT, AdiapackError, \
 from .grids import ScalarField, SpatialGrid, UniformCubicSpline, VectorField, \
     centred_slice, l2_norm, make_grid, sigma_norm
 from .nls import NLSPropagator, build_initial_data, check_lab_field, \
-    check_step_mass, lab_grid_points, mode_populations, spectral_half_width
+    check_step_mass, kappa_problem, lab_grid_points, mode_populations, \
+    spectral_half_width
 from .potentials import MatrixPotentialSpec, SpectralData, decompose
 
 __all__ = [
-    "PacketSpec", "RunOptions", "OrderFit", "SingleRunResult",
+    "PacketSpec", "RunOptions", "Study", "OrderFit", "SingleRunResult",
     "ConvergenceReport", "SuperpositionReport", "LabGridRule", "StudySetup",
     "make_profile", "fit_order", "lab_grid_rule", "study_setup",
     "run_single_packet", "convergence_study", "superposition_experiment",
@@ -66,8 +68,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # profiles
 
+def _finite(value) -> bool:   # a real number, not a bool, inf or NaN
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and bool(np.isfinite(value)))
+
+
+def _width(width) -> float:
+    if not (_finite(width) and width > 0):
+        raise ValueError(f"width must be a finite number > 0, not {width!r}")
+    return width
+
+
 def gaussian_profile(width: float = 1.0, center: float = 0.0):
-    norm = (np.pi * width**2) ** -0.25
+    norm = (np.pi * _width(width)**2) ** -0.25
 
     def a(y):
         return norm * np.exp(-((y - center) ** 2) / (2.0 * width**2))
@@ -77,7 +90,7 @@ def gaussian_profile(width: float = 1.0, center: float = 0.0):
 
 def hermite_profile(width: float = 1.0, center: float = 0.0):
     """First excited oscillator profile (unit L² norm, odd about the center)."""
-    norm = np.sqrt(2.0) * (np.pi * width**2) ** -0.25
+    norm = np.sqrt(2.0) * (np.pi * _width(width)**2) ** -0.25
 
     def a(y):
         u = (y - center) / width
@@ -88,6 +101,12 @@ def hermite_profile(width: float = 1.0, center: float = 0.0):
 
 def noise_profile(seed: int = 0, modes: int = 6, width: float = 1.0):
     """Random smooth localized profile, deterministic per seed (unit L² norm)."""
+    # over five seeds, 128 modes are 4e-28 of the peak at the ends of the
+    # normalisation window below, 192 modes 2.7e-15; 256 modes overflow
+    if not (isinstance(modes, numbers.Integral) and not isinstance(modes, bool)
+            and 0 <= modes <= 128):
+        raise ValueError(f"modes must be an integer in [0, 128], not {modes!r}")
+    _width(width)
     rng = np.random.default_rng(seed)
     coefs = rng.standard_normal(modes + 1)
 
@@ -262,27 +281,9 @@ def _branch_curve_for(spec: MatrixPotentialSpec, data: SpectralData,
     return BranchCurve.from_data(data, branch)
 
 
-def _branch_scope_error(spec: MatrixPotentialSpec, branch: int) -> str | None:
-    """Why a packet on `branch` is out of scope, or None: by the declared
-    multiplicities (which `decompose` enforces) it must exist and be simple,
-    the one condition under which the static frame is the transported one."""
-    mult = spec.multiplicities or (1,) * spec.n_levels
-    if not 0 <= branch < len(mult):
-        return f"branch {branch} out of range ({len(mult)} branches)"
-    if mult[branch] != 1:
-        return (f"branch {branch} has multiplicity {mult[branch]}: out of "
-                f"scope, the transported branch must be simple")
-    return None
-
-
-def _finite(value) -> bool:   # a real number, not a bool, inf or NaN
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and bool(np.isfinite(value)))
-
-
 @dataclass(frozen=True)
 class RunOptions:
-    """The run options of `study_setup` and the drivers under their config
+    """The run options of a `Study` (its `options`) under their config
     keys (`grid_n` is `grid.n`), each default written once; building one
     with a bad value raises a `ConfigError` that lists every problem."""
 
@@ -309,6 +310,88 @@ class RunOptions:
         return out + ([] if _finite(self.beta) else ["beta must be finite"])
 
 
+def _multiple(value: float, step: float) -> bool:   # to 1e-9, no overflow
+    ratio = value / step
+    return bool(np.isfinite(ratio)) and abs(round(ratio) * step - value) <= 1e-9
+
+
+def _study_problems(v: dict) -> list:
+    """Every rule of a `Study` that the fields in `v` break, one string each
+    under its config key.  A rule is checked only when its fields are in
+    `v`: `load_config` leaves out a field whose JSON it already rejected.
+
+    A packet's branch must exist and be simple by the declared
+    multiplicities (which `decompose` enforces), the one condition under
+    which the static frame is the transported one."""
+    out, spec, options = [], v.get("potential"), v.get("options")
+    mult = spec and (spec.multiplicities or (1,) * spec.n_levels)
+    for i, pk in enumerate(v.get("packets", ())):
+        out += [f"packets[{i}].{key} must be a finite number"
+                for key in ("x0", "xi0") if not _finite(getattr(pk, key))]
+        if pk.kappa is not None and (problem := kappa_problem(pk.kappa)):
+            out.append(f"packets[{i}]: {problem}")
+        if mult and not 0 <= pk.branch < len(mult):
+            out.append(f"packets[{i}]: branch {pk.branch} out of range "
+                       f"({len(mult)} branches)")
+        elif mult and mult[pk.branch] != 1:
+            out.append(f"packets[{i}]: branch {pk.branch} has multiplicity "
+                       f"{mult[pk.branch]}: out of scope, the transported "
+                       f"branch must be simple")
+    if "packets" in v and not v["packets"]:
+        out.append("packets: need at least one packet")
+    eps = v.get("epsilons", ())
+    if "epsilons" in v and (not isinstance(eps, (list, tuple)) or not eps):
+        out.append("epsilons: need a list of at least one value")
+    elif not all(_finite(e) and 0.0 < e <= 1.0 for e in eps):
+        out.append("epsilons: every value must lie in (0, 1]")
+    for key, label in (("T", "T"), ("x_min", "grid.x_min"),
+                       ("x_max", "grid.x_max"), ("lambda_coupling", "lambda")):
+        if key in v and not _finite(v[key]):
+            out.append(f"{label} must be a finite number")
+    T, every = v.get("T"), options.observe_every if options else None
+    if _finite(T) and T <= 0.0:
+        out.append("T must be positive")
+    elif _finite(T) and every:
+        if not _multiple(T, every):
+            out.append("T must be an integer multiple of observe_every")
+        for i, ts in enumerate(v.get("snapshot_times") or ()):
+            if not (_finite(ts) and 0.0 <= ts <= T and _multiple(ts, every)):
+                out.append(f"snapshot_times[{i}]: {ts!r} is not a multiple of "
+                           f"observe_every in [0, T]")
+    if all(_finite(v.get(k)) for k in ("x_min", "x_max")) and v["x_min"] >= v["x_max"]:
+        out.append("grid: x_min must be below x_max")
+    if "gamma_exponent" in v and not (_finite(gamma := v["gamma_exponent"])
+                                      and 0.0 < gamma < 0.5):
+        out.append("gamma must lie in (0, 1/2)")
+    return out
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class Study:
+    """The data the theorem fixes and a run's choices, each default written
+    once; building one with a bad value raises a `ConfigError` that lists
+    every problem.  `out_dir` is the CLI's output directory without `--out`."""
+
+    potential: MatrixPotentialSpec
+    packets: tuple                   # `PacketSpec`s on simple branches
+    epsilons: tuple                  # each in (0, 1]
+    T: float                         # horizon > 0, a multiple of observe_every
+    x_min: float                     # the lab domain, x_min < x_max
+    x_max: float
+    lambda_coupling: float = 0.0
+    options: RunOptions = RunOptions()
+    gamma_exponent: float = 0.3      # the crossing window ε^γ, γ in (0, ½)
+    snapshot_times: tuple | None = None   # `single`'s; None is (0, T)
+    out_dir: str = "results"
+
+    def __post_init__(self):
+        if problems := _study_problems(vars(self)):
+            raise ConfigError(problems)
+        object.__setattr__(self, "epsilons", tuple(map(float, self.epsilons)))
+        if self.snapshot_times is None:
+            object.__setattr__(self, "snapshot_times", (0.0, self.T))
+
+
 class _Steps(NamedTuple):
     """The march of one ε: step size, steps per observation, step total."""
 
@@ -320,10 +403,8 @@ class _Steps(NamedTuple):
 def _step_rule(T: float, options: RunOptions, epsilon: float) -> _Steps:
     """The one step rule: dt = observe_every/k for the smallest k with
     dt ≤ min(dt_max, dt_over_epsilon·ε), so that steps land on every
-    observation.  T must be a multiple of observe_every (`ConfigError`)."""
+    observation (a `Study` has T on that cadence)."""
     every, n_obs = options.observe_every, round(T / options.observe_every)
-    if abs(n_obs * every - T) > 1e-9:
-        raise ConfigError("T must be an integer multiple of observe_every")
     dt = min(options.dt_max, options.dt_over_epsilon * epsilon)
     per_obs = int(np.ceil(every / dt - 1e-12))
     return _Steps(every / per_obs, per_obs, per_obs * n_obs)
@@ -420,10 +501,7 @@ def _run_window(y_grid: SpatialGrid, y_tau: float) -> SpatialGrid:
 class StudySetup:
     """The ε-free work of one command, done before its first ε runs."""
 
-    spec: MatrixPotentialSpec
-    packets: tuple
-    lambda_coupling: float
-    options: RunOptions
+    study: Study                     # its packets and ε are the set-up's
     y_grid: SpatialGrid              # the envelopes' run window (`_run_window`)
     probe: SpectralData              # the 4096-point decomposition
     rule: LabGridRule
@@ -440,42 +518,44 @@ class StudySetup:
         return list(groups.values())
 
 
-def study_setup(spec: MatrixPotentialSpec, packets, epsilons,
-                lambda_coupling: float, T: float, x_min: float, x_max: float,
-                options=RunOptions()) -> StudySetup:
-    """Scope check, every ε's `_step_rule`, the 4096-point probe
-    decomposition, each packet's run trajectory at dt/4 once per distinct dt
-    on the probe's branch curve, `lab_grid_rule` on those of the largest dt
-    and the configured y-grid (±y_half_width, y_points), the lab grid size
-    of every ε (a `grid.n` must meet the rule at all of them) and the
-    envelopes' run window (the configured y-grid's smallest centred
-    power-of-two slice that holds the measured Y_τ).  Every failure is a
-    `ConfigError` (exit 2)."""
-    problems = [_branch_scope_error(spec, pk.branch) for pk in packets]
-    if any(problems):
-        raise ConfigError([p for p in problems if p])
-    steps = {eps: _step_rule(T, options, eps) for eps in epsilons}
+def study_setup(study: Study) -> StudySetup:
+    """For every packet and ε of the study: every ε's `_step_rule`, the
+    4096-point probe decomposition, each packet's run trajectory at dt/4
+    once per distinct dt on the probe's branch curve, `lab_grid_rule` on
+    those of the largest dt and the configured y-grid (±y_half_width,
+    y_points), the lab grid size of every ε (a `grid.n` must meet the rule
+    at all of them) and the envelopes' run window (the configured y-grid's
+    smallest centred power-of-two slice that holds the measured Y_τ).  Every
+    failure is a `ConfigError` (exit 2)."""
+    spec, packets, options = study.potential, study.packets, study.options
+    steps = {eps: _step_rule(study.T, options, eps) for eps in study.epsilons}
     y_grid = make_grid(-options.y_half_width, options.y_half_width,
                        options.y_points)
     try:
-        probe = decompose(spec, make_grid(x_min, x_max, 4096))
+        probe = decompose(spec, make_grid(study.x_min, study.x_max, 4096))
         curves = [_branch_curve_for(spec, probe, pk.branch) for pk in packets]
         trajectories = {
-            dt: tuple(integrate_trajectory(curve, pk.x0, pk.xi0, T, dt / 4.0,
+            dt: tuple(integrate_trajectory(curve, pk.x0, pk.xi0, study.T, dt / 4.0,
                                            branch_id=pk.branch)
                       for curve, pk in zip(curves, packets))
             for dt in dict.fromkeys(s.dt for s in steps.values())}
         dt = max(trajectories)
         rule = lab_grid_rule(probe.grid.length, packets, trajectories[dt], dt,
-                             lambda_coupling, y_grid)
+                             study.lambda_coupling, y_grid)
     except AdiapackError as exc:
         raise ConfigError(f"grid derivation failed: {exc}") from exc
-    return StudySetup(spec=spec, packets=tuple(packets),
-                      lambda_coupling=lambda_coupling, options=options,
-                      y_grid=_run_window(y_grid, rule.y_tau), probe=probe,
-                      rule=rule, steps=steps, trajectories=trajectories,
+    return StudySetup(study=study, y_grid=_run_window(y_grid, rule.y_tau),
+                      probe=probe, rule=rule, steps=steps,
+                      trajectories=trajectories,
                       grid_n={eps: rule.points(eps, options.grid_n)
-                              for eps in epsilons})
+                              for eps in study.epsilons})
+
+
+def _setup_of(study: Study, n_packets: int) -> StudySetup:
+    """The set-up of the study's first `n_packets` packets and its ε in
+    decreasing order, the order of every report."""
+    return study_setup(replace(study, packets=study.packets[:n_packets],
+                               epsilons=sorted(study.epsilons, reverse=True)))
 
 
 class _Lane:
@@ -487,7 +567,8 @@ class _Lane:
     leaves its trailing half potential step to the next one."""
 
     def __init__(self, setup: StudySetup, epsilon, corrections):
-        spec, packets, lam = setup.spec, setup.packets, setup.lambda_coupling
+        study = setup.study
+        spec, packets, lam = study.potential, study.packets, study.lambda_coupling
         self.epsilon, self.n = epsilon, setup.grid_n[epsilon]
         self.steps = setup.steps[epsilon]
         grid = setup.probe.grid
@@ -505,7 +586,7 @@ class _Lane:
         self.pending = False             # ψ owes its last step's trailing half
         self.mass0, self.max_drift, self.tails = l2_norm(lab, self.psi), 0.0, []
         self.prop = NLSPropagator(data, epsilon, lam, self.steps.dt,
-                                  setup.options.beta)
+                                  study.options.beta)
         branch = packets[0].branch
         others = [j for j in range(data.n_branches) if j != branch] if corrections else []
         self.rho = {(j, ell): coupling_profile(data, j, ell, source_branch=branch)
@@ -562,8 +643,8 @@ class _Lockstep:
             except AdiapackError as exc:
                 self._fail(eps, exc)
         self.envs, self.curvatures = _envelopes(setup.y_grid, [
-            (pk.evaluator(), tr.curvature) for pk, tr in zip(setup.packets, self.trajs)],
-            setup.lambda_coupling)
+            (pk.evaluator(), tr.curvature) for pk, tr in zip(
+                setup.study.packets, self.trajs)], setup.study.lambda_coupling)
 
     def _fail(self, eps, exc):
         if not self.isolate:
@@ -670,9 +751,9 @@ class _SingleObserver:
     `SingleRunResult` once the march is done."""
 
     def __init__(self, march: _Lockstep, lane: _Lane, snapshot_steps):
-        setup = march.setup
-        self.march, self.lane, self.branch = march, lane, setup.packets[0].branch
-        self.curve = _branch_curve_for(setup.spec, lane.data, self.branch)
+        study = march.setup.study
+        self.march, self.lane, self.branch = march, lane, study.packets[0].branch
+        self.curve = _branch_curve_for(study.potential, lane.data, self.branch)
         self.series = {name: [] for name in (
             "times", "masses", "w_sigma1", "theta_sigma1", "leakage", "taylor",
             "populations")}
@@ -728,26 +809,22 @@ def _single_packet_runs(setup: StudySetup, epsilons, isolate,
     return [observers[lane].result() for lane in march.lanes], march.failures
 
 
-def run_single_packet(spec: MatrixPotentialSpec, packet: PacketSpec,
-                      epsilon: float, lambda_coupling: float, T: float,
-                      x_min: float, x_max: float, options=RunOptions(),
-                      snapshot_times=()) -> SingleRunResult:
-    """One single-packet march with corrections, and its error time series.
+def run_single_packet(study: Study) -> SingleRunResult:
+    """One single-packet march with corrections, and its error time series,
+    of the study's first packet at its one ε (several are a `ConfigError`),
+    with ψ at its `snapshot_times`.
 
     Every step passes `nls.check_step_mass` (worst relative drift:
     `mass_drift`), every observation `nls.check_lab_field` (worst tail:
-    `fourier_tail`) and `errors.CORRECTION_NORM`.  Snapshot times must be
-    observation times in [0, T] (`ConfigError` otherwise, as in
-    `config.load_config`).
+    `fourier_tail`) and `errors.CORRECTION_NORM`.
     """
-    setup = study_setup(spec, [packet], [epsilon], lambda_coupling, T, x_min,
-                        x_max, options)
-    steps = setup.steps[epsilon]
-    snapshot_steps = {int(round(ts / steps.dt)): ts for ts in snapshot_times}
-    if any(k % steps.per_obs or not 0 <= k <= steps.total for k in snapshot_steps):
-        raise ConfigError("snapshot times must be observation times in [0, T]")
-    (run,), _ = _single_packet_runs(setup, [epsilon], isolate=False,
-                                    snapshot_steps=snapshot_steps)
+    if len(study.epsilons) != 1:
+        raise ConfigError(f"run_single_packet runs one ε, not {len(study.epsilons)}")
+    setup = _setup_of(study, 1)
+    dt = setup.steps[study.epsilons[0]].dt
+    (run,), _ = _single_packet_runs(
+        setup, study.epsilons, isolate=False,
+        snapshot_steps={int(round(ts / dt)): ts for ts in study.snapshot_times})
     return run
 
 
@@ -773,10 +850,9 @@ class ConvergenceReport:
                     failures=[[eps, str(exc)] for eps, exc in self.failures])
 
 
-def convergence_study(spec: MatrixPotentialSpec, packet: PacketSpec, epsilons,
-                      lambda_coupling: float, T: float, x_min: float, x_max: float,
-                      options=RunOptions()) -> ConvergenceReport:
-    """Sweep ε, collect sup-in-t error norms, and fit the decay order.
+def convergence_study(study: Study) -> ConvergenceReport:
+    """Sweep the study's ε with its first packet, collect sup-in-t error
+    norms, and fit the decay order.
 
     One `study_setup` serves every ε, and the ε that share a step size run
     in one lockstep; runs and failures are listed in decreasing ε.  A
@@ -785,9 +861,7 @@ def convergence_study(spec: MatrixPotentialSpec, packet: PacketSpec, epsilons,
     fails (the report then has no ε); any other exception is a programming
     error and propagates.
     """
-    epsilons = sorted(epsilons, reverse=True)
-    setup = study_setup(spec, [packet], epsilons, lambda_coupling, T, x_min,
-                        x_max, options)
+    setup = _setup_of(study, 1)
     runs, failures = [], []
     for group in setup.groups():
         done, failed = _single_packet_runs(setup, group, isolate=True)
@@ -849,33 +923,30 @@ class _SuperposeObserver:
         self.times.append(t)
 
 
-def superposition_experiment(spec: MatrixPotentialSpec, packets, epsilons,
-                             lambda_coupling: float, T: float, x_min: float,
-                             x_max: float, gamma_exponent: float = 0.3,
-                             options=RunOptions()) -> SuperpositionReport:
-    """Two-packet run: ψ₀ = φ₁χ¹ + φ₂χ² (plus r₀'s), error against φ₁χ¹ + φ₂χ².
+def superposition_experiment(study: Study) -> SuperpositionReport:
+    """Two-packet run of the study's first two packets: ψ₀ = φ₁χ¹ + φ₂χ²
+    (plus r₀'s), error against φ₁χ¹ + φ₂χ².
 
     Reports Γ = inf |λ̃₁ - λ̃₂ - (E₁ - E₂)| (0 means the separation hypothesis
     fails — the run still executes as a documented negative control), the
-    crossing-set measure |I^ε(T)| for the configured γ, and the interaction
+    crossing-set measure |I^ε(T)| for the study's γ, and the interaction
     integral ∫‖|φ₁|²φ₂‖ dt.  The infimum runs over the lab domain
     [x_min, x_max], sampled by the probe decomposition; the shipped superpose
-    configs have a constant objective there.  Identical packets are a
-    `ConfigError`, and so is a `gamma_exponent` outside (0, ½).  The
-    `study_setup` takes both packets (the bound
-    3ξ_max/ε + √3 η_τ/√ε covers the cubic term's 2ξ_a - ξ_b products); the
-    ε that share a step size run in one lockstep, without corrections, with
-    the guards of `run_single_packet`, and the first failure propagates.
+    configs have a constant objective there.  Fewer than two packets, or
+    two that start alike, are a `ConfigError`.  The `study_setup` takes both
+    packets (the bound 3ξ_max/ε + √3 η_τ/√ε covers the cubic term's
+    2ξ_a - ξ_b products); the ε that share a step size run in one lockstep,
+    without corrections, with the guards of `run_single_packet`, and the
+    first failure propagates.
     """
-    if not 0.0 < gamma_exponent < 0.5:
-        raise ConfigError("gamma must lie in (0, 1/2)")
-    p1, p2 = packets
+    if len(study.packets) < 2:
+        raise ConfigError("superpose needs two packets in the config")
+    p1, p2 = study.packets[:2]
     if (p1.branch, p1.x0, p1.xi0) == (p2.branch, p2.x0, p2.xi0):
         raise ConfigError("the two packets must differ in branch or "
                           "phase-space point")
-    epsilons = sorted(epsilons, reverse=True)
-    setup = study_setup(spec, [p1, p2], epsilons, lambda_coupling, T, x_min,
-                        x_max, options)
+    setup = _setup_of(study, 2)
+    epsilons, gamma_exponent = setup.study.epsilons, study.gamma_exponent
 
     probe, (tr1, tr2) = setup.probe, next(iter(setup.trajectories.values()))
     objective = np.abs(probe.branches[p1.branch] - probe.branches[p2.branch]

@@ -16,8 +16,8 @@ i.e. moments in x and ε-scaled derivatives up to total order p.  For β = 0,
 
 `UniformCubicSpline` is the package's interpolant: the not-a-knot cubic
 spline of `scipy.interpolate.CubicSpline`, restricted to uniform knots and
-written in numpy, so that importing the package does not load
-`scipy.interpolate`.
+written in numpy, so that the package needs no scipy (the tests check the
+two against each other).
 """
 
 from __future__ import annotations

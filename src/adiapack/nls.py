@@ -45,6 +45,8 @@ scaling), κ > 1/4.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import BOUNDARY, FOURIER_TAIL, MASS_DRIFT, ConfigError
@@ -52,6 +54,7 @@ from .grids import SpatialGrid, l2_norm, unit_phase
 from .potentials import SpectralData
 
 __all__ = ["NLSPropagator", "build_initial_data", "coherent_packet",
+           "kappa_problem",
            "check_step_mass", "check_lab_field", "fourier_tail",
            "mode_populations", "spectral_half_width", "lab_grid_points"]
 
@@ -64,6 +67,11 @@ def coherent_packet(grid: SpatialGrid, a, x0: float, xi0: float,
         * np.exp(1j * xi0 * (grid.points - x0) / epsilon)
 
 
+def kappa_problem(kappa) -> str | None:   # the one rule: a finite κ > 1/4
+    ok = isinstance(kappa, numbers.Real) and not isinstance(kappa, bool)
+    return None if ok and 0.25 < kappa < np.inf else "kappa must exceed 1/4"
+
+
 def build_initial_data(a, x0: float, xi0: float, chi_values: np.ndarray,
                        epsilon: float, grid: SpatialGrid,
                        r0_spec: tuple | None = None) -> np.ndarray:
@@ -73,8 +81,8 @@ def build_initial_data(a, x0: float, xi0: float, chi_values: np.ndarray,
     values = coherent_packet(grid, a, x0, xi0, epsilon)[:, None] * chi
     if r0_spec is not None:
         kappa, r_profile = r0_spec
-        if not kappa > 0.25:
-            raise ConfigError("kappa must exceed 1/4")
+        if problem := kappa_problem(kappa):
+            raise ConfigError(problem)
         bump = coherent_packet(grid, r_profile, x0, xi0, epsilon)
         values = values + epsilon**kappa * bump[:, None] * chi
     return values

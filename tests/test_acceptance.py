@@ -36,38 +36,25 @@ def check(criterion, ok, detail):
     assert ok, f"{criterion}: {detail}"
 
 
-def _study(cfg):
-    return convergence_study(
-        cfg.potential, cfg.packets[0], cfg.epsilons, cfg.lambda_coupling,
-        cfg.T, cfg.x_min, cfg.x_max, cfg.options)
-
-
 @pytest.fixture(scope="module")
 def scalar_report():
-    return _study(load_config(CONFIGS / "scalar_harmonic.json"))
+    return convergence_study(load_config(CONFIGS / "scalar_harmonic.json"))
 
 
 @pytest.fixture(scope="module")
 def rotating_report():
-    return _study(load_config(CONFIGS / "rotating.json"))
+    return convergence_study(load_config(CONFIGS / "rotating.json"))
 
 
 @pytest.fixture(scope="module")
 def superposition_report():
-    cfg = load_config(CONFIGS / "superposition.json")
-    return superposition_experiment(
-        cfg.potential, tuple(cfg.packets[:2]), cfg.epsilons,
-        cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max,
-        gamma_exponent=cfg.gamma_exponent, options=cfg.options)
+    return superposition_experiment(load_config(CONFIGS / "superposition.json"))
 
 
 @pytest.fixture(scope="module")
 def crossing_report():
-    cfg = load_config(CONFIGS / "crossing_control.json")
     return superposition_experiment(
-        cfg.potential, tuple(cfg.packets[:2]), cfg.epsilons,
-        cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max,
-        gamma_exponent=cfg.gamma_exponent, options=cfg.options)
+        load_config(CONFIGS / "crossing_control.json"))
 
 
 def test_criterion_01_mass_conservation():

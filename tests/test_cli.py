@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from adiapack.cli import main
 from adiapack.config import load_config
 from adiapack.errors import ConfigError
-from adiapack.experiments import (PacketSpec, RunOptions, run_single_packet,
-                                  study_setup, superposition_experiment)
+from adiapack.experiments import (PacketSpec, RunOptions, Study,
+                                  run_single_packet, study_setup,
+                                  superposition_experiment)
 from adiapack.grids import make_grid
 from adiapack.nls import spectral_half_width
 from adiapack.potentials import MatrixPotentialSpec, decompose
@@ -40,11 +41,9 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path
 
 
-def config_setup(cfg):
+def config_setup(study):
     """The study set-up of all the config's packets, as `superpose` builds it."""
-    return study_setup(cfg.potential, cfg.packets, cfg.epsilons,
-                       cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max,
-                       cfg.options)
+    return study_setup(study)
 
 
 def test_study_setup_sizes_the_minimal_config(tmp_path):
@@ -474,15 +473,13 @@ def test_envelope_edge_same_exit_code_in_both_run_paths(tmp_path, capsys,
         spec = MatrixPotentialSpec.from_strings(["x^2/2"], ["0"])
         pk = [PacketSpec(profile=d["profile"], x0=d["x0"], xi0=d["xi0"])
               for d in packets]
-        kwargs = dict(options=RunOptions(observe_every=0.05,
+        study = Study(potential=spec, packets=pk, epsilons=[0.0625], T=0.5,
+                      x_min=-4.0, x_max=4.0,
+                      options=RunOptions(observe_every=0.05,
                                          y_half_width=half_width))
-        runs = (lambda: run_single_packet(spec, pk[0], 0.0625, 0.0, 0.5, -4.0,
-                                          4.0, **kwargs),
-                lambda: superposition_experiment(spec, pk, [0.0625], 0.0, 0.5,
-                                                 -4.0, 4.0, **kwargs))
-        for run in runs:
+        for run in (run_single_packet, superposition_experiment):
             with pytest.raises(ConfigError, match="y-domain edge") as exc:
-                run()
+                run(study)
             assert exc.value.exit_code == 2
     assert set(sizes) == {4096}
 
@@ -613,6 +610,7 @@ def test_bad_command_input_is_a_config_error(tmp_path, capsys):
     # a malformed number was a ValueError traceback (exit 1), a NaN ran on
     # (β, λ) or failed later (exit 1), and 512.5 was truncated to 512
     nan = float("nan")
+    packet = {"profile": {"type": "gaussian"}, "x0": 1.0, "xi0": 0.0}
     bad_numbers = [
         ({"beta": "x"}, "beta must be finite"),
         ({"beta": nan}, "beta must be finite"),
@@ -627,12 +625,23 @@ def test_bad_command_input_is_a_config_error(tmp_path, capsys):
          "grid.x_min must be a finite number"),
         ({"observe_every": nan}, "observe_every must be positive and finite"),
         ({"y_half_width": nan}, "y_half_width must be positive and finite")]
+    # a profile's parameters are bounded: a noise profile's "modes" of -1 was
+    # an IndexError traceback (exit 1), 3000000 did not return within 30 s,
+    # and true, like an infinite width, was accepted
+    modes = "packets[0].profile: modes must be an integer in [0, 128]"
+    width = "packets[0].profile: width must be a finite number > 0"
+    bad_numbers += [
+        ({"packets": [dict(packet, profile={"type": "noise", "modes": m})]},
+         modes) for m in (-1, 3000000, True, 2.0)]
+    bad_numbers += [
+        ({"packets": [dict(packet, profile={"type": kind, "width": w})]}, width)
+        for kind in ("gaussian", "hermite", "noise")
+        for w in (float("inf"), 0.0, -1.0, nan, "x")]
     cases += [("single", write_config(tmp_path, name=f"bad{i}.json", **fields),
                [], message) for i, (fields, message) in enumerate(bad_numbers)]
     # a value of the wrong JSON shape was a traceback (exit 1), a float or
     # bool branch was read as branch 1, fractional multiplicities passed and
     # a null out_dir wrote to a directory named "None"
-    packet = {"profile": {"type": "gaussian"}, "x0": 1.0, "xi0": 0.0}
     harmonic = {"diag": ["x^2/2"], "sym": ["0"]}
     pair = {"diag": ["x^2/2", "x^2/2"], "sym": ["0", "0", "0"]}
     branch = "packets[0].branch must be an integer"
@@ -798,7 +807,7 @@ def test_converge_isolates_a_guard_that_trips_for_one_epsilon(tmp_path,
 
 def test_every_run_option_reaches_the_run(tmp_path):
     # each of the seven run options away from its default: the CLI's report
-    # is the direct call's with cfg.options, and the step size, envelope
+    # is the direct call's with the config's study, and the step size, envelope
     # window and lab grid show the values (the defaults give dt = 0.001,
     # 512 y-points and the rule's n = 256)
     path = write_config(tmp_path, **{"lambda": 1.0}, observe_every=0.05,
@@ -812,9 +821,7 @@ def test_every_run_option_reaches_the_run(tmp_path):
     out = tmp_path / "out"
     assert main(["single", "--config", str(path), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    run = run_single_packet(cfg.potential, cfg.packets[0], cfg.epsilons[0],
-                            cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max,
-                            cfg.options, snapshot_times=cfg.snapshot_times)
+    run = run_single_packet(cfg)
     assert report == json.loads(json.dumps({"command": "single",
                                             **run.to_dict()}))
     # dt = 0.05/k for the smallest k with dt ≤ min(4e-3, 0.032 ε) = 0.002

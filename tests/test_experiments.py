@@ -5,11 +5,11 @@ from adiapack.classical import BranchCurve, integrate_trajectory
 from adiapack.corrections import assemble_correction
 from adiapack.envelope import EnvelopeStepper
 from adiapack.errors import ConfigError
-from adiapack.experiments import (PacketSpec, RunOptions, _branch_curve_for,
-                                  _envelope_spline, _error_norms, _phi_values,
-                                  convergence_study, fit_order, make_profile,
-                                  run_single_packet, study_setup,
-                                  superposition_experiment)
+from adiapack.experiments import (PacketSpec, RunOptions, Study,
+                                  _branch_curve_for, _envelope_spline,
+                                  _error_norms, _phi_values, convergence_study,
+                                  fit_order, make_profile, run_single_packet,
+                                  study_setup, superposition_experiment)
 from adiapack.expressions import parse_expr
 from adiapack.grids import VectorField, l2_norm, make_grid, sigma_norm
 from adiapack.nls import build_initial_data
@@ -23,28 +23,37 @@ GAUSSIAN_AT_1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
 EVERY_005 = RunOptions(observe_every=0.05)
 
 
+def study(spec, packets, epsilons, lambda_coupling, T, x_min, x_max, **kwargs):
+    """A `Study` of the given fields, in this order."""
+    return Study(potential=spec, packets=packets, epsilons=epsilons,
+                 lambda_coupling=lambda_coupling, T=T, x_min=x_min,
+                 x_max=x_max, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def harmonic_run():
-    return run_single_packet(HARMONIC, GAUSSIAN_AT_1, 1.0 / 64, 0.0, 0.2, -4.0,
-                             4.0, options=EVERY_005, snapshot_times=(0.2,))
+    return run_single_packet(study(HARMONIC, [GAUSSIAN_AT_1], [1.0 / 64], 0.0,
+                                   0.2, -4.0, 4.0, options=EVERY_005,
+                                   snapshot_times=(0.2,)))
 
 
 @pytest.fixture(scope="module")
 def rotating_run():
-    return run_single_packet(rotating_family(), GAUSSIAN_AT_1, 1.0 / 64, 1.0,
-                             0.2, -2.5, 2.5, options=EVERY_005)
+    return run_single_packet(study(rotating_family(), [GAUSSIAN_AT_1],
+                                   [1.0 / 64], 1.0, 0.2, -2.5, 2.5,
+                                   options=EVERY_005))
 
 
 @pytest.fixture(scope="module")
 def harmonic_setup():
-    return study_setup(HARMONIC, [GAUSSIAN_AT_1], [1.0 / 64], 0.0, 0.2, -4.0,
-                       4.0, options=EVERY_005)
+    return study_setup(study(HARMONIC, [GAUSSIAN_AT_1], [1.0 / 64], 0.0, 0.2,
+                             -4.0, 4.0, options=EVERY_005))
 
 
 @pytest.fixture(scope="module")
 def rotating_setup():
-    return study_setup(rotating_family(), [GAUSSIAN_AT_1], [1.0 / 64], 1.0, 0.2,
-                       -2.5, 2.5, options=EVERY_005)
+    return study_setup(study(rotating_family(), [GAUSSIAN_AT_1], [1.0 / 64],
+                             1.0, 0.2, -2.5, 2.5, options=EVERY_005))
 
 
 def ansatz_at(setup, epsilon, t):
@@ -53,10 +62,10 @@ def ansatz_at(setup, epsilon, t):
     `EnvelopeStepper` along the set-up's run trajectory (step s at the
     curvature of its midpoint sample 4s - 2), `_envelope_spline` and
     `_phi_values` at sample 4s."""
-    (packet,), dt = setup.packets, setup.steps[epsilon].dt
+    (packet,), dt = setup.study.packets, setup.steps[epsilon].dt
     (traj,), y_grid = setup.trajectories[dt], setup.y_grid
     env = EnvelopeStepper(y_grid, packet.evaluator()(y_grid.points),
-                          setup.lambda_coupling)
+                          setup.study.lambda_coupling)
     steps = int(round(t / dt))
     for step in range(1, steps + 1):
         env.advance(dt, traj.curvature[4 * step - 2])
@@ -99,8 +108,8 @@ def test_ansatz_norm_is_envelope_norm(harmonic_setup):
 
 
 def test_ansatz_peak_scales_like_quarter_root():
-    setup = study_setup(HARMONIC, [GAUSSIAN_AT_1], [1.0 / 16, 1.0 / 64], 0.0,
-                        0.05, -4.0, 4.0, options=EVERY_005)
+    setup = study_setup(study(HARMONIC, [GAUSSIAN_AT_1], [1.0 / 16, 1.0 / 64],
+                              0.0, 0.05, -4.0, 4.0, options=EVERY_005))
     peaks = {eps: np.max(np.abs(ansatz_at(setup, eps, 0.05)[2]))
              for eps in (1.0 / 16, 1.0 / 64)}
     ratio = peaks[1.0 / 64] / peaks[1.0 / 16]
@@ -116,8 +125,8 @@ def test_taylor_residual_quadratic_branch_is_zero(harmonic_run):
 def test_taylor_residual_order_three_halves():
     res = {}
     for eps in (1.0 / 64, 1.0 / 256):
-        r = run_single_packet(rotating_family(), GAUSSIAN_AT_1, eps, 1.0, 0.1,
-                              -2.5, 2.5, options=EVERY_005)
+        r = run_single_packet(study(rotating_family(), [GAUSSIAN_AT_1], [eps],
+                                    1.0, 0.1, -2.5, 2.5, options=EVERY_005))
         res[eps] = r.taylor[-1]        # at t = 0.1
     order = np.log(res[1.0 / 64] / res[1.0 / 256]) / np.log(4.0)
     assert order == pytest.approx(1.5, abs=0.15)
@@ -191,12 +200,11 @@ def test_non_simple_branch_rejected():
     # the static carrier is the transported frame only on a simple branch
     p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
     p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.0)
-    with pytest.raises(ConfigError, match="must be simple"):
-        run_single_packet(MULTIPLET, p1, 1.0 / 16, 0.0, 0.1, -4.0, 4.0,
-                          options=EVERY_005)
-    with pytest.raises(ConfigError, match="must be simple"):
-        superposition_experiment(MULTIPLET, (p1, p2), [1.0 / 16], 0.0, 0.1,
-                                 -4.0, 4.0, options=EVERY_005)
+    # building the study checks every packet, the one check of the scope
+    for packets in ([p1], [p1, p2]):
+        with pytest.raises(ConfigError, match="must be simple"):
+            study(MULTIPLET, packets, [1.0 / 16], 0.0, 0.1, -4.0, 4.0,
+                  options=EVERY_005)
 
 
 def test_convergence_study_propagates_programming_errors(monkeypatch):
@@ -209,7 +217,8 @@ def test_convergence_study_propagates_programming_errors(monkeypatch):
     monkeypatch.setattr(experiments, "_Lane", broken)
     packet = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
     with pytest.raises(TypeError):
-        convergence_study(HARMONIC, packet, [1.0 / 16], 0.0, 0.1, -4.0, 4.0)
+        convergence_study(study(HARMONIC, [packet], [1.0 / 16], 0.0, 0.1,
+                                -4.0, 4.0))
 
 
 def test_fit_order_exact_line():
@@ -232,8 +241,8 @@ def test_scalar_control_order_half():
                         kappa=0.5, r0_profile={"type": "hermite"})
     sups = {}
     for eps in (1.0 / 32, 1.0 / 64, 1.0 / 128):
-        r = run_single_packet(HARMONIC, packet, eps, 0.0, 0.2, -4.0, 4.0,
-                              options=RunOptions(observe_every=0.1))
+        r = run_single_packet(study(HARMONIC, [packet], [eps], 0.0, 0.2, -4.0,
+                                    4.0, options=RunOptions(observe_every=0.1)))
         sups[eps] = r.sup_w_sigma1
     fit = fit_order(list(sups.keys()), list(sups.values()))
     assert fit.order == pytest.approx(0.5, abs=0.1)
@@ -254,9 +263,9 @@ def test_mass_drift_tiny(rotating_run, harmonic_run):
 def test_superposition_gamma_same_branch_is_energy_difference():
     p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
     p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)
-    rep = superposition_experiment(HARMONIC, (p1, p2), [1.0 / 32], 0.0, 0.1,
-                                   -4.0, 4.0, gamma_exponent=0.3,
-                                   options=EVERY_005)
+    rep = superposition_experiment(study(HARMONIC, (p1, p2), [1.0 / 32], 0.0,
+                                         0.1, -4.0, 4.0, gamma_exponent=0.3,
+                                         options=EVERY_005))
     # E1 = 1/2, E2 = 1/8 + 1/2 = 5/8
     assert rep.big_gamma == pytest.approx(0.125, abs=1e-12)
     assert rep.big_gamma_edge_ok
@@ -266,9 +275,9 @@ def test_superposition_gamma_constant_difference():
     spec = MatrixPotentialSpec.from_strings(["0", "1"], ["0", "0", "0"])
     p1 = PacketSpec(profile={"type": "gaussian"}, x0=0.0, xi0=1.0, branch=0)
     p2 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0, branch=1)
-    rep = superposition_experiment(spec, (p1, p2), [1.0 / 32], 0.0, 0.1,
-                                   -6.0, 6.0, gamma_exponent=0.3,
-                                   options=EVERY_005)
+    rep = superposition_experiment(study(spec, (p1, p2), [1.0 / 32], 0.0, 0.1,
+                                         -6.0, 6.0, gamma_exponent=0.3,
+                                         options=EVERY_005))
     # λ̃1 - λ̃2 = -1 and E1 - E2 = 1/2 - 1 = -1/2, so Γ = 1/2 exactly
     assert rep.big_gamma == pytest.approx(0.5, abs=1e-12)
 
@@ -276,29 +285,37 @@ def test_superposition_gamma_constant_difference():
 def test_superposition_rejects_identical_packets():
     p = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
     with pytest.raises(ConfigError, match="must differ"):
-        superposition_experiment(HARMONIC, (p, p), [1.0 / 32], 0.0, 0.1,
-                                 -4.0, 4.0)
+        superposition_experiment(study(HARMONIC, (p, p), [1.0 / 32], 0.0, 0.1,
+                                       -4.0, 4.0))
+    # and a study of one packet has no pair to superpose
+    with pytest.raises(ConfigError, match="needs two packets"):
+        superposition_experiment(study(HARMONIC, (p,), [1.0 / 32], 0.0, 0.1,
+                                       -4.0, 4.0))
 
 
 def test_superposition_rejects_bad_gamma():
-    # the same failure, and class, as load_config's check of "gamma"
+    # the same failure, and class, as load_config's check of "gamma": the
+    # study's one check
     p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
     p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.0)
     for gamma in (0.7, 0.0):
         with pytest.raises(ConfigError, match=r"gamma must lie in \(0, 1/2\)") \
                 as exc:
-            superposition_experiment(HARMONIC, (p1, p2), [1.0 / 32], 0.0, 0.1,
-                                     -4.0, 4.0, gamma_exponent=gamma)
+            study(HARMONIC, (p1, p2), [1.0 / 32], 0.0, 0.1, -4.0, 4.0,
+                  gamma_exponent=gamma)
         assert exc.value.exit_code == 2
 
 
 def test_snapshot_times_off_the_cadence_are_a_config_error():
-    # load_config rejects these times with a ConfigError; a direct call does too
+    # load_config rejects these times with a ConfigError; building the study
+    # of a direct call does too, with the same rule (0.0500001 labelled the
+    # step at 0.05 once)
     packet = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
-    for times in ((0.0, 0.03), (0.15,)):
-        with pytest.raises(ConfigError, match="observation times") as exc:
-            run_single_packet(HARMONIC, packet, 1.0 / 16, 0.0, 0.1, -4.0, 4.0,
-                              options=EVERY_005, snapshot_times=times)
+    for times in ((0.0, 0.03), (0.15,), (0.0500001,)):
+        with pytest.raises(ConfigError, match="not a multiple of "
+                           r"observe_every in \[0, T\]") as exc:
+            study(HARMONIC, [packet], [1.0 / 16], 0.0, 0.1, -4.0, 4.0,
+                  options=EVERY_005, snapshot_times=times)
         assert exc.value.exit_code == 2
 
 
@@ -315,11 +332,11 @@ def test_mass_guard_aborts_both_run_paths(monkeypatch):
     p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
     p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)
     with pytest.raises(SolverAbort, match="mass drift"):
-        run_single_packet(HARMONIC, p1, 1.0 / 16, 0.0, 0.1, -4.0, 4.0,
-                          options=EVERY_005)
+        run_single_packet(study(HARMONIC, [p1], [1.0 / 16], 0.0, 0.1, -4.0,
+                                4.0, options=EVERY_005))
     with pytest.raises(SolverAbort, match="mass drift"):
-        superposition_experiment(HARMONIC, (p1, p2), [1.0 / 16], 0.0, 0.1,
-                                 -4.0, 4.0, options=EVERY_005)
+        superposition_experiment(study(HARMONIC, (p1, p2), [1.0 / 16], 0.0,
+                                       0.1, -4.0, 4.0, options=EVERY_005))
 
 
 
@@ -379,23 +396,27 @@ def test_lockstep_runs_match_each_epsilon_run_alone():
     # one trajectory per packet: every value is the solo run's, to the bit
     p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
     p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)
-    pair = superposition_experiment(HARMONIC, (p1, p2), [1.0 / 16, 1.0 / 32],
-                                    1.0, 0.1, -4.0, 4.0, options=EVERY_005)
+    pair = superposition_experiment(study(HARMONIC, (p1, p2),
+                                          [1.0 / 16, 1.0 / 32], 1.0, 0.1,
+                                          -4.0, 4.0, options=EVERY_005))
     for i, eps in enumerate(pair.epsilons):
-        solo = superposition_experiment(HARMONIC, (p1, p2), [eps], 1.0, 0.1,
-                                        -4.0, 4.0, options=EVERY_005)
+        solo = superposition_experiment(study(HARMONIC, (p1, p2), [eps], 1.0,
+                                              0.1, -4.0, 4.0,
+                                              options=EVERY_005))
         for name in ("sup_errors", "terminal_errors", "crossing_measures",
                      "interaction_integrals", "grid_n", "energy_drift",
                      "fourier_tail"):
             assert getattr(pair, name)[i] == getattr(solo, name)[0], name
 
     packet = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0, branch=0)
-    study = convergence_study(rotating_family(), packet, [1.0 / 32, 1.0 / 64],
-                              1.0, 0.1, -2.5, 2.5, options=EVERY_005)
-    assert [run.dt for run in study.runs] == [1e-3, 1e-3]
-    for run in study.runs:
-        solo = run_single_packet(rotating_family(), packet, run.epsilon, 1.0,
-                                 0.1, -2.5, 2.5, options=EVERY_005)
+    sweep = convergence_study(study(rotating_family(), [packet],
+                                    [1.0 / 32, 1.0 / 64], 1.0, 0.1, -2.5, 2.5,
+                                    options=EVERY_005))
+    assert [run.dt for run in sweep.runs] == [1e-3, 1e-3]
+    for run in sweep.runs:
+        solo = run_single_packet(study(rotating_family(), [packet],
+                                       [run.epsilon], 1.0, 0.1, -2.5, 2.5,
+                                       options=EVERY_005))
         assert run.to_dict() == solo.to_dict()
 
 
@@ -415,13 +436,17 @@ def test_lockstep_steps_a_shared_envelope_once(monkeypatch):
     monkeypatch.setattr(EnvelopeStepper, "advance", counting)
     p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
     p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)
-    superposition_experiment(HARMONIC, (p1, p2), [1.0 / 16, 1.0 / 32], 1.0,
-                             0.1, -4.0, 4.0, options=EVERY_005)
+    superposition_experiment(study(HARMONIC, (p1, p2), [1.0 / 16, 1.0 / 32],
+                                   1.0, 0.1, -4.0, 4.0, options=EVERY_005))
     assert len(calls) == 100 + 4
 
 
 def test_step_rule_rejects_t_off_the_observation_cadence(monkeypatch):
-    # the one step rule runs in the study set-up, before any decomposition
+    # building the study checks T on the cadence, and every other rule,
+    # before any decomposition; a driver once met these values late, as
+    # ZeroDivisionError (ε = 0, -1/16), OverflowError (NaN ε), ValueError
+    # (empty ε list, T = -0.1, x_min > x_max) or a run (T = 0, λ = NaN, a
+    # snapshot at 0.0500001 labelled with step 50)
     import adiapack.experiments as experiments
 
     sizes = []
@@ -429,21 +454,33 @@ def test_step_rule_rejects_t_off_the_observation_cadence(monkeypatch):
                         lambda spec, grid: sizes.append(grid.n))
     p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
     p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)
-    runs = (lambda: run_single_packet(HARMONIC, p1, 1.0 / 16, 0.0, 0.12,
-                                      -4.0, 4.0, options=EVERY_005),
-            lambda: convergence_study(HARMONIC, p1, [1.0 / 16], 0.0, 0.12,
-                                      -4.0, 4.0, options=EVERY_005),
-            lambda: superposition_experiment(HARMONIC, (p1, p2), [1.0 / 16],
-                                             0.0, 0.12, -4.0, 4.0,
-                                             options=EVERY_005))
-    for run in runs:
-        with pytest.raises(ConfigError, match="multiple of observe_every") as exc:
-            run()
+    nan, in_range = float("nan"), "epsilons: every value must lie in (0, 1]"
+    cadence = "T must be an integer multiple of observe_every"
+    cases = [(dict(T=0.12), cadence),
+             (dict(T=0.12, packets=[p1, p2]), cadence),
+             (dict(epsilons=[0.0]), in_range),
+             (dict(epsilons=[-1.0 / 16]), in_range),
+             (dict(epsilons=[nan]), in_range),
+             (dict(epsilons=[]), "epsilons: need a list of at least one value"),
+             (dict(T=0.0), "T must be positive"),
+             (dict(T=-0.1), "T must be positive"),
+             (dict(x_min=4.0), "grid: x_min must be below x_max"),
+             (dict(x_min=5.0), "grid: x_min must be below x_max"),
+             (dict(lambda_coupling=nan), "lambda must be a finite number"),
+             (dict(snapshot_times=(0.0500001,)), "snapshot_times[0]: 0.0500001 "
+              "is not a multiple of observe_every in [0, T]")]
+    base = dict(potential=HARMONIC, packets=[p1], epsilons=[1.0 / 16], T=0.1,
+                x_min=-4.0, x_max=4.0, options=EVERY_005)
+    for fields, message in cases:
+        with pytest.raises(ConfigError) as exc:
+            Study(**{**base, **fields})
+        assert exc.value.errors == [message]
         assert exc.value.exit_code == 2
     # a zero step bound was a ZeroDivisionError once the lab grid was built
     with pytest.raises(ConfigError, match="must be positive"):
-        run_single_packet(HARMONIC, p1, 1.0 / 16, 0.0, 0.1, -4.0, 4.0,
-                          RunOptions(observe_every=0.05, dt_max=0.0))
+        run_single_packet(study(HARMONIC, [p1], [1.0 / 16], 0.0, 0.1, -4.0,
+                                4.0, options=RunOptions(observe_every=0.05,
+                                                        dt_max=0.0)))
     assert sizes == []
 
 
@@ -470,9 +507,7 @@ def test_run_window_holds_the_measured_envelope_support():
     full = make_grid(-40.0, 40.0, 2048)
     for name, (y_tau, points, grid_n) in expected.items():
         cfg = load_config(configs / f"{name}.json")
-        setup = study_setup(cfg.potential, cfg.packets, cfg.epsilons,
-                            cfg.lambda_coupling, cfg.T, cfg.x_min, cfg.x_max,
-                            cfg.options)
+        setup = study_setup(cfg)
         window = setup.y_grid
         assert setup.rule.y_tau == pytest.approx(y_tau, abs=0.1), name
         assert window.n == points, name
@@ -491,7 +526,8 @@ def test_run_window_holds_the_measured_envelope_support():
     for width, points in ((1.0, 512), (2.0, 1024), (3.0, 2048)):
         packet = PacketSpec(profile={"type": "gaussian", "width": width},
                             x0=1.0, xi0=0.0)
-        setup = study_setup(HARMONIC, [packet], [1.0 / 64], 0.0, 0.5, -4.0, 4.0)
+        setup = study_setup(study(HARMONIC, [packet], [1.0 / 64], 0.0, 0.5,
+                                  -4.0, 4.0))
         assert setup.rule.y_tau >= 7.7 * width
         assert setup.y_grid.n == points, width
 
@@ -514,8 +550,8 @@ def test_lockstep_calls_the_nls_step_once_per_step(monkeypatch):
     monkeypatch.setattr(experiments, "NLSPropagator", Counting)
     packet = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
     eps_list = [1.0 / 16, 1.0 / 32, 1.0 / 256]
-    convergence_study(HARMONIC, packet, eps_list, 0.0, 0.1, -4.0, 4.0,
-                      options=EVERY_005)
+    convergence_study(study(HARMONIC, [packet], eps_list, 0.0, 0.1, -4.0, 4.0,
+                            options=EVERY_005))
     # dt = 1e-3 for the first two ε; dt = 0.05/52 for ε = 1/256
     assert calls == {1.0 / 16: [100, 2], 1.0 / 32: [100, 2],
                      1.0 / 256: [104, 2]}
