@@ -31,7 +31,7 @@ for x in (-1.0, 0.0, 2.0):
     print(f"  K(x={x:+.1f})[0,1] = {k[0, 1]:+.6f}")
 
 branch = BranchCurve.from_expr(parse_expr(f"x^2/2 + {JB_INV}"))
-traj = integrate_trajectory(branch, 0.0, 1.0, 2.0, 1e-3, branch_id=1)
+traj = integrate_trajectory(branch, 0.0, 1.0, 2.0, 1e-3)
 z_grid = make_grid(-7.5, 7.5, 2048)
 frame = transport_frame(data, 1, traj, initial_frame(data, 1, z_grid.points),
                         z_grid, 1e-3, T=2.0)

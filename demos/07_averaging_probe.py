@@ -13,11 +13,11 @@ value = |e^{it/ε} - 1| ‖f‖, checked below at t/ε = π.
 import numpy as np
 
 from adiapack.corrections import averaging_probe
-from adiapack.grids import ScalarField, l2_norm, make_grid
+from adiapack.grids import l2_norm, make_grid
 from adiapack.potentials import MatrixPotentialSpec, decompose
 
 grid = make_grid(-10.0, 10.0, 4096)
-f = ScalarField(grid=grid, values=np.exp(-grid.points**2).astype(complex))
+f = np.exp(-grid.points**2).astype(complex)
 
 JB_INV = "(1+x^2)^(-1/2)"
 spec = MatrixPotentialSpec.from_strings(
@@ -39,4 +39,4 @@ t = np.pi * eps
 val = averaging_probe(grid, np.zeros(grid.n), np.ones(grid.n), f, eps, t,
                       t / 2048.0)
 print(f"\nconstant gap closed form at t/eps = pi: {val:.8f}  "
-      f"(exact 2*||f|| = {2.0 * l2_norm(grid, f.values):.8f})")
+      f"(exact 2*||f|| = {2.0 * l2_norm(grid, f):.8f})")

@@ -7,7 +7,8 @@ with the semiclassical parameter ε, including two-packet superpositions.
 
 Submodules:
 
-- `grids`        periodic grids, spectral derivatives, scaled norms
+- `grids`        periodic grids, spectral derivatives, scaled norms; every
+                 layer passes fields as (n,) or (n, N) arrays on a grid
 - `expressions`  the small expression language for potential entries
 - `potentials`   matrix potentials, branch tracking, projector calculus
 - `classical`    branch Hamiltonian trajectories and the action integral
@@ -22,8 +23,8 @@ Submodules:
 - `config`/`cli` JSON experiment configs and the command-line driver
 """
 
-from .grids import (SpatialGrid, ScalarField, VectorField, SigmaNormReport,
-                    make_grid, spectral_derivative, sigma_norm, l2_norm)
+from .grids import (SpatialGrid, SigmaNormReport, make_grid,
+                    spectral_derivative, sigma_norm, l2_norm)
 from .expressions import Expr, ParseError, parse_expr
 from .potentials import (MatrixPotentialSpec, SpectralData, decompose,
                          evaluate_potential, gap_report, gamma,

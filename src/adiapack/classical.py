@@ -82,13 +82,12 @@ class ClassicalTrajectory:
     action: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
     curvature: np.ndarray = field(repr=False)
-    branch: int
     energy0: float
     energy_drift: float
 
 
 def integrate_trajectory(branch: BranchCurve, x0: float, xi0: float, T: float,
-                         dt: float, branch_id: int = 0) -> ClassicalTrajectory:
+                         dt: float) -> ClassicalTrajectory:
     """Fourth-order fixed-step integration of the branch Hamiltonian flow.
 
     The action is accumulated through the same integrator stages, so S(t) is
@@ -135,5 +134,5 @@ def integrate_trajectory(branch: BranchCurve, x0: float, xi0: float, T: float,
     energy0 = 0.5 * xi0 * xi0 + float(branch.value(x0))
     drift = float(np.max(np.abs(0.5 * xis**2 + lam - energy0)))
     return ClassicalTrajectory(times=times, x=xs, xi=xis, action=actions,
-                               lam=lam, curvature=curv, branch=branch_id,
-                               energy0=energy0, energy_drift=drift)
+                               lam=lam, curvature=curv, energy0=energy0,
+                               energy_drift=drift)

@@ -252,7 +252,11 @@ def main(argv=None) -> int:
     try:
         study = load_config(args.config)
         out = Path(args.out or study.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:   # a file in the way, or under a file
+            raise ConfigError(f"cannot use {out} as the output directory: "
+                              f"{exc}") from exc
         return _COMMANDS[args.command](study, out, args)
     except ConfigError as exc:
         for line in exc.errors:

@@ -17,9 +17,9 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import ConfigError
-from .experiments import PacketSpec, RunOptions, Study, _finite, \
-    _study_problems, make_profile
+from .errors import ConfigError, finite_number
+from .experiments import PacketSpec, RunOptions, Study, _study_problems, \
+    make_profile
 from .expressions import ParseError, parse_expr
 from .potentials import MatrixPotentialSpec
 
@@ -97,7 +97,7 @@ def _potential_from_dict(d, errors):
         errors.append("potential.multiplicities must be positive integers")
         ok = False
     if gap is not None and not (isinstance(gap, list) and len(gap) == 2
-                                and all(_finite(g) for g in gap)):
+                                and all(finite_number(g) for g in gap)):
         errors.append("potential.gap_constants must be two numbers [c0, n0]")
         ok = False
     if not ok:

@@ -4,10 +4,12 @@ Each correction component rides a scalar branch equation
 
     iε ∂_t g + (ε²/2) ∂_x² g − λ_j(x) g = φ r,      g(0) = 0,
 
-driven by the mode-1 packet φ times a coupling coefficient r.  Propagation is
-a symmetric split step U(dt) (half branch phase e^{-iλ dt/2ε}, exact kinetic
-multiplier e^{-iεk²dt/2}, half phase); the source enters once per step at the
-step midpoint by the midpoint Duhamel rule
+driven by the mode-1 packet φ times a coupling coefficient r.  Every field
+here is a plain array on the lab grid: a component g_{j,ℓ} is (n,), the
+assembled correction (n, N).  Propagation is a symmetric split step U(dt)
+(half branch phase e^{-iλ dt/2ε}, exact kinetic multiplier e^{-iεk²dt/2},
+half phase); the source enters once per step at the step midpoint by the
+midpoint Duhamel rule
 
     g(t + dt) = U(dt) g(t) + dt/(iε) · U(dt/2) (φ r)(t + dt/2),
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import ScalarField, SpatialGrid, VectorField, l2_norm
+from .grids import SpatialGrid, l2_norm
 
 __all__ = ["ScalarPropagator", "assemble_correction", "averaging_probe"]
 
@@ -82,24 +84,23 @@ class ScalarPropagator:
         return self.step(carried, -0.5 * dt)
 
 
-def assemble_correction(components: dict, data, epsilon: float,
-                        time: float = 0.0) -> VectorField:
-    """Combine scalar components into g = Σ g_{j,ℓ} χ_j^ℓ on the data grid.
+def assemble_correction(components: dict, data) -> np.ndarray:
+    """Combine scalar components into the (n, N) samples of g = Σ g_{j,ℓ} χ_j^ℓ
+    on the data grid.
 
-    `components` maps (j, ℓ) to value arrays already sampled at a common time;
+    `components` maps (j, ℓ) to (n,) arrays already sampled at a common time;
     the frames are the static off-mode eigenvectors of the decomposition.
     """
-    n = data.grid.n
-    n_levels = data.spec.n_levels
-    out = np.zeros((n, n_levels), dtype=complex)
+    out = np.zeros((data.grid.n, data.spec.n_levels), dtype=complex)
     for (j, ell), values in components.items():
         out += values[:, None] * data.frames[j][:, :, ell]
-    return VectorField(grid=data.grid, values=out, epsilon=epsilon, time=time)
+    return out
 
 
 def averaging_probe(grid: SpatialGrid, lam_j: np.ndarray, lam_k: np.ndarray,
-                    f: ScalarField, epsilon: float, t: float, dt: float) -> float:
-    """L² norm of (1/iε) ∫₀ᵗ U_k(-s) U_j(s) f ds by midpoint quadrature.
+                    f: np.ndarray, epsilon: float, t: float, dt: float) -> float:
+    """L² norm of (1/iε) ∫₀ᵗ U_k(-s) U_j(s) f ds by midpoint quadrature, f
+    the (n,) samples on `grid`.
 
     Implemented in the k-rotated frame: one running j-propagation of f plus a
     k-propagated accumulator, carried half a step ahead by the Duhamel rule
@@ -113,7 +114,7 @@ def averaging_probe(grid: SpatialGrid, lam_j: np.ndarray, lam_k: np.ndarray,
         raise ValueError(f"t = {t} is not a positive multiple of dt = {dt}")
     prop_j = ScalarPropagator(grid, lam_j, epsilon)
     prop_k = ScalarPropagator(grid, lam_k, epsilon)
-    f_mid = prop_j.step(f.values, 0.5 * dt)  # f at the first midpoint
+    f_mid = prop_j.step(f, 0.5 * dt)  # f at the first midpoint
     acc = np.zeros(grid.n, dtype=complex)
     for m in range(n_steps):
         acc = prop_k.duhamel_step(acc, f_mid, dt)

@@ -13,6 +13,9 @@ coefficients driving the corrections are
 
     r_{j,ℓ}(t, x) = i ( ∂_t χ¹ + ξ(t) ∂_x χ¹ , χ_j^ℓ ).
 
+Frames are plain arrays: (n, N, d) columns on a grid, and a coupling field
+the (n,) array of its samples.
+
 Inner products are linear in the first slot, conjugate in the second.  The
 sign is fixed by the requirement that the assembled correction ε Σ g_{j,ℓ}
 χ_j^ℓ cancels (rather than doubles) the off-mode component of the field: the
@@ -34,8 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverAbort
-from .grids import SpatialGrid, ScalarField, UniformCubicSpline, _derivative_values
-from .potentials import SpectralData, d_projectors, evaluate_potential, _local_spectral
+from .grids import SpatialGrid, UniformCubicSpline, spectral_derivative
+from .potentials import SpectralData, d_projectors, evaluate_potential, \
+    orthonormalize, _local_spectral
 
 __all__ = [
     "EigenFrame",
@@ -89,13 +93,8 @@ def initial_frame(data: SpectralData, j: int, x_points) -> np.ndarray:
     x_points = np.asarray(x_points, dtype=float)
     cols = _grid_spline(data.grid, data.frames[j])(x_points)  # (m, N, d)
     if cols.shape[2] == 1:
-        cols = cols / np.linalg.norm(cols, axis=1, keepdims=True)
-    else:
-        q, r = np.linalg.qr(cols)
-        signs = np.sign(np.real(np.einsum("nii->ni", r)))
-        signs[signs == 0] = 1.0
-        cols = q * signs[:, None, :]
-    return cols
+        return cols / np.linalg.norm(cols, axis=1, keepdims=True)
+    return orthonormalize(cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,27 +107,21 @@ class EigenFrame:
     vectors: np.ndarray = field(repr=False)  # (nt, nz, N, d)
     x_of: UniformCubicSpline = field(repr=False)   # x(t) and ξ(t) of the path
     xi_of: UniformCubicSpline = field(repr=False)
-    data: SpectralData = field(repr=False)
     gram_deviation: float = 0.0
     eigen_residual: float = 0.0
     reorth_drift: tuple = ()
 
-    @property
-    def d(self) -> int:
-        return self.vectors.shape[3]
-
 
 def transport_frame(data: SpectralData, j: int, traj, initial_vectors: np.ndarray,
                     z_grid: SpatialGrid, dt: float, T: float | None = None,
-                    store_stride: int = 1,
-                    reorth_every: int = _REORTH_EVERY) -> EigenFrame:
+                    store_stride: int = 1) -> EigenFrame:
     """Integrate the transport equation on the comoving z-grid.
 
     One order-4 step per z node per time step, with the generator interpolated
     at z + x(t) from its grid samples.  Unitarity is re-enforced by
-    reorthonormalization every `reorth_every` steps (the drift before each
-    correction is logged, never hidden).  Aborts if the frame stops being an
-    eigenframe to within 1e-6.
+    reorthonormalization (`potentials.orthonormalize`) every 100 steps, a
+    fixed count (the drift before each correction is logged, never hidden).
+    Aborts if the frame stops being an eigenframe to within 1e-6.
     """
     if T is None:
         T = float(traj.times[-1])
@@ -157,14 +150,11 @@ def transport_frame(data: SpectralData, j: int, traj, initial_vectors: np.ndarra
         k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
         k4 = rhs(t + dt, y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (step + 1) % reorth_every == 0:
+        if (step + 1) % _REORTH_EVERY == 0:
             gram = np.einsum("zal,zam->zlm", np.conj(y), y)
             eye = np.eye(y.shape[2])
             drift_log.append(float(np.max(np.abs(gram - eye))))
-            q, r = np.linalg.qr(y)
-            signs = np.sign(np.real(np.einsum("nii->ni", r)))
-            signs[signs == 0] = 1.0
-            y = q * signs[:, None, :]
+            y = orthonormalize(y)
         if (step + 1) % store_stride == 0:
             times.append((step + 1) * dt)
             slices.append(y.copy())
@@ -192,7 +182,7 @@ def transport_frame(data: SpectralData, j: int, traj, initial_vectors: np.ndarra
             f"(gap too small or dt too large)"
         )
     return EigenFrame(branch=j, times=times, z_grid=z_grid, vectors=vectors,
-                      x_of=x_of, xi_of=xi_of, data=data, gram_deviation=gram_dev,
+                      x_of=x_of, xi_of=xi_of, gram_deviation=gram_dev,
                       eigen_residual=resid, reorth_drift=tuple(drift_log))
 
 
@@ -243,8 +233,9 @@ def parallel_residual(frame: EigenFrame, data: SpectralData, m: int, ell: int,
 
 
 def coupling_coefficients(frame1: EigenFrame, data: SpectralData, j: int,
-                          ell: int, t: float, lab_grid: SpatialGrid) -> ScalarField:
-    """Coupling field r_{j,ℓ}(t, ·) by finite differences on the stored frame.
+                          ell: int, t: float, lab_grid: SpatialGrid) -> np.ndarray:
+    """Coupling field r_{j,ℓ}(t, ·), as its (n,) samples on `lab_grid`, by
+    finite differences on the stored frame.
 
     ∂_t χ¹ uses a centered two-point stencil of adjacent stored slices; ∂_x is
     spectral on the interpolated field.  Useful as a cross-check of
@@ -258,11 +249,10 @@ def coupling_coefficients(frame1: EigenFrame, data: SpectralData, j: int,
     chi_next = frame_at(frame1, frame1.times[i + 1], lab_grid)[:, :, 0]
     chi_now = frame_at(frame1, t, lab_grid)[:, :, 0]
     d_t = (chi_next - chi_prev) / (2.0 * dt)
-    d_x = _derivative_values(lab_grid, chi_now, 1)
+    d_x = spectral_derivative(lab_grid, chi_now, 1)
     flow = d_t + float(frame1.xi_of(t)) * d_x
     chi_jl = initial_frame(data, j, lab_grid.points)[:, :, ell]
-    values = 1j * _cdot(flow, chi_jl)
-    return ScalarField(grid=lab_grid, values=values, epsilon=1.0, time=t)
+    return 1j * _cdot(flow, chi_jl)
 
 
 def coupling_profile(data: SpectralData, j: int, ell: int = 0,

@@ -4,7 +4,8 @@ Solves
 
     i ∂_t u + ½ ∂_y² u = ½ λ''(x(t)) y² u + Λ |u|² u,   u(0) = a,
 
-on a fixed y-grid that does not depend on the semiclassical parameter.  The
+on a fixed y-grid that does not depend on the semiclassical parameter; a
+profile is the plain (n,) array of its samples on that grid.  The
 splitting is symmetric second order: a half step of the potential-plus-cubic
 phase (exact pointwise, since |u| is invariant under that flow), a full
 kinetic step (exact Fourier multiplier), and another half phase.  The
@@ -34,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ENVELOPE_EDGE, ENVELOPE_MASS
-from .grids import SpatialGrid, l2_norm, unit_phase, _derivative_values
+from .grids import SpatialGrid, l2_norm, spectral_derivative, unit_phase
 
 __all__ = ["EnvelopeStepper", "envelope_moments"]
 
@@ -107,6 +108,6 @@ def envelope_moments(y_grid: SpatialGrid, values: np.ndarray, k: int,
     if k + p > 4:
         raise ValueError("moments are tracked only for k + p <= 4")
     if p > 0:
-        values = _derivative_values(y_grid, values, p)
+        values = spectral_derivative(y_grid, values, p)
     w = np.hypot(1.0, y_grid.points) ** k
     return l2_norm(y_grid, w * values)

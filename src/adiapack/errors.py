@@ -44,7 +44,20 @@ oracle's eigen-residual (above 1e-6, exit 4), and the decomposition's
 projector completeness (1e-11) and eigen-residual (1e-9), both exit 3.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
+
+
+def finite_number(value) -> bool:
+    """The one finite-number rule: a real number, not a bool, inf or NaN.
+    An integer beyond the float range is not finite (no `OverflowError`)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class AdiapackError(Exception):

@@ -49,9 +49,9 @@ from .corrections import ScalarPropagator, assemble_correction
 from .eigenframe import coupling_profile
 from .envelope import EnvelopeStepper
 from .errors import CORRECTION_NORM, ENVELOPE_SUPPORT, AdiapackError, \
-    ConfigError
-from .grids import ScalarField, SpatialGrid, UniformCubicSpline, VectorField, \
-    centred_slice, l2_norm, make_grid, sigma_norm
+    ConfigError, finite_number
+from .grids import SpatialGrid, UniformCubicSpline, centred_slice, l2_norm, \
+    make_grid, sigma_norm
 from .nls import NLSPropagator, build_initial_data, check_lab_field, \
     check_step_mass, kappa_problem, lab_grid_points, mode_populations, \
     spectral_half_width
@@ -68,13 +68,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # profiles
 
-def _finite(value) -> bool:   # a real number, not a bool, inf or NaN
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and bool(np.isfinite(value)))
-
-
 def _width(width) -> float:
-    if not (_finite(width) and width > 0):
+    if not (finite_number(width) and width > 0):
         raise ValueError(f"width must be a finite number > 0, not {width!r}")
     return width
 
@@ -216,19 +211,19 @@ def _taylor_remainder(grid, lam, curve, x_c, phi):
     return l2_norm(grid, (lam - taylor) * phi)
 
 
-def _error_norms(psi, terms, grid, epsilon, t, g=None, p=1):
-    """σ_p reports of w = ψ - Σ_k φ_k χ_k and θ = w + εg (θ = w when g is None).
+def _error_norms(psi, terms, grid, epsilon, g=None):
+    """σ_1 reports of w = ψ - Σ_k φ_k χ_k and θ = w + εg (θ = w when g is None).
 
-    `terms` holds each packet's (φ, χ) at time t; they are subtracted in order.
+    `terms` holds each packet's (φ, χ) at the time of ψ; they are subtracted
+    in order.
     """
     w = psi
     for phi, chi in terms:
         w = w - phi[:, None] * chi
-    w_rep = sigma_norm(VectorField(grid=grid, values=w, epsilon=epsilon, time=t), p)
+    w_rep = sigma_norm(grid, w, epsilon, 1)
     if g is None:
         return w_rep, w_rep
-    theta = VectorField(grid=grid, values=w + epsilon * g, epsilon=epsilon, time=t)
-    return w_rep, sigma_norm(theta, p)
+    return w_rep, sigma_norm(grid, w + epsilon * g, epsilon, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +232,6 @@ def _error_norms(psi, terms, grid, epsilon, t, g=None, p=1):
 @dataclass(frozen=True)
 class OrderFit:
     order: float
-    intercept: float
     max_residual: float
     defined: bool
 
@@ -250,13 +244,13 @@ def fit_order(epsilons, errors) -> OrderFit:
     eps = np.asarray(epsilons, dtype=float)
     err = np.asarray(errors, dtype=float)
     if len(eps) < 2 or np.any(err <= 0.0) or np.any(eps <= 0.0):
-        return OrderFit(order=float("nan"), intercept=float("nan"),
-                        max_residual=float("nan"), defined=False)
+        return OrderFit(order=float("nan"), max_residual=float("nan"),
+                        defined=False)
     a = np.stack([np.log(eps), np.ones_like(eps)], axis=1)
     coef, *_ = np.linalg.lstsq(a, np.log(err), rcond=None)
     resid = np.log(err) - a @ coef
-    return OrderFit(order=float(coef[0]), intercept=float(coef[1]),
-                    max_residual=float(np.max(np.abs(resid))), defined=True)
+    return OrderFit(order=float(coef[0]), max_residual=float(np.max(np.abs(resid))),
+                    defined=True)
 
 
 def _json_fields(report, skip=()) -> dict:
@@ -302,12 +296,12 @@ class RunOptions:
     def _problems(self) -> list:   # every problem, one string each
         out = [f"{key} must be positive and finite" for key in (
             "observe_every", "dt_max", "dt_over_epsilon", "y_half_width")
-            if not (_finite(getattr(self, key)) and getattr(self, key) > 0)]
+            if not (finite_number(getattr(self, key)) and getattr(self, key) > 0)]
         for key, n in (("grid.n", self.grid_n), ("y_points", self.y_points)):
             if not (n is None and key == "grid.n" or isinstance(
                     n, numbers.Integral) and n >= 8 and not n & (n - 1)):
                 out.append(f"{key} must be a power of two, at least 8")
-        return out + ([] if _finite(self.beta) else ["beta must be finite"])
+        return out + ([] if finite_number(self.beta) else ["beta must be finite"])
 
 
 def _multiple(value: float, step: float) -> bool:   # to 1e-9, no overflow
@@ -327,7 +321,7 @@ def _study_problems(v: dict) -> list:
     mult = spec and (spec.multiplicities or (1,) * spec.n_levels)
     for i, pk in enumerate(v.get("packets", ())):
         out += [f"packets[{i}].{key} must be a finite number"
-                for key in ("x0", "xi0") if not _finite(getattr(pk, key))]
+                for key in ("x0", "xi0") if not finite_number(getattr(pk, key))]
         if pk.kappa is not None and (problem := kappa_problem(pk.kappa)):
             out.append(f"packets[{i}]: {problem}")
         if mult and not 0 <= pk.branch < len(mult):
@@ -342,25 +336,26 @@ def _study_problems(v: dict) -> list:
     eps = v.get("epsilons", ())
     if "epsilons" in v and (not isinstance(eps, (list, tuple)) or not eps):
         out.append("epsilons: need a list of at least one value")
-    elif not all(_finite(e) and 0.0 < e <= 1.0 for e in eps):
+    elif not all(finite_number(e) and 0.0 < e <= 1.0 for e in eps):
         out.append("epsilons: every value must lie in (0, 1]")
     for key, label in (("T", "T"), ("x_min", "grid.x_min"),
                        ("x_max", "grid.x_max"), ("lambda_coupling", "lambda")):
-        if key in v and not _finite(v[key]):
+        if key in v and not finite_number(v[key]):
             out.append(f"{label} must be a finite number")
     T, every = v.get("T"), options.observe_every if options else None
-    if _finite(T) and T <= 0.0:
+    if finite_number(T) and T <= 0.0:
         out.append("T must be positive")
-    elif _finite(T) and every:
+    elif finite_number(T) and every:
         if not _multiple(T, every):
             out.append("T must be an integer multiple of observe_every")
         for i, ts in enumerate(v.get("snapshot_times") or ()):
-            if not (_finite(ts) and 0.0 <= ts <= T and _multiple(ts, every)):
+            if not (finite_number(ts) and 0.0 <= ts <= T and _multiple(ts, every)):
                 out.append(f"snapshot_times[{i}]: {ts!r} is not a multiple of "
                            f"observe_every in [0, T]")
-    if all(_finite(v.get(k)) for k in ("x_min", "x_max")) and v["x_min"] >= v["x_max"]:
+    if (all(finite_number(v.get(k)) for k in ("x_min", "x_max"))
+            and v["x_min"] >= v["x_max"]):
         out.append("grid: x_min must be below x_max")
-    if "gamma_exponent" in v and not (_finite(gamma := v["gamma_exponent"])
+    if "gamma_exponent" in v and not (finite_number(gamma := v["gamma_exponent"])
                                       and 0.0 < gamma < 0.5):
         out.append("gamma must lie in (0, 1/2)")
     return out
@@ -535,8 +530,7 @@ def study_setup(study: Study) -> StudySetup:
         probe = decompose(spec, make_grid(study.x_min, study.x_max, 4096))
         curves = [_branch_curve_for(spec, probe, pk.branch) for pk in packets]
         trajectories = {
-            dt: tuple(integrate_trajectory(curve, pk.x0, pk.xi0, study.T, dt / 4.0,
-                                           branch_id=pk.branch)
+            dt: tuple(integrate_trajectory(curve, pk.x0, pk.xi0, study.T, dt / 4.0)
                       for curve, pk in zip(curves, packets))
             for dt in dict.fromkeys(s.dt for s in steps.values())}
         dt = max(trajectories)
@@ -764,9 +758,8 @@ class _SingleObserver:
         lane, branch, (phi,), (traj,) = self.lane, self.branch, phis, self.march.trajs
         lab, data, eps, psi = lane.lab, lane.data, lane.epsilon, lane.psi
         corrections = lane.corrections()
-        g = assemble_correction(corrections, data, eps, time=t).values \
-            if corrections else None
-        w_rep, th_rep = _error_norms(psi, [(phi, lane.chis[0])], lab, eps, t, g)
+        g = assemble_correction(corrections, data) if corrections else None
+        w_rep, th_rep = _error_norms(psi, [(phi, lane.chis[0])], lab, eps, g)
         proj = np.einsum("nab,nb->na", data.projectors[branch], psi)
         row = (t, l2_norm(lab, psi), w_rep.value, th_rep.value,
                l2_norm(lab, psi - proj),
@@ -776,8 +769,7 @@ class _SingleObserver:
         for values, value in zip(self.series.values(), row):
             values.append(value)
         for key, values in corrections.items():
-            g_rep = sigma_norm(ScalarField(grid=lab, values=values, epsilon=eps,
-                                           time=t), 1)
+            g_rep = sigma_norm(lab, values, eps, 1)
             # the (0, 0) component is the L² norm ‖g‖
             CORRECTION_NORM.check(g_rep.components[(0, 0)], where=f" at t = {t}")
             self.g_log[key].append(g_rep.value)
@@ -917,7 +909,7 @@ class _SuperposeObserver:
     def __call__(self, step, t, phis):
         lane = self.lane
         w_rep, _ = _error_norms(lane.psi, zip(phis, lane.chis), lane.lab,
-                                lane.epsilon, t)
+                                lane.epsilon)
         self.w.append(w_rep.value)
         self.inter.append(l2_norm(lane.lab, np.abs(phis[0]) ** 2 * phis[1]))
         self.times.append(t)

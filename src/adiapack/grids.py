@@ -1,11 +1,12 @@
 """Periodic spatial grids, spectral differentiation, and scaled weighted norms.
 
-All fields live on uniform periodic grids with a power-of-two number of
-points, so derivatives are trigonometric-interpolation derivatives computed
-by FFT and integrals are trapezoidal sums (spectrally accurate for periodic
-decaying integrands).  Domains are chosen large enough that every field of
-interest decays below roundoff at the edges, which makes the periodic
-wrap-around irrelevant.
+A field is a plain array of samples on a grid: (n,) for a scalar, (n, N)
+for a ℂ^N-valued one.  Grids are uniform and periodic with a power-of-two
+number of points, so derivatives are trigonometric-interpolation
+derivatives computed by FFT and integrals are trapezoidal sums (spectrally
+accurate for periodic decaying integrands).  Domains are chosen large
+enough that every field of interest decays below roundoff at the edges,
+which makes the periodic wrap-around irrelevant.
 
 The error topology used by the convergence experiments is the scaled family
 
@@ -30,8 +31,6 @@ import numpy as np
 
 __all__ = [
     "SpatialGrid",
-    "ScalarField",
-    "VectorField",
     "SigmaNormReport",
     "make_grid",
     "centred_slice",
@@ -62,51 +61,10 @@ class SpatialGrid:
         return self.x_max - self.x_min
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarField:
-    """Complex scalar samples on a grid, tagged with the semiclassical scale ε."""
-
-    grid: SpatialGrid
-    values: np.ndarray
-    epsilon: float = 1.0
-    time: float = 0.0
-
-    def __post_init__(self):
-        if self.values.shape != (self.grid.n,):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid n={self.grid.n}"
-            )
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-
-
-@dataclass(frozen=True, eq=False)
-class VectorField:
-    """ℂ^N-valued samples on a grid, stored as an (n, N) array."""
-
-    grid: SpatialGrid
-    values: np.ndarray
-    epsilon: float = 1.0
-    time: float = 0.0
-
-    def __post_init__(self):
-        if self.values.ndim != 2 or self.values.shape[0] != self.grid.n:
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid n={self.grid.n}"
-            )
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-
-    @property
-    def n_levels(self) -> int:
-        return self.values.shape[1]
-
-
 @dataclass(frozen=True)
 class SigmaNormReport:
     """All components ‖|x|^α ε^β ∂^β f‖ with α+β ≤ p, and their maximum."""
 
-    p: int
     components: dict
     value: float
 
@@ -278,45 +236,39 @@ def _horner(d, *coef):
     return out
 
 
-def _derivative_values(grid: SpatialGrid, values: np.ndarray, order: int) -> np.ndarray:
+def spectral_derivative(grid: SpatialGrid, values: np.ndarray,
+                        order: int = 1) -> np.ndarray:
+    """Trigonometric-interpolation derivative of the given order of (n,) or
+    (n, N) samples on `grid`, along axis 0 (exact for band-limited periodic
+    data)."""
+    if order < 1:
+        raise ValueError("derivative order must be >= 1")
     mult = (1j * grid.frequencies) ** order
     if values.ndim == 2:
         return np.fft.ifft(mult[:, None] * np.fft.fft(values, axis=0), axis=0)
     return np.fft.ifft(mult * np.fft.fft(values))
 
 
-def spectral_derivative(f: ScalarField, order: int = 1) -> ScalarField:
-    """Trigonometric-interpolation derivative of the given order (exact for
-    band-limited periodic data)."""
-    if order < 1:
-        raise ValueError("derivative order must be >= 1")
-    return ScalarField(grid=f.grid, values=_derivative_values(f.grid, f.values, order),
-                       epsilon=f.epsilon, time=f.time)
-
-
-def sigma_norm(f, p: int) -> SigmaNormReport:
+def sigma_norm(grid: SpatialGrid, values: np.ndarray, epsilon: float,
+               p: int) -> SigmaNormReport:
     """Scaled weighted norm report of ‖|x|^α ε^β ∂^β f‖ over α+β ≤ p.
 
-    Accepts a ScalarField or VectorField; vector components enter the L² norm
-    in quadrature.  Only p ∈ {0, 1, 2} is supported — nothing downstream needs
-    more and the higher moments are increasingly boundary-sensitive.
+    `values` holds the (n,) or (n, N) samples of f on `grid`; vector
+    components enter the L² norm in quadrature.  Only p ∈ {0, 1, 2} is
+    supported — nothing downstream needs more and the higher moments are
+    increasingly boundary-sensitive.
     """
     if p not in (0, 1, 2):
         raise ValueError("sigma_norm supports p in {0, 1, 2}")
-    grid, eps = f.grid, f.epsilon
     absx = np.abs(grid.points)
     components = {}
     for beta in range(p + 1):
-        if beta == 0:
-            dvals = f.values
-        else:
-            dvals = _derivative_values(grid, f.values, beta)
-        scaled = (eps ** beta) * dvals
+        dvals = values if beta == 0 else spectral_derivative(grid, values, beta)
+        scaled = (epsilon ** beta) * dvals
         mag2 = np.abs(scaled) ** 2
         if mag2.ndim == 2:
             mag2 = mag2.sum(axis=1)
         for alpha in range(p - beta + 1):
             weighted = (absx ** (2 * alpha)) * mag2
             components[(alpha, beta)] = float(np.sqrt(grid.spacing * weighted.sum()))
-    return SigmaNormReport(p=p, components=components,
-                           value=max(components.values()))
+    return SigmaNormReport(components=components, value=max(components.values()))

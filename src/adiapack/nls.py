@@ -45,11 +45,10 @@ scaling), κ > 1/4.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from .errors import BOUNDARY, FOURIER_TAIL, MASS_DRIFT, ConfigError
+from .errors import BOUNDARY, FOURIER_TAIL, MASS_DRIFT, ConfigError, \
+    finite_number
 from .grids import SpatialGrid, l2_norm, unit_phase
 from .potentials import SpectralData
 
@@ -68,8 +67,7 @@ def coherent_packet(grid: SpatialGrid, a, x0: float, xi0: float,
 
 
 def kappa_problem(kappa) -> str | None:   # the one rule: a finite κ > 1/4
-    ok = isinstance(kappa, numbers.Real) and not isinstance(kappa, bool)
-    return None if ok and 0.25 < kappa < np.inf else "kappa must exceed 1/4"
+    return None if finite_number(kappa) and kappa > 0.25 else "kappa must exceed 1/4"
 
 
 def build_initial_data(a, x0: float, xi0: float, chi_values: np.ndarray,
@@ -107,10 +105,7 @@ class NLSPropagator:
 
     def __init__(self, data: SpectralData, epsilon: float, lambda_coupling: float,
                  dt: float, beta: float):
-        self.data = data
-        self.grid = data.grid
         self.epsilon = float(epsilon)
-        self.lambda_coupling = float(lambda_coupling)
         self.dt = float(dt)
         # ε^{2β} coupling divided by the iε of the time derivative
         self.nl_rate = lambda_coupling * epsilon ** (2.0 * beta) / epsilon
@@ -121,7 +116,7 @@ class NLSPropagator:
             mix = sum(ph[:, None, None] * pi
                       for ph, pi in zip(phases, data.projectors))
             self._mix[frac] = np.ascontiguousarray(mix.transpose(1, 2, 0))
-        self._kin = np.exp(-0.5j * epsilon * self.grid.frequencies**2 * dt)
+        self._kin = np.exp(-0.5j * epsilon * data.grid.frequencies**2 * dt)
 
     def _potential(self, comps: np.ndarray, frac: float) -> np.ndarray:
         """Potential-plus-cubic step over frac·dt (frac = ½ or 1) of the

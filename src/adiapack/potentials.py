@@ -42,9 +42,11 @@ __all__ = [
     "projector_identity_residuals",
     "growth_scan",
     "d_projectors",
+    "orthonormalize",
 ]
 
 _GROUP_TOL = 1e-10  # max branch distance inside a declared multiplet
+_OVERLAP_FLOOR = 0.5  # |overlap| below which a branch match is ambiguous
 
 
 @dataclass(frozen=True)
@@ -85,40 +87,33 @@ class MatrixPotentialSpec:
         )
 
 
-def _sym_index_pairs(n):
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-def _assemble(entries_diag, entries_sym, n, shape):
-    v = np.zeros(shape + (n, n))
-    for i, e in enumerate(entries_diag):
-        v[..., i, i] += e
-    for (i, j), e in zip(_sym_index_pairs(n), entries_sym):
-        v[..., i, j] += e
+def _entries(spec: MatrixPotentialSpec, x, of) -> np.ndarray:
+    """D + W with every entry e replaced by `of(e)`, evaluated at x: (N, N)
+    for scalar x, (m, N, N) for an array."""
+    x = np.asarray(x, dtype=float)
+    n = spec.n_levels
+    v = np.zeros(x.shape + (n, n))
+    pairs = [(i, i) for i in range(n)] + [(i, j) for i in range(n)
+                                          for j in range(i, n)]
+    for (i, j), e in zip(pairs, (*spec.diag, *spec.sym)):
+        val = np.broadcast_to(of(e)(x), x.shape) if x.ndim else of(e)(x)
+        v[..., i, j] += val
         if i != j:
-            v[..., j, i] += e
+            v[..., j, i] += val
     return v
 
 
 def evaluate_potential(spec: MatrixPotentialSpec, x) -> np.ndarray:
     """Evaluate V(x); returns (N, N) for scalar x, (m, N, N) for an array."""
-    x = np.asarray(x, dtype=float)
-    dvals = [np.broadcast_to(e(x), x.shape) if x.ndim else e(x) for e in spec.diag]
-    svals = [np.broadcast_to(e(x), x.shape) if x.ndim else e(x) for e in spec.sym]
-    return _assemble(dvals, svals, spec.n_levels, x.shape)
+    return _entries(spec, x, lambda e: e)
 
 
 def evaluate_potential_derivative(spec: MatrixPotentialSpec, x) -> np.ndarray:
     """Entrywise analytic derivative V'(x)."""
-    x = np.asarray(x, dtype=float)
-    dvals = [np.broadcast_to(e.diff()(x), x.shape) if x.ndim else e.diff()(x)
-             for e in spec.diag]
-    svals = [np.broadcast_to(e.diff()(x), x.shape) if x.ndim else e.diff()(x)
-             for e in spec.sym]
-    return _assemble(dvals, svals, spec.n_levels, x.shape)
+    return _entries(spec, x, lambda e: e.diff())
 
 
-def _track_branches(xs, vals, vecs, overlap_floor=0.5):
+def _track_branches(xs, vals, vecs):
     """Reorder eigenpairs so branches are continuous in x, signs included.
 
     Matching is by maximal eigenvector overlap with the previous point (greedy
@@ -134,14 +129,14 @@ def _track_branches(xs, vals, vecs, overlap_floor=0.5):
     m, n = vals.shape
     if m > 1:
         overlap = np.matmul(vecs[:-1].transpose(0, 2, 1), vecs[1:])
-        if _keeps_order(np.abs(overlap), overlap_floor):
+        if _keeps_order(np.abs(overlap)):
             steps = np.sign(np.diagonal(overlap, axis1=1, axis2=2))
             signs = np.cumprod(np.concatenate([np.ones((1, n)), steps]), axis=0)
             return vals.copy(), vecs * signs[:, None, :]
-    return _track_branches_loop(xs, vals, vecs, overlap_floor)
+    return _track_branches_loop(xs, vals, vecs)
 
 
-def _keeps_order(overlap, overlap_floor):
+def _keeps_order(overlap):
     """Whether the greedy matching of every (m, N, N) overlap is the identity.
 
     The same N rounds as the loop's matching, each an argmax over all points
@@ -154,14 +149,14 @@ def _keeps_order(overlap, overlap_floor):
     for _ in range(n):
         k = np.argmax(flat, axis=1)
         a, b = np.divmod(k, n)
-        if (flat[rows, k] < overlap_floor).any() or (a != b).any():
+        if (flat[rows, k] < _OVERLAP_FLOOR).any() or (a != b).any():
             return False
         overlap[rows, a, :] = -1.0
         overlap[rows, :, b] = -1.0
     return True
 
 
-def _track_branches_loop(xs, vals, vecs, overlap_floor=0.5):
+def _track_branches_loop(xs, vals, vecs):
     """`_track_branches` one point at a time, for grids where the order changes."""
     m, n = vals.shape
     out_vals = vals.copy()
@@ -175,7 +170,7 @@ def _track_branches_loop(xs, vals, vecs, overlap_floor=0.5):
         work = overlap.copy()
         for _ in range(n):
             a, b = np.unravel_index(np.argmax(work), work.shape)
-            if work[a, b] < overlap_floor:
+            if work[a, b] < _OVERLAP_FLOOR:
                 break
             perm[a] = b
             used[b] = True
@@ -230,6 +225,26 @@ def _group_branches(xs, vals, multiplicities):
     return groups
 
 
+def _tracked_spectrum(spec: MatrixPotentialSpec, xs):
+    """V at the ordered points xs, its eigenpairs tracked along xs
+    (`_track_branches`) and their grouping into the declared multiplets."""
+    xs = np.asarray(xs, dtype=float)
+    v = evaluate_potential(spec, xs)
+    raw_vals, raw_vecs = np.linalg.eigh(v)
+    vals, vecs = _track_branches(xs, raw_vals, raw_vecs)
+    return v, vals, vecs, _group_branches(xs, vals, spec.multiplicities)
+
+
+def orthonormalize(cols: np.ndarray) -> np.ndarray:
+    """QR of each point's (N, d) columns in the (m, N, d) array `cols`, with
+    the deterministic sign convention: each column is signed so that the
+    real part of R's diagonal is nonnegative."""
+    q, r = np.linalg.qr(cols)
+    signs = np.sign(np.real(np.einsum("nii->ni", r)))
+    signs[signs == 0] = 1.0
+    return q * signs[:, None, :]
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralData:
     """Tracked eigendecomposition of V on a grid.
@@ -255,25 +270,16 @@ def decompose(spec: MatrixPotentialSpec, grid: SpatialGrid) -> SpectralData:
 
     One batched `eigh` over the grid; `_track_branches` then matches and signs
     the columns for all points at once, point by point only where eigh's order
-    of the eigenvalues changes along the grid.  Declared multiplicities d_j > 1 group branches whose distance stays below
-    1e-10 on the whole grid; in-group frames are reorthonormalized by QR with
-    a deterministic sign convention.
+    of the eigenvalues changes along the grid.  Declared multiplicities
+    d_j > 1 group branches whose distance stays below 1e-10 on the whole
+    grid; in-group frames are reorthonormalized by `orthonormalize`.
     """
-    v = evaluate_potential(spec, grid.points)
-    raw_vals, raw_vecs = np.linalg.eigh(v)
-    vals, vecs = _track_branches(grid.points, raw_vals, raw_vecs)
-    groups = _group_branches(grid.points, vals, spec.multiplicities)
-
+    v, vals, vecs, groups = _tracked_spectrum(spec, grid.points)
     branches, frames = [], []
     projectors = np.zeros((len(groups), grid.n, spec.n_levels, spec.n_levels))
     for j, g in enumerate(groups):
         branches.append(vals[:, g].mean(axis=1))
-        cols = vecs[:, :, g]
-        if len(g) > 1:
-            q, r = np.linalg.qr(cols)
-            signs = np.sign(np.einsum("nii->ni", r))
-            signs[signs == 0] = 1.0
-            cols = q * signs[:, None, :]
+        cols = orthonormalize(vecs[:, :, g]) if len(g) > 1 else vecs[:, :, g]
         frames.append(cols)
         projectors[j] = np.einsum("nak,nbk->nab", cols, cols)
 
@@ -342,11 +348,7 @@ def gamma(data: SpectralData, j: int, k: int, x_index: int) -> float:
 
 def _local_spectral(spec: MatrixPotentialSpec, xs):
     """Tracked branches/projectors at a short ordered sequence of points."""
-    xs = np.asarray(xs, dtype=float)
-    v = evaluate_potential(spec, xs)
-    raw_vals, raw_vecs = np.linalg.eigh(v)
-    vals, vecs = _track_branches(xs, raw_vals, raw_vecs)
-    groups = _group_branches(xs, vals, spec.multiplicities)
+    _, vals, vecs, groups = _tracked_spectrum(spec, xs)
     lam = np.stack([vals[:, g].mean(axis=1) for g in groups], axis=0)
     pis = np.stack(
         [np.einsum("nak,nbk->nab", vecs[:, :, g], vecs[:, :, g]) for g in groups],

@@ -20,7 +20,7 @@ from adiapack.experiments import (_branch_curve_for, convergence_study,
                                   fit_order, lab_grid_rule, make_profile,
                                   superposition_experiment)
 from adiapack.expressions import parse_expr
-from adiapack.grids import ScalarField, l2_norm, make_grid
+from adiapack.grids import l2_norm, make_grid
 from adiapack.nls import NLSPropagator, build_initial_data, check_step_mass
 from adiapack.potentials import (decompose, growth_scan,
                                  projector_identity_residuals)
@@ -147,7 +147,7 @@ def test_criterion_05_eigenframe_suite():
         gap_constants=(2.0, 1.0))
     data = decompose(spec, make_grid(-8.0, 8.0, 4096))
     branch = BranchCurve.from_expr(parse_expr(f"x^2/2 + {jb}"))
-    traj = integrate_trajectory(branch, 0.0, 1.0, 5.0, 1e-3, branch_id=1)
+    traj = integrate_trajectory(branch, 0.0, 1.0, 5.0, 1e-3)
     z_grid = make_grid(-6.0, 6.0, 2048)
     frame = transport_frame(data, 1, traj, initial_frame(data, 1, z_grid.points),
                             z_grid, 1e-3, T=5.0, store_stride=10)
@@ -204,7 +204,7 @@ def test_criterion_07_averaging_probe():
     cfg = load_config(CONFIGS / "rotating.json")
     grid = make_grid(-10.0, 10.0, 4096)
     data = decompose(cfg.potential, grid)
-    f = ScalarField(grid=grid, values=np.exp(-grid.points**2).astype(complex))
+    f = np.exp(-grid.points**2).astype(complex)
     t = 0.5
     eps_list = (0.04, 0.02, 0.01)
     cross, control = [], []
@@ -220,7 +220,7 @@ def test_criterion_07_averaging_probe():
     tt = np.pi * eps0
     closed = averaging_probe(grid, np.zeros(grid.n), np.ones(grid.n), f, eps0,
                              tt, tt / 2048.0)
-    closed_dev = abs(closed - 2.0 * l2_norm(grid, f.values))
+    closed_dev = abs(closed - 2.0 * l2_norm(grid, f))
     ok = cross_ok and slope_ok and closed_dev <= 1e-6
     check("criterion 7 (oscillatory averaging probe)",
           ok, f"cross variation {max(cross) / min(cross):.3f}, control slope "

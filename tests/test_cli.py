@@ -637,6 +637,20 @@ def test_bad_command_input_is_a_config_error(tmp_path, capsys):
         ({"packets": [dict(packet, profile={"type": kind, "width": w})]}, width)
         for kind in ("gaussian", "hermite", "noise")
         for w in (float("inf"), 0.0, -1.0, nan, "x")]
+    # a JSON integer beyond the float range is no finite number: T was a
+    # TypeError traceback and kappa an OverflowError in the initial data
+    bad_numbers += [
+        (fields, message) for big in (10**400, -10**400) for fields, message in (
+            ({"T": big}, "T must be a finite number"),
+            ({"lambda": big}, "lambda must be a finite number"),
+            ({"packets": [dict(packet, x0=big)]},
+             "packets[0].x0 must be a finite number"),
+            ({"epsilons": [big]}, "epsilons: every value must lie in (0, 1]"),
+            ({"observe_every": big}, "observe_every must be positive and finite"),
+            ({"packets": [dict(packet, profile={"type": "gaussian",
+                                                "width": big})]}, width),
+            ({"packets": [dict(packet, kappa=big)]},
+             "packets[0]: kappa must exceed 1/4"))]
     cases += [("single", write_config(tmp_path, name=f"bad{i}.json", **fields),
                [], message) for i, (fields, message) in enumerate(bad_numbers)]
     # a value of the wrong JSON shape was a traceback (exit 1), a float or
@@ -692,10 +706,10 @@ def _positions(value, at=()):
 
 
 SMOKE = json.loads((CONFIGS / "smoke.json").read_text())
-# ints stay small: a noise profile's `modes` allocates that many coefficients
+# ints of any size, and two beyond the float range
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-4096, 4096) | st.floats()
-    | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers()
+    | st.sampled_from([10**400, -10**400]) | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6)
@@ -841,3 +855,40 @@ def test_benchmark_checks_keep_the_run_option_defaults():
             checks["_OBSERVE_EVERY"]) == (defaults.dt_max,
                                           defaults.dt_over_epsilon,
                                           defaults.observe_every)
+
+
+def test_unusable_output_directory_is_a_config_error(tmp_path, capsys):
+    # a file at the output path, or above it, was a FileExistsError or a
+    # NotADirectoryError traceback (exit 1); no failure.json can be written
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    for out in (blocker, blocker / "sub"):
+        assert main(["decompose", "--config", str(CONFIGS / "smoke.json"),
+                     "--out", str(out)]) == 2
+        assert (f"cannot use {out} as the output directory"
+                in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("args", [
+    ["converge", "--config", str(CONFIGS / "smoke.json")],
+    ["superpose", "--config", str(CONFIGS / "superposition.json"),
+     "--epsilon-override", "0.0625"]], ids=["converge", "superpose"])
+def test_benchmark_tracer_finds_every_traced_callable(tmp_path, args):
+    # perfbench/tracer.py binds the traced callables by name and parameter:
+    # run it by path, without editing it, and compare with an untraced run
+    root = CONFIGS.parent
+    path = [str(root / "src")] + [
+        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(spans),
+         *args, "--out", str(tmp_path / "traced")],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(spans.read_text())["missing"] == []
+    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
+    csvs = sorted((tmp_path / "plain").glob("*.csv"))
+    assert csvs
+    for csv in csvs:
+        assert (tmp_path / "traced" / csv.name).read_bytes() == csv.read_bytes()

@@ -4,7 +4,7 @@ import pytest
 from adiapack.corrections import (ScalarPropagator, assemble_correction,
                                   averaging_probe)
 from adiapack.eigenframe import coupling_profile
-from adiapack.grids import ScalarField, l2_norm, make_grid, sigma_norm
+from adiapack.grids import l2_norm, make_grid, sigma_norm
 from adiapack.potentials import decompose
 from tests.test_potentials import rotating_family
 
@@ -106,8 +106,7 @@ def test_solve_correction_zero_coupling_stays_zero():
                         phi_fn=lambda t: np.ones(g.n, dtype=complex),
                         eps=0.05, T=0.5, dt=1e-3)
     assert l2_norm(g, out) == 0.0
-    assert sigma_norm(ScalarField(grid=g, values=out, epsilon=0.05, time=0.5),
-                      0).value == 0.0
+    assert sigma_norm(g, out, 0.05, 0).value == 0.0
 
 
 def test_solve_correction_additive_in_coupling():
@@ -151,8 +150,8 @@ def test_assemble_single_component_norm():
     g = make_grid(-8.0, 8.0, 512)
     data = decompose(rotating_family(), g)
     comp = 0.7 * np.exp(-g.points**2).astype(complex)
-    out = assemble_correction({(1, 0): comp}, data, epsilon=0.1)
-    assert l2_norm(g, out.values) == pytest.approx(l2_norm(g, comp), rel=1e-12)
+    out = assemble_correction({(1, 0): comp}, data)
+    assert l2_norm(g, out) == pytest.approx(l2_norm(g, comp), rel=1e-12)
 
 
 def test_assemble_pythagoras_and_orthogonality():
@@ -160,14 +159,14 @@ def test_assemble_pythagoras_and_orthogonality():
     data = decompose(rotating_family(), g)
     c0 = np.exp(-g.points**2).astype(complex)
     c1 = 1j * np.exp(-((g.points - 1.0) ** 2)).astype(complex)
-    out = assemble_correction({(0, 0): c0, (1, 0): c1}, data, epsilon=0.1)
-    lhs = l2_norm(g, out.values) ** 2
+    out = assemble_correction({(0, 0): c0, (1, 0): c1}, data)
+    lhs = l2_norm(g, out) ** 2
     rhs = l2_norm(g, c0) ** 2 + l2_norm(g, c1) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-8)
     # a single off-branch component stays pointwise orthogonal to the carrier
-    out0 = assemble_correction({(0, 0): c0}, data, epsilon=0.1)
+    out0 = assemble_correction({(0, 0): c0}, data)
     chi1 = data.frames[1][:, :, 0]
-    overlap = np.abs(np.sum(out0.values * chi1, axis=1))
+    overlap = np.abs(np.sum(out0 * chi1, axis=1))
     assert np.max(overlap) < 1e-7
 
 
@@ -175,11 +174,10 @@ def test_averaging_probe_equal_constant_branches():
     # integrand is the identity: value = (t/ε)‖f‖ exactly
     g = make_grid(-16.0, 16.0, 256)
     eps, t = 0.05, 0.2
-    f = ScalarField(grid=g, values=np.exp(-g.points**2).astype(complex),
-                    epsilon=eps)
+    f = np.exp(-g.points**2).astype(complex)
     lam = np.ones(g.n)
     val = averaging_probe(g, lam, lam, f, eps, t, eps / 64.0)
-    assert val == pytest.approx(t / eps * l2_norm(g, f.values), rel=1e-12)
+    assert val == pytest.approx(t / eps * l2_norm(g, f), rel=1e-12)
 
 
 def test_averaging_probe_constant_gap_closed_form():
@@ -187,17 +185,16 @@ def test_averaging_probe_constant_gap_closed_form():
     g = make_grid(-16.0, 16.0, 256)
     eps = 0.04
     t = np.pi * eps
-    f = ScalarField(grid=g, values=np.exp(-g.points**2).astype(complex),
-                    epsilon=eps)
+    f = np.exp(-g.points**2).astype(complex)
     val = averaging_probe(g, np.zeros(g.n), np.ones(g.n), f, eps, t, t / 2048.0)
-    assert val == pytest.approx(2.0 * l2_norm(g, f.values), abs=1e-6)
+    assert val == pytest.approx(2.0 * l2_norm(g, f), abs=1e-6)
 
 
 def test_averaging_probe_off_diagonal_bounded():
     # mismatched rotating-family branches: bounded in ε, unlike the 1/ε control
     g = make_grid(-10.0, 10.0, 4096)
     data = decompose(rotating_family(), g)
-    f = ScalarField(grid=g, values=np.exp(-g.points**2).astype(complex))
+    f = np.exp(-g.points**2).astype(complex)
     t = 0.5
     cross, control = {}, {}
     for eps in (0.04, 0.02):
@@ -213,10 +210,10 @@ def test_averaging_probe_needs_a_positive_multiple_of_dt():
     # t must be a whole number of steps: rounding t/dt would integrate
     # t = 0.01 over no step and t = 0.1 over 0.09
     g = make_grid(-16.0, 16.0, 256)
-    f = ScalarField(grid=g, values=np.exp(-g.points**2).astype(complex))
+    f = np.exp(-g.points**2).astype(complex)
     lam = np.ones(g.n)
     for t in (0.01, 0.1, 0.0):
         with pytest.raises(ValueError, match="positive multiple of dt"):
             averaging_probe(g, lam, lam, f, 0.05, t, 0.03)
     assert averaging_probe(g, lam, lam, f, 0.05, 0.09, 0.03) == pytest.approx(
-        0.09 / 0.05 * l2_norm(g, f.values), rel=1e-12)
+        0.09 / 0.05 * l2_norm(g, f), rel=1e-12)

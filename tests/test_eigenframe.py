@@ -25,7 +25,7 @@ def rotating_data():
 @pytest.fixture(scope="module")
 def upper_branch_traj():
     branch = BranchCurve.from_expr(parse_expr("x^2/2 + (1+x^2)^(-1/2)"))
-    return integrate_trajectory(branch, 0.0, 1.0, 1.0, 1e-3, branch_id=1)
+    return integrate_trajectory(branch, 0.0, 1.0, 1.0, 1e-3)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +86,7 @@ def test_transported_frame_is_static_lab_frame(family, branch):
     static = decompose(spec, lab).frames[branch][:, :, 0]
     wide = decompose(spec, make_grid(-5.0, 5.0, 2048))
     traj = integrate_trajectory(BranchCurve.from_data(wide, branch), 1.0, 0.0,
-                                2.0, 1e-3, branch_id=branch)
+                                2.0, 1e-3)
     z_grid = make_grid(lab.x_min - float(traj.x.max()) - 0.25,
                        lab.x_max - float(traj.x.min()) + 0.25, 1024)
     frame = transport_frame(wide, branch, traj,
@@ -191,15 +191,15 @@ def test_coupling_coefficients_match_profile(rotating_data, upper_frame,
     rho_lab = CubicSpline(rotating_data.grid.points, rho)(lab.points)
     q = lab.n // 4
     mid = slice(q, -q)
-    assert np.max(np.abs(r_fd.values[mid] - xi * rho_lab[mid])) < 2e-5
-    assert np.max(np.abs(np.abs(r_fd.values[mid]) - abs(xi) / 2.0)) < 2e-3
+    assert np.max(np.abs(r_fd[mid] - xi * rho_lab[mid])) < 2e-5
+    assert np.max(np.abs(np.abs(r_fd[mid]) - abs(xi) / 2.0)) < 2e-3
 
 
 def test_coupling_own_branch_projection_vanishes(rotating_data, upper_frame):
     lab = make_grid(-2.0 * np.pi, 2.0 * np.pi, 1024)
     r_own = coupling_coefficients(upper_frame, rotating_data, 1, 0, 0.5, lab)
     q = lab.n // 4
-    assert np.max(np.abs(r_own.values[q:-q])) < 1e-6
+    assert np.max(np.abs(r_own[q:-q])) < 1e-6
 
 
 def test_frame_growth_ratios_bounded(rotating_data):

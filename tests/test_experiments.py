@@ -11,7 +11,7 @@ from adiapack.experiments import (PacketSpec, RunOptions, Study,
                                   fit_order, make_profile, run_single_packet,
                                   study_setup, superposition_experiment)
 from adiapack.expressions import parse_expr
-from adiapack.grids import VectorField, l2_norm, make_grid, sigma_norm
+from adiapack.grids import l2_norm, make_grid, sigma_norm
 from adiapack.nls import build_initial_data
 from adiapack.potentials import MatrixPotentialSpec, decompose
 from tests.test_potentials import rotating_family
@@ -155,7 +155,7 @@ def test_error_report_exact_ansatz_is_zero(harmonic_setup):
     lab, _, phi = ansatz_at(harmonic_setup, 1.0 / 64, 0.1)
     chi = decompose(HARMONIC, lab).frames[0][:, :, 0]
     w_rep, th_rep = _error_norms(phi[:, None] * chi, [(phi, chi)], lab,
-                                 1.0 / 64, 0.1)
+                                 1.0 / 64)
     assert w_rep.value == 0.0
     assert th_rep.value == 0.0
 
@@ -174,12 +174,10 @@ def test_theta_pythagoras_with_orthogonal_correction(rotating_setup):
     bump = 0.05 * np.exp(-((lab.points - 1.0) ** 2) / 0.1).astype(complex)
     psi = (phi + bump)[:, None] * chi1
     g = {(1, 0): 0.4 * np.exp(-((lab.points - 1.0) ** 2) / 0.2).astype(complex)}
-    w_rep, th_rep = _error_norms(psi, [(phi, chi1)], lab, eps, t,
-                                 assemble_correction(g, data, eps).values)
-    gf = sigma_norm(VectorField(grid=lab,
-                                values=(eps * g[(1, 0)])[:, None]
-                                * data.frames[1][:, :, 0],
-                                epsilon=eps), 1)
+    w_rep, th_rep = _error_norms(psi, [(phi, chi1)], lab, eps,
+                                 assemble_correction(g, data))
+    gf = sigma_norm(lab, (eps * g[(1, 0)])[:, None] * data.frames[1][:, :, 0],
+                    eps, 1)
     lhs = th_rep.components[(0, 0)] ** 2
     rhs = w_rep.components[(0, 0)] ** 2 + gf.components[(0, 0)] ** 2
     assert lhs == pytest.approx(rhs, rel=1e-8)
@@ -190,9 +188,9 @@ def test_assembled_correction_orthogonal_to_carrier(rotating_run):
     lab = make_grid(-2.5, 2.5, rotating_run.grid_n)
     data = decompose(rotating_family(), lab)
     g = {(1, 0): np.exp(-((lab.points - 1.0) ** 2)).astype(complex)}
-    vec = assemble_correction(g, data, rotating_run.epsilon)
+    vec = assemble_correction(g, data)
     chi1 = data.frames[0][:, :, 0]
-    overlap = np.abs(np.sum(vec.values * chi1.conj(), axis=1))
+    overlap = np.abs(np.sum(vec * chi1.conj(), axis=1))
     assert np.max(overlap) < 1e-7
 
 
