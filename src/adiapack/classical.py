@@ -8,10 +8,11 @@ with the classic fourth-order one-step scheme at fixed dt, so trajectory
 samples line up exactly with PDE solver steps.  The curvature λ''(x(t)) is
 sampled along the path for the envelope equation, and the conserved energy
 E = ξ²/2 + λ(x) is tracked as a drift diagnostic.  A branch is either an
-expression (λ, λ', λ'' analytic) or decomposed grid samples (the not-a-knot
-spline `grids.UniformCubicSpline` and its own derivatives).  A trajectory is
-its samples, read by index; only the transport oracle (`eigenframe`)
-interpolates them in t.
+expression (λ, λ', λ'' analytic: a stage calls the Python-float forms of λ
+and λ', falling back to their compiled array forms where `math` raises) or
+decomposed grid samples (the not-a-knot spline `grids.UniformCubicSpline`
+and its own derivatives).  A trajectory is its samples, read by index; only
+the transport oracle (`eigenframe`) interpolates them in t.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ class BranchCurve:
     @classmethod
     def from_expr(cls, expr: Expr) -> "BranchCurve":
         """Analytic evaluators; `value_and_deriv` runs λ and λ' compiled to
-        Python-float functions (`Expr.scalar_function`) and walks the trees only
-        where that raises (a math domain error, where numpy gives inf or NaN)."""
+        Python-float functions (`Expr.scalar_function`) and evaluates their
+        array forms only where that raises (a math domain error, where numpy
+        gives inf or NaN)."""
         d1 = expr.diff()
         d2 = d1.diff()
         lam, dlam = expr.scalar_function(), d1.scalar_function()

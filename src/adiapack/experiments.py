@@ -30,10 +30,12 @@ classical path do not contain ε, so the ε that share a dt run in one
 lockstep march (`_Lockstep`): each distinct envelope is stepped once per
 step and read by every packet and ε that use it, and each ε keeps its own
 lab state (`_Lane`).  `run_single_packet`, `convergence_study` and
-`superposition_experiment` configure it with their observers.  The run
-trajectory's samples at dt/4 are the one clock of the ε-free data, read by
-index: step s is observed at sample 4s, a whole envelope step and the
-Duhamel source read 4s - 2, and its dt/2 envelope halves 4s - 3 and 4s - 1.
+`superposition_experiment` share one loop over the step groups
+(`_run_groups`) and differ only in their observer and failure handling.
+The run trajectory's samples at dt/4 are the one clock of the ε-free data,
+read by index: step s is observed at sample 4s, a whole envelope step and
+the Duhamel source read 4s - 2, and its dt/2 envelope halves 4s - 3 and
+4s - 1.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ from .errors import CORRECTION_NORM, ENVELOPE_SUPPORT, AdiapackError, \
     ConfigError, finite_number
 from .grids import SpatialGrid, UniformCubicSpline, centred_slice, l2_norm, \
     make_grid, sigma_norm
-from .nls import NLSPropagator, build_initial_data, check_lab_field, \
-    check_step_mass, kappa_problem, lab_grid_points, mode_populations, \
-    spectral_half_width
+from .nls import MAX_GRID_POINTS, NLSPropagator, build_initial_data, \
+    check_lab_field, check_step_mass, kappa_problem, lab_grid_points, \
+    mode_populations, spectral_half_width
 from .potentials import MatrixPotentialSpec, SpectralData, decompose
 
 __all__ = [
@@ -297,10 +299,12 @@ class RunOptions:
         out = [f"{key} must be positive and finite" for key in (
             "observe_every", "dt_max", "dt_over_epsilon", "y_half_width")
             if not (finite_number(getattr(self, key)) and getattr(self, key) > 0)]
-        for key, n in (("grid.n", self.grid_n), ("y_points", self.y_points)):
-            if not (n is None and key == "grid.n" or isinstance(
-                    n, numbers.Integral) and n >= 8 and not n & (n - 1)):
+        for key, n in (("grid.n", 8 if self.grid_n is None else self.grid_n),
+                       ("y_points", self.y_points)):
+            if not (isinstance(n, numbers.Integral) and n >= 8 and not n & (n - 1)):
                 out.append(f"{key} must be a power of two, at least 8")
+            elif n > MAX_GRID_POINTS:
+                out.append(f"{key} must be at most 2**20")
         return out + ([] if finite_number(self.beta) else ["beta must be finite"])
 
 
@@ -338,6 +342,8 @@ def _study_problems(v: dict) -> list:
         out.append("epsilons: need a list of at least one value")
     elif not all(finite_number(e) and 0.0 < e <= 1.0 for e in eps):
         out.append("epsilons: every value must lie in (0, 1]")
+    elif len(set(eps)) < len(eps):   # runs and their set-up key on ε
+        out.append("epsilons: a value is repeated")
     for key, label in (("T", "T"), ("x_min", "grid.x_min"),
                        ("x_max", "grid.x_max"), ("lambda_coupling", "lambda")):
         if key in v and not finite_number(v[key]):
@@ -554,13 +560,13 @@ def _setup_of(study: Study, n_packets: int) -> StudySetup:
 
 class _Lane:
     """One ε of a lockstep: ψ on its lab grid (one decomposition), each
-    packet's static carrier, the NLS propagator and, with `corrections`, the
-    one packet's g_{j,ℓ} on every other branch, carried half a step ahead as
+    packet's static carrier, the NLS propagator and, when the set-up has one
+    packet, its g_{j,ℓ} on every other branch, carried half a step ahead as
     h_{j,ℓ} = U_j(dt/2) g_{j,ℓ}.  ψ₀ is the sum of the packets'
     `build_initial_data`.  Between observations ψ stays open: each step
     leaves its trailing half potential step to the next one."""
 
-    def __init__(self, setup: StudySetup, epsilon, corrections):
+    def __init__(self, setup: StudySetup, epsilon):
         study = setup.study
         spec, packets, lam = study.potential, study.packets, study.lambda_coupling
         self.epsilon, self.n = epsilon, setup.grid_n[epsilon]
@@ -582,7 +588,8 @@ class _Lane:
         self.prop = NLSPropagator(data, epsilon, lam, self.steps.dt,
                                   study.options.beta)
         branch = packets[0].branch
-        others = [j for j in range(data.n_branches) if j != branch] if corrections else []
+        others = [j for j in range(data.n_branches)
+                  if j != branch and len(packets) == 1]
         self.rho = {(j, ell): coupling_profile(data, j, ell, source_branch=branch)
                     for j in others for ell in range(data.multiplicities[j])}
         self.g_props = {j: ScalarPropagator(lab, data.branches[j], epsilon)
@@ -626,14 +633,14 @@ class _Lockstep:
     go on, otherwise the error propagates.  A tripped envelope guard fails
     every live lane."""
 
-    def __init__(self, setup: StudySetup, epsilons, corrections, isolate):
+    def __init__(self, setup: StudySetup, epsilons, isolate):
         self.setup, self.isolate, self.failures = setup, isolate, []
         self.steps = setup.steps[epsilons[0]]
         self.trajs = setup.trajectories[self.steps.dt]
         self.lanes = []
         for eps in epsilons:
             try:
-                self.lanes.append(_Lane(setup, eps, corrections))
+                self.lanes.append(_Lane(setup, eps))
             except AdiapackError as exc:
                 self._fail(eps, exc)
         self.envs, self.curvatures = _envelopes(setup.y_grid, [
@@ -705,6 +712,20 @@ class _Lockstep:
                 observe_at(step)
 
 
+def _run_groups(setup: StudySetup, observer, isolate):
+    """Every ε of the set-up, one `_Lockstep` per step group in the order
+    of `groups()`, with `observer(march, lane)` on every lane: (each finished
+    lane's observer `result()`, the failures of the isolated lanes)."""
+    results, failures = [], []
+    for group in setup.groups():
+        march = _Lockstep(setup, group, isolate)
+        observers = {lane: observer(march, lane) for lane in march.lanes}
+        march.march(observers)
+        results += [observers[lane].result() for lane in march.lanes]
+        failures += march.failures
+    return results, failures
+
+
 # ---------------------------------------------------------------------------
 # single-packet runs
 
@@ -741,10 +762,10 @@ class SingleRunResult:
 class _SingleObserver:
     """The observer of one single-packet lane: w, θ, leakage, Taylor
     remainder, populations and the correction norms (`errors.CORRECTION_NORM`)
-    at every observation, ψ at the snapshot steps, and the lane's
+    at every observation, ψ at the study's `snapshot_times`, and the lane's
     `SingleRunResult` once the march is done."""
 
-    def __init__(self, march: _Lockstep, lane: _Lane, snapshot_steps):
+    def __init__(self, march: _Lockstep, lane: _Lane):
         study = march.setup.study
         self.march, self.lane, self.branch = march, lane, study.packets[0].branch
         self.curve = _branch_curve_for(study.potential, lane.data, self.branch)
@@ -752,7 +773,9 @@ class _SingleObserver:
             "times", "masses", "w_sigma1", "theta_sigma1", "leakage", "taylor",
             "populations")}
         self.g_log = {key: [] for key in lane.carried}
-        self.snapshot_steps, self.snapshots = snapshot_steps, {}
+        self.snapshot_steps = {int(round(ts / lane.steps.dt)): ts
+                               for ts in study.snapshot_times}
+        self.snapshots = {}
 
     def __call__(self, step, t, phis):
         lane, branch, (phi,), (traj,) = self.lane, self.branch, phis, self.march.trajs
@@ -790,17 +813,6 @@ class _SingleObserver:
             snapshots=self.snapshots)
 
 
-def _single_packet_runs(setup: StudySetup, epsilons, isolate,
-                        snapshot_steps=None):
-    """One lockstep over `epsilons` (one step group) of a single-packet study
-    with corrections: (results of the lanes that finished, failures)."""
-    march = _Lockstep(setup, epsilons, corrections=True, isolate=isolate)
-    observers = {lane: _SingleObserver(march, lane, snapshot_steps or {})
-                 for lane in march.lanes}
-    march.march(observers)
-    return [observers[lane].result() for lane in march.lanes], march.failures
-
-
 def run_single_packet(study: Study) -> SingleRunResult:
     """One single-packet march with corrections, and its error time series,
     of the study's first packet at its one ε (several are a `ConfigError`),
@@ -812,11 +824,8 @@ def run_single_packet(study: Study) -> SingleRunResult:
     """
     if len(study.epsilons) != 1:
         raise ConfigError(f"run_single_packet runs one ε, not {len(study.epsilons)}")
-    setup = _setup_of(study, 1)
-    dt = setup.steps[study.epsilons[0]].dt
-    (run,), _ = _single_packet_runs(
-        setup, study.epsilons, isolate=False,
-        snapshot_steps={int(round(ts / dt)): ts for ts in study.snapshot_times})
+    (run,), _ = _run_groups(_setup_of(study, 1), _SingleObserver,
+                            isolate=False)
     return run
 
 
@@ -847,18 +856,16 @@ def convergence_study(study: Study) -> ConvergenceReport:
     norms, and fit the decay order.
 
     One `study_setup` serves every ε, and the ε that share a step size run
-    in one lockstep; runs and failures are listed in decreasing ε.  A
+    in one lockstep; runs and failures are listed in decreasing ε, and no
+    run keeps a snapshot.  A
     sub-run that fails with an `AdiapackError` is listed in
     `report.failures` instead of killing the sweep, even when every sub-run
     fails (the report then has no ε); any other exception is a programming
     error and propagates.
     """
-    setup = _setup_of(study, 1)
-    runs, failures = [], []
-    for group in setup.groups():
-        done, failed = _single_packet_runs(setup, group, isolate=True)
-        runs += done
-        failures += failed
+    runs, failures = _run_groups(
+        _setup_of(replace(study, snapshot_times=()), 1), _SingleObserver,
+        isolate=True)
     failures.sort(key=lambda failure: failure[0], reverse=True)
 
     eps_ok = [r.epsilon for r in runs]
@@ -901,10 +908,12 @@ class SuperpositionReport:
 
 class _SuperposeObserver:
     """The observer of one two-packet lane: w against φ₁χ¹ + φ₂χ², and the
-    integrand ‖|φ₁|²φ₂‖ of the interaction integral."""
+    integrand ‖|φ₁|²φ₂‖ of the interaction integral; its `result()` is the
+    lane's row of the `SuperpositionReport`."""
 
-    def __init__(self, lane: _Lane):
-        self.lane, self.w, self.inter, self.times = lane, [], [], []
+    def __init__(self, march: _Lockstep, lane: _Lane):
+        self.march, self.lane = march, lane
+        self.w, self.inter, self.times = [], [], []
 
     def __call__(self, step, t, phis):
         lane = self.lane
@@ -913,6 +922,20 @@ class _SuperposeObserver:
         self.w.append(w_rep.value)
         self.inter.append(l2_norm(lane.lab, np.abs(phis[0]) ** 2 * phis[1]))
         self.times.append(t)
+
+    def result(self) -> dict:
+        lane, setup, (t1, t2) = self.lane, self.march.setup, self.march.trajs
+        # crossing window |I^ε(T)| from the dense trajectory samples
+        window = lane.epsilon ** setup.study.gamma_exponent
+        return dict(
+            sup_errors=float(max(self.w)), terminal_errors=float(self.w[-1]),
+            crossing_measures=float(np.count_nonzero(
+                np.abs(t1.x - t2.x) <= window) * (t1.times[1] - t1.times[0])),
+            interaction_integrals=float(np.trapezoid(
+                np.asarray(self.inter), np.asarray(self.times))),
+            grid_n=lane.n, energy_drift=[t1.energy_drift, t2.energy_drift],
+            fourier_tail=max(lane.tails), y_points=setup.y_grid.n,
+            y_tau=setup.rule.y_tau)
 
 
 def superposition_experiment(study: Study) -> SuperpositionReport:
@@ -928,8 +951,8 @@ def superposition_experiment(study: Study) -> SuperpositionReport:
     two that start alike, are a `ConfigError`.  The `study_setup` takes both
     packets (the bound 3ξ_max/ε + √3 η_τ/√ε covers the cubic term's
     2ξ_a - ξ_b products); the ε that share a step size run in one lockstep,
-    without corrections, with the guards of `run_single_packet`, and the
-    first failure propagates.
+    without corrections (a two-packet lane carries none), with the guards
+    of `run_single_packet`, and the first failure propagates.
     """
     if len(study.packets) < 2:
         raise ConfigError("superpose needs two packets in the config")
@@ -938,7 +961,7 @@ def superposition_experiment(study: Study) -> SuperpositionReport:
         raise ConfigError("the two packets must differ in branch or "
                           "phase-space point")
     setup = _setup_of(study, 2)
-    epsilons, gamma_exponent = setup.study.epsilons, study.gamma_exponent
+    epsilons = setup.study.epsilons
 
     probe, (tr1, tr2) = setup.probe, next(iter(setup.trajectories.values()))
     objective = np.abs(probe.branches[p1.branch] - probe.branches[p2.branch]
@@ -948,28 +971,10 @@ def superposition_experiment(study: Study) -> SuperpositionReport:
     edge_ok = bool(objective[-1] >= objective[-m] - 1e-12
                    and objective[0] >= objective[m - 1] - 1e-12)
 
-    results = []
-    for group in setup.groups():
-        march = _Lockstep(setup, group, corrections=False, isolate=False)
-        observers = {lane: _SuperposeObserver(lane) for lane in march.lanes}
-        march.march(observers)
-        # crossing window |I^ε(T)| from the dense trajectory samples
-        t1, t2 = march.trajs
-        for lane, obs in observers.items():
-            crossing = float(np.count_nonzero(
-                np.abs(t1.x - t2.x) <= lane.epsilon**gamma_exponent)
-                * (t1.times[1] - t1.times[0]))
-            results.append((float(max(obs.w)), float(obs.w[-1]), crossing,
-                            float(np.trapezoid(np.asarray(obs.inter),
-                                               np.asarray(obs.times))),
-                            lane.n, [t1.energy_drift, t2.energy_drift],
-                            max(lane.tails), setup.y_grid.n, setup.rule.y_tau))
-    rows = {name: [r[i] for r in results] for i, name in enumerate((
-        "sup_errors", "terminal_errors", "crossing_measures",
-        "interaction_integrals", "grid_n", "energy_drift", "fourier_tail",
-        "y_points", "y_tau"))}
+    results, _ = _run_groups(setup, _SuperposeObserver, isolate=False)
+    rows = {name: [r[name] for r in results] for name in results[0]}
     return SuperpositionReport(
-        epsilons=list(epsilons), gamma_exponent=gamma_exponent,
+        epsilons=list(epsilons), gamma_exponent=study.gamma_exponent,
         big_gamma=big_gamma, big_gamma_edge_ok=edge_ok,
         gamma_zero_warning=bool(big_gamma < 1e-12),
         error_order=fit_order(epsilons, rows["sup_errors"]),

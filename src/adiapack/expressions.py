@@ -8,11 +8,14 @@ Grammar (recursive descent, '^' binds right):
     base   := number | 'x' | 'pi' | 'e' | func '(' expr ')' | '(' expr ')' | '-' base
     func   := sin | cos | tan | tanh | exp | sqrt | abs | jb
 
-`jb(x)` is the japanese bracket sqrt(1 + x²).  Expressions evaluate on scalars
-or numpy arrays, print back to parseable text, and support analytic
-differentiation in x (constant exponents only, which covers every potential
-shipped here).  `Expr.scalar_function` compiles a tree once into a function
-of one Python float, for callers that evaluate at one point many times.
+`jb(x)` is the japanese bracket sqrt(1 + x²).  Expressions print back to
+parseable text and support analytic differentiation in x (constant exponents
+only, which covers every potential shipped here).  A tree is rendered once as
+the source of one Python expression and compiled from it twice: `expr(x)`
+evaluates it on scalars or numpy arrays with numpy's arithmetic, and
+`Expr.scalar_function` on one Python float, for callers that evaluate at one
+point many times.  A node builds each compiled form, and its derivative, on
+first use and keeps it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,18 +31,21 @@ from .errors import AdiapackError
 
 __all__ = ["Expr", "ParseError", "parse_expr"]
 
-_FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "tanh": np.tanh,
-    "exp": np.exp,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "jb": lambda x: np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2),
-}
+_NAMES = ("sin", "cos", "tan", "tanh", "exp", "sqrt")
+_FUNCTIONS = {name: getattr(np, name) for name in _NAMES + ("abs",)}
+_FUNCTIONS["jb"] = lambda x: np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2)
 
 _CONSTANTS = {"pi": np.pi, "e": np.e}
+
+
+def _full(x, value):
+    """A constant at x: an array of x's shape (against a bare float numpy
+    takes its scalar-operand loops, which round differently), or a bare
+    float for scalar x."""
+    return value if np.isscalar(x) else np.full(np.shape(x), value)
+
+
+_ARRAY_NAMES = {**_FUNCTIONS, "pow": np.power, "full": _full, "inf": math.inf}
 
 
 def _scalar_pow(a, b):
@@ -46,18 +53,13 @@ def _scalar_pow(a, b):
     return a * a if b == 2.0 else math.pow(a, b)
 
 
-_SCALAR_NAMES = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "tanh": math.tanh,
-    "exp": math.exp,
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "jb": lambda u: math.sqrt(1.0 + u * u),
-    "pow": _scalar_pow,
-    "inf": math.inf,
-}
+_SCALAR_NAMES = {name: getattr(math, name) for name in _NAMES + ("inf",)}
+_SCALAR_NAMES.update(abs=abs, jb=lambda u: math.sqrt(1.0 + u * u),
+                     pow=_scalar_pow)
+
+
+def _literal(value: float, arrays: bool) -> str:
+    return f"full(x, {float(value)!r})" if arrays else repr(float(value))
 
 
 class ParseError(AdiapackError):
@@ -72,25 +74,38 @@ class Expr:
     """Base class for parsed expression nodes."""
 
     def __call__(self, x):
-        return self.evaluate(x)
+        """The expression at x, a scalar or a numpy array, in numpy's
+        arithmetic; a constant is an array of x's shape."""
+        return self._compiled[0](x)
 
     def __str__(self):
         return self._print(1)
 
     def diff(self) -> "Expr":
-        raise NotImplementedError
+        """d/dx of the expression, built once per node."""
+        return self._derivative
+
+    @cached_property
+    def _derivative(self) -> "Expr":
+        return self._diff()
+
+    @cached_property
+    def _compiled(self) -> tuple:   # (array form, Python-float form)
+        return tuple(eval(f"lambda x: {self._source(arrays)}", dict(names))
+                     for arrays, names in ((True, _ARRAY_NAMES),
+                                           (False, _SCALAR_NAMES)))
 
     def scalar_function(self):
         """This expression as a function of one Python float, returning a float.
 
-        The tree is compiled once to the source of one Python expression, so a
-        call does no per-node dispatch.  The arithmetic is numpy's scalar
+        It is compiled from the same source as the array form, so a call does
+        no per-node dispatch.  The arithmetic is numpy's scalar
         arithmetic (x^2 is x·x, as in numpy's `power`); powers and functions
         come from `math`, within about 1e-16 relative of numpy's.  Where
         numpy returns inf or NaN with a warning, this raises ValueError,
         ZeroDivisionError or OverflowError.
         """
-        return eval(f"lambda x: {self._source()}", dict(_SCALAR_NAMES))
+        return self._compiled[1]
 
     # precedence levels: 1 = additive, 2 = multiplicative, 3 = power, 4 = base
     _LEVEL = 4
@@ -105,72 +120,54 @@ class Expr:
 @dataclass(frozen=True)
 class Num(Expr):
     value: float
-    _LEVEL = 4
 
-    def evaluate(self, x):
-        return self.value if np.isscalar(x) else np.full(np.shape(x), self.value)
-
-    def _source(self):
-        return repr(float(self.value))
+    def _source(self, arrays):
+        return _literal(self.value, arrays)
 
     def _print_inner(self):
         return repr(self.value) if self.value != int(self.value) else str(int(self.value))
 
-    def diff(self):
+    def _diff(self):
         return Num(0.0)
 
 
 @dataclass(frozen=True)
 class Var(Expr):
-    _LEVEL = 4
-
-    def evaluate(self, x):
-        return x
-
-    def _source(self):
+    def _source(self, arrays):
         return "x"
 
     def _print_inner(self):
         return "x"
 
-    def diff(self):
+    def _diff(self):
         return Num(1.0)
 
 
 @dataclass(frozen=True)
 class Const(Expr):
     name: str
-    _LEVEL = 4
 
-    def evaluate(self, x):
-        v = _CONSTANTS[self.name]
-        return v if np.isscalar(x) else np.full(np.shape(x), v)
-
-    def _source(self):
-        return repr(float(_CONSTANTS[self.name]))
+    def _source(self, arrays):
+        return _literal(_CONSTANTS[self.name], arrays)
 
     def _print_inner(self):
         return self.name
 
-    def diff(self):
+    def _diff(self):
         return Num(0.0)
 
 
 @dataclass(frozen=True)
 class Neg(Expr):
     arg: Expr
-    _LEVEL = 4
 
-    def evaluate(self, x):
-        return -self.arg.evaluate(x)
-
-    def _source(self):
-        return f"(-{self.arg._source()})"
+    def _source(self, arrays):
+        return f"(-({self.arg._source(arrays)}))"
 
     def _print_inner(self):
         return "-" + self.arg._print(4)
 
-    def diff(self):
+    def _diff(self):
         return Neg(self.arg.diff())
 
 
@@ -184,24 +181,17 @@ class Bin(Expr):
     def _LEVEL(self):
         return {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}[self.op]
 
-    def evaluate(self, x):
-        a = self.left.evaluate(x)
-        b = self.right.evaluate(x)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            return a / b
-        return np.power(a, b)
-
-    def _source(self):
-        a, b = self.left._source(), self.right._source()
+    def _source(self, arrays):
+        a, b = self.left._source(arrays), self.right._source(arrays)
         if self.op == "^":
             return f"pow({a}, {b})"
-        return f"({a} {self.op} {b})"
+        # Python's precedence and left associativity are the grammar's, so
+        # only the parentheses the tree needs are written (a sum of many
+        # terms stays within the compiler's nesting limit)
+        lvl = self._LEVEL
+        a = a if self.left._LEVEL >= lvl else f"({a})"
+        b = b if self.right._LEVEL > lvl else f"({b})"
+        return f"{a} {self.op} {b}"
 
     def _print_inner(self):
         lvl = self._LEVEL
@@ -209,7 +199,7 @@ class Bin(Expr):
             return self.left._print(4) + "^" + self.right._print(3)
         return self.left._print(lvl) + self.op + self.right._print(lvl + 1)
 
-    def diff(self):
+    def _diff(self):
         da, db = self.left.diff(), self.right.diff()
         if self.op in "+-":
             return Bin(self.op, da, db)
@@ -228,18 +218,14 @@ class Bin(Expr):
 class Call(Expr):
     fn: str
     arg: Expr
-    _LEVEL = 4
 
-    def evaluate(self, x):
-        return _FUNCTIONS[self.fn](self.arg.evaluate(x))
-
-    def _source(self):
-        return f"{self.fn}({self.arg._source()})"
+    def _source(self, arrays):
+        return f"{self.fn}({self.arg._source(arrays)})"
 
     def _print_inner(self):
         return f"{self.fn}({self.arg._print(1)})"
 
-    def diff(self):
+    def _diff(self):
         u, du = self.arg, self.arg.diff()
         fn = self.fn
         if fn == "sin":
@@ -262,15 +248,8 @@ class Call(Expr):
 
 
 def _contains_var(e: Expr) -> bool:
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, (Num, Const)):
-        return False
-    if isinstance(e, Neg):
-        return _contains_var(e.arg)
-    if isinstance(e, Call):
-        return _contains_var(e.arg)
-    return _contains_var(e.left) or _contains_var(e.right)
+    return isinstance(e, Var) or any(_contains_var(getattr(e, child)) for child
+                                     in ("arg", "left", "right") if hasattr(e, child))
 
 
 _TOKEN_RE = re.compile(

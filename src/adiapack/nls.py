@@ -220,6 +220,11 @@ def spectral_half_width(y_grid: SpatialGrid, values: np.ndarray) -> float:
     return first * 2.0 * np.pi / y_grid.length
 
 
+# the largest lab or envelope grid a run may build: 2**20 complex points, a
+# 16 MB field; the rule's size at an ε beyond it is refused, not allocated
+MAX_GRID_POINTS = 2**20
+
+
 def lab_grid_points(length: float, epsilon: float, xi_max: float, eta: float,
                     n_packets: int = 1, n_override: int | None = None) -> int:
     """The lab grid size: the smallest power of two n with K ≤ k_Nyquist/2.
@@ -233,7 +238,7 @@ def lab_grid_points(length: float, epsilon: float, xi_max: float, eta: float,
     for by sampling ψ₀ on coarse grids, where content above Nyquist aliases
     and the top band can look empty.  A given
     `n_override` is returned when it meets the same criterion and is a
-    `ConfigError` otherwise.
+    `ConfigError` otherwise, and so is a rule size above `MAX_GRID_POINTS`.
     """
     m = 1 if n_packets == 1 else 3
     k_bound = m * xi_max / epsilon + np.sqrt(m) * eta / np.sqrt(epsilon)
@@ -244,6 +249,10 @@ def lab_grid_points(length: float, epsilon: float, xi_max: float, eta: float,
     n = 8
     while not adequate(n):
         n *= 2
+        if n > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"the lab grid rule needs more than 2**20 points at epsilon "
+                f"= {epsilon}: momentum bound K = {k_bound:.4g}")
     if n_override is None:
         return n
     if not adequate(n_override):

@@ -96,7 +96,7 @@ def _entries(spec: MatrixPotentialSpec, x, of) -> np.ndarray:
     pairs = [(i, i) for i in range(n)] + [(i, j) for i in range(n)
                                           for j in range(i, n)]
     for (i, j), e in zip(pairs, (*spec.diag, *spec.sym)):
-        val = np.broadcast_to(of(e)(x), x.shape) if x.ndim else of(e)(x)
+        val = of(e)(x)             # every tree keeps x's shape
         v[..., i, j] += val
         if i != j:
             v[..., j, i] += val

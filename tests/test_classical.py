@@ -127,12 +127,19 @@ def test_branch_curve_from_data_curvature_converges():
 
 def test_expression_branch_survives_math_domain_errors():
     # the compiled scalar path raises where numpy returns NaN; value_and_deriv
-    # then takes numpy's answer from the trees
+    # then takes numpy's answer from the compiled array forms
     branch = curve("sqrt(x)")
     with np.errstate(invalid="ignore"):
         lam, dlam = branch.value_and_deriv(-1.0)
     assert np.isnan(lam) and np.isnan(dlam)
     assert branch.value_and_deriv(4.0) == (2.0, 0.25)
+
+
+def test_constant_curvature_has_a_sample_per_time():
+    # λ'' of the branch x is the constant 0, still one sample per time
+    traj = integrate_trajectory(curve("x"), 0.0, 1.0, 0.1, 1e-2)
+    assert traj.curvature.shape == traj.times.shape == (11,)
+    assert np.all(traj.curvature == 0.0)
 
 
 def test_rejects_mismatched_horizon():

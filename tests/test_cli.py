@@ -607,6 +607,14 @@ def test_bad_command_input_is_a_config_error(tmp_path, capsys):
     # single runs one ε: an override with more, which it dropped, is refused
     cases.append(("single", ok, ["--epsilon-override", "0.0625,0.03125"],
                   "single runs one ε"))
+    # the set-up keys its steps by ε: a repeated ε was a LinAlgError
+    # traceback in superpose (exit 1) and one run fewer in converge (exit 0)
+    cases += [("superpose", CONFIGS / "superposition.json",
+               ["--epsilon-override", "0.0625,0.0625"],
+               "--epsilon-override: a value is repeated"),
+              ("converge", CONFIGS / "smoke.json",
+               ["--epsilon-override", "0.0625,0.0625,0.03125"],
+               "--epsilon-override: a value is repeated")]
     # a malformed number was a ValueError traceback (exit 1), a NaN ran on
     # (β, λ) or failed later (exit 1), and 512.5 was truncated to 512
     nan = float("nan")
@@ -625,6 +633,17 @@ def test_bad_command_input_is_a_config_error(tmp_path, capsys):
          "grid.x_min must be a finite number"),
         ({"observe_every": nan}, "observe_every must be positive and finite"),
         ({"y_half_width": nan}, "y_half_width must be positive and finite")]
+    # a grid size is at most 2**20 points: grid.n = 2**1100 was an
+    # OverflowError traceback (exit 1); a lab grid rule size above the
+    # bound is refused before the lab grid is built (dt_over_epsilon keeps
+    # the steps of ε = 1e-9 at dt = 1e-3)
+    bad_numbers += [
+        ({"grid": {"x_min": -4.0, "x_max": 4.0, "n": n}},
+         "grid.n must be at most 2**20") for n in (2**21, 2**1100)]
+    bad_numbers += [({"y_points": n}, "y_points must be at most 2**20")
+                    for n in (2**21, 2**1100)]
+    bad_numbers.append(({"epsilons": [1e-9], "dt_over_epsilon": 1e6},
+                        "the lab grid rule needs more than 2**20 points"))
     # a profile's parameters are bounded: a noise profile's "modes" of -1 was
     # an IndexError traceback (exit 1), 3000000 did not return within 30 s,
     # and true, like an infinite width, was accepted

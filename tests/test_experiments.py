@@ -553,3 +553,46 @@ def test_lockstep_calls_the_nls_step_once_per_step(monkeypatch):
     # dt = 1e-3 for the first two ε; dt = 0.05/52 for ε = 1/256
     assert calls == {1.0 / 16: [100, 2], 1.0 / 32: [100, 2],
                      1.0 / 256: [104, 2]}
+
+
+def test_a_two_packet_lane_carries_no_correction(monkeypatch, rotating_setup):
+    # the study decides the corrections: one packet carries g on the other
+    # branch, two carry none and build no `ScalarPropagator`
+    import adiapack.experiments as experiments
+
+    assert list(experiments._Lane(rotating_setup, 1.0 / 64).carried) == [(1, 0)]
+    lanes = []
+
+    class Recording(experiments._Lane):
+        def __init__(self, setup, epsilon):
+            super().__init__(setup, epsilon)
+            lanes.append(self)
+
+    def no_propagator(*args, **kwargs):
+        raise AssertionError("a two-packet lane built a ScalarPropagator")
+
+    monkeypatch.setattr(experiments, "_Lane", Recording)
+    monkeypatch.setattr(experiments, "ScalarPropagator", no_propagator)
+    p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
+    p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)
+    superposition_experiment(study(rotating_family(), (p1, p2), [1.0 / 64],
+                                   1.0, 0.1, -2.5, 2.5, options=EVERY_005))
+    assert len(lanes) == 1
+    assert lanes[0].carried == {} and lanes[0].g_props == {}
+
+
+def test_only_single_runs_keep_their_snapshot_times(harmonic_run,
+                                                     rotating_run):
+    assert list(harmonic_run.snapshots) == [0.2]
+    assert list(rotating_run.snapshots) == [0.0, 0.2]   # the default (0, T)
+    run = run_single_packet(study(HARMONIC, [GAUSSIAN_AT_1], [1.0 / 16], 0.0,
+                                  0.2, -4.0, 4.0, options=EVERY_005,
+                                  snapshot_times=(0.05, 0.15)))
+    assert list(run.snapshots) == [0.05, 0.15]
+    # a converge run keeps none, whatever the study's snapshot times
+    sweep = convergence_study(study(HARMONIC, [GAUSSIAN_AT_1],
+                                    [1.0 / 16, 1.0 / 32], 0.0, 0.2, -4.0, 4.0,
+                                    options=EVERY_005,
+                                    snapshot_times=(0.05, 0.15)))
+    assert len(sweep.runs) == 2
+    assert all(r.snapshots == {} for r in sweep.runs)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiapack.expressions import ParseError, parse_expr
+from adiapack.expressions import (_CONSTANTS, _FUNCTIONS, Call, Const, Neg,
+                                  Num, ParseError, Var, parse_expr)
 
 
 def test_basic_evaluation():
@@ -53,6 +54,10 @@ def test_precedence_and_associativity():
     # unary minus binds inside the power base
     assert parse_expr("-x^2")(3.0) == pytest.approx(9.0)
     assert parse_expr("-(x^2)")(3.0) == pytest.approx(-9.0)
+    # the compiled source keeps the tree's grouping
+    assert parse_expr("-(x+1)")(2.0) == -3.0
+    assert parse_expr("1-(x-1)")(2.0) == 0.0
+    assert parse_expr("2-(x-1)*3/(4/x)")(2.0) == 0.5
 
 
 ROUND_TRIP_CASES = [
@@ -94,6 +99,36 @@ def _wrap(children):
 def test_round_trip_random(text):
     ast = parse_expr(text)
     assert parse_expr(str(ast)) == ast
+
+
+def _walk(e, x):
+    """Reference evaluation of a tree node by node, in numpy, constants as
+    arrays of x's shape."""
+    if isinstance(e, Var):
+        return x
+    if isinstance(e, (Num, Const)):
+        return np.full(np.shape(x), e.value if isinstance(e, Num)
+                       else _CONSTANTS[e.name])
+    if isinstance(e, Neg):
+        return -_walk(e.arg, x)
+    if isinstance(e, Call):
+        return _FUNCTIONS[e.fn](_walk(e.arg, x))
+    a, b = _walk(e.left, x), _walk(e.right, x)
+    return {"+": np.add, "-": np.subtract, "*": np.multiply,
+            "/": np.divide, "^": np.power}[e.op](a, b)
+
+
+@given(st.recursive(_leaf, _wrap, max_leaves=12))
+@settings(max_examples=200, deadline=None)
+def test_compiled_array_form_matches_a_tree_walk(text):
+    # the compiled source must keep the tree's grouping and numpy's loops:
+    # the same bits as a node-by-node evaluation, NaN where it has NaN
+    x = np.linspace(-2.3, 2.7, 11)
+    tree = parse_expr(text)
+    with np.errstate(all="ignore"):
+        got, want = tree(x), _walk(tree, x)
+    assert got.shape == x.shape
+    assert np.array_equal(got, want, equal_nan=True), str(tree)
 
 
 DIFF_CASES = [
@@ -148,3 +183,10 @@ def test_derivative_rejects_variable_exponent():
 def test_second_derivative_of_harmonic():
     e = parse_expr("x^2/2")
     assert e.diff().diff()(17.3) == pytest.approx(1.0)
+
+
+def test_constant_trees_keep_the_shape_of_x():
+    x = np.linspace(-1.0, 1.0, 5)
+    for text, value in (("2", 2.0), ("pi", np.pi), ("-e", -np.e)):
+        got = parse_expr(text)(x)
+        assert got.shape == (5,) and np.all(got == value), text

@@ -177,6 +177,11 @@ def test_grid_adequacy_rule():
     assert lab_grid_points(20.0, 0.01, 1.0, eta, n_override=8192) == 8192
     with pytest.raises(ConfigError, match="adequacy"):
         lab_grid_points(20.0, 0.01, 1.0, eta, n_override=2048)
+    # a rule size above 2**20 points is refused, not returned (ε = 1e-9
+    # needed 2**33), and an infinite bound ends the doubling too
+    for eps in (1e-9, 5e-324):
+        with pytest.raises(ConfigError, match="more than 2\\*\\*20 points"):
+            lab_grid_points(8.0, eps, 1.0, 6.6)
 
 
 def test_fourier_tail_measures_the_outer_quarter_of_the_band():
