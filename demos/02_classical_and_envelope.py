@@ -13,12 +13,12 @@ exponentially (here: they breathe, since the curvature is confining).
 
 import numpy as np
 
-from adiapack.classical import BranchCurve, integrate_trajectory
+from adiapack.classical import integrate_trajectory
 from adiapack.envelope import EnvelopeStepper, envelope_moments
 from adiapack.expressions import parse_expr
 from adiapack.grids import make_grid
 
-lower = BranchCurve.from_expr(parse_expr("x^2/2 - (1+x^2)^(-1/2)"))
+lower = parse_expr("x^2/2 - (1+x^2)^(-1/2)")
 # samples every 2.5e-4: a quarter of the envelope step below, as in a run
 traj = integrate_trajectory(lower, 1.0, 0.0, 5.0, 2.5e-4)
 print("rotating-family lower branch, (x0, xi0) = (1, 0):")
@@ -30,8 +30,7 @@ for t in (0.0, 1.0, 2.5, 5.0):
           f"S={traj.action[i]:+.4f}  lambda''={traj.curvature[i]:+.4f}")
 
 print("\nfree particle check: S(t) = xi0^2 t / 2")
-free = integrate_trajectory(BranchCurve.from_expr(parse_expr("0")),
-                            0.0, 1.0, 2.0, 1e-3)
+free = integrate_trajectory(parse_expr("0"), 0.0, 1.0, 2.0, 1e-3)
 print(f"  S(2) = {free.action[-1]:.12f}  (exact 1)")
 
 print("\nenvelope along the rotating branch, Gaussian data:")

@@ -11,7 +11,7 @@ for this family.
 
 import numpy as np
 
-from adiapack.classical import BranchCurve, integrate_trajectory
+from adiapack.classical import integrate_trajectory
 from adiapack.eigenframe import (coupling_profile, frame_at, initial_frame,
                                  k_matrix, parallel_residual, transport_frame)
 from adiapack.expressions import parse_expr
@@ -30,7 +30,7 @@ for x in (-1.0, 0.0, 2.0):
     k = k_matrix(data, 1, x, 1e-3)
     print(f"  K(x={x:+.1f})[0,1] = {k[0, 1]:+.6f}")
 
-branch = BranchCurve.from_expr(parse_expr(f"x^2/2 + {JB_INV}"))
+branch = parse_expr(f"x^2/2 + {JB_INV}")
 traj = integrate_trajectory(branch, 0.0, 1.0, 2.0, 1e-3)
 z_grid = make_grid(-7.5, 7.5, 2048)
 frame = transport_frame(data, 1, traj, initial_frame(data, 1, z_grid.points),

@@ -27,9 +27,9 @@ from .grids import (SpatialGrid, SigmaNormReport, make_grid,
                     spectral_derivative, sigma_norm, l2_norm)
 from .expressions import Expr, ParseError, parse_expr
 from .potentials import (MatrixPotentialSpec, SpectralData, decompose,
-                         evaluate_potential, gap_report, gamma,
+                         branch_spline, evaluate_potential, gap_report, gamma,
                          projector_identity_residuals, growth_scan)
-from .classical import BranchCurve, ClassicalTrajectory, integrate_trajectory
+from .classical import ClassicalTrajectory, integrate_trajectory
 from .envelope import EnvelopeStepper, envelope_moments
 from .eigenframe import (EigenFrame, k_matrix, transport_frame, frame_at,
                          parallel_residual, coupling_coefficients,

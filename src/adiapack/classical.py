@@ -7,12 +7,13 @@ Integrates
 with the classic fourth-order one-step scheme at fixed dt, so trajectory
 samples line up exactly with PDE solver steps.  The curvature λ''(x(t)) is
 sampled along the path for the envelope equation, and the conserved energy
-E = ξ²/2 + λ(x) is tracked as a drift diagnostic.  A branch is either an
-expression (λ, λ', λ'' analytic: a stage calls the Python-float forms of λ
-and λ', falling back to their compiled array forms where `math` raises) or
-decomposed grid samples (the not-a-knot spline `grids.UniformCubicSpline`
-and its own derivatives).  A trajectory is its samples, read by index; only
-the transport oracle (`eigenframe`) interpolates them in t.
+E = ξ²/2 + λ(x) is tracked as a drift diagnostic.  A branch curve is
+anything called as `curve(x, nu)` for λ (nu = 0), λ' and λ'': the parsed
+diagonal entry (`expressions.Expr`, its derivatives analytic) or the
+not-a-knot spline of decomposed samples (`grids.UniformCubicSpline`, its
+derivatives its own).  Both take a scalar path on a Python float, which is
+what a stage passes.  A trajectory is its samples, read by index; only the
+transport oracle (`eigenframe`) interpolates them in t.
 """
 
 from __future__ import annotations
@@ -22,56 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverAbort
-from .expressions import Expr
-from .grids import UniformCubicSpline
 
-__all__ = ["BranchCurve", "ClassicalTrajectory", "integrate_trajectory"]
+__all__ = ["ClassicalTrajectory", "integrate_trajectory"]
 
 _BLOWUP = 1e8
-
-
-class BranchCurve:
-    """Bundle of λ, λ', λ'' evaluators for one eigenvalue branch.
-
-    `value_and_deriv(x)` gives (λ(x), λ'(x)) as Python floats at one point:
-    the trajectory's per-stage call.
-    """
-
-    def __init__(self, value, deriv, curvature, value_and_deriv):
-        self.value = value
-        self.deriv = deriv
-        self.curvature = curvature
-        self.value_and_deriv = value_and_deriv
-
-    @classmethod
-    def from_expr(cls, expr: Expr) -> "BranchCurve":
-        """Analytic evaluators; `value_and_deriv` runs λ and λ' compiled to
-        Python-float functions (`Expr.scalar_function`) and evaluates their
-        array forms only where that raises (a math domain error, where numpy
-        gives inf or NaN)."""
-        d1 = expr.diff()
-        d2 = d1.diff()
-        lam, dlam = expr.scalar_function(), d1.scalar_function()
-
-        def value_and_deriv(x):
-            try:
-                return lam(x), dlam(x)
-            except (ArithmeticError, ValueError):
-                return float(expr(x)), float(d1(x))
-
-        return cls(expr, d1, d2, value_and_deriv)
-
-    @classmethod
-    def from_data(cls, data, j: int) -> "BranchCurve":
-        """Branch evaluators from decomposed grid samples.
-
-        λ is the not-a-knot cubic spline of the tracked branch on its grid;
-        λ' and λ'' are that spline's own first and second derivatives.
-        """
-        spline = UniformCubicSpline(data.grid.x_min, data.grid.spacing,
-                                    data.branches[j])
-        return cls(spline, lambda x: spline(x, 1), lambda x: spline(x, 2),
-                   lambda x: (spline(x), spline(x, 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,15 +43,16 @@ class ClassicalTrajectory:
     energy_drift: float
 
 
-def integrate_trajectory(branch: BranchCurve, x0: float, xi0: float, T: float,
+def integrate_trajectory(curve, x0: float, xi0: float, T: float,
                          dt: float) -> ClassicalTrajectory:
-    """Fourth-order fixed-step integration of the branch Hamiltonian flow.
+    """Fourth-order fixed-step integration of the flow on the branch `curve`.
 
     The action is accumulated through the same integrator stages, so S(t) is
     fourth-order accurate as well.  Aborts if |x| or |ξ| exceeds 1e8.  The
-    state (x, ξ, S) is carried as Python floats, one `value_and_deriv` call
-    per stage; each update is the elementwise operation of the vector form of
-    the scheme, in the same order, so the samples are the same to the bit.
+    state (x, ξ, S) is carried as Python floats, with `curve(x)` and
+    `curve(x, 1)` per stage; each update is the elementwise operation of the
+    vector form of the scheme, in the same order, so the samples are the
+    same to the bit.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -104,11 +60,8 @@ def integrate_trajectory(branch: BranchCurve, x0: float, xi0: float, T: float,
     if abs(n_steps * dt - T) > 1e-12 * max(1.0, abs(T)):
         raise ValueError("T must be an integer multiple of dt")
 
-    value_and_deriv = branch.value_and_deriv
-
     def rhs(x, xi):
-        lam, dlam = value_and_deriv(x)
-        return xi, -dlam, 0.5 * xi * xi - lam
+        return xi, -curve(x, 1), 0.5 * xi * xi - curve(x)
 
     half, sixth = 0.5 * dt, dt / 6.0
     x, xi, s = float(x0), float(xi0), 0.0
@@ -131,9 +84,9 @@ def integrate_trajectory(branch: BranchCurve, x0: float, xi0: float, T: float,
 
     times = dt * np.arange(n_steps + 1)
     xs, xis, actions = out[:, 0], out[:, 1], out[:, 2]
-    lam = np.asarray(branch.value(xs), dtype=float)
-    curv = np.asarray(branch.curvature(xs), dtype=float)
-    energy0 = 0.5 * xi0 * xi0 + float(branch.value(x0))
+    lam = np.asarray(curve(xs), dtype=float)
+    curv = np.asarray(curve(xs, 2), dtype=float)
+    energy0 = 0.5 * xi0 * xi0 + float(lam[0])
     drift = float(np.max(np.abs(0.5 * xis**2 + lam - energy0)))
     return ClassicalTrajectory(times=times, x=xs, xi=xis, action=actions,
                                lam=lam, curvature=curv, energy0=energy0,

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classical import BranchCurve, integrate_trajectory
+from .classical import integrate_trajectory
 from .corrections import ScalarPropagator, assemble_correction
 from .eigenframe import coupling_profile
 from .envelope import EnvelopeStepper
@@ -54,10 +54,11 @@ from .errors import CORRECTION_NORM, ENVELOPE_SUPPORT, AdiapackError, \
     ConfigError, finite_number
 from .grids import SpatialGrid, UniformCubicSpline, centred_slice, l2_norm, \
     make_grid, sigma_norm
-from .nls import MAX_GRID_POINTS, NLSPropagator, build_initial_data, \
-    check_lab_field, check_step_mass, kappa_problem, lab_grid_points, \
-    mode_populations, spectral_half_width
-from .potentials import MatrixPotentialSpec, SpectralData, decompose
+from .nls import MAX_GRID_POINTS, MAX_POINT_STEPS, MAX_STEPS, NLSPropagator, \
+    build_initial_data, check_lab_field, check_step_mass, kappa_problem, \
+    lab_grid_points, mode_populations, spectral_half_width
+from .potentials import MatrixPotentialSpec, SpectralData, branch_spline, \
+    decompose
 
 __all__ = [
     "PacketSpec", "RunOptions", "Study", "OrderFit", "SingleRunResult",
@@ -202,14 +203,14 @@ def _phi_values(lab_grid, u_of, x_c, xi, action, epsilon):
 
 def _taylor_remainder(grid, lam, curve, x_c, phi):
     """‖(λ - 𝒯)φ‖, 𝒯 the second-order Taylor polynomial of the branch λ
-    (samples `lam`, evaluators `curve`) at x_c.
+    (samples `lam`, branch curve `curve`) at x_c.
 
     Exactly zero for quadratic branches; scales like ε^{3/2} otherwise, since
     φ concentrates at x_c on the √ε scale.
     """
     dx = grid.points - x_c
-    taylor = (float(curve.value(x_c)) + float(curve.deriv(x_c)) * dx
-              + 0.5 * float(curve.curvature(x_c)) * dx**2)
+    value, slope, curvature = (float(curve(x_c, nu)) for nu in (0, 1, 2))
+    taylor = value + slope * dx + 0.5 * curvature * dx**2
     return l2_norm(grid, (lam - taylor) * phi)
 
 
@@ -265,16 +266,16 @@ def _json_fields(report, skip=()) -> dict:
 # ---------------------------------------------------------------------------
 # the ε-free study set-up of a command, and the lockstep march of its ε
 
-def _branch_curve_for(spec: MatrixPotentialSpec, data: SpectralData,
-                      branch: int) -> BranchCurve:
-    """Analytic branch evaluators for diagonal potentials, interpolated otherwise."""
+def _branch_curve_for(spec: MatrixPotentialSpec, data: SpectralData, branch: int):
+    """The branch curve, called `curve(x, nu)`: the diagonal entry it is
+    for diagonal potentials, else `branch_spline`."""
     pts = data.grid.points
     w_mag = max(np.max(np.abs(e(pts))) for e in spec.sym) if spec.sym else 0.0
     if w_mag < 1e-14:
         for entry in spec.diag:
             if np.max(np.abs(entry(pts) - data.branches[branch])) < 1e-10:
-                return BranchCurve.from_expr(entry)
-    return BranchCurve.from_data(data, branch)
+                return entry
+    return branch_spline(data, branch)
 
 
 @dataclass(frozen=True)
@@ -411,6 +412,16 @@ def _step_rule(T: float, options: RunOptions, epsilon: float) -> _Steps:
     return _Steps(every / per_obs, per_obs, per_obs * n_obs)
 
 
+def _within(budget: int, what: str, work: dict):
+    """A `ConfigError` unless the study's total work (`work`: ε -> its
+    estimate) is within `budget`; it names the ε that needs the most."""
+    if (total := sum(work.values())) > budget:
+        eps = max(work, key=work.get)
+        raise ConfigError(f"the study needs {total:.4g} {what}, above the "
+                          f"budget of {budget:.0e}; epsilon = {eps} alone "
+                          f"needs {work[eps]:.4g}")
+
+
 def _envelopes(y_grid: SpatialGrid, pairs, lambda_coupling: float) -> tuple:
     """An `EnvelopeStepper` for each (profile, curvature samples) pair, and
     each distinct stepper's curvature.  Pairs whose samples agree byte for
@@ -527,9 +538,12 @@ def study_setup(study: Study) -> StudySetup:
     y_points), the lab grid size of every ε (a `grid.n` must meet the rule
     at all of them) and the envelopes' run window (the configured y-grid's
     smallest centred power-of-two slice that holds the measured Y_τ).  Every
-    failure is a `ConfigError` (exit 2)."""
+    failure is a `ConfigError` (exit 2), and so is a study above
+    `nls.MAX_STEPS` steps, checked first, or above `nls.MAX_POINT_STEPS`
+    lab grid point-steps, checked once the grid sizes are known."""
     spec, packets, options = study.potential, study.packets, study.options
     steps = {eps: _step_rule(study.T, options, eps) for eps in study.epsilons}
+    _within(MAX_STEPS, "steps", {eps: s.total for eps, s in steps.items()})
     y_grid = make_grid(-options.y_half_width, options.y_half_width,
                        options.y_points)
     try:
@@ -544,11 +558,12 @@ def study_setup(study: Study) -> StudySetup:
                              study.lambda_coupling, y_grid)
     except AdiapackError as exc:
         raise ConfigError(f"grid derivation failed: {exc}") from exc
+    grid_n = {eps: rule.points(eps, options.grid_n) for eps in study.epsilons}
+    _within(MAX_POINT_STEPS, "lab grid point-steps",
+            {eps: n * steps[eps].total for eps, n in grid_n.items()})
     return StudySetup(study=study, y_grid=_run_window(y_grid, rule.y_tau),
                       probe=probe, rule=rule, steps=steps,
-                      trajectories=trajectories,
-                      grid_n={eps: rule.points(eps, options.grid_n)
-                              for eps in study.epsilons})
+                      trajectories=trajectories, grid_n=grid_n)
 
 
 def _setup_of(study: Study, n_packets: int) -> StudySetup:
@@ -787,7 +802,7 @@ class _SingleObserver:
         row = (t, l2_norm(lab, psi), w_rep.value, th_rep.value,
                l2_norm(lab, psi - proj),
                _taylor_remainder(lab, data.branches[branch], self.curve,
-                                 float(traj.x[4 * step]), phi),
+                                 traj.x[4 * step], phi),
                mode_populations(psi, data))
         for values, value in zip(self.series.values(), row):
             values.append(value)

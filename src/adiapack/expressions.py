@@ -10,12 +10,14 @@ Grammar (recursive descent, '^' binds right):
 
 `jb(x)` is the japanese bracket sqrt(1 + x²).  Expressions print back to
 parseable text and support analytic differentiation in x (constant exponents
-only, which covers every potential shipped here).  A tree is rendered once as
-the source of one Python expression and compiled from it twice: `expr(x)`
-evaluates it on scalars or numpy arrays with numpy's arithmetic, and
-`Expr.scalar_function` on one Python float, for callers that evaluate at one
-point many times.  A node builds each compiled form, and its derivative, on
-first use and keeps it.
+only, which covers every potential shipped here).  `expr(x, nu)` is the nu-th
+derivative (nu = 0, 1 or 2) at x, the call of `grids.UniformCubicSpline`, so
+an expression and a spline serve alike as an eigenvalue branch.  A tree is
+rendered once as the source of one Python expression and compiled from it
+twice: an array form in numpy's arithmetic, for numpy scalars and arrays, and
+a float form in `math`, for a Python float.  A node builds each compiled
+form, and its derivative, on first use and keeps it.  The parser refuses
+input nested deeper than `MAX_NESTING` levels.
 """
 
 from __future__ import annotations
@@ -29,7 +31,11 @@ import numpy as np
 
 from .errors import AdiapackError
 
-__all__ = ["Expr", "ParseError", "parse_expr"]
+__all__ = ["Expr", "MAX_NESTING", "ParseError", "parse_expr"]
+
+# levels of '(', call, unary '-' and exponent: far below where the compiled
+# source breaks Python's limits (at 100 unary minus, two parentheses each)
+MAX_NESTING = 32
 
 _NAMES = ("sin", "cos", "tan", "tanh", "exp", "sqrt")
 _FUNCTIONS = {name: getattr(np, name) for name in _NAMES + ("abs",)}
@@ -73,10 +79,24 @@ class ParseError(AdiapackError):
 class Expr:
     """Base class for parsed expression nodes."""
 
-    def __call__(self, x):
-        """The expression at x, a scalar or a numpy array, in numpy's
-        arithmetic; a constant is an array of x's shape."""
-        return self._compiled[0](x)
+    def __call__(self, x, nu: int = 0):
+        """The nu-th derivative (nu = 0, 1 or 2) at x.  A Python float takes
+        the float form and gets a float (`math`, within about 1e-16 relative
+        of numpy; x^2 is x·x, as in numpy's `power`), or the array form's
+        answer where `math` raises (where numpy gives inf or NaN).  Any other
+        x takes the array form: numpy's arithmetic, a constant an array of
+        x's shape."""
+        if nu not in (0, 1, 2):
+            raise ValueError("nu must be 0, 1 or 2")
+        tree = self._derivative._derivative if nu == 2 else \
+            self._derivative if nu else self
+        array_form, float_form = tree._compiled
+        if type(x) is float:
+            try:
+                return float_form(x)
+            except (ArithmeticError, ValueError):
+                return float(array_form(x))
+        return array_form(x)
 
     def __str__(self):
         return self._print(1)
@@ -94,18 +114,6 @@ class Expr:
         return tuple(eval(f"lambda x: {self._source(arrays)}", dict(names))
                      for arrays, names in ((True, _ARRAY_NAMES),
                                            (False, _SCALAR_NAMES)))
-
-    def scalar_function(self):
-        """This expression as a function of one Python float, returning a float.
-
-        It is compiled from the same source as the array form, so a call does
-        no per-node dispatch.  The arithmetic is numpy's scalar
-        arithmetic (x^2 is x·x, as in numpy's `power`); powers and functions
-        come from `math`, within about 1e-16 relative of numpy's.  Where
-        numpy returns inf or NaN with a warning, this raises ValueError,
-        ZeroDivisionError or OverflowError.
-        """
-        return self._compiled[1]
 
     # precedence levels: 1 = additive, 2 = multiplicative, 3 = power, 4 = base
     _LEVEL = 4
@@ -296,42 +304,44 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Expr:
-        e = self.expr()
+        e = self.expr(0)
         kind, _, offset = self.peek()
         if kind != "end":
             raise ParseError(offset, {"an operator", "end of input"})
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
+    def expr(self, depth: int) -> Expr:
+        e = self.term(depth)
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                e = Bin(value, e, self.term())
+                e = Bin(value, e, self.term(depth))
             else:
                 return e
 
-    def term(self) -> Expr:
-        e = self.factor()
+    def term(self, depth: int) -> Expr:
+        e = self.factor(depth)
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
-                e = Bin(value, e, self.factor())
+                e = Bin(value, e, self.factor(depth))
             else:
                 return e
 
-    def factor(self) -> Expr:
-        e = self.base()
+    def factor(self, depth: int) -> Expr:
+        e = self.base(depth)
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            return Bin("^", e, self.factor())
+            return Bin("^", e, self.factor(depth + 1))
         return e
 
-    def base(self) -> Expr:
+    def base(self, depth: int) -> Expr:
         kind, value, offset = self.advance()
+        if depth > MAX_NESTING:
+            raise ParseError(offset, {f"at most {MAX_NESTING} levels of nesting"})
         if kind == "num":
             return Num(value)
         if kind == "name":
@@ -341,15 +351,15 @@ class _Parser:
                 return Const(value)
             if value in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg = self.expr(depth + 1)
                 self.expect_op(")")
                 return Call(value, arg)
             raise ParseError(offset, {"'x'", "'pi'", "'e'", "a function name"})
         if kind == "op":
             if value == "-":
-                return Neg(self.base())
+                return Neg(self.base(depth + 1))
             if value == "(":
-                e = self.expr()
+                e = self.expr(depth + 1)
                 self.expect_op(")")
                 return e
         raise ParseError(offset, {"a number", "'x'", "'('", "'-'", "a function name"})
@@ -357,7 +367,8 @@ class _Parser:
 
 def parse_expr(text: str) -> Expr:
     """Parse an expression in the grammar above; raises ParseError with the
-    byte offset and the expected-token set on malformed input."""
+    byte offset and the expected-token set on malformed input, and on input
+    nested deeper than `MAX_NESTING`."""
     if not isinstance(text, str):
         raise ParseError(0, {"an expression string"})
     return _Parser(text).parse()

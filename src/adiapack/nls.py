@@ -223,6 +223,10 @@ def spectral_half_width(y_grid: SpatialGrid, values: np.ndarray) -> float:
 # the largest lab or envelope grid a run may build: 2**20 complex points, a
 # 16 MB field; the rule's size at an ε beyond it is refused, not allocated
 MAX_GRID_POINTS = 2**20
+# a study's work, refused before it starts: its steps over all ε (16x the
+# largest shipped study's; the set-up takes about 5 s per 1e5 steps) and its
+# lab grid points times steps (330x the largest shipped study's, 3e7)
+MAX_STEPS, MAX_POINT_STEPS = 10**5, 10**10
 
 
 def lab_grid_points(length: float, epsilon: float, xi_max: float, eta: float,

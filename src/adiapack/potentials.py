@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BranchTrackingError, InvariantViolation
+from .errors import BranchTrackingError, ConfigError, InvariantViolation
 from .expressions import Expr, parse_expr
-from .grids import SpatialGrid
+from .grids import SpatialGrid, UniformCubicSpline
 
 __all__ = [
     "MatrixPotentialSpec",
@@ -34,8 +34,8 @@ __all__ = [
     "IdentityResiduals",
     "GrowthScan",
     "evaluate_potential",
-    "evaluate_potential_derivative",
     "decompose",
+    "branch_spline",
     "gap_report",
     "gamma",
     "gamma_values",
@@ -87,30 +87,29 @@ class MatrixPotentialSpec:
         )
 
 
-def _entries(spec: MatrixPotentialSpec, x, of) -> np.ndarray:
-    """D + W with every entry e replaced by `of(e)`, evaluated at x: (N, N)
-    for scalar x, (m, N, N) for an array."""
+def evaluate_potential(spec: MatrixPotentialSpec, x,
+                       nu: int = 0) -> np.ndarray:
+    """V(x), or with nu = 1 or 2 its entrywise analytic derivative: (N, N)
+    for scalar x, (m, N, N) for an array.  An entry that is not finite at
+    some x is a `ConfigError` naming its config key."""
     x = np.asarray(x, dtype=float)
     n = spec.n_levels
     v = np.zeros(x.shape + (n, n))
     pairs = [(i, i) for i in range(n)] + [(i, j) for i in range(n)
                                           for j in range(i, n)]
-    for (i, j), e in zip(pairs, (*spec.diag, *spec.sym)):
-        val = of(e)(x)             # every tree keeps x's shape
+    keys = [f"diag[{i}]" for i in range(n)] + [f"sym[{k}]" for k in
+                                               range(len(spec.sym))]
+    for (i, j), e, key in zip(pairs, (*spec.diag, *spec.sym), keys):
+        with np.errstate(all="ignore"):   # a non-finite value is refused
+            val = e(x, nu)                 # every tree keeps x's shape
+        if not np.isfinite(val).all():
+            raise ConfigError(
+                f"potential.{key}{'' if nu == 0 else f' (derivative {nu})'} "
+                f"is not finite at x = {float(x[~np.isfinite(val)][0])!r}")
         v[..., i, j] += val
         if i != j:
             v[..., j, i] += val
     return v
-
-
-def evaluate_potential(spec: MatrixPotentialSpec, x) -> np.ndarray:
-    """Evaluate V(x); returns (N, N) for scalar x, (m, N, N) for an array."""
-    return _entries(spec, x, lambda e: e)
-
-
-def evaluate_potential_derivative(spec: MatrixPotentialSpec, x) -> np.ndarray:
-    """Entrywise analytic derivative V'(x)."""
-    return _entries(spec, x, lambda e: e.diff())
 
 
 def _track_branches(xs, vals, vecs):
@@ -265,6 +264,11 @@ class SpectralData:
         return len(self.branches)
 
 
+def branch_spline(data: SpectralData, j: int) -> UniformCubicSpline:
+    """The not-a-knot spline of branch j's samples on the decomposition grid."""
+    return UniformCubicSpline(data.grid.x_min, data.grid.spacing, data.branches[j])
+
+
 def decompose(spec: MatrixPotentialSpec, grid: SpatialGrid) -> SpectralData:
     """Eigendecompose V on the grid with smooth branch renumbering.
 
@@ -393,7 +397,7 @@ def projector_identity_residuals(spec: MatrixPotentialSpec, x: float,
     dpi = (pis[:, 2] - pis[:, 0]) / (2.0 * h)
     dlam = (lam[:, 2] - lam[:, 0]) / (2.0 * h)
     pi0 = pis[:, 1]
-    dv = evaluate_potential_derivative(spec, x)
+    dv = evaluate_potential(spec, x, 1)
 
     def mnorm(m):
         return float(np.linalg.norm(m, ord=2))
@@ -480,7 +484,7 @@ def d_projectors(data: SpectralData) -> np.ndarray:
     this avoids stencil error entirely and is used to build transport
     generators.
     """
-    dv = evaluate_potential_derivative(data.spec, data.grid.points)
+    dv = evaluate_potential(data.spec, data.grid.points, 1)
     p_count = data.n_branches
     out = np.zeros_like(data.projectors)
     for j in range(p_count):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adiapack.classical import BranchCurve, integrate_trajectory
+from adiapack.classical import integrate_trajectory
 from adiapack.cli import main
 from adiapack.config import load_config
 from adiapack.corrections import averaging_probe
@@ -146,7 +146,7 @@ def test_criterion_05_eigenframe_suite():
         [f"cos(x)*{jb}", f"sin(x)*{jb}", f"-cos(x)*{jb}"],
         gap_constants=(2.0, 1.0))
     data = decompose(spec, make_grid(-8.0, 8.0, 4096))
-    branch = BranchCurve.from_expr(parse_expr(f"x^2/2 + {jb}"))
+    branch = parse_expr(f"x^2/2 + {jb}")
     traj = integrate_trajectory(branch, 0.0, 1.0, 5.0, 1e-3)
     z_grid = make_grid(-6.0, 6.0, 2048)
     frame = transport_frame(data, 1, traj, initial_frame(data, 1, z_grid.points),

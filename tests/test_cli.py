@@ -3,6 +3,7 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -706,10 +707,43 @@ def test_bad_command_input_is_a_config_error(tmp_path, capsys):
                (tmp_path / "missing.json", "cannot read the config")]
     cases += [(command, path, [], message) for path, message in shapes
               for command in ("decompose", "identities")]
+    # a potential entry that is NaN on the lab domain ran: decompose and
+    # identities exited 0 with NaN rows, single and converge 4 on the mass
+    # drift
+    rooted = {"diag": ["sqrt(x)"], "sym": ["0"]}
+    other = dict(packet, x0=-1.0, xi0=0.5)
+    cases += [(command, write_config(tmp_path, name=f"nan_{command}.json",
+                                     potential=rooted, packets=[packet, other]),
+               [], "potential.diag[0] is not finite at x = -4.0")
+              for command in ("decompose", "single", "converge", "superpose")]
+    cases.append(("identities", write_config(tmp_path, name="nan_identities.json",
+                                             potential=rooted),
+                  [], "potential.diag[0] is not finite"))
+    # deep nesting was a RecursionError traceback (250 calls) or a
+    # SyntaxError on the first evaluation (101 unary minus), exit 1
+    for i, text in enumerate(("sin(" * 250 + "x" + ")" * 250, "-" * 101 + "x")):
+        deep = write_config(tmp_path, name=f"deep{i}.json",
+                            potential={"diag": [text], "sym": ["0"]})
+        cases.append(("decompose", deep, [], "expected at most 32 levels of "
+                                             "nesting"))
+    # work without bound: ε = 2**-18 asks 1,048,600 steps and ran for days;
+    # 10,000 steps at 2**20 points are 1.05e10 point-steps
+    cases += [("converge", CONFIGS / "rotating.json",
+               ["--epsilon-override", "3.814697265625e-06"],
+               "the study needs 1.049e+06 steps, above the budget of 1e+05; "
+               "epsilon = 3.814697265625e-06 alone needs 1.049e+06"),
+              ("single", write_config(tmp_path, name="point_steps.json", T=10.0,
+                                      grid={"x_min": -4.0, "x_max": 4.0,
+                                            "n": 2**20}),
+               [], "the study needs 1.049e+10 lab grid point-steps, above the "
+                   "budget of 1e+10")]
     for i, (command, path, extra, message) in enumerate(cases):
         out = tmp_path / f"{command}{i}"
+        start = time.perf_counter()
         assert main([command, "--config", str(path), "--out", str(out)]
                     + extra) == 2
+        # the step total is refused before the set-up integrates anything
+        assert "1e+05" not in message or time.perf_counter() - start < 2.0
         assert message in capsys.readouterr().err
         record = json.loads((out / "failure.json").read_text())
         assert record["failure"] == "config"

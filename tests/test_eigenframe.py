@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from adiapack.classical import BranchCurve, integrate_trajectory
+from adiapack.classical import integrate_trajectory
 from adiapack.eigenframe import (coupling_coefficients, coupling_profile,
                                  frame_at, initial_frame, k_matrix,
                                  k_matrix_grid, parallel_residual,
                                  transport_frame)
 from adiapack.expressions import parse_expr
 from adiapack.grids import make_grid
-from adiapack.potentials import MatrixPotentialSpec, decompose, \
-    evaluate_potential
+from adiapack.potentials import MatrixPotentialSpec, branch_spline, \
+    decompose, evaluate_potential
 from tests.test_potentials import constant_direction_family, rotating_family
 
 K_ANALYTIC = np.array([[0.0, -0.5j], [0.5j, 0.0]])
@@ -24,7 +24,7 @@ def rotating_data():
 
 @pytest.fixture(scope="module")
 def upper_branch_traj():
-    branch = BranchCurve.from_expr(parse_expr("x^2/2 + (1+x^2)^(-1/2)"))
+    branch = parse_expr("x^2/2 + (1+x^2)^(-1/2)")
     return integrate_trajectory(branch, 0.0, 1.0, 1.0, 1e-3)
 
 
@@ -68,7 +68,7 @@ def test_k_matrix_grid_matches_finite_difference(rotating_data):
 
 def test_transport_constant_direction_frame_is_static():
     data = decompose(constant_direction_family(), make_grid(-9.0, 9.0, 1024))
-    branch = BranchCurve.from_data(data, 0)
+    branch = branch_spline(data, 0)
     traj = integrate_trajectory(branch, 0.5, 0.0, 1.0, 1e-3)
     z_grid = make_grid(-6.0, 6.0, 512)
     init = initial_frame(data, 0, 0.5 + z_grid.points)
@@ -85,7 +85,7 @@ def test_transported_frame_is_static_lab_frame(family, branch):
     lab = make_grid(-2.0, 2.0, 256)
     static = decompose(spec, lab).frames[branch][:, :, 0]
     wide = decompose(spec, make_grid(-5.0, 5.0, 2048))
-    traj = integrate_trajectory(BranchCurve.from_data(wide, branch), 1.0, 0.0,
+    traj = integrate_trajectory(branch_spline(wide, branch), 1.0, 0.0,
                                 2.0, 1e-3)
     z_grid = make_grid(lab.x_min - float(traj.x.max()) - 0.25,
                        lab.x_max - float(traj.x.min()) + 0.25, 1024)

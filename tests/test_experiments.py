@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adiapack.classical import BranchCurve, integrate_trajectory
+from adiapack.classical import integrate_trajectory
 from adiapack.corrections import assemble_correction
 from adiapack.envelope import EnvelopeStepper
 from adiapack.errors import ConfigError
@@ -80,7 +80,7 @@ def ansatz_at(setup, epsilon, t):
 def harmonic_trajectories(packets, T, dt=1e-3):
     """Each packet's run trajectory of step size dt on x²/2 (samples at
     dt/4), as `study_setup` integrates it."""
-    curve = BranchCurve.from_expr(parse_expr("x^2/2"))
+    curve = parse_expr("x^2/2")
     return [integrate_trajectory(curve, pk.x0, pk.xi0, T, dt / 4.0)
             for pk in packets]
 
@@ -144,7 +144,7 @@ def test_taylor_residual_below_remainder_bound(rotating_run, rotating_setup):
     xs = x_c + np.linspace(-6.0 * np.sqrt(eps), 6.0 * np.sqrt(eps), 101)
     curve = _branch_curve_for(rotating_family(),
                               decompose(rotating_family(), lab), 0)
-    third = (curve.curvature(xs + h) - curve.curvature(xs - h)) / (2.0 * h)
+    third = (curve(xs + h, 2) - curve(xs - h, 2)) / (2.0 * h)
     y = rotating_setup.y_grid.points
     y3u = np.sqrt(np.trapezoid(np.abs(y**3 * u) ** 2, y))
     bound = np.max(np.abs(third)) / 6.0 * eps**1.5 * y3u

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiapack.expressions import (_CONSTANTS, _FUNCTIONS, Call, Const, Neg,
-                                  Num, ParseError, Var, parse_expr)
+from adiapack.expressions import (_CONSTANTS, _FUNCTIONS, MAX_NESTING, Call,
+                                  Const, Neg, Num, ParseError, Var, parse_expr)
 
 
 def test_basic_evaluation():
@@ -38,6 +38,27 @@ def test_dangling_token_rejected():
     with pytest.raises(ParseError) as exc:
         parse_expr("2 x")
     assert exc.value.offset == 2
+
+
+NESTINGS = {"call": lambda k: "sin(" * k + "x" + ")" * k,
+            "minus": lambda k: "-" * k + "x",
+            "power": lambda k: "x" + "^1" * k,
+            "parentheses": lambda k: "(" * k + "x" + ")" * k}
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_nesting_is_bounded_below_the_compiler_limits(kind):
+    # one level more is a ParseError; the deepest accepted tree compiles
+    # and evaluates in both forms (past about 100 levels the compiled
+    # source overflows Python's parenthesis limit, past 250 the parser its
+    # recursion limit)
+    deepest = parse_expr(NESTINGS[kind](MAX_NESTING))
+    x = np.linspace(-1.0, 1.0, 5)
+    on_floats = [deepest(float(v)) for v in x]
+    assert all(type(v) is float for v in on_floats)
+    assert np.allclose(deepest(x), on_floats, rtol=1e-14, atol=0.0)
+    with pytest.raises(ParseError, match="levels of nesting"):
+        parse_expr(NESTINGS[kind](MAX_NESTING + 1))
 
 
 def test_vectorized_evaluation():
@@ -157,8 +178,7 @@ def test_scalar_function_of_harmonic_branch_is_bit_identical():
     e = parse_expr("x^2/2")
     x = np.random.default_rng(2).uniform(-5.0, 5.0, 2000)
     for tree in (e, e.diff()):
-        fast = tree.scalar_function()
-        assert all(fast(float(xi)) == float(tree(float(xi))) for xi in x)
+        assert all(tree(float(xi)) == float(tree(np.float64(xi))) for xi in x)
 
 
 @pytest.mark.parametrize("text", DIFF_CASES + ["x^2/2+cos(x)/(1+x^2)",
@@ -168,10 +188,9 @@ def test_scalar_function_matches_tree_walk(text):
     e = parse_expr(text)
     x = np.linspace(-2.3, 2.7, 101)
     for tree in (e, e.diff()):
-        fast = tree.scalar_function()
-        got = np.array([fast(float(xi)) for xi in x])
-        want = np.array([float(tree(float(xi))) for xi in x])
-        assert all(type(fast(float(xi))) is float for xi in x[:3])
+        got = np.array([tree(float(xi)) for xi in x])
+        want = np.array([float(tree(np.float64(xi))) for xi in x])
+        assert all(type(tree(float(xi))) is float for xi in x[:3])
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 

@@ -15,15 +15,15 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from adiapack.classical import BranchCurve, integrate_trajectory
+from adiapack.classical import integrate_trajectory
 from adiapack.corrections import ScalarPropagator
 from adiapack.envelope import EnvelopeStepper
 from adiapack.expressions import parse_expr
 from adiapack.grids import UniformCubicSpline, l2_norm, make_grid
 from adiapack.nls import NLSPropagator, coherent_packet
 from adiapack.potentials import (MatrixPotentialSpec, _track_branches,
-                                 _track_branches_loop, decompose,
-                                 evaluate_potential)
+                                 _track_branches_loop, branch_spline,
+                                 decompose, evaluate_potential)
 from tests.test_potentials import rotating_family
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -203,7 +203,7 @@ def reference_trajectory(branch, x0, xi0, T, dt):
     """RK4 over a numpy (x, ξ, S) state, with three scalar evaluator calls a stage."""
     def rhs(state):
         x, xi, _ = state
-        return np.array([xi, -branch.deriv(x), 0.5 * xi * xi - branch.value(x)])
+        return np.array([xi, -branch(x, 1), 0.5 * xi * xi - branch(x)])
 
     n_steps = int(round(T / dt))
     out = np.empty((n_steps + 1, 3))
@@ -223,10 +223,10 @@ def reference_trajectory(branch, x0, xi0, T, dt):
 def test_trajectory_byte_identical_to_array_state_rk4(kind):
     if kind == "spline":
         data = decompose(rotating_family(), make_grid(-2.5, 2.5, 2048))
-        branch = BranchCurve.from_data(data, 0)
+        branch = branch_spline(data, 0)
         x0, xi0 = 1.0, 0.0
     else:
-        branch = BranchCurve.from_expr(parse_expr("x^2/2+cos(x)/(1+x^2)"))
+        branch = parse_expr("x^2/2+cos(x)/(1+x^2)")
         x0, xi0 = -1.0, 0.5
     traj = integrate_trajectory(branch, x0, xi0, 1.0, 1e-3)
     ref = reference_trajectory(branch, x0, xi0, 1.0, 1e-3)

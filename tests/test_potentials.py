@@ -4,8 +4,7 @@ import pytest
 from adiapack.errors import InvariantViolation
 from adiapack.grids import make_grid
 from adiapack.potentials import (MatrixPotentialSpec, decompose,
-                                 evaluate_potential,
-                                 evaluate_potential_derivative, gamma,
+                                 evaluate_potential, gamma,
                                  gamma_values, gap_report, growth_scan,
                                  projector_identity_residuals)
 
@@ -54,7 +53,7 @@ def test_potential_derivative_matches_finite_difference():
     h = 1e-6
     for x in (-1.1, 0.4):
         fd = (evaluate_potential(spec, x + h) - evaluate_potential(spec, x - h)) / (2 * h)
-        assert np.allclose(evaluate_potential_derivative(spec, x), fd, atol=1e-8)
+        assert np.allclose(evaluate_potential(spec, x, 1), fd, atol=1e-8)
 
 
 def test_decompose_constant_direction_branches():

@@ -1,0 +1,30 @@
+"""The output-equivalence script `tools/same_outputs.py`."""
+
+import runpy
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+same = runpy.run_path(str(ROOT / "tools" / "same_outputs.py"))
+
+
+def test_smoke_outputs_match_themselves_and_a_perturbed_cell_is_named(tmp_path):
+    # the working tree against itself: every output byte-identical
+    assert same["main"]([str(ROOT), "--smoke", "--keep", str(tmp_path)]) == 0
+    this, other = tmp_path / "this", tmp_path / "other"
+    assert {p.name for p in (this / "converge_smoke").iterdir()} >= {
+        "convergence.csv", "report.json", "plot.gp", "stdout.txt",
+        "stderr.txt", "exit.txt"}
+    assert same["compare"](this, other) == []
+    # one cell of one CSV column moved by 1e-12 relative
+    path = other / "converge_smoke" / "convergence.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[1] = repr(float(cells[1]) * (1.0 + 1e-12))
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    report = same["compare"](this, other)
+    assert report[0] == "differs: converge_smoke/convergence.csv (this, then other)"
+    assert len(report) == 2 and report[1].startswith(
+        "  column sup_sigma1_w: max abs ")
+    rel = float(report[1].rsplit("max rel ", 1)[1])
+    assert 0.9e-12 < rel < 1.1e-12

@@ -1,0 +1,248 @@
+"""Compare this checkout's outputs with another revision's, byte for byte.
+
+    python3 tools/same_outputs.py <rev> [--smoke] [--keep <dir>]
+
+<rev> is a git revision of this repository, exported with `git archive`
+into a temporary directory, or the path of another checkout.  Both trees run
+one fixed command list, each with its own `src/` on PYTHONPATH:
+
+- `adiapack decompose` and `identities` on every shipped config;
+- `converge` on smoke, and on scalar_harmonic and rotating at ε = 1/64, 1/128;
+- `superpose` on superposition at ε = 1/32, 1/64 and on crossing_control at
+  ε = 1/64;
+- `single` on smoke and on constant_direction;
+- every script in `demos/`;
+- the acceptance suite, of which the `[PASS]`/`[FAIL]` lines are kept.
+
+`--smoke` runs only decompose, identities, converge and single on smoke.
+Every file a command writes (CSVs, `report.json`, snapshots, `plot.gp`),
+its stdout and stderr (with each tree's own path replaced by `<tree>`) and
+its exit code are compared byte for byte.  Where a file differs, the report
+gives the largest absolute and relative difference of each CSV column and
+each JSON key (list indices read as `[*]`), or the first differing line of
+any other text.  Exit status: 0 when every output is identical, 1 when any
+differs, 2 when the revision cannot be exported.  There is no tolerance.
+`--keep <dir>` keeps the outputs in <dir>/this and <dir>/other.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ("constant_direction", "crossing_control", "rotating",
+           "scalar_harmonic", "smoke", "superposition")
+
+
+def _cli(command, config, epsilons=None):
+    label = f"{command}_{config}"
+    args = [command, "--config", f"configs/{config}.json"]
+    if epsilons:
+        args += ["--epsilon-override", epsilons]
+    return label, [sys.executable, "-m", "adiapack.cli", *args]
+
+
+def command_list(smoke: bool) -> list:
+    """(label, argv) of every run; a label is also its output directory."""
+    if smoke:
+        return [_cli(c, "smoke") for c in ("decompose", "identities",
+                                            "converge", "single")]
+    runs = [_cli(c, cfg) for cfg in CONFIGS for c in ("decompose", "identities")]
+    runs += [_cli("converge", "smoke"),
+             _cli("converge", "scalar_harmonic", "0.015625,0.0078125"),
+             _cli("converge", "rotating", "0.015625,0.0078125"),
+             _cli("superpose", "superposition", "0.03125,0.015625"),
+             _cli("superpose", "crossing_control", "0.015625"),
+             _cli("single", "smoke"), _cli("single", "constant_direction")]
+    runs += [(f"demo_{path.stem}", [sys.executable, f"{{tree}}/demos/{path.name}"])
+             for path in sorted((ROOT / "demos").glob("*.py"))]
+    runs.append(("acceptance", [sys.executable, "-m", "pytest", "-q", "-s",
+                                "-p", "no:cacheprovider",
+                                "tests/test_acceptance.py"]))
+    return runs
+
+
+def run(tree: Path, label: str, argv: list, out: Path):
+    """Run one command of the list in `tree`, its outputs into out/label."""
+    where = out / label
+    where.mkdir(parents=True)
+    argv = [a.format(tree=tree) for a in argv]
+    if argv[2:3] == ["adiapack.cli"]:
+        argv += ["--out", str(where)]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONIOENCODING="utf-8")
+    # a demo runs where it may write files; the rest from the tree's root
+    cwd = where if label.startswith("demo_") else tree
+    proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True,
+                          encoding="utf-8", errors="replace")
+    stdout, stderr = (s.replace(str(tree), "<tree>").replace(str(where), "<out>")
+                      for s in (proc.stdout, proc.stderr))
+    if label == "acceptance":   # the PASS lines only, not pytest's timing
+        stdout = "".join(line + "\n" for line in stdout.splitlines()
+                         if line.startswith(("[PASS]", "[FAIL]")))
+        stderr = ""
+    (where / "stdout.txt").write_text(stdout, encoding="utf-8")
+    (where / "stderr.txt").write_text(stderr, encoding="utf-8")
+    (where / "exit.txt").write_text(f"{proc.returncode}\n", encoding="utf-8")
+
+
+def _number(text):
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return None
+
+
+def _worst(pairs):
+    """The largest absolute and relative difference over numeric pairs;
+    None when a pair is not numeric and differs."""
+    big_abs = big_rel = 0.0
+    for a, b in pairs:
+        if a == b:
+            continue
+        x, y = _number(a), _number(b)
+        if x is None or y is None or math.isnan(x - y):
+            return None
+        d = abs(x - y)
+        big_abs = max(big_abs, d)
+        big_rel = max(big_rel, d / max(abs(x), abs(y)) if d else 0.0)
+    return big_abs, big_rel
+
+
+def _report(name, pairs_by_key) -> list:
+    lines = []
+    for key, pairs in pairs_by_key.items():
+        if all(a == b for a, b in pairs):
+            continue
+        worst = _worst(pairs)
+        lines.append(f"  {name} {key}: text differs" if worst is None else
+                     f"  {name} {key}: max abs {worst[0]:.3g}, "
+                     f"max rel {worst[1]:.3g}")
+    return lines
+
+
+def _csv_columns(text):
+    rows = list(csv.reader(io.StringIO(text)))
+    return (rows[0] if rows else []), rows[1:]
+
+
+def _diff_csv(a: str, b: str) -> list:
+    head_a, rows_a = _csv_columns(a)
+    head_b, rows_b = _csv_columns(b)
+    if head_a != head_b or len(rows_a) != len(rows_b):
+        return [f"  header or row count: {head_a} {len(rows_a)} rows, "
+                f"{head_b} {len(rows_b)} rows"]
+    columns = {}
+    for ra, rb in zip(rows_a, rows_b):
+        if len(ra) != len(rb):
+            return ["  a row has a different number of cells"]
+        for k, (x, y) in enumerate(zip(ra, rb)):
+            name = head_a[k] if k < len(head_a) else f"#{k}"
+            columns.setdefault(name, []).append((x, y))
+    return _report("column", columns)
+
+
+def _leaves(value, at=""):
+    if isinstance(value, dict):
+        for k in sorted(value):
+            yield from _leaves(value[k], f"{at}.{k}" if at else str(k))
+    elif isinstance(value, list):
+        for v in value:
+            yield from _leaves(v, at + "[*]")
+    else:
+        yield at, value
+
+
+def _diff_json(a: str, b: str) -> list:
+    try:
+        la, lb = list(_leaves(json.loads(a))), list(_leaves(json.loads(b)))
+    except ValueError:
+        return _diff_text(a, b)
+    if [k for k, _ in la] != [k for k, _ in lb]:
+        return ["  the JSON documents have different keys"]
+    keys = {}
+    for (k, x), (_, y) in zip(la, lb):
+        keys.setdefault(k or "(root)", []).append((json.dumps(x), json.dumps(y)))
+    return _report("key", keys)
+
+
+def _diff_text(a: str, b: str) -> list:
+    la, lb = a.splitlines(), b.splitlines()
+    for i, (x, y) in enumerate(zip(la, lb)):
+        if x != y:
+            return [f"  line {i + 1}: {x!r}", f"  against: {y!r}"]
+    return [f"  {len(la)} lines against {len(lb)}"]
+
+
+def compare(this: Path, other: Path) -> list:
+    """The report of every output that differs between two output trees
+    (each `run`'s directories); empty when all are byte-identical."""
+    files = {p.relative_to(this) for p in this.rglob("*") if p.is_file()}
+    files_other = {p.relative_to(other) for p in other.rglob("*") if p.is_file()}
+    lines = []
+    for rel in sorted(files ^ files_other):
+        lines.append(f"only in {'this' if rel in files else 'other'}: {rel}")
+    for rel in sorted(files & files_other):
+        a, b = (this / rel).read_bytes(), (other / rel).read_bytes()
+        if a == b:
+            continue
+        ta, tb = a.decode("utf-8", "replace"), b.decode("utf-8", "replace")
+        diff = {".csv": _diff_csv, ".json": _diff_json}.get(rel.suffix, _diff_text)
+        lines += [f"differs: {rel} (this, then other)"] + diff(ta, tb)
+    return lines
+
+
+def _export(rev: str, where: Path) -> Path:
+    """`rev` as a directory: the path of a checkout, or `git archive` of a
+    revision of this repository unpacked under `where`."""
+    if Path(rev).is_dir():
+        return Path(rev).resolve()
+    proc = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                          capture_output=True)
+    if proc.returncode:
+        print(f"same_outputs: cannot export {rev}: "
+              f"{proc.stderr.decode(errors='replace').strip()}", file=sys.stderr)
+        raise SystemExit(2)
+    tree = where / "tree"
+    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
+        tar.extractall(tree, filter="data")
+    return tree
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="a git revision, or the path of a checkout")
+    parser.add_argument("--smoke", action="store_true",
+                        help="only the smoke config's four commands")
+    parser.add_argument("--keep", type=Path, default=None,
+                        help="keep the outputs in <dir>/this and <dir>/other")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        base = args.keep or Path(tmp)
+        other_tree = _export(args.rev, Path(tmp))
+        runs = command_list(args.smoke)
+        jobs = [(tree, label, cmd, base / side) for side, tree in
+                (("this", ROOT), ("other", other_tree)) for label, cmd in runs]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(lambda job: run(*job), jobs))
+        lines = compare(base / "this", base / "other")
+    for line in lines:
+        print(line)
+    verdict = "differ" if lines else "are identical"
+    print(f"same_outputs: the outputs of {len(runs)} runs here and at "
+          f"{args.rev} {verdict}")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
