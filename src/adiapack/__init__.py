@@ -27,7 +27,7 @@ from .grids import (SpatialGrid, SigmaNormReport, make_grid,
                     spectral_derivative, sigma_norm, l2_norm)
 from .expressions import Expr, ParseError, parse_expr
 from .potentials import (MatrixPotentialSpec, SpectralData, decompose,
-                         branch_spline, evaluate_potential, gap_report, gamma,
+                         branch_spline, evaluate_potential, gap_report,
                          projector_identity_residuals, growth_scan)
 from .classical import ClassicalTrajectory, integrate_trajectory
 from .envelope import EnvelopeStepper, envelope_moments

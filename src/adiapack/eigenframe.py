@@ -39,7 +39,7 @@ import numpy as np
 from .errors import SolverAbort
 from .grids import SpatialGrid, UniformCubicSpline, spectral_derivative
 from .potentials import SpectralData, d_projectors, evaluate_potential, \
-    orthonormalize, _local_spectral
+    orthonormalize, _tracked_spectrum
 
 __all__ = [
     "EigenFrame",
@@ -68,7 +68,7 @@ def k_matrix(data: SpectralData, j: int, x: float, h: float) -> np.ndarray:
     Hermitian by construction: the commutator of two Hermitian matrices is
     anti-Hermitian, and -i times anti-Hermitian is Hermitian.
     """
-    _, pis = _local_spectral(data.spec, [x - h, x, x + h])
+    *_, pis = _tracked_spectrum(data.spec, [x - h, x, x + h])
     dpi = (pis[j, 2] - pis[j, 0]) / (2.0 * h)
     pi = pis[j, 1]
     return -1j * (pi @ dpi - dpi @ pi)

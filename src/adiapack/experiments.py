@@ -53,10 +53,10 @@ from .envelope import EnvelopeStepper
 from .errors import CORRECTION_NORM, ENVELOPE_SUPPORT, AdiapackError, \
     ConfigError, finite_number
 from .grids import SpatialGrid, UniformCubicSpline, centred_slice, l2_norm, \
-    make_grid, sigma_norm
+    make_grid, sigma_norm, unit_phase
 from .nls import MAX_GRID_POINTS, MAX_POINT_STEPS, MAX_STEPS, NLSPropagator, \
-    build_initial_data, check_lab_field, check_step_mass, kappa_problem, \
-    lab_grid_points, mode_populations, spectral_half_width
+    _project, build_initial_data, check_lab_field, check_step_mass, \
+    kappa_problem, lab_grid_points, mode_populations, spectral_half_width
 from .potentials import MatrixPotentialSpec, SpectralData, branch_spline, \
     decompose
 
@@ -166,36 +166,29 @@ class PacketSpec:
 # ---------------------------------------------------------------------------
 # the ansatz and its error norms
 
-def _envelope_spline(y_grid: SpatialGrid, u_vals) -> UniformCubicSpline:
-    """The not-a-knot cubic spline of envelope samples on the y-grid, NaN
-    outside it.  It reads `u_vals` without a copy: evaluate it before the
-    samples' stepper advances."""
-    return UniformCubicSpline(y_grid.x_min, y_grid.spacing, u_vals,
-                              extrapolate=False)
-
-
 def _phi_values(lab_grid, u_of, x_c, xi, action, epsilon):
-    """φ on the lab grid from `u_of`, the envelope's `_envelope_spline`, and
-    the path's point (x_c, ξ) and action S at the same time.
+    """φ on the lab grid from `u_of`, the envelope's spline on the y-grid,
+    and the path's point (x_c, ξ) and action S at the same time.
 
-    u is evaluated at y = (x - x_c)/√ε.  The spline and the phase are
-    evaluated only on a contiguous run of lab indices that holds every y of
-    the y-domain, with a point of margin on each side (where the spline's
-    NaN outside its knots becomes 0); every other lab point is 0.  The run
-    has the same length at every call, so its temporaries keep one size
-    (runs that followed the window's edges point for point fragmented the
-    heap).  The samples come from an `EnvelopeStepper`, which has checked
-    that they vanish at the y-domain edges.
+    u is evaluated at y = (x - x_c)/√ε, and is 0 where y leaves the knots.
+    The spline and the phase are evaluated only on a contiguous run of lab
+    indices that holds every y of the y-domain, with a point of margin on
+    each side; every other lab point is 0.  The run has the same length at
+    every call, so its temporaries keep one size (runs that followed the
+    window's edges point for point fragmented the heap).  The samples come
+    from an `EnvelopeStepper`, which has checked that they vanish at the
+    y-domain edges.
     """
     root = np.sqrt(epsilon)
     span = root * (u_of.knots[-1] - u_of.knots[0]) / lab_grid.spacing
     width = min(lab_grid.n, int(np.ceil(span)) + 4)
     first = (x_c + root * u_of.knots[0] - lab_grid.x_min) / lab_grid.spacing
     lo = min(max(0, int(np.floor(first)) - 1), lab_grid.n - width)
-    x = lab_grid.points[lo:lo + width]
-    u = u_of((x - x_c) / root)
-    u[np.isnan(u)] = 0.0
-    phase = np.exp(1j * (action + xi * (x - x_c)) / epsilon)
+    dx = lab_grid.points[lo:lo + width] - x_c
+    y = dx / root
+    u = u_of(y)
+    u[(y < u_of.knots[0]) | (y > u_of.knots[-1])] = 0.0
+    phase = unit_phase((action + xi * dx) / epsilon)
     out = np.zeros(lab_grid.n, dtype=complex)
     out[lo:lo + width] = epsilon**-0.25 * u * phase
     return out
@@ -686,8 +679,10 @@ class _Lockstep:
                 self._fail(lane.epsilon, exc)
 
     def _splines(self):
-        """Each packet's envelope spline, built once per distinct envelope."""
-        built = {env: _envelope_spline(self.setup.y_grid, env.values)
+        """Each packet's envelope spline, built once per distinct envelope;
+        it reads the samples without a copy, so read it before they move."""
+        y = self.setup.y_grid
+        built = {env: UniformCubicSpline(y.x_min, y.spacing, env.values)
                  for env in self.curvatures}
         return [built[env] for env in self.envs]
 
@@ -798,7 +793,7 @@ class _SingleObserver:
         corrections = lane.corrections()
         g = assemble_correction(corrections, data) if corrections else None
         w_rep, th_rep = _error_norms(psi, [(phi, lane.chis[0])], lab, eps, g)
-        proj = np.einsum("nab,nb->na", data.projectors[branch], psi)
+        proj = _project(data.projectors[branch], psi)
         row = (t, l2_norm(lab, psi), w_rep.value, th_rep.value,
                l2_norm(lab, psi - proj),
                _taylor_remainder(lab, data.branches[branch], self.curve,

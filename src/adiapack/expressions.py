@@ -13,17 +13,18 @@ parseable text and support analytic differentiation in x (constant exponents
 only, which covers every potential shipped here).  `expr(x, nu)` is the nu-th
 derivative (nu = 0, 1 or 2) at x, the call of `grids.UniformCubicSpline`, so
 an expression and a spline serve alike as an eigenvalue branch.  A tree is
-rendered once as the source of one Python expression and compiled from it
+rendered once as the source of one Python function and compiled from it
 twice: an array form in numpy's arithmetic, for numpy scalars and arrays, and
-a float form in `math`, for a Python float.  A node builds each compiled
-form, and its derivative, on first use and keeps it.  The parser refuses
-input nested deeper than `MAX_NESTING` levels.
+a float form in `math`, for a Python float.  A node builds each, and its
+derivative, on first use without recursion and keeps it.  The parser refuses
+input past `MAX_NESTING` levels of nesting or `MAX_NODES` nodes.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,11 +32,15 @@ import numpy as np
 
 from .errors import AdiapackError
 
-__all__ = ["Expr", "MAX_NESTING", "ParseError", "parse_expr"]
+__all__ = ["Expr", "MAX_NESTING", "MAX_NODES", "ParseError", "parse_expr"]
 
 # levels of '(', call, unary '-' and exponent: far below where the compiled
 # source breaks Python's limits (at 100 unary minus, two parentheses each)
 MAX_NESTING = 32
+# nodes, one per number, name and operator: the printer, the one recursive
+# walk, fails past 500 levels of a left-deep chain (2 nodes a level); past
+# _INLINE_PARENS '(' a node's source goes to a local (Python refuses 200)
+MAX_NODES, _INLINE_PARENS = 256, 64
 
 _NAMES = ("sin", "cos", "tan", "tanh", "exp", "sqrt")
 _FUNCTIONS = {name: getattr(np, name) for name in _NAMES + ("abs",)}
@@ -107,13 +112,31 @@ class Expr:
 
     @cached_property
     def _derivative(self) -> "Expr":
+        # the derivatives below first, so that no `_diff` recurses
+        for e in _post_order(self, lambda e: "_derivative" in vars(e))[:-1]:
+            e._derivative
         return self._diff()
 
     @cached_property
     def _compiled(self) -> tuple:   # (array form, Python-float form)
-        return tuple(eval(f"lambda x: {self._source(arrays)}", dict(names))
-                     for arrays, names in ((True, _ARRAY_NAMES),
-                                           (False, _SCALAR_NAMES)))
+        scopes = dict(_ARRAY_NAMES), dict(_SCALAR_NAMES)
+        for arrays, scope in zip((True, False), scopes):
+            exec(self._program(arrays), scope)
+        return tuple(scope["f"] for scope in scopes)
+
+    def _program(self, arrays: bool) -> str:
+        """`def f(x)`: a node used twice (a derivative shares its operand's
+        subtrees) is computed once into a local, bit for bit, others inline."""
+        order = _post_order(self)
+        uses = Counter(id(c) for e in order for c in _children(e))
+        text, lines = {}, []   # id(node) -> its source, or its local's name
+        for e in order:
+            source = e._source(arrays, text)
+            if _children(e) and (uses[id(e)] > 1 or source.count("(") > _INLINE_PARENS):
+                lines.append(f"    t{len(lines)} = {source}\n")
+                source = f"t{len(lines) - 1}"
+            text[id(e)] = source
+        return "def f(x):\n" + "".join(lines) + f"    return {text[id(self)]}\n"
 
     # precedence levels: 1 = additive, 2 = multiplicative, 3 = power, 4 = base
     _LEVEL = 4
@@ -129,7 +152,7 @@ class Expr:
 class Num(Expr):
     value: float
 
-    def _source(self, arrays):
+    def _source(self, arrays, text):
         return _literal(self.value, arrays)
 
     def _print_inner(self):
@@ -141,7 +164,7 @@ class Num(Expr):
 
 @dataclass(frozen=True)
 class Var(Expr):
-    def _source(self, arrays):
+    def _source(self, arrays, text):
         return "x"
 
     def _print_inner(self):
@@ -155,7 +178,7 @@ class Var(Expr):
 class Const(Expr):
     name: str
 
-    def _source(self, arrays):
+    def _source(self, arrays, text):
         return _literal(_CONSTANTS[self.name], arrays)
 
     def _print_inner(self):
@@ -169,8 +192,8 @@ class Const(Expr):
 class Neg(Expr):
     arg: Expr
 
-    def _source(self, arrays):
-        return f"(-({self.arg._source(arrays)}))"
+    def _source(self, arrays, text):
+        return f"(-({text[id(self.arg)]}))"
 
     def _print_inner(self):
         return "-" + self.arg._print(4)
@@ -189,8 +212,8 @@ class Bin(Expr):
     def _LEVEL(self):
         return {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}[self.op]
 
-    def _source(self, arrays):
-        a, b = self.left._source(arrays), self.right._source(arrays)
+    def _source(self, arrays, text):
+        a, b = text[id(self.left)], text[id(self.right)]
         if self.op == "^":
             return f"pow({a}, {b})"
         # Python's precedence and left associativity are the grammar's, so
@@ -216,7 +239,7 @@ class Bin(Expr):
         if self.op == "/":
             num = Bin("-", Bin("*", da, self.right), Bin("*", self.left, db))
             return Bin("/", num, Bin("^", self.right, Num(2.0)))
-        if _contains_var(self.right):
+        if any(isinstance(e, Var) for e in _post_order(self.right)):
             raise ValueError("cannot differentiate an expression with x in an exponent")
         down = Bin("^", self.left, Bin("-", self.right, Num(1.0)))
         return Bin("*", Bin("*", self.right, down), da)
@@ -227,8 +250,8 @@ class Call(Expr):
     fn: str
     arg: Expr
 
-    def _source(self, arrays):
-        return f"{self.fn}({self.arg._source(arrays)})"
+    def _source(self, arrays, text):
+        return f"{self.fn}({text[id(self.arg)]})"
 
     def _print_inner(self):
         return f"{self.fn}({self.arg._print(1)})"
@@ -255,9 +278,22 @@ class Call(Expr):
         return Bin("*", outer, du)
 
 
-def _contains_var(e: Expr) -> bool:
-    return isinstance(e, Var) or any(_contains_var(getattr(e, child)) for child
-                                     in ("arg", "left", "right") if hasattr(e, child))
+def _children(e: Expr) -> tuple:
+    return tuple(getattr(e, f) for f in ("arg", "left", "right") if hasattr(e, f))
+
+
+def _post_order(root: Expr, done=lambda e: False) -> list:
+    """Each node at or below `root` once, children first, without recursion;
+    a node for which `done` holds is left out with its subtree."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        e, expanded = stack.pop()
+        if expanded:
+            order.append(e)
+        elif id(e) not in seen and not done(e):
+            seen.add(id(e))
+            stack += [(e, True)] + [(c, False) for c in _children(e)[::-1]]
+    return order
 
 
 _TOKEN_RE = re.compile(
@@ -286,6 +322,10 @@ class _Parser:
             else:
                 self.tokens.append(("op", m.group("op"), m.start("op")))
             pos = m.end()
+        nodes = [t for t in self.tokens if t[0] != "op" or t[1] not in "()"]
+        if len(nodes) > MAX_NODES:
+            raise ParseError(nodes[MAX_NODES][2], {
+                f"at most {MAX_NODES} numbers, names and operators"})
         self.tokens.append(("end", None, len(text)))
         self.i = 0
 
@@ -368,7 +408,7 @@ class _Parser:
 def parse_expr(text: str) -> Expr:
     """Parse an expression in the grammar above; raises ParseError with the
     byte offset and the expected-token set on malformed input, and on input
-    nested deeper than `MAX_NESTING`."""
+    past `MAX_NESTING` or `MAX_NODES`."""
     if not isinstance(text, str):
         raise ParseError(0, {"an expression string"})
     return _Parser(text).parse()

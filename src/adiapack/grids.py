@@ -23,7 +23,6 @@ two against each other).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -163,13 +162,12 @@ class UniformCubicSpline:
     for uniform x.  `values` is (n, ...), real or complex, with n ≥ 4 (shorter
     input raises ValueError).  A call evaluates along axis 0 and returns
     x.shape + values.shape[1:]; `nu` = 1 or 2 gives the spline's own first or
-    second derivative.  Outside [x0, x0 + (n-1)h] the end cubics extrapolate,
-    or the result is NaN when `extrapolate` is False.  A Python float (or int)
-    x on 1-D samples takes a scalar path in Python arithmetic that returns a
-    Python number, the same to the bit as the array path at that point.
+    second derivative; the end cubics extrapolate outside the knots.  A Python
+    float (or int) x on 1-D samples takes a scalar path in Python arithmetic,
+    which returns a Python number with the array path's bits at that point.
     """
 
-    def __init__(self, x0: float, h: float, values, extrapolate: bool = True):
+    def __init__(self, x0: float, h: float, values):
         y = np.asarray(values)
         y = y.astype(np.result_type(y.dtype, float), copy=False)
         if y.ndim == 0 or y.shape[0] < 4:
@@ -177,7 +175,6 @@ class UniformCubicSpline:
         if not h > 0:
             raise ValueError("knot spacing h must be positive")
         self.x0, self.h, self.n = float(x0), float(h), y.shape[0]
-        self.extrapolate = bool(extrapolate)
         self.knots = self.x0 + self.h * np.arange(self.n)
         s = _not_a_knot_slopes(y, self.h)
         m = (y[1:] - y[:-1]) / self.h
@@ -200,21 +197,14 @@ class UniformCubicSpline:
         d = (x - self.knots[idx]).reshape(x.shape + (1,) * (self._coef[0].ndim - 1))
         c0, c1, c2, c3 = (c[idx] for c in self._coef)
         if nu == 0:
-            out = _horner(d, c3, c2, c1, c0)
-        elif nu == 1:
-            out = _horner(d, 3.0 * c3, 2.0 * c2, c1)
-        else:
-            out = _horner(d, 6.0 * c3, 2.0 * c2)
-        if not self.extrapolate:
-            out = np.asarray(out)
-            out[(x < self.knots[0]) | (x > self.knots[-1])] = np.nan
-        return out
+            return _horner(d, c3, c2, c1, c0)
+        if nu == 1:
+            return _horner(d, 3.0 * c3, 2.0 * c2, c1)
+        return _horner(d, 6.0 * c3, 2.0 * c2)
 
     def _scalar(self, x, nu):
         """The array path's operations, in the same order, on Python numbers."""
         knots, c0, c1, c2, c3 = self._lists
-        if not self.extrapolate and not knots[0] <= x <= knots[-1]:
-            return math.nan
         t = (x - self.x0) / self.h
         last = self.n - 2
         i = int(t) if 0.0 <= t < last else (last if t >= last else 0)

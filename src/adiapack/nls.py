@@ -193,14 +193,19 @@ def check_lab_field(values: np.ndarray, t: float) -> float:
     return FOURIER_TAIL.check(fourier_tail(values), where=where)
 
 
+def _project(projector: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Π ψ of (n, N, N) `projector` and (n, N) `values`: Σ_b Π[:, :, b] ψ[:, b]."""
+    out = projector[:, :, 0] * values[:, :1]
+    for b in range(1, values.shape[1]):
+        out += projector[:, :, b] * values[:, b:b + 1]
+    return out
+
+
 def mode_populations(values: np.ndarray, v_data: SpectralData) -> np.ndarray:
     """Branch masses ‖Π_j ψ‖² of the (n, N) samples `values` on the
     decomposition's grid (they sum to the total mass)."""
-    out = np.empty(v_data.n_branches)
-    for j in range(v_data.n_branches):
-        proj = np.einsum("nab,nb->na", v_data.projectors[j], values)
-        out[j] = l2_norm(v_data.grid, proj) ** 2
-    return out
+    return np.array([l2_norm(v_data.grid, _project(pi, values)) ** 2
+                     for pi in v_data.projectors])
 
 
 def spectral_half_width(y_grid: SpatialGrid, values: np.ndarray) -> float:

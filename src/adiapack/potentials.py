@@ -13,8 +13,8 @@ The module also ships consistency suites for the projector calculus:
     ∂Π_j = Σ_k ( Π_k (∂Π_j) Π_j + Π_j (∂Π_j) Π_k )
     (λ_j − λ_k) (∂Π_j) Π_k = Π_j (∂V − ∂λ_j) Π_k      (and its left variant)
 
-plus growth scans for the inverse gap γ_{j,k} = (λ_k − λ_j)^{-1} and the
-projector derivatives against the weights ⟨x⟩^{n0+β(1+n0)} and ⟨x⟩^{β(1+n0)}.
+plus the inverse gap γ_{j,k} = (λ_k − λ_j)^{-1} (`gamma_values`) and growth
+scans for it and ∂^β Π_j against the weights ⟨x⟩^{n0+β(1+n0)}, ⟨x⟩^{β(1+n0)}.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "decompose",
     "branch_spline",
     "gap_report",
-    "gamma",
     "gamma_values",
     "projector_identity_residuals",
     "growth_scan",
@@ -225,13 +224,18 @@ def _group_branches(xs, vals, multiplicities):
 
 
 def _tracked_spectrum(spec: MatrixPotentialSpec, xs):
-    """V at the ordered points xs, its eigenpairs tracked along xs
-    (`_track_branches`) and their grouping into the declared multiplets."""
+    """(V, (P, m) branches λ_j, frames, (P, m, N, N) projectors Π_j) at the
+    ordered points xs: eigh's pairs tracked along xs (`_track_branches`) and
+    grouped into the declared multiplets, whose frames are reorthonormalized."""
     xs = np.asarray(xs, dtype=float)
     v = evaluate_potential(spec, xs)
-    raw_vals, raw_vecs = np.linalg.eigh(v)
-    vals, vecs = _track_branches(xs, raw_vals, raw_vecs)
-    return v, vals, vecs, _group_branches(xs, vals, spec.multiplicities)
+    vals, vecs = _track_branches(xs, *np.linalg.eigh(v))
+    groups = _group_branches(xs, vals, spec.multiplicities)
+    branches = np.stack([vals[:, g].mean(axis=1) for g in groups])
+    frames = [orthonormalize(vecs[:, :, g]) if len(g) > 1 else vecs[:, :, g]
+              for g in groups]
+    projectors = np.stack([np.einsum("nak,nbk->nab", f, f) for f in frames])
+    return v, branches, frames, projectors
 
 
 def orthonormalize(cols: np.ndarray) -> np.ndarray:
@@ -248,13 +252,13 @@ def orthonormalize(cols: np.ndarray) -> np.ndarray:
 class SpectralData:
     """Tracked eigendecomposition of V on a grid.
 
-    branches[j] is λ_j on the grid; frames[j] is an (n, N, d_j) array of
-    orthonormal eigenvectors; projectors[j] is (n, N, N).
+    branches[j] is λ_j on the grid, a row of a (P, n) array; frames[j] is an
+    (n, N, d_j) array of orthonormal eigenvectors; projectors[j] is (n, N, N).
     """
 
     spec: MatrixPotentialSpec
     grid: SpatialGrid
-    branches: list = field(repr=False)
+    branches: np.ndarray = field(repr=False)
     frames: list = field(repr=False)
     projectors: np.ndarray = field(repr=False)
     multiplicities: tuple = ()
@@ -270,26 +274,13 @@ def branch_spline(data: SpectralData, j: int) -> UniformCubicSpline:
 
 
 def decompose(spec: MatrixPotentialSpec, grid: SpatialGrid) -> SpectralData:
-    """Eigendecompose V on the grid with smooth branch renumbering.
-
-    One batched `eigh` over the grid; `_track_branches` then matches and signs
-    the columns for all points at once, point by point only where eigh's order
-    of the eigenvalues changes along the grid.  Declared multiplicities
-    d_j > 1 group branches whose distance stays below 1e-10 on the whole
-    grid; in-group frames are reorthonormalized by `orthonormalize`.
-    """
-    v, vals, vecs, groups = _tracked_spectrum(spec, grid.points)
-    branches, frames = [], []
-    projectors = np.zeros((len(groups), grid.n, spec.n_levels, spec.n_levels))
-    for j, g in enumerate(groups):
-        branches.append(vals[:, g].mean(axis=1))
-        cols = orthonormalize(vecs[:, :, g]) if len(g) > 1 else vecs[:, :, g]
-        frames.append(cols)
-        projectors[j] = np.einsum("nak,nbk->nab", cols, cols)
-
+    """Eigendecompose V on the grid (`_tracked_spectrum`), branches renumbered
+    to stay smooth; declared multiplicities d_j > 1 group branches whose
+    distance stays below 1e-10 on the whole grid."""
+    v, branches, frames, projectors = _tracked_spectrum(spec, grid.points)
     data = SpectralData(spec=spec, grid=grid, branches=branches, frames=frames,
                         projectors=projectors,
-                        multiplicities=tuple(len(g) for g in groups))
+                        multiplicities=tuple(f.shape[2] for f in frames))
     _validate_spectral(data, v)
     return data
 
@@ -339,28 +330,6 @@ def gamma_values(data: SpectralData, j: int, k: int) -> np.ndarray:
     return 1.0 / diff
 
 
-def gamma(data: SpectralData, j: int, k: int, x_index: int) -> float:
-    if j == k:
-        raise ValueError("gamma needs two distinct branches")
-    diff = data.branches[k][x_index] - data.branches[j][x_index]
-    if diff == 0.0:
-        raise ZeroDivisionError(
-            f"zero gap between branches at x = {data.grid.points[x_index]}"
-        )
-    return float(1.0 / diff)
-
-
-def _local_spectral(spec: MatrixPotentialSpec, xs):
-    """Tracked branches/projectors at a short ordered sequence of points."""
-    _, vals, vecs, groups = _tracked_spectrum(spec, xs)
-    lam = np.stack([vals[:, g].mean(axis=1) for g in groups], axis=0)
-    pis = np.stack(
-        [np.einsum("nak,nbk->nab", vecs[:, :, g], vecs[:, :, g]) for g in groups],
-        axis=0,
-    )
-    return lam, pis  # shapes (P, m), (P, m, N, N)
-
-
 @dataclass(frozen=True)
 class IdentityResiduals:
     """Spectral norms of the five projector-calculus identities at one point."""
@@ -387,7 +356,7 @@ def projector_identity_residuals(spec: MatrixPotentialSpec, x: float,
     x ± h; ∂V is analytic.  All residuals are O(h²) on smooth families and
     vanish to roundoff when the eigenvectors do not depend on x.
     """
-    lam, pis = _local_spectral(spec, [x - h, x, x + h])
+    _, lam, _, pis = _tracked_spectrum(spec, [x - h, x, x + h])
     p_count = lam.shape[0]
     gaps = [abs(lam[j, 1] - lam[k, 1]) for j in range(p_count)
             for k in range(p_count) if j != k]
@@ -459,7 +428,7 @@ def growth_scan(spec: MatrixPotentialSpec, j: int, k: int, beta: int,
     g_ratios = np.empty(xs.shape)
     p_ratios = np.empty(xs.shape)
     for i, x in enumerate(xs):
-        lam, pis = _local_spectral(spec, [x - h, x, x + h])
+        _, lam, _, pis = _tracked_spectrum(spec, [x - h, x, x + h])
         gam = 1.0 / (lam[k] - lam[j])
         if beta == 0:
             dg = gam[1]

@@ -726,6 +726,14 @@ def test_bad_command_input_is_a_config_error(tmp_path, capsys):
                             potential={"diag": [text], "sym": ["0"]})
         cases.append(("decompose", deep, [], "expected at most 32 levels of "
                                              "nesting"))
+    # a long flat sum or product was a RecursionError traceback (exit 1):
+    # the parser builds it iteratively, a left-deep tree one level per term
+    for i, text in enumerate(("x^2/2" + "+0*x" * 1000, "x" + "*1" * 1000)):
+        flat = write_config(tmp_path, name=f"flat{i}.json",
+                            potential={"diag": [text], "sym": ["0"]})
+        cases.append(("decompose", flat, [], "potential.diag[0]: syntax error "
+                      "at offset 256: expected at most 256 numbers, names and "
+                      "operators"))
     # work without bound: ε = 2**-18 asks 1,048,600 steps and ran for days;
     # 10,000 steps at 2**20 points are 1.05e10 point-steps
     cases += [("converge", CONFIGS / "rotating.json",

@@ -6,12 +6,12 @@ from adiapack.corrections import assemble_correction
 from adiapack.envelope import EnvelopeStepper
 from adiapack.errors import ConfigError
 from adiapack.experiments import (PacketSpec, RunOptions, Study,
-                                  _branch_curve_for, _envelope_spline,
-                                  _error_norms, _phi_values, convergence_study,
+                                  _branch_curve_for, _error_norms,
+                                  _phi_values, convergence_study,
                                   fit_order, make_profile, run_single_packet,
                                   study_setup, superposition_experiment)
 from adiapack.expressions import parse_expr
-from adiapack.grids import l2_norm, make_grid, sigma_norm
+from adiapack.grids import UniformCubicSpline, l2_norm, make_grid, sigma_norm
 from adiapack.nls import build_initial_data
 from adiapack.potentials import MatrixPotentialSpec, decompose
 from tests.test_potentials import rotating_family
@@ -60,7 +60,7 @@ def ansatz_at(setup, epsilon, t):
     """(lab grid, u(t) on the run window, φ(t) on the lab grid) of the
     set-up's one packet at ε, built from the pieces a run uses: an
     `EnvelopeStepper` along the set-up's run trajectory (step s at the
-    curvature of its midpoint sample 4s - 2), `_envelope_spline` and
+    curvature of its midpoint sample 4s - 2), the envelope's spline and
     `_phi_values` at sample 4s."""
     (packet,), dt = setup.study.packets, setup.steps[epsilon].dt
     (traj,), y_grid = setup.trajectories[dt], setup.y_grid
@@ -73,8 +73,9 @@ def ansatz_at(setup, epsilon, t):
     lab = make_grid(probe.x_min, probe.x_max, setup.grid_n[epsilon])
     u = env.values.copy()
     i = 4 * steps
-    return lab, u, _phi_values(lab, _envelope_spline(y_grid, u), traj.x[i],
-                               traj.xi[i], traj.action[i], epsilon)
+    u_of = UniformCubicSpline(y_grid.x_min, y_grid.spacing, u)
+    return lab, u, _phi_values(lab, u_of, traj.x[i], traj.xi[i],
+                               traj.action[i], epsilon)
 
 
 def harmonic_trajectories(packets, T, dt=1e-3):

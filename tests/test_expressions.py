@@ -1,10 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiapack.expressions import (_CONSTANTS, _FUNCTIONS, MAX_NESTING, Call,
-                                  Const, Neg, Num, ParseError, Var, parse_expr)
+from adiapack.expressions import (_CONSTANTS, _FUNCTIONS, MAX_NESTING,
+                                  MAX_NODES, Call, Const, Neg, Num, ParseError,
+                                  Var, parse_expr)
+from adiapack.grids import make_grid
 
 
 def test_basic_evaluation():
@@ -94,6 +98,55 @@ ROUND_TRIP_CASES = [
 ]
 
 
+def _chain(k, op="/"):
+    return "x" + f"{op}x" * k
+
+
+# the longest chains of each operator (one level per two nodes), and one
+# inside 31 calls, whose derivatives nest a parenthesis per node
+LONGEST = {op: "-" + _chain((MAX_NODES - 2) // 2, op) for op in "+-*/"}
+LONGEST["calls"] = "jb(" * 31 + _chain((MAX_NODES - 32) // 2) + ")" * 31
+
+
+@pytest.mark.parametrize("kind", LONGEST)
+def test_node_budget_is_below_the_walks_limits(kind):
+    # the largest accepted trees compile their second derivatives in both
+    # forms and print; one node more is a ParseError (a derivative was a
+    # RecursionError past about 300 terms of a sum, 100 of a quotient)
+    tree = parse_expr(LONGEST[kind])
+    assert parse_expr(str(tree)) == tree
+    x = np.linspace(0.5, 1.5, 5)
+    with np.errstate(all="ignore"):
+        for nu in (0, 1, 2):
+            assert tree(x, nu).shape == x.shape
+            assert type(tree(0.7, nu)) is float
+    with pytest.raises(ParseError, match=f"at most {MAX_NODES} numbers"):
+        parse_expr("-" + LONGEST[kind])
+
+
+def _nested(levels):
+    text = "x"
+    for _ in range(levels):
+        text = f"sin(x/({text}+2))"
+    return text
+
+
+def test_a_shared_subtree_is_computed_once():
+    # a derivative shares its operand's subtrees: written out once per use,
+    # the 16-level λ'' source was 400,860 characters and its first
+    # evaluation took 0.9 s
+    tree = parse_expr(_nested(16))
+    x = make_grid(-4.0, 4.0, 4096).points
+    start = time.perf_counter()
+    with np.errstate(all="ignore"):   # x/(x + 2) at x = -2
+        values = tree(x, 2)
+    assert time.perf_counter() - start < 0.1
+    assert len(tree.diff().diff()._program(True)) < 20_000
+    with np.errstate(all="ignore"):
+        walked = _walk(tree.diff().diff(), x[::512])
+    assert np.array_equal(values[::512], walked, equal_nan=True)
+
+
 @pytest.mark.parametrize("text", ROUND_TRIP_CASES)
 def test_parse_print_parse_identity(text):
     ast = parse_expr(text)
@@ -143,13 +196,19 @@ def _walk(e, x):
 @settings(max_examples=200, deadline=None)
 def test_compiled_array_form_matches_a_tree_walk(text):
     # the compiled source must keep the tree's grouping and numpy's loops:
-    # the same bits as a node-by-node evaluation, NaN where it has NaN
+    # the same bits as a node-by-node evaluation, NaN where it has NaN; a
+    # derivative's shared nodes are computed once, with the bits of each use
     x = np.linspace(-2.3, 2.7, 11)
     tree = parse_expr(text)
-    with np.errstate(all="ignore"):
-        got, want = tree(x), _walk(tree, x)
-    assert got.shape == x.shape
-    assert np.array_equal(got, want, equal_nan=True), str(tree)
+    try:
+        trees = [tree, tree.diff(), tree.diff().diff()]
+    except ValueError:   # x in an exponent
+        trees = [tree]
+    for nu, walked in enumerate(trees):
+        with np.errstate(all="ignore"):
+            got, want = tree(x, nu), _walk(walked, x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, want, equal_nan=True), (nu, str(tree))
 
 
 DIFF_CASES = [

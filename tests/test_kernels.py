@@ -19,7 +19,7 @@ from adiapack.classical import integrate_trajectory
 from adiapack.corrections import ScalarPropagator
 from adiapack.envelope import EnvelopeStepper
 from adiapack.expressions import parse_expr
-from adiapack.grids import UniformCubicSpline, l2_norm, make_grid
+from adiapack.grids import UniformCubicSpline, l2_norm, make_grid, unit_phase
 from adiapack.nls import NLSPropagator, coherent_packet
 from adiapack.potentials import (MatrixPotentialSpec, _track_branches,
                                  _track_branches_loop, branch_spline,
@@ -239,17 +239,17 @@ def test_trajectory_byte_identical_to_array_state_rk4(kind):
 @pytest.mark.parametrize("half_width", [20.0, 80.0])
 def test_phi_on_the_window_equals_the_full_grid_form(x_c, half_width):
     # the plain form evaluates the spline and the phase at every lab point
-    # and zeroes the spline's NaN outside the y-domain: the same values
-    from adiapack.experiments import _envelope_spline, _phi_values
+    # and zeroes the points whose y lies outside the y-domain: the same values
+    from adiapack.experiments import _phi_values
 
     lab = make_grid(-4.0, 4.0, 2048)
     y_grid = make_grid(-half_width, half_width, 1024)
     u = gaussian(y_grid.points) * np.exp(0.2j * y_grid.points)
-    u_of = _envelope_spline(y_grid, u)
+    u_of = UniformCubicSpline(y_grid.x_min, y_grid.spacing, u)
     eps, xi, action = 1.0 / 128, 0.7, 0.25
     y = (lab.points - x_c) / np.sqrt(eps)
     plain = u_of(y)
-    plain[np.isnan(plain)] = 0.0
+    plain[(y < u_of.knots[0]) | (y > u_of.knots[-1])] = 0.0
     plain = eps**-0.25 * plain * np.exp(
         1j * (action + xi * (lab.points - x_c)) / eps)
     phi = _phi_values(lab, u_of, x_c, xi, action, eps)
@@ -291,24 +291,38 @@ def test_uniform_spline_rejects_fewer_than_four_samples():
         UniformCubicSpline(0.0, 0.1, [0.0, 1.0, 4.0])
 
 
-def test_uniform_spline_nan_outside_grid():
-    grid = make_grid(-2.0, 2.0, 64)
-    values = np.exp(-grid.points**2) * (1.0 + 0.5j * grid.points)
-    inside = UniformCubicSpline(grid.x_min, grid.spacing, values, extrapolate=False)
-    ends = UniformCubicSpline(grid.x_min, grid.spacing, values)
-    last = grid.points[-1]
-    x = np.array([grid.x_min - 1e-9, grid.x_min, 0.3, last, last + 1e-9, 5.0])
-    out = inside(x)
-    assert np.array_equal(np.isnan(out), [True, False, False, False, True, True])
-    assert np.array_equal(out[1:4], ends(x[1:4]))
-    assert np.isnan(inside(float(last) + 1e-9)) and not np.isnan(inside(float(last)))
+@pytest.mark.parametrize("x_c", [0.5e-9, -0.5e-9, 1.3])
+def test_phi_is_zero_exactly_where_y_leaves_the_knots(x_c):
+    # y = (x - x_c)/√ε = 2x ∓ 1e-9 puts the lab point x = -4 just beyond
+    # the first knot (x_c > 0) or x = 3.875 just beyond the last (x_c < 0),
+    # where the end cubic extrapolates to about 0.02; half the lab grid
+    # lies outside the run of points that φ evaluates
+    from adiapack.experiments import _phi_values
+
+    lab = make_grid(-8.0, 8.0, 512)
+    y_grid = make_grid(-8.0, 8.0, 64)
+    u = (1.0 + 0.5j * y_grid.points) * np.exp(-y_grid.points**2 / 16.0)
+    u_of = UniformCubicSpline(y_grid.x_min, y_grid.spacing, u)
+    eps, xi, action = 0.25, 0.7, 0.25
+    phi = _phi_values(lab, u_of, x_c, xi, action, eps)
+    y = (lab.points - x_c) / np.sqrt(eps)
+    outside = (y < u_of.knots[0]) | (y > u_of.knots[-1])
+    assert not phi[outside].any()
+    if x_c != 1.3:
+        edge = y_grid.points[0] if x_c > 0 else y_grid.points[-1]
+        beyond = np.abs(y - edge) < 2e-9
+        assert beyond.sum() == 1 and outside[beyond].all()
+        assert abs(u_of(y[beyond])[0]) > 0.01
+    x, y = lab.points[~outside], y[~outside]
+    want = eps**-0.25 * u_of(y) * unit_phase((action + xi * (x - x_c)) / eps)
+    assert np.array_equal(phi[~outside], want)
+    assert np.count_nonzero(phi) == np.count_nonzero(want) > 200
 
 
-@pytest.mark.parametrize("extrapolate", [True, False])
-def test_uniform_spline_scalar_path_equals_array_path(extrapolate):
+def test_uniform_spline_scalar_path_equals_array_path():
     grid = make_grid(-2.5, 2.5, 512)
     values = np.sin(3.0 * grid.points) / (1.0 + grid.points**2)
-    spline = UniformCubicSpline(grid.x_min, grid.spacing, values, extrapolate)
+    spline = UniformCubicSpline(grid.x_min, grid.spacing, values)
     x = np.random.default_rng(5).uniform(-2.7, 2.7, 500)
     x[:3] = grid.points[[0, 200, -1]]
     for nu in (0, 1, 2):

@@ -4,7 +4,7 @@ import pytest
 from adiapack.errors import InvariantViolation
 from adiapack.grids import make_grid
 from adiapack.potentials import (MatrixPotentialSpec, decompose,
-                                 evaluate_potential, gamma,
+                                 evaluate_potential,
                                  gamma_values, gap_report, growth_scan,
                                  projector_identity_residuals)
 
@@ -175,10 +175,10 @@ def test_gamma_values_and_antisymmetry():
     grid = make_grid(-5.0, 5.0, 128)
     data = decompose(diagonal_family(), grid)
     # branch 0 has λ = 0, branch 1 has λ = 1
-    assert gamma(data, 0, 1, 10) == pytest.approx(1.0)
+    assert gamma_values(data, 0, 1)[10] == pytest.approx(1.0)
     i_mid = grid.n // 2
     rot = decompose(rotating_family(), grid)
-    assert gamma(rot, 0, 1, i_mid) == pytest.approx(0.5, abs=1e-12)
+    assert gamma_values(rot, 0, 1)[i_mid] == pytest.approx(0.5, abs=1e-12)
     g01 = gamma_values(rot, 0, 1)
     g10 = gamma_values(rot, 1, 0)
     assert np.array_equal(g01, -g10)
@@ -252,8 +252,5 @@ def test_gamma_zero_gap_reports_location():
     spec = MatrixPotentialSpec.from_strings(["x", "-x"], ["0", "0", "0"])
     grid = make_grid(-4.0, 4.0, 256)
     data = decompose(spec, grid)
-    i0 = np.argmin(np.abs(grid.points))
     with pytest.raises(ZeroDivisionError, match="x = 0.0"):
-        gamma(data, 0, 1, int(i0))
-    with pytest.raises(ZeroDivisionError):
         gamma_values(data, 0, 1)

@@ -20,8 +20,10 @@ its stdout and stderr (with each tree's own path replaced by `<tree>`) and
 its exit code are compared byte for byte.  Where a file differs, the report
 gives the largest absolute and relative difference of each CSV column and
 each JSON key (list indices read as `[*]`), or the first differing line of
-any other text.  Exit status: 0 when every output is identical, 1 when any
-differs, 2 when the revision cannot be exported.  There is no tolerance.
+any other text.  The summary also gives the line count of `src/` (its `.py`
+files, as `wc -l` counts) in both trees.  Exit status: 0 when every output
+is identical, 1 when any differs, 2 when the revision cannot be exported.
+There is no tolerance.
 `--keep <dir>` keeps the outputs in <dir>/this and <dir>/other.
 """
 
@@ -202,6 +204,11 @@ def compare(this: Path, other: Path) -> list:
     return lines
 
 
+def src_lines(tree: Path) -> int:
+    """The newlines in the `.py` files under the tree's `src/`."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src").rglob("*.py"))
+
+
 def _export(rev: str, where: Path) -> Path:
     """`rev` as a directory: the path of a checkout, or `git archive` of a
     revision of this repository unpacked under `where`."""
@@ -236,11 +243,13 @@ def main(argv=None) -> int:
         with ThreadPoolExecutor(max_workers=2) as pool:
             list(pool.map(lambda job: run(*job), jobs))
         lines = compare(base / "this", base / "other")
+        sizes = src_lines(ROOT), src_lines(other_tree)
     for line in lines:
         print(line)
     verdict = "differ" if lines else "are identical"
     print(f"same_outputs: the outputs of {len(runs)} runs here and at "
-          f"{args.rev} {verdict}")
+          f"{args.rev} {verdict}; src/ has {sizes[0]} lines here and "
+          f"{sizes[1]} there")
     return 1 if lines else 0
 
 
