@@ -7,7 +7,8 @@ Integrates
 with the classic fourth-order one-step scheme at fixed dt, so trajectory
 samples line up exactly with PDE solver steps.  The curvature λ''(x(t)) is
 sampled along the path for the envelope equation, and the conserved energy
-E = ξ²/2 + λ(x) is tracked as a drift diagnostic.  A branch curve is
+E = ξ²/2 + λ(x) is tracked as a drift diagnostic; |x| and |ξ| are bounded
+by `errors.TRAJECTORY_BLOWUP` at every step.  A branch curve is
 anything called as `curve(x, nu)` for λ (nu = 0), λ' and λ'': the parsed
 diagonal entry (`expressions.Expr`, its derivatives analytic) or the
 not-a-knot spline of decomposed samples (`grids.UniformCubicSpline`, its
@@ -22,11 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverAbort
+from .errors import TRAJECTORY_BLOWUP
 
 __all__ = ["ClassicalTrajectory", "integrate_trajectory"]
-
-_BLOWUP = 1e8
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +47,8 @@ def integrate_trajectory(curve, x0: float, xi0: float, T: float,
     """Fourth-order fixed-step integration of the flow on the branch `curve`.
 
     The action is accumulated through the same integrator stages, so S(t) is
-    fourth-order accurate as well.  Aborts if |x| or |ξ| exceeds 1e8.  The
+    fourth-order accurate as well.  A NaN or past-tolerance x or ξ trips
+    `errors.TRAJECTORY_BLOWUP`, so the branch must be finite on the path.  The
     state (x, ξ, S) is carried as Python floats, with `curve(x)` and
     `curve(x, 1)` per stage; each update is the elementwise operation of the
     vector form of the scheme, in the same order, so the samples are the
@@ -63,7 +63,7 @@ def integrate_trajectory(curve, x0: float, xi0: float, T: float,
     def rhs(x, xi):
         return xi, -curve(x, 1), 0.5 * xi * xi - curve(x)
 
-    half, sixth = 0.5 * dt, dt / 6.0
+    half, sixth, tol = 0.5 * dt, dt / 6.0, TRAJECTORY_BLOWUP.tol
     x, xi, s = float(x0), float(xi0), 0.0
     out = np.empty((n_steps + 1, 3))
     out[0] = (x, xi, s)
@@ -75,11 +75,9 @@ def integrate_trajectory(curve, x0: float, xi0: float, T: float,
         x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         xi = xi + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         s = s + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-        if abs(x) > _BLOWUP or abs(xi) > _BLOWUP:
-            raise SolverAbort(
-                f"trajectory blow-up at t = {(i + 1) * dt}: "
-                f"x = {x:.3e}, xi = {xi:.3e}"
-            )
+        if not (abs(x) <= tol and abs(xi) <= tol):   # NaN-safe, per step
+            TRAJECTORY_BLOWUP.check(np.abs((x, xi)).max(),
+                                    where=f" at t = {(i + 1) * dt}")
         out[i + 1] = (x, xi, s)
 
     times = dt * np.arange(n_steps + 1)

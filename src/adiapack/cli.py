@@ -21,13 +21,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import load_config
-from .errors import ConfigError, InvariantViolation, SolverAbort
+from .errors import AdiapackError, ConfigError
 from .experiments import (convergence_study, run_single_packet,
                           superposition_experiment)
 from .grids import make_grid
@@ -258,29 +259,15 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot use {out} as the output directory: "
                               f"{exc}") from exc
         return _COMMANDS[args.command](study, out, args)
-    except ConfigError as exc:
-        for line in exc.errors:
-            print(f"config error: {line}", file=sys.stderr)
-        _write_failure(out, "config", exc.errors)
+    except AdiapackError as exc:   # each class carries its own report
+        for line in exc.messages:
+            print(f"{exc.label}: {line}", file=sys.stderr)
+        if out is not None:
+            with suppress(OSError):   # an unusable `out` gets no record
+                out.mkdir(parents=True, exist_ok=True)
+                write_json(out / "failure.json",
+                           {"failure": exc.kind, "messages": exc.messages})
         return exc.exit_code
-    except InvariantViolation as exc:
-        print(f"numerical invariant failed: {exc}", file=sys.stderr)
-        _write_failure(out, "invariant", [str(exc)])
-        return exc.exit_code
-    except SolverAbort as exc:
-        print(f"runtime abort: {exc}", file=sys.stderr)
-        _write_failure(out, "abort", [str(exc)])
-        return exc.exit_code
-
-
-def _write_failure(out, kind, messages):
-    if out is None:
-        return
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "failure.json", {"failure": kind, "messages": messages})
-    except OSError:
-        pass
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverAbort
+from .errors import FRAME_RESIDUAL
 from .grids import SpatialGrid, UniformCubicSpline, spectral_derivative
 from .potentials import SpectralData, d_projectors, evaluate_potential, \
     orthonormalize, _tracked_spectrum
@@ -54,7 +54,6 @@ __all__ = [
 ]
 
 _REORTH_EVERY = 100
-_RESIDUAL_ABORT = 1e-6
 
 
 def _cdot(a, b):
@@ -121,7 +120,7 @@ def transport_frame(data: SpectralData, j: int, traj, initial_vectors: np.ndarra
     at z + x(t) from its grid samples.  Unitarity is re-enforced by
     reorthonormalization (`potentials.orthonormalize`) every 100 steps, a
     fixed count (the drift before each correction is logged, never hidden).
-    Aborts if the frame stops being an eigenframe to within 1e-6.
+    Aborts (`errors.FRAME_RESIDUAL`) if the frame stops being an eigenframe.
     """
     if T is None:
         T = float(traj.times[-1])
@@ -163,26 +162,22 @@ def transport_frame(data: SpectralData, j: int, traj, initial_vectors: np.ndarra
     vectors = np.stack(slices, axis=0)
 
     # invariant sweep over the stored slices
-    gram_dev = 0.0
-    resid = 0.0
+    gram_devs, resids = [], []
     eye = np.eye(vectors.shape[3])
     check_idx = np.unique(np.linspace(0, len(times) - 1, min(len(times), 16)).astype(int))
     for i in check_idx:
         yv = vectors[i]
         gram = np.einsum("zal,zam->zlm", np.conj(yv), yv)
-        gram_dev = max(gram_dev, float(np.max(np.abs(gram - eye))))
+        gram_devs.append(np.max(np.abs(gram - eye)))
         xpos = z + float(x_of(times[i]))
         vmat = evaluate_potential(data.spec, xpos)
         lam = lam_spline(xpos)
         res = np.einsum("zab,zbl->zal", vmat, yv) - lam[:, None, None] * yv
-        resid = max(resid, float(np.max(np.sqrt(np.sum(np.abs(res) ** 2, axis=1)))))
-    if resid > _RESIDUAL_ABORT:
-        raise SolverAbort(
-            f"transported frame lost eigenvector property: residual {resid:.3e} "
-            f"(gap too small or dt too large)"
-        )
+        resids.append(np.max(np.sqrt(np.sum(np.abs(res) ** 2, axis=1))))
+    resid = FRAME_RESIDUAL.check(np.max(resids))   # NaN-safe, unlike max()
     return EigenFrame(branch=j, times=times, z_grid=z_grid, vectors=vectors,
-                      x_of=x_of, xi_of=xi_of, gram_deviation=gram_dev,
+                      x_of=x_of, xi_of=xi_of,
+                      gram_deviation=float(np.max(gram_devs)),
                       eigen_residual=resid, reorth_drift=tuple(drift_log))
 
 

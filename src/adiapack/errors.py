@@ -1,47 +1,46 @@
 """Exception hierarchy and the one guard policy shared across the package.
 
-Each class carries the exit code the `adiapack` command returns for it:
-configuration problems (2), violated numerical invariants (3), and runtime
-aborts such as blow-up guards or mass-drift trips (4).  Every run-time
-invariant of a march is one `Guard` below, with one tolerance and one class
-at every call site.  The march is the lockstep march of `experiments`
-(`_Lockstep`), behind every run; the grid rule's sizing march drives the
-same `EnvelopeStepper`:
+Each class carries its exit code and its report (the failure `kind` of
+`failure.json` and the `label` of each stderr line): `ConfigError` (2),
+`InvariantViolation` (3) and `SolverAbort` (4).  Every threshold that bounds
+a value from above is one `Guard` below, one tolerance and one class at every
+call site, and a NaN fails it.  The march is the lockstep march of
+`experiments` behind every run; the sizing march of `experiments.study_setup`,
+where any failure is a `ConfigError`, drives the same `EnvelopeStepper` on the
+same trajectories.
 
-* `MASS_DRIFT`: |‖ψ‖ - ‖ψ₀‖| after each NLS step above 1e-9 · max(1, ‖ψ₀‖),
-  `SolverAbort` (exit 4); `nls.check_step_mass`, after every step of the
-  lockstep march.
+* `TRAJECTORY_BLOWUP`: max(|x|, |ξ|) above 1e8, `SolverAbort`; after every
+  step of `classical.integrate_trajectory`.
+* `PROJECTOR_COMPLETENESS`: |Σ_j Π_j − 1| above 1e-11, then
+  `DECOMPOSITION_RESIDUAL`: |VΠ_j − λ_j Π_j| above 1e-9, `InvariantViolation`;
+  at every point of a `potentials.decompose` grid.
+* `FRAME_RESIDUAL`: |Vχ − λχ| of a transported frame above 1e-6,
+  `SolverAbort`; `eigenframe.transport_frame`, the oracle.
+* `MASS_DRIFT`: |‖ψ‖ - ‖ψ₀‖| above 1e-9 · max(1, ‖ψ₀‖), `SolverAbort`; after
+  every NLS step of the march (`nls.check_step_mass`).
 * `BOUNDARY`: max |ψ| at the ends of the lab grid above 1e-8,
-  `InvariantViolation` (exit 3); at every observation of the lockstep march
-  (`nls.check_lab_field`).
-* `FOURIER_TAIL`: the fraction of ψ's energy at |k| ≥ ¾ k_Nyquist above
-  τ = 1e-20, `SolverAbort` (exit 4); at every observation of the lockstep
-  march, after the boundary.  τ also defines η_τ in
+  `InvariantViolation`, then `FOURIER_TAIL`: the fraction of ψ's energy at
+  |k| ≥ ¾ k_Nyquist above τ = 1e-20, `SolverAbort`; at every observation of
+  the march (`nls.check_lab_field`).  τ also defines η_τ in
   `experiments.lab_grid_rule`.
-* `ENVELOPE_EDGE`: max |u| at the ends of the y-grid above
-  1e-8 · max(1, ‖u₀‖), `InvariantViolation` (exit 3); `EnvelopeStepper` on
-  its initial profile and after every step, in the lockstep march and in the
-  grid rule's sizing march.  The sizing march runs in
-  `experiments.study_setup` before any lab grid is sized, where the failure
-  is a `ConfigError` (exit 2), like every failure of the set-up.
-* `ENVELOPE_MASS`: |‖u‖ - ‖u₀‖| after each envelope step above
-  1e-8 · max(1, ‖u₀‖), `SolverAbort` (exit 4).
-* `ENVELOPE_SUPPORT`: τ_y = 1e-13, a cut rather than a guard.  The grid
-  rule's sizing march measures Y_τ, the largest |y| at which |u| exceeds
-  τ_y · max|u| at any of its steps, and the run envelopes march on the
-  smallest centred power-of-two slice of the y-grid that holds |y| ≤ Y_τ
-  (`experiments.lab_grid_rule` and `experiments.study_setup`).  τ_y sits
-  above the FFT roundoff floor (about 1e-15 of the peak), which fills the
-  whole y-grid after the first step; `ENVELOPE_EDGE` guards the ends of
-  that run window at every step.
+* `ENVELOPE_EDGE`: max |u| at the ends of the y-grid above 1e-8 · max(1, ‖u₀‖),
+  `InvariantViolation`, on the initial profile and after every step, and
+  `ENVELOPE_MASS`: |‖u‖ - ‖u₀‖| after each step above the same, `SolverAbort`;
+  `EnvelopeStepper`.
 * `CORRECTION_NORM`: the L² norm of a correction component above 1e6,
-  `SolverAbort` (exit 4); at every observation of a single-packet run
-  (`experiments.run_single_packet` and `experiments.convergence_study`).
+  `SolverAbort`; at every observation of a single-packet run.
 
-Checks outside the marches keep their own thresholds and classes: the
-trajectory blow-up guard (|x| or |ξ| above 1e8, exit 4), the transport
-oracle's eigen-residual (above 1e-6, exit 4), and the decomposition's
-projector completeness (1e-11) and eigen-residual (1e-9), both exit 3.
+`ENVELOPE_SUPPORT`, τ_y = 1e-13, is a cut, not a guard: the run envelopes
+march on the smallest centred power-of-two slice of the y-grid that holds
+every |y| where the sizing march saw |u| above τ_y · max|u| (Y_τ).  τ_y sits
+above the FFT roundoff floor (about 1e-15 of the peak), which fills the whole
+y-grid after the first step; `ENVELOPE_EDGE` guards that window's ends.
+
+Three checks are no `Guard`, as none bounds a value from above; each is an
+`InvariantViolation` in `potentials`: two lower bounds, the branch-tracking
+tie (eigenvalue distances within 1e-14, `BranchTrackingError`) and the
+identities' degenerate gap (below 1e-12), and a count, the declared
+multiplicities against the grouping found on the grid.
 """
 
 import math
@@ -61,13 +60,17 @@ def finite_number(value) -> bool:
 
 
 class AdiapackError(Exception):
-    exit_code = 1
+    exit_code, kind, label = 1, "error", "error"
+
+    @property
+    def messages(self) -> list:   # the report's lines
+        return [str(self)]
 
 
 class ConfigError(AdiapackError):
     """Invalid configuration. Carries the full list of violations."""
 
-    exit_code = 2
+    exit_code, kind, label = 2, "config", "config error"
 
     def __init__(self, errors):
         if isinstance(errors, str):
@@ -75,11 +78,15 @@ class ConfigError(AdiapackError):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
 
+    @property
+    def messages(self) -> list:
+        return self.errors
+
 
 class InvariantViolation(AdiapackError):
     """A numerical invariant (orthonormality, residual bound, ...) failed."""
 
-    exit_code = 3
+    exit_code, kind, label = 3, "invariant", "numerical invariant failed"
 
 
 class BranchTrackingError(InvariantViolation):
@@ -93,7 +100,7 @@ class BranchTrackingError(InvariantViolation):
 class SolverAbort(AdiapackError):
     """A propagation run tripped a guard (blow-up, mass drift, resonance)."""
 
-    exit_code = 4
+    exit_code, kind, label = 4, "abort", "runtime abort"
 
 
 @dataclass
@@ -115,6 +122,13 @@ class Guard:
         return float(value)
 
 
+TRAJECTORY_BLOWUP = Guard("trajectory blow-up max(|x|, |ξ|)", 1e8, SolverAbort)
+PROJECTOR_COMPLETENESS = Guard("projector completeness |ΣΠ - 1|", 1e-11,
+                               InvariantViolation)
+DECOMPOSITION_RESIDUAL = Guard("eigen-residual |VΠ - λΠ|", 1e-9,
+                               InvariantViolation)
+FRAME_RESIDUAL = Guard("transported frame eigen-residual", 1e-6, SolverAbort,
+                       "gap too small or dt too large")
 MASS_DRIFT = Guard("mass drift", 1e-9, SolverAbort)
 BOUNDARY = Guard("boundary magnitude", 1e-8, InvariantViolation,
                  "enlarge the domain")

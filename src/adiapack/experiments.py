@@ -55,7 +55,7 @@ from .errors import CORRECTION_NORM, ENVELOPE_SUPPORT, AdiapackError, \
 from .grids import SpatialGrid, UniformCubicSpline, centred_slice, l2_norm, \
     make_grid, sigma_norm, unit_phase
 from .nls import MAX_GRID_POINTS, MAX_POINT_STEPS, MAX_STEPS, NLSPropagator, \
-    _project, build_initial_data, check_lab_field, check_step_mass, \
+    project, build_initial_data, check_lab_field, check_step_mass, \
     kappa_problem, lab_grid_points, mode_populations, spectral_half_width
 from .potentials import MatrixPotentialSpec, SpectralData, branch_spline, \
     decompose
@@ -793,12 +793,12 @@ class _SingleObserver:
         corrections = lane.corrections()
         g = assemble_correction(corrections, data) if corrections else None
         w_rep, th_rep = _error_norms(psi, [(phi, lane.chis[0])], lab, eps, g)
-        proj = _project(data.projectors[branch], psi)
+        projs = project(data.projectors, psi)   # every Π_j ψ, once
         row = (t, l2_norm(lab, psi), w_rep.value, th_rep.value,
-               l2_norm(lab, psi - proj),
+               l2_norm(lab, psi - projs[branch]),
                _taylor_remainder(lab, data.branches[branch], self.curve,
                                  traj.x[4 * step], phi),
-               mode_populations(psi, data))
+               mode_populations(projs, data.grid))
         for values, value in zip(self.series.values(), row):
             values.append(value)
         for key, values in corrections.items():

@@ -88,7 +88,8 @@ class Expr:
         """The nu-th derivative (nu = 0, 1 or 2) at x.  A Python float takes
         the float form and gets a float (`math`, within about 1e-16 relative
         of numpy; x^2 is x·x, as in numpy's `power`), or the array form's
-        answer where `math` raises (where numpy gives inf or NaN).  Any other
+        answer where `math` raises (inf or NaN, with numpy's warning
+        silenced: the caller's guard refuses it).  Any other
         x takes the array form: numpy's arithmetic, a constant an array of
         x's shape."""
         if nu not in (0, 1, 2):
@@ -100,7 +101,8 @@ class Expr:
             try:
                 return float_form(x)
             except (ArithmeticError, ValueError):
-                return float(array_form(x))
+                with np.errstate(all="ignore"):
+                    return float(array_form(x))
         return array_form(x)
 
     def __str__(self):

@@ -55,7 +55,8 @@ from .potentials import SpectralData
 __all__ = ["NLSPropagator", "build_initial_data", "coherent_packet",
            "kappa_problem",
            "check_step_mass", "check_lab_field", "fourier_tail",
-           "mode_populations", "spectral_half_width", "lab_grid_points"]
+           "project", "mode_populations", "spectral_half_width",
+           "lab_grid_points"]
 
 
 def coherent_packet(grid: SpatialGrid, a, x0: float, xi0: float,
@@ -193,19 +194,19 @@ def check_lab_field(values: np.ndarray, t: float) -> float:
     return FOURIER_TAIL.check(fourier_tail(values), where=where)
 
 
-def _project(projector: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Π ψ of (n, N, N) `projector` and (n, N) `values`: Σ_b Π[:, :, b] ψ[:, b]."""
-    out = projector[:, :, 0] * values[:, :1]
+def project(projectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Π ψ of (..., n, N, N) `projectors` and (n, N) `values`:
+    Σ_b Π[..., b] ψ[:, b]; the (P, n, N, N) stack gives every Π_j ψ at once."""
+    out = projectors[..., 0] * values[:, :1]
     for b in range(1, values.shape[1]):
-        out += projector[:, :, b] * values[:, b:b + 1]
+        out += projectors[..., b] * values[:, b:b + 1]
     return out
 
 
-def mode_populations(values: np.ndarray, v_data: SpectralData) -> np.ndarray:
-    """Branch masses ‖Π_j ψ‖² of the (n, N) samples `values` on the
-    decomposition's grid (they sum to the total mass)."""
-    return np.array([l2_norm(v_data.grid, _project(pi, values)) ** 2
-                     for pi in v_data.projectors])
+def mode_populations(projections: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """Branch masses ‖Π_j ψ‖² of the projections Π_j ψ (`project`) on
+    `grid` (they sum to the total mass)."""
+    return np.array([l2_norm(grid, p) ** 2 for p in projections])
 
 
 def spectral_half_width(y_grid: SpatialGrid, values: np.ndarray) -> float:

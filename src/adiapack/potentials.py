@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BranchTrackingError, ConfigError, InvariantViolation
+from .errors import DECOMPOSITION_RESIDUAL, PROJECTOR_COMPLETENESS, \
+    BranchTrackingError, ConfigError, InvariantViolation
 from .expressions import Expr, parse_expr
 from .grids import SpatialGrid, UniformCubicSpline
 
@@ -276,24 +277,17 @@ def branch_spline(data: SpectralData, j: int) -> UniformCubicSpline:
 def decompose(spec: MatrixPotentialSpec, grid: SpatialGrid) -> SpectralData:
     """Eigendecompose V on the grid (`_tracked_spectrum`), branches renumbered
     to stay smooth; declared multiplicities d_j > 1 group branches whose
-    distance stays below 1e-10 on the whole grid."""
+    distance stays below 1e-10 on the whole grid.  Every grid point passes
+    `errors.PROJECTOR_COMPLETENESS` and `errors.DECOMPOSITION_RESIDUAL`."""
     v, branches, frames, projectors = _tracked_spectrum(spec, grid.points)
-    data = SpectralData(spec=spec, grid=grid, branches=branches, frames=frames,
+    eye = np.eye(spec.n_levels)
+    PROJECTOR_COMPLETENESS.check(np.max(np.abs(projectors.sum(axis=0) - eye)))
+    for lam, pi in zip(branches, projectors):
+        res = np.einsum("nab,nbc->nac", v, pi) - lam[:, None, None] * pi
+        DECOMPOSITION_RESIDUAL.check(np.max(np.abs(res)))
+    return SpectralData(spec=spec, grid=grid, branches=branches, frames=frames,
                         projectors=projectors,
                         multiplicities=tuple(f.shape[2] for f in frames))
-    _validate_spectral(data, v)
-    return data
-
-
-def _validate_spectral(data: SpectralData, v: np.ndarray):
-    total = data.projectors.sum(axis=0)
-    eye = np.eye(data.spec.n_levels)
-    if np.max(np.abs(total - eye)) > 1e-11:
-        raise InvariantViolation("projector completeness failed")
-    for lam, pi in zip(data.branches, data.projectors):
-        res = np.einsum("nab,nbc->nac", v, pi) - lam[:, None, None] * pi
-        if np.max(np.abs(res)) > 1e-9:
-            raise InvariantViolation("eigen-residual VΠ - λΠ too large")
 
 
 @dataclass(frozen=True)

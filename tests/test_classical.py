@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from adiapack.classical import integrate_trajectory
-from adiapack.errors import SolverAbort
+from adiapack.errors import TRAJECTORY_BLOWUP, SolverAbort
 from adiapack.expressions import parse_expr
 from adiapack.grids import make_grid
 from adiapack.potentials import MatrixPotentialSpec, branch_spline, decompose
@@ -91,6 +93,15 @@ def test_exponential_growth_envelope():
 def test_blowup_guard():
     with pytest.raises(SolverAbort, match="blow-up"):
         integrate_trajectory(parse_expr("-(x^2/2)"), 1.0, 0.0, 25.0, 1e-2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_nan_path_trips_the_blowup_guard():
+    # sqrt(x+4) is NaN past x = -4: its NaN λ' failed no `>` test, so the
+    # path ran on as NaN, with numpy's RuntimeWarning on stderr
+    with pytest.raises(SolverAbort, match=re.escape(
+            f"{TRAJECTORY_BLOWUP.name} nan above 1.0e+08 at t = 0.42")):
+        integrate_trajectory(parse_expr("sqrt(x+4)"), -3.5, -1.0, 1.0, 2.5e-4)
 
 
 def test_branch_curve_from_data_matches_analytic():

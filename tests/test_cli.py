@@ -42,6 +42,24 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path
 
 
+def nan_path_config(tmp_path):
+    """λ = sqrt(x+4), a packet that runs out of its domain x ≥ -4 at t ≈ 0.42."""
+    return write_config(tmp_path, name="nan_path.json",
+                        potential={"diag": ["sqrt(x+4)"], "sym": ["0"]},
+                        packets=[{"profile": {"type": "gaussian"}, "x0": -3.5,
+                                  "xi0": -1.0}], T=1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_nan_path_warns_nothing(tmp_path, capsys):
+    # the float form's fallback to numpy ran without `np.errstate`:
+    # "<string>:3: RuntimeWarning: invalid value encountered in sqrt"
+    assert main(["single", "--config", str(nan_path_config(tmp_path)),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "trajectory blow-up" in err and "Warning" not in err
+
+
 def config_setup(study):
     """The study set-up of all the config's packets, as `superpose` builds it."""
     return study_setup(study)
@@ -719,6 +737,12 @@ def test_bad_command_input_is_a_config_error(tmp_path, capsys):
     cases.append(("identities", write_config(tmp_path, name="nan_identities.json",
                                              potential=rooted),
                   [], "potential.diag[0] is not finite"))
+    # a path that leaves the branch's domain turns NaN, which passed the
+    # trajectory's `>` test: the sizing march then failed on "envelope mass
+    # drift nan", with numpy's RuntimeWarnings on stderr
+    cases += [(command, nan_path_config(tmp_path), [],
+               "grid derivation failed: trajectory blow-up max(|x|, |ξ|) nan "
+               "above 1.0e+08 at t = 0.42") for command in ("single", "converge")]
     # deep nesting was a RecursionError traceback (250 calls) or a
     # SyntaxError on the first evaluation (101 unary minus), exit 1
     for i, text in enumerate(("sin(" * 250 + "x" + ")" * 250, "-" * 101 + "x")):

@@ -4,7 +4,7 @@ import pytest
 from adiapack.errors import ConfigError
 from adiapack.grids import l2_norm, make_grid
 from adiapack.nls import (NLSPropagator, build_initial_data, fourier_tail,
-                          lab_grid_points, mode_populations,
+                          lab_grid_points, mode_populations, project,
                           spectral_half_width, check_step_mass)
 from adiapack.potentials import MatrixPotentialSpec, decompose
 from tests.test_potentials import diagonal_family, rotating_family
@@ -48,7 +48,7 @@ def test_initial_polarization():
     data = decompose(rotating_family(), g)
     chi = data.frames[0][:, :, 0]
     psi = build_initial_data(gaussian, 0.0, 0.0, chi, 0.01, g)
-    pops = mode_populations(psi, data)
+    pops = mode_populations(project(data.projectors, psi), g)
     assert pops[0] == pytest.approx(1.0, abs=1e-6)
     assert pops[1] < 1e-10
     assert pops.sum() == pytest.approx(l2_norm(g, psi) ** 2, abs=1e-10)
@@ -203,7 +203,7 @@ def test_populations_sum_rule_after_evolution():
     chi = data.frames[0][:, :, 0]
     psi0 = build_initial_data(gaussian, 1.0, 0.0, chi, eps, g)
     final = march(data, psi0, eps, 1.0, 0.2, 5e-4)
-    pops = mode_populations(final, data)
+    pops = mode_populations(project(data.projectors, final), g)
     assert pops.sum() == pytest.approx(l2_norm(g, final) ** 2, abs=1e-10)
 
 
@@ -213,7 +213,7 @@ def test_every_guard_rejects_nan():
     import adiapack.errors as errors
 
     guards = [g for g in vars(errors).values() if isinstance(g, errors.Guard)]
-    assert len(guards) == 6
+    assert len(guards) == 10
     for guard in guards:
         assert guard.check(0.0) == 0.0
         with pytest.raises(guard.error, match="nan"):
