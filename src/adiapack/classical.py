@@ -5,10 +5,10 @@ Integrates
     ẋ = ξ,   ξ̇ = -λ'(x),   Ṡ = ξ²/2 - λ(x)
 
 with the classic fourth-order one-step scheme at fixed dt, so trajectory
-samples line up exactly with PDE solver steps.  The curvature λ''(x(t)) is
-sampled along the path for the envelope equation, and the conserved energy
-E = ξ²/2 + λ(x) is tracked as a drift diagnostic; |x| and |ξ| are bounded
-by `errors.TRAJECTORY_BLOWUP` at every step.  A branch curve is
+samples line up exactly with PDE solver steps.  λ, λ' and λ'' are recorded
+at every sample, for the envelope (λ'') and the Taylor remainder, and the
+energy E = ξ²/2 + λ(x) is tracked as a drift diagnostic; |x| and |ξ| are
+bounded by `errors.TRAJECTORY_BLOWUP` at every step.  A branch curve is
 anything called as `curve(x, nu)` for λ (nu = 0), λ' and λ'': the parsed
 diagonal entry (`expressions.Expr`, its derivatives analytic) or the
 not-a-knot spline of decomposed samples (`grids.UniformCubicSpline`, its
@@ -30,13 +30,14 @@ __all__ = ["ClassicalTrajectory", "integrate_trajectory"]
 
 @dataclass(frozen=True, eq=False)
 class ClassicalTrajectory:
-    """Samples of (x, ξ, S), λ and λ'' along the path at t_i = i·dt."""
+    """Samples of (x, ξ, S), λ, λ' and λ'' along the path at t_i = i·dt."""
 
     times: np.ndarray = field(repr=False)
     x: np.ndarray = field(repr=False)
     xi: np.ndarray = field(repr=False)
     action: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
+    slope: np.ndarray = field(repr=False)
     curvature: np.ndarray = field(repr=False)
     energy0: float
     energy_drift: float
@@ -82,10 +83,10 @@ def integrate_trajectory(curve, x0: float, xi0: float, T: float,
 
     times = dt * np.arange(n_steps + 1)
     xs, xis, actions = out[:, 0], out[:, 1], out[:, 2]
-    lam = np.asarray(curve(xs), dtype=float)
-    curv = np.asarray(curve(xs, 2), dtype=float)
+    lam, slope, curv = (np.asarray(curve(xs, nu), dtype=float)
+                        for nu in (0, 1, 2))
     energy0 = 0.5 * xi0 * xi0 + float(lam[0])
     drift = float(np.max(np.abs(0.5 * xis**2 + lam - energy0)))
     return ClassicalTrajectory(times=times, x=xs, xi=xis, action=actions,
-                               lam=lam, curvature=curv, energy0=energy0,
-                               energy_drift=drift)
+                               lam=lam, slope=slope, curvature=curv,
+                               energy0=energy0, energy_drift=drift)

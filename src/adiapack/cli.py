@@ -1,8 +1,10 @@
 """Command-line driver.
 
-    adiapack <command> --config <path> [--out <dir>] [--epsilon-override <list>]
+    adiapack <command> --config <path> [--out <dir>]
+    adiapack single|converge|superpose --config <path> [--out <dir>]
+             [--epsilon-override <list>]
 
-Commands:
+Only the commands that run at an ε take `--epsilon-override`.  Commands:
     decompose   spectral decomposition, gap reports
     single      one-ε pipeline with snapshots
     converge    ε-sweep of the single-packet error (order fit)
@@ -233,6 +235,7 @@ _COMMANDS = {
     "superpose": cmd_superpose,
     "identities": cmd_identities,
 }
+_RUNS_AT_EPSILON = ("single", "converge", "superpose")   # --epsilon-override
 
 
 def main(argv=None) -> int:
@@ -245,8 +248,9 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True,
                        help="JSON experiment configuration")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--epsilon-override", default=None,
-                       help="comma-separated ε list replacing the config's")
+        if name in _RUNS_AT_EPSILON:
+            p.add_argument("--epsilon-override", default=None,
+                           help="comma-separated ε list replacing the config's")
     args = parser.parse_args(argv)
 
     out = None if args.out is None else Path(args.out)

@@ -5,9 +5,10 @@ symmetric parts), the packet(s), the ε list, the coupling constant, horizon,
 the run options (`experiments.RunOptions`) and output options.
 `load_config` reads the JSON shapes and builds the one `experiments.Study`
 they describe, which checks the study's rules.  Every violation is collected
-and reported at once: a value of the wrong JSON type, an unknown profile
-type or parameter, and every rule of the `Study` on the fields that did
-parse.  The lab grid sizes belong to `experiments.study_setup`.
+and reported at once: a key that no run reads (`unknown field: grid.nn`),
+a value of the wrong JSON type, an unknown profile type or parameter, and
+every rule of the `Study` on the fields that did parse.  The lab grid sizes
+belong to `experiments.study_setup`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,20 @@ __all__ = ["load_config"]
 
 
 _SHAPES = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+
+# the keys read at each JSON object, one table each; any other is refused
+_STUDY_KEYS = {"epsilons": "epsilons", "T": "T", "lambda": "lambda_coupling",
+               "gamma": "gamma_exponent"}
+_OPTION_KEYS = [f.name for f in fields(RunOptions) if f.name != "grid_n"]
+_TOP_KEYS = {"potential", "packets", "grid", "seed", "snapshot_times",
+             "out_dir", *_STUDY_KEYS, *_OPTION_KEYS}
+_GRID_KEYS = {"x_min", "x_max", "n"}           # `n` is the option `grid_n`
+_POTENTIAL_KEYS = {"diag", "sym", "multiplicities", "gap_constants"}
+_PACKET_KEYS = {f.name for f in fields(PacketSpec)}
+
+
+def _unknown(d, known, prefix, errors):
+    errors += [f"unknown field: {prefix}{key}" for key in d if key not in known]
 
 
 def _shaped(raw, key, shape, errors, default, label=None):
@@ -55,6 +70,7 @@ def _profile_from_dict(profile, errors, label, seed):
 
 
 def _packet_from_dict(d, errors, prefix, seed):
+    _unknown(d, _PACKET_KEYS, f"{prefix}.", errors)
     profile = _profile_from_dict(d.get("profile", {"type": "gaussian"}), errors,
                                  f"{prefix}.profile", seed)
     r0_profile = d.get("r0_profile")
@@ -70,6 +86,7 @@ def _packet_from_dict(d, errors, prefix, seed):
 def _potential_from_dict(d, errors):
     if d is None:
         return None
+    _unknown(d, _POTENTIAL_KEYS, "potential.", errors)
     diag = d.get("diag")
     sym = d.get("sym")
     if not isinstance(diag, list) or not diag:
@@ -126,9 +143,8 @@ def load_config(path) -> Study:
     errors = [f"missing required field: {key}"
               for key in ("potential", "epsilons", "packets", "T")
               if key not in raw]
-    study = {name: raw[key] for key, name in (
-        ("epsilons", "epsilons"), ("T", "T"), ("lambda", "lambda_coupling"),
-        ("gamma", "gamma_exponent")) if key in raw}
+    _unknown(raw, _TOP_KEYS, "", errors)
+    study = {name: raw[key] for key, name in _STUDY_KEYS.items() if key in raw}
 
     seed = _shaped(raw, "seed", int, errors, 0)
     spec = _potential_from_dict(_shaped(raw, "potential", dict, errors, None),
@@ -146,11 +162,11 @@ def load_config(path) -> Study:
         study["packets"] = packets
 
     grid = _shaped(raw, "grid", dict, errors, {})
+    _unknown(grid, _GRID_KEYS, "grid.", errors)
     study.update((key, grid[key]) for key in ("x_min", "x_max") if key in grid)
     errors += [f"missing required field: grid.{key}"
                for key in ("x_min", "x_max") if key not in grid]
-    settings = {f.name: raw[f.name] for f in fields(RunOptions)
-                if f.name in raw}
+    settings = {key: raw[key] for key in _OPTION_KEYS if key in raw}
     settings["grid_n"] = grid.get("n")
     try:
         study["options"] = RunOptions(**settings)

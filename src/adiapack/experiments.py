@@ -194,16 +194,15 @@ def _phi_values(lab_grid, u_of, x_c, xi, action, epsilon):
     return out
 
 
-def _taylor_remainder(grid, lam, curve, x_c, phi):
+def _taylor_remainder(grid, lam, traj, i, phi):
     """‖(λ - 𝒯)φ‖, 𝒯 the second-order Taylor polynomial of the branch λ
-    (samples `lam`, branch curve `curve`) at x_c.
+    (samples `lam`) at x_c = x(t_i), from `traj`'s λ, λ', λ'' at sample i.
 
     Exactly zero for quadratic branches; scales like ε^{3/2} otherwise, since
     φ concentrates at x_c on the √ε scale.
     """
-    dx = grid.points - x_c
-    value, slope, curvature = (float(curve(x_c, nu)) for nu in (0, 1, 2))
-    taylor = value + slope * dx + 0.5 * curvature * dx**2
+    dx = grid.points - traj.x[i]
+    taylor = traj.lam[i] + traj.slope[i] * dx + 0.5 * traj.curvature[i] * dx**2
     return l2_norm(grid, (lam - taylor) * phi)
 
 
@@ -273,9 +272,9 @@ def _branch_curve_for(spec: MatrixPotentialSpec, data: SpectralData, branch: int
 
 @dataclass(frozen=True)
 class RunOptions:
-    """The run options of a `Study` (its `options`) under their config
-    keys (`grid_n` is `grid.n`), each default written once; building one
-    with a bad value raises a `ConfigError` that lists every problem."""
+    """The run options of a `Study` (its `options`) under their config keys
+    (`grid_n` is `grid.n`; β = 3/4 is fixed, see `nls`), each default written
+    once; a bad value raises a `ConfigError` that lists every problem."""
 
     observe_every: float = 0.01      # observation cadence; T is a multiple
     dt_max: float = 1e-3             # `_step_rule`'s two step bounds
@@ -283,7 +282,6 @@ class RunOptions:
     y_half_width: float = 40.0       # the configured envelope y-grid
     y_points: int = 2048
     grid_n: int | None = None        # a fixed lab grid size, else the rule's
-    beta: float = 0.75               # the cubic term carries ε^{2β}
 
     def __post_init__(self):
         if self._problems():
@@ -299,7 +297,7 @@ class RunOptions:
                 out.append(f"{key} must be a power of two, at least 8")
             elif n > MAX_GRID_POINTS:
                 out.append(f"{key} must be at most 2**20")
-        return out + ([] if finite_number(self.beta) else ["beta must be finite"])
+        return out
 
 
 def _multiple(value: float, step: float) -> bool:   # to 1e-9, no overflow
@@ -593,8 +591,7 @@ class _Lane:
         self.psi = sum(parts[1:], parts[0])
         self.pending = False             # ψ owes its last step's trailing half
         self.mass0, self.max_drift, self.tails = l2_norm(lab, self.psi), 0.0, []
-        self.prop = NLSPropagator(data, epsilon, lam, self.steps.dt,
-                                  study.options.beta)
+        self.prop = NLSPropagator(data, epsilon, lam, self.steps.dt)
         branch = packets[0].branch
         others = [j for j in range(data.n_branches)
                   if j != branch and len(packets) == 1]
@@ -637,12 +634,11 @@ class _Lockstep:
     an observation, an envelope when its samples are splined.
 
     A lane whose construction or guard fails with an `AdiapackError` leaves
-    the march: with `isolate` it is listed in `failures` and the other lanes
-    go on, otherwise the error propagates.  A tripped envelope guard fails
-    every live lane."""
+    the march and is listed in `failures`, in the order the lanes fail; the
+    other lanes go on.  A tripped envelope guard fails every live lane."""
 
-    def __init__(self, setup: StudySetup, epsilons, isolate):
-        self.setup, self.isolate, self.failures = setup, isolate, []
+    def __init__(self, setup: StudySetup, epsilons):
+        self.setup, self.failures = setup, []
         self.steps = setup.steps[epsilons[0]]
         self.trajs = setup.trajectories[self.steps.dt]
         self.lanes = []
@@ -650,15 +646,10 @@ class _Lockstep:
             try:
                 self.lanes.append(_Lane(setup, eps))
             except AdiapackError as exc:
-                self._fail(eps, exc)
+                self.failures.append((eps, exc))
         self.envs, self.curvatures = _envelopes(setup.y_grid, [
             (pk.evaluator(), tr.curvature) for pk, tr in zip(
                 setup.study.packets, self.trajs)], setup.study.lambda_coupling)
-
-    def _fail(self, eps, exc):
-        if not self.isolate:
-            raise exc
-        self.failures.append((eps, exc))
 
     def _each(self, work):
         """work(lane) on every live lane; a lane whose work fails leaves."""
@@ -667,16 +658,15 @@ class _Lockstep:
                 work(lane)
             except AdiapackError as exc:
                 self.lanes.remove(lane)
-                self._fail(lane.epsilon, exc)
+                self.failures.append((lane.epsilon, exc))
 
     def _advance(self, dt, i):   # every distinct envelope, midpoint at sample i
         try:
             for env, curvature in self.curvatures.items():
                 env.advance(dt, curvature[i])
         except AdiapackError as exc:
-            lanes, self.lanes = self.lanes, []
-            for lane in lanes:
-                self._fail(lane.epsilon, exc)
+            self.failures += [(lane.epsilon, exc) for lane in self.lanes]
+            self.lanes = []
 
     def _splines(self):
         """Each packet's envelope spline, built once per distinct envelope;
@@ -722,13 +712,13 @@ class _Lockstep:
                 observe_at(step)
 
 
-def _run_groups(setup: StudySetup, observer, isolate):
+def _run_groups(setup: StudySetup, observer):
     """Every ε of the set-up, one `_Lockstep` per step group in the order
     of `groups()`, with `observer(march, lane)` on every lane: (each finished
-    lane's observer `result()`, the failures of the isolated lanes)."""
+    lane's observer `result()`, every failed lane's (ε, error) in order)."""
     results, failures = [], []
     for group in setup.groups():
-        march = _Lockstep(setup, group, isolate)
+        march = _Lockstep(setup, group)
         observers = {lane: observer(march, lane) for lane in march.lanes}
         march.march(observers)
         results += [observers[lane].result() for lane in march.lanes]
@@ -778,7 +768,6 @@ class _SingleObserver:
     def __init__(self, march: _Lockstep, lane: _Lane):
         study = march.setup.study
         self.march, self.lane, self.branch = march, lane, study.packets[0].branch
-        self.curve = _branch_curve_for(study.potential, lane.data, self.branch)
         self.series = {name: [] for name in (
             "times", "masses", "w_sigma1", "theta_sigma1", "leakage", "taylor",
             "populations")}
@@ -796,8 +785,8 @@ class _SingleObserver:
         projs = project(data.projectors, psi)   # every Π_j ψ, once
         row = (t, l2_norm(lab, psi), w_rep.value, th_rep.value,
                l2_norm(lab, psi - projs[branch]),
-               _taylor_remainder(lab, data.branches[branch], self.curve,
-                                 traj.x[4 * step], phi),
+               _taylor_remainder(lab, data.branches[branch], traj, 4 * step,
+                                 phi),
                mode_populations(projs, data.grid))
         for values, value in zip(self.series.values(), row):
             values.append(value)
@@ -830,13 +819,14 @@ def run_single_packet(study: Study) -> SingleRunResult:
 
     Every step passes `nls.check_step_mass` (worst relative drift:
     `mass_drift`), every observation `nls.check_lab_field` (worst tail:
-    `fourier_tail`) and `errors.CORRECTION_NORM`.
+    `fourier_tail`) and `errors.CORRECTION_NORM`, or its error is raised.
     """
     if len(study.epsilons) != 1:
         raise ConfigError(f"run_single_packet runs one ε, not {len(study.epsilons)}")
-    (run,), _ = _run_groups(_setup_of(study, 1), _SingleObserver,
-                            isolate=False)
-    return run
+    runs, failures = _run_groups(_setup_of(study, 1), _SingleObserver)
+    if failures:
+        raise failures[0][1]
+    return runs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -874,8 +864,7 @@ def convergence_study(study: Study) -> ConvergenceReport:
     error and propagates.
     """
     runs, failures = _run_groups(
-        _setup_of(replace(study, snapshot_times=()), 1), _SingleObserver,
-        isolate=True)
+        _setup_of(replace(study, snapshot_times=()), 1), _SingleObserver)
     failures.sort(key=lambda failure: failure[0], reverse=True)
 
     eps_ok = [r.epsilon for r in runs]
@@ -962,7 +951,7 @@ def superposition_experiment(study: Study) -> SuperpositionReport:
     packets (the bound 3ξ_max/ε + √3 η_τ/√ε covers the cubic term's
     2ξ_a - ξ_b products); the ε that share a step size run in one lockstep,
     without corrections (a two-packet lane carries none), with the guards
-    of `run_single_packet`, and the first failure propagates.
+    of `run_single_packet`; the first failure is raised once every ε ran.
     """
     if len(study.packets) < 2:
         raise ConfigError("superpose needs two packets in the config")
@@ -981,7 +970,9 @@ def superposition_experiment(study: Study) -> SuperpositionReport:
     edge_ok = bool(objective[-1] >= objective[-m] - 1e-12
                    and objective[0] >= objective[m - 1] - 1e-12)
 
-    results, _ = _run_groups(setup, _SuperposeObserver, isolate=False)
+    results, failures = _run_groups(setup, _SuperposeObserver)
+    if failures:
+        raise failures[0][1]
     rows = {name: [r[name] for r in results] for name in results[0]}
     return SuperpositionReport(
         epsilons=list(epsilons), gamma_exponent=study.gamma_exponent,

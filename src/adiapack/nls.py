@@ -2,9 +2,9 @@
 
     iε ∂_t ψ + (ε²/2) ∂_x² ψ = V(x) ψ + Λ ε^{2β} |ψ|² ψ,     ψ(0) = ψ₀,
 
-with ψ(t, x) ∈ ℂ^N and V the matrix potential.  β defaults to 3/4 (the
-coupling scaling that makes the envelope equation genuinely nonlinear for
-coherent-state data); other β are exposed for experiments.
+with ψ(t, x) ∈ ℂ^N and V the matrix potential.  β = 3/4 is fixed: only there
+is the ε-free envelope equation (`envelope`) the limit, since at another β
+its cubic term would carry Λ ε^{2β-3/2} |u|² u, which no ε-free u can.
 
 The splitting is symmetric: a half step of the potential-plus-cubic flow,
 which is exact per grid point because V(x) is Hermitian and the flow preserves
@@ -105,11 +105,11 @@ class NLSPropagator:
     """
 
     def __init__(self, data: SpectralData, epsilon: float, lambda_coupling: float,
-                 dt: float, beta: float):
+                 dt: float):
         self.epsilon = float(epsilon)
         self.dt = float(dt)
-        # ε^{2β} coupling divided by the iε of the time derivative
-        self.nl_rate = lambda_coupling * epsilon ** (2.0 * beta) / epsilon
+        # ε^{2β} = ε^{3/2} coupling divided by the iε of the time derivative
+        self.nl_rate = lambda_coupling * epsilon ** 1.5 / epsilon
         self._mix = {}
         for frac in (0.5, 1.0):
             phases = [np.exp(-1j * frac * lam * dt / epsilon)

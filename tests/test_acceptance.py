@@ -87,7 +87,7 @@ def test_criterion_01_mass_conservation():
         if masses[0] == 0.0:
             continue
         # the run's schedule: merged half steps, ψ closed (and read) every 0.5
-        prop = NLSPropagator(data, eps, cfg.lambda_coupling, dt, opts.beta)
+        prop = NLSPropagator(data, eps, cfg.lambda_coupling, dt)
         stride = int(round(0.5 / dt))
         pending = False
         for step in range(1, n_steps + 1):

@@ -4,7 +4,7 @@ import runpy
 import subprocess
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -639,8 +639,8 @@ def test_bad_command_input_is_a_config_error(tmp_path, capsys):
     nan = float("nan")
     packet = {"profile": {"type": "gaussian"}, "x0": 1.0, "xi0": 0.0}
     bad_numbers = [
-        ({"beta": "x"}, "beta must be finite"),
-        ({"beta": nan}, "beta must be finite"),
+        ({"beta": "x"}, "unknown field: beta"),
+        ({"beta": nan}, "unknown field: beta"),
         ({"dt_max": "abc"}, "dt_max must be positive and finite"),
         ({"y_points": "abc"}, "y_points must be a power of two"),
         ({"y_points": 512.5}, "y_points must be a power of two"),
@@ -717,6 +717,18 @@ def test_bad_command_input_is_a_config_error(tmp_path, capsys):
         ({"potential": dict(pair, diag=["x^2/2", 3])},
          "potential.diag[1]: syntax error at offset 0: expected an "
          "expression string")]
+    # a key that no run reads was ignored (decompose exited 0): a
+    # misspelling, the deleted dt_over_eps and beta, and a top-level grid_n,
+    # which grid.n overwrote
+    bad_shapes += [({key: value}, f"unknown field: {key}") for key, value in (
+        ("dt_over_eps", 0.25), ("observe_evry", 0.01), ("grid_n", 512),
+        ("beta", 1.0))]
+    bad_shapes += [
+        ({"grid": {"x_min": -4.0, "x_max": 4.0, "nn": 512}},
+         "unknown field: grid.nn"),
+        ({"packets": [dict(packet, branh=0)]}, "unknown field: packets[0].branh"),
+        ({"potential": dict(harmonic, multiplicity=[1])},
+         "unknown field: potential.multiplicity")]
     shapes = [(write_config(tmp_path, name=f"shape{i}.json", **fields), message)
               for i, (fields, message) in enumerate(bad_shapes)]
     top = tmp_path / "top.json"
@@ -872,6 +884,35 @@ def test_converge_does_its_epsilon_free_work_once(tmp_path, monkeypatch):
     assert calls["integrate_trajectory"] == 3
 
 
+def test_converge_builds_one_branch_curve_per_packet(monkeypatch):
+    # the set-up builds each packet's branch curve once, and the runs read
+    # λ, λ' and λ'' from its trajectory; every lane also built its own
+    import adiapack.experiments as experiments
+
+    calls = []
+
+    def recording(*args, _original=experiments._branch_curve_for):
+        calls.append(args[2])
+        return _original(*args)
+
+    monkeypatch.setattr(experiments, "_branch_curve_for", recording)
+    cfg = load_config(CONFIGS / "rotating.json")
+    experiments.convergence_study(replace(cfg, epsilons=[0.015625, 0.0078125]))
+    assert calls == [0]
+
+
+def test_epsilon_override_is_refused_where_no_epsilon_runs(tmp_path, capsys):
+    # decompose and identities run at no ε: they exited 0 and ignored it
+    for command in ("decompose", "identities"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(CONFIGS / "smoke.json"),
+                  "--out", str(tmp_path / command),
+                  "--epsilon-override", "banana"])
+        assert exc.value.code == 2
+        assert ("unrecognized arguments: --epsilon-override banana"
+                in capsys.readouterr().err)
+
+
 def test_converge_isolates_a_guard_that_trips_for_one_epsilon(tmp_path,
                                                               monkeypatch):
     # both ε share dt = 1e-3, so they march in one lockstep; the ε on the
@@ -905,13 +946,13 @@ def test_converge_isolates_a_guard_that_trips_for_one_epsilon(tmp_path,
 
 
 def test_every_run_option_reaches_the_run(tmp_path):
-    # each of the seven run options away from its default: the CLI's report
+    # each of the six run options away from its default: the CLI's report
     # is the direct call's with the config's study, and the step size, envelope
     # window and lab grid show the values (the defaults give dt = 0.001,
     # 512 y-points and the rule's n = 256)
     path = write_config(tmp_path, **{"lambda": 1.0}, observe_every=0.05,
                         dt_max=4e-3, dt_over_epsilon=0.032, y_half_width=20.0,
-                        y_points=256, beta=1.0,
+                        y_points=256,
                         grid={"x_min": -4.0, "x_max": 4.0, "n": 512})
     cfg = load_config(path)
     defaults = RunOptions()

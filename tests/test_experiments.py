@@ -339,6 +339,32 @@ def test_mass_guard_aborts_both_run_paths(monkeypatch):
 
 
 
+def test_superpose_raises_its_second_lane_failure_after_the_march(
+        monkeypatch):
+    # both ε share dt = 1e-3, so they march in one lockstep: the second
+    # lane's abort leaves the first lane marching to T, and then it is raised
+    import adiapack.experiments as experiments
+    from adiapack.errors import SolverAbort
+
+    last_steps = {}
+
+    class FailsSecond(experiments._Lane):
+        def nls_step(self, step, close):
+            if self.epsilon == 1.0 / 32 and step == 10:
+                raise SolverAbort("synthetic abort of the second lane")
+            super().nls_step(step, close)
+            last_steps[self.epsilon] = step
+
+    monkeypatch.setattr(experiments, "_Lane", FailsSecond)
+    p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
+    p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)
+    with pytest.raises(SolverAbort, match="second lane") as exc:
+        superposition_experiment(study(HARMONIC, (p1, p2), [1.0 / 16, 1.0 / 32],
+                                       0.0, 0.1, -4.0, 4.0, options=EVERY_005))
+    assert exc.value.exit_code == 4
+    assert last_steps == {1.0 / 16: 100, 1.0 / 32: 9}
+
+
 def test_lab_grid_rule_takes_the_largest_envelope_width_over_the_run():
     # width 2 in x²/2 narrows to width 1/2 at t = π/2: η_τ grows 4×, and
     # |ξ(t)| = |sin t| peaks at 1

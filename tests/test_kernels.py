@@ -76,7 +76,7 @@ def packet_on_branch(data, x0=0.8, xi0=0.5):
 def test_nls_step_matches_einsum_reference(n_levels, lambda_coupling):
     data = decompose(FAMILIES[n_levels](), make_grid(-4.0, 4.0, 1024))
     dt = 1e-3
-    prop = NLSPropagator(data, EPS, lambda_coupling, dt, 0.75)
+    prop = NLSPropagator(data, EPS, lambda_coupling, dt)
     psi0 = packet_on_branch(data)
     fast, ref = psi0.copy(), psi0.copy()
     for _ in range(50):
@@ -93,7 +93,7 @@ def test_merged_nls_steps_match_plain_steps(n_levels, lambda_coupling):
     # k steps that leave their trailing half potential step to the next one,
     # P(dt/2)P(dt/2) = P(dt), and close at the end are k plain Strang steps
     data = decompose(FAMILIES[n_levels](), make_grid(-4.0, 4.0, 1024))
-    prop = NLSPropagator(data, EPS, lambda_coupling, 1e-3, 0.75)
+    prop = NLSPropagator(data, EPS, lambda_coupling, 1e-3)
     plain = merged = packet_on_branch(data)
     k = 40
     for i in range(k):
@@ -104,7 +104,7 @@ def test_merged_nls_steps_match_plain_steps(n_levels, lambda_coupling):
 
 def test_nls_step_returns_transpose_view_and_accepts_any_layout():
     data = decompose(rotating_family(), make_grid(-4.0, 4.0, 512))
-    prop = NLSPropagator(data, EPS, 1.0, 1e-3, 0.75)
+    prop = NLSPropagator(data, EPS, 1.0, 1e-3)
     psi = packet_on_branch(data)
     out = prop.step(psi)
     assert out.T.flags.c_contiguous

@@ -21,7 +21,7 @@ def free_scalar_spec():
 def march(data, values, eps, lam, T, dt):
     """ψ(T) from `values` by closed `NLSPropagator.step`s, each one passing
     the run's mass guard."""
-    prop = NLSPropagator(data, eps, lam, dt, 0.75)
+    prop = NLSPropagator(data, eps, lam, dt)
     mass0 = l2_norm(data.grid, values)
     for step in range(1, int(round(T / dt)) + 1):
         values = prop.step(values)
@@ -141,7 +141,7 @@ def test_time_reversibility_linear():
     chi = data.frames[0][:, :, 0]
     psi0 = build_initial_data(gaussian, 1.0, 0.0, chi, eps, g)
     values = march(data, psi0, eps, 0.0, 0.2, 1e-3)
-    prop = NLSPropagator(data, eps, 0.0, -1e-3, 0.75)
+    prop = NLSPropagator(data, eps, 0.0, -1e-3)
     for _ in range(200):
         values = prop.step(values)
     assert l2_norm(g, values - psi0) < 1e-8
@@ -153,7 +153,7 @@ def test_single_step_conserves_mass():
     chi = data.frames[0][:, :, 0]
     psi = build_initial_data(gaussian, 1.0, 0.0, chi, 0.05, g)
     mass0 = l2_norm(g, psi)
-    out = NLSPropagator(data, 0.05, 1.0, 1e-3, 0.75).step(psi)
+    out = NLSPropagator(data, 0.05, 1.0, 1e-3).step(psi)
     assert l2_norm(g, out) == pytest.approx(mass0, abs=1e-12)
     assert check_step_mass(g, out, mass0, 1) <= 1e-12
 
