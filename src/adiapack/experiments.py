@@ -262,11 +262,12 @@ def _branch_curve_for(spec: MatrixPotentialSpec, data: SpectralData, branch: int
     """The branch curve, called `curve(x, nu)`: the diagonal entry it is
     for diagonal potentials, else `branch_spline`."""
     pts = data.grid.points
-    w_mag = max(np.max(np.abs(e(pts))) for e in spec.sym) if spec.sym else 0.0
-    if w_mag < 1e-14:
-        for entry in spec.diag:
-            if np.max(np.abs(entry(pts) - data.branches[branch])) < 1e-10:
-                return entry
+    with np.errstate(all="ignore"):   # finite: `data`'s decompose refused the rest
+        w_mag = max(np.max(np.abs(e(pts))) for e in spec.sym) if spec.sym else 0.0
+        if w_mag < 1e-14:
+            for entry in spec.diag:
+                if np.max(np.abs(entry(pts) - data.branches[branch])) < 1e-10:
+                    return entry
     return branch_spline(data, branch)
 
 
@@ -463,7 +464,9 @@ def lab_grid_rule(length: float, packets, trajectories, dt: float,
     all steps: the spectrum breathes when a profile is not the coherent
     width, and the cubic term widens it.  A
     profile that does not vanish at the y-domain edges fails the stepper's
-    edge guard (`InvariantViolation`) before it is measured.  The same
+    edge guard (`InvariantViolation`) before it is measured, and an η_τ that
+    reaches the lattice's top shell π/Δy, from t = 0 on, is a `ConfigError`
+    naming `y_points`: the y-grid aliases that envelope.  The same
     march measures Y_τ, the largest |y| at which |u| > τ_y · max|u|
     (τ_y = `errors.ENVELOPE_SUPPORT`) at any of its steps, which sizes the
     envelopes' run window (`_run_window`).
@@ -479,6 +482,10 @@ def lab_grid_rule(length: float, packets, trajectories, dt: float,
                 env.advance((b1 - b0) * dt, curvature[2 * (b0 + b1)])
             u = env.values
             eta = max(eta, spectral_half_width(y_grid, u))
+            if eta >= np.pi / y_grid.spacing:
+                raise ConfigError(f"the envelope's η_τ reaches π/Δy, the "
+                                  f"y-grid's Nyquist limit, at t = "
+                                  f"{b1 * dt:.6g}: raise y_points")
             mag = np.abs(u)
             y_tau = max(y_tau, float(np.abs(
                 y_grid.points[mag > ENVELOPE_SUPPORT * mag.max()]).max(initial=0.0)))

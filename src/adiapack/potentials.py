@@ -13,8 +13,9 @@ The module also ships consistency suites for the projector calculus:
     ∂Π_j = Σ_k ( Π_k (∂Π_j) Π_j + Π_j (∂Π_j) Π_k )
     (λ_j − λ_k) (∂Π_j) Π_k = Π_j (∂V − ∂λ_j) Π_k      (and its left variant)
 
-plus the inverse gap γ_{j,k} = (λ_k − λ_j)^{-1} (`gamma_values`) and growth
-scans for it and ∂^β Π_j against the weights ⟨x⟩^{n0+β(1+n0)}, ⟨x⟩^{β(1+n0)}.
+and growth scans (`growth_scan`) of the inverse gap γ_{j,k} = (λ_k − λ_j)^{-1}
+and ∂^β Π_j against the weights ⟨x⟩^{n0+β(1+n0)}, ⟨x⟩^{β(1+n0)}, each from
+the tracked spectrum on a 3-point stencil x ± h.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "decompose",
     "branch_spline",
     "gap_report",
-    "gamma_values",
     "projector_identity_residuals",
     "growth_scan",
     "d_projectors",
@@ -113,88 +113,60 @@ def evaluate_potential(spec: MatrixPotentialSpec, x,
 
 
 def _track_branches(xs, vals, vecs):
-    """Reorder eigenpairs so branches are continuous in x, signs included.
+    """Reorder eigh's (m, N) pairs along the points xs so that each branch is
+    continuous in x, signs included.
 
-    Matching is by maximal eigenvector overlap with the previous point (greedy
-    on the magnitude of the overlap matrix), falling back to nearest-eigenvalue
-    matching when the overlap is ambiguous; signs are flipped for continuity.
-    The greedy matching first runs for all points at once on the batched
-    |V_(i-1)ᵀ V_i| of eigh's own columns.  When every point keeps eigh's order,
-    the sign of each column is the running product of the overlap signs (one
-    `cumprod`); otherwise the point-by-point loop `_track_branches_loop`
-    tracks the grid.  Both make the same matches and sign flips, so their
-    arrays agree to the bit (the tests check every shipped config).
+    Each branch follows its eigenvector to the column of largest overlap at
+    the next point: N greedy rounds on the batched |V_(i-1)ᵀ V_i| of eigh's
+    own columns, for all points at once, where a round whose best overlap is
+    below the floor leaves its row unmatched (later rounds can only be lower).
+    The one walk visits only the points whose match is not the identity or
+    leaves a row unmatched, where it composes the branch -> column order and
+    matches the unmatched rows by eigenvalue proximity to the previous point,
+    an exact tie being a `BranchTrackingError`; between them the order holds.
+    Each column's sign is the running product of the signs of its overlaps
+    with the previous point (one `cumprod`), restarting at +1 after an
+    overlap of exactly 0, which only a proximity match can have.
     """
     m, n = vals.shape
-    if m > 1:
-        overlap = np.matmul(vecs[:-1].transpose(0, 2, 1), vecs[1:])
-        if _keeps_order(np.abs(overlap)):
-            steps = np.sign(np.diagonal(overlap, axis1=1, axis2=2))
-            signs = np.cumprod(np.concatenate([np.ones((1, n)), steps]), axis=0)
-            return vals.copy(), vecs * signs[:, None, :]
-    return _track_branches_loop(xs, vals, vecs)
-
-
-def _keeps_order(overlap):
-    """Whether the greedy matching of every (m, N, N) overlap is the identity.
-
-    The same N rounds as the loop's matching, each an argmax over all points
-    at once; an overlap below the floor counts as a change of order.  The
-    rounds mask matched rows and columns in `overlap` itself.
-    """
-    m, n, _ = overlap.shape
-    flat = overlap.reshape(m, n * n)
-    rows = np.arange(m)
+    overlap = np.matmul(vecs[:-1].transpose(0, 2, 1), vecs[1:])
+    work = np.abs(overlap)
+    match = np.full((m - 1, n), -1)      # eigh's column at i -> at i + 1, or -1
+    at = np.arange(m - 1)
     for _ in range(n):
-        k = np.argmax(flat, axis=1)
-        a, b = np.divmod(k, n)
-        if (flat[rows, k] < _OVERLAP_FLOOR).any() or (a != b).any():
-            return False
-        overlap[rows, a, :] = -1.0
-        overlap[rows, :, b] = -1.0
-    return True
-
-
-def _track_branches_loop(xs, vals, vecs):
-    """`_track_branches` one point at a time, for grids where the order changes."""
-    m, n = vals.shape
-    out_vals = vals.copy()
-    out_vecs = vecs.copy()
-    for i in range(1, m):
-        prev = out_vecs[i - 1]
-        cur_vals, cur_vecs = out_vals[i], out_vecs[i]
-        overlap = np.abs(prev.T @ cur_vecs)
-        perm = np.full(n, -1)
-        used = np.zeros(n, dtype=bool)
-        work = overlap.copy()
-        for _ in range(n):
-            a, b = np.unravel_index(np.argmax(work), work.shape)
-            if work[a, b] < _OVERLAP_FLOOR:
-                break
-            perm[a] = b
-            used[b] = True
-            work[a, :] = -1.0
-            work[:, b] = -1.0
-        if (perm < 0).any():
-            # ambiguous overlap: match leftover branches by eigenvalue proximity
-            left_rows = np.where(perm < 0)[0]
-            left_cols = np.where(~used)[0]
-            prev_vals = out_vals[i - 1][left_rows]
-            order = np.argsort(prev_vals)
-            col_order = left_cols[np.argsort(cur_vals[left_cols])]
-            for r, c in zip(left_rows[order], col_order):
-                if len(left_cols) > 1:
-                    gaps = np.abs(cur_vals[left_cols] - out_vals[i - 1][r])
-                    gaps.sort()
-                    if gaps[1] - gaps[0] < 1e-14:
-                        raise BranchTrackingError(xs[i])
-                perm[r] = c
-        out_vals[i] = cur_vals[perm]
-        out_vecs[i] = cur_vecs[:, perm]
-        signs = np.sign(np.einsum("na,na->a", prev, out_vecs[i]))
-        signs[signs == 0] = 1.0
-        out_vecs[i] *= signs
-    return out_vals, out_vecs
+        a, b = np.divmod(np.argmax(work.reshape(m - 1, n * n), axis=1), n)
+        hit = work[at, a, b] >= _OVERLAP_FLOOR
+        match[at[hit], a[hit]] = b[hit]
+        work[at, a, :] = -1.0
+        work[at, :, b] = -1.0
+    order = np.tile(np.arange(n), (m, 1))  # branch -> eigh's column
+    walk = np.flatnonzero((match != np.arange(n)).any(axis=1)) + 1
+    for i, end in zip(walk, [*walk[1:], m]):
+        perm = match[i - 1][order[i - 1]]
+        prev_vals = vals[i - 1][order[i - 1]]
+        left_rows = np.flatnonzero(perm < 0)
+        left_cols = np.setdiff1d(np.arange(n), perm)
+        col_order = left_cols[np.argsort(vals[i][left_cols])]
+        for r, c in zip(left_rows[np.argsort(prev_vals[left_rows])], col_order):
+            if len(left_cols) > 1:
+                gaps = np.sort(np.abs(vals[i][left_cols] - prev_vals[r]))
+                if gaps[1] - gaps[0] < 1e-14:
+                    raise BranchTrackingError(xs[i])
+            perm[r] = c
+        order[i:end] = perm
+    out_vals = np.take_along_axis(vals, order, axis=1)
+    out_vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    steps = np.ones((m, n))
+    steps[1:] = np.sign(overlap[at[:, None], order[:-1], order[1:]])
+    # a proximity match's overlap can be within roundoff of 0, where the sign
+    # of the batched matmul need not be that of the columns' own dot product
+    for i in walk:
+        steps[i] = np.sign(np.einsum("na,na->a", out_vecs[i - 1], out_vecs[i]))
+    restart = np.maximum.accumulate(
+        np.where(steps == 0, np.arange(m)[:, None], 0), axis=0)
+    signs = np.cumprod(np.where(steps == 0, 1.0, steps), axis=0)
+    signs *= np.take_along_axis(signs, restart, axis=0)
+    return out_vals, out_vecs * signs[:, None, :]
 
 
 def _group_branches(xs, vals, multiplicities):
@@ -311,17 +283,6 @@ def gap_report(data: SpectralData, j: int, k: int) -> GapReport:
     coef, *_ = np.linalg.lstsq(a, np.log(gap), rcond=None)
     return GapReport(min_gap=min_gap, fitted_c0=float(np.exp(coef[0])),
                      fitted_n0=float(coef[1]), violated=False)
-
-
-def gamma_values(data: SpectralData, j: int, k: int) -> np.ndarray:
-    """Inverse gap γ_{j,k} = (λ_k − λ_j)^(-1) on the whole grid."""
-    if j == k:
-        raise ValueError("gamma needs two distinct branches")
-    diff = data.branches[k] - data.branches[j]
-    if np.any(diff == 0.0):
-        i = int(np.argmin(np.abs(diff)))
-        raise ZeroDivisionError(f"zero gap between branches at x = {data.grid.points[i]}")
-    return 1.0 / diff
 
 
 @dataclass(frozen=True)

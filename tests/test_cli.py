@@ -60,6 +60,24 @@ def test_nan_path_warns_nothing(tmp_path, capsys):
     assert "trajectory blow-up" in err and "Warning" not in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_branch_curve_of_a_finite_entry_warns_nothing(tmp_path, capsys):
+    # -2.49·exp(x²) written through (x²/2)^-1, which is inf at x = 0: the
+    # entry is finite, but choosing the branch curve evaluated it outside
+    # `np.errstate`, and "<string>:2: RuntimeWarning: divide by zero
+    # encountered in power" came before the report
+    raw = json.loads((CONFIGS / "smoke.json").read_text())
+    raw["potential"]["diag"] = ["(-2.49)*(exp(((x^2/2)^-1/2)^-1))"]
+    raw["packets"][0]["x0"] = 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["single", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: grid derivation failed: trajectory blow-up "
+        "max(|x|, |ξ|) nan above 1.0e+08 at t = 0.00025\n")
+
+
 def config_setup(study):
     """The study set-up of all the config's packets, as `superpose` builds it."""
     return study_setup(study)
@@ -501,6 +519,24 @@ def test_envelope_edge_same_exit_code_in_both_run_paths(tmp_path, capsys,
                 run(study)
             assert exc.value.exit_code == 2
     assert set(sizes) == {4096}
+
+
+def test_an_envelope_the_y_grid_aliases_is_refused_naming_y_points(tmp_path,
+                                                                   capsys):
+    # a width-0.05 Gaussian has η_τ·Δy = π, the top shell, at t = 0 on the
+    # default ±40 / 2048-point y-grid; its run failed the envelope edge guard
+    # at t = 0.025 with "enlarge y_half_width", though aliasing is the cause
+    packets = [{"profile": {"type": "gaussian", "width": 0.05}, "x0": 1.0,
+                "xi0": 0.0}]
+    path = write_config(tmp_path, packets=packets)
+    assert main(["single", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "y_points" in err and " at t = 0:" in err
+    assert "y-domain edge" not in err
+    fine = write_config(tmp_path, name="fine.json", packets=packets,
+                        y_points=8192)
+    assert config_setup(load_config(fine)).rule.eta * 80.0 / 8192 < np.pi
 
 
 def test_breathing_envelope_sizes_the_grid_for_the_whole_run(tmp_path):

@@ -14,16 +14,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.linalg import expm
 
 from adiapack.classical import integrate_trajectory
 from adiapack.corrections import ScalarPropagator
 from adiapack.envelope import EnvelopeStepper
+from adiapack.errors import BranchTrackingError
 from adiapack.expressions import parse_expr
 from adiapack.grids import UniformCubicSpline, l2_norm, make_grid, unit_phase
 from adiapack.nls import NLSPropagator, coherent_packet
-from adiapack.potentials import (MatrixPotentialSpec, _track_branches,
-                                 _track_branches_loop, branch_spline,
-                                 decompose, evaluate_potential)
+from adiapack.potentials import (_OVERLAP_FLOOR, MatrixPotentialSpec,
+                                 _track_branches, branch_spline, decompose,
+                                 evaluate_potential)
 from tests.test_potentials import rotating_family
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -64,6 +66,49 @@ def reference_nls_step(data, epsilon, lambda_coupling, dt, values, beta=0.75):
     out = pot_half(values)
     out = np.fft.ifft(kin[:, None] * np.fft.fft(out, axis=0), axis=0)
     return pot_half(out)
+
+
+def _track_branches_loop(xs, vals, vecs):
+    """The point-by-point tracker `potentials._track_branches` replaced, kept
+    verbatim as its reference."""
+    m, n = vals.shape
+    out_vals = vals.copy()
+    out_vecs = vecs.copy()
+    for i in range(1, m):
+        prev = out_vecs[i - 1]
+        cur_vals, cur_vecs = out_vals[i], out_vecs[i]
+        overlap = np.abs(prev.T @ cur_vecs)
+        perm = np.full(n, -1)
+        used = np.zeros(n, dtype=bool)
+        work = overlap.copy()
+        for _ in range(n):
+            a, b = np.unravel_index(np.argmax(work), work.shape)
+            if work[a, b] < _OVERLAP_FLOOR:
+                break
+            perm[a] = b
+            used[b] = True
+            work[a, :] = -1.0
+            work[:, b] = -1.0
+        if (perm < 0).any():
+            # ambiguous overlap: match leftover branches by eigenvalue proximity
+            left_rows = np.where(perm < 0)[0]
+            left_cols = np.where(~used)[0]
+            prev_vals = out_vals[i - 1][left_rows]
+            order = np.argsort(prev_vals)
+            col_order = left_cols[np.argsort(cur_vals[left_cols])]
+            for r, c in zip(left_rows[order], col_order):
+                if len(left_cols) > 1:
+                    gaps = np.abs(cur_vals[left_cols] - out_vals[i - 1][r])
+                    gaps.sort()
+                    if gaps[1] - gaps[0] < 1e-14:
+                        raise BranchTrackingError(xs[i])
+                perm[r] = c
+        out_vals[i] = cur_vals[perm]
+        out_vecs[i] = cur_vecs[:, perm]
+        signs = np.sign(np.einsum("na,na->a", prev, out_vecs[i]))
+        signs[signs == 0] = 1.0
+        out_vecs[i] *= signs
+    return out_vals, out_vecs
 
 
 def packet_on_branch(data, x0=0.8, xi0=0.5):
@@ -342,11 +387,18 @@ def config_specs():
     return specs
 
 
+def crossing_family():
+    """The branches x and -x, which cross at 0."""
+    return MatrixPotentialSpec.from_strings(["x", "-x"], ["0", "0", "0"])
+
+
 @pytest.mark.parametrize("name", ["constant_direction", "crossing_control",
                                   "rotating", "scalar_harmonic", "smoke",
-                                  "superposition"])
+                                  "superposition", "exact_crossing"])
 def test_batched_tracker_equals_loop(name):
-    spec, grid = config_specs()[name]
+    # exact_crossing: x = 0 is a grid point, where the branches meet exactly
+    spec, grid = {**config_specs(), "exact_crossing": (
+        crossing_family(), make_grid(-4.0, 4.0, 256))}[name]
     vals, vecs = np.linalg.eigh(evaluate_potential(spec, grid.points))
     fast_vals, fast_vecs = _track_branches(grid.points, vals, vecs)
     loop_vals, loop_vecs = _track_branches_loop(grid.points, vals, vecs)
@@ -356,8 +408,8 @@ def test_batched_tracker_equals_loop(name):
 
 def test_tracker_falls_back_where_order_swaps():
     # the branches x and -x cross at 0: eigh's ascending order swaps there,
-    # so only the point-by-point loop can keep branch 0 equal to x
-    spec = MatrixPotentialSpec.from_strings(["x", "-x"], ["0", "0", "0"])
+    # and the tracker walks that point, so branch 0 stays equal to x
+    spec = crossing_family()
     grid = make_grid(-1.01, 1.0, 64)
     assert np.all(grid.points != 0.0)
     data = decompose(spec, grid)
@@ -368,3 +420,62 @@ def test_tracker_falls_back_where_order_swaps():
     loop_vals, loop_vecs = _track_branches_loop(grid.points, vals, vecs)
     assert fast_vals.tobytes() == loop_vals.tobytes()
     assert fast_vecs.tobytes() == loop_vecs.tobytes()
+
+
+def test_tracker_matches_by_eigenvalue_where_a_frame_turns_fast():
+    # a 4-level frame turning about 1 rad between the 16 points: at every
+    # point one branch has no overlap above the floor and is matched to the
+    # nearest eigenvalue instead
+    xs = np.linspace(0.0, 1.0, 16)
+    a = np.random.default_rng(0).normal(size=(4, 4))
+    q = np.stack([expm(5.0 * x * (a - a.T)) for x in xs])
+    v = np.einsum("mab,b,mcb->mac", q, [-2.0, -0.5, 1.0, 3.0], q)
+    vals, vecs = np.linalg.eigh(v)
+    fast_vals, fast_vecs = _track_branches(xs, vals, vecs)
+    loop_vals, loop_vecs = _track_branches_loop(xs, vals, vecs)
+    overlaps = np.abs(np.einsum("ina,ina->ia", loop_vecs[:-1], loop_vecs[1:]))
+    assert (overlaps < _OVERLAP_FLOOR).any(axis=1).sum() == 15
+    assert fast_vals.tobytes() == loop_vals.tobytes()
+    assert fast_vecs.tobytes() == loop_vecs.tobytes()
+
+
+@pytest.mark.parametrize("seed", [None, 153])
+def test_tracker_signs_a_proximity_match_as_the_loop(seed):
+    # two decoupled 3-level blocks, each leaving one branch unmatched at
+    # x = 0.2; eigenvalue proximity pairs them across the blocks, where the
+    # overlap is 0.  Unrotated (None) it is exactly 0, and the reference signs
+    # that column +1 whatever its running sign was (-1 here, after eigh's
+    # frame flipped at x = 0.1).  In a frame turned by a random rotation the
+    # overlaps are within roundoff of 0, where the batched matmul and the
+    # loop's einsum can disagree in sign (they do for seed 153 here)
+    block = np.eye(3) - 2.0 / 3.0 * np.ones((3, 3))
+    q = np.kron(np.eye(2), block)
+    turn = np.eye(6) if seed is None else np.linalg.qr(
+        np.random.default_rng(seed).normal(size=(6, 6)))[0]
+    xs = np.array([0.0, 0.1, 0.2, 0.3])
+    vecs = np.stack([turn, -turn, turn @ q, turn @ q])
+    vals = np.array([[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]] * 2
+                    + [[0.0, 1.0, 7.0, 3.0, 4.0, -2.0]] * 2)
+    fast_vals, fast_vecs = _track_branches(xs, vals, vecs)
+    loop_vals, loop_vecs = _track_branches_loop(xs, vals, vecs)
+    overlaps = np.einsum("na,na->a", loop_vecs[1], loop_vecs[2])
+    assert np.sum(np.abs(overlaps) < 1e-15) == 2
+    assert fast_vals.tobytes() == loop_vals.tobytes()
+    assert fast_vecs.tobytes() == loop_vecs.tobytes()
+
+
+def test_tracker_raises_on_an_eigenvalue_tie():
+    # at x = 0.1 the frame turns so that two branches have no overlap above
+    # the floor, and the first of them (λ = 1 at x = 0) lies halfway between
+    # the two free eigenvalues 0.5 and 1.5: proximity cannot choose
+    a = np.zeros((4, 4))
+    a[0, 2], a[0, 3], a[1, 3] = 2.0, -1.0, 2.0
+    q = expm(1.1 * (a - a.T))
+    xs = np.array([0.0, 0.1])
+    vals, vecs = np.linalg.eigh(np.stack([
+        np.diag([0.0, 1.0, 2.0, 3.0]), q @ np.diag([0.0, 0.5, 1.5, 3.0]) @ q.T]))
+    for tracker in (_track_branches, _track_branches_loop):
+        with pytest.raises(BranchTrackingError,
+                           match="unresolvable branch crossing near x = 0.1$") as exc:
+            tracker(xs, vals, vecs)
+        assert exc.value.x == 0.1

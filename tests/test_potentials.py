@@ -4,8 +4,7 @@ import pytest
 from adiapack.errors import InvariantViolation
 from adiapack.grids import make_grid
 from adiapack.potentials import (MatrixPotentialSpec, decompose,
-                                 evaluate_potential,
-                                 gamma_values, gap_report, growth_scan,
+                                 evaluate_potential, gap_report, growth_scan,
                                  projector_identity_residuals)
 
 JB_INV = "(1+x^2)^(-1/2)"
@@ -171,19 +170,6 @@ def test_gap_report_rejects_same_branch():
         gap_report(data, 1, 1)
 
 
-def test_gamma_values_and_antisymmetry():
-    grid = make_grid(-5.0, 5.0, 128)
-    data = decompose(diagonal_family(), grid)
-    # branch 0 has λ = 0, branch 1 has λ = 1
-    assert gamma_values(data, 0, 1)[10] == pytest.approx(1.0)
-    i_mid = grid.n // 2
-    rot = decompose(rotating_family(), grid)
-    assert gamma_values(rot, 0, 1)[i_mid] == pytest.approx(0.5, abs=1e-12)
-    g01 = gamma_values(rot, 0, 1)
-    g10 = gamma_values(rot, 1, 0)
-    assert np.array_equal(g01, -g10)
-
-
 def test_identity_residuals_vanish_for_constant_direction():
     res = projector_identity_residuals(constant_direction_family(), 0.7, 1e-2)
     assert res.max < 1e-12
@@ -246,11 +232,3 @@ def test_gap_report_flags_exact_crossing():
     rep = gap_report(data, 0, 1)
     assert rep.min_gap == 0.0
     assert rep.violated
-
-
-def test_gamma_zero_gap_reports_location():
-    spec = MatrixPotentialSpec.from_strings(["x", "-x"], ["0", "0", "0"])
-    grid = make_grid(-4.0, 4.0, 256)
-    data = decompose(spec, grid)
-    with pytest.raises(ZeroDivisionError, match="x = 0.0"):
-        gamma_values(data, 0, 1)

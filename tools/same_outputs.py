@@ -8,6 +8,8 @@ one fixed command list, each with its own `src/` on PYTHONPATH:
 
 - `adiapack decompose` and `identities` on every shipped config;
 - `converge` on smoke, and on scalar_harmonic and rotating at ε = 1/64, 1/128;
+- `converge` on rotating with its full ε list, 1/64 to 1/512, whose three
+  step groups reach the lanes at dt = ε/4 (label `converge_rotating_full`);
 - `superpose` on superposition at ε = 1/32, 1/64 and on crossing_control at
   ε = 1/64;
 - `single` on smoke and on constant_direction;
@@ -47,8 +49,8 @@ CONFIGS = ("constant_direction", "crossing_control", "rotating",
            "scalar_harmonic", "smoke", "superposition")
 
 
-def _cli(command, config, epsilons=None):
-    label = f"{command}_{config}"
+def _cli(command, config, epsilons=None, label=None):
+    label = label or f"{command}_{config}"
     args = [command, "--config", f"configs/{config}.json"]
     if epsilons:
         args += ["--epsilon-override", epsilons]
@@ -64,6 +66,7 @@ def command_list(smoke: bool) -> list:
     runs += [_cli("converge", "smoke"),
              _cli("converge", "scalar_harmonic", "0.015625,0.0078125"),
              _cli("converge", "rotating", "0.015625,0.0078125"),
+             _cli("converge", "rotating", label="converge_rotating_full"),
              _cli("superpose", "superposition", "0.03125,0.015625"),
              _cli("superpose", "crossing_control", "0.015625"),
              _cli("single", "smoke"), _cli("single", "constant_direction")]
