@@ -23,7 +23,8 @@ same trajectories.
   |k| ≥ ¾ k_Nyquist above τ = 1e-20, `SolverAbort`; at every observation of
   the march (`nls.check_lab_field`).  τ also defines η_τ in
   `experiments.lab_grid_rule`, where an η_τ that reaches the y-grid's
-  Nyquist limit π/Δy is a `ConfigError` naming `y_points`.
+  Nyquist limit π/Δy is a `ConfigError` naming `y_points`, and a ψ₀ with a
+  tail above τ, its ends within `BOUNDARY`, is one naming `grid.n` (`_Lane`).
 * `ENVELOPE_EDGE`: max |u| at the ends of the y-grid above 1e-8 · max(1, ‖u₀‖),
   `InvariantViolation`, on the initial profile and after every step, and
   `ENVELOPE_MASS`: |‖u‖ - ‖u₀‖| after each step above the same, `SolverAbort`;

@@ -50,13 +50,14 @@ from .classical import integrate_trajectory
 from .corrections import ScalarPropagator, assemble_correction
 from .eigenframe import coupling_profile
 from .envelope import EnvelopeStepper
-from .errors import CORRECTION_NORM, ENVELOPE_SUPPORT, AdiapackError, \
-    ConfigError, finite_number
+from .errors import BOUNDARY, CORRECTION_NORM, ENVELOPE_SUPPORT, \
+    FOURIER_TAIL, AdiapackError, ConfigError, finite_number
 from .grids import SpatialGrid, UniformCubicSpline, centred_slice, l2_norm, \
     make_grid, sigma_norm, unit_phase
 from .nls import MAX_GRID_POINTS, MAX_POINT_STEPS, MAX_STEPS, NLSPropagator, \
     project, build_initial_data, check_lab_field, check_step_mass, \
-    kappa_problem, lab_grid_points, mode_populations, spectral_half_width
+    fourier_tail, kappa_problem, lab_grid_points, mode_populations, \
+    spectral_half_width
 from .potentials import MatrixPotentialSpec, SpectralData, branch_spline, \
     decompose
 
@@ -576,8 +577,10 @@ class _Lane:
     packet's static carrier, the NLS propagator and, when the set-up has one
     packet, its g_{j,ℓ} on every other branch, carried half a step ahead as
     h_{j,ℓ} = U_j(dt/2) g_{j,ℓ}.  ψ₀ is the sum of the packets'
-    `build_initial_data`.  Between observations ψ stays open: each step
-    leaves its trailing half potential step to the next one."""
+    `build_initial_data`; a ψ₀ whose ends pass `BOUNDARY` and whose Fourier
+    tail does not (the lab grid rule does not count χ's turning) is a
+    `ConfigError` naming `grid.n`.  Between observations ψ stays open: each
+    step leaves its trailing half potential step to the next one."""
 
     def __init__(self, setup: StudySetup, epsilon):
         study = setup.study
@@ -596,6 +599,13 @@ class _Lane:
                                     lab, pk.r0())
                  for pk, chi in zip(packets, self.chis)]
         self.psi = sum(parts[1:], parts[0])
+        tail = fourier_tail(self.psi)
+        if not tail <= FOURIER_TAIL.tol and \
+                np.abs(self.psi[[0, -1]]).max() <= BOUNDARY.tol:
+            raise ConfigError(
+                f"grid.n: the initial data's Fourier tail {tail:.3e} is above "
+                f"{FOURIER_TAIL.tol:.1e} on the {self.n}-point lab grid at "
+                f"epsilon = {epsilon}; raise grid.n")
         self.pending = False             # ψ owes its last step's trailing half
         self.mass0, self.max_drift, self.tails = l2_norm(lab, self.psi), 0.0, []
         self.prop = NLSPropagator(data, epsilon, lam, self.steps.dt)

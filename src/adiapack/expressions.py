@@ -8,16 +8,17 @@ Grammar (recursive descent, '^' binds right):
     base   := number | 'x' | 'pi' | 'e' | func '(' expr ')' | '(' expr ')' | '-' base
     func   := sin | cos | tan | tanh | exp | sqrt | abs | jb
 
-`jb(x)` is the japanese bracket sqrt(1 + x²).  Expressions print back to
-parseable text and support analytic differentiation in x (constant exponents
-only, which covers every potential shipped here).  `expr(x, nu)` is the nu-th
-derivative (nu = 0, 1 or 2) at x, the call of `grids.UniformCubicSpline`, so
-an expression and a spline serve alike as an eigenvalue branch.  A tree is
-rendered once as the source of one Python function and compiled from it
-twice: an array form in numpy's arithmetic, for numpy scalars and arrays, and
-a float form in `math`, for a Python float.  A node builds each, and its
-derivative, on first use without recursion and keeps it.  The parser refuses
-input past `MAX_NESTING` levels of nesting or `MAX_NODES` nodes.
+`jb(x)` is the japanese bracket sqrt(1 + x²), and `pi` and `e` parse to
+their numbers.  Expressions support analytic differentiation in x (constant
+exponents only, which covers every potential shipped here).  `expr(x, nu)`
+is the nu-th derivative (nu = 0, 1 or 2) at x, the call of
+`grids.UniformCubicSpline`, so an expression and a spline serve alike as an
+eigenvalue branch.  A tree is rendered once as the source of one Python
+function and compiled from it twice: an array form in numpy's arithmetic,
+for numpy scalars and arrays, and a float form in `math`, for a Python
+float.  A node builds each, and its derivative, on first use without
+recursion and keeps it.  The parser refuses input past `MAX_NESTING` levels
+of nesting or `MAX_NODES` nodes.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ from .errors import AdiapackError
 
 __all__ = ["Expr", "MAX_NESTING", "MAX_NODES", "ParseError", "parse_expr"]
 
-# levels of '(', call, unary '-' and exponent: far below where the compiled
-# source breaks Python's limits (at 100 unary minus, two parentheses each)
+# levels of '(', call, unary '-' and exponent: far below where parsing
+# exhausts Python's default recursion limit (248 levels of '(' or calls)
 MAX_NESTING = 32
-# nodes, one per number, name and operator: the printer, the one recursive
-# walk, fails past 500 levels of a left-deep chain (2 nodes a level); past
-# _INLINE_PARENS '(' a node's source goes to a local (Python refuses 200)
+# nodes, one per number, name and operator: a bound on the derivative trees
+# and their compiled source; past _INLINE_PARENS '(' a node's source goes to
+# a local, so the source nests below Python's limit of 200 parentheses
 MAX_NODES, _INLINE_PARENS = 256, 64
 
 _NAMES = ("sin", "cos", "tan", "tanh", "exp", "sqrt")
@@ -87,9 +88,9 @@ class Expr:
     def __call__(self, x, nu: int = 0):
         """The nu-th derivative (nu = 0, 1 or 2) at x.  A Python float takes
         the float form and gets a float (`math`, within about 1e-16 relative
-        of numpy; x^2 is x·x, as in numpy's `power`), or the array form's
-        answer where `math` raises (inf or NaN, with numpy's warning
-        silenced: the caller's guard refuses it).  Any other
+        of numpy; x^2 is x·x, as in numpy's `power`), or, where `math`
+        raises, the array form's answer on x as a 0-d array (numpy's inf or
+        NaN, its warning silenced: the caller's guard refuses it).  Any other
         x takes the array form: numpy's arithmetic, a constant an array of
         x's shape."""
         if nu not in (0, 1, 2):
@@ -102,11 +103,8 @@ class Expr:
                 return float_form(x)
             except (ArithmeticError, ValueError):
                 with np.errstate(all="ignore"):
-                    return float(array_form(x))
+                    return float(array_form(np.asarray(x)))
         return array_form(x)
-
-    def __str__(self):
-        return self._print(1)
 
     def diff(self) -> "Expr":
         """d/dx of the expression, built once per node."""
@@ -140,15 +138,6 @@ class Expr:
             text[id(e)] = source
         return "def f(x):\n" + "".join(lines) + f"    return {text[id(self)]}\n"
 
-    # precedence levels: 1 = additive, 2 = multiplicative, 3 = power, 4 = base
-    _LEVEL = 4
-
-    def _print(self, context: int) -> str:
-        text = self._print_inner()
-        if self._LEVEL < context:
-            return f"({text})"
-        return text
-
 
 @dataclass(frozen=True)
 class Num(Expr):
@@ -156,9 +145,6 @@ class Num(Expr):
 
     def _source(self, arrays, text):
         return _literal(self.value, arrays)
-
-    def _print_inner(self):
-        return repr(self.value) if self.value != int(self.value) else str(int(self.value))
 
     def _diff(self):
         return Num(0.0)
@@ -169,25 +155,8 @@ class Var(Expr):
     def _source(self, arrays, text):
         return "x"
 
-    def _print_inner(self):
-        return "x"
-
     def _diff(self):
         return Num(1.0)
-
-
-@dataclass(frozen=True)
-class Const(Expr):
-    name: str
-
-    def _source(self, arrays, text):
-        return _literal(_CONSTANTS[self.name], arrays)
-
-    def _print_inner(self):
-        return self.name
-
-    def _diff(self):
-        return Num(0.0)
 
 
 @dataclass(frozen=True)
@@ -196,9 +165,6 @@ class Neg(Expr):
 
     def _source(self, arrays, text):
         return f"(-({text[id(self.arg)]}))"
-
-    def _print_inner(self):
-        return "-" + self.arg._print(4)
 
     def _diff(self):
         return Neg(self.arg.diff())
@@ -210,27 +176,9 @@ class Bin(Expr):
     left: Expr
     right: Expr
 
-    @property
-    def _LEVEL(self):
-        return {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}[self.op]
-
     def _source(self, arrays, text):
         a, b = text[id(self.left)], text[id(self.right)]
-        if self.op == "^":
-            return f"pow({a}, {b})"
-        # Python's precedence and left associativity are the grammar's, so
-        # only the parentheses the tree needs are written (a sum of many
-        # terms stays within the compiler's nesting limit)
-        lvl = self._LEVEL
-        a = a if self.left._LEVEL >= lvl else f"({a})"
-        b = b if self.right._LEVEL > lvl else f"({b})"
-        return f"{a} {self.op} {b}"
-
-    def _print_inner(self):
-        lvl = self._LEVEL
-        if self.op == "^":  # right-associative, base on the left
-            return self.left._print(4) + "^" + self.right._print(3)
-        return self.left._print(lvl) + self.op + self.right._print(lvl + 1)
+        return f"pow({a}, {b})" if self.op == "^" else f"({a}) {self.op} ({b})"
 
     def _diff(self):
         da, db = self.left.diff(), self.right.diff()
@@ -254,9 +202,6 @@ class Call(Expr):
 
     def _source(self, arrays, text):
         return f"{self.fn}({text[id(self.arg)]})"
-
-    def _print_inner(self):
-        return f"{self.fn}({self.arg._print(1)})"
 
     def _diff(self):
         u, du = self.arg, self.arg.diff()
@@ -352,25 +297,16 @@ class _Parser:
             raise ParseError(offset, {"an operator", "end of input"})
         return e
 
-    def expr(self, depth: int) -> Expr:
-        e = self.term(depth)
+    def expr(self, depth: int, ops: str = "+-") -> Expr:
+        """expr, or term with ops "*/": its operands joined left to right."""
+        e = op = None
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                e = Bin(value, e, self.term(depth))
-            else:
+            right = self.expr(depth, "*/") if ops == "+-" else self.factor(depth)
+            e = right if op is None else Bin(op, e, right)
+            kind, op, _ = self.peek()
+            if kind != "op" or op not in ops:
                 return e
-
-    def term(self, depth: int) -> Expr:
-        e = self.factor(depth)
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                e = Bin(value, e, self.factor(depth))
-            else:
-                return e
+            self.advance()
 
     def factor(self, depth: int) -> Expr:
         e = self.base(depth)
@@ -390,7 +326,7 @@ class _Parser:
             if value == "x":
                 return Var()
             if value in _CONSTANTS:
-                return Const(value)
+                return Num(_CONSTANTS[value])
             if value in _FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expr(depth + 1)

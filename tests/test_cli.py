@@ -539,6 +539,27 @@ def test_an_envelope_the_y_grid_aliases_is_refused_naming_y_points(tmp_path,
     assert config_setup(load_config(fine)).rule.eta * 80.0 / 8192 < np.pi
 
 
+@pytest.mark.filterwarnings("error")
+def test_initial_data_the_lab_grid_cannot_hold_is_refused_naming_grid_n(
+        tmp_path, capsys):
+    # ξ ≡ 0, and the carrier χ turns at the avoided crossing at x = 0, which
+    # the lab grid rule does not count (n = 256): the run aborted at t = 0.0
+    # on the Fourier tail, "the lab grid is too coarse for the packet's
+    # momentum" (exit 4); grid.n = 512 resolves ψ₀
+    raw = json.loads((CONFIGS / "smoke.json").read_text())
+    raw.update(epsilons=[0.0625],
+               potential={"diag": ["x", "-x"], "sym": ["0", "0.14", "0"]},
+               packets=[{"profile": {"type": "gaussian"}, "x0": 0, "xi0": 0}])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["single", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: grid.n: the initial data's Fourier tail 3.310e-12 is "
+        "above 1.0e-20 on the 256-point lab grid at epsilon = 0.0625; raise "
+        "grid.n\n")
+
+
 def test_breathing_envelope_sizes_the_grid_for_the_whole_run(tmp_path):
     # a width-2 Gaussian in x²/2 narrows to width 1/2 at t = π/2, so its
     # momentum width grows 4×; sized from the t = 0 profile alone (n = 512)
@@ -791,6 +812,14 @@ def test_bad_command_input_is_a_config_error(tmp_path, capsys):
     cases += [(command, nan_path_config(tmp_path), [],
                "grid derivation failed: trajectory blow-up max(|x|, |ξ|) nan "
                "above 1.0e+08 at t = 0.42") for command in ("single", "converge")]
+    # a pole at the packet's start, off the probe grid: where `math` raised,
+    # the fallback gave the array form the same Python float, which raised
+    # ZeroDivisionError again (a traceback from the trajectory, exit 1)
+    pole = write_config(tmp_path, name="pole.json",
+                        potential={"diag": ["1/(x-0.3)"], "sym": ["0"]},
+                        packets=[dict(packet, x0=0.3)])
+    cases.append(("single", pole, [], "grid derivation failed: trajectory "
+                  "blow-up max(|x|, |ξ|) nan above 1.0e+08 at t = 0.00025"))
     # deep nesting was a RecursionError traceback (250 calls) or a
     # SyntaxError on the first evaluation (101 unary minus), exit 1
     for i, text in enumerate(("sin(" * 250 + "x" + ")" * 250, "-" * 101 + "x")):

@@ -14,6 +14,9 @@ one fixed command list, each with its own `src/` on PYTHONPATH:
   ε = 1/64;
 - `single` on smoke and on constant_direction;
 - every script in `demos/`;
+- `expressions`: the bytes of the array form's values, nu = 0, 1 and 2 on
+  11 points, of 2000 seeded random trees over the test grammar and of every
+  shipped entry (it reads only `parse_expr`, so any revision runs it);
 - the acceptance suite, of which the `[PASS]`/`[FAIL]` lines are kept.
 
 `--smoke` runs only decompose, identities, converge and single on smoke.
@@ -47,6 +50,44 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ("constant_direction", "crossing_control", "rotating",
            "scalar_harmonic", "smoke", "superposition")
+# the array form's bytes (or the derivative's error text) of every tree; no
+# braces, as `run` formats every argument
+EXPRESSIONS = r"""
+import json, random
+import numpy as np
+from adiapack.expressions import parse_expr
+
+
+def tree(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(["x", "pi", "e", "2", "0.5", "3", "1.25e-2"])
+    kind = rng.randrange(3)
+    if kind == 0:
+        left, op = tree(rng, depth - 1), rng.choice("+-*/^")
+        return "(" + left + ")" + op + "(" + tree(rng, depth - 1) + ")"
+    if kind == 1:
+        fn = rng.choice(["sin", "cos", "tan", "tanh", "exp", "sqrt", "abs", "jb"])
+        return fn + "(" + tree(rng, depth - 1) + ")"
+    return "-(" + tree(rng, depth - 1) + ")"
+
+
+rng = random.Random(23)
+texts = [tree(rng, 5) for _ in range(2000)]
+for name in %r:
+    with open("configs/" + name + ".json", encoding="utf-8") as f:
+        potential = json.load(f)["potential"]
+    texts += potential["diag"] + potential["sym"]
+x = np.linspace(-2.3, 2.7, 11)
+with np.errstate(all="ignore"):
+    for text in texts:
+        e = parse_expr(text)
+        for nu in (0, 1, 2):
+            try:
+                value = e(x, nu).tobytes().hex()
+            except ValueError as exc:
+                value = str(exc)
+            print(nu, text, value)
+""" % (CONFIGS,)
 
 
 def _cli(command, config, epsilons=None, label=None):
@@ -72,6 +113,7 @@ def command_list(smoke: bool) -> list:
              _cli("single", "smoke"), _cli("single", "constant_direction")]
     runs += [(f"demo_{path.stem}", [sys.executable, f"{{tree}}/demos/{path.name}"])
              for path in sorted((ROOT / "demos").glob("*.py"))]
+    runs.append(("expressions", [sys.executable, "-c", EXPRESSIONS]))
     runs.append(("acceptance", [sys.executable, "-m", "pytest", "-q", "-s",
                                 "-p", "no:cacheprovider",
                                 "tests/test_acceptance.py"]))
