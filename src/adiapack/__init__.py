@@ -12,7 +12,7 @@ Submodules:
 - `expressions`  the small expression language for potential entries
 - `potentials`   matrix potentials, branch tracking, projector calculus
 - `classical`    branch Hamiltonian trajectories and the action integral
-- `envelope`     the ε-free profile equation: its stepper and moments
+- `envelope`     the ε-free profile equation: its stepper, clock, moments
 - `eigenframe`   parallel transport (an oracle for the static frame) and
                  coupling coefficients
 - `corrections`  scalar branch propagators, the midpoint Duhamel step and
@@ -30,7 +30,7 @@ from .potentials import (MatrixPotentialSpec, SpectralData, decompose,
                          branch_spline, evaluate_potential, gap_report,
                          projector_identity_residuals, growth_scan)
 from .classical import ClassicalTrajectory, integrate_trajectory
-from .envelope import EnvelopeStepper, envelope_moments
+from .envelope import EnvelopeClock, EnvelopeStepper, envelope_moments
 from .eigenframe import (EigenFrame, k_matrix, transport_frame, frame_at,
                          parallel_residual, coupling_coefficients,
                          coupling_profile, initial_frame)

@@ -9,12 +9,14 @@ samples line up exactly with PDE solver steps.  λ, λ' and λ'' are recorded
 at every sample, for the envelope (λ'') and the Taylor remainder, and the
 energy E = ξ²/2 + λ(x) is tracked as a drift diagnostic; |x| and |ξ| are
 bounded by `errors.TRAJECTORY_BLOWUP` at every step.  A branch curve is
-anything called as `curve(x, nu)` for λ (nu = 0), λ' and λ'': the parsed
-diagonal entry (`expressions.Expr`, its derivatives analytic) or the
-not-a-knot spline of decomposed samples (`grids.UniformCubicSpline`, its
-derivatives its own).  Both take a scalar path on a Python float, which is
-what a stage passes.  A trajectory is its samples, read by index; only the
-transport oracle (`eigenframe`) interpolates them in t.
+anything called as `curve(x, nu)` for λ (nu = 0), λ' and λ'' on the
+samples, with `curve.slope_and_value(x)` for (λ', λ) at a stage's Python
+float: the parsed diagonal entry (`expressions.Expr`, its derivatives
+analytic, the pair one compiled function) or the not-a-knot spline of
+decomposed samples (`grids.UniformCubicSpline`, its derivatives its own,
+the pair one interval lookup).  A trajectory is its samples, read by index;
+the envelope clock (`envelope.EnvelopeClock`) integrates λ'' in t over
+its stages, and the transport oracle (`eigenframe`) interpolates the path.
 """
 
 from __future__ import annotations
@@ -50,10 +52,10 @@ def integrate_trajectory(curve, x0: float, xi0: float, T: float,
     The action is accumulated through the same integrator stages, so S(t) is
     fourth-order accurate as well.  A NaN or past-tolerance x or ξ trips
     `errors.TRAJECTORY_BLOWUP`, so the branch must be finite on the path.  The
-    state (x, ξ, S) is carried as Python floats, with `curve(x)` and
-    `curve(x, 1)` per stage; each update is the elementwise operation of the
-    vector form of the scheme, in the same order, so the samples are the
-    same to the bit.
+    state (x, ξ, S) is carried as Python floats, with one
+    `curve.slope_and_value(x)`, (λ'(x), λ(x)), per stage; each update is the
+    elementwise operation of the vector form of the scheme, in the same
+    order, so the samples are the same to the bit.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -62,9 +64,11 @@ def integrate_trajectory(curve, x0: float, xi0: float, T: float,
         raise ValueError("T must be an integer multiple of dt")
 
     def rhs(x, xi):
-        return xi, -curve(x, 1), 0.5 * xi * xi - curve(x)
+        slope, lam = pair(x)
+        return xi, -slope, 0.5 * xi * xi - lam
 
-    half, sixth, tol = 0.5 * dt, dt / 6.0, TRAJECTORY_BLOWUP.tol
+    pair, half, sixth = curve.slope_and_value, 0.5 * dt, dt / 6.0
+    tol = TRAJECTORY_BLOWUP.tol
     x, xi, s = float(x0), float(xi0), 0.0
     out = np.empty((n_steps + 1, 3))
     out[0] = (x, xi, s)

@@ -9,17 +9,20 @@ profile is the plain (n,) array of its samples on that grid.  The
 splitting is symmetric second order: a half step of the potential-plus-cubic
 phase (exact pointwise, since |u| is invariant under that flow), a full
 kinetic step (exact Fourier multiplier), and another half phase.  The
-time-dependent curvature enters at the step midpoint, as the caller's
-sample c = λ''(x(t + dt/2)) in `advance(dt, c)`.  The stepper
+time-dependent curvature enters as the caller's value c in `advance(dt, c)`:
+the midpoint sample λ''(x(t + dt/2)) or the mean over the step, either of
+which keeps the step symmetric.  The stepper
 leaves each step's trailing half phase pending and applies it when `values`
 is read; an `advance` that finds a half pending takes it together with its
-own leading half as one phase, with the two midpoint curvatures averaged,
-½(c_k + c_{k+1}) (exact, since both phases keep |u|).  Between two reads a
+own leading half as one phase, with the two curvatures averaged by their
+half steps (exact, since both phases keep |u|).  Between two reads a
 step therefore costs one phase instead of two.  The stepper owns its sample
 buffer: the phases multiply it in place and the transforms (`numpy.fft` with
 `out=`) overwrite it, so callers that keep a profile take a copy.
-`EnvelopeStepper` is the one envelope march: the lockstep march of
-`experiments` and its grid rule's sizing march both drive it.
+`EnvelopeStepper` is the one envelope march: the grid rule's sizing march
+of `experiments` drives it in Strang steps, and its lockstep march through
+an `EnvelopeClock`, whose fourth-order triple jumps of the Strang step run
+between clock points and whose reads between them are cubic Hermite in t.
 
 Mass ‖u(t)‖ is conserved to roundoff by construction; a drift beyond
 1e-8 · max(1, ‖u₀‖) signals under-resolution and aborts the run
@@ -27,7 +30,7 @@ Mass ‖u(t)‖ is conserved to roundoff by construction; a drift beyond
 either end of the y-domain, initially or after any step, has left the
 comoving window (`errors.ENVELOPE_EDGE`, `InvariantViolation`, exit 3).
 Both guards read |u|, which the pending phase does not change, so they check
-every step on the open samples.
+every step, and every stage of a triple jump, on the open samples.
 """
 
 from __future__ import annotations
@@ -37,7 +40,13 @@ import numpy as np
 from .errors import ENVELOPE_EDGE, ENVELOPE_MASS
 from .grids import SpatialGrid, l2_norm, spectral_derivative, unit_phase
 
-__all__ = ["EnvelopeStepper", "envelope_moments"]
+__all__ = ["EnvelopeClock", "EnvelopeStepper", "envelope_moments"]
+
+# Yoshida's triple jump (Phys. Lett. A 150 (1990) 262): symmetric steps of
+# w₁h, w₀h, w₁h (w₀ = 1 - 2w₁ < 0) make a fourth-order step of h
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_TRIPLE_JUMP = (_W1, 1.0 - 2.0 * _W1, _W1)
+_STAGE_ENDS = np.cumsum((0.0,) + _TRIPLE_JUMP)
 
 
 class EnvelopeStepper:
@@ -74,13 +83,22 @@ class EnvelopeStepper:
             self._kin_cache[dt] = mult
         return mult
 
-    def _phase(self, dt, curv):
-        re, im = self._u.real, self._u.imag
-        pot = curv * self._half_y2 + self.lambda_coupling * (re * re + im * im)
-        self._u *= unit_phase(-dt * pot)
+    def _potential(self, u, curv):   # ½ λ'' y² + Λ |u|²
+        re, im = u.real, u.imag
+        return curv * self._half_y2 + self.lambda_coupling * (re * re + im * im)
 
-    def advance(self, dt: float, curvature: float):
-        """One step of dt, with `curvature` the midpoint value λ''(x(t + dt/2))."""
+    def _phase(self, dt, curv):
+        self._u *= unit_phase(-dt * self._potential(self._u, curv))
+
+    def rate(self, u: np.ndarray, curvature: float) -> np.ndarray:
+        """∂ₜu of the equation at the samples u and λ'' = `curvature`."""
+        kinetic = np.fft.ifft(0.5 * self.y_grid.frequencies**2 * np.fft.fft(u))
+        return -1j * (kinetic + self._potential(u, curvature) * u)
+
+    def advance(self, dt: float, curvature: float, time: float | None = None):
+        """One step of dt, with `curvature` λ'' over the step: its midpoint
+        value λ''(x(t + dt/2)), or its mean.  `time`, which the guards name
+        and `self.time` then holds, is by default the step's end, time + dt."""
         half, curv = 0.5 * dt, float(curvature)
         if self._pending is None:
             self._phase(half, curv)
@@ -94,11 +112,63 @@ class EnvelopeStepper:
         self._u *= self._kinetic(dt)
         np.fft.ifft(self._u, out=self._u)
         self._pending = (half, curv)
-        self.time += dt
+        self.time = self.time + dt if time is None else time
         mass = l2_norm(self.y_grid, self._u)
         ENVELOPE_MASS.check(abs(mass - self.mass0), max(1.0, self.mass0),
                             f" at t = {self.time}")
         self._check_edge()
+
+
+class EnvelopeClock:
+    """u along curvature samples c_i = λ''(x(i·q)), marched by `stepper`
+    between clock points (`bounds`, increasing sample indices from 0) and
+    read at sample indices that never decrease.  Each clock interval h is
+    one Yoshida triple jump, stages of w₁h, w₀h, w₁h at their means of the
+    samples' linear interpolant, continued past the ends (a stage midpoint's
+    value loses the fourth order where λ'' is a branch spline's
+    piecewise-linear second derivative).  A read at a clock point is the
+    clock sample, one between two their cubic Hermite interpolant in t, with
+    ∂ₜu from `EnvelopeStepper.rate` taken once per end for such a read.  The
+    clock marches an interval when a read needs it and keeps its two ends;
+    the stepper's guards name the interval's end."""
+
+    def __init__(self, stepper: EnvelopeStepper, curvature: np.ndarray,
+                 q: float, bounds):
+        self.stepper, self.curvature, self.q = stepper, curvature, q
+        self._areas = np.r_[0.0, np.cumsum(0.5 * q * (curvature[1:]
+                                                      + curvature[:-1]))]
+        self._bounds = iter(bounds[1:])
+        start = [bounds[0], stepper.values.copy(), None]   # [index, u, ∂ₜu]
+        self._ends = [start, start]
+
+    def _jump(self):
+        b0, b1 = self._ends[1][0], next(self._bounds)
+        h = (b1 - b0) * self.q
+        areas = np.diff(self._area(b0 + (b1 - b0) * _STAGE_ENDS))
+        for w, area in zip(_TRIPLE_JUMP, areas):
+            self.stepper.advance(w * h, area / (w * h), b1 * self.q)
+        self._ends = [self._ends[1], [b1, self.stepper.values.copy(), None]]
+
+    def _area(self, s):   # ∫ from sample 0 to each fractional sample index s
+        c, i = self.curvature, np.clip(s.astype(np.intp), 0, len(self._areas) - 2)
+        d = s - i
+        return self._areas[i] + self.q * d * (c[i] + 0.5 * d * (c[i + 1] - c[i]))
+
+    def at(self, i: int) -> np.ndarray:
+        """u at sample i, not below the last read's index."""
+        while self._ends[1][0] < i:
+            self._jump()
+        (b0, u0, _), (b1, u1, _) = self._ends
+        if i == b1:
+            return u1
+        for end in self._ends:
+            if end[2] is None:
+                end[2] = self.stepper.rate(end[1], self.curvature[end[0]])
+        (_, _, d0), (_, _, d1) = self._ends
+        s, h = (i - b0) / (b1 - b0), (b1 - b0) * self.q
+        h01 = s * s * (3.0 - 2.0 * s)
+        return ((1.0 - h01) * u0 + h01 * u1
+                + (h * s * (1.0 - s)) * ((1.0 - s) * d0 - s * d1))
 
 
 def envelope_moments(y_grid: SpatialGrid, values: np.ndarray, k: int,

@@ -27,15 +27,15 @@ each packet's run trajectory once per distinct dt, the grid rule, every ε's
 grid size and step rule, and the envelopes' run window (the part of the
 y-grid their profiles fill).  In the critical scaling the envelope equation and the
 classical path do not contain ε, so the ε that share a dt run in one
-lockstep march (`_Lockstep`): each distinct envelope is stepped once per
-step and read by every packet and ε that use it, and each ε keeps its own
-lab state (`_Lane`).  `run_single_packet`, `convergence_study` and
-`superposition_experiment` share one loop over the step groups
-(`_run_groups`) and differ only in their observer and failure handling.
-The run trajectory's samples at dt/4 are the one clock of the ε-free data,
-read by index: step s is observed at sample 4s, a whole envelope step and
-the Duhamel source read 4s - 2, and its dt/2 envelope halves 4s - 3 and
-4s - 1.
+lockstep march (`_Lockstep`): each distinct envelope is marched once, on
+its own fourth-order clock (`envelope.EnvelopeClock`, a clock point about
+every `_ENVELOPE_DT`), and read by every packet and ε that use it, and each
+ε keeps its own lab state (`_Lane`).  `run_single_packet`,
+`convergence_study` and `superposition_experiment` share one loop over the
+step groups (`_run_groups`) and differ only in their observer and failure
+handling.  The run trajectory's samples at dt/4 are read by index: step s
+is observed at sample 4s, and its Duhamel source reads u, x, ξ and S at
+4s - 2; the envelope clock integrates its λ'' samples in t.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 from .classical import integrate_trajectory
 from .corrections import ScalarPropagator, assemble_correction
 from .eigenframe import coupling_profile
-from .envelope import EnvelopeStepper
+from .envelope import EnvelopeClock, EnvelopeStepper
 from .errors import BOUNDARY, CORRECTION_NORM, ENVELOPE_SUPPORT, \
     FOURIER_TAIL, AdiapackError, ConfigError, finite_number
 from .grids import SpatialGrid, UniformCubicSpline, centred_slice, l2_norm, \
@@ -415,6 +415,20 @@ def _within(budget: int, what: str, work: dict):
                           f"needs {work[eps]:.4g}")
 
 
+# the envelope clock's interval: its fourth-order step there is more
+# accurate than 1e-3 Strang steps; every shipped cadence is a multiple
+_ENVELOPE_DT = 1e-2
+
+
+def _clock(stepper: EnvelopeStepper, curvature, steps: _Steps) -> EnvelopeClock:
+    """The stepper's `EnvelopeClock` along curvature samples at steps.dt/4:
+    a clock point every m-th step, m·dt the largest multiple of dt up to
+    `_ENVELOPE_DT` (at least dt), and at the last step."""
+    m = max(1, int(_ENVELOPE_DT / steps.dt + 1e-9))
+    return EnvelopeClock(stepper, curvature, steps.dt / 4.0, [
+        4 * b for b in range(0, steps.total, m)] + [4 * steps.total])
+
+
 def _envelopes(y_grid: SpatialGrid, pairs, lambda_coupling: float) -> tuple:
     """An `EnvelopeStepper` for each (profile, curvature samples) pair, and
     each distinct stepper's curvature.  Pairs whose samples agree byte for
@@ -643,16 +657,16 @@ class _Lockstep:
     """Every ε of one step group (equal `_Steps`) in one march, one `_Lane`
     per ε.  The ε-free parts are marched once: each packet's trajectory is
     the set-up's for this dt, and packets and ε whose profile and curvature
-    samples agree share one `EnvelopeStepper` (`_envelopes`), whose y-spline
-    is built once per evaluation time and read on every lane's grid.  With
-    correction components the envelope step is split into dt/2 halves (the
-    source needs u(t + dt/2)); otherwise it takes one dt step.  ψ and the
-    envelopes close only where they are read: ψ at the step that lands on
-    an observation, an envelope when its samples are splined.
+    samples agree share one `EnvelopeStepper` (`_envelopes`) and its
+    `EnvelopeClock` (`_clock`), whose y-spline is built once per read and
+    read on every lane's grid.  The lanes read u at each observation and,
+    with correction components, at each step's midpoint, for the Duhamel
+    source.  ψ closes only at the step that lands on an observation.
 
     A lane whose construction or guard fails with an `AdiapackError` leaves
     the march and is listed in `failures`, in the order the lanes fail; the
-    other lanes go on.  A tripped envelope guard fails every live lane."""
+    other lanes go on.  A tripped envelope guard fails every live lane, at
+    the read that marches the clock interval it trips in."""
 
     def __init__(self, setup: StudySetup, epsilons):
         self.setup, self.failures = setup, []
@@ -664,9 +678,11 @@ class _Lockstep:
                 self.lanes.append(_Lane(setup, eps))
             except AdiapackError as exc:
                 self.failures.append((eps, exc))
-        self.envs, self.curvatures = _envelopes(setup.y_grid, [
+        envs, curvatures = _envelopes(setup.y_grid, [
             (pk.evaluator(), tr.curvature) for pk, tr in zip(
                 setup.study.packets, self.trajs)], setup.study.lambda_coupling)
+        clocks = {env: _clock(env, c, self.steps) for env, c in curvatures.items()}
+        self.clocks = [clocks[env] for env in envs]
 
     def _each(self, work):
         """work(lane) on every live lane; a lane whose work fails leaves."""
@@ -677,36 +693,40 @@ class _Lockstep:
                 self.lanes.remove(lane)
                 self.failures.append((lane.epsilon, exc))
 
-    def _advance(self, dt, i):   # every distinct envelope, midpoint at sample i
+    def _splines(self, i):
+        """Each packet's envelope spline at sample i, built once per distinct
+        clock; a tripped envelope guard fails every live lane, and with no
+        live lane no clock is read."""
+        y = self.setup.y_grid
+        if not self.lanes:
+            return []
         try:
-            for env, curvature in self.curvatures.items():
-                env.advance(dt, curvature[i])
+            built = {clock: UniformCubicSpline(y.x_min, y.spacing, clock.at(i))
+                     for clock in dict.fromkeys(self.clocks)}
         except AdiapackError as exc:
             self.failures += [(lane.epsilon, exc) for lane in self.lanes]
             self.lanes = []
-
-    def _splines(self):
-        """Each packet's envelope spline, built once per distinct envelope;
-        it reads the samples without a copy, so read it before they move."""
-        y = self.setup.y_grid
-        built = {env: UniformCubicSpline(y.x_min, y.spacing, env.values)
-                 for env in self.curvatures}
-        return [built[env] for env in self.envs]
+            return []
+        return [built[clock] for clock in self.clocks]
 
     def march(self, observers: dict):
         """March to T.  At each observation every lane runs `check_lab_field`
         and then observers[lane](step, t, [φ_k(t) per packet])."""
-        dt = self.steps.dt
+        dt, trajs = self.steps.dt, self.trajs
         split = any(lane.carried for lane in self.lanes)
 
+        def phis(lane, i, splines):   # φ_k at sample i, on the lane's grid
+            return [_phi_values(lane.lab, u_of, tr.x[i], tr.xi[i],
+                                tr.action[i], lane.epsilon)
+                    for u_of, tr in zip(splines, trajs)]
+
         def observe_at(step):
-            t, i, splines = step * dt, 4 * step, self._splines()
+            t, i = step * dt, 4 * step
+            splines = self._splines(i)
 
             def observe(lane):
                 lane.tails.append(check_lab_field(lane.psi, t))
-                observers[lane](step, t, [_phi_values(
-                    lane.lab, u_of, tr.x[i], tr.xi[i], tr.action[i],
-                    lane.epsilon) for u_of, tr in zip(splines, self.trajs)])
+                observers[lane](step, t, phis(lane, i, splines))
             self._each(observe)
 
         observe_at(0)
@@ -714,15 +734,10 @@ class _Lockstep:
             if not self.lanes:
                 return
             if split:
-                self._advance(0.5 * dt, 4 * step - 3)
-                (u_of,), (tr,) = self._splines(), self.trajs
                 i = 4 * step - 2
-                self._each(lambda lane: lane.source_step(_phi_values(
-                    lane.lab, u_of, tr.x[i], tr.xi[i], tr.action[i],
-                    lane.epsilon), tr.xi[i]))
-                self._advance(0.5 * dt, 4 * step - 1)
-            else:
-                self._advance(dt, 4 * step - 2)
+                splines = self._splines(i)
+                self._each(lambda lane: lane.source_step(
+                    phis(lane, i, splines)[0], trajs[0].xi[i]))
             observed = step % self.steps.per_obs == 0
             self._each(lambda lane: lane.nls_step(step, close=observed))
             if observed:

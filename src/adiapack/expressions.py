@@ -106,6 +106,18 @@ class Expr:
                     return float(array_form(np.asarray(x)))
         return array_form(x)
 
+    def slope_and_value(self, x: float) -> tuple:
+        """(self(x, 1), self(x)) for a Python float x, bit for bit, from one
+        compiled float form that computes their shared nodes once."""
+        try:
+            return self._fused(x)
+        except (ArithmeticError, ValueError):
+            return self(x, 1), self(x)
+
+    @cached_property
+    def _fused(self):
+        return _Pair(self._derivative, self)._compiled[1]
+
     def diff(self) -> "Expr":
         """d/dx of the expression, built once per node."""
         return self._derivative
@@ -223,6 +235,15 @@ class Call(Expr):
         else:  # jb
             return Bin("/", Bin("*", u, du), Call("jb", u))
         return Bin("*", outer, du)
+
+
+@dataclass(frozen=True)
+class _Pair(Expr):   # two trees as one function's tuple: the fused float form
+    left: Expr
+    right: Expr
+
+    def _source(self, arrays, text):
+        return f"({text[id(self.left)]}, {text[id(self.right)]})"
 
 
 def _children(e: Expr) -> tuple:

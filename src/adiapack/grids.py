@@ -164,7 +164,8 @@ class UniformCubicSpline:
     x.shape + values.shape[1:]; `nu` = 1 or 2 gives the spline's own first or
     second derivative; the end cubics extrapolate outside the knots.  A Python
     float (or int) x on 1-D samples takes a scalar path in Python arithmetic,
-    which returns a Python number with the array path's bits at that point.
+    which returns a Python number with the array path's bits at that point,
+    as does `slope_and_value`, s' and s in one lookup.
     """
 
     def __init__(self, x0: float, h: float, values):
@@ -190,7 +191,7 @@ class UniformCubicSpline:
         if nu not in (0, 1, 2):
             raise ValueError("nu must be 0, 1 or 2")
         if isinstance(x, (float, int)) and self._coef[0].ndim == 1:
-            return self._scalar(x, nu)
+            return self._scalar(x)[nu]
         x = np.asarray(x, dtype=float)
         t = (x - self.x0) / self.h
         idx = np.fmin(np.fmax(t, 0.0), self.n - 2).astype(np.intp)
@@ -202,18 +203,22 @@ class UniformCubicSpline:
             return _horner(d, 3.0 * c3, 2.0 * c2, c1)
         return _horner(d, 6.0 * c3, 2.0 * c2)
 
-    def _scalar(self, x, nu):
-        """The array path's operations, in the same order, on Python numbers."""
+    def slope_and_value(self, x: float) -> tuple:
+        """(self(x, 1), self(x)) for a Python float x on 1-D samples."""
+        value, slope, _ = self._scalar(x)
+        return slope, value
+
+    def _scalar(self, x):
+        """(s, s', s'') at x by the array path's operations, in the same
+        order, on Python numbers."""
         knots, c0, c1, c2, c3 = self._lists
         t = (x - self.x0) / self.h
         last = self.n - 2
         i = int(t) if 0.0 <= t < last else (last if t >= last else 0)
         d = x - knots[i]
-        if nu == 0:
-            return ((c3[i] * d + c2[i]) * d + c1[i]) * d + c0[i]
-        if nu == 1:
-            return (3.0 * c3[i] * d + 2.0 * c2[i]) * d + c1[i]
-        return 6.0 * c3[i] * d + 2.0 * c2[i]
+        return (((c3[i] * d + c2[i]) * d + c1[i]) * d + c0[i],
+                (3.0 * c3[i] * d + 2.0 * c2[i]) * d + c1[i],
+                6.0 * c3[i] * d + 2.0 * c2[i])
 
 
 def _horner(d, *coef):

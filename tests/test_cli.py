@@ -443,6 +443,35 @@ def test_mass_guard_exit_code_in_both_run_paths(tmp_path, capsys, monkeypatch):
         assert "mass drift" in capsys.readouterr().err
 
 
+def test_envelope_guard_in_the_last_clock_interval_fails_the_run(
+        tmp_path, capsys, monkeypatch):
+    # a single packet on two branches carries corrections, so the Duhamel
+    # source of step 91 reads u at its midpoint and marches the last clock
+    # interval, [0.09, 0.1], where the mass guard trips; observing every
+    # step, the same step's observation comes after every lane has failed
+    from adiapack.envelope import EnvelopeStepper
+
+    advance = EnvelopeStepper.advance
+
+    def leaky(self, dt, curvature, time=None):
+        if time == 0.1:   # the clock's last interval; the sizing march passes none
+            self._u *= 1.0 + 1e-6
+        advance(self, dt, curvature, time)
+
+    monkeypatch.setattr(EnvelopeStepper, "advance", leaky)
+    path = write_config(tmp_path, potential={"diag": ["x^2/2", "x^2/2"],
+                                             "sym": ["0.5", "0.5", "-0.5"]},
+                        observe_every=0.001)
+    message = "envelope mass drift 1.000e-06 above 1.0e-08 at t = 0.1"
+    assert main(["single", "--config", str(path),
+                 "--out", str(tmp_path / "single")]) == 4
+    assert capsys.readouterr().err == f"runtime abort: {message}\n"
+    out = tmp_path / "converge"
+    assert main(["converge", "--config", str(path), "--out", str(out)]) == 4
+    report = json.loads((out / "report.json").read_text())
+    assert report["failures"] == [[0.0625, message]]
+
+
 def test_energy_drift_in_report_not_csv(tmp_path):
     path = two_packet_config(tmp_path)
     for command, csv in (("single", "single.csv"), ("superpose", "superpose.csv")):

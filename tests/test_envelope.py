@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adiapack.envelope import EnvelopeStepper, envelope_moments
+from adiapack.envelope import EnvelopeClock, EnvelopeStepper, envelope_moments
 from adiapack.errors import InvariantViolation, SolverAbort
 from adiapack.grids import l2_norm, make_grid
 
@@ -100,6 +100,24 @@ def test_strang_self_convergence_second_order():
     err_coarse = l2_norm(Y_GRID, outs[4e-3] - outs[2e-3])
     err_fine = l2_norm(Y_GRID, outs[2e-3] - outs[1e-3])
     assert err_coarse / err_fine == pytest.approx(4.0, abs=1.0)
+
+
+def test_clock_self_convergence_fourth_order():
+    # triple jumps of h along λ'' = 1 + 0.3 sin 3t sampled every 2.5e-4:
+    # halving h shrinks the deviation by ≈ 16 at a clock point (t = 0.48)
+    # and at a Hermite read between two (t = 0.255)
+    q = 2.5e-4
+    samples = 1.0 + 0.3 * np.sin(3.0 * q * np.arange(1921))
+    reads = {}
+    for m in (160, 80, 40):
+        clock = EnvelopeClock(EnvelopeStepper(Y_GRID, gaussian(Y_GRID.points),
+                                              1.0), samples, q,
+                              list(range(0, 1921, m)))
+        reads[m] = [clock.at(1020).copy(), clock.at(1920).copy()]
+    for k in (0, 1):
+        err_coarse = l2_norm(Y_GRID, reads[160][k] - reads[80][k])
+        err_fine = l2_norm(Y_GRID, reads[80][k] - reads[40][k])
+        assert err_coarse / err_fine == pytest.approx(16.0, abs=3.0)
 
 
 def test_moment_growth_below_affine():

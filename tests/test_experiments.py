@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from adiapack.corrections import assemble_correction
 from adiapack.envelope import EnvelopeStepper
 from adiapack.errors import ConfigError
 from adiapack.experiments import (PacketSpec, RunOptions, Study,
-                                  _branch_curve_for, _error_norms,
+                                  _branch_curve_for, _clock, _error_norms,
                                   _phi_values, convergence_study,
                                   fit_order, make_profile, run_single_packet,
                                   study_setup, superposition_experiment)
@@ -21,6 +24,7 @@ MULTIPLET = MatrixPotentialSpec.from_strings(["x^2/2", "x^2/2"], ["0", "0", "0"]
                                              multiplicities=(2,))
 GAUSSIAN_AT_1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
 EVERY_005 = RunOptions(observe_every=0.05)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def study(spec, packets, epsilons, lambda_coupling, T, x_min, x_max, **kwargs):
@@ -58,21 +62,17 @@ def rotating_setup():
 
 def ansatz_at(setup, epsilon, t):
     """(lab grid, u(t) on the run window, φ(t) on the lab grid) of the
-    set-up's one packet at ε, built from the pieces a run uses: an
-    `EnvelopeStepper` along the set-up's run trajectory (step s at the
-    curvature of its midpoint sample 4s - 2), the envelope's spline and
-    `_phi_values` at sample 4s."""
-    (packet,), dt = setup.study.packets, setup.steps[epsilon].dt
-    (traj,), y_grid = setup.trajectories[dt], setup.y_grid
+    set-up's one packet at ε, built from the pieces a run uses: the
+    envelope's clock (`_clock`) along the set-up's run trajectory, read at
+    sample 4s of step s, the envelope's spline and `_phi_values` there."""
+    (packet,), steps = setup.study.packets, setup.steps[epsilon]
+    (traj,), y_grid = setup.trajectories[steps.dt], setup.y_grid
     env = EnvelopeStepper(y_grid, packet.evaluator()(y_grid.points),
                           setup.study.lambda_coupling)
-    steps = int(round(t / dt))
-    for step in range(1, steps + 1):
-        env.advance(dt, traj.curvature[4 * step - 2])
+    i = 4 * int(round(t / steps.dt))
+    u = _clock(env, traj.curvature, steps).at(i).copy()
     probe = setup.probe.grid
     lab = make_grid(probe.x_min, probe.x_max, setup.grid_n[epsilon])
-    u = env.values.copy()
-    i = 4 * steps
     u_of = UniformCubicSpline(y_grid.x_min, y_grid.spacing, u)
     return lab, u, _phi_values(lab, u_of, traj.x[i], traj.xi[i],
                                traj.action[i], epsilon)
@@ -447,23 +447,97 @@ def test_lockstep_runs_match_each_epsilon_run_alone():
 
 def test_lockstep_steps_a_shared_envelope_once(monkeypatch):
     # both packets ride x²/2 with the same profile, so their curvature
-    # samples agree and one envelope serves both packets and both ε:
-    # T/dt = 100 steps, plus ⌈T/0.025⌉ = 4 steps of the sizing march
+    # samples agree and one envelope serves both packets and both ε: three
+    # triple-jump stages for each of the T/0.01 = 10 clock intervals, plus
+    # ⌈T/0.025⌉ = 4 steps of the sizing march
     from adiapack.envelope import EnvelopeStepper
 
     calls = []
     advance = EnvelopeStepper.advance
 
-    def counting(self, dt, curvature):
+    def counting(self, dt, curvature, time=None):
         calls.append(dt)
-        return advance(self, dt, curvature)
+        return advance(self, dt, curvature, time)
 
     monkeypatch.setattr(EnvelopeStepper, "advance", counting)
     p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
     p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)
     superposition_experiment(study(HARMONIC, (p1, p2), [1.0 / 16, 1.0 / 32],
                                    1.0, 0.1, -4.0, 4.0, options=EVERY_005))
-    assert len(calls) == 100 + 4
+    assert len(calls) == 3 * 10 + 4
+
+
+def clock_and_strang_errors(name):
+    """On the shipped config's first packet and ε (T = 1, dt = 1e-3, its
+    run trajectory's curvature samples at dt/4), the worst L² error against
+    a fine Strang march (steps of dt/8, midpoint curvatures from a
+    trajectory at dt/16 on the same branch curve) of u read at observations
+    (every 0.01) and at step midpoints: by the clock, and by the Strang
+    marches the clock replaced (steps of dt read at observations; dt/2
+    halves read at midpoints)."""
+    from adiapack.config import load_config
+
+    raw = load_config(CONFIGS / f"{name}.json")
+    setup = study_setup(replace(raw, T=1.0, packets=raw.packets[:1],
+                                epsilons=raw.epsilons[:1], snapshot_times=None))
+    (packet,), steps = setup.study.packets, setup.steps[raw.epsilons[0]]
+    (traj,), y, lam = (setup.trajectories[steps.dt], setup.y_grid,
+                       setup.study.lambda_coupling)
+    a = packet.evaluator()(y.points)
+    fine = integrate_trajectory(
+        _branch_curve_for(raw.potential, setup.probe, packet.branch),
+        packet.x0, packet.xi0, 1.0, steps.dt / 16.0)
+    ref, marches = EnvelopeStepper(y, a, lam), [EnvelopeStepper(y, a, lam)
+                                                for _ in range(2)]
+    clock = _clock(EnvelopeStepper(y, a, lam), traj.curvature, steps)
+    errors = {key: 0.0 for key in ("clock obs", "strang obs", "clock mid",
+                                   "strang mid")}
+
+    def worst(key, u, u_ref):
+        errors[key] = max(errors[key], l2_norm(y, u - u_ref))
+
+    for s in range(1, steps.total + 1):
+        for k in range(8 * s - 8, 8 * s):
+            ref.advance(steps.dt / 8.0, fine.curvature[2 * k + 1])
+            if k == 8 * s - 5:          # the step's midpoint
+                worst("clock mid", clock.at(4 * s - 2), ref.values)
+                marches[1].advance(0.5 * steps.dt, traj.curvature[4 * s - 3])
+                worst("strang mid", marches[1].values, ref.values)
+                marches[1].advance(0.5 * steps.dt, traj.curvature[4 * s - 1])
+        marches[0].advance(steps.dt, traj.curvature[4 * s - 2])
+        if s % steps.per_obs == 0:
+            worst("clock obs", clock.at(4 * s), ref.values)
+            worst("strang obs", marches[0].values, ref.values)
+    return errors
+
+
+@pytest.mark.parametrize("name", ["rotating", "crossing_control",
+                                  "constant_direction"])
+def test_clock_reads_are_within_the_strang_march_error(name):
+    # on branch splines, whose λ'' is piecewise linear in x: with each
+    # stage at the spline's midpoint value instead of its stage mean, the
+    # midpoint reads on constant_direction.json erred 4.6e-8 (Strang 3.0e-8)
+    errors = clock_and_strang_errors(name)
+    assert errors["clock obs"] <= errors["strang obs"], errors
+    assert errors["clock mid"] <= errors["strang mid"], errors
+
+
+def test_a_read_at_a_clock_point_is_the_clock_sample():
+    # clock points every 10 steps of dt = 1e-3 (sample 40, 80, ...): a read
+    # there is the stepper's closed samples after the interval's three
+    # stages, byte for byte, whether or not a Hermite read came first
+    setup = study_setup(study(rotating_family(), [GAUSSIAN_AT_1], [1.0 / 64],
+                              1.0, 0.1, -2.5, 2.5))
+    steps, (traj,), y = setup.steps[1.0 / 64], setup.trajectories[1e-3], \
+        setup.y_grid
+    clocks = [_clock(EnvelopeStepper(y, GAUSSIAN_AT_1.evaluator()(y.points),
+                                     1.0), traj.curvature, steps)
+              for _ in range(2)]
+    between = clocks[0].at(22)
+    assert not np.array_equal(between, clocks[0].at(40))
+    assert clocks[0].at(40).tobytes() == clocks[1].at(40).tobytes() \
+        == clocks[1].stepper.values.tobytes()
+    assert clocks[1].stepper.time == 0.01
 
 
 def test_step_rule_rejects_t_off_the_observation_cadence(monkeypatch):

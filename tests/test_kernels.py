@@ -9,6 +9,7 @@ point-by-point loop for branch tracking.
 """
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from scipy.linalg import expm
 from adiapack.classical import integrate_trajectory
 from adiapack.corrections import ScalarPropagator
 from adiapack.envelope import EnvelopeStepper
-from adiapack.errors import BranchTrackingError
+from adiapack.errors import BranchTrackingError, SolverAbort
 from adiapack.expressions import parse_expr
 from adiapack.grids import UniformCubicSpline, l2_norm, make_grid, unit_phase
 from adiapack.nls import NLSPropagator, coherent_packet
@@ -280,6 +281,65 @@ def test_trajectory_byte_identical_to_array_state_rk4(kind):
     assert np.array_equal(traj.action, ref[:, 2])
 
 
+def reference_two_call_trajectory(curve, x0, xi0, T, dt):
+    """RK4 on a Python-float state with the two calls `curve(x, 1)` and
+    `curve(x)` a stage (the blow-up guard left out)."""
+    def rhs(x, xi):
+        return xi, -curve(x, 1), 0.5 * xi * xi - curve(x)
+
+    half, sixth = 0.5 * dt, dt / 6.0
+    x, xi, s = float(x0), float(xi0), 0.0
+    out = np.empty((int(round(T / dt)) + 1, 3))
+    out[0] = (x, xi, s)
+    for i in range(len(out) - 1):
+        k1x, k1p, k1s = rhs(x, xi)
+        k2x, k2p, k2s = rhs(x + half * k1x, xi + half * k1p)
+        k3x, k3p, k3s = rhs(x + half * k2x, xi + half * k2p)
+        k4x, k4p, k4s = rhs(x + dt * k3x, xi + dt * k3p)
+        x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        xi = xi + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        s = s + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+        out[i + 1] = (x, xi, s)
+    return out
+
+
+def crossing_control_probe_branch():
+    """Branch 0 of crossing_control.json on its 4096-point probe: a spline."""
+    raw = json.loads((CONFIGS / "crossing_control.json").read_text())
+    spec = MatrixPotentialSpec.from_strings(raw["potential"]["diag"],
+                                            raw["potential"]["sym"])
+    return branch_spline(decompose(spec, make_grid(-4.0, 4.0, 4096)), 0)
+
+
+@pytest.mark.parametrize("kind", ["spline", "x^2/2",
+                                  "x^2/2-(1+x^2)^(-1/2)+sin(x)/3"])
+def test_fused_stage_calls_are_byte_identical_to_two_calls(kind):
+    # one `slope_and_value` a stage gives the samples of `curve(x, 1)` and
+    # `curve(x)`, bit for bit: on crossing_control's run (x0 = 1, dt/4 =
+    # 2.5e-4, T = 2) and on two parsed entries
+    branch = crossing_control_probe_branch() if kind == "spline" else \
+        parse_expr(kind)
+    traj = integrate_trajectory(branch, 1.0, 0.0, 2.0, 2.5e-4)
+    ref = reference_two_call_trajectory(branch, 1.0, 0.0, 2.0, 2.5e-4)
+    assert traj.x.tobytes() == ref[:, 0].tobytes()
+    assert traj.xi.tobytes() == ref[:, 1].tobytes()
+    assert traj.action.tobytes() == ref[:, 2].tobytes()
+    for x in (0.3, -1.7, 5.0):
+        assert branch.slope_and_value(x) == (branch(x, 1), branch(x))
+
+
+@pytest.mark.filterwarnings("error")
+def test_fused_stage_keeps_the_fallback_and_the_blowup_guard():
+    # where `math` raises (a pole at the start), the stage falls back to
+    # the two calls and numpy's inf; the path turns NaN at the first step
+    pole = parse_expr("1/(x-0.3)")
+    assert pole.slope_and_value(0.3) == (pole(0.3, 1), pole(0.3)) \
+        == (-np.inf, np.inf)
+    with pytest.raises(SolverAbort, match=re.escape(
+            "trajectory blow-up max(|x|, |ξ|) nan above 1.0e+08 at t = 0.00025")):
+        integrate_trajectory(pole, 0.3, 0.0, 1.0, 2.5e-4)
+
+
 @pytest.mark.parametrize("x_c", [0.3, -3.9, 3.95, 7.0])
 @pytest.mark.parametrize("half_width", [20.0, 80.0])
 def test_phi_on_the_window_equals_the_full_grid_form(x_c, half_width):
@@ -375,6 +435,8 @@ def test_uniform_spline_scalar_path_equals_array_path():
         scalar_path = [spline(float(xi), nu) for xi in x]
         assert all(type(v) is float for v in scalar_path)
         assert np.array(scalar_path).tobytes() == array_path.tobytes()
+    pairs = np.array([spline.slope_and_value(float(xi)) for xi in x])
+    assert pairs.T.tobytes() == np.stack([spline(x, 1), spline(x)]).tobytes()
 
 
 def config_specs():

@@ -1,6 +1,7 @@
 """The output-equivalence script `tools/same_outputs.py`."""
 
 import runpy
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,3 +29,14 @@ def test_smoke_outputs_match_themselves_and_a_perturbed_cell_is_named(tmp_path):
         "  column sup_sigma1_w: max abs ")
     rel = float(report[1].rsplit("max rel ", 1)[1])
     assert 0.9e-12 < rel < 1.1e-12
+
+
+def test_an_argument_holding_braces_runs_unchanged(tmp_path):
+    # only the {tree} placeholder is substituted: code with a dict literal
+    # and a format field runs as written, and {tree} becomes the tree
+    code = "import sys; print({1: 2}, '{0}'.format(3), sys.argv[1])"
+    same["run"](ROOT, "braces", [sys.executable, "-c", code, "{tree}/x"],
+                tmp_path)
+    out = tmp_path / "braces"
+    assert (out / "exit.txt").read_text() == "0\n"
+    assert (out / "stdout.txt").read_text() == "{1: 2} 3 <tree>/x\n"

@@ -50,8 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ("constant_direction", "crossing_control", "rotating",
            "scalar_harmonic", "smoke", "superposition")
-# the array form's bytes (or the derivative's error text) of every tree; no
-# braces, as `run` formats every argument
+# the array form's bytes (or the derivative's error text) of every tree
 EXPRESSIONS = r"""
 import json, random
 import numpy as np
@@ -124,7 +123,7 @@ def run(tree: Path, label: str, argv: list, out: Path):
     """Run one command of the list in `tree`, its outputs into out/label."""
     where = out / label
     where.mkdir(parents=True)
-    argv = [a.format(tree=tree) for a in argv]
+    argv = [a.replace("{tree}", str(tree)) for a in argv]
     if argv[2:3] == ["adiapack.cli"]:
         argv += ["--out", str(where)]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONIOENCODING="utf-8")
