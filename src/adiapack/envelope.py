@@ -122,7 +122,8 @@ class EnvelopeStepper:
 class EnvelopeClock:
     """u along curvature samples c_i = λ''(x(i·q)), marched by `stepper`
     between clock points (`bounds`, increasing sample indices from 0) and
-    read at sample indices that never decrease.  Each clock interval h is
+    read at sample indices i/per that never decrease (a coarser lattice's
+    fall between samples).  Each clock interval h is
     one Yoshida triple jump, stages of w₁h, w₀h, w₁h at their means of the
     samples' linear interpolant, continued past the ends (a stage midpoint's
     value loses the fourth order where λ'' is a branch spline's
@@ -154,18 +155,18 @@ class EnvelopeClock:
         d = s - i
         return self._areas[i] + self.q * d * (c[i] + 0.5 * d * (c[i + 1] - c[i]))
 
-    def at(self, i: int) -> np.ndarray:
-        """u at sample i, not below the last read's index."""
-        while self._ends[1][0] < i:
+    def at(self, i: int, per: int = 1) -> np.ndarray:
+        """u at sample i/per (whole i and per), not below the last read's."""
+        while self._ends[1][0] * per < i:
             self._jump()
         (b0, u0, _), (b1, u1, _) = self._ends
-        if i == b1:
+        if i == b1 * per:
             return u1
         for end in self._ends:
             if end[2] is None:
                 end[2] = self.stepper.rate(end[1], self.curvature[end[0]])
         (_, _, d0), (_, _, d1) = self._ends
-        s, h = (i - b0) / (b1 - b0), (b1 - b0) * self.q
+        s, h = (i - b0 * per) / ((b1 - b0) * per), (b1 - b0) * self.q
         h01 = s * s * (3.0 - 2.0 * s)
         return ((1.0 - h01) * u0 + h01 * u1
                 + (h * s * (1.0 - s)) * ((1.0 - s) * d0 - s * d1))

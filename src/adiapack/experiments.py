@@ -26,15 +26,15 @@ command does its ε-free work once (`study_setup`): the probe decomposition,
 each packet's run trajectory once per distinct dt, the grid rule, every ε's
 grid size and step rule, and the envelopes' run window (the part of the
 y-grid their profiles fill).  In the critical scaling the envelope equation and the
-classical path do not contain ε, so the ε that share a dt run in one
+classical path do not contain ε, so every ε of a command runs in one
 lockstep march (`_Lockstep`): each distinct envelope is marched once, on
 its own fourth-order clock (`envelope.EnvelopeClock`, a clock point about
-every `_ENVELOPE_DT`), and read by every packet and ε that use it, and each
-ε keeps its own lab state (`_Lane`).  `run_single_packet`,
-`convergence_study` and `superposition_experiment` share one loop over the
-step groups (`_run_groups`) and differ only in their observer and failure
-handling.  The run trajectory's samples at dt/4 are read by index: step s
-is observed at sample 4s, and its Duhamel source reads u, x, ξ and S at
+every `_ENVELOPE_DT`, the same for every ε), and read by every packet and
+ε that use it, and each ε keeps its own lab state and dt (`_Lane`).
+`run_single_packet`, `convergence_study` and `superposition_experiment`
+share that march and differ only in their observer and failure handling.
+The run trajectory's samples at dt/4 are read by index: step s is
+observed at sample 4s, and its Duhamel source reads u, x, ξ and S at
 4s - 2; the envelope clock integrates its λ'' samples in t.
 """
 
@@ -387,22 +387,34 @@ class Study:
             object.__setattr__(self, "snapshot_times", (0.0, self.T))
 
 
+# the envelope clock's interval: its fourth-order step there is more
+# accurate than 1e-3 Strang steps; every shipped cadence is a multiple
+_ENVELOPE_DT = 1e-2
+
+
 class _Steps(NamedTuple):
-    """The march of one ε: step size, steps per observation, step total."""
+    """The march of one ε: step size, steps per observation, step total,
+    steps per envelope clock interval."""
 
     dt: float
     per_obs: int
     total: int
+    per_clock: int
 
 
 def _step_rule(T: float, options: RunOptions, epsilon: float) -> _Steps:
-    """The one step rule: dt = observe_every/k for the smallest k with
-    dt ≤ min(dt_max, dt_over_epsilon·ε), so that steps land on every
-    observation (a `Study` has T on that cadence)."""
+    """The one step rule.  The cell c = observe_every/⌈observe_every/
+    `_ENVELOPE_DT`⌉ does not contain ε; dt = c/k for the smallest k with
+    dt ≤ min(dt_max, dt_over_epsilon·ε), so that every ε's steps land on
+    every observation (a `Study` has T on that cadence) and on every clock
+    point: one every ⌊`_ENVELOPE_DT`/c⌋ cells, and one at T."""
     every, n_obs = options.observe_every, round(T / options.observe_every)
+    cells = int(np.ceil(every / _ENVELOPE_DT - 1e-12))   # per observation
+    cell = every / cells
     dt = min(options.dt_max, options.dt_over_epsilon * epsilon)
-    per_obs = int(np.ceil(every / dt - 1e-12))
-    return _Steps(every / per_obs, per_obs, per_obs * n_obs)
+    k = int(np.ceil(cell / dt - 1e-12))
+    return _Steps(cell / k, cells * k, cells * k * n_obs,
+                  k * max(1, int(_ENVELOPE_DT / cell + 1e-9)))
 
 
 def _within(budget: int, what: str, work: dict):
@@ -415,18 +427,11 @@ def _within(budget: int, what: str, work: dict):
                           f"needs {work[eps]:.4g}")
 
 
-# the envelope clock's interval: its fourth-order step there is more
-# accurate than 1e-3 Strang steps; every shipped cadence is a multiple
-_ENVELOPE_DT = 1e-2
-
-
 def _clock(stepper: EnvelopeStepper, curvature, steps: _Steps) -> EnvelopeClock:
-    """The stepper's `EnvelopeClock` along curvature samples at steps.dt/4:
-    a clock point every m-th step, m·dt the largest multiple of dt up to
-    `_ENVELOPE_DT` (at least dt), and at the last step."""
-    m = max(1, int(_ENVELOPE_DT / steps.dt + 1e-9))
+    """The stepper's `EnvelopeClock` along curvature samples at steps.dt/4,
+    with a clock point every steps.per_clock steps and at the last step."""
     return EnvelopeClock(stepper, curvature, steps.dt / 4.0, [
-        4 * b for b in range(0, steps.total, m)] + [4 * steps.total])
+        4 * b for b in range(0, steps.total, steps.per_clock)] + [4 * steps.total])
 
 
 def _envelopes(y_grid: SpatialGrid, pairs, lambda_coupling: float) -> tuple:
@@ -494,7 +499,7 @@ def lab_grid_rule(length: float, packets, trajectories, dt: float,
     for env, curvature in curvatures.items():
         for b0, b1 in zip([0] + bounds, bounds):
             if b1 > b0:
-                env.advance((b1 - b0) * dt, curvature[2 * (b0 + b1)])
+                env.advance((b1 - b0) * dt, curvature[2 * (b0 + b1)], b1 * dt)
             u = env.values
             eta = max(eta, spectral_half_width(y_grid, u))
             if eta >= np.pi / y_grid.spacing:
@@ -533,14 +538,6 @@ class StudySetup:
     grid_n: dict                     # requested ε -> lab grid size
     steps: dict                      # requested ε -> its `_Steps`
     trajectories: dict               # dt -> each packet's run trajectory
-
-    def groups(self) -> list:
-        """The requested ε, in their order, grouped by step rule: one
-        lockstep each."""
-        groups = {}
-        for eps, steps in self.steps.items():
-            groups.setdefault(steps, []).append(eps)
-        return list(groups.values())
 
 
 def study_setup(study: Study) -> StudySetup:
@@ -654,54 +651,58 @@ class _Lane:
 
 
 class _Lockstep:
-    """Every ε of one step group (equal `_Steps`) in one march, one `_Lane`
-    per ε.  The ε-free parts are marched once: each packet's trajectory is
-    the set-up's for this dt, and packets and ε whose profile and curvature
-    samples agree share one `EnvelopeStepper` (`_envelopes`) and its
-    `EnvelopeClock` (`_clock`), whose y-spline is built once per read and
-    read on every lane's grid.  The lanes read u at each observation and,
-    with correction components, at each step's midpoint, for the Duhamel
-    source.  ψ closes only at the step that lands on an observation.
+    """Every ε of a command in one march, one `_Lane` per ε.  The ε-free
+    parts are marched once: each lane reads the set-up's trajectories of
+    its dt, and packets and ε whose profile and curvature samples agree
+    share one `EnvelopeStepper` (`_envelopes`) and its `EnvelopeClock`
+    (`_clock`) on the finest dt's curvature samples.  The march goes one
+    clock interval at a time, and in it each lane takes its own steps,
+    which land on the clock points; lanes of equal dt step together, so
+    each read builds the y-spline once for all of them, and a coarser lane
+    reads the clock at its own fraction of the interval.  The lanes read u
+    at each observation and, with correction components, at each step's
+    midpoint, for the Duhamel source.  ψ closes only at the step that lands
+    on an observation.
 
     A lane whose construction or guard fails with an `AdiapackError` leaves
     the march and is listed in `failures`, in the order the lanes fail; the
     other lanes go on.  A tripped envelope guard fails every live lane, at
     the read that marches the clock interval it trips in."""
 
-    def __init__(self, setup: StudySetup, epsilons):
-        self.setup, self.failures = setup, []
-        self.steps = setup.steps[epsilons[0]]
-        self.trajs = setup.trajectories[self.steps.dt]
-        self.lanes = []
-        for eps in epsilons:
+    def __init__(self, setup: StudySetup):
+        self.setup, self.failures, self.lanes = setup, [], []
+        for eps in setup.study.epsilons:
             try:
                 self.lanes.append(_Lane(setup, eps))
             except AdiapackError as exc:
                 self.failures.append((eps, exc))
+        self.fine = min(setup.steps.values())   # the finest dt's
         envs, curvatures = _envelopes(setup.y_grid, [
             (pk.evaluator(), tr.curvature) for pk, tr in zip(
-                setup.study.packets, self.trajs)], setup.study.lambda_coupling)
-        clocks = {env: _clock(env, c, self.steps) for env, c in curvatures.items()}
+                setup.study.packets, setup.trajectories[self.fine.dt])],
+            setup.study.lambda_coupling)
+        clocks = {env: _clock(env, c, self.fine) for env, c in curvatures.items()}
         self.clocks = [clocks[env] for env in envs]
 
-    def _each(self, work):
-        """work(lane) on every live lane; a lane whose work fails leaves."""
-        for lane in list(self.lanes):
+    def _each(self, steps, work):
+        """work(lane) on every live lane of `steps`; a lane that fails leaves."""
+        for lane in [lane for lane in self.lanes if lane.steps == steps]:
             try:
                 work(lane)
             except AdiapackError as exc:
                 self.lanes.remove(lane)
                 self.failures.append((lane.epsilon, exc))
 
-    def _splines(self, i):
-        """Each packet's envelope spline at sample i, built once per distinct
-        clock; a tripped envelope guard fails every live lane, and with no
-        live lane no clock is read."""
+    def _splines(self, steps, i):
+        """Each packet's envelope spline at sample i of steps.dt/4, built
+        once per distinct clock; a tripped envelope guard fails every live
+        lane, and with no live lane of `steps` no clock is read."""
         y = self.setup.y_grid
-        if not self.lanes:
+        if steps not in [lane.steps for lane in self.lanes]:
             return []
         try:
-            built = {clock: UniformCubicSpline(y.x_min, y.spacing, clock.at(i))
+            built = {clock: UniformCubicSpline(y.x_min, y.spacing, clock.at(
+                i * self.fine.per_clock, steps.per_clock))
                      for clock in dict.fromkeys(self.clocks)}
         except AdiapackError as exc:
             self.failures += [(lane.epsilon, exc) for lane in self.lanes]
@@ -709,53 +710,50 @@ class _Lockstep:
             return []
         return [built[clock] for clock in self.clocks]
 
-    def march(self, observers: dict):
-        """March to T.  At each observation every lane runs `check_lab_field`
-        and then observers[lane](step, t, [φ_k(t) per packet])."""
-        dt, trajs = self.steps.dt, self.trajs
+    def march(self, observer):
+        """March to T with observer(self, lane) on every lane: at each
+        observation every lane runs `check_lab_field` and then its observer
+        (step, t, [φ_k(t) per packet]).  Returns (each finished lane's
+        observer `result()`, every failed lane's (ε, error) in order)."""
+        observers = {lane: observer(self, lane) for lane in self.lanes}
+        paths = self.setup.trajectories
         split = any(lane.carried for lane in self.lanes)
 
         def phis(lane, i, splines):   # φ_k at sample i, on the lane's grid
             return [_phi_values(lane.lab, u_of, tr.x[i], tr.xi[i],
                                 tr.action[i], lane.epsilon)
-                    for u_of, tr in zip(splines, trajs)]
+                    for u_of, tr in zip(splines, paths[lane.steps.dt])]
 
-        def observe_at(step):
-            t, i = step * dt, 4 * step
-            splines = self._splines(i)
+        def observe_at(steps, step):
+            t, i = step * steps.dt, 4 * step
+            splines = self._splines(steps, i)
 
             def observe(lane):
                 lane.tails.append(check_lab_field(lane.psi, t))
                 observers[lane](step, t, phis(lane, i, splines))
-            self._each(observe)
+            self._each(steps, observe)
 
-        observe_at(0)
-        for step in range(1, self.steps.total + 1):
+        rules = list(dict.fromkeys(lane.steps for lane in self.lanes))
+        for steps in rules:
+            observe_at(steps, 0)
+        for j in range(-(-self.fine.total // self.fine.per_clock)):
             if not self.lanes:
-                return
-            if split:
-                i = 4 * step - 2
-                splines = self._splines(i)
-                self._each(lambda lane: lane.source_step(
-                    phis(lane, i, splines)[0], trajs[0].xi[i]))
-            observed = step % self.steps.per_obs == 0
-            self._each(lambda lane: lane.nls_step(step, close=observed))
-            if observed:
-                observe_at(step)
-
-
-def _run_groups(setup: StudySetup, observer):
-    """Every ε of the set-up, one `_Lockstep` per step group in the order
-    of `groups()`, with `observer(march, lane)` on every lane: (each finished
-    lane's observer `result()`, every failed lane's (ε, error) in order)."""
-    results, failures = [], []
-    for group in setup.groups():
-        march = _Lockstep(setup, group)
-        observers = {lane: observer(march, lane) for lane in march.lanes}
-        march.march(observers)
-        results += [observers[lane].result() for lane in march.lanes]
-        failures += march.failures
-    return results, failures
+                break
+            for steps in rules:   # clock interval j, in each lane's steps
+                first = j * steps.per_clock
+                for step in range(first + 1, min(first + steps.per_clock,
+                                                 steps.total) + 1):
+                    if split:
+                        i = 4 * step - 2
+                        splines = self._splines(steps, i)
+                        self._each(steps, lambda lane: lane.source_step(
+                            phis(lane, i, splines)[0], paths[steps.dt][0].xi[i]))
+                    observed = step % steps.per_obs == 0
+                    self._each(steps, lambda lane: lane.nls_step(
+                        step, close=observed))
+                    if observed:
+                        observe_at(steps, step)
+        return [observers[lane].result() for lane in self.lanes], self.failures
 
 
 # ---------------------------------------------------------------------------
@@ -800,6 +798,7 @@ class _SingleObserver:
     def __init__(self, march: _Lockstep, lane: _Lane):
         study = march.setup.study
         self.march, self.lane, self.branch = march, lane, study.packets[0].branch
+        self.traj, = march.setup.trajectories[lane.steps.dt]
         self.series = {name: [] for name in (
             "times", "masses", "w_sigma1", "theta_sigma1", "leakage", "taylor",
             "populations")}
@@ -809,7 +808,7 @@ class _SingleObserver:
         self.snapshots = {}
 
     def __call__(self, step, t, phis):
-        lane, branch, (phi,), (traj,) = self.lane, self.branch, phis, self.march.trajs
+        lane, branch, (phi,), traj = self.lane, self.branch, phis, self.traj
         lab, data, eps, psi = lane.lab, lane.data, lane.epsilon, lane.psi
         corrections = lane.corrections()
         g = assemble_correction(corrections, data) if corrections else None
@@ -831,7 +830,7 @@ class _SingleObserver:
             self.snapshots[self.snapshot_steps[step]] = psi.copy()
 
     def result(self) -> SingleRunResult:
-        lane, (traj,), w = self.lane, self.march.trajs, self.series["w_sigma1"]
+        lane, traj, w = self.lane, self.traj, self.series["w_sigma1"]
         setup = self.march.setup
         return SingleRunResult(
             epsilon=lane.epsilon, grid_n=lane.n, dt=lane.steps.dt,
@@ -855,7 +854,7 @@ def run_single_packet(study: Study) -> SingleRunResult:
     """
     if len(study.epsilons) != 1:
         raise ConfigError(f"run_single_packet runs one ε, not {len(study.epsilons)}")
-    runs, failures = _run_groups(_setup_of(study, 1), _SingleObserver)
+    runs, failures = _Lockstep(_setup_of(study, 1)).march(_SingleObserver)
     if failures:
         raise failures[0][1]
     return runs[0]
@@ -887,16 +886,15 @@ def convergence_study(study: Study) -> ConvergenceReport:
     """Sweep the study's ε with its first packet, collect sup-in-t error
     norms, and fit the decay order.
 
-    One `study_setup` serves every ε, and the ε that share a step size run
-    in one lockstep; runs and failures are listed in decreasing ε, and no
-    run keeps a snapshot.  A
-    sub-run that fails with an `AdiapackError` is listed in
-    `report.failures` instead of killing the sweep, even when every sub-run
-    fails (the report then has no ε); any other exception is a programming
-    error and propagates.
+    One `study_setup` and one lockstep serve every ε; runs and failures
+    are listed in decreasing ε, and no run keeps a snapshot.  A sub-run
+    that fails with an `AdiapackError` is listed in `report.failures`
+    instead of killing the sweep, even when every sub-run fails (the report
+    then has no ε); any other exception is a programming error and
+    propagates.
     """
-    runs, failures = _run_groups(
-        _setup_of(replace(study, snapshot_times=()), 1), _SingleObserver)
+    runs, failures = _Lockstep(_setup_of(
+        replace(study, snapshot_times=()), 1)).march(_SingleObserver)
     failures.sort(key=lambda failure: failure[0], reverse=True)
 
     eps_ok = [r.epsilon for r in runs]
@@ -955,7 +953,8 @@ class _SuperposeObserver:
         self.times.append(t)
 
     def result(self) -> dict:
-        lane, setup, (t1, t2) = self.lane, self.march.setup, self.march.trajs
+        lane, setup = self.lane, self.march.setup
+        t1, t2 = setup.trajectories[lane.steps.dt]
         # crossing window |I^ε(T)| from the dense trajectory samples
         window = lane.epsilon ** setup.study.gamma_exponent
         return dict(
@@ -981,9 +980,9 @@ def superposition_experiment(study: Study) -> SuperpositionReport:
     configs have a constant objective there.  Fewer than two packets, or
     two that start alike, are a `ConfigError`.  The `study_setup` takes both
     packets (the bound 3ξ_max/ε + √3 η_τ/√ε covers the cubic term's
-    2ξ_a - ξ_b products); the ε that share a step size run in one lockstep,
-    without corrections (a two-packet lane carries none), with the guards
-    of `run_single_packet`; the first failure is raised once every ε ran.
+    2ξ_a - ξ_b products); every ε runs in one lockstep, without
+    corrections (a two-packet lane carries none), with the guards of
+    `run_single_packet`; the first failure is raised once every ε ran.
     """
     if len(study.packets) < 2:
         raise ConfigError("superpose needs two packets in the config")
@@ -1002,7 +1001,7 @@ def superposition_experiment(study: Study) -> SuperpositionReport:
     edge_ok = bool(objective[-1] >= objective[-m] - 1e-12
                    and objective[0] >= objective[m - 1] - 1e-12)
 
-    results, failures = _run_groups(setup, _SuperposeObserver)
+    results, failures = _Lockstep(setup).march(_SuperposeObserver)
     if failures:
         raise failures[0][1]
     rows = {name: [r[name] for r in results] for name in results[0]}

@@ -449,15 +449,23 @@ def test_envelope_guard_in_the_last_clock_interval_fails_the_run(
     # source of step 91 reads u at its midpoint and marches the last clock
     # interval, [0.09, 0.1], where the mass guard trips; observing every
     # step, the same step's observation comes after every lane has failed
-    from adiapack.envelope import EnvelopeStepper
+    import adiapack.experiments as experiments
+    from adiapack.envelope import EnvelopeClock, EnvelopeStepper
 
-    advance = EnvelopeStepper.advance
+    advance, clocked = EnvelopeStepper.advance, set()
+
+    class Marking(EnvelopeClock):
+        def __init__(self, stepper, *args):
+            clocked.add(stepper)
+            super().__init__(stepper, *args)
 
     def leaky(self, dt, curvature, time=None):
-        if time == 0.1:   # the clock's last interval; the sizing march passes none
+        # the clock's last interval, not the sizing march's last step
+        if time == 0.1 and self in clocked:
             self._u *= 1.0 + 1e-6
         advance(self, dt, curvature, time)
 
+    monkeypatch.setattr(experiments, "EnvelopeClock", Marking)
     monkeypatch.setattr(EnvelopeStepper, "advance", leaky)
     path = write_config(tmp_path, potential={"diag": ["x^2/2", "x^2/2"],
                                              "sym": ["0.5", "0.5", "-0.5"]},
@@ -971,10 +979,10 @@ def test_converge_does_its_epsilon_free_work_once(tmp_path, monkeypatch):
     assert main(["superpose", "--config", str(two_packet_config(tmp_path)),
                  "--out", str(tmp_path / "s")]) == 0
     assert calls["integrate_trajectory"] == 2
-    # rotating.json's four ε fall into three step groups: one per group
+    # rotating.json's four ε take three distinct dt: one trajectory each
     calls["integrate_trajectory"] = 0
     setup = config_setup(load_config(CONFIGS / "rotating.json"))
-    assert len(setup.groups()) == 3
+    assert len({steps.dt for steps in setup.steps.values()}) == 3
     assert calls["integrate_trajectory"] == 3
 
 
@@ -1009,7 +1017,7 @@ def test_epsilon_override_is_refused_where_no_epsilon_runs(tmp_path, capsys):
 
 def test_converge_isolates_a_guard_that_trips_for_one_epsilon(tmp_path,
                                                               monkeypatch):
-    # both ε share dt = 1e-3, so they march in one lockstep; the ε on the
+    # both ε share dt = 1e-3 and step together in one lockstep; the ε on the
     # 256-point grid trips the Fourier-tail guard at t = 0.05 and leaves it,
     # and the other ε finishes exactly as it does alone
     import adiapack.experiments as experiments

@@ -341,7 +341,7 @@ def test_mass_guard_aborts_both_run_paths(monkeypatch):
 
 def test_superpose_raises_its_second_lane_failure_after_the_march(
         monkeypatch):
-    # both ε share dt = 1e-3, so they march in one lockstep: the second
+    # both ε share dt = 1e-3 and step together in one lockstep: the second
     # lane's abort leaves the first lane marching to T, and then it is raised
     import adiapack.experiments as experiments
     from adiapack.errors import SolverAbort
@@ -416,9 +416,31 @@ def test_lab_grid_rule_sizing_march_matches_a_fine_march(monkeypatch):
     assert abs(rule.eta - fine) <= 0.02 * fine
 
 
+def test_a_sizing_march_guard_names_its_step_end(monkeypatch):
+    # the sizing march's third 0.025 step ends at step 75 of dt = 1e-3: its
+    # guard names t = 0.075, not the float sum 0.07500000000000001
+    calls, advance = [], EnvelopeStepper.advance
+
+    def leaky(self, dt, curvature, time=None):
+        calls.append(dt)
+        if len(calls) == 3:
+            self._u *= 1.0 + 1e-6
+        advance(self, dt, curvature, time)
+
+    monkeypatch.setattr(EnvelopeStepper, "advance", leaky)
+    with pytest.raises(ConfigError) as exc:
+        study_setup(study(HARMONIC, [GAUSSIAN_AT_1], [1.0 / 64], 0.0, 0.1,
+                          -4.0, 4.0, options=EVERY_005))
+    assert calls == [0.025] * 3
+    assert exc.value.messages == [
+        "grid derivation failed: envelope mass drift 1.000e-06 above "
+        "1.0e-08 at t = 0.075"]
+
+
 def test_lockstep_runs_match_each_epsilon_run_alone():
-    # ε that share a step size march in one lockstep, with one envelope and
-    # one trajectory per packet: every value is the solo run's, to the bit
+    # ε that share a step size step together in one lockstep, with one
+    # envelope and one trajectory per packet: every value is the solo run's,
+    # to the bit
     p1 = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
     p2 = PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)
     pair = superposition_experiment(study(HARMONIC, (p1, p2),
@@ -443,6 +465,45 @@ def test_lockstep_runs_match_each_epsilon_run_alone():
                                        [run.epsilon], 1.0, 0.1, -2.5, 2.5,
                                        options=EVERY_005))
         assert run.to_dict() == solo.to_dict()
+
+
+def test_one_march_holds_lanes_of_two_step_sizes(monkeypatch):
+    # a shadow lane: on rotating.json, ε = 1/32 steps dt = 0.005 next to
+    # ε = 1/64 at dt = 0.0025, in one march on one clock of T/0.01 = 50
+    # triple jumps (a march per step size took 100).  The clock runs on the
+    # finest dt's curvature samples: that lane's report is its run alone's,
+    # and the coarser lane's sup ‖w‖ moves by less than 1e-6
+    import adiapack.experiments as experiments
+    from adiapack.config import load_config
+    from adiapack.envelope import EnvelopeClock
+    from adiapack.nls import NLSPropagator
+
+    cfg = load_config(CONFIGS / "rotating.json")
+    options = replace(cfg.options, dt_max=0.01, dt_over_epsilon=0.16)
+
+    def sweep(epsilons):
+        return convergence_study(replace(cfg, T=0.5, epsilons=epsilons,
+                                         options=options, snapshot_times=None))
+
+    jumps, steps, jump = [], {}, EnvelopeClock._jump
+
+    class Counting(NLSPropagator):
+        def step(self, *args, **kwargs):
+            steps[self.epsilon] = steps.get(self.epsilon, 0) + 1
+            return super().step(*args, **kwargs)
+
+    monkeypatch.setattr(EnvelopeClock, "_jump",
+                        lambda self: jumps.append(jump(self)))
+    monkeypatch.setattr(experiments, "NLSPropagator", Counting)
+    pair = sweep([1.0 / 32, 1.0 / 64])
+    assert len(jumps) == 50
+    assert steps == {1.0 / 32: 100, 1.0 / 64: 200}
+    assert [run.dt for run in pair.runs] == [0.005, 0.0025]
+    monkeypatch.undo()
+    coarse, fine = (sweep([eps]).runs[0] for eps in (1.0 / 32, 1.0 / 64))
+    assert pair.runs[1].to_dict() == fine.to_dict()
+    assert pair.runs[0].sup_w_sigma1 == pytest.approx(coarse.sup_w_sigma1,
+                                                      rel=1e-6)
 
 
 def test_lockstep_steps_a_shared_envelope_once(monkeypatch):
@@ -633,11 +694,14 @@ def test_run_window_holds_the_measured_envelope_support():
 
 def test_lockstep_calls_the_nls_step_once_per_step(monkeypatch):
     # merged half steps still take one `NLSPropagator.step` per NLS step, and
-    # ψ is closed exactly at the observations
+    # ψ is closed exactly at the observations; every ε shares one clock of
+    # T/0.01 triple jumps, also when observing every step (observe_every =
+    # dt = 1e-3)
     import adiapack.experiments as experiments
+    from adiapack.envelope import EnvelopeClock
     from adiapack.nls import NLSPropagator
 
-    calls = {}
+    calls, ends, jump = {}, [], EnvelopeClock._jump
 
     class Counting(NLSPropagator):
         def step(self, values, pending=False, close=True):
@@ -646,14 +710,28 @@ def test_lockstep_calls_the_nls_step_once_per_step(monkeypatch):
             counts[1] += close
             return super().step(values, pending, close)
 
+    def recording(self):
+        jump(self)
+        ends.append(self.stepper.time)
+
     monkeypatch.setattr(experiments, "NLSPropagator", Counting)
+    monkeypatch.setattr(EnvelopeClock, "_jump", recording)
     packet = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
     eps_list = [1.0 / 16, 1.0 / 32, 1.0 / 256]
     convergence_study(study(HARMONIC, [packet], eps_list, 0.0, 0.1, -4.0, 4.0,
                             options=EVERY_005))
-    # dt = 1e-3 for the first two ε; dt = 0.05/52 for ε = 1/256
+    # dt = 1e-3 for the first two ε; dt = 0.01/11 for ε = 1/256, the
+    # largest that lands on the 0.01 clock points
     assert calls == {1.0 / 16: [100, 2], 1.0 / 32: [100, 2],
-                     1.0 / 256: [104, 2]}
+                     1.0 / 256: [110, 2]}
+    every_001 = pytest.approx([0.01 * j for j in range(1, 11)], abs=1e-15)
+    assert ends == every_001
+    calls.clear()
+    ends.clear()
+    convergence_study(study(HARMONIC, [packet], [1.0 / 16], 0.0, 0.1, -4.0,
+                            4.0, options=RunOptions(observe_every=1e-3)))
+    assert calls == {1.0 / 16: [100, 100]}
+    assert ends == every_001
 
 
 def test_a_two_packet_lane_carries_no_correction(monkeypatch, rotating_setup):

@@ -8,10 +8,13 @@ one fixed command list, each with its own `src/` on PYTHONPATH:
 
 - `adiapack decompose` and `identities` on every shipped config;
 - `converge` on smoke, and on scalar_harmonic and rotating at ε = 1/64, 1/128;
-- `converge` on rotating with its full ε list, 1/64 to 1/512, whose three
-  step groups reach the lanes at dt = ε/4 (label `converge_rotating_full`);
+- `converge` on rotating with its full ε list, 1/64 to 1/512, whose lanes
+  take three distinct dt, down to ε/4 (label `converge_rotating_full`);
 - `superpose` on superposition at ε = 1/32, 1/64 and on crossing_control at
   ε = 1/64;
+- `superpose` on superposition with its full ε list, whose lanes take two
+  distinct dt, 1e-3 and 0.01/11, without corrections (label
+  `superpose_superposition_full`);
 - `single` on smoke and on constant_direction;
 - every script in `demos/`;
 - `expressions`: the bytes of the array form's values, nu = 0, 1 and 2 on
@@ -109,6 +112,8 @@ def command_list(smoke: bool) -> list:
              _cli("converge", "rotating", label="converge_rotating_full"),
              _cli("superpose", "superposition", "0.03125,0.015625"),
              _cli("superpose", "crossing_control", "0.015625"),
+             _cli("superpose", "superposition",
+                  label="superpose_superposition_full"),
              _cli("single", "smoke"), _cli("single", "constant_direction")]
     runs += [(f"demo_{path.stem}", [sys.executable, f"{{tree}}/demos/{path.name}"])
              for path in sorted((ROOT / "demos").glob("*.py"))]
