@@ -55,7 +55,8 @@ def write_csv(path: Path, header, rows, footer=None):
 
 
 def write_json(path: Path, obj):
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True,
+                               allow_nan=False) + "\n",
                     encoding="utf-8", newline="\n")
 
 

@@ -21,8 +21,8 @@ buffer: the phases multiply it in place and the transforms (`numpy.fft` with
 `out=`) overwrite it, so callers that keep a profile take a copy.
 `EnvelopeStepper` is the one envelope march: the grid rule's sizing march
 of `experiments` drives it in Strang steps, and its lockstep march through
-an `EnvelopeClock`, whose fourth-order triple jumps of the Strang step run
-between clock points and whose reads between them are cubic Hermite in t.
+an `EnvelopeClock`, which the lockstep ticks once per clock interval (a
+fourth-order triple jump of the Strang step) and reads without marching.
 
 Mass ‖u(t)‖ is conserved to roundoff by construction; a drift beyond
 1e-8 · max(1, ‖u₀‖) signals under-resolution and aborts the run
@@ -121,29 +121,28 @@ class EnvelopeStepper:
 
 class EnvelopeClock:
     """u along curvature samples c_i = λ''(x(i·q)), marched by `stepper`
-    between clock points (`bounds`, increasing sample indices from 0) and
-    read at sample indices i/per that never decrease (a coarser lattice's
-    fall between samples).  Each clock interval h is
+    one clock interval at a time (`jump`) and read, without marching, at
+    fractions of the interval last jumped (`at`).  Each clock interval h is
     one Yoshida triple jump, stages of w₁h, w₀h, w₁h at their means of the
     samples' linear interpolant, continued past the ends (a stage midpoint's
     value loses the fourth order where λ'' is a branch spline's
-    piecewise-linear second derivative).  A read at a clock point is the
-    clock sample, one between two their cubic Hermite interpolant in t, with
-    ∂ₜu from `EnvelopeStepper.rate` taken once per end for such a read.  The
-    clock marches an interval when a read needs it and keeps its two ends;
-    the stepper's guards name the interval's end."""
+    piecewise-linear second derivative).  A read at either end is its clock
+    sample (before the first jump both ends are the start), one between
+    them their cubic Hermite interpolant in t, with ∂ₜu from
+    `EnvelopeStepper.rate` taken once per end for such a read.  The clock
+    keeps the two ends; the stepper's guards trip in `jump` and name its end."""
 
     def __init__(self, stepper: EnvelopeStepper, curvature: np.ndarray,
-                 q: float, bounds):
+                 q: float):
         self.stepper, self.curvature, self.q = stepper, curvature, q
         self._areas = np.r_[0.0, np.cumsum(0.5 * q * (curvature[1:]
                                                       + curvature[:-1]))]
-        self._bounds = iter(bounds[1:])
-        start = [bounds[0], stepper.values.copy(), None]   # [index, u, ∂ₜu]
+        start = [0, stepper.values.copy(), None]   # [index, u, ∂ₜu]
         self._ends = [start, start]
 
-    def _jump(self):
-        b0, b1 = self._ends[1][0], next(self._bounds)
+    def jump(self, b1: int):
+        """March the interval from the last clock point to sample b1."""
+        b0 = self._ends[1][0]
         h = (b1 - b0) * self.q
         areas = np.diff(self._area(b0 + (b1 - b0) * _STAGE_ENDS))
         for w, area in zip(_TRIPLE_JUMP, areas):
@@ -155,18 +154,18 @@ class EnvelopeClock:
         d = s - i
         return self._areas[i] + self.q * d * (c[i] + 0.5 * d * (c[i + 1] - c[i]))
 
-    def at(self, i: int, per: int = 1) -> np.ndarray:
-        """u at sample i/per (whole i and per), not below the last read's."""
-        while self._ends[1][0] * per < i:
-            self._jump()
+    def _slope(self, end):   # ∂ₜu at a clock end, taken once
+        if end[2] is None:
+            end[2] = self.stepper.rate(end[1], self.curvature[end[0]])
+        return end[2]
+
+    def at(self, k: int, n: int) -> np.ndarray:
+        """u at the fraction k/n (whole 0 ≤ k ≤ n) of the interval last jumped."""
         (b0, u0, _), (b1, u1, _) = self._ends
-        if i == b1 * per:
-            return u1
-        for end in self._ends:
-            if end[2] is None:
-                end[2] = self.stepper.rate(end[1], self.curvature[end[0]])
-        (_, _, d0), (_, _, d1) = self._ends
-        s, h = (i - b0 * per) / ((b1 - b0) * per), (b1 - b0) * self.q
+        if k in (0, n):
+            return u1 if k == n else u0
+        d0, d1 = self._slope(self._ends[0]), self._slope(self._ends[1])
+        s, h = k / n, (b1 - b0) * self.q
         h01 = s * s * (3.0 - 2.0 * s)
         return ((1.0 - h01) * u0 + h01 * u1
                 + (h * s * (1.0 - s)) * ((1.0 - s) * d0 - s * d1))

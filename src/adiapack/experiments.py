@@ -29,8 +29,9 @@ y-grid their profiles fill).  In the critical scaling the envelope equation and 
 classical path do not contain ε, so every ε of a command runs in one
 lockstep march (`_Lockstep`): each distinct envelope is marched once, on
 its own fourth-order clock (`envelope.EnvelopeClock`, a clock point about
-every `_ENVELOPE_DT`, the same for every ε), and read by every packet and
-ε that use it, and each ε keeps its own lab state and dt (`_Lane`).
+every `_ENVELOPE_DT`, the same for every ε, ticked once per interval),
+read by every packet and ε that use it, and each ε keeps its own lab
+state and dt (`_Lane`).
 `run_single_packet`, `convergence_study` and `superposition_experiment`
 share that march and differ only in their observer and failure handling.
 The run trajectory's samples at dt/4 are read by index: step s is
@@ -250,9 +251,9 @@ def fit_order(epsilons, errors) -> OrderFit:
 
 
 def _json_fields(report, skip=()) -> dict:
-    """A report's fields for `report.json`: arrays as lists, fits as their order."""
+    """A report's fields for `report.json`: arrays as lists, fits as order or null."""
     return {k: v.tolist() if isinstance(v, np.ndarray)
-            else v.order if isinstance(v, OrderFit) else v
+            else (v.order if v.defined else None) if isinstance(v, OrderFit) else v
             for k, v in vars(report).items() if k not in skip}
 
 
@@ -427,13 +428,6 @@ def _within(budget: int, what: str, work: dict):
                           f"needs {work[eps]:.4g}")
 
 
-def _clock(stepper: EnvelopeStepper, curvature, steps: _Steps) -> EnvelopeClock:
-    """The stepper's `EnvelopeClock` along curvature samples at steps.dt/4,
-    with a clock point every steps.per_clock steps and at the last step."""
-    return EnvelopeClock(stepper, curvature, steps.dt / 4.0, [
-        4 * b for b in range(0, steps.total, steps.per_clock)] + [4 * steps.total])
-
-
 def _envelopes(y_grid: SpatialGrid, pairs, lambda_coupling: float) -> tuple:
     """An `EnvelopeStepper` for each (profile, curvature samples) pair, and
     each distinct stepper's curvature.  Pairs whose samples agree byte for
@@ -460,19 +454,13 @@ class LabGridRule:
     """The ε-free momentum data of a run's packets, for `nls.lab_grid_points`,
     and the envelopes' measured support."""
 
-    length: float
     xi_max: float                    # largest |ξ| on the run trajectories
     eta: float                       # largest η_τ of any envelope over the run
-    n_packets: int
     y_tau: float                     # largest |y| with |u| > τ_y max|u| over the run
 
-    def points(self, epsilon: float, n_override: int | None = None) -> int:
-        return lab_grid_points(self.length, epsilon, self.xi_max, self.eta,
-                               n_packets=self.n_packets, n_override=n_override)
 
-
-def lab_grid_rule(length: float, packets, trajectories, dt: float,
-                  lambda_coupling: float, y_grid: SpatialGrid) -> LabGridRule:
+def lab_grid_rule(packets, trajectories, dt: float, lambda_coupling: float,
+                  y_grid: SpatialGrid) -> LabGridRule:
     """Measure, once for every ε, the momentum data that sizes the lab grid.
 
     ξ_max is the largest |ξ| on `trajectories`, the packets' run
@@ -509,9 +497,8 @@ def lab_grid_rule(length: float, packets, trajectories, dt: float,
             mag = np.abs(u)
             y_tau = max(y_tau, float(np.abs(
                 y_grid.points[mag > ENVELOPE_SUPPORT * mag.max()]).max(initial=0.0)))
-    return LabGridRule(length=length,
-                       xi_max=max(float(np.max(np.abs(tr.xi))) for tr in trajectories),
-                       eta=eta, n_packets=len(packets), y_tau=y_tau)
+    return LabGridRule(xi_max=max(float(np.max(np.abs(tr.xi))) for tr in trajectories),
+                       eta=eta, y_tau=y_tau)
 
 
 def _run_window(y_grid: SpatialGrid, y_tau: float) -> SpatialGrid:
@@ -564,11 +551,13 @@ def study_setup(study: Study) -> StudySetup:
                       for curve, pk in zip(curves, packets))
             for dt in dict.fromkeys(s.dt for s in steps.values())}
         dt = max(trajectories)
-        rule = lab_grid_rule(probe.grid.length, packets, trajectories[dt], dt,
+        rule = lab_grid_rule(packets, trajectories[dt], dt,
                              study.lambda_coupling, y_grid)
     except AdiapackError as exc:
         raise ConfigError(f"grid derivation failed: {exc}") from exc
-    grid_n = {eps: rule.points(eps, options.grid_n) for eps in study.epsilons}
+    grid_n = {eps: lab_grid_points(probe.grid.length, eps, rule.xi_max, rule.eta,
+                                   n_packets=len(packets), n_override=options.grid_n)
+              for eps in study.epsilons}
     _within(MAX_POINT_STEPS, "lab grid point-steps",
             {eps: n * steps[eps].total for eps, n in grid_n.items()})
     return StudySetup(study=study, y_grid=_run_window(y_grid, rule.y_tau),
@@ -654,20 +643,20 @@ class _Lockstep:
     """Every ε of a command in one march, one `_Lane` per ε.  The ε-free
     parts are marched once: each lane reads the set-up's trajectories of
     its dt, and packets and ε whose profile and curvature samples agree
-    share one `EnvelopeStepper` (`_envelopes`) and its `EnvelopeClock`
-    (`_clock`) on the finest dt's curvature samples.  The march goes one
-    clock interval at a time, and in it each lane takes its own steps,
-    which land on the clock points; lanes of equal dt step together, so
-    each read builds the y-spline once for all of them, and a coarser lane
-    reads the clock at its own fraction of the interval.  The lanes read u
-    at each observation and, with correction components, at each step's
-    midpoint, for the Duhamel source.  ψ closes only at the step that lands
-    on an observation.
+    share one `EnvelopeStepper` (`_envelopes`) and its `EnvelopeClock` on
+    the finest dt's curvature samples.  The march goes one clock interval
+    at a time: it ticks each distinct clock through it (the one place that
+    does), then each lane takes its own steps, first + 1 to first + n, which
+    land on the clock points.  Step s reads the clock at (s - first)/n of
+    the interval when observed and at (2(s - first) - 1)/(2n), its
+    midpoint, for the Duhamel source of the correction components; lanes
+    of equal dt step together, so each read builds the y-spline once for
+    all of them.  ψ closes only at the step that lands on an observation.
 
     A lane whose construction or guard fails with an `AdiapackError` leaves
     the march and is listed in `failures`, in the order the lanes fail; the
-    other lanes go on.  A tripped envelope guard fails every live lane, at
-    the read that marches the clock interval it trips in."""
+    other lanes go on.  A tripped envelope guard fails every live lane at
+    the tick of its clock interval, before any lane steps in it."""
 
     def __init__(self, setup: StudySetup):
         self.setup, self.failures, self.lanes = setup, [], []
@@ -681,7 +670,8 @@ class _Lockstep:
             (pk.evaluator(), tr.curvature) for pk, tr in zip(
                 setup.study.packets, setup.trajectories[self.fine.dt])],
             setup.study.lambda_coupling)
-        clocks = {env: _clock(env, c, self.fine) for env, c in curvatures.items()}
+        clocks = {env: EnvelopeClock(env, c, self.fine.dt / 4.0)
+                  for env, c in curvatures.items()}
         self.clocks = [clocks[env] for env in envs]
 
     def _each(self, steps, work):
@@ -693,21 +683,12 @@ class _Lockstep:
                 self.lanes.remove(lane)
                 self.failures.append((lane.epsilon, exc))
 
-    def _splines(self, steps, i):
-        """Each packet's envelope spline at sample i of steps.dt/4, built
-        once per distinct clock; a tripped envelope guard fails every live
-        lane, and with no live lane of `steps` no clock is read."""
+    def _splines(self, k, n):
+        """Each packet's envelope spline at the fraction k/n of the clock
+        interval just jumped, built once per distinct clock."""
         y = self.setup.y_grid
-        if steps not in [lane.steps for lane in self.lanes]:
-            return []
-        try:
-            built = {clock: UniformCubicSpline(y.x_min, y.spacing, clock.at(
-                i * self.fine.per_clock, steps.per_clock))
-                     for clock in dict.fromkeys(self.clocks)}
-        except AdiapackError as exc:
-            self.failures += [(lane.epsilon, exc) for lane in self.lanes]
-            self.lanes = []
-            return []
+        built = {clock: UniformCubicSpline(y.x_min, y.spacing, clock.at(k, n))
+                 for clock in dict.fromkeys(self.clocks)}
         return [built[clock] for clock in self.clocks]
 
     def march(self, observer):
@@ -724,9 +705,9 @@ class _Lockstep:
                                 tr.action[i], lane.epsilon)
                     for u_of, tr in zip(splines, paths[lane.steps.dt])]
 
-        def observe_at(steps, step):
+        def observe_at(steps, step, k, n):   # u at k/n of the interval
             t, i = step * steps.dt, 4 * step
-            splines = self._splines(steps, i)
+            splines = self._splines(k, n)
 
             def observe(lane):
                 lane.tails.append(check_lab_field(lane.psi, t))
@@ -735,24 +716,31 @@ class _Lockstep:
 
         rules = list(dict.fromkeys(lane.steps for lane in self.lanes))
         for steps in rules:
-            observe_at(steps, 0)
+            observe_at(steps, 0, 0, 1)
         for j in range(-(-self.fine.total // self.fine.per_clock)):
             if not self.lanes:
                 break
+            try:   # tick every clock through clock interval j
+                for clock in dict.fromkeys(self.clocks):
+                    clock.jump(4 * min((j + 1) * self.fine.per_clock, self.fine.total))
+            except AdiapackError as exc:
+                self.failures += [(lane.epsilon, exc) for lane in self.lanes]
+                self.lanes = []
+                break
             for steps in rules:   # clock interval j, in each lane's steps
                 first = j * steps.per_clock
-                for step in range(first + 1, min(first + steps.per_clock,
-                                                 steps.total) + 1):
+                n = min(steps.per_clock, steps.total - first)
+                for step in range(first + 1, first + n + 1):
                     if split:
                         i = 4 * step - 2
-                        splines = self._splines(steps, i)
+                        splines = self._splines(2 * (step - first) - 1, 2 * n)
                         self._each(steps, lambda lane: lane.source_step(
                             phis(lane, i, splines)[0], paths[steps.dt][0].xi[i]))
                     observed = step % steps.per_obs == 0
                     self._each(steps, lambda lane: lane.nls_step(
                         step, close=observed))
                     if observed:
-                        observe_at(steps, step)
+                        observe_at(steps, step, step - first, n)
         return [observers[lane].result() for lane in self.lanes], self.failures
 
 
@@ -877,7 +865,8 @@ class ConvergenceReport:
 
     def to_dict(self):
         return dict(_json_fields(self),
-                    fitted_order_residual=self.fitted_order.max_residual,
+                    fitted_order_residual=self.fitted_order.max_residual
+                    if self.fitted_order.defined else None,
                     runs=[r.to_dict() for r in self.runs],
                     failures=[[eps, str(exc)] for eps, exc in self.failures])
 

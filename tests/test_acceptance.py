@@ -21,7 +21,8 @@ from adiapack.experiments import (_branch_curve_for, convergence_study,
                                   superposition_experiment)
 from adiapack.expressions import parse_expr
 from adiapack.grids import l2_norm, make_grid
-from adiapack.nls import NLSPropagator, build_initial_data, check_step_mass
+from adiapack.nls import NLSPropagator, build_initial_data, check_step_mass, \
+    lab_grid_points
 from adiapack.potentials import (decompose, growth_scan,
                                  projector_identity_residuals)
 
@@ -74,8 +75,10 @@ def test_criterion_01_mass_conservation():
             _branch_curve_for(cfg.potential, probe, pk.branch), pk.x0, pk.xi0,
             T, dt / 4.0) for pk in cfg.packets]
         y_grid = make_grid(-opts.y_half_width, opts.y_half_width, opts.y_points)
-        n = lab_grid_rule(probe.grid.length, cfg.packets, trajs, dt,
-                          cfg.lambda_coupling, y_grid).points(eps)
+        rule = lab_grid_rule(cfg.packets, trajs, dt, cfg.lambda_coupling,
+                             y_grid)
+        n = lab_grid_points(probe.grid.length, eps, rule.xi_max, rule.eta,
+                            len(cfg.packets))
         lab = make_grid(cfg.x_min, cfg.x_max, n)
         data = decompose(cfg.potential, lab)
         values = np.zeros((lab.n, cfg.potential.n_levels), dtype=complex)

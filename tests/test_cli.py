@@ -445,10 +445,10 @@ def test_mass_guard_exit_code_in_both_run_paths(tmp_path, capsys, monkeypatch):
 
 def test_envelope_guard_in_the_last_clock_interval_fails_the_run(
         tmp_path, capsys, monkeypatch):
-    # a single packet on two branches carries corrections, so the Duhamel
-    # source of step 91 reads u at its midpoint and marches the last clock
-    # interval, [0.09, 0.1], where the mass guard trips; observing every
-    # step, the same step's observation comes after every lane has failed
+    # a single packet on two branches carries corrections; the mass guard
+    # trips at the tick of the last clock interval, [0.09, 0.1], which fails
+    # every lane before step 91, its Duhamel midpoint read or its
+    # observation (observing every step)
     import adiapack.experiments as experiments
     from adiapack.envelope import EnvelopeClock, EnvelopeStepper
 
@@ -478,6 +478,53 @@ def test_envelope_guard_in_the_last_clock_interval_fails_the_run(
     assert main(["converge", "--config", str(path), "--out", str(out)]) == 4
     report = json.loads((out / "report.json").read_text())
     assert report["failures"] == [[0.0625, message]]
+
+
+def test_envelope_guard_at_a_tick_fails_every_lane_before_it_steps(
+        tmp_path, capsys, monkeypatch):
+    # two packets carry no corrections, so at cadence 0.05 the lanes read u
+    # only at t = 0, 0.05 and 0.1, yet their one shared clock (same profile,
+    # λ'' = 1) is ticked once per 0.01: the mass guard trips at the tick of
+    # [0.02, 0.03], a non-final interval that no read ends, and fails both
+    # lanes (dt = 1e-3 and 0.01/11) before either steps in it, after 20 and
+    # 22 steps, not at the read at 0.05
+    import adiapack.experiments as experiments
+    from adiapack.envelope import EnvelopeClock
+    from adiapack.nls import NLSPropagator
+
+    jump, march, ticks, steps, failed = (EnvelopeClock.jump,
+                                         experiments._Lockstep.march, [], {}, [])
+
+    def leaky(self, b1):
+        ticks.append(b1)
+        if len(ticks) == 3:   # the tick of [0.02, 0.03]
+            self.stepper._u *= 1.0 + 1e-6
+        jump(self, b1)
+
+    class Counting(NLSPropagator):
+        def step(self, *args, **kwargs):
+            steps[self.epsilon] = steps.get(self.epsilon, 0) + 1
+            return super().step(*args, **kwargs)
+
+    def recording(self, observer):
+        results, failures = march(self, observer)
+        failed.extend((eps, str(exc)) for eps, exc in failures)
+        return results, failures
+
+    monkeypatch.setattr(EnvelopeClock, "jump", leaky)
+    monkeypatch.setattr(experiments, "NLSPropagator", Counting)
+    monkeypatch.setattr(experiments._Lockstep, "march", recording)
+    packets = [{"profile": {"type": "gaussian"}, "x0": 1.0, "xi0": 0.0},
+               {"profile": {"type": "gaussian"}, "x0": -1.0, "xi0": 0.5}]
+    path = write_config(tmp_path, packets=packets,
+                        epsilons=[0.0625, 0.00390625])
+    message = "envelope mass drift 1.000e-06 above 1.0e-08 at t = 0.03"
+    assert main(["superpose", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == f"runtime abort: {message}\n"
+    assert failed == [(0.0625, message), (0.00390625, message)]
+    assert steps == {0.0625: 20, 0.00390625: 22}
+    assert ticks == [44, 88, 132]   # samples of 0.01/44: no tick after it
 
 
 def test_energy_drift_in_report_not_csv(tmp_path):

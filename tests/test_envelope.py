@@ -21,6 +21,23 @@ def run(a, curvature, lam, T, dt, grid=Y_GRID):
     return stepper
 
 
+class TickedClock:
+    """An `EnvelopeClock` ticked on demand through the clock points
+    `bounds` (increasing sample indices from 0): `at(i, per)` jumps until
+    sample i/per is covered, then reads it at its fraction of the interval,
+    as the lockstep does.  Reads must not decrease."""
+
+    def __init__(self, clock: EnvelopeClock, bounds):
+        self.clock, self.ends, self._rest = clock, bounds[:1] * 2, iter(bounds[1:])
+
+    def at(self, i: int, per: int = 1) -> np.ndarray:
+        while self.ends[1] * per < i:
+            self.ends = [self.ends[1], next(self._rest)]
+            self.clock.jump(self.ends[1])
+        b0, b1 = self.ends
+        return self.clock.at(i - b0 * per, (b1 - b0) * per)
+
+
 def test_free_gaussian_peak_decay():
     # |u(t,0)|² = (π(1+t²))^{-1/2} for the free flow
     final = run(gaussian, lambda t: 0.0, 0.0, 1.0, 1e-3)
@@ -110,14 +127,32 @@ def test_clock_self_convergence_fourth_order():
     samples = 1.0 + 0.3 * np.sin(3.0 * q * np.arange(1921))
     reads = {}
     for m in (160, 80, 40):
-        clock = EnvelopeClock(EnvelopeStepper(Y_GRID, gaussian(Y_GRID.points),
-                                              1.0), samples, q,
-                              list(range(0, 1921, m)))
+        clock = TickedClock(EnvelopeClock(EnvelopeStepper(
+            Y_GRID, gaussian(Y_GRID.points), 1.0), samples, q),
+            list(range(0, 1921, m)))
         reads[m] = [clock.at(1020).copy(), clock.at(1920).copy()]
     for k in (0, 1):
         err_coarse = l2_norm(Y_GRID, reads[160][k] - reads[80][k])
         err_fine = l2_norm(Y_GRID, reads[80][k] - reads[40][k])
         assert err_coarse / err_fine == pytest.approx(16.0, abs=3.0)
+
+
+def test_reads_never_march():
+    # two reads at one fraction of the interval just jumped, between its
+    # ends and at its end, are the same bytes and leave the stepper's time
+    # and samples as the jump left them
+    q = 2.5e-4
+    stepper = EnvelopeStepper(Y_GRID, gaussian(Y_GRID.points), 1.0)
+    clock = EnvelopeClock(stepper, 1.0 + 0.3 * np.sin(3.0 * q * np.arange(81)), q)
+    clock.jump(40)
+    time, samples = stepper.time, stepper.values.tobytes()
+    for k, n in ((3, 10), (10, 10)):
+        first = clock.at(k, n).tobytes()
+        assert clock.at(k, n).tobytes() == first
+        assert stepper.time == time
+        assert stepper.values.tobytes() == samples
+    assert clock.at(10, 10).tobytes() == samples
+    assert clock.at(3, 10).tobytes() != samples
 
 
 def test_moment_growth_below_affine():

@@ -6,10 +6,10 @@ import pytest
 
 from adiapack.classical import integrate_trajectory
 from adiapack.corrections import assemble_correction
-from adiapack.envelope import EnvelopeStepper
+from adiapack.envelope import EnvelopeClock, EnvelopeStepper
 from adiapack.errors import ConfigError
 from adiapack.experiments import (PacketSpec, RunOptions, Study,
-                                  _branch_curve_for, _clock, _error_norms,
+                                  _branch_curve_for, _error_norms,
                                   _phi_values, convergence_study,
                                   fit_order, make_profile, run_single_packet,
                                   study_setup, superposition_experiment)
@@ -17,6 +17,7 @@ from adiapack.expressions import parse_expr
 from adiapack.grids import UniformCubicSpline, l2_norm, make_grid, sigma_norm
 from adiapack.nls import build_initial_data
 from adiapack.potentials import MatrixPotentialSpec, decompose
+from tests.test_envelope import TickedClock
 from tests.test_potentials import rotating_family
 
 HARMONIC = MatrixPotentialSpec.from_strings(["x^2/2"], ["0"])
@@ -60,17 +61,26 @@ def rotating_setup():
                              1.0, 0.2, -2.5, 2.5, options=EVERY_005))
 
 
+def lockstep_clock(stepper, curvature, steps) -> TickedClock:
+    """The lockstep's clock for `steps`, ticked on demand: curvature
+    samples at steps.dt/4, a clock point every steps.per_clock steps and
+    one at the last step."""
+    return TickedClock(EnvelopeClock(stepper, curvature, steps.dt / 4.0), [
+        4 * b for b in range(0, steps.total, steps.per_clock)] + [4 * steps.total])
+
+
 def ansatz_at(setup, epsilon, t):
     """(lab grid, u(t) on the run window, φ(t) on the lab grid) of the
     set-up's one packet at ε, built from the pieces a run uses: the
-    envelope's clock (`_clock`) along the set-up's run trajectory, read at
-    sample 4s of step s, the envelope's spline and `_phi_values` there."""
+    envelope's clock (`lockstep_clock`) along the set-up's run trajectory,
+    read at sample 4s of step s, the envelope's spline and `_phi_values`
+    there."""
     (packet,), steps = setup.study.packets, setup.steps[epsilon]
     (traj,), y_grid = setup.trajectories[steps.dt], setup.y_grid
     env = EnvelopeStepper(y_grid, packet.evaluator()(y_grid.points),
                           setup.study.lambda_coupling)
     i = 4 * int(round(t / steps.dt))
-    u = _clock(env, traj.curvature, steps).at(i).copy()
+    u = lockstep_clock(env, traj.curvature, steps).at(i).copy()
     probe = setup.probe.grid
     lab = make_grid(probe.x_min, probe.x_max, setup.grid_n[epsilon])
     u_of = UniformCubicSpline(y_grid.x_min, y_grid.spacing, u)
@@ -370,16 +380,16 @@ def test_lab_grid_rule_takes_the_largest_envelope_width_over_the_run():
     # |ξ(t)| = |sin t| peaks at 1
     from adiapack.experiments import lab_grid_rule
     from adiapack.grids import make_grid
-    from adiapack.nls import spectral_half_width
+    from adiapack.nls import lab_grid_points, spectral_half_width
 
     y = make_grid(-40.0, 40.0, 2048)
     wide = PacketSpec(profile={"type": "gaussian", "width": 2.0}, x0=1.0, xi0=0.0)
     eta0 = spectral_half_width(y, wide.evaluator()(y.points))
-    rule = lab_grid_rule(8.0, [wide], harmonic_trajectories([wide], 2.0), 1e-3,
+    rule = lab_grid_rule([wide], harmonic_trajectories([wide], 2.0), 1e-3,
                          0.0, y)
     assert abs(rule.eta - 4.0 * eta0) <= 2.0 * np.pi / y.length
     assert rule.xi_max == pytest.approx(1.0, abs=1e-6)
-    assert rule.points(1.0 / 64) == 1024
+    assert lab_grid_points(8.0, 1.0 / 64, rule.xi_max, rule.eta) == 1024
 
 
 def test_lab_grid_rule_sizing_march_matches_a_fine_march(monkeypatch):
@@ -410,7 +420,7 @@ def test_lab_grid_rule_sizing_march_matches_a_fine_march(monkeypatch):
     packets = [PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0),
                PacketSpec(profile={"type": "gaussian"}, x0=-1.0, xi0=0.5)]
     rule = experiments.lab_grid_rule(
-        8.0, packets, harmonic_trajectories(packets, 2.0), 1e-3, 1.0, y)
+        packets, harmonic_trajectories(packets, 2.0), 1e-3, 1.0, y)
     assert len(marches) == 1
     assert fine > 12.0
     assert abs(rule.eta - fine) <= 0.02 * fine
@@ -475,7 +485,6 @@ def test_one_march_holds_lanes_of_two_step_sizes(monkeypatch):
     # and the coarser lane's sup ‖w‖ moves by less than 1e-6
     import adiapack.experiments as experiments
     from adiapack.config import load_config
-    from adiapack.envelope import EnvelopeClock
     from adiapack.nls import NLSPropagator
 
     cfg = load_config(CONFIGS / "rotating.json")
@@ -485,15 +494,15 @@ def test_one_march_holds_lanes_of_two_step_sizes(monkeypatch):
         return convergence_study(replace(cfg, T=0.5, epsilons=epsilons,
                                          options=options, snapshot_times=None))
 
-    jumps, steps, jump = [], {}, EnvelopeClock._jump
+    jumps, steps, jump = [], {}, EnvelopeClock.jump
 
     class Counting(NLSPropagator):
         def step(self, *args, **kwargs):
             steps[self.epsilon] = steps.get(self.epsilon, 0) + 1
             return super().step(*args, **kwargs)
 
-    monkeypatch.setattr(EnvelopeClock, "_jump",
-                        lambda self: jumps.append(jump(self)))
+    monkeypatch.setattr(EnvelopeClock, "jump",
+                        lambda self, b1: jumps.append(jump(self, b1)))
     monkeypatch.setattr(experiments, "NLSPropagator", Counting)
     pair = sweep([1.0 / 32, 1.0 / 64])
     assert len(jumps) == 50
@@ -550,7 +559,7 @@ def clock_and_strang_errors(name):
         packet.x0, packet.xi0, 1.0, steps.dt / 16.0)
     ref, marches = EnvelopeStepper(y, a, lam), [EnvelopeStepper(y, a, lam)
                                                 for _ in range(2)]
-    clock = _clock(EnvelopeStepper(y, a, lam), traj.curvature, steps)
+    clock = lockstep_clock(EnvelopeStepper(y, a, lam), traj.curvature, steps)
     errors = {key: 0.0 for key in ("clock obs", "strang obs", "clock mid",
                                    "strang mid")}
 
@@ -591,14 +600,14 @@ def test_a_read_at_a_clock_point_is_the_clock_sample():
                               1.0, 0.1, -2.5, 2.5))
     steps, (traj,), y = setup.steps[1.0 / 64], setup.trajectories[1e-3], \
         setup.y_grid
-    clocks = [_clock(EnvelopeStepper(y, GAUSSIAN_AT_1.evaluator()(y.points),
-                                     1.0), traj.curvature, steps)
+    clocks = [lockstep_clock(EnvelopeStepper(
+        y, GAUSSIAN_AT_1.evaluator()(y.points), 1.0), traj.curvature, steps)
               for _ in range(2)]
     between = clocks[0].at(22)
     assert not np.array_equal(between, clocks[0].at(40))
     assert clocks[0].at(40).tobytes() == clocks[1].at(40).tobytes() \
-        == clocks[1].stepper.values.tobytes()
-    assert clocks[1].stepper.time == 0.01
+        == clocks[1].clock.stepper.values.tobytes()
+    assert clocks[1].clock.stepper.time == 0.01
 
 
 def test_step_rule_rejects_t_off_the_observation_cadence(monkeypatch):
@@ -698,10 +707,9 @@ def test_lockstep_calls_the_nls_step_once_per_step(monkeypatch):
     # T/0.01 triple jumps, also when observing every step (observe_every =
     # dt = 1e-3)
     import adiapack.experiments as experiments
-    from adiapack.envelope import EnvelopeClock
     from adiapack.nls import NLSPropagator
 
-    calls, ends, jump = {}, [], EnvelopeClock._jump
+    calls, ends, jump = {}, [], EnvelopeClock.jump
 
     class Counting(NLSPropagator):
         def step(self, values, pending=False, close=True):
@@ -710,12 +718,12 @@ def test_lockstep_calls_the_nls_step_once_per_step(monkeypatch):
             counts[1] += close
             return super().step(values, pending, close)
 
-    def recording(self):
-        jump(self)
+    def recording(self, b1):
+        jump(self, b1)
         ends.append(self.stepper.time)
 
     monkeypatch.setattr(experiments, "NLSPropagator", Counting)
-    monkeypatch.setattr(EnvelopeClock, "_jump", recording)
+    monkeypatch.setattr(EnvelopeClock, "jump", recording)
     packet = PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0)
     eps_list = [1.0 / 16, 1.0 / 32, 1.0 / 256]
     convergence_study(study(HARMONIC, [packet], eps_list, 0.0, 0.1, -4.0, 4.0,

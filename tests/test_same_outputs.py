@@ -1,7 +1,9 @@
 """The output-equivalence script `tools/same_outputs.py`."""
 
+import json
 import runpy
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,3 +42,19 @@ def test_an_argument_holding_braces_runs_unchanged(tmp_path):
     out = tmp_path / "braces"
     assert (out / "exit.txt").read_text() == "0\n"
     assert (out / "stdout.txt").read_text() == "{1: 2} 3 <tree>/x\n"
+
+
+def test_every_cli_report_is_strict_json(tmp_path):
+    # RFC 8259 has no NaN or Infinity: an undefined fitted order (one ε, or
+    # a leakage or crossing measure of 0) is written as null
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    runs = [(label, argv) for label, argv in same["command_list"](False)
+            if argv[2:3] == ["adiapack.cli"]]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        list(pool.map(lambda run: same["run"](ROOT, *run, tmp_path), runs))
+    for label, _ in runs:
+        assert (tmp_path / label / "exit.txt").read_text() == "0\n", label
+        json.loads((tmp_path / label / "report.json").read_text(),
+                   parse_constant=refuse)

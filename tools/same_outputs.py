@@ -17,6 +17,11 @@ one fixed command list, each with its own `src/` on PYTHONPATH:
   `superpose_superposition_full`);
 - `single` on smoke and on constant_direction;
 - every script in `demos/`;
+- `dense_cadence`: the `to_dict()` of `convergence_study` on rotating at
+  ε = 1/64, 1/256 and of `superposition_experiment` on superposition at
+  ε = 1/32, 1/256, both at T = 0.3 and observe_every = 0.003, whose clock
+  intervals of 0.009 end in a short one and whose lanes take two distinct
+  dt;
 - `expressions`: the bytes of the array form's values, nu = 0, 1 and 2 on
   11 points, of 2000 seeded random trees over the test grammar and of every
   shipped entry (it reads only `parse_expr`, so any revision runs it);
@@ -90,6 +95,21 @@ with np.errstate(all="ignore"):
                 value = str(exc)
             print(nu, text, value)
 """ % (CONFIGS,)
+# the reports of two ε-sweeps at a dense cadence, one JSON line each
+DENSE_CADENCE = r"""
+import json
+from dataclasses import replace
+from adiapack.config import load_config
+from adiapack.experiments import convergence_study, superposition_experiment
+
+for name, sweep, epsilons in (
+        ("rotating", convergence_study, [1 / 64, 1 / 256]),
+        ("superposition", superposition_experiment, [1 / 32, 1 / 256])):
+    cfg = load_config("configs/" + name + ".json")
+    study = replace(cfg, T=0.3, epsilons=epsilons, snapshot_times=None,
+                    options=replace(cfg.options, observe_every=0.003))
+    print(json.dumps(sweep(study).to_dict(), sort_keys=True))
+"""
 
 
 def _cli(command, config, epsilons=None, label=None):
@@ -118,6 +138,7 @@ def command_list(smoke: bool) -> list:
     runs += [(f"demo_{path.stem}", [sys.executable, f"{{tree}}/demos/{path.name}"])
              for path in sorted((ROOT / "demos").glob("*.py"))]
     runs.append(("expressions", [sys.executable, "-c", EXPRESSIONS]))
+    runs.append(("dense_cadence", [sys.executable, "-c", DENSE_CADENCE]))
     runs.append(("acceptance", [sys.executable, "-m", "pytest", "-q", "-s",
                                 "-p", "no:cacheprovider",
                                 "tests/test_acceptance.py"]))
