@@ -11,26 +11,19 @@ phase (exact pointwise, since |u| is invariant under that flow), a full
 kinetic step (exact Fourier multiplier), and another half phase.  The
 time-dependent curvature enters as the caller's value c in `advance(dt, c)`:
 the midpoint sample λ''(x(t + dt/2)) or the mean over the step, either of
-which keeps the step symmetric.  The stepper
-leaves each step's trailing half phase pending and applies it when `values`
-is read; an `advance` that finds a half pending takes it together with its
-own leading half as one phase, with the two curvatures averaged by their
-half steps (exact, since both phases keep |u|).  Between two reads a
-step therefore costs one phase instead of two.  The stepper owns its sample
-buffer: the phases multiply it in place and the transforms (`numpy.fft` with
-`out=`) overwrite it, so callers that keep a profile take a copy.
+which keeps the step symmetric.  The stepper owns its sample buffer
+`values`: the phases multiply it in place and the transforms (`numpy.fft`
+with `out=`) overwrite it, so callers that keep a profile take a copy.
 `EnvelopeStepper` is the one envelope march: the grid rule's sizing march
 of `experiments` drives it in Strang steps, and its lockstep march through
 an `EnvelopeClock`, which the lockstep ticks once per clock interval (a
 fourth-order triple jump of the Strang step) and reads without marching.
 
 Mass ‖u(t)‖ is conserved to roundoff by construction; a drift beyond
-1e-8 · max(1, ‖u₀‖) signals under-resolution and aborts the run
-(`errors.ENVELOPE_MASS`, exit 4).  A profile above 1e-8 · max(1, ‖u₀‖) at
-either end of the y-domain, initially or after any step, has left the
+1e-8 · max(1, ‖u₀‖) after any step signals under-resolution and aborts the
+run (`errors.ENVELOPE_MASS`, exit 4).  A profile above 1e-8 · max(1, ‖u₀‖)
+at either end of the y-domain, initially or after any step, has left the
 comoving window (`errors.ENVELOPE_EDGE`, `InvariantViolation`, exit 3).
-Both guards read |u|, which the pending phase does not change, so they check
-every step, and every stage of a triple jump, on the open samples.
 """
 
 from __future__ import annotations
@@ -55,25 +48,16 @@ class EnvelopeStepper:
     def __init__(self, y_grid: SpatialGrid, a_values: np.ndarray,
                  lambda_coupling: float):
         self.y_grid = y_grid
-        self._u = np.asarray(a_values, dtype=complex).copy()
-        self._pending = None            # (dt/2, curvature) of a trailing half phase
+        self.values = np.asarray(a_values, dtype=complex).copy()
         self.lambda_coupling = float(lambda_coupling)
         self.time = 0.0
-        self.mass0 = l2_norm(y_grid, self._u)
+        self.mass0 = l2_norm(y_grid, self.values)
         self._half_y2 = 0.5 * y_grid.points**2
         self._kin_cache = {}
         self._check_edge()
 
-    @property
-    def values(self) -> np.ndarray:
-        """The samples u(time), with any pending half phase applied first."""
-        if self._pending is not None:
-            self._phase(*self._pending)
-            self._pending = None
-        return self._u
-
     def _check_edge(self):
-        edge = max(abs(self._u[0]), abs(self._u[-1]))
+        edge = max(abs(self.values[0]), abs(self.values[-1]))
         ENVELOPE_EDGE.check(edge, max(1.0, self.mass0), f" at t = {self.time}")
 
     def _kinetic(self, dt):
@@ -88,7 +72,7 @@ class EnvelopeStepper:
         return curv * self._half_y2 + self.lambda_coupling * (re * re + im * im)
 
     def _phase(self, dt, curv):
-        self._u *= unit_phase(-dt * self._potential(self._u, curv))
+        self.values *= unit_phase(-dt * self._potential(self.values, curv))
 
     def rate(self, u: np.ndarray, curvature: float) -> np.ndarray:
         """∂ₜu of the equation at the samples u and λ'' = `curvature`."""
@@ -99,23 +83,15 @@ class EnvelopeStepper:
         """One step of dt, with `curvature` λ'' over the step: its midpoint
         value λ''(x(t + dt/2)), or its mean.  `time`, which the guards name
         and `self.time` then holds, is by default the step's end, time + dt."""
-        half, curv = 0.5 * dt, float(curvature)
-        if self._pending is None:
-            self._phase(half, curv)
-        else:
-            # the trailing half of the last step and the leading half of this one
-            h_prev, c_prev = self._pending
-            self._pending = None
-            self._phase(h_prev + half, (h_prev * c_prev + half * curv)
-                        / (h_prev + half))
-        np.fft.fft(self._u, out=self._u)
-        self._u *= self._kinetic(dt)
-        np.fft.ifft(self._u, out=self._u)
-        self._pending = (half, curv)
+        half, curv, u = 0.5 * dt, float(curvature), self.values
+        self._phase(half, curv)
+        np.fft.fft(u, out=u)
+        u *= self._kinetic(dt)
+        np.fft.ifft(u, out=u)
+        self._phase(half, curv)
         self.time = self.time + dt if time is None else time
-        mass = l2_norm(self.y_grid, self._u)
-        ENVELOPE_MASS.check(abs(mass - self.mass0), max(1.0, self.mass0),
-                            f" at t = {self.time}")
+        ENVELOPE_MASS.check(abs(l2_norm(self.y_grid, u) - self.mass0),
+                            max(1.0, self.mass0), f" at t = {self.time}")
         self._check_edge()
 
 

@@ -21,10 +21,11 @@ same trajectories.
 * `BOUNDARY`: max |ψ| at the ends of the lab grid above 1e-8,
   `InvariantViolation`, then `FOURIER_TAIL`: the fraction of ψ's energy at
   |k| ≥ ¾ k_Nyquist above τ = 1e-20, `SolverAbort`; at every observation of
-  the march (`nls.check_lab_field`).  τ also defines η_τ in
-  `experiments.lab_grid_rule`, where an η_τ that reaches the y-grid's
-  Nyquist limit π/Δy is a `ConfigError` naming `y_points`, and a ψ₀ with a
-  tail above τ, its ends within `BOUNDARY`, is one naming `grid.n` (`_Lane`).
+  the march (`nls.check_lab_field`).  In `experiments.lab_grid_rule` a packet
+  above 1e-8 past the lab domain is a `ConfigError` naming `grid.x_min` or
+  `grid.x_max`, and τ defines η_τ: one that reaches the y-grid's Nyquist
+  limit π/Δy is a `ConfigError` naming `y_points`.  A ψ₀ with a tail above
+  τ, its ends within `BOUNDARY`, is one naming `grid.n` (`_Lane`).
 * `ENVELOPE_EDGE`: max |u| at the ends of the y-grid above 1e-8 · max(1, ‖u₀‖),
   `InvariantViolation`, on the initial profile and after every step, and
   `ENVELOPE_MASS`: |‖u‖ - ‖u₀‖| after each step above the same, `SolverAbort`;

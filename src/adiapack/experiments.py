@@ -460,7 +460,8 @@ class LabGridRule:
 
 
 def lab_grid_rule(packets, trajectories, dt: float, lambda_coupling: float,
-                  y_grid: SpatialGrid) -> LabGridRule:
+                  y_grid: SpatialGrid, epsilons=(),
+                  domain=(-np.inf, np.inf)) -> LabGridRule:
     """Measure, once for every ε, the momentum data that sizes the lab grid.
 
     ξ_max is the largest |ξ| on `trajectories`, the packets' run
@@ -470,19 +471,27 @@ def lab_grid_rule(packets, trajectories, dt: float, lambda_coupling: float,
     one shorter if need be; the step from b₀·dt to b₁·dt reads its midpoint
     sample 2(b₀ + b₁).  η_τ is the largest `nls.spectral_half_width` over
     all steps: the spectrum breathes when a profile is not the coherent
-    width, and the cubic term widens it.  A
-    profile that does not vanish at the y-domain edges fails the stepper's
-    edge guard (`InvariantViolation`) before it is measured, and an η_τ that
-    reaches the lattice's top shell π/Δy, from t = 0 on, is a `ConfigError`
-    naming `y_points`: the y-grid aliases that envelope.  The same
-    march measures Y_τ, the largest |y| at which |u| > τ_y · max|u|
-    (τ_y = `errors.ENVELOPE_SUPPORT`) at any of its steps, which sizes the
-    envelopes' run window (`_run_window`).
+    width, and the cubic term widens it.  A profile that does not vanish at
+    the y-domain edges fails the stepper's edge guard (`InvariantViolation`)
+    before it is measured, and an η_τ that reaches the lattice's top shell
+    π/Δy, from t = 0 on, is a `ConfigError` naming `y_points`: the y-grid
+    aliases that envelope.  The same march measures Y_τ, the largest |y| at
+    which |u| > τ_y · max|u| (τ_y = `errors.ENVELOPE_SUPPORT`) at any of its
+    steps, which sizes the envelopes' run window (`_run_window`).  A profile
+    whose part of ψ at an ε of `epsilons`, ε^{κ-1/4}|u| (κ = 0 for a, r₀'s κ
+    for r₀), tops `errors.BOUNDARY`'s level at an x(t) + √ε y past `domain`
+    after a step, not at t = 0, is a `ConfigError` naming `grid.x_{min,max}`.
     """
     total, m = (len(trajectories[0].x) - 1) // 4, max(1, round(_SIZING_DT / dt))
     bounds = list(range(0, total, m)) + [total]
-    _, curvatures = _envelopes(y_grid, [(a, tr.curvature) for pk, tr in zip(
-        packets, trajectories) for a in pk.profiles()], lambda_coupling)
+    pairs = [(a, tr, kappa) for pk, tr in zip(packets, trajectories)
+             for a, kappa in zip(pk.profiles(), (0.0, pk.kappa))]
+    envs, curvatures = _envelopes(y_grid, [(a, tr.curvature) for a, tr, _ in pairs],
+                                  lambda_coupling)
+    levels = {env: [] for env in curvatures}   # (trajectory, ε, level of |u|)
+    for env, (_, tr, kappa) in zip(envs, pairs):
+        levels[env] += [(tr, eps, BOUNDARY.tol * eps ** (0.25 - kappa))
+                        for eps in epsilons]
     eta = y_tau = 0.0
     for env, curvature in curvatures.items():
         for b0, b1 in zip([0] + bounds, bounds):
@@ -497,6 +506,18 @@ def lab_grid_rule(packets, trajectories, dt: float, lambda_coupling: float,
             mag = np.abs(u)
             y_tau = max(y_tau, float(np.abs(
                 y_grid.points[mag > ENVELOPE_SUPPORT * mag.max()]).max(initial=0.0)))
+            inside = []   # a ψ₀ past the domain trips the run's guard at t = 0
+            for tr, eps, level in levels[env]:
+                y = np.sqrt(eps) * y_grid.points[mag > level]
+                lo, hi = tr.x[4 * b1] + y[[0, -1]] if y.size else domain
+                if domain[0] <= lo and hi <= domain[1]:
+                    inside.append((tr, eps, level))
+                elif b1 > 0:
+                    raise ConfigError(
+                        f"at epsilon = {eps} a packet reaches x in [{lo:.4g}, "
+                        f"{hi:.4g}] at t = {b1 * dt:.6g}, past grid.x_"
+                        f"{'min' if lo < domain[0] else 'max'}: enlarge the domain")
+            levels[env] = inside
     return LabGridRule(xi_max=max(float(np.max(np.abs(tr.xi))) for tr in trajectories),
                        eta=eta, y_tau=y_tau)
 
@@ -552,7 +573,8 @@ def study_setup(study: Study) -> StudySetup:
             for dt in dict.fromkeys(s.dt for s in steps.values())}
         dt = max(trajectories)
         rule = lab_grid_rule(packets, trajectories[dt], dt,
-                             study.lambda_coupling, y_grid)
+                             study.lambda_coupling, y_grid, study.epsilons,
+                             (study.x_min, study.x_max))
     except AdiapackError as exc:
         raise ConfigError(f"grid derivation failed: {exc}") from exc
     grid_n = {eps: lab_grid_points(probe.grid.length, eps, rule.xi_max, rule.eta,
@@ -944,12 +966,12 @@ class _SuperposeObserver:
     def result(self) -> dict:
         lane, setup = self.lane, self.march.setup
         t1, t2 = setup.trajectories[lane.steps.dt]
-        # crossing window |I^ε(T)| from the dense trajectory samples
-        window = lane.epsilon ** setup.study.gamma_exponent
+        # |I^ε(T)|: the trapezoid rule of its indicator on the dense samples
+        near = np.abs(t1.x - t2.x) <= lane.epsilon ** setup.study.gamma_exponent
+        samples = np.count_nonzero(near) - 0.5 * np.count_nonzero(near[[0, -1]])
         return dict(
             sup_errors=float(max(self.w)), terminal_errors=float(self.w[-1]),
-            crossing_measures=float(np.count_nonzero(
-                np.abs(t1.x - t2.x) <= window) * (t1.times[1] - t1.times[0])),
+            crossing_measures=float(samples * (t1.times[1] - t1.times[0])),
             interaction_integrals=float(np.trapezoid(
                 np.asarray(self.inter), np.asarray(self.times))),
             grid_n=lane.n, energy_drift=[t1.energy_drift, t2.energy_drift],

@@ -462,7 +462,7 @@ def test_envelope_guard_in_the_last_clock_interval_fails_the_run(
     def leaky(self, dt, curvature, time=None):
         # the clock's last interval, not the sizing march's last step
         if time == 0.1 and self in clocked:
-            self._u *= 1.0 + 1e-6
+            self.values *= 1.0 + 1e-6
         advance(self, dt, curvature, time)
 
     monkeypatch.setattr(experiments, "EnvelopeClock", Marking)
@@ -498,7 +498,7 @@ def test_envelope_guard_at_a_tick_fails_every_lane_before_it_steps(
     def leaky(self, b1):
         ticks.append(b1)
         if len(ticks) == 3:   # the tick of [0.02, 0.03]
-            self.stepper._u *= 1.0 + 1e-6
+            self.stepper.values *= 1.0 + 1e-6
         jump(self, b1)
 
     class Counting(NLSPropagator):
@@ -618,9 +618,36 @@ def test_an_envelope_the_y_grid_aliases_is_refused_naming_y_points(tmp_path,
     err = capsys.readouterr().err
     assert "y_points" in err and " at t = 0:" in err
     assert "y-domain edge" not in err
+    # on [-4, 4) the resolved envelope reaches past x_max (the next test)
     fine = write_config(tmp_path, name="fine.json", packets=packets,
-                        y_points=8192)
+                        y_points=8192, grid={"x_min": -8.0, "x_max": 8.0})
     assert config_setup(load_config(fine)).rule.eta * 80.0 / 8192 < np.pi
+
+
+def test_an_envelope_past_the_domain_is_refused_naming_x_max(
+        tmp_path, capsys, monkeypatch):
+    # the width-0.05 Gaussian on an 8192-point y-grid spreads to |y| ≤ 12.14
+    # at the ψ-level 1e-8 by t = 0.1, x ≤ 0.995 + 12.14/4 = 4.03 at ε = 1/16:
+    # its run marched and exited 3 on the boundary guard at t = 0.1
+    import adiapack.experiments as experiments
+
+    built = []
+
+    class Counting(experiments._Lane):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(experiments, "_Lane", Counting)
+    path = write_config(tmp_path, y_points=8192, packets=[
+        {"profile": {"type": "gaussian", "width": 0.05}, "x0": 1.0, "xi0": 0.0}])
+    assert main(["single", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: grid derivation failed: at epsilon = 0.0625 a packet "
+        "reaches x in [-2.04, 4.03] at t = 0.1, past grid.x_max: enlarge the "
+        "domain\n")
+    assert built == []
 
 
 @pytest.mark.filterwarnings("error")

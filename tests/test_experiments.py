@@ -434,7 +434,7 @@ def test_a_sizing_march_guard_names_its_step_end(monkeypatch):
     def leaky(self, dt, curvature, time=None):
         calls.append(dt)
         if len(calls) == 3:
-            self._u *= 1.0 + 1e-6
+            self.values *= 1.0 + 1e-6
         advance(self, dt, curvature, time)
 
     monkeypatch.setattr(EnvelopeStepper, "advance", leaky)
@@ -445,6 +445,20 @@ def test_a_sizing_march_guard_names_its_step_end(monkeypatch):
     assert exc.value.messages == [
         "grid derivation failed: envelope mass drift 1.000e-06 above "
         "1.0e-08 at t = 0.075"]
+
+
+def test_a_crossing_set_that_covers_the_run_measures_t():
+    # Γ = 0: both packets start at one phase-space point on x²/2 ± 1, so
+    # |x₁ - x₂| = 0 ≤ ε^γ at every sample of [0, T]; counting both end
+    # samples read T plus one sample spacing, 0.10025
+    spec = MatrixPotentialSpec.from_strings(["x^2/2", "x^2/2"],
+                                            ["cos(x)", "sin(x)", "-cos(x)"])
+    pair = [PacketSpec(profile={"type": "gaussian"}, x0=1.0, xi0=0.0, branch=b)
+            for b in (0, 1)]
+    report = superposition_experiment(study(spec, pair, [1.0 / 16], 1.0, 0.1,
+                                            -4.0, 4.0, options=EVERY_005))
+    assert report.gamma_zero_warning
+    assert report.crossing_measures == [pytest.approx(0.1, rel=1e-12)]
 
 
 def test_lockstep_runs_match_each_epsilon_run_alone():

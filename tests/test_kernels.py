@@ -196,35 +196,6 @@ def test_envelope_advance_matches_numpy_fft_reference(lambda_coupling):
     assert np.max(np.abs(stepper.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("lambda_coupling", [0.0, 1.0])
-def test_envelope_pending_half_phases_match_closed_steps(lambda_coupling):
-    # read after every step, each step closes; read only at the end, the
-    # steps merge adjacent half phases with the midpoint curvatures averaged
-    y_grid = make_grid(-20.0, 20.0, 512)
-
-    def stepper():
-        return EnvelopeStepper(y_grid, gaussian(y_grid.points), lambda_coupling)
-
-    def advance(s, dt):   # at the curvature 1 + sin(3t)/2 of the step midpoint
-        s.advance(dt, 1.0 + 0.5 * np.sin(3.0 * (s.time + 0.5 * dt)))
-
-    closed, merged = stepper(), stepper()
-    for _ in range(40):
-        advance(closed, 1e-3)
-        closed.values
-        advance(merged, 1e-3)
-        # the guards read |u| on the open samples
-        assert l2_norm(y_grid, merged._u) == pytest.approx(merged.mass0,
-                                                          rel=1e-13)
-    ref = closed.values
-    assert np.max(np.abs(merged.values - ref)) <= 1e-12 * np.max(np.abs(ref))
-    # a pending half of one step size merges with a leading half of another
-    advance(merged, 5e-4)
-    advance(closed, 5e-4)
-    ref = closed.values
-    assert np.max(np.abs(merged.values - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
 def test_l2_norm_matches_abs_square_form():
     grid = make_grid(-4.0, 4.0, 2048)
     rng = np.random.default_rng(3)

@@ -15,6 +15,10 @@ one fixed command list, each with its own `src/` on PYTHONPATH:
 - `superpose` on superposition with its full ε list, whose lanes take two
   distinct dt, 1e-3 and 0.01/11, without corrections (label
   `superpose_superposition_full`);
+- `superpose` on crossing_control with its full ε list, 1/64 to 1/256: two
+  packets on two distinct envelope clocks over lanes of dt 1e-3 and
+  0.01/11, and the one run whose Γ = 0 control fits a `crossing_order`
+  (label `superpose_crossing_control_full`);
 - `single` on smoke and on constant_direction;
 - every script in `demos/`;
 - `dense_cadence`: the `to_dict()` of `convergence_study` on rotating at
@@ -134,6 +138,8 @@ def command_list(smoke: bool) -> list:
              _cli("superpose", "crossing_control", "0.015625"),
              _cli("superpose", "superposition",
                   label="superpose_superposition_full"),
+             _cli("superpose", "crossing_control",
+                  label="superpose_crossing_control_full"),
              _cli("single", "smoke"), _cli("single", "constant_direction")]
     runs += [(f"demo_{path.stem}", [sys.executable, f"{{tree}}/demos/{path.name}"])
              for path in sorted((ROOT / "demos").glob("*.py"))]
