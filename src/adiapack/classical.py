@@ -4,19 +4,18 @@ Integrates
 
     ẋ = ξ,   ξ̇ = -λ'(x),   Ṡ = ξ²/2 - λ(x)
 
-with the classic fourth-order one-step scheme at fixed dt, so trajectory
-samples line up exactly with PDE solver steps.  λ, λ' and λ'' are recorded
-at every sample, for the envelope (λ'') and the Taylor remainder, and the
-energy E = ξ²/2 + λ(x) is tracked as a drift diagnostic; |x| and |ξ| are
-bounded by `errors.TRAJECTORY_BLOWUP` at every step.  A branch curve is
-anything called as `curve(x, nu)` for λ (nu = 0), λ' and λ'' on the
-samples, with `curve.slope_and_value(x)` for (λ', λ) at a stage's Python
-float: the parsed diagonal entry (`expressions.Expr`, its derivatives
-analytic, the pair one compiled function) or the not-a-knot spline of
-decomposed samples (`grids.UniformCubicSpline`, its derivatives its own,
-the pair one interval lookup).  A trajectory is its samples, read by index;
-the envelope clock (`envelope.EnvelopeClock`) integrates λ'' in t over
-its stages, and the transport oracle (`eigenframe`) interpolates the path.
+with the classic fourth-order one-step scheme at fixed dt.  λ, λ' and λ''
+are recorded at every sample, for the envelope (λ'') and the Taylor
+remainder, and the energy E = ξ²/2 + λ(x) is tracked as a drift
+diagnostic; |x| and |ξ| are bounded by `errors.TRAJECTORY_BLOWUP` at every
+step.  A branch curve is anything called as `curve(x, nu)` for λ (nu = 0),
+λ' and λ'' on the samples, with `curve.slope_and_value(x)` for (λ', λ) at a
+stage's Python float: the parsed diagonal entry (`expressions.Expr`, its
+derivatives analytic, the pair one compiled function) or the not-a-knot
+spline of decomposed samples (`grids.UniformCubicSpline`, its derivatives
+its own, the pair one interval lookup).  The runs read a trajectory as
+they read the envelope clock, at fractions of a clock interval (`at`); the
+transport oracle (`eigenframe`) interpolates it with its splines in t.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TRAJECTORY_BLOWUP
+from .grids import cubic_hermite
 
 __all__ = ["ClassicalTrajectory", "integrate_trajectory"]
 
@@ -43,6 +43,19 @@ class ClassicalTrajectory:
     curvature: np.ndarray = field(repr=False)
     energy0: float
     energy_drift: float
+
+    def at(self, b0: int, b1: int, k: int, n: int) -> tuple:
+        """(x, ξ, S) at k/n (whole 0 ≤ k ≤ n) of samples b0 to b1: the
+        sample itself where (b1 - b0)·k is a multiple of n, else the cubic
+        Hermite in t on the flow's rates (ξ, -λ', ξ²/2 - λ) at its neighbours."""
+        i, r = divmod(b0 * n + (b1 - b0) * k, n)
+        if r == 0:
+            return self.x[i], self.xi[i], self.action[i]
+        j, h = [i, i + 1], self.times[i + 1] - self.times[i]
+        xi = self.xi[j]
+        return tuple(cubic_hermite(*y, *rate, h, r / n) for y, rate in (
+            (self.x[j], xi), (xi, -self.slope[j]),
+            (self.action[j], 0.5 * xi * xi - self.lam[j])))
 
 
 def integrate_trajectory(curve, x0: float, xi0: float, T: float,

@@ -26,8 +26,8 @@ carry the opposite source.
 This module is the independent oracle of the static carrier; the run path
 needs only `coupling_profile`.  Every interpolant here, in x, z and t, is the
 not-a-knot `grids.UniformCubicSpline` on the uniform samples of a grid or a
-trajectory.  It is the one reader of a trajectory between its samples,
-through the frame's splines in t of x and ξ.
+trajectory; between a trajectory's samples the frame reads x and ξ by
+its own splines in t, where runs read by `ClassicalTrajectory.at`.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ENVELOPE_EDGE, ENVELOPE_MASS
-from .grids import SpatialGrid, l2_norm, spectral_derivative, unit_phase
+from .grids import SpatialGrid, cubic_hermite, l2_norm, spectral_derivative, unit_phase
 
 __all__ = ["EnvelopeClock", "EnvelopeStepper", "envelope_moments"]
 
@@ -130,21 +130,15 @@ class EnvelopeClock:
         d = s - i
         return self._areas[i] + self.q * d * (c[i] + 0.5 * d * (c[i + 1] - c[i]))
 
-    def _slope(self, end):   # ∂ₜu at a clock end, taken once
-        if end[2] is None:
-            end[2] = self.stepper.rate(end[1], self.curvature[end[0]])
-        return end[2]
-
     def at(self, k: int, n: int) -> np.ndarray:
         """u at the fraction k/n (whole 0 ≤ k ≤ n) of the interval last jumped."""
-        (b0, u0, _), (b1, u1, _) = self._ends
         if k in (0, n):
-            return u1 if k == n else u0
-        d0, d1 = self._slope(self._ends[0]), self._slope(self._ends[1])
-        s, h = k / n, (b1 - b0) * self.q
-        h01 = s * s * (3.0 - 2.0 * s)
-        return ((1.0 - h01) * u0 + h01 * u1
-                + (h * s * (1.0 - s)) * ((1.0 - s) * d0 - s * d1))
+            return self._ends[int(k == n)][1]
+        for end in self._ends:   # ∂ₜu at each end, taken once
+            if end[2] is None:
+                end[2] = self.stepper.rate(end[1], self.curvature[end[0]])
+        (b0, u0, d0), (b1, u1, d1) = self._ends
+        return cubic_hermite(u0, u1, d0, d1, (b1 - b0) * self.q, k / n)
 
 
 def envelope_moments(y_grid: SpatialGrid, values: np.ndarray, k: int,

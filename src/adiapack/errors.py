@@ -6,8 +6,8 @@ Each class carries its exit code and its report (the failure `kind` of
 a value from above is one `Guard` below, one tolerance and one class at every
 call site, and a NaN fails it.  The march is the lockstep march of
 `experiments` behind every run; the sizing march of `experiments.study_setup`,
-where any failure is a `ConfigError`, drives the same `EnvelopeStepper` on the
-same trajectories.
+where any failure is a `ConfigError`, drives the same `EnvelopeStepper` along
+the same paths, one per packet.
 
 * `TRAJECTORY_BLOWUP`: max(|x|, |ξ|) above 1e8, `SolverAbort`; after every
   step of `classical.integrate_trajectory`.

@@ -23,20 +23,17 @@ superposition experiment with the trajectory-crossing diagnostics Γ and
 A study travels as one validated `Study`, its run options one `RunOptions`:
 each rule is checked once, when it is built, and every driver takes one.  A
 command does its ε-free work once (`study_setup`): the probe decomposition,
-each packet's run trajectory once per distinct dt, the grid rule, every ε's
-grid size and step rule, and the envelopes' run window (the part of the
-y-grid their profiles fill).  In the critical scaling the envelope equation and the
-classical path do not contain ε, so every ε of a command runs in one
-lockstep march (`_Lockstep`): each distinct envelope is marched once, on
-its own fourth-order clock (`envelope.EnvelopeClock`, a clock point about
-every `_ENVELOPE_DT`, the same for every ε, ticked once per interval),
-read by every packet and ε that use it, and each ε keeps its own lab
-state and dt (`_Lane`).
-`run_single_packet`, `convergence_study` and `superposition_experiment`
-share that march and differ only in their observer and failure handling.
-The run trajectory's samples at dt/4 are read by index: step s is
-observed at sample 4s, and its Duhamel source reads u, x, ξ and S at
-4s - 2; the envelope clock integrates its λ'' samples in t.
+each packet's one path, the grid rule, every ε's grid size and step rule,
+and the envelopes' run window (the part of the y-grid their profiles fill).
+In the critical scaling the envelope equation and the classical path do not
+contain ε, so every ε of a command runs in one lockstep march (`_Lockstep`):
+each distinct envelope is marched once, on its own fourth-order clock
+(`envelope.EnvelopeClock`, a clock point about every `_ENVELOPE_DT`, ticked
+once per interval), and each ε keeps its own lab state and dt (`_Lane`)
+and reads every envelope and path (`ClassicalTrajectory.at`) at its own
+fraction of the clock interval.  `run_single_packet`, `convergence_study`
+and `superposition_experiment` share that march and differ only in their
+observer and failure handling.
 """
 
 from __future__ import annotations
@@ -287,8 +284,8 @@ class RunOptions:
     grid_n: int | None = None        # a fixed lab grid size, else the rule's
 
     def __post_init__(self):
-        if self._problems():
-            raise ConfigError(self._problems())
+        if problems := self._problems():
+            raise ConfigError(problems)
 
     def _problems(self) -> list:   # every problem, one string each
         out = [f"{key} must be positive and finite" for key in (
@@ -464,8 +461,8 @@ def lab_grid_rule(packets, trajectories, dt: float, lambda_coupling: float,
                   domain=(-np.inf, np.inf)) -> LabGridRule:
     """Measure, once for every ε, the momentum data that sizes the lab grid.
 
-    ξ_max is the largest |ξ| on `trajectories`, the packets' run
-    trajectories of step dt (samples at dt/4).  Each profile of a packet (a,
+    ξ_max is the largest |ξ| on `trajectories`, the packets' paths, samples
+    at dt/4 of the command's finest step dt.  Each profile of a packet (a,
     and r₀'s if set) is marched as an envelope along its trajectory's
     curvature in steps of m·dt, m = max(1, round(`_SIZING_DT`/dt)), the last
     one shorter if need be; the step from b₀·dt to b₁·dt reads its midpoint
@@ -545,20 +542,20 @@ class StudySetup:
     rule: LabGridRule
     grid_n: dict                     # requested ε -> lab grid size
     steps: dict                      # requested ε -> its `_Steps`
-    trajectories: dict               # dt -> each packet's run trajectory
+    trajectories: tuple              # each packet's path, at the finest dt/4
 
 
 def study_setup(study: Study) -> StudySetup:
     """For every packet and ε of the study: every ε's `_step_rule`, the
-    4096-point probe decomposition, each packet's run trajectory at dt/4
-    once per distinct dt on the probe's branch curve, `lab_grid_rule` on
-    those of the largest dt and the configured y-grid (±y_half_width,
-    y_points), the lab grid size of every ε (a `grid.n` must meet the rule
-    at all of them) and the envelopes' run window (the configured y-grid's
-    smallest centred power-of-two slice that holds the measured Y_τ).  Every
-    failure is a `ConfigError` (exit 2), and so is a study above
-    `nls.MAX_STEPS` steps, checked first, or above `nls.MAX_POINT_STEPS`
-    lab grid point-steps, checked once the grid sizes are known."""
+    4096-point probe decomposition, each packet's one path at dt/4 of the
+    finest dt on the probe's branch curve, `lab_grid_rule` on those paths
+    and the configured y-grid (±y_half_width, y_points), the lab grid size
+    of every ε (a `grid.n` must meet the rule at all of them) and the
+    envelopes' run window (the configured y-grid's smallest centred
+    power-of-two slice that holds the measured Y_τ).  Every failure is a
+    `ConfigError` (exit 2), and so is a study above `nls.MAX_STEPS` steps,
+    checked first, or above `nls.MAX_POINT_STEPS` lab grid point-steps,
+    checked once the grid sizes are known."""
     spec, packets, options = study.potential, study.packets, study.options
     steps = {eps: _step_rule(study.T, options, eps) for eps in study.epsilons}
     _within(MAX_STEPS, "steps", {eps: s.total for eps, s in steps.items()})
@@ -566,15 +563,12 @@ def study_setup(study: Study) -> StudySetup:
                        options.y_points)
     try:
         probe = decompose(spec, make_grid(study.x_min, study.x_max, 4096))
-        curves = [_branch_curve_for(spec, probe, pk.branch) for pk in packets]
-        trajectories = {
-            dt: tuple(integrate_trajectory(curve, pk.x0, pk.xi0, study.T, dt / 4.0)
-                      for curve, pk in zip(curves, packets))
-            for dt in dict.fromkeys(s.dt for s in steps.values())}
-        dt = max(trajectories)
-        rule = lab_grid_rule(packets, trajectories[dt], dt,
-                             study.lambda_coupling, y_grid, study.epsilons,
-                             (study.x_min, study.x_max))
+        dt = min(steps.values()).dt
+        trajectories = tuple(integrate_trajectory(
+            _branch_curve_for(spec, probe, pk.branch), pk.x0, pk.xi0, study.T,
+            dt / 4.0) for pk in packets)
+        rule = lab_grid_rule(packets, trajectories, dt, study.lambda_coupling,
+                             y_grid, study.epsilons, (study.x_min, study.x_max))
     except AdiapackError as exc:
         raise ConfigError(f"grid derivation failed: {exc}") from exc
     grid_n = {eps: lab_grid_points(probe.grid.length, eps, rule.xi_max, rule.eta,
@@ -663,17 +657,17 @@ class _Lane:
 
 class _Lockstep:
     """Every ε of a command in one march, one `_Lane` per ε.  The ε-free
-    parts are marched once: each lane reads the set-up's trajectories of
-    its dt, and packets and ε whose profile and curvature samples agree
-    share one `EnvelopeStepper` (`_envelopes`) and its `EnvelopeClock` on
-    the finest dt's curvature samples.  The march goes one clock interval
-    at a time: it ticks each distinct clock through it (the one place that
-    does), then each lane takes its own steps, first + 1 to first + n, which
-    land on the clock points.  Step s reads the clock at (s - first)/n of
-    the interval when observed and at (2(s - first) - 1)/(2n), its
-    midpoint, for the Duhamel source of the correction components; lanes
-    of equal dt step together, so each read builds the y-spline once for
-    all of them.  ψ closes only at the step that lands on an observation.
+    parts are marched once: every lane reads the set-up's paths, and
+    packets and ε whose profile and curvature samples agree share one
+    `EnvelopeStepper` (`_envelopes`) and its `EnvelopeClock`.  The march
+    goes one clock interval, path samples b₀ to b₁, at a time: it ticks each
+    distinct clock through it (the one place that does), then each lane
+    takes its own steps, first + 1 to first + n, which land on the clock
+    points.  Step s reads the clocks and paths at (s - first)/n of the
+    interval when observed, a path sample, and at (2(s - first) - 1)/(2n),
+    its midpoint, for the Duhamel source of the correction components;
+    lanes of equal dt step together, so each read is made once for all of
+    them.  ψ closes only at the step that lands on an observation.
 
     A lane whose construction or guard fails with an `AdiapackError` leaves
     the march and is listed in `failures`, in the order the lanes fail; the
@@ -687,14 +681,15 @@ class _Lockstep:
                 self.lanes.append(_Lane(setup, eps))
             except AdiapackError as exc:
                 self.failures.append((eps, exc))
-        self.fine = min(setup.steps.values())   # the finest dt's
+        fine = min(setup.steps.values())   # the paths' step: 4 samples each
         envs, curvatures = _envelopes(setup.y_grid, [
             (pk.evaluator(), tr.curvature) for pk, tr in zip(
-                setup.study.packets, setup.trajectories[self.fine.dt])],
+                setup.study.packets, setup.trajectories)],
             setup.study.lambda_coupling)
-        clocks = {env: EnvelopeClock(env, c, self.fine.dt / 4.0)
+        clocks = {env: EnvelopeClock(env, c, fine.dt / 4.0)
                   for env, c in curvatures.items()}
         self.clocks = [clocks[env] for env in envs]
+        self.bounds = [*range(0, 4 * fine.total, 4 * fine.per_clock), 4 * fine.total]
 
     def _each(self, steps, work):
         """work(lane) on every live lane of `steps`; a lane that fails leaves."""
@@ -705,46 +700,43 @@ class _Lockstep:
                 self.lanes.remove(lane)
                 self.failures.append((lane.epsilon, exc))
 
-    def _splines(self, k, n):
-        """Each packet's envelope spline at the fraction k/n of the clock
-        interval just jumped, built once per distinct clock."""
+    def _read(self, b0, b1, k, n):
+        """Each packet's (envelope spline, x, ξ, S) at k/n of the clock
+        interval just jumped, path samples b0 to b1; a spline per clock."""
         y = self.setup.y_grid
         built = {clock: UniformCubicSpline(y.x_min, y.spacing, clock.at(k, n))
                  for clock in dict.fromkeys(self.clocks)}
-        return [built[clock] for clock in self.clocks]
+        return [(built[clock], *tr.at(b0, b1, k, n))
+                for clock, tr in zip(self.clocks, self.setup.trajectories)]
 
     def march(self, observer):
         """March to T with observer(self, lane) on every lane: at each
         observation every lane runs `check_lab_field` and then its observer
-        (step, t, [φ_k(t) per packet]).  Returns (each finished lane's
-        observer `result()`, every failed lane's (ε, error) in order)."""
+        (step, t, path sample, [φ_k(t) per packet]).  Returns (each finished
+        lane's observer `result()`, every failed lane's (ε, error) in order)."""
         observers = {lane: observer(self, lane) for lane in self.lanes}
-        paths = self.setup.trajectories
         split = any(lane.carried for lane in self.lanes)
 
-        def phis(lane, i, splines):   # φ_k at sample i, on the lane's grid
-            return [_phi_values(lane.lab, u_of, tr.x[i], tr.xi[i],
-                                tr.action[i], lane.epsilon)
-                    for u_of, tr in zip(splines, paths[lane.steps.dt])]
+        def phis(lane, reads):   # φ_k on the lane's grid
+            return [_phi_values(lane.lab, *read, lane.epsilon) for read in reads]
 
-        def observe_at(steps, step, k, n):   # u at k/n of the interval
-            t, i = step * steps.dt, 4 * step
-            splines = self._splines(k, n)
+        def observe_at(steps, step, b0, b1, k, n):   # at k/n, a path sample
+            t, reads = step * steps.dt, self._read(b0, b1, k, n)
 
             def observe(lane):
                 lane.tails.append(check_lab_field(lane.psi, t))
-                observers[lane](step, t, phis(lane, i, splines))
+                observers[lane](step, t, b0 + (b1 - b0) * k // n, phis(lane, reads))
             self._each(steps, observe)
 
         rules = list(dict.fromkeys(lane.steps for lane in self.lanes))
         for steps in rules:
-            observe_at(steps, 0, 0, 1)
-        for j in range(-(-self.fine.total // self.fine.per_clock)):
+            observe_at(steps, 0, 0, 0, 0, 1)
+        for j, (b0, b1) in enumerate(zip(self.bounds, self.bounds[1:])):
             if not self.lanes:
                 break
             try:   # tick every clock through clock interval j
                 for clock in dict.fromkeys(self.clocks):
-                    clock.jump(4 * min((j + 1) * self.fine.per_clock, self.fine.total))
+                    clock.jump(b1)
             except AdiapackError as exc:
                 self.failures += [(lane.epsilon, exc) for lane in self.lanes]
                 self.lanes = []
@@ -753,16 +745,15 @@ class _Lockstep:
                 first = j * steps.per_clock
                 n = min(steps.per_clock, steps.total - first)
                 for step in range(first + 1, first + n + 1):
-                    if split:
-                        i = 4 * step - 2
-                        splines = self._splines(2 * (step - first) - 1, 2 * n)
+                    if split:   # the one packet's u and path at the midpoint
+                        reads = self._read(b0, b1, 2 * (step - first) - 1, 2 * n)
                         self._each(steps, lambda lane: lane.source_step(
-                            phis(lane, i, splines)[0], paths[steps.dt][0].xi[i]))
+                            phis(lane, reads)[0], reads[0][2]))
                     observed = step % steps.per_obs == 0
                     self._each(steps, lambda lane: lane.nls_step(
                         step, close=observed))
                     if observed:
-                        observe_at(steps, step, step - first, n)
+                        observe_at(steps, step, b0, b1, step - first, n)
         return [observers[lane].result() for lane in self.lanes], self.failures
 
 
@@ -808,7 +799,7 @@ class _SingleObserver:
     def __init__(self, march: _Lockstep, lane: _Lane):
         study = march.setup.study
         self.march, self.lane, self.branch = march, lane, study.packets[0].branch
-        self.traj, = march.setup.trajectories[lane.steps.dt]
+        self.traj, = march.setup.trajectories
         self.series = {name: [] for name in (
             "times", "masses", "w_sigma1", "theta_sigma1", "leakage", "taylor",
             "populations")}
@@ -817,7 +808,7 @@ class _SingleObserver:
                                for ts in study.snapshot_times}
         self.snapshots = {}
 
-    def __call__(self, step, t, phis):
+    def __call__(self, step, t, i, phis):
         lane, branch, (phi,), traj = self.lane, self.branch, phis, self.traj
         lab, data, eps, psi = lane.lab, lane.data, lane.epsilon, lane.psi
         corrections = lane.corrections()
@@ -826,8 +817,7 @@ class _SingleObserver:
         projs = project(data.projectors, psi)   # every Π_j ψ, once
         row = (t, l2_norm(lab, psi), w_rep.value, th_rep.value,
                l2_norm(lab, psi - projs[branch]),
-               _taylor_remainder(lab, data.branches[branch], traj, 4 * step,
-                                 phi),
+               _taylor_remainder(lab, data.branches[branch], traj, i, phi),
                mode_populations(projs, data.grid))
         for values, value in zip(self.series.values(), row):
             values.append(value)
@@ -955,7 +945,7 @@ class _SuperposeObserver:
         self.march, self.lane = march, lane
         self.w, self.inter, self.times = [], [], []
 
-    def __call__(self, step, t, phis):
+    def __call__(self, step, t, i, phis):
         lane = self.lane
         w_rep, _ = _error_norms(lane.psi, zip(phis, lane.chis), lane.lab,
                                 lane.epsilon)
@@ -965,7 +955,7 @@ class _SuperposeObserver:
 
     def result(self) -> dict:
         lane, setup = self.lane, self.march.setup
-        t1, t2 = setup.trajectories[lane.steps.dt]
+        t1, t2 = setup.trajectories
         # |I^ε(T)|: the trapezoid rule of its indicator on the dense samples
         near = np.abs(t1.x - t2.x) <= lane.epsilon ** setup.study.gamma_exponent
         samples = np.count_nonzero(near) - 0.5 * np.count_nonzero(near[[0, -1]])
@@ -1004,7 +994,7 @@ def superposition_experiment(study: Study) -> SuperpositionReport:
     setup = _setup_of(study, 2)
     epsilons = setup.study.epsilons
 
-    probe, (tr1, tr2) = setup.probe, next(iter(setup.trajectories.values()))
+    probe, (tr1, tr2) = setup.probe, setup.trajectories
     objective = np.abs(probe.branches[p1.branch] - probe.branches[p2.branch]
                        - (tr1.energy0 - tr2.energy0))
     big_gamma = float(objective.min())

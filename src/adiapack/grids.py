@@ -37,6 +37,7 @@ __all__ = [
     "sigma_norm",
     "l2_norm",
     "unit_phase",
+    "cubic_hermite",
     "UniformCubicSpline",
 ]
 
@@ -117,6 +118,12 @@ def unit_phase(theta: np.ndarray) -> np.ndarray:
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
     return out
+
+
+def cubic_hermite(y0, y1, d0, d1, h: float, s: float):
+    """At s·h, the cubic through y0, y1 with rates d0, d1 at 0 and h."""
+    h01 = s * s * (3.0 - 2.0 * s)
+    return (1 - h01) * y0 + h01 * y1 + h * s * (1 - s) * ((1 - s) * d0 - s * d1)
 
 
 def _not_a_knot_slopes(y: np.ndarray, h: float) -> np.ndarray:

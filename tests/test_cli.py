@@ -1053,11 +1053,11 @@ def test_converge_does_its_epsilon_free_work_once(tmp_path, monkeypatch):
     assert main(["superpose", "--config", str(two_packet_config(tmp_path)),
                  "--out", str(tmp_path / "s")]) == 0
     assert calls["integrate_trajectory"] == 2
-    # rotating.json's four ε take three distinct dt: one trajectory each
+    # rotating.json's four ε take three distinct dt and read one path
     calls["integrate_trajectory"] = 0
     setup = config_setup(load_config(CONFIGS / "rotating.json"))
     assert len({steps.dt for steps in setup.steps.values()}) == 3
-    assert calls["integrate_trajectory"] == 3
+    assert calls["integrate_trajectory"] == 1
 
 
 def test_converge_builds_one_branch_curve_per_packet(monkeypatch):

@@ -72,15 +72,15 @@ def lockstep_clock(stepper, curvature, steps) -> TickedClock:
 def ansatz_at(setup, epsilon, t):
     """(lab grid, u(t) on the run window, φ(t) on the lab grid) of the
     set-up's one packet at ε, built from the pieces a run uses: the
-    envelope's clock (`lockstep_clock`) along the set-up's run trajectory,
-    read at sample 4s of step s, the envelope's spline and `_phi_values`
-    there."""
-    (packet,), steps = setup.study.packets, setup.steps[epsilon]
-    (traj,), y_grid = setup.trajectories[steps.dt], setup.y_grid
+    envelope's clock (`lockstep_clock`) along the set-up's one path, read
+    at the path's sample at t (four per step of the finest dt), the
+    envelope's spline and `_phi_values` there."""
+    (packet,), (traj,) = setup.study.packets, setup.trajectories
+    fine, y_grid = min(setup.steps.values()), setup.y_grid
     env = EnvelopeStepper(y_grid, packet.evaluator()(y_grid.points),
                           setup.study.lambda_coupling)
-    i = 4 * int(round(t / steps.dt))
-    u = lockstep_clock(env, traj.curvature, steps).at(i).copy()
+    i = 4 * int(round(t / fine.dt))
+    u = lockstep_clock(env, traj.curvature, fine).at(i).copy()
     probe = setup.probe.grid
     lab = make_grid(probe.x_min, probe.x_max, setup.grid_n[epsilon])
     u_of = UniformCubicSpline(y_grid.x_min, y_grid.spacing, u)
@@ -149,7 +149,7 @@ def test_taylor_residual_below_remainder_bound(rotating_run, rotating_setup):
     t, eps = 0.2, rotating_run.epsilon
     res = rotating_run.taylor[-1]
     lab, u, _ = ansatz_at(rotating_setup, eps, t)
-    (traj,) = rotating_setup.trajectories[rotating_run.dt]
+    (traj,) = rotating_setup.trajectories
     x_c = float(traj.x[4 * int(round(t / rotating_run.dt))])
     h = 1e-3
     xs = x_c + np.linspace(-6.0 * np.sqrt(eps), 6.0 * np.sqrt(eps), 101)
@@ -289,6 +289,24 @@ def test_superposition_gamma_constant_difference():
                                          options=EVERY_005))
     # λ̃1 - λ̃2 = -1 and E1 - E2 = 1/2 - 1 = -1/2, so Γ = 1/2 exactly
     assert rep.big_gamma == pytest.approx(0.5, abs=1e-12)
+
+
+def test_swapping_the_two_packets_leaves_the_superposition_report():
+    # the swap relation on superposition.json at ε = 1/64 and 1/256 (lanes
+    # of dt 1e-3 and 0.01/11): w = ψ - φ₁χ¹ - φ₂χ², the crossing set and Γ
+    # do not depend on the packets' order (the norms moved by 1.6e-16;
+    # ‖|φ₁|²φ₂‖, the interaction integrand, is not symmetric)
+    from adiapack.config import load_config
+
+    cfg = replace(load_config(CONFIGS / "superposition.json"),
+                  epsilons=[1.0 / 64, 1.0 / 256])
+    plain = superposition_experiment(cfg)
+    swapped = superposition_experiment(replace(cfg, packets=cfg.packets[::-1]))
+    for name in ("sup_errors", "terminal_errors"):
+        assert getattr(swapped, name) == pytest.approx(getattr(plain, name),
+                                                       rel=1e-9), name
+    assert swapped.crossing_measures == plain.crossing_measures
+    assert swapped.big_gamma == plain.big_gamma
 
 
 def test_superposition_rejects_identical_packets():
@@ -565,7 +583,7 @@ def clock_and_strang_errors(name):
     setup = study_setup(replace(raw, T=1.0, packets=raw.packets[:1],
                                 epsilons=raw.epsilons[:1], snapshot_times=None))
     (packet,), steps = setup.study.packets, setup.steps[raw.epsilons[0]]
-    (traj,), y, lam = (setup.trajectories[steps.dt], setup.y_grid,
+    (traj,), y, lam = (setup.trajectories, setup.y_grid,
                        setup.study.lambda_coupling)
     a = packet.evaluator()(y.points)
     fine = integrate_trajectory(
@@ -612,7 +630,7 @@ def test_a_read_at_a_clock_point_is_the_clock_sample():
     # stages, byte for byte, whether or not a Hermite read came first
     setup = study_setup(study(rotating_family(), [GAUSSIAN_AT_1], [1.0 / 64],
                               1.0, 0.1, -2.5, 2.5))
-    steps, (traj,), y = setup.steps[1.0 / 64], setup.trajectories[1e-3], \
+    steps, (traj,), y = setup.steps[1.0 / 64], setup.trajectories, \
         setup.y_grid
     clocks = [lockstep_clock(EnvelopeStepper(
         y, GAUSSIAN_AT_1.evaluator()(y.points), 1.0), traj.curvature, steps)
@@ -622,6 +640,40 @@ def test_a_read_at_a_clock_point_is_the_clock_sample():
     assert clocks[0].at(40).tobytes() == clocks[1].at(40).tobytes() \
         == clocks[1].clock.stepper.values.tobytes()
     assert clocks[1].clock.stepper.time == 0.01
+
+
+def test_a_path_read_is_the_coarse_lane_path_or_the_sample_itself():
+    # rotating.json's one path is at q = 0.01/84, a quarter of its finest
+    # dt; the ε = 1/64 lane steps dt = 1e-3, 10 steps a clock interval of
+    # 84 samples.  Its step ends and midpoints read as the lockstep does
+    # agree with that lane's own path at dt/4 within 1e-13 (Hermite reads
+    # between samples erred at most 4.3e-15), and a read that lands on a
+    # sample (step ends 5 and 10 and midpoints 3 and 8 of each interval)
+    # is that sample's floats, bit for bit
+    from adiapack.config import load_config
+
+    cfg = load_config(CONFIGS / "rotating.json")
+    setup = study_setup(cfg)
+    (path,), (packet,) = setup.trajectories, cfg.packets
+    steps = setup.steps[1.0 / 64]
+    assert steps.dt == 1e-3 and path.times[1] == 0.01 / 84
+    own = integrate_trajectory(
+        _branch_curve_for(cfg.potential, setup.probe, packet.branch),
+        packet.x0, packet.xi0, cfg.T, 2.5e-4)
+    worst, on_samples = 0.0, 0
+    for j in range(steps.total // steps.per_clock):
+        b0, b1, n = 84 * j, 84 * (j + 1), steps.per_clock
+        for k in range(1, 2 * n + 1):   # half steps: midpoints and ends
+            read = path.at(b0, b1, k, 2 * n)
+            i = 2 * (j * n) + k
+            mine = (own.x[2 * i], own.xi[2 * i], own.action[2 * i])
+            worst = max(worst, *(abs(a - b) for a, b in zip(read, mine)))
+            if (b1 - b0) * k % (2 * n) == 0:
+                on_samples += 1
+                at = b0 + (b1 - b0) * k // (2 * n)
+                assert [v.tobytes() for v in read] == [v.tobytes() for v in (
+                    path.x[at], path.xi[at], path.action[at])]
+    assert on_samples == 4 * 100 and worst < 1e-13, worst
 
 
 def test_step_rule_rejects_t_off_the_observation_cadence(monkeypatch):

@@ -33,6 +33,24 @@ def test_smoke_outputs_match_themselves_and_a_perturbed_cell_is_named(tmp_path):
     assert 0.9e-12 < rel < 1.1e-12
 
 
+def test_a_moved_key_of_a_json_stdout_line_is_named(tmp_path):
+    # a stdout of two JSON lines, as the dense_cadence run prints: one key
+    # of the second line moved by 1e-12 relative is named with its line
+    docs = [{"order": 0.5, "sup": [1.0e-3, 2.0e-3]},
+            {"order": 0.25, "sup": [3.0e-3, 4.0e-3]}]
+    for side in ("this", "other"):
+        (tmp_path / side / "run").mkdir(parents=True)
+        (tmp_path / side / "run" / "stdout.txt").write_text(
+            "".join(json.dumps(doc) + "\n" for doc in docs))
+        docs[1]["sup"][1] *= 1.0 + 1e-12
+    report = same["compare"](tmp_path / "this", tmp_path / "other")
+    assert report[0] == "differs: run/stdout.txt (this, then other)"
+    assert len(report) == 2 and report[1].startswith(
+        "  line 2 key sup[*]: max abs ")
+    rel = float(report[1].rsplit("max rel ", 1)[1])
+    assert 0.9e-12 < rel < 1.1e-12
+
+
 def test_an_argument_holding_braces_runs_unchanged(tmp_path):
     # only the {tree} placeholder is substituted: code with a dict literal
     # and a format field runs as written, and {tree} becomes the tree

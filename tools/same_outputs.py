@@ -37,8 +37,10 @@ its stdout and stderr (with each tree's own path replaced by `<tree>`) and
 its exit code are compared byte for byte.  Where a file differs, the report
 gives the largest absolute and relative difference of each CSV column and
 each JSON key (list indices read as `[*]`), or the first differing line of
-any other text.  The summary also gives the line count of `src/` (its `.py`
-files, as `wc -l` counts) in both trees.  Exit status: 0 when every output
+any other text; a text line that parses as JSON on both sides (the
+`dense_cadence` stdout) is compared key by key and named by its number.
+The summary also gives the line count of `src/` (its `.py` files, as
+`wc -l` counts) in both trees.  Exit status: 0 when every output
 is identical, 1 when any differs, 2 when the revision cannot be exported.
 There is no tolerance.
 `--keep <dir>` keeps the outputs in <dir>/this and <dir>/other.
@@ -241,25 +243,44 @@ def _leaves(value, at=""):
         yield at, value
 
 
-def _diff_json(a: str, b: str) -> list:
+def _parsed(text):   # (True, its JSON value), or (False, None)
     try:
-        la, lb = list(_leaves(json.loads(a))), list(_leaves(json.loads(b)))
+        return True, json.loads(text)
     except ValueError:
-        return _diff_text(a, b)
+        return False, None
+
+
+def _diff_leaves(a, b, at: str = "") -> list:
+    """Two JSON values key by key; `at` goes before each key."""
+    la, lb = list(_leaves(a)), list(_leaves(b))
     if [k for k, _ in la] != [k for k, _ in lb]:
-        return ["  the JSON documents have different keys"]
+        return [f"  {at}the JSON documents have different keys"]
     keys = {}
     for (k, x), (_, y) in zip(la, lb):
         keys.setdefault(k or "(root)", []).append((json.dumps(x), json.dumps(y)))
-    return _report("key", keys)
+    return _report(f"{at}key", keys)
+
+
+def _diff_json(a: str, b: str) -> list:
+    (ok_a, va), (ok_b, vb) = _parsed(a), _parsed(b)
+    return _diff_leaves(va, vb) if ok_a and ok_b else _diff_text(a, b)
 
 
 def _diff_text(a: str, b: str) -> list:
-    la, lb = a.splitlines(), b.splitlines()
+    """Line by line: a differing line that parses as JSON on both sides is
+    compared key by key under its line number; the first other differing
+    line ends the report."""
+    la, lb, lines = a.splitlines(), b.splitlines(), []
     for i, (x, y) in enumerate(zip(la, lb)):
-        if x != y:
-            return [f"  line {i + 1}: {x!r}", f"  against: {y!r}"]
-    return [f"  {len(la)} lines against {len(lb)}"]
+        if x == y:
+            continue
+        (ok_x, vx), (ok_y, vy) = _parsed(x), _parsed(y)
+        if not (ok_x and ok_y):
+            return lines + [f"  line {i + 1}: {x!r}", f"  against: {y!r}"]
+        lines += _diff_leaves(vx, vy, f"line {i + 1} ")
+    if len(la) != len(lb) or not lines:
+        lines.append(f"  {len(la)} lines against {len(lb)}")
+    return lines
 
 
 def compare(this: Path, other: Path) -> list:
